@@ -2,9 +2,13 @@
 
 mod1_law sums exact cell probabilities P(u(X) in [j, j+z]) over the integer
 cells that carry mass, working on a log10 abscissa so heavy tails never
-overflow. discrepancy_bound turns the closed-form supremum of pdf/u' into
-the certified ceiling 2*sup; certify_mod1_bound measures one against the
-other and raises if the measurement ever crosses the ceiling.
+overflow. It evaluates blocks of z rows x cells, at most _CHUNK elements
+each, with at most one cdf and one survival call per block; every row still
+sums its cells in cell order, so each probability is bit-identical to
+evaluating one z at a time. discrepancy_bound turns the closed-form
+supremum of pdf/u' into the certified ceiling 2*sup; certify_mod1_bound
+measures one against the other and raises if the measurement ever crosses
+the ceiling.
 
 The two fraction laws with explicit series (uniform and exponential inputs
 under pi*x**2) get dedicated evaluators: an exact clamped-cell sum for the
@@ -78,11 +82,16 @@ def mod1_law(distribution, transform, zs=None, tail=1e-14,
     The windowed support [ppf(tail), isf(tail)] fixes which integer cells
     of u are enumerated; everything outside contributes at most 2*tail,
     which lands in the returned error budget rather than in the numbers.
+
+    Cells are taken _CHUNK at a time, and z rows in blocks of at most
+    _CHUNK elements (one row when a chunk is full). Each row is reduced
+    over its cells in cell order, so the result is bit-identical to a
+    per-z loop over the same cells.
     """
     if zs is None:
         zs = default_z_grid()
     zs = np.asarray(zs, dtype=np.float64)
-    if ((zs <= 0.0) | (zs >= 1.0)).any():
+    if not np.all((zs > 0.0) & (zs < 1.0)):
         raise ValueError("z grid must lie strictly inside (0, 1)")
 
     lg_lo = float(distribution.ppf_log10(tail))
@@ -121,14 +130,22 @@ def mod1_law(distribution, transform, zs=None, tail=1e-14,
         if finite.any():
             cdf_left[finite] = distribution.cdf_log10(lg_left[finite])
             sf_left[finite] = distribution.sf_log10(lg_left[finite])
+        # upper-half cells difference survivals, the rest cdfs, so neither
+        # side cancels against a value near 1
         use_sf = cdf_left >= 0.5
-        for iz, z in enumerate(zs):
-            lg_right = _cell_edges_to_lg(transform, j + z)
-            cdf_right = distribution.cdf_log10(lg_right)
-            p = np.where(use_sf,
-                         sf_left - distribution.sf_log10(lg_right),
-                         cdf_right - cdf_left)
-            probs[iz] += float(np.sum(np.maximum(p, 0.0)))
+        use_cdf = ~use_sf
+        rows = max(1, _CHUNK // j.size)
+        for r0 in range(0, zs.size, rows):
+            block = slice(r0, r0 + rows)
+            lg_right = _cell_edges_to_lg(transform, j + zs[block, None])
+            p = np.empty_like(lg_right)
+            if use_sf.any():
+                p[:, use_sf] = sf_left[use_sf] - distribution.sf_log10(
+                    lg_right[:, use_sf])
+            if use_cdf.any():
+                p[:, use_cdf] = distribution.cdf_log10(
+                    lg_right[:, use_cdf]) - cdf_left[use_cdf]
+            probs[block] += np.sum(np.maximum(p, 0.0), axis=1)
 
     errs = np.abs(probs - zs)
     i = int(errs.argmax())

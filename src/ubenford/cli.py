@@ -55,8 +55,8 @@ def _policy(args):
     digits = getattr(args, "precision", None)
     if digits is None:
         return DEFAULT_POLICY
-    if not 4 <= digits <= 1000:
-        raise InvalidParameter("precision must be between 4 and 1000 digits")
+    if not 12 <= digits <= 1000:
+        raise InvalidParameter("precision must be between 12 and 1000 digits")
     return dataclasses.replace(DEFAULT_POLICY, agreement=digits)
 
 
@@ -115,7 +115,8 @@ def build_parser():
     p.add_argument("--workers", type=int, default=1,
                    help="process-pool size for cell evaluation (default 1)")
     p.add_argument("--precision", type=int, default=None,
-                   help="certified fractional digits per term")
+                   help="certified fractional digits per term, 12 to 1000 "
+                        "(default 12)")
     _add_format(p)
     p.set_defaults(run=_cmd_table1)
 
@@ -161,7 +162,8 @@ def build_parser():
     p.add_argument("--alpha-level", type=float, default=0.05,
                    help="significance level (default 0.05)")
     p.add_argument("--precision", type=int, default=None,
-                   help="certified fractional digits per value")
+                   help="certified fractional digits per value, 12 to "
+                        "1000 (default 12)")
     _add_format(p)
     p.set_defaults(run=_cmd_analyze)
     return parser

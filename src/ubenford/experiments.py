@@ -354,6 +354,10 @@ def pdelta_curve(family, parameter, deltas=None, check_envelope=True):
     else:
         raise InvalidParameter(
             f"no cell-probability series for family {family!r}")
+    if not (math.isfinite(parameter) and parameter > 0.0):
+        raise InvalidParameter(
+            f"{family} parameter must be finite and positive, got "
+            f"{parameter!r}")
     rows = []
     for delta in deltas:
         if not 0.0 < delta < 1.0:

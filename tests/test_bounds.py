@@ -14,16 +14,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ubenford.bounds import (BoundCertificate, certify_mod1_bound,
+from ubenford.bounds import (_CHUNK, _EPS, BoundCertificate,
+                             _cell_edges_to_lg, certify_mod1_bound,
                              default_z_grid, discrepancy_bound, mod1_law,
                              p_delta_exponential,
                              p_delta_exponential_envelope, p_delta_uniform,
                              p_delta_uniform_envelope)
-from ubenford.distributions import (Exponential, LognormalBase10, ParetoI,
-                                    ParetoII, UniformOnZeroK)
+from ubenford.distributions import (Exponential, HalfNormal,
+                                    LognormalBase10, ParetoI, ParetoII,
+                                    UniformOnZeroK)
 from ubenford.errors import (CertificateViolation, HypothesisViolated,
                              NotUnimodal, TruncationFailure)
-from ubenford.transforms import IDENTITY, LOG10, LOGLOG, PI_SQUARE, SQRT
+from ubenford.transforms import (IDENTITY, LOG2, LOG10, LOGLOG, PI_SQUARE,
+                                 SQRT, u_float_from_log10)
 
 QUARTERS = np.array([0.25, 0.5, 0.75])
 
@@ -87,6 +90,8 @@ class TestMod1Law:
             mod1_law(d, IDENTITY, zs=np.array([0.0, 0.5]))
         with pytest.raises(ValueError):
             mod1_law(d, IDENTITY, zs=np.array([0.5, 1.0]))
+        with pytest.raises(ValueError):
+            mod1_law(d, LOG10, zs=np.array([0.25, math.nan]))
 
     def test_cell_budget(self):
         with pytest.raises(TruncationFailure):
@@ -98,6 +103,131 @@ class TestMod1Law:
         # the 1e-14 window spans lg -13.7 .. 28, so ~42 log cells
         assert res.cells < 50
         assert res.error_budget < 1e-9
+
+
+def _mod1_law_per_z(distribution, transform, zs, tail=1e-14):
+    """Reference: mod1_law as one Python step per z point.
+
+    The library evaluates blocks of z rows at once; every row must sum its
+    cells in this order and so give the same bits.
+    """
+    lg_lo = float(distribution.ppf_log10(tail))
+    lg_hi = float(distribution.isf_log10(tail))
+    if distribution.support_lo > 0.0:
+        lg_lo = max(lg_lo, math.log10(distribution.support_lo))
+    if math.isfinite(distribution.support_hi):
+        lg_hi = min(lg_hi, math.log10(distribution.support_hi))
+    if transform.kind == "loglog":
+        lg_lo = max(lg_lo, 1e-300)
+    j_lo = math.floor(u_float_from_log10(transform, lg_lo))
+    j_hi = math.floor(u_float_from_log10(transform, lg_hi))
+    cells = j_hi - j_lo + 1
+
+    probs = np.zeros_like(zs)
+    for start in range(j_lo, j_hi + 1, _CHUNK):
+        j = np.arange(start, min(start + _CHUNK, j_hi + 1),
+                      dtype=np.float64)
+        lg_left = _cell_edges_to_lg(transform, j)
+        finite = np.isfinite(lg_left)
+        cdf_left = np.zeros_like(j)
+        sf_left = np.ones_like(j)
+        if finite.any():
+            cdf_left[finite] = distribution.cdf_log10(lg_left[finite])
+            sf_left[finite] = distribution.sf_log10(lg_left[finite])
+        use_sf = cdf_left >= 0.5
+        for iz, z in enumerate(zs):
+            lg_right = _cell_edges_to_lg(transform, j + z)
+            cdf_right = distribution.cdf_log10(lg_right)
+            p = np.where(use_sf,
+                         sf_left - distribution.sf_log10(lg_right),
+                         cdf_right - cdf_left)
+            probs[iz] += float(np.sum(np.maximum(p, 0.0)))
+
+    errs = np.abs(probs - zs)
+    i = int(errs.argmax())
+    budget = 2.0 * tail + 8.0 * cells * _EPS + 1e-15
+    return probs, float(errs[i]), float(zs[i]), cells, budget
+
+
+def _assert_matches_per_z(distribution, transform, zs):
+    res = mod1_law(distribution, transform, zs=zs)
+    probs, disc, worst_z, cells, budget = _mod1_law_per_z(
+        distribution, transform, zs)
+    assert np.array_equal(res.probs, probs)
+    assert res.discrepancy == disc
+    assert res.worst_z == worst_z
+    assert res.cells == cells
+    assert res.error_budget == budget
+    return res
+
+
+# every family under each transform it accepts (log2 stands for the
+# non-decimal log bases); cell counts run from 1 to about 10k, so some
+# blocks hold all z rows and others only a few
+BLOCK_CASES = [
+    (ParetoI(10.0, 1.0), IDENTITY),
+    (ParetoI(10.0, 1.0), LOG10),
+    (ParetoI(10.0, 1.0), LOG2),
+    (ParetoI(10.0, 1.0), SQRT),
+    (ParetoI(10.0, 1.0), PI_SQUARE),
+    (ParetoI(0.5, 1.0), LOGLOG),
+    (ParetoI(2.0, 10.0), LOGLOG),
+    (ParetoII(4.0), IDENTITY),
+    (ParetoII(0.5), LOG10),
+    (ParetoII(4.0), LOG2),
+    (ParetoII(4.0), SQRT),
+    (ParetoII(8.0), PI_SQUARE),
+    (LognormalBase10(0.0, 0.5), IDENTITY),
+    (LognormalBase10(0.0, 2.0), LOG10),
+    (LognormalBase10(1.0, 1.0), LOG2),
+    (LognormalBase10(0.5, 0.5), SQRT),
+    (LognormalBase10(0.0, 0.2), PI_SQUARE),
+    (UniformOnZeroK(50.0), IDENTITY),
+    (UniformOnZeroK(1000.0), LOG10),
+    (UniformOnZeroK(1000.0), LOG2),
+    (UniformOnZeroK(1e4), SQRT),
+    (UniformOnZeroK(50.0), PI_SQUARE),
+    (Exponential(1.0), IDENTITY),
+    (Exponential(0.01), LOG10),
+    (Exponential(0.01), LOG2),
+    (Exponential(0.01), SQRT),
+    (Exponential(1.0), PI_SQUARE),
+    (HalfNormal(3.0), IDENTITY),
+    (HalfNormal(100.0), LOG10),
+    (HalfNormal(100.0), LOG2),
+    (HalfNormal(100.0), SQRT),
+    (HalfNormal(2.0), PI_SQUARE),
+]
+
+
+class TestMod1LawBlocks:
+    ZS = np.linspace(0.0, 1.0, 41)[1:-1]
+
+    @pytest.mark.parametrize("d,t", BLOCK_CASES,
+                             ids=lambda v: v.label())
+    def test_matches_per_z_reference(self, d, t):
+        _assert_matches_per_z(d, t, self.ZS)
+
+    @pytest.mark.parametrize("t", [SQRT, PI_SQUARE])
+    def test_left_edge_at_minus_infinity(self, t):
+        # cell j = 0 has no preimage below 0, so its left edge is -inf
+        d = Exponential(0.5)
+        assert _cell_edges_to_lg(t, np.array([0.0]))[0] == -np.inf
+        res = _assert_matches_per_z(d, t, self.ZS)
+        assert res.cells > 1
+
+    def test_two_cell_chunks_with_one_row_blocks(self):
+        # pi*X**2 on (0, 200] spans ~125k cells: two chunks of more than
+        # _CHUNK/2 cells, so every block holds a single z row
+        res = _assert_matches_per_z(UniformOnZeroK(200.0), PI_SQUARE,
+                                    QUARTERS)
+        assert 1.5 * _CHUNK < res.cells <= 2 * _CHUNK
+
+    def test_many_cells_on_default_grid(self):
+        zs = default_z_grid()
+        res = _assert_matches_per_z(HalfNormal(4.0), PI_SQUARE, zs)
+        assert res.cells * zs.size > 10 * _CHUNK
+        assert np.all(np.diff(res.probs) >= 0.0)
 
 
 class TestBoundCertificates:

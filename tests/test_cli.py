@@ -120,6 +120,14 @@ def test_analyze_transform_and_alpha_flags(capsys):
     assert "{sqrt(x)}" in out
 
 
+def test_analyze_lowest_precision_is_the_default(capsys):
+    code, out, err = run(capsys, "analyze", FIXTURES["powers"],
+                         "--column", "2", "--precision", "12")
+    assert code == 0 and err == ""
+    assert out == run(capsys, "analyze", FIXTURES["powers"],
+                      "--column", "2")[1]
+
+
 def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
@@ -149,11 +157,17 @@ def test_help_exits_zero(capsys):
     ("table3", "--n", "1"),
     ("nonsense",),
     ("table1", "--format", "yaml"),
+    ("table1", "--n", "20", "--precision", "4"),
+    ("table1", "--n", "20", "--precision", "11"),
+    ("pdelta", "uniform", "-5"),
+    ("pdelta", "exponential", "nan"),
+    ("pdelta", "uniform", "inf"),
 ])
 def test_input_errors_exit_one(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith("error:")
+    assert len(err.splitlines()) == 1
 
 
 def test_missing_subcommand_exits_one(capsys):

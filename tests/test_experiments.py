@@ -287,6 +287,9 @@ def test_pdelta_curve_envelope_breach_raises(monkeypatch):
     ("uniform", 100.0, (0.0,)),
     ("uniform", 100.0, (1.0,)),
     ("exponential", 1.0, (-0.5,)),
+    ("uniform", -5.0, None),
+    ("exponential", math.nan, None),
+    ("uniform", math.inf, None),
 ])
 def test_pdelta_curve_input_errors(family, param, deltas):
     with pytest.raises(InvalidParameter):
