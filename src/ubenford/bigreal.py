@@ -1,27 +1,29 @@
-"""Arbitrary-precision decimal reals with explicit certified precision.
+"""Arbitrary-precision binary reals with explicit certified precision.
 
-A BigReal stores value = mantissa * 10**exponent together with the count of
-significant decimal digits that are actually trustworthy. Exact values
-(integers, finite decimals, binary doubles) are flagged and never lose
-digits; inexact values carry their certification through arithmetic so that
-frac() can refuse to hand out fractional digits it cannot vouch for.
+A BigReal stores value = mantissa * 2**exponent together with the count of
+significant bits that are actually trustworthy. Exact values (integers,
+binary doubles) are flagged and never lose bits; inexact values carry their
+certification through arithmetic so that frac() can refuse to hand out
+fractional bits it cannot vouch for. Fractional parts are masks and shifts.
 """
 
 import math
 from dataclasses import dataclass
 
 from .errors import InsufficientPrecision
-from .kernels import dec_digits
 
-_FRAC_OUT_DIGITS = 24  # digits materialized when converting a frac to double
+_FRAC_OUT_BITS = 80  # bits materialized when converting a frac to double
 _ONE_MINUS = math.nextafter(1.0, 0.0)
+_EXACT_BITS = 10 ** 9  # significant bits reported for exact values
 
 
 @dataclass(frozen=True)
 class PrecisionPolicy:
-    """Knobs for certified evaluation.
+    """Knobs for certified evaluation, in decimal digits.
 
-    initial: working precision floor (decimal digits)
+    The evaluators work in bits and convert with kernels.digits_to_bits.
+
+    initial: working precision floor
     guard: extra digits beyond the integer part of a result
     agreement: fractional digits two escalating evaluations must share
     cap: hard ceiling on working precision
@@ -47,10 +49,6 @@ class PrecisionPolicy:
 DEFAULT_POLICY = PrecisionPolicy()
 
 
-def _digits_abs(m):
-    return dec_digits(abs(m)) if m else 0
-
-
 class BigReal:
     __slots__ = ("mantissa", "exponent", "precision", "exact")
 
@@ -67,49 +65,34 @@ class BigReal:
 
     @classmethod
     def from_int(cls, n):
-        return cls(n, 0, max(16, _digits_abs(n)), True)
-
-    @classmethod
-    def from_decimal_string(cls, text):
-        text = text.strip()
-        sign = -1 if text.startswith("-") else 1
-        body = text.lstrip("+-")
-        if "." in body:
-            whole, _, frac = body.partition(".")
-            m = int((whole + frac) or "0") * sign
-            return cls(m, -len(frac), max(16, _digits_abs(m)), True)
-        return cls.from_int(sign * int(body or "0"))
+        return cls(n, 0, max(53, n.bit_length()), True)
 
     @classmethod
     def from_float(cls, x):
-        # a double is m2 * 2**e2, i.e. an exact finite decimal
+        # a double is exactly m2 * 2**-k
         if not math.isfinite(x):
             raise ValueError("BigReal requires a finite value")
-        m2, e2 = x.as_integer_ratio()  # denominator e2 is a power of two
-        k = e2.bit_length() - 1
-        m = m2 * 5 ** k
-        return cls(m, -k, max(16, _digits_abs(m)), True)
+        m2, d = x.as_integer_ratio()  # d is a power of two
+        return cls(m2, 1 - d.bit_length(), max(53, m2.bit_length()), True)
 
     # ---- structure --------------------------------------------------------
 
     def integer_digits(self):
-        """Decimal digit count of the integer part (0 when |value| < 1)."""
-        if self.mantissa == 0:
-            return 0
-        return max(0, _digits_abs(self.mantissa) + self.exponent)
+        """Binary digit count of the integer part (0 when |value| < 1)."""
+        return max(0, self.mantissa.bit_length() + self.exponent)
 
     def significant_digits(self):
-        """Certified significant digits (relative-error view of precision).
+        """Certified significant bits (relative-error view of precision).
 
-        For |value| >= 1 this is just `precision`; below 1 the leading
-        zeros after the decimal point do not count.
+        For |value| >= 1 this is `precision - 1`; below 1 the leading zero
+        bits after the binary point do not count.
         """
         if self.exact:
-            return 10 ** 9
+            return _EXACT_BITS
         if self.mantissa == 0:
             return 0
-        # worst case over the decade: |value| as low as 10**(mag-1)
-        mag = _digits_abs(self.mantissa) + self.exponent
+        # worst case over the octave: |value| as low as 2**(mag-1)
+        mag = self.mantissa.bit_length() + self.exponent
         return self.precision - 1 + min(0, mag)
 
     def is_zero(self):
@@ -120,12 +103,11 @@ class BigReal:
 
     def compare(self, other):
         """-1, 0, or 1; exact on the stored rationals."""
+        a, b = self.mantissa, other.mantissa
         if self.exponent >= other.exponent:
-            a = self.mantissa * 10 ** (self.exponent - other.exponent)
-            b = other.mantissa
+            a <<= self.exponent - other.exponent
         else:
-            a = self.mantissa
-            b = other.mantissa * 10 ** (other.exponent - self.exponent)
+            b <<= other.exponent - self.exponent
         return (a > b) - (a < b)
 
     def compare_int(self, n):
@@ -137,113 +119,94 @@ class BigReal:
         m = self.mantissa * other.mantissa
         e = self.exponent + other.exponent
         if self.exact and other.exact:
-            return BigReal(m, e, max(16, _digits_abs(m)), True)
+            return BigReal(m, e, max(53, m.bit_length()), True)
         p = min(self._effective_precision(), other._effective_precision())
         return _truncated(m, e, p)
-
-    def square(self):
-        return self.mul(self)
 
     def add_int(self, n):
         """Exact shift by an integer; certification is preserved."""
         if self.exponent >= 0:
-            m = self.mantissa * 10 ** self.exponent + n
+            m = (self.mantissa << self.exponent) + n
             e = 0
         else:
-            m = self.mantissa + n * 10 ** (-self.exponent)
+            m = self.mantissa + (n << -self.exponent)
             e = self.exponent
         if self.exact:
-            return BigReal(m, e, max(16, _digits_abs(m)), True)
-        p = self.precision + _digits_abs(m) - _digits_abs(self.mantissa)
+            return BigReal(m, e, max(53, m.bit_length()), True)
+        p = self.precision + m.bit_length() - self.mantissa.bit_length()
         return BigReal(m, e, p, False)
 
     def _effective_precision(self):
-        return self.precision if not self.exact else 10 ** 9
+        return self.precision if not self.exact else _EXACT_BITS
 
     # ---- fractional part --------------------------------------------------
 
-    def _check_frac_precision(self, digits):
+    def _check_frac_precision(self, bits):
         if self.exact:
             return
         avail = self.precision - self.integer_digits()
-        if avail < digits:
+        if avail < bits:
             raise InsufficientPrecision(
-                f"{avail} certified fractional digits available, "
-                f"{digits} requested")
+                f"{avail} certified fractional bits available, "
+                f"{bits} requested")
 
-    def _frac_digits(self, digits):
+    def _frac_bits(self, bits):
         if self.exponent >= 0:
             return 0
-        scale = 10 ** (-self.exponent)
-        r = self.mantissa % scale  # floor semantics for negatives
-        if digits <= -self.exponent:
-            return r // 10 ** (-self.exponent - digits)
-        return r * 10 ** (digits + self.exponent)
+        point = -self.exponent
+        r = self.mantissa & ((1 << point) - 1)  # floor semantics for negatives
+        if bits <= point:
+            return r >> (point - bits)
+        return r << (bits - point)
 
-    def frac_scaled(self, digits):
-        """floor(frac(value) * 10**digits), certified or refused.
+    def frac_scaled(self, bits):
+        """floor(frac(value) * 2**bits), certified or refused.
 
         Raises InsufficientPrecision when the stored precision cannot vouch
-        for `digits` fractional digits.
+        for `bits` fractional bits.
         """
-        self._check_frac_precision(digits)
-        return self._frac_digits(digits)
+        self._check_frac_precision(bits)
+        return self._frac_bits(bits)
 
-    def frac(self, min_digits=12):
+    def frac(self, min_bits=40):
         """Fractional part in [0, 1) as a double.
 
-        The result is certified to at least `min_digits` decimal digits;
+        The result is certified to at least `min_bits` bits;
         InsufficientPrecision is raised otherwise so the caller can
         regenerate the input at higher precision.
         """
-        self._check_frac_precision(min_digits)
-        q = self._frac_digits(_FRAC_OUT_DIGITS)
-        # int/int true division rounds the exact rational once, so
-        # short decimals come back bit-equal to their literals
-        d = q / 10 ** _FRAC_OUT_DIGITS
+        self._check_frac_precision(min_bits)
+        out = min(_FRAC_OUT_BITS, max(0, -self.exponent))
+        # int/int true division rounds the kept bits once, so binary
+        # fractions of up to 80 bits come back exactly
+        d = self._frac_bits(out) / (1 << out)
         if d >= 1.0:
             return _ONE_MINUS
-        if d < 0.0:
-            return 0.0
         return d
 
     # ---- conversion -------------------------------------------------------
 
     def to_float(self):
-        if self.mantissa == 0:
-            return 0.0
-        d = _digits_abs(self.mantissa)
-        mag = d - 1 + self.exponent
-        if mag > 308:
-            return math.inf if self.mantissa > 0 else -math.inf
-        if mag < -320:
-            return 0.0
-        shift = d - 17
+        m, e = self.mantissa, self.exponent
+        shift = m.bit_length() - 64
         if shift > 0:
-            m = self.mantissa // 10 ** shift
-            e = self.exponent + shift
-        else:
-            m = self.mantissa
-            e = self.exponent
-        return float(m) * 10.0 ** e
+            m = m >> shift if m > 0 else -(-m >> shift)
+            e += shift
+        try:
+            return math.ldexp(float(m), e)
+        except OverflowError:
+            return math.inf if m > 0 else -math.inf
 
     def __repr__(self):
         tag = "exact" if self.exact else f"p={self.precision}"
-        return f"BigReal({self.mantissa}e{self.exponent}, {tag})"
+        return f"BigReal({self.mantissa}*2**{self.exponent}, {tag})"
 
 
 def _truncated(m, e, p):
-    """Keep p significant digits of m (truncation toward zero, <= 1 ulp)."""
-    d = _digits_abs(m)
-    if d > p > 0:
-        cut = d - p
-        q = abs(m) // 10 ** cut
+    """Keep p significant bits of m (truncation toward zero, <= 1 ulp)."""
+    cut = m.bit_length() - p
+    if cut > 0 and p > 0:
+        q = abs(m) >> cut
         m = q if m > 0 else -q
         e += cut
     return BigReal(m, e, p, False)
-
-
-def from_fixed(mantissa, prec, exponent10=0, precision=None, exact=False):
-    """Wrap a fixed-point kernel result (value = mantissa/10**prec * 10**exp)."""
-    return BigReal(mantissa, exponent10 - prec,
-                   precision if precision is not None else prec, exact)

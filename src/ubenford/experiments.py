@@ -18,7 +18,7 @@ from .bounds import (certify_mod1_bound, mod1_law, p_delta_exponential,
                      p_delta_uniform_envelope)
 from .distributions import Exponential, HalfNormal, UniformOnZeroK, \
     parse_distribution
-from .errors import CertificateViolation, InvalidParameter
+from .errors import CertificateViolation, DomainError, InvalidParameter
 from .sequences import frac_sample, odd_nonsquare, parse_sequence
 from .stats import digit_report, kolmogorov_q, ks_uniform
 from .transforms import IDENTITY, LOG10, LOGLOG, PI_SQUARE, SQRT, \
@@ -149,7 +149,8 @@ def run_table1(n_fast=10000, n_slow=1000, workers=1, policy=DEFAULT_POLICY):
     specs.append(("n_pow_n", SQRT, n_slow, policy, True,
                   "n_pow_n_odd_nonsquare"))
     specs.append(("power_law:1/pi", IDENTITY, n_slow, policy, False, None))
-    cells = _run_cells(specs, workers)
+    # a pool forks all its workers up front; more than one per cell is waste
+    cells = _run_cells(specs, min(workers, len(specs)))
     return Table1Report(n_fast=n_fast, n_slow=n_slow,
                         cells=tuple(cells[:-2]), reruns=tuple(cells[-2:]))
 
@@ -402,20 +403,29 @@ def analyze_dataset(dataset, transform=LOG10, base=10, alpha=0.05,
     Values go through the certified evaluation path (floats are exact
     binary rationals, so even pi*x**2 of a large entry keeps a trustworthy
     fractional part), then a KS test against uniformity; the leading-digit
-    table is tested separately in the requested base.
+    table is tested separately in the requested base, over every ingested
+    value. Values outside the transform's domain (x <= 1 under the
+    iterated log) are skipped and counted in `dropped`, so `sample_size`
+    is the number of fractional parts tested.
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidParameter("alpha must lie strictly inside (0, 1)")
-    fracs = np.asarray(
-        [transform_frac(BigReal.from_float(v), transform, policy)
-         for v in dataset.values], dtype=np.float64)
+    fracs = []
+    out_of_domain = 0
+    for v in dataset.values:
+        try:
+            fracs.append(transform_frac(BigReal.from_float(v), transform,
+                                        policy))
+        except DomainError:
+            out_of_domain += 1
+    fracs = np.asarray(fracs, dtype=np.float64)
     statistic, z = ks_uniform(fracs)
     p = kolmogorov_q(z)
     digits = digit_report(dataset.values, base=base, alpha=alpha)
     return AnalyzeReport(
         dataset=dataset.name,
-        sample_size=len(dataset.values),
-        dropped=dataset.dropped,
+        sample_size=int(fracs.size),
+        dropped=dataset.dropped + out_of_domain,
         transform=transform.label(),
         base=int(base),
         alpha=float(alpha),

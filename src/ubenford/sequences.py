@@ -3,9 +3,11 @@
 Each sequence produces BigReal terms: exact integers where the value is an
 integer (primes, factorials, n**n), and certified approximations for
 irrational terms (sqrt n, pi*n, e**n, n**alpha) generated at whatever
-significant-digit budget the downstream transform asks for. frac_sample
-drives the whole pipeline term by term, retrying at doubled input precision
-whenever the transform refuses to certify a fractional part.
+significant-digit budget the downstream transform asks for (decimal
+digits, generated as binary fixed point with at least as many bits).
+frac_sample drives the whole pipeline term by term, retrying at doubled
+input precision whenever the transform refuses to certify a fractional
+part.
 """
 
 import math
@@ -17,25 +19,32 @@ import numpy as np
 
 from .bigreal import DEFAULT_POLICY, BigReal
 from .errors import DomainError, InsufficientPrecision, InvalidParameter
-from .kernels import dec_digits, e_fixed, exp_fixed, ln10_fixed, ln_fixed, \
-    pi_fixed, pow_fixed
+from .kernels import dec_digits, digits_to_bits, e_fixed, exp_fixed, \
+    ln2_fixed, ln_fixed, pi_fixed, pow_fixed
 from .transforms import required_input_precision, u_float_from_log10, \
     eval_transform
 
 _LOG10_E_FIXED17 = 43429448190325182  # floor(log10(e) * 1e17)
+_LN10 = math.log(10.0)
 
 
 def _ln_int_fixed(n, prec):
-    """ln(n) * 10**prec for an integer n >= 1, error within a few ulp."""
-    d = dec_digits(n)
-    if d <= prec + 1:
-        ms = n * 10 ** (prec + 1 - d)
-    else:
-        ms = n // 10 ** (d - prec - 1)
+    """ln(n) * 2**prec for an integer n >= 1, within bit_length(n) + 4 ulp."""
+    d = n.bit_length()
+    ms = n << (prec + 1 - d) if d <= prec + 1 else n >> (d - prec - 1)
     v = ln_fixed(ms, prec)
     if d > 1:
-        v += (d - 1) * ln10_fixed(prec)
+        v += (d - 1) * ln2_fixed(prec)
     return v
+
+
+def _digits_from_log10(lg):
+    """Decimal integer digits of a value >= 1 with log10 = lg (a double).
+
+    The margin absorbs the double's rounding, so the count is the true one
+    or one more.
+    """
+    return int(lg + 1e-12 * lg + 1e-9) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -85,10 +94,6 @@ class Sequence:
     def int_digits_estimate(self, n):
         raise NotImplementedError
 
-    def term_float(self, n):
-        """Term as a double; inf when it overflows."""
-        return self.nth_term(n, 20).to_float()
-
     def __repr__(self):
         return f"<Sequence {self.name}>"
 
@@ -100,14 +105,11 @@ class SqrtN(Sequence):
         r = isqrt(n)
         if r * r == n:
             return BigReal.from_int(r)
-        p = sig_digits + 2
-        return BigReal(isqrt(n * 10 ** (2 * p)), -p, p, False)
+        p = digits_to_bits(sig_digits) + 7
+        return BigReal(isqrt(n << 2 * p), -p, p, False)
 
     def int_digits_estimate(self, n):
         return (dec_digits(n) + 1) // 2
-
-    def term_float(self, n):
-        return math.sqrt(n)
 
     def term_log10(self, n):
         return 0.5 * math.log10(n)
@@ -117,14 +119,11 @@ class PiN(Sequence):
     name = "pi_n"
 
     def nth_term(self, n, sig_digits=40):
-        p = sig_digits + 2
+        p = digits_to_bits(sig_digits) + 7
         return BigReal(pi_fixed(p) * n, -p, p, False)
 
     def int_digits_estimate(self, n):
         return dec_digits(n) + 1
-
-    def term_float(self, n):
-        return math.pi * n
 
     def term_log10(self, n):
         return math.log10(math.pi) + math.log10(n)
@@ -139,9 +138,6 @@ class Primes(Sequence):
     def int_digits_estimate(self, n):
         return dec_digits(nth_prime(n))
 
-    def term_float(self, n):
-        return float(nth_prime(n))
-
     def term_log10(self, n):
         return math.log10(nth_prime(n))
 
@@ -150,18 +146,15 @@ class ExpN(Sequence):
     name = "exp_n"
 
     def nth_term(self, n, sig_digits=40):
-        p = sig_digits + dec_digits(n) + 2
-        mant, e10 = pow_fixed(e_fixed(p), p, n)
-        return BigReal(mant, e10 - p, p - dec_digits(n) - 1, False)
+        # e**n = (e/2)**n * 2**n, and floor(e * 2**(p-1)) at scale 2**p
+        # is e/2; its last-bit error grows n-fold
+        lost = n.bit_length() + 2
+        p = digits_to_bits(sig_digits) + 7 + lost
+        mant, e2 = pow_fixed(e_fixed(p - 1), p, n)
+        return BigReal(mant, e2 + n - p, p - lost, False)
 
     def int_digits_estimate(self, n):
         return n * _LOG10_E_FIXED17 // 10 ** 17 + 1
-
-    def term_float(self, n):
-        try:
-            return math.exp(n)
-        except OverflowError:
-            return math.inf
 
     def term_log10(self, n):
         return n / math.log(10.0)
@@ -174,13 +167,7 @@ class Factorial(Sequence):
         return BigReal.from_int(math.factorial(n))
 
     def int_digits_estimate(self, n):
-        return dec_digits(math.factorial(n))
-
-    def term_float(self, n):
-        try:
-            return float(math.factorial(n))
-        except OverflowError:
-            return math.inf
+        return _digits_from_log10(math.lgamma(n + 1) / _LN10)
 
     def term_log10(self, n):
         return math.lgamma(n + 1) / math.log(10.0)
@@ -193,13 +180,7 @@ class NPowN(Sequence):
         return BigReal.from_int(n ** n)
 
     def int_digits_estimate(self, n):
-        return dec_digits(n ** n)
-
-    def term_float(self, n):
-        try:
-            return float(n) ** n
-        except OverflowError:
-            return math.inf
+        return _digits_from_log10(n * math.log10(n))
 
     def term_log10(self, n):
         return n * math.log10(n)
@@ -232,27 +213,24 @@ class PowerLaw(Sequence):
                 r = isqrt(n ** p)
                 if r * r == n ** p:
                     return BigReal.from_int(r)
-        g = sig_digits + 6
+        # ulps of ln n, scaled by alpha, become relative error of exp
+        slop = int(self._alpha_float * (n.bit_length() + 4)) + 6
+        lost = slop.bit_length() + 2
+        g = digits_to_bits(sig_digits) + 7 + lost
         if n == 1:
-            return BigReal(10 ** g, -g, g, False)
+            return BigReal(1 << g, -g, g, False)
         ln_n = _ln_int_fixed(n, g)
         if self._inv_pi:
-            x = ln_n * 10 ** g // pi_fixed(g)
+            x = (ln_n << g) // pi_fixed(g)
         else:
             x = ln_n * self._ratio.numerator // self._ratio.denominator
-        mant, e10 = exp_fixed(x, g)
-        return BigReal(mant, e10 - g, g - 2, False)
+        mant, e2 = exp_fixed(x, g)
+        return BigReal(mant, e2 - g, g - lost, False)
 
     def int_digits_estimate(self, n):
         if n == 1:
             return 1
         return int(self._alpha_float * math.log10(n)) + 2
-
-    def term_float(self, n):
-        try:
-            return float(n) ** self._alpha_float
-        except OverflowError:
-            return math.inf
 
     def term_log10(self, n):
         return self._alpha_float * math.log10(n)
@@ -314,6 +292,7 @@ def frac_sample(sequence, transform, n_max, policy=DEFAULT_POLICY,
     excluded = 0
     requested = 0
     headroom = policy.agreement + 8
+    agreement_bits = digits_to_bits(policy.agreement)
     for n in range(1, n_max + 1):
         if index_filter is not None and not index_filter(n):
             continue
@@ -324,7 +303,7 @@ def frac_sample(sequence, transform, n_max, policy=DEFAULT_POLICY,
             x = sequence.nth_term(n, sig_digits=target)
             try:
                 u = eval_transform(x, transform, policy)
-                out.append(u.frac(policy.agreement))
+                out.append(u.frac(agreement_bits))
                 break
             except DomainError:
                 excluded += 1

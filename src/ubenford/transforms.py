@@ -12,12 +12,13 @@ escalation when the result sits within the near-integer guard band.
 import math
 from dataclasses import dataclass
 from decimal import Decimal
-from math import gcd, isqrt
+from math import isqrt
 
-from .bigreal import DEFAULT_POLICY, BigReal, _digits_abs
+from .bigreal import DEFAULT_POLICY, BigReal
 from .errors import CertificateViolation, DomainError, InsufficientPrecision, \
     PrecisionCapExceeded
-from .kernels import ln2_fixed, ln10_fixed, ln_fixed, pi_fixed
+from .kernels import digits_to_bits, ln2_fixed, ln10_fixed, ln_fixed, \
+    pi_fixed
 
 
 @dataclass(frozen=True)
@@ -205,6 +206,9 @@ def _int_str(v):
     return str(Decimal(v))
 
 
+_PI_DIGITS_GUARD = 64  # bits beyond the requested decimal digits
+
+
 def pi_digits(precision):
     """pi as a decimal string with `precision` fractional digits.
 
@@ -214,7 +218,8 @@ def pi_digits(precision):
     """
     if precision < 1:
         raise ValueError("precision must be >= 1")
-    s = _int_str(pi_fixed(precision))
+    bits = digits_to_bits(precision) + _PI_DIGITS_GUARD
+    s = _int_str(pi_fixed(bits) * 10 ** precision >> bits)
     frac = s[1:]
     n = min(precision, 1000)
     if s[0] != "3" or frac[:n] != _PI_REFERENCE_1000[:n]:
@@ -223,20 +228,32 @@ def pi_digits(precision):
     return "3." + frac
 
 
-def pi_bigreal(precision):
-    """pi as a BigReal certified to `precision` significant digits."""
-    return BigReal(pi_fixed(precision), -precision, precision + 1, False)
-
-
 # ---------------------------------------------------------------------------
 # exact fast paths
 
-def _strip_power(v, b):
-    j = 0
-    while v > 1 and v % b == 0:
-        v //= b
-        j += 1
-    return v, j
+def _power_exponent(v, base):
+    """j with base**j == v for an integer v > 1, else None.
+
+    Only one j can match, and it is read off the bits of v: the count of
+    trailing zero bits for an even base, the bit length for an odd one.
+    One big power and one comparison decide.
+    """
+    bl = v.bit_length()
+    log2_base = math.log2(base)
+    if base % 2 == 0:
+        twos = (base & -base).bit_length() - 1
+        tz = (v & -v).bit_length() - 1
+        if tz % twos:
+            return None
+        j = tz // twos
+    else:
+        if v % base:
+            return None
+        j = math.ceil((bl - 1) / log2_base)
+    # base**j has floor(j * log2(base)) + 1 bits
+    if j < 1 or abs(j * log2_base - (bl - 1)) > 1.0 + 1e-9 * bl:
+        return None
+    return j if base ** j == v else None
 
 
 def _try_exact(x, transform):
@@ -261,11 +278,11 @@ def _try_exact(x, transform):
         if m == 0:
             return BigReal.from_int(0)
         if e % 2:
-            m *= 10
+            m <<= 1
             e -= 1
         r = isqrt(m)
         if r * r == m:
-            return BigReal(r, e // 2, max(16, _digits_abs(r)), True)
+            return BigReal(r, e // 2, max(53, r.bit_length()), True)
         return None
     if k == "pi_square" and x.mantissa == 0:
         return BigReal.from_int(0)
@@ -274,27 +291,31 @@ def _try_exact(x, transform):
 
 def _exact_log(x, base):
     """log_base(x) when x is an exact integer power of base, else None."""
-    num, den = x.mantissa, 1
-    if x.exponent >= 0:
-        num *= 10 ** x.exponent
+    m, e = x.mantissa, x.exponent
+    if m <= 0:
+        return None
+    # x = num / den in lowest terms; den is a power of two
+    if e >= 0:
+        num, den = m << e, 1
     else:
-        den = 10 ** (-x.exponent)
-        g = gcd(num, den)
-        num //= g
-        den //= g
+        tz = min((m & -m).bit_length() - 1, -e)
+        num, den = m >> tz, 1 << (-e - tz)
     if num == 1 and den == 1:
         return BigReal.from_int(0)
     if den == 1:
-        v, j = _strip_power(num, base)
-        return BigReal.from_int(j) if v == 1 else None
+        j = _power_exponent(num, base)
+        return None if j is None else BigReal.from_int(j)
     if num == 1:
-        v, j = _strip_power(den, base)
-        return BigReal.from_int(-j) if v == 1 else None
+        j = _power_exponent(den, base)
+        return None if j is None else BigReal.from_int(-j)
     return None
 
 
 # ---------------------------------------------------------------------------
 # fixed-precision evaluation of one transform
+#
+# Working precisions are in bits: each evaluator returns floor-accurate
+# u(x) at scale 2**-w with the count of certified bits as its precision.
 
 _BASE_LN_CACHE = {}
 
@@ -307,57 +328,57 @@ def _ln_base_fixed(base, prec):
     key = (base, prec)
     v = _BASE_LN_CACHE.get(key)
     if v is None:
-        d = _digits_abs(base)
-        scaled = base * 10 ** (prec + 1 - d)
-        v = ln_fixed(scaled, prec) + (d - 1) * ln10_fixed(prec)
+        d = base.bit_length()
+        v = ln_fixed(base << (prec + 1 - d), prec) + (d - 1) * ln2_fixed(prec)
         _BASE_LN_CACHE[key] = v
     return v
 
 
-def _input_frac_limit(x, result_int_digits):
-    """Fractional digits of u(x) supported by the input's own certification."""
+def _input_frac_limit(x, result_int_bits):
+    """Fractional bits of u(x) supported by the input's own certification."""
     if x.exact:
         return 10 ** 9
-    return x.significant_digits() - result_int_digits - 1
+    return x.significant_digits() - result_int_bits - 2
 
 
 def _log_at(x, base, w):
     m, e = x.mantissa, x.exponent
-    d = _digits_abs(m)
-    if d <= w + 1:
-        ms = m * 10 ** (w + 1 - d)
-    else:
-        ms = m // 10 ** (d - w - 1)
+    d = m.bit_length()
+    # x = (ms / 2**w) * 2**k with ms / 2**w in [1, 2)
+    ms = m << (w + 1 - d) if d <= w + 1 else m >> (d - w - 1)
     lv = ln_fixed(ms, w)
-    k = d - 1 + e  # x = mantissa_in_[1,10) * 10**k
+    k = d - 1 + e
     if k:
-        lv += k * ln10_fixed(w)
-    q = (lv * 10 ** w) // _ln_base_fixed(base, w)
-    int_digits = max(0, _digits_abs(q) - w)
-    frac_cert = w - (_digits_abs(k) + 2)
-    frac_cert = min(frac_cert, _input_frac_limit(x, int_digits))
-    return BigReal(q, -w, int_digits + frac_cert, False)
+        lv += k * ln2_fixed(w)
+    q = (lv << w) // _ln_base_fixed(base, w)
+    int_bits = max(0, q.bit_length() - w)
+    # k ulps from ln 2, a few from ln_fixed, x1.45 from dividing by ln 2
+    frac_cert = w - (abs(k).bit_length() + 4)
+    frac_cert = min(frac_cert, _input_frac_limit(x, int_bits))
+    return BigReal(q, -w, int_bits + frac_cert, False)
 
 
 def _sqrt_at(x, w):
     m, e = x.mantissa, x.exponent
     if e % 2:
-        m *= 10
+        m <<= 1
         e -= 1
-    r = isqrt(m * 10 ** (2 * w))
-    int_digits = max(0, _digits_abs(r) + e // 2 - w)
-    frac_cert = min(w - 1, _input_frac_limit(x, int_digits))
-    return BigReal(r, e // 2 - w, int_digits + frac_cert, False)
+    r = isqrt(m << 2 * w)
+    half = e // 2
+    int_bits = max(0, r.bit_length() + half - w)
+    # r is floor-exact at scale 2**(half - w)
+    frac_cert = min(w - 1 - max(0, half), _input_frac_limit(x, int_bits))
+    return BigReal(r, half - w, int_bits + frac_cert, False)
 
 
 def _pi_square_at(x, w):
     m, e = x.mantissa, x.exponent
     q = pi_fixed(w) * m * m
-    int_digits = max(0, _digits_abs(q) + 2 * e - w)
-    # absolute error <= x**2 * 10**-w from the truncated pi digits
+    int_bits = max(0, q.bit_length() + 2 * e - w)
+    # absolute error <= x**2 * 2**-w from the truncated pi bits
     frac_cert = w - 2 * x.integer_digits() - 1
-    frac_cert = min(frac_cert, _input_frac_limit(x, int_digits))
-    return BigReal(q, 2 * e - w, int_digits + frac_cert, False)
+    frac_cert = min(frac_cert, _input_frac_limit(x, int_bits))
+    return BigReal(q, 2 * e - w, int_bits + frac_cert, False)
 
 
 def _eval_at(x, transform, w):
@@ -367,7 +388,7 @@ def _eval_at(x, transform, w):
     if k == "log":
         return _log_at(x, transform.base, w)
     if k == "loglog":
-        y = _log_at(x, 10, w + 4)
+        y = _log_at(x, 10, w + 14)
         if y.sign() <= 0:
             raise InsufficientPrecision(
                 "inner log10 vanished at this working precision")
@@ -390,12 +411,12 @@ def _check_domain(x, transform):
         raise DomainError(f"{transform.label()} requires x >= 0")
 
 
-def _result_digits_estimate(x, transform):
+def _result_bits_estimate(x, transform):
     k = transform.kind
     if k == "log":
-        return 8
+        return 27
     if k == "loglog":
-        return 4
+        return 14
     i = x.integer_digits()
     if k == "sqrt":
         return i // 2 + 1
@@ -407,29 +428,33 @@ def _result_digits_estimate(x, transform):
 def eval_transform(x, transform, policy=DEFAULT_POLICY):
     """u(x) as a BigReal whose fractional part is certified.
 
-    The result is evaluated at working precisions w and 2w and accepted only
-    when both agree on the first `policy.agreement` fractional digits
-    (modulo wraparound across an integer boundary). Near-integer results get
-    one extra doubling before acceptance. Raises DomainError outside the
-    transform's domain, InsufficientPrecision when the input's own
-    certification cannot support the requested fractional digits, and
-    PrecisionCapExceeded when escalation passes policy.cap.
+    The result is evaluated at working precisions w and 2w (in bits) and
+    accepted only when both agree on the first `policy.agreement`
+    fractional digits, converted to bits (modulo wraparound across an
+    integer boundary). Near-integer results get one extra doubling before
+    acceptance. Raises DomainError outside the transform's domain,
+    InsufficientPrecision when the input's own certification cannot
+    support the requested fractional bits, and PrecisionCapExceeded when
+    escalation passes policy.cap.
     """
     _check_domain(x, transform)
     fast = _try_exact(x, transform)
     if fast is not None:
         return fast
 
-    a = policy.agreement
-    mod = 10 ** a
-    band = 10 ** max(0, a - policy.near_integer_digits)
-    w = max(policy.initial,
-            _result_digits_estimate(x, transform) + policy.guard + a)
+    a = digits_to_bits(policy.agreement)
+    mod = 1 << a
+    band = 1 << max(0, a - digits_to_bits(policy.near_integer_digits))
+    cap = digits_to_bits(policy.cap)
+    w = max(digits_to_bits(policy.initial),
+            _result_bits_estimate(x, transform)
+            + digits_to_bits(policy.guard) + a)
     escalated_for_near_integer = False
     while True:
-        if 2 * w > policy.cap:
+        if 2 * w > cap:
             raise PrecisionCapExceeded(
-                f"needed working precision {2 * w} exceeds cap {policy.cap}")
+                f"needed working precision {2 * w} bits exceeds cap "
+                f"{policy.cap} digits ({cap} bits)")
         lo = _eval_at(x, transform, w)
         hi = _eval_at(x, transform, 2 * w)
         try:
@@ -440,7 +465,7 @@ def eval_transform(x, transform, policy=DEFAULT_POLICY):
                 w *= 2
                 continue
             raise  # input-limited: escalating cannot help
-        diff = (qhi - qlo) % mod
+        diff = (qhi - qlo) & (mod - 1)
         if diff in (0, 1, mod - 1):
             near = qhi < band or qhi >= mod - band
             if near and not escalated_for_near_integer:
@@ -453,7 +478,8 @@ def eval_transform(x, transform, policy=DEFAULT_POLICY):
 
 def transform_frac(x, transform, policy=DEFAULT_POLICY):
     """Fractional part of u(x) as a certified double in [0, 1)."""
-    return eval_transform(x, transform, policy).frac(policy.agreement)
+    return eval_transform(x, transform, policy).frac(
+        digits_to_bits(policy.agreement))
 
 
 def required_input_precision(transform, int_digits, frac_digits):

@@ -1,4 +1,7 @@
-"""BigReal construction, certified fractional parts, and precision policy."""
+"""BigReal construction, certified fractional parts, and precision policy.
+
+A BigReal is mantissa * 2**exponent with its precision counted in bits.
+"""
 
 import math
 
@@ -6,8 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ubenford.bigreal import DEFAULT_POLICY, BigReal, PrecisionPolicy, \
-    from_fixed
+from ubenford.bigreal import DEFAULT_POLICY, BigReal, PrecisionPolicy
 from ubenford.errors import InsufficientPrecision
 
 
@@ -15,22 +17,18 @@ class TestConstruction:
     def test_from_int(self):
         x = BigReal.from_int(1234)
         assert (x.mantissa, x.exponent, x.exact) == (1234, 0, True)
-        assert x.precision >= 16
-
-    def test_from_decimal_string(self):
-        x = BigReal.from_decimal_string("3.7")
-        assert (x.mantissa, x.exponent) == (37, -1)
-        assert BigReal.from_decimal_string("-0.25").mantissa == -25
-        assert BigReal.from_decimal_string("+4.50").mantissa == 450
-        assert BigReal.from_decimal_string("12").exponent == 0
-        assert BigReal.from_decimal_string(" 0.0 ").is_zero()
+        assert x.precision >= 53
 
     def test_from_float_is_exact_binary(self):
         x = BigReal.from_float(0.1)
         # 0.1 as a double is 3602879701896397 / 2**55
-        assert x.mantissa == 3602879701896397 * 5 ** 55
-        assert x.exponent == -55
+        assert (x.mantissa, x.exponent) == (3602879701896397, -55)
         assert x.exact
+        y = BigReal.from_float(-2.5)
+        assert (y.mantissa, y.exponent) == (-5, -1)
+        z = BigReal.from_float(5e-324)  # smallest subnormal
+        assert (z.mantissa, z.exponent) == (1, -1074)
+        assert BigReal.from_float(0.0).is_zero()
 
     def test_from_float_integers(self):
         assert BigReal.from_float(8.0).compare_int(8) == 0
@@ -49,71 +47,75 @@ class TestConstruction:
 
 class TestStructure:
     def test_integer_digits(self):
-        assert BigReal.from_decimal_string("0.5").integer_digits() == 0
+        # binary digits of the integer part
+        assert BigReal.from_float(0.5).integer_digits() == 0
         assert BigReal.from_int(1).integer_digits() == 1
-        assert BigReal.from_int(999).integer_digits() == 3
-        assert BigReal.from_int(1000).integer_digits() == 4
-        assert BigReal(9999, -2, 16, True).integer_digits() == 2
+        assert BigReal.from_int(255).integer_digits() == 8
+        assert BigReal.from_int(256).integer_digits() == 9
+        assert BigReal(1023, -8, 53, True).integer_digits() == 2  # 3.99...
         assert BigReal.from_int(0).integer_digits() == 0
+        assert BigReal.from_int(10 ** 100).integer_digits() == 333
 
     def test_significant_digits(self):
-        # 123.45 certified to 10 digits: relative error can reach 1e-9
-        assert BigReal(12345, -2, 10, False).significant_digits() == 9
-        # 0.0012345: the leading zeros do not count as significant
-        assert BigReal(12345, -7, 10, False).significant_digits() == 7
+        # 0b1100000.111 (96.875) certified to 10 bits: relative error can
+        # reach 2**-9
+        assert BigReal(775, -3, 10, False).significant_digits() == 9
+        # 775 * 2**-13 (~0.0946): the leading zero bits do not count
+        assert BigReal(775, -13, 10, False).significant_digits() == 6
         assert BigReal.from_int(5).significant_digits() > 10 ** 8
 
     def test_compare(self):
-        a = BigReal.from_decimal_string("2.5")
+        a = BigReal.from_float(2.5)
         b = BigReal.from_int(3)
         assert a.compare(b) == -1
         assert b.compare(a) == 1
-        assert a.compare(BigReal(25, -1, 16, True)) == 0
-        assert a.compare(BigReal(250, -2, 16, True)) == 0
+        assert a.compare(BigReal(5, -1, 53, True)) == 0
+        assert a.compare(BigReal(20, -3, 53, True)) == 0
         assert BigReal.from_int(10 ** 40).compare_int(10 ** 40) == 0
-        assert BigReal.from_decimal_string("-1.5").compare_int(0) == -1
+        assert BigReal.from_float(-1.5).compare_int(0) == -1
 
     def test_sign(self):
         assert BigReal.from_int(-3).sign() == -1
         assert BigReal.from_int(0).sign() == 0
-        assert BigReal.from_decimal_string("0.001").sign() == 1
+        assert BigReal.from_float(0.001).sign() == 1
 
 
 class TestFrac:
     def test_short_decimals_round_trip(self):
-        assert BigReal.from_decimal_string("3.7").frac() == 0.7
-        assert BigReal.from_decimal_string("0.25").frac() == 0.25
+        # the frac of a double is a double, and comes back exactly
+        assert BigReal.from_float(3.7).frac() == 3.7 - 3.0
+        assert BigReal.from_float(0.25).frac() == 0.25
         assert BigReal.from_int(42).frac() == 0.0
 
     def test_negative_values_wrap_up(self):
-        assert BigReal.from_decimal_string("-0.25").frac() == 0.75
-        assert BigReal.from_decimal_string("-2.5").frac() == 0.5
+        assert BigReal.from_float(-0.25).frac() == 0.75
+        assert BigReal.from_float(-2.5).frac() == 0.5
 
     def test_frac_scaled(self):
-        x = BigReal.from_decimal_string("5.123456")
-        assert x.frac_scaled(3) == 123
-        assert x.frac_scaled(8) == 12345600
-        assert BigReal.from_decimal_string("-2.75").frac_scaled(2) == 25
+        x = BigReal(0b101_110101, -6, 53, True)  # 5 + 53/64
+        assert x.frac_scaled(3) == 0b110
+        assert x.frac_scaled(8) == 0b11010100
+        assert BigReal.from_float(-2.75).frac_scaled(2) == 1
 
     def test_huge_exact_int(self):
         assert BigReal.from_int(10 ** 5000 + 7).frac() == 0.0
 
     def test_insufficient_precision(self):
-        # 13 integer digits certified to 20 leaves 7 fractional digits
-        x = BigReal(12345678901234567890123, -10, 20, False)
-        assert x.frac_scaled(7) == 4567890
+        # 40 integer bits certified to 60 leaves 20 fractional bits
+        x = BigReal(0xABCDEF0123_456789AB, -32, 60, False)
+        assert x.frac_scaled(20) == 0x45678
         with pytest.raises(InsufficientPrecision):
-            x.frac_scaled(8)
+            x.frac_scaled(21)
         with pytest.raises(InsufficientPrecision):
-            x.frac(12)
+            x.frac(40)
 
     def test_exact_values_never_refuse(self):
-        x = BigReal.from_decimal_string("123456789012345.625")
+        x = BigReal.from_float(123456789012345.625)
         assert x.frac() == 0.625
 
     @given(st.floats(min_value=1e-6, max_value=0.999999))
     def test_from_float_frac_identity(self, v):
-        # 24 materialized fractional digits pin down any double here
+        # 80 materialized fractional bits hold any double here exactly
         assert BigReal.from_float(v).frac() == v
 
     @given(st.floats(min_value=0.0, max_value=1e6, exclude_max=True))
@@ -124,51 +126,44 @@ class TestFrac:
 
 class TestArithmetic:
     def test_mul_exact(self):
-        a = BigReal.from_decimal_string("0.25")
+        a = BigReal.from_float(0.25)
         b = BigReal.from_int(4)
         c = a.mul(b)
         assert c.exact and c.compare_int(1) == 0
 
     def test_mul_truncates_to_min_precision(self):
-        a = BigReal(31415926535897932384, -19, 20, False)
-        b = BigReal(27182818284590452353, -19, 12, False)
+        a = BigReal(0x3243F6A8885A308D31, -68, 66, False)  # pi
+        b = BigReal(0x2B7E151628AED2A6AB, -68, 40, False)  # e
         c = a.mul(b)
         assert not c.exact
-        assert c.precision == 12
-        assert abs(c.to_float() - math.pi * math.e) < 1e-9
-
-    def test_square(self):
-        s = BigReal.from_int(12).square()
-        assert s.compare_int(144) == 0
+        assert c.precision == 40
+        assert c.mantissa.bit_length() == 40
+        assert abs(c.to_float() - math.pi * math.e) < 1e-10
 
     def test_add_int(self):
-        x = BigReal.from_decimal_string("0.75").add_int(2)
-        assert x.compare(BigReal.from_decimal_string("2.75")) == 0
-        y = BigReal(75, -2, 18, False).add_int(2)
+        x = BigReal.from_float(0.75).add_int(2)
+        assert x.compare(BigReal.from_float(2.75)) == 0
+        y = BigReal(3, -2, 60, False).add_int(2)  # 0.75 + 2
         assert not y.exact
-        assert y.precision == 19  # grew by the new leading digit
+        assert y.precision == 62  # grew by the two new leading bits
         assert y.frac() == 0.75
 
     def test_add_int_exact_negative(self):
-        x = BigReal.from_decimal_string("0.25").add_int(-1)
+        x = BigReal.from_float(0.25).add_int(-1)
         assert x.frac() == 0.25
         assert x.sign() == -1
 
 
 class TestConversion:
     def test_to_float(self):
-        assert BigReal.from_decimal_string("2.5").to_float() == 2.5
+        assert BigReal.from_float(2.5).to_float() == 2.5
         assert BigReal.from_int(0).to_float() == 0.0
         assert BigReal.from_int(10 ** 400).to_float() == math.inf
-        assert BigReal(1, -400, 16, True).to_float() == 0.0
+        assert BigReal.from_int(-10 ** 400).to_float() == -math.inf
+        assert BigReal(1, -1400, 53, True).to_float() == 0.0
         big = BigReal.from_int(123456789123456789123456789)
         assert abs(big.to_float() - 1.23456789123456789e26) < 1e11
-
-    def test_from_fixed(self):
-        x = from_fixed(31415926535897932384, 19)
-        assert abs(x.to_float() - math.pi) < 1e-18
-        y = from_fixed(27182818284590452353, 19, exponent10=43, precision=19)
-        assert abs(y.to_float() - 2.7182818284590452e43) < 1e28
+        assert BigReal.from_int(-(3 << 200)).to_float() == -3.0 * 2.0 ** 200
 
 
 class TestPrecisionPolicy:

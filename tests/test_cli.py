@@ -128,6 +128,26 @@ def test_analyze_lowest_precision_is_the_default(capsys):
                       "--column", "2")[1]
 
 
+def test_analyze_loglog_skips_values_outside_its_domain(capsys, tmp_path):
+    # the iterated log needs x > 1: 0.5 and 1 are dropped from the KS
+    # sample but stay in the leading-digit table
+    above = [1.5, 2.0, 3.75, 10.0, 42.0, 1e3, 7.5e4, 3.1e9, 2e30, 6e200]
+    path = tmp_path / "mixed.csv"
+    path.write_text("value\n0.5\n1\n" + "\n".join(map(repr, above)) + "\n",
+                    encoding="utf-8")
+    code, out, err = run(capsys, "analyze", str(path), "--transform",
+                         "loglog", "--format", "structured-record")
+    assert code == 0 and err == ""
+    body = json.loads(out)
+    assert body["sample_size"] == len(above)
+    assert body["dropped"] == 2
+    assert len(body["fracs"]) == len(above)
+    assert sum(body["digits"]["counts"]) == len(above) + 2
+    code, out, _ = run(capsys, "analyze", str(path), "--transform", "loglog")
+    assert code == 0
+    assert out.startswith(f"dataset: mixed (N={len(above)}, 2 rows dropped)")
+
+
 def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0

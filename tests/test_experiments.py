@@ -103,6 +103,34 @@ def test_table1_worker_count_does_not_change_output():
     assert serial == pooled
 
 
+def test_table1_pool_never_exceeds_the_cell_count(monkeypatch):
+    # a pool forks all its workers at the first submit, so the request is
+    # clamped before the pool exists; the fake runs the cells inline
+    import ubenford.experiments as exp
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(exp, "ProcessPoolExecutor", InlinePool)
+    serial = emit(run_table1(n_fast=20, n_slow=20), "structured-record")
+    huge = emit(run_table1(n_fast=20, n_slow=20, workers=10000),
+                "structured-record")
+    run_table1(n_fast=20, n_slow=20, workers=3)
+    assert sizes == [26, 3]  # 24 cells plus the two reruns
+    assert huge == serial
+
+
 def test_table1_cell_lookup():
     rep = run_table1(n_fast=50, n_slow=50)
     cell = rep.cell("primes", "sqrt")

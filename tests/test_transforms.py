@@ -11,17 +11,27 @@ import ubenford.transforms as tr
 from ubenford.bigreal import BigReal, PrecisionPolicy
 from ubenford.errors import (CertificateViolation, DomainError,
                              InsufficientPrecision, PrecisionCapExceeded)
+from ubenford.kernels import digits_to_bits, pi_fixed
 from ubenford.transforms import (IDENTITY, LOG2, LOG10, LOGLOG, PI_SQUARE,
                                  SQRT, Transform, derivative, eval_transform,
-                                 pi_bigreal, pi_digits, required_input_precision,
+                                 pi_digits, required_input_precision,
                                  transform_frac, u_float, u_inverse_float,
                                  u_inverse_log10)
 
-# independently computed reference digits
-FRAC_SQRT2_30 = 414213562373095048801688724209
-FRAC_SQRT_10FACT_16 = 9409439665052251  # sqrt(3628800) = 1904.9409439665052251...
-FRAC_100PI_20 = 15926535897932384626  # pi * 10**2 = 314.15926535897932384626...
-FRAC_LOG10_7POW77_20 = 7254908109777596484
+# independently computed reference bits: floor(frac(u) * 2**b)
+# sqrt(2) = 1.6A09E667F3BCC908B2FB1366E...
+FRAC_SQRT2_100 = 0x6A09E667F3BCC908B2FB1366E
+# sqrt(3628800) = 1904.9409439665052251...
+FRAC_SQRT_10FACT_53 = 0x1E1C3685704551
+# pi * 10**2 = 314.15926535897932384626...
+FRAC_100PI_67 = 0x1462CEAA19D7B939B
+# log10(7**77) = 65.07254908109777596484...
+FRAC_LOG10_7POW77_67 = 0x94949CD55BBFDD75
+
+
+def pi_real(bits):
+    """pi as an inexact BigReal certified to `bits` fractional bits."""
+    return BigReal(pi_fixed(bits), -bits, bits + 2, False)
 
 
 def mp_frac(expr_fn, dps=50):
@@ -64,9 +74,9 @@ class TestExactFastPaths:
         assert r.exact and r.compare_int(3) == 0
         r = eval_transform(BigReal.from_int(1024), LOG2)
         assert r.exact and r.compare_int(10) == 0
-        r = eval_transform(BigReal.from_decimal_string("0.01"), LOG10)
-        assert r.exact and r.compare_int(-2) == 0
-        r = eval_transform(BigReal.from_decimal_string("0.25"), LOG2)
+        r = eval_transform(BigReal.from_float(0.125), Transform("log", 8))
+        assert r.exact and r.compare_int(-1) == 0
+        r = eval_transform(BigReal.from_float(0.25), LOG2)
         assert r.exact and r.compare_int(-2) == 0
         r = eval_transform(BigReal.from_int(1), LOG10)
         assert r.exact and r.compare_int(0) == 0
@@ -78,9 +88,9 @@ class TestExactFastPaths:
     def test_sqrt_perfect_squares(self):
         r = eval_transform(BigReal.from_int(144), SQRT)
         assert r.exact and r.compare_int(12) == 0
-        r = eval_transform(BigReal.from_decimal_string("0.25"), SQRT)
+        r = eval_transform(BigReal.from_float(0.25), SQRT)
         assert r.exact and r.frac() == 0.5
-        r = eval_transform(BigReal.from_decimal_string("2.25"), SQRT)
+        r = eval_transform(BigReal.from_float(2.25), SQRT)
         assert r.exact and r.frac() == 0.5
         r = eval_transform(BigReal.from_int(0), SQRT)
         assert r.exact and r.is_zero()
@@ -97,26 +107,82 @@ class TestExactFastPaths:
         assert eval_transform(BigReal.from_int(0), PI_SQUARE).is_zero()
 
     def test_identity_passthrough(self):
-        x = BigReal.from_decimal_string("3.7")
+        x = BigReal.from_float(3.7)
         assert eval_transform(x, IDENTITY) is x
+
+
+def _mp_frac_of(x, transform):
+    """{u(x)} of an integer x through mpmath, at all of x's digits."""
+    with mp.workdps(x.bit_length() // 3 + 60):
+        v = mpf(x)
+        if transform == LOGLOG:
+            u = mp.log10(mp.log10(v))
+        elif transform == LOG2:
+            u = mp.log(v, 2)
+        else:
+            u = mp.log10(v)
+        return float(u - mp.floor(u))
+
+
+class TestExactLogCandidate:
+    """The exact-log fast path reads its one candidate exponent off the
+    bits of the input and decides with a single comparison."""
+
+    K = 300
+
+    @pytest.mark.parametrize("name", ["10**k", "10**k+1", "10**k-1",
+                                      "2**k*5**(k-1)", "1000!",
+                                      "1000**1000"])
+    @pytest.mark.parametrize("transform", [LOG10, LOGLOG])
+    def test_log10_candidates(self, name, transform):
+        k = self.K
+        v = {"10**k": 10 ** k, "10**k+1": 10 ** k + 1,
+             "10**k-1": 10 ** k - 1, "2**k*5**(k-1)": 2 ** k * 5 ** (k - 1),
+             "1000!": math.factorial(1000), "1000**1000": 1000 ** 1000}[name]
+        power = {"10**k": k, "1000**1000": 3000}.get(name)
+        assert tr._power_exponent(v, 10) == power
+        r = eval_transform(BigReal.from_int(v), transform)
+        assert r.exact == (power is not None and transform == LOG10)
+        if r.exact:
+            assert r.compare_int(power) == 0
+        got = r.frac(40)
+        want = _mp_frac_of(v, transform)
+        d = abs(got - want)
+        assert min(d, 1.0 - d) < 1e-12
+
+    @pytest.mark.parametrize("k", [1, 2, 63, 64, 1000, 40000])
+    def test_powers_of_two_under_log2(self, k):
+        r = eval_transform(BigReal.from_int(2 ** k), LOG2)
+        assert r.exact and r.compare_int(k) == 0
+        r = eval_transform(BigReal.from_int(2 ** k + 1), LOG2)
+        assert not r.exact
+        r = eval_transform(BigReal.from_float(2.0 ** -min(k, 1074)), LOG2)
+        assert r.exact and r.compare_int(-min(k, 1074)) == 0
+
+    def test_odd_bases(self):
+        assert tr._power_exponent(3 ** 1001, 3) == 1001
+        assert tr._power_exponent(3 ** 1001 * 2, 3) is None
+        assert tr._power_exponent(7 ** 50 + 7, 7) is None
+        r = eval_transform(BigReal.from_int(7 ** 77), Transform("log", 7))
+        assert r.exact and r.compare_int(77) == 0
 
 
 class TestCertifiedValues:
     def test_sqrt2_thirty_digits(self):
         r = eval_transform(BigReal.from_int(2), SQRT)
-        assert r.frac_scaled(30) == FRAC_SQRT2_30
+        assert r.frac_scaled(100) == FRAC_SQRT2_100
 
     def test_sqrt_factorial(self):
         r = eval_transform(BigReal.from_int(math.factorial(10)), SQRT)
-        assert r.frac_scaled(16) == FRAC_SQRT_10FACT_16
+        assert r.frac_scaled(53) == FRAC_SQRT_10FACT_53
 
     def test_pi_square_of_ten(self):
         r = eval_transform(BigReal.from_int(10), PI_SQUARE)
-        assert r.frac_scaled(20) == FRAC_100PI_20
+        assert r.frac_scaled(67) == FRAC_100PI_67
 
     def test_log10_of_big_power(self):
         r = eval_transform(BigReal.from_int(7 ** 77), LOG10)
-        assert r.frac_scaled(20) == FRAC_LOG10_7POW77_20
+        assert r.frac_scaled(67) == FRAC_LOG10_7POW77_67
 
     def test_frac_matches_oracle_as_double(self):
         cases = [
@@ -125,15 +191,15 @@ class TestCertifiedValues:
              lambda: mp.log10(123456789)),
             (BigReal.from_int(123456789), LOGLOG,
              lambda: mp.log10(mp.log10(123456789))),
-            (BigReal.from_decimal_string("123.456"), PI_SQUARE,
-             lambda: mp.pi * mpf("123.456") ** 2),
+            (BigReal.from_float(123.456), PI_SQUARE,
+             lambda: mp.pi * mpf(123.456) ** 2),
             (BigReal.from_int(5), LOG2, lambda: mp.log(5) / mp.log(2)),
         ]
         for x, t, oracle in cases:
             assert abs(transform_frac(x, t) - mp_frac(oracle)) < 1e-15
 
     def test_decimal_input(self):
-        x = BigReal.from_decimal_string("2.5")
+        x = BigReal.from_float(2.5)
         got = transform_frac(x, LOG10)
         assert abs(got - mp_frac(lambda: mp.log10(mpf("2.5")))) < 1e-15
 
@@ -142,7 +208,7 @@ class TestEscalation:
     def test_near_integer_result_still_certified(self):
         # log10(10**12 + 1) is within 1e-12 of an integer
         r = eval_transform(BigReal.from_int(10 ** 12 + 1), LOG10)
-        assert r.frac_scaled(12) == 0
+        assert r.frac_scaled(40) == 0
         f = r.frac()
         assert 0.0 <= f < 1e-12
 
@@ -157,19 +223,20 @@ class TestEscalation:
             eval_transform(BigReal.from_int(10 ** 40 + 7), PI_SQUARE, policy)
 
     def test_input_limited_raises_then_regenerates(self):
-        coarse = pi_bigreal(13)
+        coarse = pi_real(digits_to_bits(13))
         with pytest.raises(InsufficientPrecision):
             eval_transform(coarse, PI_SQUARE)
-        fine = pi_bigreal(40)
-        got = eval_transform(fine, PI_SQUARE).frac(12)
+        fine = pi_real(digits_to_bits(40))
+        got = eval_transform(fine, PI_SQUARE).frac(40)
         assert abs(got - mp_frac(lambda: mp.pi ** 3)) < 1e-12
 
     def test_required_input_precision_is_sufficient(self):
         for t in (IDENTITY, LOG10, LOGLOG, SQRT, PI_SQUARE):
             need = required_input_precision(t, 1, 20)
-            x = pi_bigreal(need)
+            x = pi_real(digits_to_bits(need))
             r = eval_transform(x, t)
-            assert r.frac_scaled(20) >= 0  # certified, no refusal
+            # certified, no refusal
+            assert r.frac_scaled(digits_to_bits(20)) >= 0
 
     def test_deeper_fractional_digits_cost_more_input(self):
         for t in (LOG10, SQRT, PI_SQUARE):
@@ -189,7 +256,7 @@ class TestDomains:
         with pytest.raises(DomainError):
             eval_transform(BigReal.from_int(1), LOGLOG)
         with pytest.raises(DomainError):
-            eval_transform(BigReal.from_decimal_string("0.5"), LOGLOG)
+            eval_transform(BigReal.from_float(0.5), LOGLOG)
 
     def test_sqrt_rejects_negative(self):
         with pytest.raises(DomainError):
@@ -254,7 +321,8 @@ class TestPiDigits:
             pi_digits(0)
 
     def test_corrupted_core_is_caught(self, monkeypatch):
-        monkeypatch.setattr(tr, "pi_fixed", lambda p: 31 * 10 ** (p - 1) + 1)
+        # a core that returns 3.1 in place of pi
+        monkeypatch.setattr(tr, "pi_fixed", lambda p: (31 << p) // 10 + 1)
         with pytest.raises(CertificateViolation):
             pi_digits(30)
 
