@@ -29,24 +29,24 @@ from .sequences import (SEQUENCES, frac_sample, growth_criterion,
 from .stats import (DigitReport, benford_expected, digit_report,
                     kolmogorov_q, ks_uniform, leading_digit)
 from .transforms import (IDENTITY, LOG2, LOG10, LOGLOG, PI_SQUARE, SQRT,
-                         Transform, derivative, eval_transform, pi_digits,
-                         transform_frac)
+                         Identity, Log, LogLog, PiSquare, Sqrt, Transform,
+                         eval_transform, pi_digits, transform_frac)
 
 __all__ = [
     "AnalyzeReport", "BACKEND", "BigReal", "BoundCertificate",
     "BoundSweepReport", "CertificateViolation", "DEFAULT_POLICY",
     "DISTRIBUTIONS", "Dataset", "DigitReport", "DomainError", "EmptyDataset",
     "EmptySample", "Exponential", "FileError", "HalfNormal",
-    "HypothesisViolated", "IDENTITY", "InsufficientPrecision",
-    "InvalidParameter", "KsCell", "LOG2", "LOG10", "LOGLOG",
-    "LognormalBase10", "Mod1Result", "NoNumericColumn", "NotUnimodal",
-    "PDeltaReport", "PI_SQUARE", "ParetoI", "ParetoII",
-    "PrecisionCapExceeded", "PrecisionPolicy", "SEQUENCES", "SQRT",
-    "SeededSampler", "Table1Report", "Table3Report", "Transform",
-    "TruncationFailure", "UBenfordError", "UniformOnZeroK",
+    "HypothesisViolated", "IDENTITY", "Identity", "InsufficientPrecision",
+    "InvalidParameter", "KsCell", "LOG2", "LOG10", "LOGLOG", "Log",
+    "LogLog", "LognormalBase10", "Mod1Result", "NoNumericColumn",
+    "NotUnimodal", "PDeltaReport", "PI_SQUARE", "ParetoI", "ParetoII",
+    "PiSquare", "PrecisionCapExceeded", "PrecisionPolicy", "SEQUENCES",
+    "SQRT", "SeededSampler", "Sqrt", "Table1Report", "Table3Report",
+    "Transform", "TruncationFailure", "UBenfordError", "UniformOnZeroK",
     "analyze_dataset", "benford_expected", "bound_sweep",
-    "certify_mod1_bound", "derivative", "digit_report", "discrepancy_bound",
-    "emit", "eval_transform", "frac_sample", "growth_criterion", "ingest_csv",
+    "certify_mod1_bound", "digit_report", "discrepancy_bound", "emit",
+    "eval_transform", "frac_sample", "growth_criterion", "ingest_csv",
     "kolmogorov_q", "ks_cell", "ks_uniform", "leading_digit", "mod1_law",
     "odd_nonsquare", "p_delta_exponential", "p_delta_exponential_envelope",
     "p_delta_uniform", "p_delta_uniform_envelope", "parse_distribution",

@@ -23,7 +23,6 @@ import numpy as np
 
 from .distributions import sup_ratio
 from .errors import TruncationFailure, CertificateViolation
-from .transforms import u_float_from_log10
 
 _LN10 = math.log(10.0)
 _SQRT_PI = math.sqrt(math.pi)
@@ -52,29 +51,6 @@ class Mod1Result:
     error_budget: float
 
 
-def _cell_edges_to_lg(transform, edges):
-    """log10 of the preimages of u-space points; -inf below the image.
-
-    Vectorized twin of transforms.u_inverse_log10.
-    """
-    k = transform.kind
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if k == "identity":
-            return np.where(edges > 0.0,
-                            np.log10(np.maximum(edges, 1e-320)), -np.inf)
-        if k == "log":
-            return edges * math.log10(transform.base)
-        if k == "loglog":
-            return np.power(10.0, edges)
-        if k == "sqrt":
-            return np.where(edges > 0.0,
-                            2.0 * np.log10(np.maximum(edges, 1e-320)),
-                            -np.inf)
-        return np.where(edges > 0.0,
-                        0.5 * (np.log10(np.maximum(edges, 1e-320))
-                               - math.log10(math.pi)), -np.inf)
-
-
 def mod1_law(distribution, transform, zs=None, tail=1e-14,
              max_cells=5_000_000):
     """P({u(X)} <= z) for each z, summed cell by cell.
@@ -100,13 +76,12 @@ def mod1_law(distribution, transform, zs=None, tail=1e-14,
         lg_lo = max(lg_lo, math.log10(distribution.support_lo))
     if math.isfinite(distribution.support_hi):
         lg_hi = min(lg_hi, math.log10(distribution.support_hi))
-    if transform.kind == "loglog":
-        # u is defined on x > 1 only; mass at or below 1 was rejected
-        # upstream by the hypothesis checks
-        lg_lo = max(lg_lo, 1e-300)
+    # u is defined above lg_domain_lo only (x > 1 for the iterated log);
+    # mass below it was rejected upstream by the hypothesis checks
+    lg_lo = max(lg_lo, transform.lg_domain_lo + 1e-300)
 
-    u_lo = u_float_from_log10(transform, lg_lo)
-    u_hi = u_float_from_log10(transform, lg_hi)
+    u_lo = transform.u_float_from_log10(lg_lo)
+    u_hi = transform.u_float_from_log10(lg_hi)
     if not (math.isfinite(u_lo) and math.isfinite(u_hi)):
         raise TruncationFailure(
             f"u image of the support window is not finite for "
@@ -123,7 +98,7 @@ def mod1_law(distribution, transform, zs=None, tail=1e-14,
     for start in range(j_lo, j_hi + 1, _CHUNK):
         j = np.arange(start, min(start + _CHUNK, j_hi + 1),
                       dtype=np.float64)
-        lg_left = _cell_edges_to_lg(transform, j)
+        lg_left = transform.inverse_log10(j)
         finite = np.isfinite(lg_left)
         cdf_left = np.zeros_like(j)
         sf_left = np.ones_like(j)
@@ -137,7 +112,7 @@ def mod1_law(distribution, transform, zs=None, tail=1e-14,
         rows = max(1, _CHUNK // j.size)
         for r0 in range(0, zs.size, rows):
             block = slice(r0, r0 + rows)
-            lg_right = _cell_edges_to_lg(transform, j + zs[block, None])
+            lg_right = transform.inverse_log10(j + zs[block, None])
             p = np.empty_like(lg_right)
             if use_sf.any():
                 p[:, use_sf] = sf_left[use_sf] - distribution.sf_log10(

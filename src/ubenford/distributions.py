@@ -86,7 +86,11 @@ class Distribution:
         return SeededSampler(self, seed).draw(n)
 
     # closed-form suprema of pdf(x)/u'(x); each returns (value, argmax)
-    def sup_identity(self):
+    def sup_pdf(self):
+        raise NotImplementedError
+
+    def sup_x_pdf(self):
+        """sup of x*pdf(x): the ratio under log10, up to the factor ln 10."""
         raise NotImplementedError
 
     def sup_sqrt(self):
@@ -177,7 +181,10 @@ class ParetoI(Distribution):
             return math.inf
         return self.alpha * self.x0 / (self.alpha - 1.0)
 
-    def sup_identity(self):
+    def sup_pdf(self):
+        return self.alpha / self.x0, self.x0
+
+    def sup_x_pdf(self):
         # x*pdf = alpha*(x0/x)**alpha, decreasing: sup at the left edge
         return self.alpha, self.x0
 
@@ -267,7 +274,11 @@ class ParetoII(Distribution):
     def mean(self):
         return math.inf if self.b <= 1.0 else 1.0 / (self.b - 1.0)
 
-    def sup_identity(self):
+    def sup_pdf(self):
+        # decreasing density: sup at the origin edge
+        return self.b, 0.0
+
+    def sup_x_pdf(self):
         xs = 1.0 / self.b
         return (self.b / (1.0 + self.b)) ** (self.b + 1.0), xs
 
@@ -338,7 +349,11 @@ class LognormalBase10(Distribution):
     def _pdf_scalar(self, x):
         return float(self.pdf(np.asarray([x]))[0])
 
-    def sup_identity(self):
+    def sup_pdf(self):
+        xs = 10.0 ** (self.mu - self.sigma ** 2 * _LN10)
+        return self._pdf_scalar(xs), xs
+
+    def sup_x_pdf(self):
         # x*pdf peaks where log10 x = mu
         xs = 10.0 ** self.mu
         return 1.0 / (self.sigma * _LN10 * math.sqrt(2 * math.pi)), xs
@@ -380,7 +395,11 @@ class UniformOnZeroK(Distribution):
     def mean(self):
         return 0.5 * self.k
 
-    def sup_identity(self):
+    def sup_pdf(self):
+        # flat density: sup attained everywhere on (0, k]
+        return 1.0 / self.k, self.k
+
+    def sup_x_pdf(self):
         return 1.0, self.k
 
     def sup_sqrt(self):
@@ -427,16 +446,15 @@ class Exponential(Distribution):
         out = np.log10(-np.log(p) / self.lam)
         return _maybe_scalar(out, p)
 
-    def sup_identity(self):
+    def sup_pdf(self):
+        return self.lam, 0.0
+
+    def sup_x_pdf(self):
         # x*pdf peaks at 1/lam with value 1/e
         return 1.0 / math.e, 1.0 / self.lam
 
     def sup_sqrt(self):
         return math.sqrt(2.0 * self.lam / math.e), 0.5 / self.lam
-
-    def sup_f(self):
-        """Plain sup of the density (at the closed origin edge)."""
-        return self.lam, 0.0
 
 
 class HalfNormal(Distribution):
@@ -498,7 +516,10 @@ class HalfNormal(Distribution):
     def mean(self):
         return self.sigma * _SQRT_2_OVER_PI
 
-    def sup_identity(self):
+    def sup_pdf(self):
+        return _SQRT_2_OVER_PI / self.sigma, 0.0
+
+    def sup_x_pdf(self):
         return _SQRT_2_OVER_PI * math.exp(-0.5), self.sigma
 
     def sup_sqrt(self):
@@ -582,54 +603,7 @@ def sup_ratio(distribution, transform):
     reaching the origin) and HypothesisViolated when u is undefined on part
     of the support (iterated log with mass at or below 1).
     """
-    k = transform.kind
-    if k == "identity":
-        if isinstance(distribution, Exponential):
-            return distribution.sup_f()
-        if isinstance(distribution, UniformOnZeroK):
-            # flat density: sup f attained everywhere on (0, k]
-            return 1.0 / distribution.k, distribution.k
-        if isinstance(distribution, ParetoII):
-            # decreasing density: sup f at the origin edge
-            return distribution.b, 0.0
-        if isinstance(distribution, ParetoI):
-            return (distribution.alpha / distribution.x0,
-                    distribution.x0)
-        if isinstance(distribution, HalfNormal):
-            return _SQRT_2_OVER_PI / distribution.sigma, 0.0
-        if isinstance(distribution, LognormalBase10):
-            xs = 10.0 ** (distribution.mu
-                          - distribution.sigma ** 2 * _LN10)
-            return distribution._pdf_scalar(xs), xs
-        raise NotImplementedError
-    if k == "log":
-        m, xs = distribution.sup_identity()
-        return m * math.log(transform.base), xs
-    if k == "sqrt":
-        return distribution.sup_sqrt()
-    if k == "pi_square":
-        return distribution.sup_pi_square()
-    if k == "loglog":
-        return distribution.sup_loglog()
-    raise InvalidParameter(f"no ratio rule for transform {k!r}")
-
-
-def sup_scale_ratio(distribution):
-    """(sup of x*pdf(x), argmax): the constant behind log-scale bounds."""
-    return distribution.sup_identity()
-
-
-def _uprime_np(transform, x):
-    k = transform.kind
-    if k == "identity":
-        return np.ones_like(x)
-    if k == "log":
-        return 1.0 / (x * math.log(transform.base))
-    if k == "loglog":
-        return 1.0 / (x * np.log(x) * _LN10)
-    if k == "sqrt":
-        return 0.5 / np.sqrt(x)
-    return 2.0 * math.pi * x
+    return transform.sup_ratio(distribution)
 
 
 def sup_ratio_numeric(distribution, transform, rel_tol=1e-10):
@@ -639,22 +613,21 @@ def sup_ratio_numeric(distribution, transform, rel_tol=1e-10):
     window stretches well past both 1e-13 quantiles, and a window-edge
     maximum that keeps growing as the window widens raises NotUnimodal.
     """
-    if transform.kind == "loglog" and distribution.support_lo < 1.0:
+    if distribution.support_lo < 10.0 ** transform.lg_domain_lo:
         raise HypothesisViolated(
-            "iterated log is undefined on part of the support of "
+            f"{transform.label()} is undefined on part of the support of "
             f"{distribution.label()}")
 
     def val(lg):
         x = 10.0 ** lg
         return float(distribution.pdf(np.asarray([x]))[0]
-                     / _uprime_np(transform, np.asarray([x]))[0])
+                     / transform.derivative(np.asarray([x]))[0])
 
     lg_lo = float(distribution.ppf_log10(1e-13))
     lg_hi = float(distribution.isf_log10(1e-13))
     if distribution.support_lo > 0.0:
         lg_lo = max(lg_lo, math.log10(distribution.support_lo))
-    if transform.kind == "loglog":
-        lg_lo = max(lg_lo, 1e-12)
+    lg_lo = max(lg_lo, transform.lg_domain_lo + 1e-12)
     if math.isfinite(distribution.support_hi):
         lg_hi = min(lg_hi, math.log10(distribution.support_hi))
 

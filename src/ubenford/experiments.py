@@ -21,8 +21,8 @@ from .distributions import Exponential, HalfNormal, UniformOnZeroK, \
 from .errors import CertificateViolation, DomainError, InvalidParameter
 from .sequences import frac_sample, odd_nonsquare, parse_sequence
 from .stats import digit_report, kolmogorov_q, ks_uniform
-from .transforms import IDENTITY, LOG10, LOGLOG, PI_SQUARE, SQRT, \
-    transform_frac
+from .transforms import IDENTITY, LOG10, LOGLOG, PI_SQUARE, SQRT, Log, \
+    PiSquare, transform_frac
 
 # Row and column order of the published sequence table: sequences sorted by
 # divergence speed, transforms likewise.
@@ -194,7 +194,7 @@ class Table3Report:
 
 
 def _limit_cell(make, transform, sup_path, cell_path):
-    if transform.kind == "pi_square":
+    if isinstance(transform, PiSquare):
         # no bounded density ratio here; measure max_delta |P_delta - delta|
         # along the path instead, from the certified series
         path = []
@@ -220,16 +220,12 @@ def _limit_cell(make, transform, sup_path, cell_path):
                      path=tuple(path), defect=defect, verdict=verdict)
 
 
-_FLOAT_U = {
-    "log": np.log10,
-    "sqrt": np.sqrt,
-    "pi_square": lambda x: np.pi * x * x,
-}
-
-
 def sample_cell(values, transform):
-    """KS cell for a float sample pushed through a transform in doubles."""
-    u = _FLOAT_U[transform.kind](np.asarray(values, dtype=np.float64))
+    """KS cell for a float sample pushed through a transform in doubles.
+
+    Raises DomainError when a value lies outside the transform's domain.
+    """
+    u = transform.u_np(np.asarray(values, dtype=np.float64))
     statistic, z = ks_uniform(np.mod(u, 1.0))
     p = kolmogorov_q(z)
     if p < ALPHA_REJECT:
@@ -312,7 +308,7 @@ def bound_sweep(family, params, transform=LOG10, tail=1e-14,
             worst_z=cert.worst_z,
             slack=cert.slack,
         ))
-    certificate = ("log-scale-density-bound" if transform.kind == "log"
+    certificate = ("log-scale-density-bound" if isinstance(transform, Log)
                    else "u-scale-density-bound")
     return BoundSweepReport(family=family, transform=transform.label(),
                             certificate=certificate, rows=tuple(rows))

@@ -21,8 +21,7 @@ from .bigreal import DEFAULT_POLICY, BigReal
 from .errors import DomainError, InsufficientPrecision, InvalidParameter
 from .kernels import dec_digits, digits_to_bits, e_fixed, exp_fixed, \
     ln2_fixed, ln_fixed, pi_fixed, pow_fixed
-from .transforms import required_input_precision, u_float_from_log10, \
-    eval_transform
+from .transforms import eval_transform
 
 _LOG10_E_FIXED17 = 43429448190325182  # floor(log10(e) * 1e17)
 _LN10 = math.log(10.0)
@@ -297,8 +296,8 @@ def frac_sample(sequence, transform, n_max, policy=DEFAULT_POLICY,
         if index_filter is not None and not index_filter(n):
             continue
         requested += 1
-        target = required_input_precision(
-            transform, sequence.int_digits_estimate(n), headroom)
+        target = transform.required_input_precision(
+            sequence.int_digits_estimate(n), headroom)
         for _ in range(6):
             x = sequence.nth_term(n, sig_digits=target)
             try:
@@ -343,7 +342,7 @@ def growth_criterion(sequence, transform, n_max=1000):
 
     def u_at(n):
         try:
-            return u_float_from_log10(transform, sequence.term_log10(n))
+            return transform.u_float_from_log10(sequence.term_log10(n))
         except (DomainError, ValueError):
             return math.nan
 

@@ -17,13 +17,13 @@ _CF_CUT = 1.5  # continued fraction is machine precision from here up
 
 
 def _erf_series(x):
-    # erf(x) = (2/sqrt(pi)) x e^{-x^2} sum_k (2x^2)^k / (1*3*...*(2k+1)),
+    # erf(x) = (2/sqrt(pi)) x e^{-x^2} sum_j (2x^2)^j / (1*3*...*(2j+1)),
     # all terms positive so there is no cancellation on [0, 3]
     x2 = 2.0 * x * x
     term = np.ones_like(x)
     total = np.ones_like(x)
-    for k in range(1, 80):
-        term = term * x2 / (2.0 * k + 1.0)
+    for j in range(1, 80):
+        term = term * x2 / (2.0 * j + 1.0)
         total += term
         if term.max(initial=0.0) < 1e-18:
             break
@@ -34,8 +34,8 @@ def _erfc_cf(x):
     # erfc(x) = e^{-x^2}/sqrt(pi) / (x + (1/2)/(x + 1/(x + (3/2)/(x + ...))))
     # evaluated bottom-up at fixed depth; ample for x >= 1.5
     f = np.zeros_like(x)
-    for k in range(90, 0, -1):
-        f = (0.5 * k) / (x + f)
+    for j in range(90, 0, -1):
+        f = (0.5 * j) / (x + f)
     return _INV_SQRT_PI * np.exp(-x * x) / (x + f)
 
 

@@ -49,16 +49,16 @@ def kolmogorov_q(z):
         return 1.0
     if z >= 1.0:
         total = 0.0
-        for k in range(1, 200):
-            term = math.exp(-2.0 * k * k * z * z)
-            total += term if k % 2 else -term
+        for j in range(1, 200):
+            term = math.exp(-2.0 * j * j * z * z)
+            total += term if j % 2 else -term
             if term < 1e-18:
                 break
         return min(max(2.0 * total, 0.0), 1.0)
     w = math.pi * math.pi / (8.0 * z * z)
     cdf = 0.0
-    for k in range(1, 200):
-        term = math.exp(-(2.0 * k - 1.0) ** 2 * w) if (2.0 * k - 1.0) ** 2 \
+    for j in range(1, 200):
+        term = math.exp(-(2.0 * j - 1.0) ** 2 * w) if (2.0 * j - 1.0) ** 2 \
             * w < 745.0 else 0.0
         cdf += term
         if term < 1e-18 * max(cdf, 1e-280):

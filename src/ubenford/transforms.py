@@ -2,11 +2,12 @@
 
 The transforms map positive reals to the scale on which mantissa behaviour
 becomes mod-1 behaviour: identity, log base b, iterated log (base 10 twice),
-square root, and the area map pi*x**2. eval_transform computes u(x) for a
-BigReal input with enough working precision that the fractional part is
-certified: the value is evaluated at working precisions w and 2w and only
-accepted when both agree on the leading fractional digits, with one extra
-escalation when the result sits within the near-integer guard band.
+square root, and the area map pi*x**2, one class each. eval_transform
+computes u(x) for a BigReal input with enough working precision that the
+fractional part is certified: the value is evaluated at working precisions
+w and 2w and only accepted when both agree on the leading fractional
+digits, with one extra escalation when the result sits within the
+near-integer guard band.
 """
 
 import math
@@ -14,99 +15,19 @@ from dataclasses import dataclass
 from decimal import Decimal
 from math import isqrt
 
+import numpy as np
+
 from .bigreal import DEFAULT_POLICY, BigReal
 from .errors import CertificateViolation, DomainError, InsufficientPrecision, \
     PrecisionCapExceeded
 from .kernels import digits_to_bits, ln2_fixed, ln10_fixed, ln_fixed, \
     pi_fixed
 
-
-@dataclass(frozen=True)
-class Transform:
-    """A rescaling map u. `base` is only meaningful for kind == "log"."""
-
-    kind: str
-    base: int = 10
-
-    _KINDS = ("identity", "log", "loglog", "sqrt", "pi_square")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown transform kind {self.kind!r}")
-        if self.kind == "log" and (not isinstance(self.base, int) or self.base < 2):
-            raise ValueError("log base must be an integer >= 2")
-
-    def label(self):
-        if self.kind == "log":
-            return f"log{self.base}"
-        return self.kind
-
-    @classmethod
-    def parse(cls, text):
-        t = text.strip().lower().replace("-", "_")
-        if t in ("identity", "id"):
-            return IDENTITY
-        if t in ("loglog", "log_log"):
-            return LOGLOG
-        if t == "sqrt":
-            return SQRT
-        if t in ("pi_square", "pisquare", "pi_x2", "pix2"):
-            return PI_SQUARE
-        if t == "log":
-            return LOG10
-        if t.startswith("log") and t[3:].isdigit():
-            return cls("log", int(t[3:]))
-        raise ValueError(f"unknown transform {text!r}")
-
-
-IDENTITY = Transform("identity")
-LOG10 = Transform("log", 10)
-LOG2 = Transform("log", 2)
-LOGLOG = Transform("loglog")
-SQRT = Transform("sqrt")
-PI_SQUARE = Transform("pi_square")
+_LN10 = math.log(10.0)
 
 
 # ---------------------------------------------------------------------------
-# float-domain helpers (used for windows, grids and derivative bounds)
-
-def u_float(transform, x):
-    """u(x) in double precision; domain checks match eval_transform."""
-    k = transform.kind
-    if k == "identity":
-        return float(x)
-    if k == "log":
-        if x <= 0:
-            raise DomainError("log requires x > 0")
-        return math.log(x) / math.log(transform.base)
-    if k == "loglog":
-        if x <= 1:
-            raise DomainError("iterated log requires x > 1")
-        return math.log10(math.log10(x))
-    if k == "sqrt":
-        if x < 0:
-            raise DomainError("sqrt requires x >= 0")
-        return math.sqrt(x)
-    return math.pi * x * x
-
-
-def u_inverse_float(transform, y):
-    """x with u(x) = y, in double precision."""
-    k = transform.kind
-    if k == "identity":
-        return float(y)
-    if k == "log":
-        return float(transform.base) ** y
-    if k == "loglog":
-        return 10.0 ** (10.0 ** y)
-    if k == "sqrt":
-        if y < 0:
-            raise DomainError("sqrt image is nonnegative")
-        return y * y
-    if y < 0:
-        raise DomainError("pi*x**2 image is nonnegative")
-    return math.sqrt(y / math.pi)
-
+# double-precision helpers shared by the classes
 
 def _pow10(y):
     try:
@@ -115,63 +36,15 @@ def _pow10(y):
         return math.inf
 
 
-def u_float_from_log10(transform, lg):
-    """u(x) computed from lg = log10(x), never materializing a huge x.
-
-    Values that genuinely overflow a double come back as inf.
-    """
-    k = transform.kind
-    if k == "identity":
-        return _pow10(lg)
-    if k == "log":
-        return lg / math.log10(transform.base)
-    if k == "loglog":
-        if lg <= 0:
-            raise DomainError("iterated log requires x > 1")
-        return math.log10(lg)
-    if k == "sqrt":
-        return _pow10(lg / 2.0)
-    return math.pi * _pow10(2.0 * lg)
+def _log10_positive(y):
+    """log10(y) where y > 0, -inf elsewhere (vectorized)."""
+    return np.where(y > 0.0, np.log10(np.maximum(y, 1e-320)), -np.inf)
 
 
-def u_inverse_log10(transform, y):
-    """log10 of the preimage; stays finite where u_inverse_float overflows."""
-    k = transform.kind
-    if k == "identity":
-        if y <= 0:
-            raise DomainError("log10 of a nonpositive value")
-        return math.log10(y)
-    if k == "log":
-        return y * math.log10(transform.base)
-    if k == "loglog":
-        return 10.0 ** y
-    if k == "sqrt":
-        if y <= 0:
-            raise DomainError("log10 of a nonpositive value")
-        return 2.0 * math.log10(y)
-    if y <= 0:
-        raise DomainError("log10 of a nonpositive value")
-    return 0.5 * (math.log10(y) - math.log10(math.pi))
-
-
-def derivative(transform, x):
-    """u'(x) in double precision."""
-    k = transform.kind
-    if k == "identity":
-        return 1.0
-    if k == "log":
-        if x <= 0:
-            raise DomainError("log requires x > 0")
-        return 1.0 / (x * math.log(transform.base))
-    if k == "loglog":
-        if x <= 1:
-            raise DomainError("iterated log requires x > 1")
-        return 1.0 / (x * math.log(x) * math.log(10.0))
-    if k == "sqrt":
-        if x <= 0:
-            raise DomainError("sqrt derivative requires x > 0")
-        return 0.5 / math.sqrt(x)
-    return 2.0 * math.pi * x
+def _require(ok, message):
+    """DomainError unless `ok` holds for every element."""
+    if not np.all(ok):
+        raise DomainError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -256,39 +129,6 @@ def _power_exponent(v, base):
     return j if base ** j == v else None
 
 
-def _try_exact(x, transform):
-    """Exact result when one is representable, else None."""
-    k = transform.kind
-    if k == "identity":
-        return x
-    if not x.exact:
-        return None
-    if k == "log":
-        return _exact_log(x, transform.base)
-    if k == "loglog":
-        inner = _exact_log(x, 10)
-        if inner is None or inner.exponent != 0:
-            return None
-        j = inner.mantissa
-        if j < 1:
-            return None
-        return _exact_log(BigReal.from_int(j), 10)
-    if k == "sqrt":
-        m, e = x.mantissa, x.exponent
-        if m == 0:
-            return BigReal.from_int(0)
-        if e % 2:
-            m <<= 1
-            e -= 1
-        r = isqrt(m)
-        if r * r == m:
-            return BigReal(r, e // 2, max(53, r.bit_length()), True)
-        return None
-    if k == "pi_square" and x.mantissa == 0:
-        return BigReal.from_int(0)
-    return None
-
-
 def _exact_log(x, base):
     """log_base(x) when x is an exact integer power of base, else None."""
     m, e = x.mantissa, x.exponent
@@ -358,72 +198,297 @@ def _log_at(x, base, w):
     return BigReal(q, -w, int_bits + frac_cert, False)
 
 
-def _sqrt_at(x, w):
-    m, e = x.mantissa, x.exponent
-    if e % 2:
-        m <<= 1
-        e -= 1
-    r = isqrt(m << 2 * w)
-    half = e // 2
-    int_bits = max(0, r.bit_length() + half - w)
-    # r is floor-exact at scale 2**(half - w)
-    frac_cert = min(w - 1 - max(0, half), _input_frac_limit(x, int_bits))
-    return BigReal(r, half - w, int_bits + frac_cert, False)
+# ---------------------------------------------------------------------------
+# the transforms
+
+class Transform:
+    """A rescaling map u; one subclass per map.
+
+    Double-precision side: `u_np` (forward map), `derivative` (u'), both
+    vectorized and raising DomainError outside their domain;
+    `u_float_from_log10` (u from log10 x, inf where a double overflows);
+    `inverse_log10` (vectorized log10 of the preimage, -inf below the
+    image); `sup_ratio` (sup of pdf/u' and its argmax for a distribution);
+    `lg_domain_lo`, log10 of the domain's open lower edge on the positive
+    axis. Certified side, for eval_transform: `_check_domain`,
+    `_try_exact` (exact result or None), `_eval_at` (u(x) floor-accurate
+    at scale 2**-w, certified bits as precision), `_result_bits_estimate`,
+    and `required_input_precision`: significant input digits an inexact
+    input needs for `frac_digits` certified digits of {u(x)}.
+    """
+
+    kind = None
+    lg_domain_lo = -math.inf
+
+    def label(self):
+        return self.kind
+
+    @staticmethod
+    def parse(text):
+        t = text.strip().lower().replace("-", "_")
+        if t in ("identity", "id"):
+            return IDENTITY
+        if t in ("loglog", "log_log"):
+            return LOGLOG
+        if t == "sqrt":
+            return SQRT
+        if t in ("pi_square", "pisquare", "pi_x2", "pix2"):
+            return PI_SQUARE
+        if t == "log":
+            return LOG10
+        if t.startswith("log") and t[3:].isdigit():
+            return Log(int(t[3:]))
+        raise ValueError(f"unknown transform {text!r}")
 
 
-def _pi_square_at(x, w):
-    m, e = x.mantissa, x.exponent
-    q = pi_fixed(w) * m * m
-    int_bits = max(0, q.bit_length() + 2 * e - w)
-    # absolute error <= x**2 * 2**-w from the truncated pi bits
-    frac_cert = w - 2 * x.integer_digits() - 1
-    frac_cert = min(frac_cert, _input_frac_limit(x, int_bits))
-    return BigReal(q, 2 * e - w, int_bits + frac_cert, False)
+@dataclass(frozen=True)
+class Identity(Transform):
+    """u(x) = x. Every input is its own exact result, so eval_transform
+    never evaluates or escalates."""
 
+    kind = "identity"
 
-def _eval_at(x, transform, w):
-    k = transform.kind
-    if k == "identity":
+    def u_np(self, x):
         return x
-    if k == "log":
-        return _log_at(x, transform.base, w)
-    if k == "loglog":
+
+    def derivative(self, x):
+        return np.ones_like(x, dtype=np.float64)
+
+    def u_float_from_log10(self, lg):
+        return _pow10(lg)
+
+    def inverse_log10(self, y):
+        return _log10_positive(y)
+
+    def sup_ratio(self, distribution):
+        return distribution.sup_pdf()
+
+    def _check_domain(self, x):
+        pass
+
+    def _try_exact(self, x):
+        return x
+
+    def required_input_precision(self, int_digits, frac_digits):
+        return int_digits + frac_digits
+
+
+@dataclass(frozen=True)
+class Log(Transform):
+    """u(x) = log_base(x) for an integer base >= 2, defined for x > 0."""
+
+    base: int = 10
+    kind = "log"
+
+    def __post_init__(self):
+        if not isinstance(self.base, int) or self.base < 2:
+            raise ValueError("log base must be an integer >= 2")
+
+    def label(self):
+        return f"log{self.base}"
+
+    def u_np(self, x):
+        _require(x > 0.0, f"{self.label()} requires x > 0")
+        # log10(10) is exactly 1.0, so base 10 is np.log10 bit for bit
+        return np.log10(x) / math.log10(self.base)
+
+    def derivative(self, x):
+        _require(x > 0.0, f"{self.label()} requires x > 0")
+        return 1.0 / (x * math.log(self.base))
+
+    def u_float_from_log10(self, lg):
+        return lg / math.log10(self.base)
+
+    def inverse_log10(self, y):
+        return y * math.log10(self.base)
+
+    def sup_ratio(self, distribution):
+        m, xs = distribution.sup_x_pdf()
+        return m * math.log(self.base), xs
+
+    def _check_domain(self, x):
+        if x.sign() <= 0:
+            raise DomainError(f"{self.label()} requires x > 0")
+
+    def _try_exact(self, x):
+        return _exact_log(x, self.base) if x.exact else None
+
+    def _eval_at(self, x, w):
+        return _log_at(x, self.base, w)
+
+    def _result_bits_estimate(self, x):
+        return 27
+
+    def required_input_precision(self, int_digits, frac_digits):
+        return frac_digits + 11
+
+
+@dataclass(frozen=True)
+class LogLog(Transform):
+    """u(x) = log10(log10(x)), defined for x > 1."""
+
+    kind = "loglog"
+    lg_domain_lo = 0.0
+
+    def u_np(self, x):
+        _require(x > 1.0, "iterated log requires x > 1")
+        return np.log10(np.log10(x))
+
+    def derivative(self, x):
+        _require(x > 1.0, "iterated log requires x > 1")
+        return 1.0 / (x * np.log(x) * _LN10)
+
+    def u_float_from_log10(self, lg):
+        if lg <= 0:
+            raise DomainError("iterated log requires x > 1")
+        return math.log10(lg)
+
+    def inverse_log10(self, y):
+        return np.power(10.0, y)
+
+    def sup_ratio(self, distribution):
+        return distribution.sup_loglog()
+
+    def _check_domain(self, x):
+        if x.compare_int(1) <= 0:
+            raise DomainError("iterated log requires x > 1")
+
+    def _try_exact(self, x):
+        inner = _exact_log(x, 10) if x.exact else None
+        if inner is None or inner.exponent != 0 or inner.mantissa < 1:
+            return None
+        return _exact_log(BigReal.from_int(inner.mantissa), 10)
+
+    def _eval_at(self, x, w):
         y = _log_at(x, 10, w + 14)
         if y.sign() <= 0:
             raise InsufficientPrecision(
                 "inner log10 vanished at this working precision")
         return _log_at(y, 10, w)
-    if k == "sqrt":
-        return _sqrt_at(x, w)
-    return _pi_square_at(x, w)
+
+    def _result_bits_estimate(self, x):
+        return 14
+
+    def required_input_precision(self, int_digits, frac_digits):
+        return frac_digits + 16
+
+
+@dataclass(frozen=True)
+class Sqrt(Transform):
+    """u(x) = sqrt(x), defined for x >= 0."""
+
+    kind = "sqrt"
+
+    def u_np(self, x):
+        _require(x >= 0.0, "sqrt requires x >= 0")
+        return np.sqrt(x)
+
+    def derivative(self, x):
+        _require(x > 0.0, "sqrt derivative requires x > 0")
+        return 0.5 / np.sqrt(x)
+
+    def u_float_from_log10(self, lg):
+        return _pow10(lg / 2.0)
+
+    def inverse_log10(self, y):
+        return 2.0 * _log10_positive(y)
+
+    def sup_ratio(self, distribution):
+        return distribution.sup_sqrt()
+
+    def _check_domain(self, x):
+        if x.sign() < 0:
+            raise DomainError("sqrt requires x >= 0")
+
+    def _try_exact(self, x):
+        if not x.exact:
+            return None
+        m, e = x.mantissa, x.exponent
+        if m == 0:
+            return BigReal.from_int(0)
+        if e % 2:
+            m <<= 1
+            e -= 1
+        r = isqrt(m)
+        if r * r == m:
+            return BigReal(r, e // 2, max(53, r.bit_length()), True)
+        return None
+
+    def _eval_at(self, x, w):
+        m, e = x.mantissa, x.exponent
+        if e % 2:
+            m <<= 1
+            e -= 1
+        r = isqrt(m << 2 * w)
+        half = e // 2
+        int_bits = max(0, r.bit_length() + half - w)
+        # r is floor-exact at scale 2**(half - w)
+        frac_cert = min(w - 1 - max(0, half), _input_frac_limit(x, int_bits))
+        return BigReal(r, half - w, int_bits + frac_cert, False)
+
+    def _result_bits_estimate(self, x):
+        return x.integer_digits() // 2 + 1
+
+    def required_input_precision(self, int_digits, frac_digits):
+        return frac_digits + (int_digits + 1) // 2 + 3
+
+
+@dataclass(frozen=True)
+class PiSquare(Transform):
+    """u(x) = pi*x**2, defined for x >= 0."""
+
+    kind = "pi_square"
+
+    def u_np(self, x):
+        _require(x >= 0.0, "pi_square requires x >= 0")
+        return np.pi * x * x
+
+    def derivative(self, x):
+        _require(x >= 0.0, "pi_square requires x >= 0")
+        return 2.0 * math.pi * x
+
+    def u_float_from_log10(self, lg):
+        return math.pi * _pow10(2.0 * lg)
+
+    def inverse_log10(self, y):
+        return 0.5 * (_log10_positive(y) - math.log10(math.pi))
+
+    def sup_ratio(self, distribution):
+        return distribution.sup_pi_square()
+
+    def _check_domain(self, x):
+        if x.sign() < 0:
+            raise DomainError("pi_square requires x >= 0")
+
+    def _try_exact(self, x):
+        return BigReal.from_int(0) if x.exact and x.mantissa == 0 else None
+
+    def _eval_at(self, x, w):
+        m, e = x.mantissa, x.exponent
+        q = pi_fixed(w) * m * m
+        int_bits = max(0, q.bit_length() + 2 * e - w)
+        # absolute error <= x**2 * 2**-w from the truncated pi bits
+        frac_cert = w - 2 * x.integer_digits() - 1
+        frac_cert = min(frac_cert, _input_frac_limit(x, int_bits))
+        return BigReal(q, 2 * e - w, int_bits + frac_cert, False)
+
+    def _result_bits_estimate(self, x):
+        return 2 * x.integer_digits() + 2
+
+    def required_input_precision(self, int_digits, frac_digits):
+        return frac_digits + 2 * int_digits + 4
+
+
+IDENTITY = Identity()
+LOG10 = Log(10)
+LOG2 = Log(2)
+LOGLOG = LogLog()
+SQRT = Sqrt()
+PI_SQUARE = PiSquare()
 
 
 # ---------------------------------------------------------------------------
 # escalating evaluation
-
-def _check_domain(x, transform):
-    k = transform.kind
-    if k in ("log", "loglog") and x.sign() <= 0:
-        raise DomainError(f"{transform.label()} requires x > 0")
-    if k == "loglog" and x.compare_int(1) <= 0:
-        raise DomainError("iterated log requires x > 1")
-    if k in ("sqrt", "pi_square") and x.sign() < 0:
-        raise DomainError(f"{transform.label()} requires x >= 0")
-
-
-def _result_bits_estimate(x, transform):
-    k = transform.kind
-    if k == "log":
-        return 27
-    if k == "loglog":
-        return 14
-    i = x.integer_digits()
-    if k == "sqrt":
-        return i // 2 + 1
-    if k == "pi_square":
-        return 2 * i + 2
-    return i
-
 
 def eval_transform(x, transform, policy=DEFAULT_POLICY):
     """u(x) as a BigReal whose fractional part is certified.
@@ -437,8 +502,8 @@ def eval_transform(x, transform, policy=DEFAULT_POLICY):
     support the requested fractional bits, and PrecisionCapExceeded when
     escalation passes policy.cap.
     """
-    _check_domain(x, transform)
-    fast = _try_exact(x, transform)
+    transform._check_domain(x)
+    fast = transform._try_exact(x)
     if fast is not None:
         return fast
 
@@ -447,7 +512,7 @@ def eval_transform(x, transform, policy=DEFAULT_POLICY):
     band = 1 << max(0, a - digits_to_bits(policy.near_integer_digits))
     cap = digits_to_bits(policy.cap)
     w = max(digits_to_bits(policy.initial),
-            _result_bits_estimate(x, transform)
+            transform._result_bits_estimate(x)
             + digits_to_bits(policy.guard) + a)
     escalated_for_near_integer = False
     while True:
@@ -455,8 +520,8 @@ def eval_transform(x, transform, policy=DEFAULT_POLICY):
             raise PrecisionCapExceeded(
                 f"needed working precision {2 * w} bits exceeds cap "
                 f"{policy.cap} digits ({cap} bits)")
-        lo = _eval_at(x, transform, w)
-        hi = _eval_at(x, transform, 2 * w)
+        lo = transform._eval_at(x, w)
+        hi = transform._eval_at(x, 2 * w)
         try:
             qlo = lo.frac_scaled(a)
             qhi = hi.frac_scaled(a)
@@ -480,21 +545,3 @@ def transform_frac(x, transform, policy=DEFAULT_POLICY):
     """Fractional part of u(x) as a certified double in [0, 1)."""
     return eval_transform(x, transform, policy).frac(
         digits_to_bits(policy.agreement))
-
-
-def required_input_precision(transform, int_digits, frac_digits):
-    """Significant input digits needed for `frac_digits` certified digits
-    of the fractional part of u(x), given the input's integer digit count.
-
-    Applies to inexact inputs; exact inputs are never limited.
-    """
-    k = transform.kind
-    if k == "identity":
-        return int_digits + frac_digits
-    if k == "log":
-        return frac_digits + 11
-    if k == "loglog":
-        return frac_digits + 16
-    if k == "sqrt":
-        return frac_digits + (int_digits + 1) // 2 + 3
-    return frac_digits + 2 * int_digits + 4

@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ubenford.bounds import (_CHUNK, _EPS, BoundCertificate,
-                             _cell_edges_to_lg, certify_mod1_bound,
-                             default_z_grid, discrepancy_bound, mod1_law,
+                             certify_mod1_bound, default_z_grid,
+                             discrepancy_bound, mod1_law,
                              p_delta_exponential,
                              p_delta_exponential_envelope, p_delta_uniform,
                              p_delta_uniform_envelope)
@@ -26,7 +26,7 @@ from ubenford.distributions import (Exponential, HalfNormal,
 from ubenford.errors import (CertificateViolation, HypothesisViolated,
                              NotUnimodal, TruncationFailure)
 from ubenford.transforms import (IDENTITY, LOG2, LOG10, LOGLOG, PI_SQUARE,
-                                 SQRT, u_float_from_log10)
+                                 SQRT)
 
 QUARTERS = np.array([0.25, 0.5, 0.75])
 
@@ -119,15 +119,15 @@ def _mod1_law_per_z(distribution, transform, zs, tail=1e-14):
         lg_hi = min(lg_hi, math.log10(distribution.support_hi))
     if transform.kind == "loglog":
         lg_lo = max(lg_lo, 1e-300)
-    j_lo = math.floor(u_float_from_log10(transform, lg_lo))
-    j_hi = math.floor(u_float_from_log10(transform, lg_hi))
+    j_lo = math.floor(transform.u_float_from_log10(lg_lo))
+    j_hi = math.floor(transform.u_float_from_log10(lg_hi))
     cells = j_hi - j_lo + 1
 
     probs = np.zeros_like(zs)
     for start in range(j_lo, j_hi + 1, _CHUNK):
         j = np.arange(start, min(start + _CHUNK, j_hi + 1),
                       dtype=np.float64)
-        lg_left = _cell_edges_to_lg(transform, j)
+        lg_left = transform.inverse_log10(j)
         finite = np.isfinite(lg_left)
         cdf_left = np.zeros_like(j)
         sf_left = np.ones_like(j)
@@ -136,7 +136,7 @@ def _mod1_law_per_z(distribution, transform, zs, tail=1e-14):
             sf_left[finite] = distribution.sf_log10(lg_left[finite])
         use_sf = cdf_left >= 0.5
         for iz, z in enumerate(zs):
-            lg_right = _cell_edges_to_lg(transform, j + z)
+            lg_right = transform.inverse_log10(j + z)
             cdf_right = distribution.cdf_log10(lg_right)
             p = np.where(use_sf,
                          sf_left - distribution.sf_log10(lg_right),
@@ -212,7 +212,7 @@ class TestMod1LawBlocks:
     def test_left_edge_at_minus_infinity(self, t):
         # cell j = 0 has no preimage below 0, so its left edge is -inf
         d = Exponential(0.5)
-        assert _cell_edges_to_lg(t, np.array([0.0]))[0] == -np.inf
+        assert t.inverse_log10(np.array([0.0]))[0] == -np.inf
         res = _assert_matches_per_z(d, t, self.ZS)
         assert res.cells > 1
 
@@ -271,7 +271,7 @@ class TestBoundCertificates:
 
     def test_violation_detected(self):
         class Liar(Exponential):
-            def sup_identity(self):
+            def sup_x_pdf(self):
                 return 1e-9, 1.0
 
         with pytest.raises(CertificateViolation):

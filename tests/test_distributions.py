@@ -17,7 +17,7 @@ from ubenford.distributions import (DISTRIBUTIONS, Exponential, HalfNormal,
                                     LognormalBase10, ParetoI, ParetoII,
                                     SeededSampler, UniformOnZeroK,
                                     parse_distribution, sup_ratio,
-                                    sup_ratio_numeric, sup_scale_ratio)
+                                    sup_ratio_numeric)
 from ubenford.errors import (HypothesisViolated, InvalidParameter,
                              NotUnimodal)
 from ubenford.transforms import (IDENTITY, LOG2, LOG10, LOGLOG, PI_SQUARE,
@@ -293,7 +293,7 @@ class TestSupRatio:
 
     def test_scale_ratio_is_identity_sup(self):
         d = Exponential(3.0)
-        val, xs = sup_scale_ratio(d)
+        val, xs = d.sup_x_pdf()
         assert val == pytest.approx(1.0 / math.e, rel=1e-12)
         assert xs == pytest.approx(1.0 / 3.0, rel=1e-12)
 

@@ -13,8 +13,9 @@ import math
 import numpy as np
 import pytest
 
-from ubenford.errors import (CertificateViolation, InvalidParameter,
-                             NotUnimodal)
+from ubenford.distributions import HalfNormal
+from ubenford.errors import (CertificateViolation, DomainError,
+                             InvalidParameter, NotUnimodal)
 from ubenford.experiments import (DELTA_GRID, TABLE1_TRANSFORMS,
                                   TABLE3_TRANSFORMS, analyze_dataset,
                                   bound_sweep, ks_cell, pdelta_curve,
@@ -22,7 +23,8 @@ from ubenford.experiments import (DELTA_GRID, TABLE1_TRANSFORMS,
 from ubenford.ingest import Dataset
 from ubenford.report import emit
 from ubenford.sequences import odd_nonsquare, parse_sequence
-from ubenford.transforms import LOG10, PI_SQUARE, SQRT
+from ubenford.stats import ks_uniform
+from ubenford.transforms import IDENTITY, LOG2, LOG10, LOGLOG, PI_SQUARE, SQRT
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +244,18 @@ def test_sample_cell_verdict_thresholds():
     assert accepted.verdict == "not rejected"
     clustered = sample_cell(np.full(400, 123.456), SQRT)
     assert clustered.verdict == "rejected"
+
+
+def test_sample_cell_uses_each_transforms_own_map():
+    xs = HalfNormal(1e4).sample(2000, 0)
+    cell = sample_cell(xs, LOG2)
+    _, z = ks_uniform(np.mod(np.log2(xs), 1.0))
+    assert cell.transform == "log2"
+    assert cell.z == pytest.approx(z, rel=1e-9)
+    _, z = ks_uniform(np.mod(xs, 1.0))
+    assert sample_cell(xs, IDENTITY).z == z
+    with pytest.raises(DomainError):
+        sample_cell(np.array([0.5, 2.0, 30.0]), LOGLOG)
 
 
 # ---------------------------------------------------------------------------

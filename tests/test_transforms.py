@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,10 +14,8 @@ from ubenford.errors import (CertificateViolation, DomainError,
                              InsufficientPrecision, PrecisionCapExceeded)
 from ubenford.kernels import digits_to_bits, pi_fixed
 from ubenford.transforms import (IDENTITY, LOG2, LOG10, LOGLOG, PI_SQUARE,
-                                 SQRT, Transform, derivative, eval_transform,
-                                 pi_digits, required_input_precision,
-                                 transform_frac, u_float, u_inverse_float,
-                                 u_inverse_log10)
+                                 SQRT, Log, Transform, eval_transform,
+                                 pi_digits, transform_frac)
 
 # independently computed reference bits: floor(frac(u) * 2**b)
 # sqrt(2) = 1.6A09E667F3BCC908B2FB1366E...
@@ -51,7 +50,7 @@ class TestTransformType:
         assert Transform.parse("pi-square") == PI_SQUARE
         assert Transform.parse("sqrt") == SQRT
         assert Transform.parse("identity") == IDENTITY
-        assert Transform.parse("log7") == Transform("log", 7)
+        assert Transform.parse("log7") == Log(7)
         with pytest.raises(ValueError):
             Transform.parse("cosh")
 
@@ -63,9 +62,9 @@ class TestTransformType:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            Transform("exp")
+            Transform.parse("exp")
         with pytest.raises(ValueError):
-            Transform("log", 1)
+            Log(1)
 
 
 class TestExactFastPaths:
@@ -74,7 +73,7 @@ class TestExactFastPaths:
         assert r.exact and r.compare_int(3) == 0
         r = eval_transform(BigReal.from_int(1024), LOG2)
         assert r.exact and r.compare_int(10) == 0
-        r = eval_transform(BigReal.from_float(0.125), Transform("log", 8))
+        r = eval_transform(BigReal.from_float(0.125), Log(8))
         assert r.exact and r.compare_int(-1) == 0
         r = eval_transform(BigReal.from_float(0.25), LOG2)
         assert r.exact and r.compare_int(-2) == 0
@@ -163,7 +162,7 @@ class TestExactLogCandidate:
         assert tr._power_exponent(3 ** 1001, 3) == 1001
         assert tr._power_exponent(3 ** 1001 * 2, 3) is None
         assert tr._power_exponent(7 ** 50 + 7, 7) is None
-        r = eval_transform(BigReal.from_int(7 ** 77), Transform("log", 7))
+        r = eval_transform(BigReal.from_int(7 ** 77), Log(7))
         assert r.exact and r.compare_int(77) == 0
 
 
@@ -232,7 +231,7 @@ class TestEscalation:
 
     def test_required_input_precision_is_sufficient(self):
         for t in (IDENTITY, LOG10, LOGLOG, SQRT, PI_SQUARE):
-            need = required_input_precision(t, 1, 20)
+            need = t.required_input_precision(1, 20)
             x = pi_real(digits_to_bits(need))
             r = eval_transform(x, t)
             # certified, no refusal
@@ -240,8 +239,8 @@ class TestEscalation:
 
     def test_deeper_fractional_digits_cost_more_input(self):
         for t in (LOG10, SQRT, PI_SQUARE):
-            assert required_input_precision(t, 5, 30) > \
-                required_input_precision(t, 5, 12)
+            assert t.required_input_precision(5, 30) > \
+                t.required_input_precision(5, 12)
 
 
 class TestDomains:
@@ -264,13 +263,15 @@ class TestDomains:
 
     def test_float_helpers_share_domains(self):
         with pytest.raises(DomainError):
-            u_float(LOG10, 0.0)
+            LOG10.u_np(0.0)
         with pytest.raises(DomainError):
-            u_float(LOGLOG, 1.0)
+            LOGLOG.u_np(1.0)
         with pytest.raises(DomainError):
-            u_float(SQRT, -1.0)
+            SQRT.u_np(-1.0)
         with pytest.raises(DomainError):
-            derivative(SQRT, 0.0)
+            SQRT.derivative(0.0)
+        with pytest.raises(DomainError):
+            LOGLOG.u_float_from_log10(0.0)
 
 
 class TestFloatHelpers:
@@ -278,28 +279,77 @@ class TestFloatHelpers:
     @settings(max_examples=200)
     def test_inverse_round_trip(self, x):
         for t in (IDENTITY, LOG10, LOG2, SQRT, PI_SQUARE, LOGLOG):
-            y = u_float(t, x)
-            back = u_inverse_float(t, y)
+            y = t.u_float_from_log10(math.log10(x))
+            back = 10.0 ** t.inverse_log10(y)
             assert math.isclose(back, x, rel_tol=1e-9)
 
     @given(st.floats(min_value=0.1, max_value=30.0))
     @settings(max_examples=100)
     def test_inverse_log10_matches(self, y):
-        for t in (LOG10, SQRT, PI_SQUARE, IDENTITY):
-            lg = u_inverse_log10(t, y)
-            if lg < 300:
-                assert math.isclose(10.0 ** lg, u_inverse_float(t, y),
-                                    rel_tol=1e-9)
+        for t in (LOG10, SQRT, PI_SQUARE, IDENTITY, LOG2, LOGLOG):
+            lg = t.inverse_log10(y)
+            assert math.isclose(t.u_float_from_log10(lg), y, rel_tol=1e-9)
 
     def test_derivatives(self):
-        assert derivative(IDENTITY, 5.0) == 1.0
-        assert math.isclose(derivative(LOG10, math.e),
+        assert IDENTITY.derivative(5.0) == 1.0
+        assert math.isclose(LOG10.derivative(math.e),
                             1.0 / (math.e * math.log(10)))
-        assert derivative(SQRT, 4.0) == 0.25
-        assert math.isclose(derivative(PI_SQUARE, 3.0), 6.0 * math.pi)
-        assert math.isclose(derivative(LOGLOG, 100.0),
+        assert SQRT.derivative(4.0) == 0.25
+        assert math.isclose(PI_SQUARE.derivative(3.0), 6.0 * math.pi)
+        assert math.isclose(LOGLOG.derivative(100.0),
                             1.0 / (100.0 * math.log(100.0) * math.log(10.0)))
-        assert math.isclose(derivative(LOG2, 8.0), 1.0 / (8.0 * math.log(2)))
+        assert math.isclose(LOG2.derivative(8.0), 1.0 / (8.0 * math.log(2)))
+
+
+# one instance of every transform class, plus two more log bases
+REGISTRY = tuple(cls() for cls in Transform.__subclasses__()) + (LOG2, Log(7))
+
+
+def _rejects(fn, x):
+    try:
+        fn(x)
+    except DomainError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("t", REGISTRY, ids=lambda t: t.label())
+class TestTransformContract:
+    """What every transform class must provide, and provide consistently."""
+
+    @pytest.mark.parametrize("x", [-3.0, -0.5, 0.0, 0.5, 1.0, 2.5])
+    def test_domains_agree(self, t, x):
+        rejected = _rejects(lambda v: eval_transform(BigReal.from_float(v), t),
+                            x)
+        assert _rejects(t.u_np, x) == rejected
+        # one value outside the domain rejects the whole array
+        assert _rejects(t.u_np, np.array([2.5, x, 3.0])) == rejected
+        if rejected:
+            assert _rejects(t.derivative, x)
+            assert _rejects(t.derivative, np.array([2.5, x]))
+
+    @pytest.mark.parametrize("y", [0.3, 1.7, 12.5, 200.0])
+    def test_log10_round_trip(self, t, y):
+        lg = t.inverse_log10(y)
+        assert math.isclose(t.u_float_from_log10(float(lg)), y,
+                            rel_tol=1e-12)
+        lgs = t.inverse_log10(np.array([y, y]))
+        assert np.all(lgs == lg)
+
+    @pytest.mark.parametrize("x", [1.5, 7.0, 300.0])
+    def test_derivative_matches_centered_difference(self, t, x):
+        h = 1e-5 * x
+        u = t.u_np(np.array([x - h, x + h]))
+        slope = (u[1] - u[0]) / (2.0 * h)
+        assert math.isclose(float(t.derivative(x)), slope, rel_tol=1e-6)
+        assert t.derivative(np.array([x]))[0] == t.derivative(x)
+
+    def test_float_map_matches_certified_frac(self, t):
+        ns = np.arange(2, 18)
+        fracs = np.mod(t.u_np(ns.astype(np.float64)), 1.0)
+        for n, f in zip(ns, fracs):
+            d = abs(transform_frac(BigReal.from_int(int(n)), t) - f)
+            assert min(d, 1.0 - d) < 1e-12, (t.label(), n)
 
 
 class TestPiDigits:
