@@ -25,8 +25,9 @@ class PrecisionPolicy:
 
     initial: working precision floor
     guard: extra digits beyond the integer part of a result
-    agreement: fractional digits two escalating evaluations must share
-    cap: hard ceiling on working precision
+    agreement: fractional digits the accepted evaluation must certify;
+        certification rests on the bits each evaluator claims
+    cap: hard ceiling on the working precision evaluated
     near_integer_digits: closeness to an integer that triggers one extra
         escalation before a fractional part is accepted
     """

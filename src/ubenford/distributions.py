@@ -10,6 +10,7 @@ a generic golden-section maximizer is provided as an independent route.
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -20,6 +21,8 @@ _LN10 = math.log(10.0)
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+_DOUBLE_MIN = sys.float_info.min  # smallest normal double
+_LN_DOUBLE_MIN = math.log(_DOUBLE_MIN)
 
 
 def _as_array(x):
@@ -349,9 +352,43 @@ class LognormalBase10(Distribution):
     def _pdf_scalar(self, x):
         return float(self.pdf(np.asarray([x]))[0])
 
+    def _sup_at(self, c, log10_k, direct):
+        """(sup, argmax) of k * x**(1 - c) * pdf(x).
+
+        log10 of the product is a parabola in log10 x with its vertex at
+        log10 x = mu - c*sigma**2*ln 10, where the Gaussian factor of the
+        pdf is exp(-(c*sigma*ln 10)**2 / 2). `direct(xs)` evaluates the
+        product in doubles; where that factor leaves the normal double
+        range, the same closed form is taken in log10 space instead.
+        InvalidParameter when a normal double cannot hold the argmax or
+        the supremum.
+        """
+        lg = self.mu - c * self.sigma ** 2 * _LN10
+        try:
+            xs = 10.0 ** lg
+        except OverflowError:
+            xs = math.inf
+        if not _DOUBLE_MIN <= xs < math.inf:
+            raise InvalidParameter(
+                f"{self.name}: the supremum's argmax 10**{lg:.6g} lies "
+                f"outside the double range")
+        gauss_ln = -0.5 * (c * self.sigma * _LN10) ** 2
+        if gauss_ln >= _LN_DOUBLE_MIN:
+            value = direct(xs)
+        else:
+            lv = (log10_k - c * lg + gauss_ln / _LN10
+                  - math.log10(self.sigma * _LN10 * _SQRT_2PI))
+            try:
+                value = 10.0 ** lv
+            except OverflowError:
+                value = math.inf
+        if not _DOUBLE_MIN <= value < math.inf:
+            raise InvalidParameter(
+                f"{self.name}: the supremum lies outside the double range")
+        return value, xs
+
     def sup_pdf(self):
-        xs = 10.0 ** (self.mu - self.sigma ** 2 * _LN10)
-        return self._pdf_scalar(xs), xs
+        return self._sup_at(1.0, 0.0, self._pdf_scalar)
 
     def sup_x_pdf(self):
         # x*pdf peaks where log10 x = mu
@@ -359,12 +396,14 @@ class LognormalBase10(Distribution):
         return 1.0 / (self.sigma * _LN10 * math.sqrt(2 * math.pi)), xs
 
     def sup_sqrt(self):
-        xs = 10.0 ** (self.mu - 0.5 * self.sigma ** 2 * _LN10)
-        return 2.0 * math.sqrt(xs) * self._pdf_scalar(xs), xs
+        return self._sup_at(
+            0.5, math.log10(2.0),
+            lambda xs: 2.0 * math.sqrt(xs) * self._pdf_scalar(xs))
 
     def sup_pi_square(self):
-        xs = 10.0 ** (self.mu - 2.0 * self.sigma ** 2 * _LN10)
-        return self._pdf_scalar(xs) / (2.0 * math.pi * xs), xs
+        return self._sup_at(
+            2.0, -math.log10(2.0 * math.pi),
+            lambda xs: self._pdf_scalar(xs) / (2.0 * math.pi * xs))
 
 
 class UniformOnZeroK(Distribution):

@@ -4,12 +4,14 @@ The transforms map positive reals to the scale on which mantissa behaviour
 becomes mod-1 behaviour: identity, log base b, iterated log (base 10 twice),
 square root, and the area map pi*x**2, one class each. eval_transform
 computes u(x) for a BigReal input with enough working precision that the
-fractional part is certified: the value is evaluated at working precisions
-w and 2w and only accepted when both agree on the leading fractional
-digits, with one extra escalation when the result sits within the
-near-integer guard band.
+fractional part is certified: the value is evaluated once per working
+precision w and accepted when the bits its evaluator claims cover the
+leading fractional digits, so certification rests on each evaluator's
+claimed bits; w doubles otherwise, with one extra doubling when the
+result sits within the near-integer guard band.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from decimal import Decimal
@@ -190,11 +192,20 @@ def _log_at(x, base, w):
     k = d - 1 + e
     if k:
         lv += k * ln2_fixed(w)
-    q = (lv << w) // _ln_base_fixed(base, w)
+    ln_base = _ln_base_fixed(base, w)
+    q = (lv << w) // ln_base
     int_bits = max(0, q.bit_length() - w)
-    # k ulps from ln 2, a few from ln_fixed, x1.45 from dividing by ln 2
-    frac_cert = w - (abs(k).bit_length() + 4)
-    frac_cert = min(frac_cert, _input_frac_limit(x, int_bits))
+    # error of lv in ulps of 2**-w: |k| from ln 2, one each from ln_fixed
+    # and the mantissa cut, two per 2**-w of an inexact input's relative
+    # error; ln(base) is off by c ulps, which costs c per unit of |u|;
+    # dividing by ln(base) scales it all, and the floors of q and of this
+    # bound add one each
+    c = 1 if base in (2, 10) else base.bit_length()
+    err = abs(k) + 2 + c * ((abs(q) >> w) + 1)
+    if not x.exact:
+        err += 1 << max(0, w + 1 - x.significant_digits())
+    err = (err << w) // ln_base + 2
+    frac_cert = min(w - err.bit_length(), _input_frac_limit(x, int_bits))
     return BigReal(q, -w, int_bits + frac_cert, False)
 
 
@@ -490,58 +501,62 @@ PI_SQUARE = PiSquare()
 # ---------------------------------------------------------------------------
 # escalating evaluation
 
+@functools.lru_cache(maxsize=None)
+def _policy_bits(policy):
+    """(a, mod, band, cap, floor, pad) of a policy, in bits.
+
+    a: fractional bits certified; mod = 2**a; band: near-integer band at
+    scale 2**-a; cap: working-precision ceiling; floor: least starting
+    working precision; pad: bits added to a result's integer-bit estimate
+    for the starting working precision.
+    """
+    a = digits_to_bits(policy.agreement)
+    band = 1 << max(0, a - digits_to_bits(policy.near_integer_digits))
+    return (a, 1 << a, band, digits_to_bits(policy.cap),
+            digits_to_bits(policy.initial), digits_to_bits(policy.guard) + a)
+
+
 def eval_transform(x, transform, policy=DEFAULT_POLICY):
     """u(x) as a BigReal whose fractional part is certified.
 
-    The result is evaluated at working precisions w and 2w (in bits) and
-    accepted only when both agree on the first `policy.agreement`
-    fractional digits, converted to bits (modulo wraparound across an
-    integer boundary). Near-integer results get one extra doubling before
-    acceptance. Raises DomainError outside the transform's domain,
-    InsufficientPrecision when the input's own certification cannot
-    support the requested fractional bits, and PrecisionCapExceeded when
-    escalation passes policy.cap.
+    One evaluation per working precision w (in bits): the result is
+    accepted as soon as its own certified precision vouches for the first
+    `policy.agreement` fractional digits, converted to bits (Ziv's rounding
+    test), so the certificate rests on each evaluator's claimed bits.
+    Near-integer results get one extra doubling before acceptance. Raises
+    DomainError outside the transform's domain, InsufficientPrecision when
+    the input's own certification cannot support the requested fractional
+    bits, and PrecisionCapExceeded when the working precision passes
+    policy.cap.
     """
     transform._check_domain(x)
     fast = transform._try_exact(x)
     if fast is not None:
         return fast
 
-    a = digits_to_bits(policy.agreement)
-    mod = 1 << a
-    band = 1 << max(0, a - digits_to_bits(policy.near_integer_digits))
-    cap = digits_to_bits(policy.cap)
-    w = max(digits_to_bits(policy.initial),
-            transform._result_bits_estimate(x)
-            + digits_to_bits(policy.guard) + a)
+    a, mod, band, cap, floor, pad = _policy_bits(policy)
+    w = max(floor, transform._result_bits_estimate(x) + pad)
     escalated_for_near_integer = False
     while True:
-        if 2 * w > cap:
+        if w > cap:
             raise PrecisionCapExceeded(
-                f"needed working precision {2 * w} bits exceeds cap "
+                f"needed working precision {w} bits exceeds cap "
                 f"{policy.cap} digits ({cap} bits)")
-        lo = transform._eval_at(x, w)
-        hi = transform._eval_at(x, 2 * w)
+        r = transform._eval_at(x, w)
         try:
-            qlo = lo.frac_scaled(a)
-            qhi = hi.frac_scaled(a)
+            q = r.frac_scaled(a)
         except InsufficientPrecision:
             if x.exact:
                 w *= 2
                 continue
             raise  # input-limited: escalating cannot help
-        diff = (qhi - qlo) & (mod - 1)
-        if diff in (0, 1, mod - 1):
-            near = qhi < band or qhi >= mod - band
-            if near and not escalated_for_near_integer:
-                escalated_for_near_integer = True
-                w *= 2
-                continue
-            return hi
-        w *= 2
+        if (q < band or q >= mod - band) and not escalated_for_near_integer:
+            escalated_for_near_integer = True
+            w *= 2
+            continue
+        return r
 
 
 def transform_frac(x, transform, policy=DEFAULT_POLICY):
     """Fractional part of u(x) as a certified double in [0, 1)."""
-    return eval_transform(x, transform, policy).frac(
-        digits_to_bits(policy.agreement))
+    return eval_transform(x, transform, policy).frac(_policy_bits(policy)[0])

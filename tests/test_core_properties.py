@@ -5,6 +5,12 @@ value to 1e-12, measured as wrapped distance on the circle [0, 1), under
 every transform kind: for exact integers up to 10**3000, for exact doubles
 over +-300 decades, and for the inexact terms of every sequence at
 n <= 1000 (taken through frac_sample, so input regeneration is covered).
+
+eval_transform accepts a result on the strength of its claimed precision
+alone, so the claim of every `_eval_at` is checked too: the result must lie
+within 2**-F of the true u(x), F being the fractional bits it claims, at
+the working precision eval_transform starts from and at twice and four
+times that.
 """
 
 import math
@@ -14,11 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from ubenford.bigreal import BigReal
+from ubenford.bigreal import DEFAULT_POLICY, BigReal
 from ubenford.errors import DomainError
 from ubenford.sequences import ExpN, PiN, PowerLaw, SqrtN, frac_sample
 from ubenford.transforms import (IDENTITY, LOG2, LOG10, LOGLOG, PI_SQUARE,
-                                 SQRT, transform_frac)
+                                 SQRT, Log, _policy_bits, eval_transform,
+                                 transform_frac)
 
 TOL = 1e-12
 TRANSFORMS = (IDENTITY, LOG10, LOG2, LOGLOG, SQRT, PI_SQUARE)
@@ -98,3 +105,102 @@ def test_inexact_sequence_terms(transform, which, n):
     want = mp_frac(lambda: term(n), transform, log10_of(n) + 1)
     assert sample.size == 1
     assert wrapped(float(sample.values[0]), want) < TOL
+
+
+# ---------------------------------------------------------------------------
+# the bits each evaluator claims
+
+EVALUATORS = (LOG10, LOG2, Log(7), LOGLOG, SQRT, PI_SQUARE)
+AGREEMENT_BITS = _policy_bits(DEFAULT_POLICY)[0]
+
+
+def u_mp(transform, x):
+    if transform == LOGLOG:
+        return mp.log10(mp.log10(x))
+    if transform == SQRT:
+        return mp.sqrt(x)
+    if transform == PI_SQUARE:
+        return mp.pi * x * x
+    return mp.log(x) / mp.log(transform.base)
+
+
+def start_bits(x, transform):
+    """The working precision eval_transform evaluates x at first."""
+    _, _, _, _, floor, pad = _policy_bits(DEFAULT_POLICY)
+    return max(floor, transform._result_bits_estimate(x) + pad)
+
+
+def claim_error(r, transform, make_x, x_bits):
+    """(|r - u(x)|, 2**-F) for the F fractional bits r claims; make_x
+    builds the true input in mpmath, x_bits bounds its bit length."""
+    claimed = r.precision - r.integer_digits()
+    with mp.workprec(max(r.mantissa.bit_length(), x_bits) + 64):
+        value = mp.ldexp(mpf(r.mantissa), r.exponent)
+        return abs(value - u_mp(transform, make_x())), mp.ldexp(1, -claimed)
+
+
+@pytest.mark.parametrize("scale", (1, 2, 4))
+@pytest.mark.parametrize("transform", EVALUATORS, ids=lambda t: t.label())
+@given(n=st.integers(min_value=2, max_value=10 ** 3000))
+@settings(max_examples=25, deadline=None)
+def test_claimed_bits_exact_integers(transform, scale, n):
+    x = BigReal.from_int(n)
+    r = transform._eval_at(x, scale * start_bits(x, transform))
+    err, bound = claim_error(r, transform, lambda: mpf(n), n.bit_length())
+    assert err <= bound
+
+
+INEXACT_TERMS = (
+    (SqrtN(), lambda n: mp.sqrt(n)),
+    (PiN(), lambda n: mp.pi * n),
+    (ExpN(), lambda n: mp.exp(n)),
+)
+
+
+@pytest.mark.parametrize("scale", (1, 2, 4))
+@pytest.mark.parametrize("transform", EVALUATORS, ids=lambda t: t.label())
+@given(which=st.integers(min_value=0, max_value=len(INEXACT_TERMS) - 1),
+       n=st.integers(min_value=2, max_value=1000),
+       retries=st.integers(min_value=0, max_value=1))
+@settings(max_examples=25, deadline=None)
+def test_claimed_bits_inexact_terms(transform, scale, which, n, retries):
+    seq, term = INEXACT_TERMS[which]
+    # the input precision frac_sample asks for, and after a regeneration
+    target = transform.required_input_precision(
+        seq.int_digits_estimate(n), DEFAULT_POLICY.agreement + 8)
+    x = seq.nth_term(n, sig_digits=target << retries)
+    r = transform._eval_at(x, scale * start_bits(x, transform))
+    err, bound = claim_error(r, transform, lambda: term(n), 0)
+    assert err <= bound
+
+
+def assert_certified(x, transform, make_x, x_bits):
+    """eval_transform's result vouches for the agreement bits, and those
+    bits hold: floor({u} * 2**a) is off by at most one, wrapping."""
+    r = eval_transform(x, transform)
+    assert r.precision - r.integer_digits() >= AGREEMENT_BITS
+    err, bound = claim_error(r, transform, make_x, x_bits)
+    assert err <= bound
+    mod = 1 << AGREEMENT_BITS
+    with mp.workprec(x_bits + 2 * r.mantissa.bit_length() + 64):
+        u = u_mp(transform, make_x())
+        want = int(mp.floor((u - mp.floor(u)) * mod))
+    assert (r.frac_scaled(AGREEMENT_BITS) - want) % mod in (0, 1, mod - 1)
+
+
+@given(k=st.integers(min_value=1, max_value=3000),
+       sign=st.sampled_from((-1, 1)))
+@settings(max_examples=40, deadline=None)
+def test_eval_transform_near_powers_of_ten(k, sign):
+    n = 10 ** k + sign
+    assert_certified(BigReal.from_int(n), LOG10, lambda: mpf(n),
+                     n.bit_length())
+
+
+@given(s=st.integers(min_value=2, max_value=10 ** 1500),
+       sign=st.sampled_from((-1, 1)))
+@settings(max_examples=40, deadline=None)
+def test_eval_transform_near_perfect_squares(s, sign):
+    n = s * s + sign
+    assert_certified(BigReal.from_int(n), SQRT, lambda: mpf(n),
+                     n.bit_length())

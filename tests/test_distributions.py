@@ -7,11 +7,15 @@ degenerate (family, transform) pairs.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.stats
+from mpmath import mp, mpf
+
+from ubenford.bounds import discrepancy_bound
 
 from ubenford.distributions import (DISTRIBUTIONS, Exponential, HalfNormal,
                                     LognormalBase10, ParetoI, ParetoII,
@@ -296,6 +300,64 @@ class TestSupRatio:
         val, xs = d.sup_x_pdf()
         assert val == pytest.approx(1.0 / math.e, rel=1e-12)
         assert xs == pytest.approx(1.0 / 3.0, rel=1e-12)
+
+
+class TestLognormalSupremaRange:
+    """LognormalBase10 suprema once the argmax 10**(mu - c*sigma**2*ln 10)
+    nears the edge of the double range: a value a double holds, or
+    InvalidParameter; never 0, never a traceback."""
+
+    # transform, c in the argmax exponent, the factor k*x**(1-c) on pdf
+    CASES = ((IDENTITY, 1, lambda x: 1),
+             (SQRT, mpf(1) / 2, lambda x: 2 * mp.sqrt(x)),
+             (PI_SQUARE, 2, lambda x: 1 / (2 * mp.pi * x)))
+
+    @staticmethod
+    def mp_sup(mu, sigma, c, factor):
+        """k*x**(1-c)*pdf at its closed-form argmax, in mpmath."""
+        with mp.workdps(40):
+            mu, sigma = mpf(mu), mpf(sigma)
+            lg = mu - c * sigma ** 2 * mp.log(10)
+            x = mpf(10) ** lg
+            z = (lg - mu) / sigma
+            pdf = mp.exp(-z * z / 2) / (
+                x * sigma * mp.log(10) * mp.sqrt(2 * mp.pi))
+            return float(factor(x) * pdf)
+
+    @pytest.mark.parametrize("mu", (-3.0, 0.0, 30.0))
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: c[0].label())
+    def test_sigma_8_to_45(self, case, mu):
+        transform, c, factor = case
+        refused = 0
+        for sigma in np.arange(8.0, 45.0 + 1e-9, 0.05):
+            d = LognormalBase10(mu, float(sigma))
+            try:
+                val, xs = sup_ratio(d, transform)
+            except InvalidParameter:
+                with pytest.raises(InvalidParameter):
+                    discrepancy_bound(d, transform)
+                refused += 1
+                continue
+            assert sys.float_info.min <= xs < math.inf
+            assert sys.float_info.min <= val < math.inf
+            assert val == pytest.approx(
+                self.mp_sup(mu, sigma, c, factor), rel=1e-12)
+            assert discrepancy_bound(d, transform) == 2.0 * val
+        # the argmax leaves the double range well before sigma = 45
+        assert refused > 0
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: c[0].label())
+    def test_in_range_values_keep_the_direct_form(self, case):
+        # where the double route works it is the one used, bit for bit
+        transform, c, _ = case
+        for mu in (-1.0, 0.0, 1.0):
+            for sigma in np.arange(1.5, 2.5 + 1e-9, 0.1):
+                d = LognormalBase10(mu, float(sigma))
+                xs = 10.0 ** (mu - float(c) * d.sigma ** 2 * _LN10)
+                pdf = d._pdf_scalar(xs)
+                direct = {IDENTITY: pdf, SQRT: 2.0 * math.sqrt(xs) * pdf,
+                          PI_SQUARE: pdf / (2.0 * math.pi * xs)}[transform]
+                assert sup_ratio(d, transform) == (direct, xs)
 
 
 class TestSampler:

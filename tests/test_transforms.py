@@ -221,6 +221,24 @@ class TestEscalation:
         with pytest.raises(PrecisionCapExceeded):
             eval_transform(BigReal.from_int(10 ** 40 + 7), PI_SQUARE, policy)
 
+    def test_cap_bounds_the_precision_evaluated(self):
+        # the cap bounds the one working precision each round evaluates, so
+        # a term that certifies at its starting 117 bits passes a 213-bit
+        # cap, and one that needs a near-integer doubling to 234 does not
+        seen = []
+
+        class Spy(Log):
+            def _eval_at(self, x, w):
+                seen.append(w)
+                return super()._eval_at(x, w)
+
+        policy = PrecisionPolicy(cap=64)
+        got = eval_transform(BigReal.from_int(12345), Spy(10), policy)
+        assert abs(got.frac(40) - math.log10(12345) % 1.0) < 1e-12
+        with pytest.raises(PrecisionCapExceeded):
+            eval_transform(BigReal.from_int(10 ** 40 + 1), Spy(10), policy)
+        assert seen == [117, 117]
+
     def test_input_limited_raises_then_regenerates(self):
         coarse = pi_real(digits_to_bits(13))
         with pytest.raises(InsufficientPrecision):
