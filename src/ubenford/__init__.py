@@ -30,7 +30,7 @@ from .stats import (DigitReport, benford_expected, digit_report,
                     kolmogorov_q, ks_uniform, leading_digit)
 from .transforms import (IDENTITY, LOG2, LOG10, LOGLOG, PI_SQUARE, SQRT,
                          Identity, Log, LogLog, PiSquare, Sqrt, Transform,
-                         eval_transform, pi_digits, transform_frac)
+                         eval_transform, transform_frac)
 
 __all__ = [
     "AnalyzeReport", "BACKEND", "BigReal", "BoundCertificate",
@@ -50,6 +50,6 @@ __all__ = [
     "kolmogorov_q", "ks_cell", "ks_uniform", "leading_digit", "mod1_law",
     "odd_nonsquare", "p_delta_exponential", "p_delta_exponential_envelope",
     "p_delta_uniform", "p_delta_uniform_envelope", "parse_distribution",
-    "parse_sequence", "pdelta_curve", "pi_digits", "run_table1", "run_table3",
+    "parse_sequence", "pdelta_curve", "run_table1", "run_table3",
     "sup_ratio", "sup_ratio_numeric", "transform_frac", "__version__",
 ]

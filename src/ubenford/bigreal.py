@@ -2,8 +2,8 @@
 
 A BigReal stores value = mantissa * 2**exponent together with the count of
 significant bits that are actually trustworthy. Exact values (integers,
-binary doubles) are flagged and never lose bits; inexact values carry their
-certification through arithmetic so that frac() can refuse to hand out
+binary doubles) are flagged and never lose bits; inexact values carry the
+bits their producer certified, so that frac() can refuse to hand out
 fractional bits it cannot vouch for. Fractional parts are masks and shifts.
 """
 
@@ -21,29 +21,23 @@ _EXACT_BITS = 10 ** 9  # significant bits reported for exact values
 class PrecisionPolicy:
     """Knobs for certified evaluation, in decimal digits.
 
-    The evaluators work in bits and convert with kernels.digits_to_bits.
+    The evaluators work in bits and convert with kernels.digits_to_bits;
+    the starting working precision and the near-integer band are fixed
+    in bits by transforms._policy_bits.
 
-    initial: working precision floor
-    guard: extra digits beyond the integer part of a result
     agreement: fractional digits the accepted evaluation must certify;
         certification rests on the bits each evaluator claims
-    cap: hard ceiling on the working precision evaluated
-    near_integer_digits: closeness to an integer that triggers one extra
-        escalation before a fractional part is accepted
+    cap: hard ceiling on the working precision evaluated, at least 64
+        digits so that the 32-digit start can double once
     """
 
-    initial: int = 32
-    guard: int = 15
     agreement: int = 12
     cap: int = 30000
-    near_integer_digits: int = 12
 
     def __post_init__(self):
-        if self.guard < 15:
-            raise ValueError("guard digits must be >= 15")
         if self.agreement < 12:
             raise ValueError("agreement threshold must be >= 12")
-        if self.cap < 2 * self.initial:
+        if self.cap < 64:
             raise ValueError("cap must leave room for escalation")
 
 
@@ -96,49 +90,8 @@ class BigReal:
         mag = self.mantissa.bit_length() + self.exponent
         return self.precision - 1 + min(0, mag)
 
-    def is_zero(self):
-        return self.mantissa == 0
-
     def sign(self):
         return (self.mantissa > 0) - (self.mantissa < 0)
-
-    def compare(self, other):
-        """-1, 0, or 1; exact on the stored rationals."""
-        a, b = self.mantissa, other.mantissa
-        if self.exponent >= other.exponent:
-            a <<= self.exponent - other.exponent
-        else:
-            b <<= other.exponent - self.exponent
-        return (a > b) - (a < b)
-
-    def compare_int(self, n):
-        return self.compare(BigReal.from_int(n))
-
-    # ---- arithmetic -------------------------------------------------------
-
-    def mul(self, other):
-        m = self.mantissa * other.mantissa
-        e = self.exponent + other.exponent
-        if self.exact and other.exact:
-            return BigReal(m, e, max(53, m.bit_length()), True)
-        p = min(self._effective_precision(), other._effective_precision())
-        return _truncated(m, e, p)
-
-    def add_int(self, n):
-        """Exact shift by an integer; certification is preserved."""
-        if self.exponent >= 0:
-            m = (self.mantissa << self.exponent) + n
-            e = 0
-        else:
-            m = self.mantissa + (n << -self.exponent)
-            e = self.exponent
-        if self.exact:
-            return BigReal(m, e, max(53, m.bit_length()), True)
-        p = self.precision + m.bit_length() - self.mantissa.bit_length()
-        return BigReal(m, e, p, False)
-
-    def _effective_precision(self):
-        return self.precision if not self.exact else _EXACT_BITS
 
     # ---- fractional part --------------------------------------------------
 
@@ -185,29 +138,7 @@ class BigReal:
             return _ONE_MINUS
         return d
 
-    # ---- conversion -------------------------------------------------------
-
-    def to_float(self):
-        m, e = self.mantissa, self.exponent
-        shift = m.bit_length() - 64
-        if shift > 0:
-            m = m >> shift if m > 0 else -(-m >> shift)
-            e += shift
-        try:
-            return math.ldexp(float(m), e)
-        except OverflowError:
-            return math.inf if m > 0 else -math.inf
-
     def __repr__(self):
         tag = "exact" if self.exact else f"p={self.precision}"
         return f"BigReal({self.mantissa}*2**{self.exponent}, {tag})"
 
-
-def _truncated(m, e, p):
-    """Keep p significant bits of m (truncation toward zero, <= 1 ulp)."""
-    cut = m.bit_length() - p
-    if cut > 0 and p > 0:
-        q = abs(m) >> cut
-        m = q if m > 0 else -q
-        e += cut
-    return BigReal(m, e, p, False)

@@ -36,14 +36,12 @@ def _maybe_scalar(out, x):
 class Distribution:
     """Base for positive continuous families.
 
-    support_lo/support_hi bound the support; lo_closed marks whether the
-    lower endpoint carries density (it matters for edge suprema).
+    support_lo/support_hi bound the support.
     """
 
     name = "?"
     support_lo = 0.0
     support_hi = math.inf
-    lo_closed = False
     density_positive_at_origin = False
 
     def label(self):
@@ -60,9 +58,6 @@ class Distribution:
         return _maybe_scalar(1.0 - self.cdf(x), x)
 
     def ppf(self, q):
-        raise NotImplementedError
-
-    def mean(self):
         raise NotImplementedError
 
     # log10-domain forms; subclasses override where the defaults overflow
@@ -118,8 +113,6 @@ class Distribution:
 
 class ParetoI(Distribution):
     """Power tail starting at x0: sf(x) = (x0/x)**alpha for x >= x0."""
-
-    lo_closed = True
 
     def __init__(self, alpha, x0=1.0):
         if not (alpha > 0) or not (x0 > 0):
@@ -178,11 +171,6 @@ class ParetoI(Distribution):
     def cdf_log10(self, lg):
         lg = _as_array(lg)
         return _maybe_scalar(1.0 - self.sf_log10(lg), lg)
-
-    def mean(self):
-        if self.alpha <= 1.0:
-            return math.inf
-        return self.alpha * self.x0 / (self.alpha - 1.0)
 
     def sup_pdf(self):
         return self.alpha / self.x0, self.x0
@@ -274,9 +262,6 @@ class ParetoII(Distribution):
         lg = _as_array(lg)
         return _maybe_scalar(1.0 - self.sf_log10(lg), lg)
 
-    def mean(self):
-        return math.inf if self.b <= 1.0 else 1.0 / (self.b - 1.0)
-
     def sup_pdf(self):
         # decreasing density: sup at the origin edge
         return self.b, 0.0
@@ -346,9 +331,6 @@ class LognormalBase10(Distribution):
         lg = _as_array(lg)
         return _maybe_scalar(normal_sf((lg - self.mu) / self.sigma), lg)
 
-    def mean(self):
-        return math.exp(self.mu * _LN10 + 0.5 * (self.sigma * _LN10) ** 2)
-
     def _pdf_scalar(self, x):
         return float(self.pdf(np.asarray([x]))[0])
 
@@ -391,9 +373,10 @@ class LognormalBase10(Distribution):
         return self._sup_at(1.0, 0.0, self._pdf_scalar)
 
     def sup_x_pdf(self):
-        # x*pdf peaks where log10 x = mu
-        xs = 10.0 ** self.mu
-        return 1.0 / (self.sigma * _LN10 * math.sqrt(2 * math.pi)), xs
+        # x*pdf peaks where log10 x = mu, at 1/(sigma*ln 10*sqrt(2*pi))
+        return self._sup_at(
+            0.0, 0.0,
+            lambda xs: 1.0 / (self.sigma * _LN10 * math.sqrt(2 * math.pi)))
 
     def sup_sqrt(self):
         return self._sup_at(
@@ -430,9 +413,6 @@ class UniformOnZeroK(Distribution):
     def ppf(self, q):
         q = _as_array(q)
         return _maybe_scalar(q * self.k, q)
-
-    def mean(self):
-        return 0.5 * self.k
 
     def sup_pdf(self):
         # flat density: sup attained everywhere on (0, k]
@@ -477,9 +457,6 @@ class Exponential(Distribution):
         q = _as_array(q)
         return _maybe_scalar(-np.log1p(-q) / self.lam, q)
 
-    def mean(self):
-        return 1.0 / self.lam
-
     def isf_log10(self, p):
         p = _as_array(p)
         out = np.log10(-np.log(p) / self.lam)
@@ -499,7 +476,6 @@ class Exponential(Distribution):
 class HalfNormal(Distribution):
     """|Normal(0, sigma**2)|."""
 
-    lo_closed = True
     density_positive_at_origin = True
 
     def __init__(self, sigma):
@@ -551,9 +527,6 @@ class HalfNormal(Distribution):
         p = _as_array(p)
         out = np.log10(self.sigma * -probit(p / 2.0))
         return _maybe_scalar(out, p)
-
-    def mean(self):
-        return self.sigma * _SQRT_2_OVER_PI
 
     def sup_pdf(self):
         return _SQRT_2_OVER_PI / self.sigma, 0.0
@@ -635,6 +608,8 @@ class SeededSampler:
 # ---------------------------------------------------------------------------
 # sup of pdf/u' over the support: closed forms plus a numeric cross-route
 
+_GOLDEN_REL_TOL = 1e-10  # golden-section stop, relative to the log-x span
+
 def sup_ratio(distribution, transform):
     """(sup of pdf/u', argmax) for the discrepancy bounds.
 
@@ -645,7 +620,7 @@ def sup_ratio(distribution, transform):
     return transform.sup_ratio(distribution)
 
 
-def sup_ratio_numeric(distribution, transform, rel_tol=1e-10):
+def sup_ratio_numeric(distribution, transform):
     """Golden-section maximum of pdf/u' on a log-x axis.
 
     Independent of the closed forms; used to cross-validate them. The scan
@@ -710,7 +685,7 @@ def sup_ratio_numeric(distribution, transform, rel_tol=1e-10):
     d = a + inv_phi * (b - a)
     fc, fd = val(c), val(d)
     for _ in range(200):
-        if b - a < rel_tol * (1.0 + abs(a) + abs(b)):
+        if b - a < _GOLDEN_REL_TOL * (1.0 + abs(a) + abs(b)):
             break
         if fc > fd:
             b, d, fd = d, c, fc

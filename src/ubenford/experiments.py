@@ -335,7 +335,7 @@ class PDeltaReport:
     rows: tuple
 
 
-def pdelta_curve(family, parameter, deltas=None, check_envelope=True):
+def pdelta_curve(family, parameter, deltas=None):
     """Certified cell-probability series with envelope verification.
 
     `family` is "uniform" (parameter k, the support endpoint) or
@@ -361,7 +361,7 @@ def pdelta_curve(family, parameter, deltas=None, check_envelope=True):
             raise InvalidParameter("deltas must lie strictly inside (0, 1)")
         p = series(parameter, delta)
         lo, hi = envelope(parameter, delta)
-        if check_envelope and not lo - 1e-9 <= p <= hi + 1e-9:
+        if not lo - 1e-9 <= p <= hi + 1e-9:
             raise CertificateViolation(
                 f"P_delta({parameter}, {delta}) = {p} outside "
                 f"[{lo}, {hi}]")

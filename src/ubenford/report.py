@@ -12,7 +12,7 @@ from dataclasses import asdict, is_dataclass
 import numpy as np
 
 from .bounds import BoundCertificate, Mod1Result
-from .errors import FileError, InvalidParameter
+from .errors import InvalidParameter
 from .experiments import (AnalyzeReport, BoundSweepReport, PDeltaReport,
                           Table1Report, Table3Report)
 
@@ -30,8 +30,8 @@ _KINDS = (
 )
 
 
-def emit(report, format="text-table", path=None):
-    """Render a report; returns the text, optionally also writing a file."""
+def emit(report, format="text-table"):
+    """Render a report as text in the chosen format."""
     if format == "text-table":
         text = _text(report)
     elif format == "structured-record":
@@ -41,12 +41,6 @@ def emit(report, format="text-table", path=None):
     else:
         raise InvalidParameter(
             f"unknown format {format!r}; choose one of {', '.join(FORMATS)}")
-    if path is not None:
-        try:
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise FileError(f"cannot write {path}: {exc}") from exc
     return text
 
 

@@ -21,7 +21,7 @@ from .bigreal import DEFAULT_POLICY, BigReal
 from .errors import DomainError, InsufficientPrecision, InvalidParameter
 from .kernels import dec_digits, digits_to_bits, e_fixed, exp_fixed, \
     ln2_fixed, ln_fixed, pi_fixed, pow_fixed
-from .transforms import eval_transform
+from .transforms import transform_frac
 
 _LOG10_E_FIXED17 = 43429448190325182  # floor(log10(e) * 1e17)
 _LN10 = math.log(10.0)
@@ -291,7 +291,6 @@ def frac_sample(sequence, transform, n_max, policy=DEFAULT_POLICY,
     excluded = 0
     requested = 0
     headroom = policy.agreement + 8
-    agreement_bits = digits_to_bits(policy.agreement)
     for n in range(1, n_max + 1):
         if index_filter is not None and not index_filter(n):
             continue
@@ -301,8 +300,7 @@ def frac_sample(sequence, transform, n_max, policy=DEFAULT_POLICY,
         for _ in range(6):
             x = sequence.nth_term(n, sig_digits=target)
             try:
-                u = eval_transform(x, transform, policy)
-                out.append(u.frac(agreement_bits))
+                out.append(transform_frac(x, transform, policy))
                 break
             except DomainError:
                 excluded += 1

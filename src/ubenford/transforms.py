@@ -14,14 +14,12 @@ result sits within the near-integer guard band.
 import functools
 import math
 from dataclasses import dataclass
-from decimal import Decimal
 from math import isqrt
 
 import numpy as np
 
 from .bigreal import DEFAULT_POLICY, BigReal
-from .errors import CertificateViolation, DomainError, InsufficientPrecision, \
-    PrecisionCapExceeded
+from .errors import DomainError, InsufficientPrecision, PrecisionCapExceeded
 from .kernels import digits_to_bits, ln2_fixed, ln10_fixed, ln_fixed, \
     pi_fixed
 
@@ -47,60 +45,6 @@ def _require(ok, message):
     """DomainError unless `ok` holds for every element."""
     if not np.all(ok):
         raise DomainError(message)
-
-
-# ---------------------------------------------------------------------------
-# embedded reference: first 1000 fractional digits of pi
-
-_PI_REFERENCE_1000 = (
-    "14159265358979323846264338327950288419716939937510"
-    "58209749445923078164062862089986280348253421170679"
-    "82148086513282306647093844609550582231725359408128"
-    "48111745028410270193852110555964462294895493038196"
-    "44288109756659334461284756482337867831652712019091"
-    "45648566923460348610454326648213393607260249141273"
-    "72458700660631558817488152092096282925409171536436"
-    "78925903600113305305488204665213841469519415116094"
-    "33057270365759591953092186117381932611793105118548"
-    "07446237996274956735188575272489122793818301194912"
-    "98336733624406566430860213949463952247371907021798"
-    "60943702770539217176293176752384674818467669405132"
-    "00056812714526356082778577134275778960917363717872"
-    "14684409012249534301465495853710507922796892589235"
-    "42019956112129021960864034418159813629774771309960"
-    "51870721134999999837297804995105973173281609631859"
-    "50244594553469083026425223082533446850352619311881"
-    "71010003137838752886587533208381420617177669147303"
-    "59825349042875546873115956286388235378759375195778"
-    "18577805321712268066130019278766111959092164201989"
-)
-
-
-def _int_str(v):
-    # str() on ints is capped by the interpreter's digit limit; Decimal is not
-    return str(Decimal(v))
-
-
-_PI_DIGITS_GUARD = 64  # bits beyond the requested decimal digits
-
-
-def pi_digits(precision):
-    """pi as a decimal string with `precision` fractional digits.
-
-    Every call recomputes the digits and checks them against an embedded
-    reference prefix; a mismatch raises CertificateViolation since it means
-    the arithmetic core is broken.
-    """
-    if precision < 1:
-        raise ValueError("precision must be >= 1")
-    bits = digits_to_bits(precision) + _PI_DIGITS_GUARD
-    s = _int_str(pi_fixed(bits) * 10 ** precision >> bits)
-    frac = s[1:]
-    n = min(precision, 1000)
-    if s[0] != "3" or frac[:n] != _PI_REFERENCE_1000[:n]:
-        raise CertificateViolation(
-            "computed pi digits disagree with the embedded reference")
-    return "3." + frac
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +305,10 @@ class LogLog(Transform):
         return distribution.sup_loglog()
 
     def _check_domain(self, x):
-        if x.compare_int(1) <= 0:
+        m, e = x.mantissa, x.exponent
+        # x = m * 2**e > 1: compare m with 1 brought to the scale 2**e
+        one = 1 << -e if e < 0 else 1
+        if m < one or (m == one and e <= 0):
             raise DomainError("iterated log requires x > 1")
 
     def _try_exact(self, x):
@@ -501,19 +448,23 @@ PI_SQUARE = PiSquare()
 # ---------------------------------------------------------------------------
 # escalating evaluation
 
+# starting working precision (32 digits), pad above a result's integer
+# bits (15 digits) and near-integer band (12 digits), in bits
+_START_BITS = 107
+_GUARD_BITS = 50
+_NEAR_INTEGER_BITS = 40
+
+
 @functools.lru_cache(maxsize=None)
 def _policy_bits(policy):
-    """(a, mod, band, cap, floor, pad) of a policy, in bits.
+    """(a, mod, band, cap) of a policy, in bits.
 
     a: fractional bits certified; mod = 2**a; band: near-integer band at
-    scale 2**-a; cap: working-precision ceiling; floor: least starting
-    working precision; pad: bits added to a result's integer-bit estimate
-    for the starting working precision.
+    scale 2**-a; cap: working-precision ceiling.
     """
     a = digits_to_bits(policy.agreement)
-    band = 1 << max(0, a - digits_to_bits(policy.near_integer_digits))
-    return (a, 1 << a, band, digits_to_bits(policy.cap),
-            digits_to_bits(policy.initial), digits_to_bits(policy.guard) + a)
+    band = 1 << max(0, a - _NEAR_INTEGER_BITS)
+    return a, 1 << a, band, digits_to_bits(policy.cap)
 
 
 def eval_transform(x, transform, policy=DEFAULT_POLICY):
@@ -534,8 +485,8 @@ def eval_transform(x, transform, policy=DEFAULT_POLICY):
     if fast is not None:
         return fast
 
-    a, mod, band, cap, floor, pad = _policy_bits(policy)
-    w = max(floor, transform._result_bits_estimate(x) + pad)
+    a, mod, band, cap = _policy_bits(policy)
+    w = max(_START_BITS, transform._result_bits_estimate(x) + _GUARD_BITS + a)
     escalated_for_near_integer = False
     while True:
         if w > cap:

@@ -23,9 +23,9 @@ from mpmath import mp, mpf
 from ubenford.bigreal import DEFAULT_POLICY, BigReal
 from ubenford.errors import DomainError
 from ubenford.sequences import ExpN, PiN, PowerLaw, SqrtN, frac_sample
-from ubenford.transforms import (IDENTITY, LOG2, LOG10, LOGLOG, PI_SQUARE,
-                                 SQRT, Log, _policy_bits, eval_transform,
-                                 transform_frac)
+from ubenford.transforms import (_GUARD_BITS, _START_BITS, IDENTITY, LOG2,
+                                 LOG10, LOGLOG, PI_SQUARE, SQRT, Log,
+                                 _policy_bits, eval_transform, transform_frac)
 
 TOL = 1e-12
 TRANSFORMS = (IDENTITY, LOG10, LOG2, LOGLOG, SQRT, PI_SQUARE)
@@ -126,8 +126,8 @@ def u_mp(transform, x):
 
 def start_bits(x, transform):
     """The working precision eval_transform evaluates x at first."""
-    _, _, _, _, floor, pad = _policy_bits(DEFAULT_POLICY)
-    return max(floor, transform._result_bits_estimate(x) + pad)
+    pad = _GUARD_BITS + AGREEMENT_BITS
+    return max(_START_BITS, transform._result_bits_estimate(x) + pad)
 
 
 def claim_error(r, transform, make_x, x_bits):

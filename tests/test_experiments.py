@@ -318,10 +318,6 @@ def test_pdelta_curve_envelope_breach_raises(monkeypatch):
                         lambda k, d: (0.90, 0.91))
     with pytest.raises(CertificateViolation):
         pdelta_curve("uniform", 100.0, deltas=(0.5,))
-    # the escape hatch skips the check instead of lying about it
-    rep = pdelta_curve("uniform", 100.0, deltas=(0.5,),
-                       check_envelope=False)
-    assert rep.rows[0].lower == 0.90
 
 
 @pytest.mark.parametrize("family,param,deltas", [

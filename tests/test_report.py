@@ -6,7 +6,7 @@ import pytest
 
 from ubenford.bounds import certify_mod1_bound, mod1_law
 from ubenford.distributions import Exponential, ParetoI
-from ubenford.errors import FileError, InvalidParameter
+from ubenford.errors import InvalidParameter
 from ubenford.experiments import (KsCell, Table1Report, analyze_dataset,
                                   bound_sweep, pdelta_curve, run_table3)
 from ubenford.ingest import Dataset
@@ -205,7 +205,7 @@ def test_plot_points_rejected_for_tabular_reports():
 
 
 # ---------------------------------------------------------------------------
-# dispatch and file output
+# dispatch
 
 def test_unknown_format_and_type_rejected():
     with pytest.raises(InvalidParameter):
@@ -213,11 +213,3 @@ def test_unknown_format_and_type_rejected():
     with pytest.raises(InvalidParameter):
         emit(object(), "text-table")
 
-
-def test_emit_writes_file(tmp_path):
-    rep = pdelta_curve("uniform", 5.0, deltas=(0.5,))
-    target = tmp_path / "out.txt"
-    text = emit(rep, "text-table", path=str(target))
-    assert target.read_text(encoding="utf-8") == text
-    with pytest.raises(FileError):
-        emit(rep, "text-table", path=str(tmp_path / "missing" / "out.txt"))

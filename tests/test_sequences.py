@@ -1,6 +1,7 @@
 """Sequence terms, prime generation, sampling, and growth diagnostics."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,11 @@ from ubenford.sequences import (ExpN, Factorial, FracSample, NPowN, PiN,
                                 parse_sequence)
 from ubenford.transforms import (IDENTITY, LOG10, LOGLOG, PI_SQUARE, SQRT,
                                  eval_transform)
+
+
+def exact(x):
+    """The rational a BigReal stores, mantissa * 2**exponent."""
+    return Fraction(x.mantissa) * Fraction(2) ** x.exponent
 
 
 def trial_division_primes(count):
@@ -47,32 +53,32 @@ class TestPrimes:
 class TestTerms:
     def test_sqrt_n_exactness(self):
         assert SqrtN().nth_term(49).exact
-        assert SqrtN().nth_term(49).compare_int(7) == 0
+        assert exact(SqrtN().nth_term(49)) == 7
         x = SqrtN().nth_term(2, sig_digits=30)
         assert not x.exact
-        assert abs(x.to_float() - math.sqrt(2)) < 1e-15
+        assert abs(float(exact(x)) - math.sqrt(2)) < 1e-15
 
     def test_pi_n(self):
         x = PiN().nth_term(7, sig_digits=30)
-        assert abs(x.to_float() - 7 * math.pi) < 1e-13
+        assert abs(float(exact(x)) - 7 * math.pi) < 1e-13
 
     def test_exp_n(self):
         x = ExpN().nth_term(100, sig_digits=30)
         assert x.integer_digits() == 145  # 2**144 < e**100 < 2**145
         assert ExpN().int_digits_estimate(100) == 44
-        assert abs(x.to_float() / math.exp(100) - 1) < 1e-13
+        assert abs(float(exact(x)) / math.exp(100) - 1) < 1e-13
         assert ExpN().int_digits_estimate(1000) == 435
 
     def test_exp_n_single_constant_consistency(self):
-        a = ExpN().nth_term(9, sig_digits=30).to_float()
-        b = ExpN().nth_term(10, sig_digits=30).to_float()
+        a = float(exact(ExpN().nth_term(9, sig_digits=30)))
+        b = float(exact(ExpN().nth_term(10, sig_digits=30)))
         assert abs(b / a - math.e) < 1e-12
 
     def test_exact_integer_sequences(self):
-        assert Factorial().nth_term(10).compare_int(3628800) == 0
+        assert exact(Factorial().nth_term(10)) == 3628800
         assert Factorial().nth_term(10).exact
-        assert NPowN().nth_term(5).compare_int(3125) == 0
-        assert Primes().nth_term(4).compare_int(7) == 0
+        assert exact(NPowN().nth_term(5)) == 3125
+        assert exact(Primes().nth_term(4)) == 7
 
     def test_int_digit_estimates_match(self):
         # estimates are decimal digit counts of the integer part
@@ -96,7 +102,7 @@ class TestPowerLaw:
     def test_inv_pi_token(self):
         pl = PowerLaw("1/pi")
         assert pl.name == "power_law(1/pi)"
-        got = pl.nth_term(10, sig_digits=40).to_float()
+        got = float(exact(pl.nth_term(10, sig_digits=40)))
         mp.dps = 40
         want = float(mp.power(10, 1 / mp.pi))
         mp.dps = 15
@@ -104,17 +110,17 @@ class TestPowerLaw:
 
     def test_integer_exponent_exact(self):
         x = PowerLaw(3.0).nth_term(7)
-        assert x.exact and x.compare_int(343) == 0
+        assert x.exact and exact(x) == 343
 
     def test_half_integer_exact_on_squares(self):
         x = PowerLaw(0.5).nth_term(16)
-        assert x.exact and x.compare_int(4) == 0
+        assert x.exact and exact(x) == 4
         y = PowerLaw(0.5).nth_term(2, sig_digits=30)
         assert not y.exact
-        assert abs(y.to_float() - math.sqrt(2)) < 1e-14
+        assert abs(float(exact(y)) - math.sqrt(2)) < 1e-14
 
     def test_float_exponent(self):
-        got = PowerLaw(0.37).nth_term(123, sig_digits=40).to_float()
+        got = float(exact(PowerLaw(0.37).nth_term(123, sig_digits=40)))
         assert abs(got / 123.0 ** 0.37 - 1) < 1e-13
 
     def test_rejects_bad_alpha(self):

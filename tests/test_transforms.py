@@ -1,6 +1,7 @@
 """Transform evaluation: exact fast paths, certified escalation, domains."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,12 +11,12 @@ from mpmath import mp, mpf
 
 import ubenford.transforms as tr
 from ubenford.bigreal import BigReal, PrecisionPolicy
-from ubenford.errors import (CertificateViolation, DomainError,
-                             InsufficientPrecision, PrecisionCapExceeded)
+from ubenford.errors import (DomainError, InsufficientPrecision,
+                             PrecisionCapExceeded)
 from ubenford.kernels import digits_to_bits, pi_fixed
 from ubenford.transforms import (IDENTITY, LOG2, LOG10, LOGLOG, PI_SQUARE,
                                  SQRT, Log, Transform, eval_transform,
-                                 pi_digits, transform_frac)
+                                 transform_frac)
 
 # independently computed reference bits: floor(frac(u) * 2**b)
 # sqrt(2) = 1.6A09E667F3BCC908B2FB1366E...
@@ -26,6 +27,11 @@ FRAC_SQRT_10FACT_53 = 0x1E1C3685704551
 FRAC_100PI_67 = 0x1462CEAA19D7B939B
 # log10(7**77) = 65.07254908109777596484...
 FRAC_LOG10_7POW77_67 = 0x94949CD55BBFDD75
+
+
+def exact(x):
+    """The rational a BigReal stores, mantissa * 2**exponent."""
+    return Fraction(x.mantissa) * Fraction(2) ** x.exponent
 
 
 def pi_real(bits):
@@ -70,40 +76,40 @@ class TestTransformType:
 class TestExactFastPaths:
     def test_log_integer_powers(self):
         r = eval_transform(BigReal.from_int(1000), LOG10)
-        assert r.exact and r.compare_int(3) == 0
+        assert r.exact and exact(r) == 3
         r = eval_transform(BigReal.from_int(1024), LOG2)
-        assert r.exact and r.compare_int(10) == 0
+        assert r.exact and exact(r) == 10
         r = eval_transform(BigReal.from_float(0.125), Log(8))
-        assert r.exact and r.compare_int(-1) == 0
+        assert r.exact and exact(r) == -1
         r = eval_transform(BigReal.from_float(0.25), LOG2)
-        assert r.exact and r.compare_int(-2) == 0
+        assert r.exact and exact(r) == -2
         r = eval_transform(BigReal.from_int(1), LOG10)
-        assert r.exact and r.compare_int(0) == 0
+        assert r.exact and exact(r) == 0
 
     def test_log_power_of_ten_embedded_in_big_int(self):
         r = eval_transform(BigReal.from_int(10 ** 3000), LOG10)
-        assert r.exact and r.compare_int(3000) == 0
+        assert r.exact and exact(r) == 3000
 
     def test_sqrt_perfect_squares(self):
         r = eval_transform(BigReal.from_int(144), SQRT)
-        assert r.exact and r.compare_int(12) == 0
+        assert r.exact and exact(r) == 12
         r = eval_transform(BigReal.from_float(0.25), SQRT)
         assert r.exact and r.frac() == 0.5
         r = eval_transform(BigReal.from_float(2.25), SQRT)
         assert r.exact and r.frac() == 0.5
         r = eval_transform(BigReal.from_int(0), SQRT)
-        assert r.exact and r.is_zero()
+        assert r.exact and r.mantissa == 0
 
     def test_loglog_exact_towers(self):
         r = eval_transform(BigReal.from_int(10 ** 10), LOGLOG)
-        assert r.exact and r.compare_int(1) == 0
+        assert r.exact and exact(r) == 1
         r = eval_transform(BigReal.from_int(10 ** 100), LOGLOG)
-        assert r.exact and r.compare_int(2) == 0
+        assert r.exact and exact(r) == 2
         r = eval_transform(BigReal.from_int(10), LOGLOG)
-        assert r.exact and r.compare_int(0) == 0
+        assert r.exact and exact(r) == 0
 
     def test_pi_square_zero(self):
-        assert eval_transform(BigReal.from_int(0), PI_SQUARE).is_zero()
+        assert eval_transform(BigReal.from_int(0), PI_SQUARE).mantissa == 0
 
     def test_identity_passthrough(self):
         x = BigReal.from_float(3.7)
@@ -143,7 +149,7 @@ class TestExactLogCandidate:
         r = eval_transform(BigReal.from_int(v), transform)
         assert r.exact == (power is not None and transform == LOG10)
         if r.exact:
-            assert r.compare_int(power) == 0
+            assert exact(r) == power
         got = r.frac(40)
         want = _mp_frac_of(v, transform)
         d = abs(got - want)
@@ -152,18 +158,18 @@ class TestExactLogCandidate:
     @pytest.mark.parametrize("k", [1, 2, 63, 64, 1000, 40000])
     def test_powers_of_two_under_log2(self, k):
         r = eval_transform(BigReal.from_int(2 ** k), LOG2)
-        assert r.exact and r.compare_int(k) == 0
+        assert r.exact and exact(r) == k
         r = eval_transform(BigReal.from_int(2 ** k + 1), LOG2)
         assert not r.exact
         r = eval_transform(BigReal.from_float(2.0 ** -min(k, 1074)), LOG2)
-        assert r.exact and r.compare_int(-min(k, 1074)) == 0
+        assert r.exact and exact(r) == -min(k, 1074)
 
     def test_odd_bases(self):
         assert tr._power_exponent(3 ** 1001, 3) == 1001
         assert tr._power_exponent(3 ** 1001 * 2, 3) is None
         assert tr._power_exponent(7 ** 50 + 7, 7) is None
         r = eval_transform(BigReal.from_int(7 ** 77), Log(7))
-        assert r.exact and r.compare_int(77) == 0
+        assert r.exact and exact(r) == 77
 
 
 class TestCertifiedValues:
@@ -217,7 +223,7 @@ class TestEscalation:
         assert 1.0 - 1e-12 < f < 1.0
 
     def test_precision_cap(self):
-        policy = PrecisionPolicy(initial=32, guard=15, agreement=12, cap=70)
+        policy = PrecisionPolicy(agreement=12, cap=70)
         with pytest.raises(PrecisionCapExceeded):
             eval_transform(BigReal.from_int(10 ** 40 + 7), PI_SQUARE, policy)
 
@@ -323,6 +329,21 @@ class TestFloatHelpers:
 REGISTRY = tuple(cls() for cls in Transform.__subclasses__()) + (LOG2, Log(7))
 
 
+# the same value written several ways around the iterated log's edge x = 1,
+# with exponents of both signs
+BOUNDARY = (
+    ("1=2**80*2**-80 exact", BigReal(1 << 80, -80, 200, True)),
+    ("1=2**80*2**-80 inexact", BigReal(1 << 80, -80, 200, False)),
+    ("1=1*2**0", BigReal(1, 0, 53, True)),
+    ("1+2**-80 exact", BigReal((1 << 80) + 1, -80, 200, True)),
+    ("1+2**-52", BigReal((1 << 52) + 1, -52, 53, True)),
+    ("2=1*2**1", BigReal(1, 1, 53, True)),
+    ("96=3*2**5", BigReal(3, 5, 53, True)),
+    ("0.5=1*2**-1", BigReal(1, -1, 53, True)),
+    ("-8=-1*2**3", BigReal(-1, 3, 53, True)),
+)
+
+
 def _rejects(fn, x):
     try:
         fn(x)
@@ -345,6 +366,18 @@ class TestTransformContract:
         if rejected:
             assert _rejects(t.derivative, x)
             assert _rejects(t.derivative, np.array([2.5, x]))
+
+    @pytest.mark.parametrize("x", [b[1] for b in BOUNDARY],
+                             ids=[b[0] for b in BOUNDARY])
+    def test_domain_at_boundary_representations(self, t, x):
+        value = exact(x)
+        rejected = _rejects(lambda v: eval_transform(v, t), x)
+        if t == LOGLOG:
+            assert rejected == (value <= 1)
+        if Fraction(float(value)) == value:
+            # the double side draws the same edge
+            assert _rejects(t.u_np, float(value)) == rejected
+            assert _rejects(t.u_np, np.array([float(value)])) == rejected
 
     @pytest.mark.parametrize("y", [0.3, 1.7, 12.5, 200.0])
     def test_log10_round_trip(self, t, y):
@@ -370,31 +403,6 @@ class TestTransformContract:
             assert min(d, 1.0 - d) < 1e-12, (t.label(), n)
 
 
-class TestPiDigits:
-    def test_prefix(self):
-        s = pi_digits(50)
-        assert s == "3.14159265358979323846264338327950288419716939937510"
-
-    def test_length_and_consistency(self):
-        s = pi_digits(1500)
-        assert len(s) == 1502
-        assert s.startswith(pi_digits(100))
-
-    def test_large_request(self):
-        s = pi_digits(7000)
-        assert len(s) == 7002
-
-    def test_rejects_bad_precision(self):
-        with pytest.raises(ValueError):
-            pi_digits(0)
-
-    def test_corrupted_core_is_caught(self, monkeypatch):
-        # a core that returns 3.1 in place of pi
-        monkeypatch.setattr(tr, "pi_fixed", lambda p: (31 << p) // 10 + 1)
-        with pytest.raises(CertificateViolation):
-            pi_digits(30)
-
-
 class TestAgreementProperty:
     @given(st.integers(min_value=2, max_value=10 ** 6))
     @settings(max_examples=150, deadline=None)
@@ -415,8 +423,7 @@ class TestAgreementProperty:
     @given(st.integers(min_value=1, max_value=10 ** 5))
     @settings(max_examples=100, deadline=None)
     def test_stability_under_higher_initial_precision(self, n):
-        deeper = PrecisionPolicy(initial=64, guard=20, agreement=16,
-                                 cap=40000)
+        deeper = PrecisionPolicy(agreement=16, cap=40000)
         a = transform_frac(BigReal.from_int(n), PI_SQUARE)
         b = transform_frac(BigReal.from_int(n), PI_SQUARE, deeper)
         d = abs(a - b)
