@@ -51,6 +51,18 @@ def _float_list(text, what):
     return values
 
 
+def _sweep_points(text):
+    """--params: comma-separated values of a one-parameter family, or
+    ';'-separated points whose parameters are comma-separated."""
+    if ";" not in text:
+        return _float_list(text, "--params")
+    points = [tuple(_float_list(point, "each --params point"))
+              for point in text.split(";") if point.strip()]
+    if not points:
+        raise InvalidParameter("--params must be a nonempty list")
+    return points
+
+
 def _policy(args):
     digits = getattr(args, "precision", None)
     if digits is None:
@@ -80,7 +92,7 @@ def _cmd_table3(args):
 
 
 def _cmd_bounds(args):
-    report = bound_sweep(args.family, _float_list(args.params, "--params"),
+    report = bound_sweep(args.family, _sweep_points(args.params),
                          _parse_transform(args.transform))
     return emit(report, args.format)
 
@@ -134,7 +146,9 @@ def build_parser():
                        "along a parameter path")
     p.add_argument("family", help="distribution family, e.g. pareto_i")
     p.add_argument("--params", required=True,
-                   help="comma-separated parameter path, e.g. 0.5,0.1,0.01")
+                   help="parameter path: comma-separated values, e.g. "
+                        "0.5,0.1,0.01, or ';'-separated points of several "
+                        "parameters, e.g. '0,2;0,3'")
     p.add_argument("--transform", default="log10",
                    help="rescaling map (default log10)")
     _add_format(p)

@@ -268,7 +268,10 @@ def run_table3(seed=0, sigma=1e4, sample_size=2000):
 
 @dataclass(frozen=True)
 class SweepRow:
-    parameter: float
+    """One sweep point: `parameter` is a float for a one-parameter point,
+    a tuple of floats for a point of several parameters."""
+
+    parameter: object
     ratio_sup: float
     bound: float
     discrepancy: float
@@ -288,8 +291,10 @@ class BoundSweepReport:
 
 def bound_sweep(family, params, transform=LOG10, tail=1e-14,
                 max_cells=5_000_000):
-    """certify_mod1_bound at each parameter of a single-parameter family.
+    """certify_mod1_bound at each point of a parameter path.
 
+    A point is a number (one-parameter families) or a sequence of numbers,
+    the family's positional parameters, e.g. (mu, sigma) for lognormal10.
     Raises CertificateViolation if any measured discrepancy lands above
     its ceiling; that is an internal failure, never a data verdict.
     """
@@ -297,11 +302,14 @@ def bound_sweep(family, params, transform=LOG10, tail=1e-14,
         raise InvalidParameter("params must be a nonempty sequence")
     rows = []
     for param in params:
-        dist = parse_distribution(f"{family}:{param}")
+        point = tuple(param) if isinstance(param, (tuple, list)) else (param,)
+        dist = parse_distribution(
+            f"{family}:{','.join(str(p) for p in point)}")
         cert = certify_mod1_bound(dist, transform, tail=tail,
                                   max_cells=max_cells)
         rows.append(SweepRow(
-            parameter=float(param),
+            parameter=(float(point[0]) if len(point) == 1
+                       else tuple(float(p) for p in point)),
             ratio_sup=cert.bound / 2.0,
             bound=cert.bound,
             discrepancy=cert.discrepancy,

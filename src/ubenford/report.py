@@ -143,10 +143,17 @@ def _text_table3(rep):
     return "\n".join(lines) + "\n"
 
 
+def _point(parameter, fmt):
+    """A sweep point's parameters, each formatted by fmt, comma-joined."""
+    values = parameter if isinstance(parameter, tuple) else (parameter,)
+    return ",".join(fmt(v) for v in values)
+
+
 def _text_sweep(rep):
     rows = [["parameter", "ratio_sup", "bound", "discrepancy", "slack"]]
     for r in rep.rows:
-        rows.append([f"{r.parameter:g}", f"{r.ratio_sup:.6g}",
+        rows.append([_point(r.parameter, lambda v: f"{v:g}"),
+                     f"{r.ratio_sup:.6g}",
                      f"{r.bound:.6g}", f"{r.discrepancy:.6g}",
                      f"{r.slack:.6g}"])
     title = (f"{rep.family} under {rep.transform} "
@@ -226,7 +233,8 @@ def _points(report):
         lines = [f"{r.delta!r},{r.probability!r}" for r in report.rows]
         return "\n".join(lines) + "\n"
     if isinstance(report, BoundSweepReport):
-        lines = [f"{r.parameter!r},{r.discrepancy!r},{r.bound!r}"
+        lines = [f"{_point(r.parameter, repr)},{r.discrepancy!r},"
+                 f"{r.bound!r}"
                  for r in report.rows]
         return "\n".join(lines) + "\n"
     if isinstance(report, AnalyzeReport):

@@ -488,6 +488,7 @@ def eval_transform(x, transform, policy=DEFAULT_POLICY):
     a, mod, band, cap = _policy_bits(policy)
     w = max(_START_BITS, transform._result_bits_estimate(x) + _GUARD_BITS + a)
     escalated_for_near_integer = False
+    refused = None  # certified fractional bits of the last refusal
     while True:
         if w > cap:
             raise PrecisionCapExceeded(
@@ -497,10 +498,17 @@ def eval_transform(x, transform, policy=DEFAULT_POLICY):
         try:
             q = r.frac_scaled(a)
         except InsufficientPrecision:
-            if x.exact:
-                w *= 2
-                continue
-            raise  # input-limited: escalating cannot help
+            # escalate while the working precision is the limit: the
+            # input's own bits allow `a`, and the last doubling gained
+            # bits (LogLog's inner log can spend the input's bits on
+            # cancellation near x = 1, which no doubling recovers)
+            got = r.precision - r.integer_digits()
+            if (_input_frac_limit(x, r.integer_digits()) < a
+                    or (refused is not None and got <= refused)):
+                raise
+            refused = got
+            w *= 2
+            continue
         if (q < band or q >= mod - band) and not escalated_for_near_integer:
             escalated_for_near_integer = True
             w *= 2

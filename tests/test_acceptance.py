@@ -11,6 +11,7 @@ tolerances are never loosened to force agreement.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from ubenford.bounds import mod1_law
 from ubenford.experiments import (ALPHA_ACCEPT, ALPHA_REJECT, DELTA_GRID,
                                   bound_sweep, pdelta_curve, run_table1,
                                   sample_cell)
+from ubenford.report import emit
 from ubenford.stats import kolmogorov_q, ks_uniform
 from ubenford.transforms import (IDENTITY, LOG10, LOGLOG, PI_SQUARE, SQRT,
                                  transform_frac)
@@ -225,6 +227,16 @@ def test_criterion_1_sequence_table_reproduction(full_table1):
         assert len(fracs) == cell.n_used, key
         z = _plain_ks_z(fracs)
         assert abs(cell.z - z) <= INDEPENDENT_Z_TOL, (key, cell.z, z)
+
+
+# `ubenford table1` stdout, byte for byte: a kernel rewrite must keep it,
+# and CI compares the console script's output with the same file
+TABLE1_TEXT = Path(__file__).parent / "fixtures" / "table1.txt"
+
+
+def test_table1_text_bytes_are_pinned(full_table1):
+    report, _ = full_table1
+    assert emit(report, "text-table").encode() == TABLE1_TEXT.read_bytes()
 
 
 def test_criterion_2_pathological_reruns(full_table1):

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, formats, exit codes, determinism."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -71,6 +72,46 @@ def test_bounds_text_and_plot(capsys):
     assert code == 0
     rows = [ln.split(",") for ln in out.splitlines()]
     assert [r[0] for r in rows] == ["100.0", "10000.0"]
+
+
+PARETO_II_SWEEP = """\
+pareto_ii under log10 [certificate: log-scale-density-bound]
+parameter  ratio_sup  bound      discrepancy  slack
+---------  ---------  ---------  -----------  ---------
+0.5        0.443133   0.886265   0.000590326  0.885675
+0.1        0.164696   0.329393   8.73675e-05  0.329305
+0.01       0.0217696  0.0435393  7.68882e-06  0.0435316
+"""
+
+
+def test_bounds_one_parameter_forms_agree(capsys):
+    # the comma form keeps its bytes; ';'-separated one-parameter points
+    # render the same table
+    code, out, _ = run(capsys, "bounds", "pareto_ii",
+                       "--params", "0.5,0.1,0.01")
+    assert code == 0 and out == PARETO_II_SWEEP
+    code, out, _ = run(capsys, "bounds", "pareto_ii",
+                       "--params", "0.5;0.1;0.01")
+    assert code == 0 and out == PARETO_II_SWEEP
+
+
+def test_bounds_two_parameter_sweep(capsys):
+    code, out, err = run(capsys, "bounds", "lognormal10",
+                         "--params", "0,2;0,3")
+    assert code == 0 and err == ""
+    assert [ln.split()[0] for ln in out.splitlines()[3:]] == ["0,2", "0,3"]
+    code, out, _ = run(capsys, "bounds", "lognormal10", "--params", "0,2;0,3",
+                       "--format", "structured-record")
+    rows = json.loads(out)["rows"]
+    assert [r["parameter"] for r in rows] == [[0.0, 2.0], [0.0, 3.0]]
+    # the log-scale ceiling of lognormal10 is 2 / (sigma sqrt(2 pi))
+    for r, sigma in zip(rows, (2.0, 3.0)):
+        ceiling = 2.0 / (sigma * math.sqrt(2.0 * math.pi))
+        assert r["bound"] == pytest.approx(ceiling, rel=1e-12)
+        assert r["discrepancy"] <= r["bound"]
+    code, out, _ = run(capsys, "bounds", "lognormal10", "--params", "0,2;",
+                       "--format", "plot-points")
+    assert code == 0 and out.split(",")[:2] == ["0.0", "2.0"]
 
 
 def test_pdelta_formats(capsys):
@@ -170,6 +211,12 @@ def test_help_exits_zero(capsys):
     ("bounds", "pareto_i", "--params", "a,b"),
     ("bounds", "pareto_i", "--params", ""),
     ("bounds", "uniform", "--params", "10", "--transform", "pi_square"),
+    ("bounds", "lognormal10", "--params", "1,2"),
+    ("bounds", "lognormal10", "--params", "0,2;0"),
+    ("bounds", "lognormal10", "--params", "0,x;0,3"),
+    ("bounds", "lognormal10", "--params", "0,2,3;0,3"),
+    ("bounds", "lognormal10", "--params", ";;"),
+    ("bounds", "pareto_ii", "--params", "0.5;-1"),
     ("pdelta", "uniform", "10", "--deltas", "0,0.5"),
     ("pdelta", "lognormal10", "1"),
     ("table1", "--n", "1"),

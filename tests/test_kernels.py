@@ -6,6 +6,7 @@ decimal digits and run at digits_to_bits(digits) bits.
 """
 
 import math
+import random
 
 import pytest
 from mpmath import mp, mpf
@@ -60,6 +61,37 @@ def oracle_normalized(value_fn, prec):
         v = value_fn()
         e = int(mp.floor(mp.log(v, 2)))
         return int(mp.floor(v * mpf(2) ** (prec - e))), e
+
+
+# precisions in bits for the one-ulp oracles: the small-argument
+# regime, both sides of where ln_fixed starts taking square roots
+# (about 1,000 bits), and the giant terms of the sequence tables
+KERNEL_PRECS = [64, 65, 117, 128, 200, 999, 1200, 2500, 5000, 12000,
+                34000]
+
+
+def ln_oracle(m, prec):
+    """floor(ln(m / 2**prec) * 2**prec) via mpmath."""
+    return oracle_fixed(lambda: mp.log(mpf(m) / mpf(2) ** prec), prec)
+
+
+def assert_exp_within_one_ulp(x, prec):
+    """exp_fixed(x, prec) within one ulp of e**(x / 2**prec).
+
+    Near a power of two the kernel and the oracle may normalize to
+    neighbouring exponents; the value must still agree to one ulp at the
+    larger exponent, i.e. two at the smaller.
+    """
+    mant, e2 = exp_fixed(x, prec)
+    assert 1 << prec <= mant < 2 << prec
+    want, want_e2 = oracle_normalized(
+        lambda: mp.e ** (mpf(x) / mpf(2) ** prec), prec)
+    if e2 == want_e2:
+        assert abs(mant - want) <= 1, (x, prec)
+    else:
+        assert abs(e2 - want_e2) == 1, (x, prec)
+        lo, hi = (mant, want) if e2 < want_e2 else (want, mant)
+        assert abs(2 * hi - lo) <= 2, (x, prec)
 
 
 class TestDecDigits:
@@ -136,6 +168,16 @@ class TestConstants:
         with pytest.raises(ValueError):
             pi_fixed(0)
 
+    @pytest.mark.parametrize("fn,value", [
+        (pi_fixed, lambda: mp.pi), (ln2_fixed, lambda: mp.ln2),
+        (ln10_fixed, lambda: mp.ln10), (e_fixed, lambda: mp.e)],
+        ids=["pi", "ln2", "ln10", "e"])
+    def test_every_bucket_is_the_floor(self, fn, value):
+        # a request at a bucket's own precision returns the cached value
+        # itself, so this checks every cache entry up to 2**17 bits
+        for k in range(6, 18):
+            assert fn(1 << k) == oracle_fixed(value, 1 << k), 1 << k
+
 
 class TestLn:
     @pytest.mark.parametrize("text", ["1.5", "2.5", "3.141592653589793",
@@ -148,10 +190,30 @@ class TestLn:
             v = mpf(text)
             v /= mpf(2) ** int(mp.floor(mp.log(v, 2)))
             m = int(mp.floor(v * mpf(2) ** prec))
-        got = ln_fixed(m, prec)
         # oracle on exactly the fixed-point argument the kernel saw
-        want = oracle_fixed(lambda: mp.log(mpf(m) / mpf(2) ** prec), prec)
-        assert abs(got - want) <= 2
+        assert abs(ln_fixed(m, prec) - ln_oracle(m, prec)) <= 1
+
+    @pytest.mark.parametrize("prec", KERNEL_PRECS)
+    def test_within_one_ulp(self, prec):
+        # both ends of [1, 2) and seeded mantissas; two above 5,000 bits
+        rng = random.Random(prec)
+        count = 2 if prec > 5000 else 8
+        ms = [1 << prec, (2 << prec) - 1] + [
+            rng.randrange(1 << prec, 2 << prec) for _ in range(count)]
+        for m in ms:
+            assert abs(ln_fixed(m, prec) - ln_oracle(m, prec)) <= 1, m
+
+    @pytest.mark.parametrize("prec", [64, 117, 160, 1200, 3000])
+    def test_table_edges(self, prec):
+        # one ulp either side of floor(2**(j/256) * 2**prec), where the
+        # reduction switches from the table entry j - 1 to j
+        for j in (1, 2, 37, 128, 200, 255, 256):
+            with mp.workprec(prec + 64):
+                edge = int(mp.floor(mpf(2) ** (mpf(j) / 256 + prec)))
+            for m in (edge - 1, edge, edge + 1, edge + 2):
+                if m < 2 << prec:
+                    got = ln_fixed(m, prec)
+                    assert abs(got - ln_oracle(m, prec)) <= 1, (j, m)
 
     def test_ln_one_is_zero(self):
         assert ln_fixed(1 << 100, 100) == 0
@@ -179,6 +241,25 @@ class TestExp:
         assert e2 == want_e2
         assert abs(mant - want_mant) <= 2
         assert 1 << prec <= mant < 2 << prec
+
+    @pytest.mark.parametrize("prec", KERNEL_PRECS)
+    def test_within_one_ulp(self, prec):
+        rng = random.Random(prec)
+        count = 2 if prec > 5000 else 8
+        xs = [0, 1, (1 << prec) - 1] + [
+            rng.randrange(0, 50 << prec) for _ in range(count)]
+        for x in xs:
+            assert_exp_within_one_ulp(x, prec)
+
+    @pytest.mark.parametrize("prec", [64, 117, 160, 1200, 3000])
+    def test_next_to_multiples_of_ln2_over_256(self, prec):
+        # k = 256 n are whole octaves, where e**x sits next to a power of
+        # two and the normalization may carry
+        for k in (1, 5, 128, 255, 256, 257, 512, 3 * 256, 7 * 256 + 9):
+            with mp.workprec(prec + 64):
+                x0 = int(mp.floor(k * mp.ln2 / 256 * mpf(2) ** prec))
+            for x in (x0 - 1, x0, x0 + 1):
+                assert_exp_within_one_ulp(x, prec)
 
     def test_exp_zero(self):
         mant, e2 = exp_fixed(0, 100)

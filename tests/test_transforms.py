@@ -253,6 +253,22 @@ class TestEscalation:
         got = eval_transform(fine, PI_SQUARE).frac(40)
         assert abs(got - mp_frac(lambda: mp.pi ** 3)) < 1e-12
 
+    @pytest.mark.parametrize("p", [200, 500, 2000])
+    def test_loglog_near_one_escalates_on_inexact_input(self, p):
+        # log10(1 + 2**-80) cancels 80 bits, so the 107-bit start is the
+        # limit, not the input's p bits: w must double
+        x = BigReal((1 << 80) + 1, -80, p, False)
+        got = eval_transform(x, LOGLOG).frac(40)
+        want = mp_frac(lambda: mp.log10(mp.log10(1 + mpf(2) ** -80)), 80)
+        assert abs(got - want) < 2.0 ** -40
+
+    def test_loglog_near_one_input_limited_still_raises(self):
+        # 99 significant bits leave about 19 after the cancellation: a
+        # doubling gains nothing, so the input is the limit
+        x = BigReal((1 << 80) + 1, -80, 100, False)
+        with pytest.raises(InsufficientPrecision):
+            eval_transform(x, LOGLOG)
+
     def test_required_input_precision_is_sufficient(self):
         for t in (IDENTITY, LOG10, LOGLOG, SQRT, PI_SQUARE):
             need = t.required_input_precision(1, 20)
