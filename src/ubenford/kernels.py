@@ -16,8 +16,9 @@ series by binary splitting (about 47 bits per term), ln 2 and ln 10 from
 atanh series by binary splitting, e from its factorial series.
 
 `ln_fixed` reduces its mantissa against a table of 2**(j/256), built
-lazily once per bucket, so its atanh series gains about 19 bits per term;
-at high precision it also takes about sqrt(prec)/3 square roots first.
+lazily once per bucket up to 4,096 bits, so its atanh series gains about
+19 bits per term; above that it takes isqrt(prec) // 3 square roots of
+the mantissa instead, and no table is built.
 `exp_fixed` halves its residual below 2**-h with h = max(10, isqrt(prec))
 before the Taylor series and squares back. Both depths follow Brent and
 Zimmermann, Modern Computer Arithmetic, sections 4.4 and 4.9; the table
@@ -32,6 +33,7 @@ _GUARD = 32  # guard bits carried inside every kernel
 _TABLE_BITS = 8  # ln_fixed's table holds 2**(j/256) for j = 0..256
 _TABLE_STEPS = 1 << _TABLE_BITS
 _TABLE_GUARD = 16  # private guard bits of the table's multiply chain
+_TABLE_MAX_BUCKET = 4096  # above it ln_fixed reduces by square roots
 _CHUDNOVSKY_C3_24 = 640320 ** 3 // 24
 
 
@@ -196,47 +198,51 @@ def ln_fixed(m, prec):
     transforms._log_at counts it as one ulp; certifying only
     w - err.bit_length() bits leaves over a whole ulp for the 2**-16.
 
-    Reduction: at g = prec + 32 + s bits, pick j with T_j <= m < T_(j+1)
-    from the table of 2**(j/256) (a float estimate from the top bits,
-    corrected against the table; j stays at most 255 for mantissas just
-    below 2), so ln m = j ln2 / 256 + ln(m / T_j) with m / T_j in
-    [1, 2**(1/256)). Above about 1,000 bits, s = isqrt(prec) // 3 - 10
-    square roots of m / T_j come next, and ln m / T_j = 2**(s+1) atanh(t)
-    with t = (v - 1) / (v + 1) < 2**(-9.5 - s): each series term gains
-    19 + 2s bits.
+    Reduction, one of two by precision, at g = prec + 32 + k bits:
+    - while g's bucket is at most 4,096 bits (k = 0), pick j with
+      T_j <= m < T_(j+1) from the table of 2**(j/256) (a float estimate
+      from the top bits, corrected against the table; j stays at most
+      255 for mantissas just below 2), so ln m = j ln2 / 256 +
+      2 atanh(t) with t = (m - T_j) / (m + T_j) < 2**-9.5;
+    - above that, take k = isqrt(prec) // 3 square roots v of m, so
+      ln m = 2**(k+1) atanh(t) with t = (v - 1) / (v + 1) < 2**-(k+1.5).
+    Each series term gains 19 or 2k + 3 bits. The roots take over where
+    they beat the table (measured near 4,000 bits), which also bounds
+    what the table cache keeps.
 
     Error at scale 2**-g: the sliced T_j and j ln2 / 256 are within 2 and
     3 ulp; the ratio, each root and t floor once each (a root halves the
-    relative error it inherits), so t is within 4 ulp; each of the
-    n < g / (19 + 2s) + 1 series terms floors twice. All but j ln2 / 256
-    is scaled by 2**(s+1), so the sum is within 2**(s+1) (2n + 8) + 3 ulp:
-    below 4n + 20 ulp at scale 2**-(prec + 32), which is below 2**16 as
-    n stays under 2,000 up to a million bits. Dropping the 32 guard bits
-    leaves the eps above.
+    relative error it inherits), so t is within 4 ulp; each of the n
+    series terms floors twice. All but j ln2 / 256 is scaled by 2**(k+1),
+    so the sum is within 2**(k+1) (2n + 8) + 3 ulp: below 4n + 20 ulp at
+    scale 2**-(prec + 32), which is below 2**16 as n stays under 2,000
+    up to a million bits. Dropping the 32 guard bits leaves the eps above.
     """
-    s = max(0, math.isqrt(prec) // 3 - 10)
-    g = prec + _GUARD + s
+    g = prec + _GUARD
+    k = 0 if _bucket(g) <= _TABLE_MAX_BUCKET else math.isqrt(prec) // 3
+    g += k
     one = 1 << g
     m <<= g - prec
     if not one <= m < 2 * one:
         raise ValueError("ln_fixed mantissa must lie in [1, 2)")
-    bucket = _bucket(g)
-    ts, ln2 = _LN_TABLES.get(bucket) or _ln_table(bucket)
-    cut = bucket - g
-    j = min(_TABLE_STEPS - 1, int((math.log2(m) - g) * _TABLE_STEPS))
-    tj = ts[j] >> cut
-    while tj > m:
-        j -= 1
-        tj = ts[j] >> cut
-    while j < _TABLE_STEPS - 1 and ts[j + 1] >> cut <= m:
-        j += 1
-        tj = ts[j] >> cut
-    if s:
-        v = (m << g) // tj
-        for _ in range(s):
-            v = math.isqrt(v << g)
-        t = ((v - one) << g) // (v + one)
+    if k:
+        jln2 = 0
+        for _ in range(k):
+            m = math.isqrt(m << g)
+        t = ((m - one) << g) // (m + one)
     else:
+        bucket = _bucket(g)
+        ts, ln2 = _LN_TABLES.get(bucket) or _ln_table(bucket)
+        cut = bucket - g
+        j = min(_TABLE_STEPS - 1, int((math.log2(m) - g) * _TABLE_STEPS))
+        tj = ts[j] >> cut
+        while tj > m:
+            j -= 1
+            tj = ts[j] >> cut
+        while j < _TABLE_STEPS - 1 and ts[j + 1] >> cut <= m:
+            j += 1
+            tj = ts[j] >> cut
+        jln2 = j * ln2 >> (_TABLE_BITS + cut)  # j ln2 / 256
         t = ((m - tj) << g) // (m + tj)
     t2 = t * t >> g
     term = total = t
@@ -245,8 +251,7 @@ def ln_fixed(m, prec):
         term = term * t2 >> g
         total += term // (2 * i + 1)
         i += 1
-    jln2 = j * ln2 >> (_TABLE_BITS + cut)  # j ln2 / 256
-    return ((total << (s + 1)) + jln2) >> (_GUARD + s)
+    return ((total << (k + 1)) + jln2) >> (_GUARD + k)
 
 
 def exp_fixed(x, prec):

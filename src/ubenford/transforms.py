@@ -475,10 +475,13 @@ def eval_transform(x, transform, policy=DEFAULT_POLICY):
     `policy.agreement` fractional digits, converted to bits (Ziv's rounding
     test), so the certificate rests on each evaluator's claimed bits.
     Near-integer results get one extra doubling before acceptance. Raises
-    DomainError outside the transform's domain, InsufficientPrecision when
-    the input's own certification cannot support the requested fractional
-    bits, and PrecisionCapExceeded when the working precision passes
-    policy.cap.
+    DomainError outside the transform's domain, PrecisionCapExceeded when
+    the working precision passes policy.cap, and InsufficientPrecision
+    for an inexact input in two cases: its own certification cannot
+    support the requested fractional bits, or a doubling of the working
+    precision gained no certified bits (LogLog's inner log spends the
+    input's bits on cancellation near x = 1, which no doubling recovers).
+    An exact input is always escalated.
     """
     transform._check_domain(x)
     fast = transform._try_exact(x)
@@ -499,14 +502,14 @@ def eval_transform(x, transform, policy=DEFAULT_POLICY):
             q = r.frac_scaled(a)
         except InsufficientPrecision:
             # escalate while the working precision is the limit: the
-            # input's own bits allow `a`, and the last doubling gained
-            # bits (LogLog's inner log can spend the input's bits on
-            # cancellation near x = 1, which no doubling recovers)
-            got = r.precision - r.integer_digits()
-            if (_input_frac_limit(x, r.integer_digits()) < a
-                    or (refused is not None and got <= refused)):
-                raise
-            refused = got
+            # input's own bits allow `a` and, for an inexact input, the
+            # last doubling gained bits
+            if not x.exact:
+                got = r.precision - r.integer_digits()
+                if (_input_frac_limit(x, r.integer_digits()) < a
+                        or (refused is not None and got <= refused)):
+                    raise
+                refused = got
             w *= 2
             continue
         if (q < band or q >= mod - band) and not escalated_for_near_integer:

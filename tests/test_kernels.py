@@ -64,10 +64,11 @@ def oracle_normalized(value_fn, prec):
 
 
 # precisions in bits for the one-ulp oracles: the small-argument
-# regime, both sides of where ln_fixed starts taking square roots
-# (about 1,000 bits), and the giant terms of the sequence tables
-KERNEL_PRECS = [64, 65, 117, 128, 200, 999, 1200, 2500, 5000, 12000,
-                34000]
+# regime, both sides of where ln_fixed switches from its table to square
+# roots (4,064 | 4,065) and exp_fixed's halvings start to grow (120 |
+# 121), and the giant terms of the sequence tables
+KERNEL_PRECS = [64, 65, 117, 120, 121, 200, 999, 1200, 2500, 4064, 4065,
+                5000, 12000, 34000]
 
 
 def ln_oracle(m, prec):

@@ -15,8 +15,8 @@ from ubenford.errors import (DomainError, InsufficientPrecision,
                              PrecisionCapExceeded)
 from ubenford.kernels import digits_to_bits, pi_fixed
 from ubenford.transforms import (IDENTITY, LOG2, LOG10, LOGLOG, PI_SQUARE,
-                                 SQRT, Log, Transform, eval_transform,
-                                 transform_frac)
+                                 SQRT, Log, LogLog, Transform,
+                                 eval_transform, transform_frac)
 
 # independently computed reference bits: floor(frac(u) * 2**b)
 # sqrt(2) = 1.6A09E667F3BCC908B2FB1366E...
@@ -268,6 +268,26 @@ class TestEscalation:
         x = BigReal((1 << 80) + 1, -80, 100, False)
         with pytest.raises(InsufficientPrecision):
             eval_transform(x, LOGLOG)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_doubling_without_gain_raises_only_for_inexact(self, exact):
+        # an evaluator stuck at its first working precision: an exact
+        # input keeps doubling up to the cap (300 digits, 997 bits), an
+        # inexact one is refused
+        # at the first doubling that gained no certified bits
+        seen = []
+
+        class Stuck(LogLog):
+            def _eval_at(self, x, w):
+                seen.append(w)
+                return super()._eval_at(x, seen[0])
+
+        x = BigReal((1 << 80) + 1, -80, 2000, exact)
+        policy = PrecisionPolicy(cap=300)
+        want = PrecisionCapExceeded if exact else InsufficientPrecision
+        with pytest.raises(want):
+            eval_transform(x, Stuck(), policy)
+        assert seen == ([107, 214, 428, 856] if exact else [107, 214])
 
     def test_required_input_precision_is_sufficient(self):
         for t in (IDENTITY, LOG10, LOGLOG, SQRT, PI_SQUARE):
