@@ -21,9 +21,9 @@ _EXACT_BITS = 10 ** 9  # significant bits reported for exact values
 class PrecisionPolicy:
     """Knobs for certified evaluation, in decimal digits.
 
-    The evaluators work in bits and convert with kernels.digits_to_bits;
-    the starting working precision and the near-integer band are fixed
-    in bits by transforms._policy_bits.
+    Everything downstream works in bits: transforms._policy_bits converts
+    both fields once, and transforms.start_bits sizes each term and its
+    first working precision from them.
 
     agreement: fractional digits the accepted evaluation must certify;
         certification rests on the bits each evaluator claims

@@ -14,10 +14,13 @@ class InvalidParameter(UBenfordError):
 
 
 class InsufficientPrecision(UBenfordError):
-    """The stored precision of a value cannot certify the requested digits.
+    """A value's certified bits cannot cover the requested fractional bits.
 
-    Callers are expected to regenerate the input at higher precision and
-    retry; this is a control-flow signal, not a fatal condition.
+    BigReal.frac refuses with it; eval_transform raises it for an inexact
+    input once doubling the working precision gains no certified bits.
+    Callers are expected to regenerate the input at more bits and retry
+    (frac_sample doubles them); this is a control-flow signal, not a
+    fatal condition.
     """
 
 

@@ -16,8 +16,7 @@ from .bigreal import DEFAULT_POLICY, BigReal
 from .bounds import (certify_mod1_bound, mod1_law, p_delta_exponential,
                      p_delta_exponential_envelope, p_delta_uniform,
                      p_delta_uniform_envelope)
-from .distributions import Exponential, HalfNormal, UniformOnZeroK, \
-    parse_distribution
+from .distributions import DISTRIBUTIONS, HalfNormal, parse_distribution
 from .errors import CertificateViolation, DomainError, InvalidParameter
 from .sequences import frac_sample, odd_nonsquare, parse_sequence
 from .stats import digit_report, kolmogorov_q, ks_uniform
@@ -193,26 +192,17 @@ class Table3Report:
     half_normal_row: tuple
 
 
-def _limit_cell(make, transform, sup_path, cell_path):
+def _limit_cell(family, transform, sup_path, cell_path):
     if isinstance(transform, PiSquare):
         # no bounded density ratio here; measure max_delta |P_delta - delta|
-        # along the path instead, from the certified series
-        path = []
-        for param in cell_path:
-            dist = make(param)
-            if isinstance(dist, UniformOnZeroK):
-                gaps = [abs(p_delta_uniform(dist.k, d) - d)
-                        for d in DELTA_GRID]
-            else:
-                gaps = [abs(p_delta_exponential(dist.lam, d) - d)
-                        for d in DELTA_GRID]
-            path.append((param, max(gaps)))
+        # along the path instead, from the envelope-checked series
+        path = [(param, max(r.gap for r in pdelta_curve(family, param).rows))
+                for param in cell_path]
         route = "cell-gap"
     else:
-        path = []
-        for param in sup_path:
-            res = mod1_law(make(param), transform)
-            path.append((param, res.discrepancy))
+        path = [(param, mod1_law(DISTRIBUTIONS[family](param),
+                                 transform).discrepancy)
+                for param in sup_path]
         route = "mod1-sup"
     defect = path[-1][1]
     verdict = "YES" if defect < LIMIT_DEFECT else "NO"
@@ -248,10 +238,10 @@ def run_table3(seed=0, sigma=1e4, sample_size=2000):
     if sample_size < 2:
         raise InvalidParameter("sample_size must be >= 2")
     uniform_row = tuple(
-        _limit_cell(UniformOnZeroK, t, UNIFORM_SUP_PATH, UNIFORM_CELL_PATH)
+        _limit_cell("uniform", t, UNIFORM_SUP_PATH, UNIFORM_CELL_PATH)
         for t in TABLE3_TRANSFORMS)
     exponential_row = tuple(
-        _limit_cell(Exponential, t, EXPONENTIAL_SUP_PATH,
+        _limit_cell("exponential", t, EXPONENTIAL_SUP_PATH,
                     EXPONENTIAL_CELL_PATH)
         for t in TABLE3_TRANSFORMS)
     xs = HalfNormal(sigma).sample(sample_size, seed)

@@ -18,30 +18,22 @@ from .experiments import (AnalyzeReport, BoundSweepReport, PDeltaReport,
 
 FORMATS = ("text-table", "structured-record", "plot-points")
 
-# discriminator values for structured records, one per report type
-_KINDS = (
-    (Table1Report, "sequence-table"),
-    (Table3Report, "rv-table"),
-    (BoundSweepReport, "bound-sweep"),
-    (PDeltaReport, "pdelta-curve"),
-    (AnalyzeReport, "data-table"),
-    (Mod1Result, "mod1-law"),
-    (BoundCertificate, "bound-certificate"),
-)
-
 
 def emit(report, format="text-table"):
     """Render a report as text in the chosen format."""
-    if format == "text-table":
-        text = _text(report)
-    elif format == "structured-record":
-        text = _record(report)
-    elif format == "plot-points":
-        text = _points(report)
-    else:
+    if format not in FORMATS:
         raise InvalidParameter(
             f"unknown format {format!r}; choose one of {', '.join(FORMATS)}")
-    return text
+    kind, text, points = _renderers(report)
+    if format == "text-table":
+        return text(report)
+    if format == "structured-record":
+        return _record(kind, report)
+    if points is None:
+        raise InvalidParameter(
+            f"{kind} has no plot-points form; "
+            "use text-table or structured-record")
+    return points(report)
 
 
 # ---------------------------------------------------------------------------
@@ -63,15 +55,8 @@ def _jsonable(obj):
     return obj
 
 
-def _kind_of(report):
-    for cls, kind in _KINDS:
-        if isinstance(report, cls):
-            return kind
-    raise InvalidParameter(f"no renderer for {type(report).__name__}")
-
-
-def _record(report):
-    body = {"kind": _kind_of(report)}
+def _record(kind, report):
+    body = {"kind": kind}
     body.update(_jsonable(report))
     return json.dumps(body, sort_keys=True, indent=2) + "\n"
 
@@ -204,44 +189,51 @@ def _text_certificate(cert):
             f"{cert.cells} cells)\n")
 
 
-def _text(report):
-    kind = _kind_of(report)
-    renderers = {
-        "sequence-table": _text_table1,
-        "rv-table": _text_table3,
-        "bound-sweep": _text_sweep,
-        "pdelta-curve": _text_pdelta,
-        "data-table": _text_analyze,
-        "mod1-law": _text_mod1,
-        "bound-certificate": _text_certificate,
-    }
-    return renderers[kind](report)
-
-
 # ---------------------------------------------------------------------------
 # plot points
 
-def _points(report):
-    if isinstance(report, Mod1Result):
-        # the curve is anchored at P({Y} < 0) = 0, which completes the
-        # default grid to every multiple of 1/1024 in [0, 1)
-        lines = ["0,0"]
-        lines += [f"{float(z)!r},{float(p)!r}"
-                  for z, p in zip(report.zs, report.probs)]
-        return "\n".join(lines) + "\n"
-    if isinstance(report, PDeltaReport):
-        lines = [f"{r.delta!r},{r.probability!r}" for r in report.rows]
-        return "\n".join(lines) + "\n"
-    if isinstance(report, BoundSweepReport):
-        lines = [f"{_point(r.parameter, repr)},{r.discrepancy!r},"
-                 f"{r.bound!r}"
-                 for r in report.rows]
-        return "\n".join(lines) + "\n"
-    if isinstance(report, AnalyzeReport):
-        n = len(report.fracs)
-        lines = [f"{u!r},{(i + 1) / n!r}"
-                 for i, u in enumerate(report.fracs)]
-        return "\n".join(lines) + "\n"
-    raise InvalidParameter(
-        f"{_kind_of(report)} has no plot-points form; "
-        "use text-table or structured-record")
+def _points_mod1(res):
+    # the curve is anchored at P({Y} < 0) = 0, which completes the
+    # default grid to every multiple of 1/1024 in [0, 1)
+    lines = ["0,0"]
+    lines += [f"{float(z)!r},{float(p)!r}" for z, p in zip(res.zs, res.probs)]
+    return "\n".join(lines) + "\n"
+
+
+def _points_pdelta(rep):
+    lines = [f"{r.delta!r},{r.probability!r}" for r in rep.rows]
+    return "\n".join(lines) + "\n"
+
+
+def _points_sweep(rep):
+    lines = [f"{_point(r.parameter, repr)},{r.discrepancy!r},{r.bound!r}"
+             for r in rep.rows]
+    return "\n".join(lines) + "\n"
+
+
+def _points_analyze(rep):
+    n = len(rep.fracs)
+    lines = [f"{u!r},{(i + 1) / n!r}" for i, u in enumerate(rep.fracs)]
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# one entry per report class: (structured-record kind, text renderer,
+# plot-points renderer or None)
+
+_RENDERERS = {
+    Table1Report: ("sequence-table", _text_table1, None),
+    Table3Report: ("rv-table", _text_table3, None),
+    BoundSweepReport: ("bound-sweep", _text_sweep, _points_sweep),
+    PDeltaReport: ("pdelta-curve", _text_pdelta, _points_pdelta),
+    AnalyzeReport: ("data-table", _text_analyze, _points_analyze),
+    Mod1Result: ("mod1-law", _text_mod1, _points_mod1),
+    BoundCertificate: ("bound-certificate", _text_certificate, None),
+}
+
+
+def _renderers(report):
+    for cls, entry in _RENDERERS.items():
+        if isinstance(report, cls):
+            return entry
+    raise InvalidParameter(f"no renderer for {type(report).__name__}")

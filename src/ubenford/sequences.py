@@ -2,9 +2,8 @@
 
 Each sequence produces BigReal terms: exact integers where the value is an
 integer (primes, factorials, n**n), and certified approximations for
-irrational terms (sqrt n, pi*n, e**n, n**alpha) generated at whatever
-significant-digit budget the downstream transform asks for (decimal
-digits, generated as binary fixed point with at least as many bits).
+irrational terms (sqrt n, pi*n, e**n, n**alpha) generated as binary fixed
+point with as many significant bits as the downstream transform asks for.
 frac_sample drives the whole pipeline term by term, retrying at doubled
 input precision whenever the transform refuses to certify a fractional
 part.
@@ -12,7 +11,6 @@ part.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 
 import numpy as np
@@ -21,7 +19,7 @@ from .bigreal import DEFAULT_POLICY, BigReal
 from .errors import DomainError, InsufficientPrecision, InvalidParameter
 from .kernels import dec_digits, digits_to_bits, e_fixed, exp_fixed, \
     ln2_fixed, ln_fixed, pi_fixed, pow_fixed
-from .transforms import transform_frac
+from .transforms import _policy_bits, start_bits, transform_frac
 
 _LOG10_E_FIXED17 = 43429448190325182  # floor(log10(e) * 1e17)
 _LN10 = math.log(10.0)
@@ -83,11 +81,16 @@ def nth_prime(n):
 # sequences
 
 class Sequence:
-    """Base: positive terms indexed from n = 1."""
+    """Base: positive terms indexed from n = 1.
+
+    nth_term(n, bits) returns term n, certified to `bits` significant
+    bits where it is not exact; int_digits_estimate(n) estimates its
+    decimal integer digits.
+    """
 
     name = "?"
 
-    def nth_term(self, n, sig_digits=40):
+    def nth_term(self, n, bits=140):
         raise NotImplementedError
 
     def int_digits_estimate(self, n):
@@ -100,12 +103,11 @@ class Sequence:
 class SqrtN(Sequence):
     name = "sqrt_n"
 
-    def nth_term(self, n, sig_digits=40):
+    def nth_term(self, n, bits=140):
         r = isqrt(n)
         if r * r == n:
             return BigReal.from_int(r)
-        p = digits_to_bits(sig_digits) + 7
-        return BigReal(isqrt(n << 2 * p), -p, p, False)
+        return BigReal(isqrt(n << 2 * bits), -bits, bits, False)
 
     def int_digits_estimate(self, n):
         return (dec_digits(n) + 1) // 2
@@ -117,9 +119,8 @@ class SqrtN(Sequence):
 class PiN(Sequence):
     name = "pi_n"
 
-    def nth_term(self, n, sig_digits=40):
-        p = digits_to_bits(sig_digits) + 7
-        return BigReal(pi_fixed(p) * n, -p, p, False)
+    def nth_term(self, n, bits=140):
+        return BigReal(pi_fixed(bits) * n, -bits, bits, False)
 
     def int_digits_estimate(self, n):
         return dec_digits(n) + 1
@@ -131,7 +132,7 @@ class PiN(Sequence):
 class Primes(Sequence):
     name = "primes"
 
-    def nth_term(self, n, sig_digits=40):
+    def nth_term(self, n, bits=140):
         return BigReal.from_int(nth_prime(n))
 
     def int_digits_estimate(self, n):
@@ -144,11 +145,11 @@ class Primes(Sequence):
 class ExpN(Sequence):
     name = "exp_n"
 
-    def nth_term(self, n, sig_digits=40):
+    def nth_term(self, n, bits=140):
         # e**n = (e/2)**n * 2**n, and floor(e * 2**(p-1)) at scale 2**p
         # is e/2; its last-bit error grows n-fold
         lost = n.bit_length() + 2
-        p = digits_to_bits(sig_digits) + 7 + lost
+        p = bits + lost
         mant, e2 = pow_fixed(e_fixed(p - 1), p, n)
         return BigReal(mant, e2 + n - p, p - lost, False)
 
@@ -162,7 +163,7 @@ class ExpN(Sequence):
 class Factorial(Sequence):
     name = "factorial"
 
-    def nth_term(self, n, sig_digits=40):
+    def nth_term(self, n, bits=140):
         return BigReal.from_int(math.factorial(n))
 
     def int_digits_estimate(self, n):
@@ -175,7 +176,7 @@ class Factorial(Sequence):
 class NPowN(Sequence):
     name = "n_pow_n"
 
-    def nth_term(self, n, sig_digits=40):
+    def nth_term(self, n, bits=140):
         return BigReal.from_int(n ** n)
 
     def int_digits_estimate(self, n):
@@ -199,13 +200,13 @@ class PowerLaw(Sequence):
         if not (a > 0) or not math.isfinite(a):
             raise InvalidParameter("power-law exponent must be positive")
         self._inv_pi = False
-        self._ratio = Fraction(a)  # exact binary expansion of the double
+        self._ratio = a.as_integer_ratio()  # exact, in lowest terms
         self._alpha_float = a
         self.name = f"power_law({a:g})"
 
-    def nth_term(self, n, sig_digits=40):
+    def nth_term(self, n, bits=140):
         if not self._inv_pi:
-            p, q = self._ratio.numerator, self._ratio.denominator
+            p, q = self._ratio
             if q == 1:
                 return BigReal.from_int(n ** p)
             if q == 2:
@@ -215,14 +216,14 @@ class PowerLaw(Sequence):
         # ulps of ln n, scaled by alpha, become relative error of exp
         slop = int(self._alpha_float * (n.bit_length() + 4)) + 6
         lost = slop.bit_length() + 2
-        g = digits_to_bits(sig_digits) + 7 + lost
+        g = bits + lost
         if n == 1:
             return BigReal(1 << g, -g, g, False)
         ln_n = _ln_int_fixed(n, g)
         if self._inv_pi:
             x = (ln_n << g) // pi_fixed(g)
         else:
-            x = ln_n * self._ratio.numerator // self._ratio.denominator
+            x = ln_n * self._ratio[0] // self._ratio[1]
         mant, e2 = exp_fixed(x, g)
         return BigReal(mant, e2 - g, g - lost, False)
 
@@ -282,23 +283,25 @@ def frac_sample(sequence, transform, n_max, policy=DEFAULT_POLICY,
     """{u(x_n)} for n = 1..n_max as certified doubles in [0, 1).
 
     Terms outside the transform's domain (e.g. x <= 1 under the iterated
-    log) are skipped and counted in `excluded`. When an inexact term cannot
-    support the certification, it is regenerated at doubled precision.
+    log) are skipped and counted in `excluded`. Each term is generated at
+    the start_bits of its estimated integer bits, so its significant bits
+    cover eval_transform's first working precision; when the transform
+    refuses the term, it is regenerated at doubled precision.
     """
     if n_max < 1:
         raise InvalidParameter("n_max must be >= 1")
     out = []
     excluded = 0
     requested = 0
-    headroom = policy.agreement + 8
+    a = _policy_bits(policy)[0]
     for n in range(1, n_max + 1):
         if index_filter is not None and not index_filter(n):
             continue
         requested += 1
-        target = transform.required_input_precision(
-            sequence.int_digits_estimate(n), headroom)
+        bits = start_bits(transform,
+                          digits_to_bits(sequence.int_digits_estimate(n)), a)
         for _ in range(6):
-            x = sequence.nth_term(n, sig_digits=target)
+            x = sequence.nth_term(n, bits)
             try:
                 out.append(transform_frac(x, transform, policy))
                 break
@@ -306,7 +309,7 @@ def frac_sample(sequence, transform, n_max, policy=DEFAULT_POLICY,
                 excluded += 1
                 break
             except InsufficientPrecision:
-                target *= 2
+                bits *= 2
         else:
             raise InsufficientPrecision(
                 f"term {n} of {sequence.name} would not certify under "

@@ -8,7 +8,6 @@ z is sqrt(N) * D, fed straight into kolmogorov_q.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -80,25 +79,28 @@ def leading_digit(value, base=10):
     if isinstance(value, float):
         if not math.isfinite(value) or value <= 0.0:
             raise DomainError("leading digit needs a finite positive value")
-        r = Fraction(value)
     elif isinstance(value, int):
         if value <= 0:
             raise DomainError("leading digit needs a positive integer")
-        r = Fraction(value)
     else:
         raise InvalidParameter(f"unsupported type {type(value).__name__}")
+    num, den = value.as_integer_ratio()
     # bit lengths seed the exponent without ever materializing a float,
     # so arbitrarily large integers are fine
-    e = math.floor((r.numerator.bit_length() - r.denominator.bit_length())
+    e = math.floor((num.bit_length() - den.bit_length())
                    * math.log(2.0) / math.log(base))
-    # exact adjustment: find e with base**e <= r < base**(e+1)
-    while r < Fraction(base) ** e:
-        e -= 1
-    while r >= Fraction(base) ** (e + 1):
-        e += 1
-    d = int(r / Fraction(base) ** e)
-    assert 1 <= d < base
-    return d
+    # exact adjustment: find e with base**e <= num/den < base**(e+1)
+    while True:
+        if e >= 0:
+            n, d = num, den * base ** e
+        else:
+            n, d = num * base ** -e, den
+        if n < d:
+            e -= 1
+        elif n >= d * base:
+            e += 1
+        else:
+            return n // d
 
 
 def _chi2_sf(x, dof):

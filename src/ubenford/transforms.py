@@ -5,10 +5,12 @@ becomes mod-1 behaviour: identity, log base b, iterated log (base 10 twice),
 square root, and the area map pi*x**2, one class each. eval_transform
 computes u(x) for a BigReal input with enough working precision that the
 fractional part is certified: the value is evaluated once per working
-precision w and accepted when the bits its evaluator claims cover the
-leading fractional digits, so certification rests on each evaluator's
-claimed bits; w doubles otherwise, with one extra doubling when the
-result sits within the near-integer guard band.
+precision w, starting at start_bits, and accepted when the bits its
+evaluator claims cover the leading fractional bits, so certification
+rests on each evaluator's claimed bits; w doubles otherwise, with one
+extra doubling when the result sits within the near-integer guard band.
+All precisions here are bits; decimal digits enter only through the
+policy, in _policy_bits.
 """
 
 import functools
@@ -167,9 +169,11 @@ class Transform:
     `lg_domain_lo`, log10 of the domain's open lower edge on the positive
     axis. Certified side, for eval_transform: `_check_domain`,
     `_try_exact` (exact result or None), `_eval_at` (u(x) floor-accurate
-    at scale 2**-w, certified bits as precision), `_result_bits_estimate`,
-    and `required_input_precision`: significant input digits an inexact
-    input needs for `frac_digits` certified digits of {u(x)}.
+    at scale 2**-w, certified bits as precision; it never raises, a value
+    it cannot vouch for gets a short claim) and `_result_bits_estimate`
+    (integer bits of u for an input of `int_bits` integer bits), which
+    start_bits turns into the first working precision and the precision
+    a sequence term is generated at.
     """
 
     kind = None
@@ -224,8 +228,8 @@ class Identity(Transform):
     def _try_exact(self, x):
         return x
 
-    def required_input_precision(self, int_digits, frac_digits):
-        return int_digits + frac_digits
+    def _result_bits_estimate(self, int_bits):
+        return int_bits
 
 
 @dataclass(frozen=True)
@@ -271,11 +275,8 @@ class Log(Transform):
     def _eval_at(self, x, w):
         return _log_at(x, self.base, w)
 
-    def _result_bits_estimate(self, x):
+    def _result_bits_estimate(self, int_bits):
         return 27
-
-    def required_input_precision(self, int_digits, frac_digits):
-        return frac_digits + 11
 
 
 @dataclass(frozen=True)
@@ -320,15 +321,13 @@ class LogLog(Transform):
     def _eval_at(self, x, w):
         y = _log_at(x, 10, w + 14)
         if y.sign() <= 0:
-            raise InsufficientPrecision(
-                "inner log10 vanished at this working precision")
+            # the inner log cancelled to nothing at this precision: a
+            # zero-bit claim, which eval_transform answers by doubling w
+            return BigReal(0, -w, 0, False)
         return _log_at(y, 10, w)
 
-    def _result_bits_estimate(self, x):
+    def _result_bits_estimate(self, int_bits):
         return 14
-
-    def required_input_precision(self, int_digits, frac_digits):
-        return frac_digits + 16
 
 
 @dataclass(frozen=True)
@@ -384,11 +383,8 @@ class Sqrt(Transform):
         frac_cert = min(w - 1 - max(0, half), _input_frac_limit(x, int_bits))
         return BigReal(r, half - w, int_bits + frac_cert, False)
 
-    def _result_bits_estimate(self, x):
-        return x.integer_digits() // 2 + 1
-
-    def required_input_precision(self, int_digits, frac_digits):
-        return frac_digits + (int_digits + 1) // 2 + 3
+    def _result_bits_estimate(self, int_bits):
+        return int_bits // 2 + 1
 
 
 @dataclass(frozen=True)
@@ -430,11 +426,8 @@ class PiSquare(Transform):
         frac_cert = min(frac_cert, _input_frac_limit(x, int_bits))
         return BigReal(q, 2 * e - w, int_bits + frac_cert, False)
 
-    def _result_bits_estimate(self, x):
-        return 2 * x.integer_digits() + 2
-
-    def required_input_precision(self, int_digits, frac_digits):
-        return frac_digits + 2 * int_digits + 4
+    def _result_bits_estimate(self, int_bits):
+        return 2 * int_bits + 2
 
 
 IDENTITY = Identity()
@@ -467,21 +460,29 @@ def _policy_bits(policy):
     return a, 1 << a, band, digits_to_bits(policy.cap)
 
 
+def start_bits(transform, int_bits, a):
+    """Bits to evaluate u at first, for an input of `int_bits` integer bits
+    and `a` certified fractional bits of u: u's estimated integer bits,
+    the guard bits and `a`. The same count sizes a generated input, whose
+    significant bits then cover the first working precision.
+    """
+    return max(_START_BITS,
+               transform._result_bits_estimate(int_bits) + _GUARD_BITS + a)
+
+
 def eval_transform(x, transform, policy=DEFAULT_POLICY):
     """u(x) as a BigReal whose fractional part is certified.
 
-    One evaluation per working precision w (in bits): the result is
-    accepted as soon as its own certified precision vouches for the first
-    `policy.agreement` fractional digits, converted to bits (Ziv's rounding
-    test), so the certificate rests on each evaluator's claimed bits.
-    Near-integer results get one extra doubling before acceptance. Raises
-    DomainError outside the transform's domain, PrecisionCapExceeded when
-    the working precision passes policy.cap, and InsufficientPrecision
-    for an inexact input in two cases: its own certification cannot
-    support the requested fractional bits, or a doubling of the working
-    precision gained no certified bits (LogLog's inner log spends the
-    input's bits on cancellation near x = 1, which no doubling recovers).
-    An exact input is always escalated.
+    Ziv's strategy in bits: one evaluation per working precision w,
+    starting at start_bits. The result is accepted as soon as its own
+    claimed precision vouches for the first `policy.agreement` fractional
+    digits, converted to bits, so the certificate rests on each
+    evaluator's claimed bits. Near-integer results get one extra doubling
+    before acceptance. Otherwise w doubles: for an exact input up to
+    policy.cap, for an inexact one while a doubling gains certified bits.
+    Raises DomainError outside the transform's domain, PrecisionCapExceeded
+    when w passes policy.cap, and InsufficientPrecision when a doubling
+    gains an inexact input nothing, its own bits being the limit.
     """
     transform._check_domain(x)
     fast = transform._try_exact(x)
@@ -489,7 +490,7 @@ def eval_transform(x, transform, policy=DEFAULT_POLICY):
         return fast
 
     a, mod, band, cap = _policy_bits(policy)
-    w = max(_START_BITS, transform._result_bits_estimate(x) + _GUARD_BITS + a)
+    w = start_bits(transform, x.integer_digits(), a)
     escalated_for_near_integer = False
     refused = None  # certified fractional bits of the last refusal
     while True:
@@ -501,13 +502,11 @@ def eval_transform(x, transform, policy=DEFAULT_POLICY):
         try:
             q = r.frac_scaled(a)
         except InsufficientPrecision:
-            # escalate while the working precision is the limit: the
-            # input's own bits allow `a` and, for an inexact input, the
-            # last doubling gained bits
-            if not x.exact:
+            # a claim of no bits at all (LogLog's vanished inner log) is
+            # the working precision's limit, never evidence of the input's
+            if not x.exact and r.precision:
                 got = r.precision - r.integer_digits()
-                if (_input_frac_limit(x, r.integer_digits()) < a
-                        or (refused is not None and got <= refused)):
+                if refused is not None and got <= refused:
                     raise
                 refused = got
             w *= 2

@@ -152,6 +152,17 @@ def test_analyze_growth_fixture_structured(capsys):
     assert body["verdict"] == "consistent"
 
 
+@pytest.mark.parametrize("name", ["compound_growth", "powers_of_two",
+                                  "uniform_noise"])
+def test_analyze_text_bytes_are_pinned(capsys, name):
+    # CI compares the console script's output with the same files
+    code, out, err = run(capsys, "analyze", str(_DATA / f"{name}.csv"),
+                         "--column", "2")
+    assert (code, err) == (0, "")
+    pinned = Path(__file__).parent / "fixtures" / f"analyze_{name}.txt"
+    assert out.encode() == pinned.read_bytes()
+
+
 def test_analyze_transform_and_alpha_flags(capsys):
     code, out, _ = run(capsys, "analyze", FIXTURES["powers"],
                        "--column", "2", "--transform", "sqrt",

@@ -22,10 +22,11 @@ from mpmath import mp, mpf
 
 from ubenford.bigreal import DEFAULT_POLICY, BigReal
 from ubenford.errors import DomainError
+from ubenford.kernels import digits_to_bits
 from ubenford.sequences import ExpN, PiN, PowerLaw, SqrtN, frac_sample
-from ubenford.transforms import (_GUARD_BITS, _START_BITS, IDENTITY, LOG2,
-                                 LOG10, LOGLOG, PI_SQUARE, SQRT, Log,
-                                 _policy_bits, eval_transform, transform_frac)
+from ubenford.transforms import (IDENTITY, LOG2, LOG10, LOGLOG, PI_SQUARE,
+                                 SQRT, Log, _policy_bits, eval_transform,
+                                 start_bits, transform_frac)
 
 TOL = 1e-12
 TRANSFORMS = (IDENTITY, LOG10, LOG2, LOGLOG, SQRT, PI_SQUARE)
@@ -124,12 +125,6 @@ def u_mp(transform, x):
     return mp.log(x) / mp.log(transform.base)
 
 
-def start_bits(x, transform):
-    """The working precision eval_transform evaluates x at first."""
-    pad = _GUARD_BITS + AGREEMENT_BITS
-    return max(_START_BITS, transform._result_bits_estimate(x) + pad)
-
-
 def claim_error(r, transform, make_x, x_bits):
     """(|r - u(x)|, 2**-F) for the F fractional bits r claims; make_x
     builds the true input in mpmath, x_bits bounds its bit length."""
@@ -145,7 +140,8 @@ def claim_error(r, transform, make_x, x_bits):
 @settings(max_examples=25, deadline=None)
 def test_claimed_bits_exact_integers(transform, scale, n):
     x = BigReal.from_int(n)
-    r = transform._eval_at(x, scale * start_bits(x, transform))
+    w = start_bits(transform, x.integer_digits(), AGREEMENT_BITS)
+    r = transform._eval_at(x, scale * w)
     err, bound = claim_error(r, transform, lambda: mpf(n), n.bit_length())
     assert err <= bound
 
@@ -166,10 +162,11 @@ INEXACT_TERMS = (
 def test_claimed_bits_inexact_terms(transform, scale, which, n, retries):
     seq, term = INEXACT_TERMS[which]
     # the input precision frac_sample asks for, and after a regeneration
-    target = transform.required_input_precision(
-        seq.int_digits_estimate(n), DEFAULT_POLICY.agreement + 8)
-    x = seq.nth_term(n, sig_digits=target << retries)
-    r = transform._eval_at(x, scale * start_bits(x, transform))
+    bits = start_bits(transform, digits_to_bits(seq.int_digits_estimate(n)),
+                      AGREEMENT_BITS)
+    x = seq.nth_term(n, bits << retries)
+    w = start_bits(transform, x.integer_digits(), AGREEMENT_BITS)
+    r = transform._eval_at(x, scale * w)
     err, bound = claim_error(r, transform, lambda: term(n), 0)
     assert err <= bound
 

@@ -54,25 +54,32 @@ class TestTerms:
     def test_sqrt_n_exactness(self):
         assert SqrtN().nth_term(49).exact
         assert exact(SqrtN().nth_term(49)) == 7
-        x = SqrtN().nth_term(2, sig_digits=30)
+        x = SqrtN().nth_term(2, bits=100)
         assert not x.exact
         assert abs(float(exact(x)) - math.sqrt(2)) < 1e-15
 
     def test_pi_n(self):
-        x = PiN().nth_term(7, sig_digits=30)
+        x = PiN().nth_term(7, bits=100)
         assert abs(float(exact(x)) - 7 * math.pi) < 1e-13
 
     def test_exp_n(self):
-        x = ExpN().nth_term(100, sig_digits=30)
+        x = ExpN().nth_term(100, bits=100)
         assert x.integer_digits() == 145  # 2**144 < e**100 < 2**145
         assert ExpN().int_digits_estimate(100) == 44
         assert abs(float(exact(x)) / math.exp(100) - 1) < 1e-13
         assert ExpN().int_digits_estimate(1000) == 435
 
     def test_exp_n_single_constant_consistency(self):
-        a = float(exact(ExpN().nth_term(9, sig_digits=30)))
-        b = float(exact(ExpN().nth_term(10, sig_digits=30)))
+        a = float(exact(ExpN().nth_term(9, bits=100)))
+        b = float(exact(ExpN().nth_term(10, bits=100)))
         assert abs(b / a - math.e) < 1e-12
+
+    @pytest.mark.parametrize("seq", [SqrtN(), PiN(), ExpN(), PowerLaw(0.37),
+                                     PowerLaw("1/pi")], ids=repr)
+    def test_inexact_terms_carry_the_bits_asked_for(self, seq):
+        for bits in (100, 217, 1000):
+            x = seq.nth_term(7, bits)
+            assert not x.exact and x.precision == bits
 
     def test_exact_integer_sequences(self):
         assert exact(Factorial().nth_term(10)) == 3628800
@@ -85,7 +92,7 @@ class TestTerms:
         for seq in (SqrtN(), PiN(), Primes(), Factorial(), NPowN()):
             for n in (1, 2, 17, 300, 1000):
                 est = seq.int_digits_estimate(n)
-                x = seq.nth_term(n, sig_digits=30)
+                x = seq.nth_term(n, bits=100)
                 whole = x.mantissa >> -x.exponent if x.exponent < 0 \
                     else x.mantissa << x.exponent
                 real = len(str(whole)) if whole else 0
@@ -102,7 +109,7 @@ class TestPowerLaw:
     def test_inv_pi_token(self):
         pl = PowerLaw("1/pi")
         assert pl.name == "power_law(1/pi)"
-        got = float(exact(pl.nth_term(10, sig_digits=40)))
+        got = float(exact(pl.nth_term(10, bits=133)))
         mp.dps = 40
         want = float(mp.power(10, 1 / mp.pi))
         mp.dps = 15
@@ -115,12 +122,12 @@ class TestPowerLaw:
     def test_half_integer_exact_on_squares(self):
         x = PowerLaw(0.5).nth_term(16)
         assert x.exact and exact(x) == 4
-        y = PowerLaw(0.5).nth_term(2, sig_digits=30)
+        y = PowerLaw(0.5).nth_term(2, bits=100)
         assert not y.exact
         assert abs(float(exact(y)) - math.sqrt(2)) < 1e-14
 
     def test_float_exponent(self):
-        got = float(exact(PowerLaw(0.37).nth_term(123, sig_digits=40)))
+        got = float(exact(PowerLaw(0.37).nth_term(123, bits=133)))
         assert abs(got / 123.0 ** 0.37 - 1) < 1e-13
 
     def test_rejects_bad_alpha(self):

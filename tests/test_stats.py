@@ -2,6 +2,7 @@
 
 import math
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -155,6 +156,26 @@ def test_leading_digit_matches_decimal_expansion(x):
     # Decimal(float) is the exact binary value in decimal form
     digits = str(Decimal(x)).lstrip("0.").lstrip("0")
     assert leading_digit(x) == int(digits[0])
+
+
+def fraction_leading_digit(value, base):
+    """Oracle: walk the exact rational by powers of the base."""
+    r = Fraction(value)
+    while r >= base:
+        r /= base
+    while r < 1:
+        r *= base
+    return int(r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=st.one_of(
+           st.floats(min_value=0.0, exclude_min=True, allow_infinity=False,
+                     allow_subnormal=True),
+           st.integers(min_value=1, max_value=10 ** 400)),
+       base=st.integers(min_value=2, max_value=36))
+def test_leading_digit_matches_fraction_oracle(value, base):
+    assert leading_digit(value, base) == fraction_leading_digit(value, base)
 
 
 class TestChiSquareSf:

@@ -16,7 +16,7 @@ from ubenford.errors import (DomainError, InsufficientPrecision,
 from ubenford.kernels import digits_to_bits, pi_fixed
 from ubenford.transforms import (IDENTITY, LOG2, LOG10, LOGLOG, PI_SQUARE,
                                  SQRT, Log, LogLog, Transform,
-                                 eval_transform, transform_frac)
+                                 eval_transform, start_bits, transform_frac)
 
 # independently computed reference bits: floor(frac(u) * 2**b)
 # sqrt(2) = 1.6A09E667F3BCC908B2FB1366E...
@@ -253,19 +253,24 @@ class TestEscalation:
         got = eval_transform(fine, PI_SQUARE).frac(40)
         assert abs(got - mp_frac(lambda: mp.pi ** 3)) < 1e-12
 
-    @pytest.mark.parametrize("p", [200, 500, 2000])
-    def test_loglog_near_one_escalates_on_inexact_input(self, p):
-        # log10(1 + 2**-80) cancels 80 bits, so the 107-bit start is the
-        # limit, not the input's p bits: w must double
-        x = BigReal((1 << 80) + 1, -80, p, False)
+    @pytest.mark.parametrize("k, p", [(80, 200), (80, 500), (80, 2000),
+                                      (1000, 1100), (1000, 4000)])
+    def test_loglog_near_one_escalates_on_inexact_input(self, k, p):
+        # log10(1 + 2**-k) cancels k bits, so the 107-bit start is the
+        # limit, not the input's p bits: w must double. At k = 1000 the
+        # inner log vanishes at 107 and 214 bits; those zero-bit claims
+        # are no doubling without gain
+        x = BigReal((1 << k) + 1, -k, p, False)
         got = eval_transform(x, LOGLOG).frac(40)
-        want = mp_frac(lambda: mp.log10(mp.log10(1 + mpf(2) ** -80)), 80)
+        want = mp_frac(lambda: mp.log10(mp.log10(1 + mpf(2) ** -k)), k + 50)
         assert abs(got - want) < 2.0 ** -40
 
-    def test_loglog_near_one_input_limited_still_raises(self):
-        # 99 significant bits leave about 19 after the cancellation: a
-        # doubling gains nothing, so the input is the limit
-        x = BigReal((1 << 80) + 1, -80, 100, False)
+    @pytest.mark.parametrize("k, p", [(80, 100), (1000, 900)])
+    def test_loglog_near_one_input_limited_still_raises(self, k, p):
+        # p - 1 significant bits leave about p - k after the cancellation
+        # (19 at k = 80, none at k = 1000): a doubling gains nothing, so
+        # the input is the limit
+        x = BigReal((1 << k) + 1, -k, p, False)
         with pytest.raises(InsufficientPrecision):
             eval_transform(x, LOGLOG)
 
@@ -289,18 +294,30 @@ class TestEscalation:
             eval_transform(x, Stuck(), policy)
         assert seen == ([107, 214, 428, 856] if exact else [107, 214])
 
-    def test_required_input_precision_is_sufficient(self):
-        for t in (IDENTITY, LOG10, LOGLOG, SQRT, PI_SQUARE):
-            need = t.required_input_precision(1, 20)
-            x = pi_real(digits_to_bits(need))
-            r = eval_transform(x, t)
-            # certified, no refusal
-            assert r.frac_scaled(digits_to_bits(20)) >= 0
+    @pytest.mark.parametrize("k", [200, 1000])
+    def test_loglog_vanished_inner_log_escalates_on_exact_input(self, k):
+        # log10(1 + 2**-k) vanishes at the 107-bit start: the evaluator
+        # claims zero bits instead of raising, and w doubles until the
+        # inner log resolves it
+        x = BigReal((1 << k) + 1, -k, k + 1, True)
+        assert LOGLOG._eval_at(x, 107).precision == 0
+        got = eval_transform(x, LOGLOG).frac(40)
+        want = mp_frac(lambda: mp.log10(mp.log10(1 + mpf(2) ** -k)), k + 50)
+        assert abs(got - want) < 2.0 ** -40
 
-    def test_deeper_fractional_digits_cost_more_input(self):
-        for t in (LOG10, SQRT, PI_SQUARE):
-            assert t.required_input_precision(5, 30) > \
-                t.required_input_precision(5, 12)
+    def test_start_bits_input_is_sufficient(self):
+        # pi generated at the start_bits frac_sample asks for certifies
+        policy = PrecisionPolicy(agreement=20)
+        a = tr._policy_bits(policy)[0]
+        for t in (IDENTITY, LOG10, LOGLOG, SQRT, PI_SQUARE):
+            x = pi_real(start_bits(t, 2, a))
+            r = eval_transform(x, t, policy)
+            assert r.frac_scaled(a) >= 0
+
+    def test_deeper_fractional_bits_cost_more_input(self):
+        for t in (IDENTITY, LOG10, LOGLOG, SQRT, PI_SQUARE):
+            assert start_bits(t, 17, digits_to_bits(30)) > \
+                start_bits(t, 17, digits_to_bits(12))
 
 
 class TestDomains:
