@@ -115,15 +115,25 @@ def _pi(prec):
     return q * 426880 * math.isqrt(10005 << 2 * g) // t >> _GUARD
 
 
+_ATANH_THIRD = {}  # atanh(1/3) per working precision, shared by ln 2, ln 10
+
+
+def _atanh_third(g):
+    v = _ATANH_THIRD.get(g)
+    if v is None:
+        v = _ATANH_THIRD[g] = _atanh_inv(3, g)
+    return v
+
+
 def _ln2(prec):
     g = prec + _GUARD
-    return 2 * _atanh_inv(3, g) >> _GUARD
+    return 2 * _atanh_third(g) >> _GUARD
 
 
 def _ln10(prec):
     # ln 10 = 3 ln 2 + ln(10/8) = 6 atanh(1/3) + 2 atanh(1/9)
     g = prec + _GUARD
-    v = 6 * _atanh_inv(3, g) + 2 * _atanh_inv(9, g)
+    v = 6 * _atanh_third(g) + 2 * _atanh_inv(9, g)
     return v >> _GUARD
 
 

@@ -205,6 +205,8 @@ class PowerLaw(Sequence):
         self.name = f"power_law({a:g})"
 
     def nth_term(self, n, bits=140):
+        if n == 1:
+            return BigReal.from_int(1)  # 1**alpha is exactly 1
         if not self._inv_pi:
             p, q = self._ratio
             if q == 1:
@@ -217,8 +219,6 @@ class PowerLaw(Sequence):
         slop = int(self._alpha_float * (n.bit_length() + 4)) + 6
         lost = slop.bit_length() + 2
         g = bits + lost
-        if n == 1:
-            return BigReal(1 << g, -g, g, False)
         ln_n = _ln_int_fixed(n, g)
         if self._inv_pi:
             x = (ln_n << g) // pi_fixed(g)

@@ -1,24 +1,55 @@
 """Vectorized special functions: error function family and normal quantile.
 
 numpy-only implementations so the library does not depend on a full
-scientific stack: a cancellation-free scaled series for erf on [0, 3], a
-continued fraction for the complementary function beyond, and Wichura's
-PPND16 rational approximations for the quantile. Accuracy is a few ulp,
-which the uniformity machinery's 1e-12 budgets absorb easily.
+scientific stack. Below |x| = 0.5, erf is a positive series of a few
+terms. From 0.5 up, erfc(x) = exp(-x*x) erfcx(x), with erfcx from
+Weideman's rational series at N = 40 (SIAM J. Numer. Anal. 31(5), 1994);
+erf is 1 - erfc there and erfc(-x) is 2 - erfc(x). The exponent is never
+rounded: exp(-x*x) = exp(-hi*hi) exp(-lo*(x + hi)) with hi = x rounded to
+12 fractional bits, so hi*hi is exact. normal_cdf and normal_sf split z
+itself and halve the exponent, so z/sqrt(2) is not rounded into it either.
+Against mpmath at 50 digits all four stay within 8 ulp on [-6, 27] where
+the result is a normal double (5.6 the worst seen); erfcx's truncation at
+N = 40 is below 1e-4 ulp. The former erfc, a continued fraction from 1.5
+up and 1 - erf below, was up to 124 ulp off on [0.5, 1.5) and 484 ulp on
+[6, 27), where it exponentiated a rounded x*x. The quantile is Wichura's
+PPND16.
 """
+
+import functools
+import math
 
 import numpy as np
 
 _TWO_OVER_SQRT_PI = 1.1283791670955126
 _INV_SQRT_PI = 0.5641895835477563
-_SQRT2 = 1.4142135623730951
-_SERIES_CUT = 3.0
-_CF_CUT = 1.5  # continued fraction is machine precision from here up
+_CUT = 0.5  # the series below, the erfcx kernel from here up
+_T_MAX = 40.0  # erfc(40 * sqrt(1/2)) underflows; keeps inf out of Z
+_SPLIT = 1.5 * 2.0 ** 40  # t + _SPLIT - _SPLIT rounds t to 12 fraction bits
+
+
+@functools.cache
+def _weideman(n):
+    # erfcx(x) = 2 p(Z) / (L+x)^2 + 1 / (sqrt(pi) (L+x)), Z = (L-x)/(L+x),
+    # L = sqrt(n / sqrt 2). The n coefficients of p are the DFT of
+    # f = exp(-t^2) (L^2 + t^2) at t = L tan(k pi / 2m), |k| < m = 2n. f is
+    # even in k, so that is a cosine sum. It is taken in plain floats on
+    # the first call, since numpy.fft and numpy's trig loops, or libm's at
+    # import, would add up to 1 MB to processes that never call erfc
+    m = 2 * n
+    lam = math.sqrt(n / math.sqrt(2.0))
+    f = [math.exp(-t * t) * (lam * lam + t * t)
+         for t in (lam * math.tan(k * math.pi / (2 * m)) for k in range(1, m))]
+    cos = [math.cos(math.pi * j / m) for j in range(2 * m)]
+    a = [(lam * lam + 2.0 * math.fsum(fk * cos[r * k % (2 * m)]
+                                      for k, fk in enumerate(f, 1))) / (2 * m)
+         for r in range(n, 0, -1)]  # highest power first, for Horner
+    return lam, tuple(a)
 
 
 def _erf_series(x):
     # erf(x) = (2/sqrt(pi)) x e^{-x^2} sum_j (2x^2)^j / (1*3*...*(2j+1)),
-    # all terms positive so there is no cancellation on [0, 3]
+    # all terms positive so there is no cancellation on [0, 0.5)
     x2 = 2.0 * x * x
     term = np.ones_like(x)
     total = np.ones_like(x)
@@ -30,48 +61,80 @@ def _erf_series(x):
     return _TWO_OVER_SQRT_PI * x * np.exp(-x * x) * total
 
 
-def _erfc_cf(x):
-    # erfc(x) = e^{-x^2}/sqrt(pi) / (x + (1/2)/(x + 1/(x + (3/2)/(x + ...))))
-    # evaluated bottom-up at fixed depth; ample for x >= 1.5
-    f = np.zeros_like(x)
-    for j in range(90, 0, -1):
-        f = (0.5 * j) / (x + f)
-    return _INV_SQRT_PI * np.exp(-x * x) / (x + f)
+def _erfc_big(t, s):
+    # erfc(x) for x = t * sqrt(s) >= 0.5 and s = 1 or 1/2. Works in place
+    # on t, which every caller passes as a fresh copy, and on three more
+    # arrays of its size
+    lam, coeffs = _weideman(40)
+    t = np.minimum(t, _T_MAX, out=t)
+    d = t * math.sqrt(s)
+    z = lam - d
+    d += lam
+    z /= d
+    p = np.full_like(z, coeffs[0])
+    for c in coeffs[1:]:
+        p *= z
+        p += c
+    p *= 2.0
+    p /= d
+    p += _INV_SQRT_PI
+    p /= d  # erfcx(x)
+    hi = np.add(t, _SPLIT, out=z)
+    hi -= _SPLIT
+    lo = np.subtract(t, hi, out=d)
+    t += hi
+    lo *= t
+    lo *= -s
+    p *= np.exp(lo, out=lo)
+    hi *= hi
+    hi *= -s
+    p *= np.exp(hi, out=hi)
+    return p
+
+
+def _erfc(t, s):
+    # erfc(t * sqrt(s)): the kernel on either side of the cut, the series
+    # between them (where nan falls, and stays). out starts as x and each
+    # entry is read before it is overwritten; out= keeps 0-d input an array
+    out = np.multiply(t, math.sqrt(s), out=np.empty_like(t))
+    up = out >= _CUT
+    down = out <= -_CUT
+    mid = ~(up | down)
+    if mid.any():
+        out[mid] = 1.0 - _erf_series(out[mid])
+    if up.any():
+        out[up] = _erfc_big(t[up], s)
+    if down.any():
+        out[down] = 2.0 - _erfc_big(-t[down], s)
+    return out
 
 
 def erf(x):
     x = np.asarray(x, dtype=np.float64)
-    ax = np.abs(x)
-    out = np.empty_like(ax)
-    small = ax <= _SERIES_CUT
+    out = np.abs(x, out=np.empty_like(x))  # |x|, overwritten entry by entry
+    small = out < _CUT
     if small.any():
-        out[small] = _erf_series(ax[small])
+        out[small] = _erf_series(out[small])
     if (~small).any():
-        out[~small] = 1.0 - _erfc_cf(ax[~small])
+        out[~small] = 1.0 - _erfc_big(out[~small], 1.0)
     return np.copysign(out, x) if x.shape else float(np.copysign(out, x))
 
 
 def erfc(x):
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    big = x > _CF_CUT
-    if big.any():
-        out[big] = _erfc_cf(x[big])
-    rest = ~big
-    if rest.any():
-        out[rest] = 1.0 - erf(x[rest])
+    out = _erfc(x, 1.0)
     return out if x.shape else float(out)
 
 
 def normal_cdf(z):
     z = np.asarray(z, dtype=np.float64)
-    out = 0.5 * erfc(-z / _SQRT2)
+    out = 0.5 * _erfc(-z, 0.5)
     return out if z.shape else float(out)
 
 
 def normal_sf(z):
     z = np.asarray(z, dtype=np.float64)
-    out = 0.5 * erfc(z / _SQRT2)
+    out = 0.5 * _erfc(z, 0.5)
     return out if z.shape else float(out)
 
 

@@ -310,6 +310,12 @@ class LogLog(Transform):
         # x = m * 2**e > 1: compare m with 1 brought to the scale 2**e
         one = 1 << -e if e < 0 else 1
         if m < one or (m == one and e <= 0):
+            # an inexact x within its certified error of 1 may still exceed
+            # 1; refusing it lets the caller regenerate it at more bits
+            slack = 1 << max(0, -e - x.precision + x.integer_digits())
+            if not x.exact and one - m <= slack:
+                raise InsufficientPrecision(
+                    "certified bits cannot separate x from 1")
             raise DomainError("iterated log requires x > 1")
 
     def _try_exact(self, x):

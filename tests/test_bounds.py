@@ -9,6 +9,7 @@ rather than through square roots.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -78,6 +79,39 @@ class TestMod1Law:
         # Poisson summation puts the deviation near exp(-2*pi**2*sigma**2)
         res = mod1_law(LognormalBase10(0.0, 2.0), LOG10)
         assert res.discrepancy < 1e-12
+
+    @pytest.mark.parametrize("d, t, cells", [
+        (HalfNormal(10.0), SQRT, range(0, 12)),
+        (HalfNormal(2.0), PI_SQUARE, range(0, 1200)),
+        (LognormalBase10(0.0, 2.0), LOG10, range(-20, 20)),
+        (LognormalBase10(0.5, 0.5), SQRT, range(0, 400)),
+    ], ids=["half_normal-sqrt", "half_normal-pi_square", "lognormal10-log10",
+            "lognormal10-sqrt"])
+    def test_erfc_laws_against_mpmath_cell_sum(self, d, t, cells):
+        # the cells cover all but 1e-20 of the mass; each is summed in
+        # mpmath at 30 digits from the x-scale edges of its u-cell
+        zs = np.array([0.1875, 0.5, 0.8125])
+        res = mod1_law(d, t, zs=zs)
+        with mpmath.workdps(30):
+            def x_of(u):  # the preimage of u under the transform
+                if t == SQRT:
+                    return u * u
+                if t == PI_SQUARE:
+                    return mpmath.sqrt(u / mpmath.pi)
+                return mpmath.power(10, u)
+
+            def cdf(x):
+                if isinstance(d, HalfNormal):
+                    return mpmath.erf(x / (d.sigma * mpmath.sqrt(2)))
+                if x == 0:
+                    return mpmath.mpf(0)
+                lg = (mpmath.log10(x) - d.mu) / d.sigma
+                return mpmath.erfc(-lg / mpmath.sqrt(2)) / 2
+
+            for z, got in zip(zs, res.probs):
+                want = mpmath.fsum(cdf(x_of(j + mpmath.mpf(z))) - cdf(x_of(j))
+                                   for j in cells)
+                assert abs(got - want) <= res.error_budget
 
     def test_uniform_sqrt_quarters(self):
         got = mod1_law(UniformOnZeroK(100.0), SQRT, zs=QUARTERS).probs

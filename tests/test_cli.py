@@ -163,6 +163,21 @@ def test_analyze_text_bytes_are_pinned(capsys, name):
     assert out.encode() == pinned.read_bytes()
 
 
+@pytest.mark.parametrize("name, argv", [
+    ("half_normal", ("--params", "1,10,100", "--transform", "sqrt")),
+    ("lognormal10", ("--params", "0,2;0,3")),
+])
+def test_bounds_text_bytes_are_pinned(capsys, name, argv):
+    # laws summed from erfc cells; CI compares the console script's output
+    # with the same files. lognormal10's discrepancy column is float noise
+    # (the true value of its cells is 1.24e-15 and 1.76e-14), so its bytes
+    # pin the erfc kernel's rounding too
+    code, out, err = run(capsys, "bounds", name, *argv)
+    assert (code, err) == (0, "")
+    pinned = Path(__file__).parent / "fixtures" / f"bounds_{name}.txt"
+    assert out.encode() == pinned.read_bytes()
+
+
 def test_analyze_transform_and_alpha_flags(capsys):
     code, out, _ = run(capsys, "analyze", FIXTURES["powers"],
                        "--column", "2", "--transform", "sqrt",

@@ -130,6 +130,11 @@ class TestPowerLaw:
         got = float(exact(PowerLaw(0.37).nth_term(123, bits=133)))
         assert abs(got / 123.0 ** 0.37 - 1) < 1e-13
 
+    @pytest.mark.parametrize("alpha", [1e-70, 0.37, 3.0, "1/pi"])
+    def test_first_term_is_the_exact_one(self, alpha):
+        x = PowerLaw(alpha).nth_term(1, bits=133)
+        assert x.exact and exact(x) == 1
+
     def test_rejects_bad_alpha(self):
         with pytest.raises(InvalidParameter):
             PowerLaw(0.0)
@@ -161,6 +166,19 @@ class TestFracSample:
         assert fs.size == 99 and fs.excluded == 1 and fs.n_requested == 100
         fs = frac_sample(Factorial(), LOGLOG, 50)
         assert fs.size == 49 and fs.excluded == 1
+
+    def test_loglog_keeps_terms_that_round_onto_one(self):
+        # n**1e-70 = 1 + 7e-71 * ln n floors to exactly 1 at start_bits;
+        # the term is regenerated at more bits instead of being excluded
+        fs = frac_sample(PowerLaw(1e-70), LOGLOG, 3)
+        assert fs.size == 2 and fs.excluded == 1
+        mp.dps = 150
+        try:
+            for n, got in zip((2, 3), fs.values):
+                u = mp.log10(mp.log10(mp.mpf(n) ** mp.mpf(1e-70)))
+                assert abs(got - float(u - mp.floor(u))) < 2.0 ** -40
+        finally:
+            mp.dps = 15
 
     def test_no_exclusions_on_log(self):
         fs = frac_sample(Primes(), LOG10, 60)

@@ -274,6 +274,22 @@ class TestEscalation:
         with pytest.raises(InsufficientPrecision):
             eval_transform(x, LOGLOG)
 
+    def test_loglog_domain_edge_of_inexact_input(self):
+        # an inexact x whose error interval reaches 1 is refused for more
+        # bits; one certified to lie below 1, or an exact 1, is outside
+        k = 120
+        one = BigReal(1 << k, -k, 100, False)
+        with pytest.raises(InsufficientPrecision):
+            eval_transform(one, LOGLOG)
+        near = BigReal((1 << k) - (1 << 19), -k, 100, False)
+        with pytest.raises(InsufficientPrecision):
+            eval_transform(near, LOGLOG)
+        below = BigReal((1 << k) - (1 << 22), -k, 100, False)
+        with pytest.raises(DomainError):
+            eval_transform(below, LOGLOG)
+        with pytest.raises(DomainError):
+            eval_transform(BigReal.from_int(1), LOGLOG)
+
     @pytest.mark.parametrize("exact", [True, False])
     def test_doubling_without_gain_raises_only_for_inexact(self, exact):
         # an evaluator stuck at its first working precision: an exact
@@ -424,6 +440,11 @@ class TestTransformContract:
                              ids=[b[0] for b in BOUNDARY])
     def test_domain_at_boundary_representations(self, t, x):
         value = exact(x)
+        if t == LOGLOG and not x.exact and value == 1:
+            # an inexact 1 may lie above 1: refused for more bits instead
+            with pytest.raises(InsufficientPrecision):
+                eval_transform(x, t)
+            return
         rejected = _rejects(lambda v: eval_transform(v, t), x)
         if t == LOGLOG:
             assert rejected == (value <= 1)
