@@ -10,8 +10,7 @@ from .bounds import (BoundCertificate, Mod1Result, certify_mod1_bound,
                      p_delta_uniform_envelope)
 from .distributions import (DISTRIBUTIONS, Exponential, HalfNormal,
                             LognormalBase10, ParetoI, ParetoII, SeededSampler,
-                            UniformOnZeroK, parse_distribution, sup_ratio,
-                            sup_ratio_numeric)
+                            UniformOnZeroK, parse_distribution, sup_ratio)
 from .errors import (CertificateViolation, DomainError, EmptyDataset,
                      EmptySample, FileError, HypothesisViolated,
                      InsufficientPrecision, InvalidParameter, NoNumericColumn,
@@ -51,5 +50,5 @@ __all__ = [
     "odd_nonsquare", "p_delta_exponential", "p_delta_exponential_envelope",
     "p_delta_uniform", "p_delta_uniform_envelope", "parse_distribution",
     "parse_sequence", "pdelta_curve", "run_table1", "run_table3",
-    "sup_ratio", "sup_ratio_numeric", "transform_frac", "__version__",
+    "sup_ratio", "transform_frac", "__version__",
 ]

@@ -17,6 +17,16 @@ _ONE_MINUS = math.nextafter(1.0, 0.0)
 _EXACT_BITS = 10 ** 9  # significant bits reported for exact values
 
 
+def _frac_double(f):
+    """floor(frac * 2**80) as a double in [0, 1).
+
+    int/int true division rounds the 80 bits once, so binary fractions of
+    up to 80 bits come back exactly.
+    """
+    d = f / (1 << _FRAC_OUT_BITS)
+    return _ONE_MINUS if d >= 1.0 else d
+
+
 @dataclass(frozen=True)
 class PrecisionPolicy:
     """Knobs for certified evaluation, in decimal digits.
@@ -48,10 +58,11 @@ class BigReal:
     __slots__ = ("mantissa", "exponent", "precision", "exact")
 
     def __init__(self, mantissa, exponent, precision, exact):
-        object.__setattr__(self, "mantissa", mantissa)
-        object.__setattr__(self, "exponent", exponent)
-        object.__setattr__(self, "precision", precision)
-        object.__setattr__(self, "exact", exact)
+        # the slots' own setters, since __setattr__ refuses every write
+        _set_mantissa(self, mantissa)
+        _set_exponent(self, exponent)
+        _set_precision(self, precision)
+        _set_exact(self, exact)
 
     def __setattr__(self, *_):
         raise AttributeError("BigReal is immutable")
@@ -130,15 +141,14 @@ class BigReal:
         regenerate the input at higher precision.
         """
         self._check_frac_precision(min_bits)
-        out = min(_FRAC_OUT_BITS, max(0, -self.exponent))
-        # int/int true division rounds the kept bits once, so binary
-        # fractions of up to 80 bits come back exactly
-        d = self._frac_bits(out) / (1 << out)
-        if d >= 1.0:
-            return _ONE_MINUS
-        return d
+        return _frac_double(self._frac_bits(_FRAC_OUT_BITS))
 
     def __repr__(self):
         tag = "exact" if self.exact else f"p={self.precision}"
         return f"BigReal({self.mantissa}*2**{self.exponent}, {tag})"
 
+
+_set_mantissa = BigReal.mantissa.__set__
+_set_exponent = BigReal.exponent.__set__
+_set_precision = BigReal.precision.__set__
+_set_exact = BigReal.exact.__set__

@@ -6,9 +6,10 @@ Each family exposes vectorized pdf/cdf/sf/ppf plus log10-domain variants
 heavy Pareto tails at survival 1e-14 live thousands of decades up. The
 supremum of pdf/u' over the support, the quantity the discrepancy bounds
 are built from, has a closed form for every (family, transform) pair here;
-a generic golden-section maximizer is provided as an independent route.
+the tests cross-check it with a golden-section maximizer of their own.
 """
 
+import inspect
 import math
 import sys
 
@@ -191,7 +192,12 @@ class ParetoI(Distribution):
                 "iterated log is undefined on part of the support of "
                 f"{self.label()}")
         # ratio = ln(10)*alpha*x0^alpha * ln(x)/x^alpha peaks at e^(1/alpha)
-        xs = max(self.x0, math.exp(1.0 / self.alpha))
+        try:
+            xs = max(self.x0, math.exp(1.0 / self.alpha))
+        except OverflowError:
+            raise InvalidParameter(
+                f"{self.name}: the supremum's argmax e**{1.0 / self.alpha:.6g}"
+                f" lies outside the double range") from None
         val = (_LN10 * self.alpha * self.x0 ** self.alpha
                * math.log(xs) / xs ** self.alpha)
         return val, xs
@@ -557,10 +563,18 @@ def parse_distribution(text):
     if head not in DISTRIBUTIONS:
         raise InvalidParameter(f"unknown distribution {text!r}")
     args = [float(a) for a in argpart.split(",") if a] if argpart else []
-    try:
-        return DISTRIBUTIONS[head](*args)
-    except TypeError as exc:
-        raise InvalidParameter(f"bad arguments for {head}: {exc}") from None
+    family = DISTRIBUTIONS[head]
+    params = inspect.signature(family).parameters.values()
+    names = [p.name for p in params]
+    least = sum(p.default is p.empty for p in params)
+    if not least <= len(args) <= len(names):
+        count = (f"{least}" if least == len(names)
+                 else f"{least} to {len(names)}")
+        point = ",".join(names)
+        raise InvalidParameter(
+            f"{head} takes {count} parameter(s) ({', '.join(names)}), got "
+            f"{len(args)}; a path of points is written '{point};{point}'")
+    return family(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -606,9 +620,7 @@ class SeededSampler:
 
 
 # ---------------------------------------------------------------------------
-# sup of pdf/u' over the support: closed forms plus a numeric cross-route
-
-_GOLDEN_REL_TOL = 1e-10  # golden-section stop, relative to the log-x span
+# sup of pdf/u' over the support
 
 def sup_ratio(distribution, transform):
     """(sup of pdf/u', argmax) for the discrepancy bounds.
@@ -618,82 +630,3 @@ def sup_ratio(distribution, transform):
     of the support (iterated log with mass at or below 1).
     """
     return transform.sup_ratio(distribution)
-
-
-def sup_ratio_numeric(distribution, transform):
-    """Golden-section maximum of pdf/u' on a log-x axis.
-
-    Independent of the closed forms; used to cross-validate them. The scan
-    window stretches well past both 1e-13 quantiles, and a window-edge
-    maximum that keeps growing as the window widens raises NotUnimodal.
-    """
-    if distribution.support_lo < 10.0 ** transform.lg_domain_lo:
-        raise HypothesisViolated(
-            f"{transform.label()} is undefined on part of the support of "
-            f"{distribution.label()}")
-
-    def val(lg):
-        x = 10.0 ** lg
-        return float(distribution.pdf(np.asarray([x]))[0]
-                     / transform.derivative(np.asarray([x]))[0])
-
-    lg_lo = float(distribution.ppf_log10(1e-13))
-    lg_hi = float(distribution.isf_log10(1e-13))
-    if distribution.support_lo > 0.0:
-        lg_lo = max(lg_lo, math.log10(distribution.support_lo))
-    lg_lo = max(lg_lo, transform.lg_domain_lo + 1e-12)
-    if math.isfinite(distribution.support_hi):
-        lg_hi = min(lg_hi, math.log10(distribution.support_hi))
-
-    lo_is_support_edge = (distribution.support_lo > 0.0 and
-                          abs(lg_lo - math.log10(max(distribution.support_lo,
-                                                     1e-300))) < 1e-12)
-    hi_is_support_edge = math.isfinite(distribution.support_hi)
-
-    # A window-edge maximum is read three ways: equal value ten decades
-    # further out is an asymptotic plateau (accept the edge as the sup), a
-    # different value means the true peak sits outside (widen and rescan),
-    # and a window that keeps needing to widen means the ratio diverges.
-    for attempt in range(7):
-        grid = np.linspace(lg_lo, lg_hi, 601)
-        vals = np.array([val(t) for t in grid])
-        i = int(vals.argmax())
-        if i == 0 and not lo_is_support_edge:
-            probe = val(lg_lo - 10.0)
-            if abs(probe - vals[0]) <= 1e-9 * max(vals[0], 1e-300):
-                break  # plateau toward the lower edge
-            lg_lo -= 10.0
-            continue
-        if i == len(grid) - 1 and not hi_is_support_edge:
-            probe = val(lg_hi + 10.0)
-            if abs(probe - vals[-1]) <= 1e-9 * max(vals[-1], 1e-300):
-                break
-            lg_hi += 10.0
-            continue
-        break
-    else:
-        raise NotUnimodal(
-            f"pdf/u' keeps growing toward the support edge for "
-            f"{distribution.label()} under {transform.label()}")
-
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, len(grid) - 1)]
-    if a == b:
-        return vals[i], 10.0 ** grid[i]
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = val(c), val(d)
-    for _ in range(200):
-        if b - a < _GOLDEN_REL_TOL * (1.0 + abs(a) + abs(b)):
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = val(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = val(d)
-    t = 0.5 * (a + b)
-    return val(t), 10.0 ** t

@@ -21,7 +21,7 @@ from .errors import CertificateViolation, DomainError, InvalidParameter
 from .sequences import frac_sample, odd_nonsquare, parse_sequence
 from .stats import digit_report, kolmogorov_q, ks_uniform
 from .transforms import IDENTITY, LOG10, LOGLOG, PI_SQUARE, SQRT, Log, \
-    PiSquare, transform_frac
+    PiSquare, _Certifier
 
 # Row and column order of the published sequence table: sequences sorted by
 # divergence speed, transforms likewise.
@@ -404,12 +404,12 @@ def analyze_dataset(dataset, transform=LOG10, base=10, alpha=0.05,
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidParameter("alpha must lie strictly inside (0, 1)")
+    certifier = _Certifier(transform, policy)
     fracs = []
     out_of_domain = 0
     for v in dataset.values:
         try:
-            fracs.append(transform_frac(BigReal.from_float(v), transform,
-                                        policy))
+            fracs.append(certifier.frac(BigReal.from_float(v)))
         except DomainError:
             out_of_domain += 1
     fracs = np.asarray(fracs, dtype=np.float64)

@@ -229,7 +229,8 @@ def ln_fixed(m, prec):
     up to a million bits. Dropping the 32 guard bits leaves the eps above.
     """
     g = prec + _GUARD
-    k = 0 if _bucket(g) <= _TABLE_MAX_BUCKET else math.isqrt(prec) // 3
+    bucket = _bucket(g)
+    k = 0 if bucket <= _TABLE_MAX_BUCKET else math.isqrt(prec) // 3
     g += k
     one = 1 << g
     m <<= g - prec
@@ -241,7 +242,6 @@ def ln_fixed(m, prec):
             m = math.isqrt(m << g)
         t = ((m - one) << g) // (m + one)
     else:
-        bucket = _bucket(g)
         ts, ln2 = _LN_TABLES.get(bucket) or _ln_table(bucket)
         cut = bucket - g
         j = min(_TABLE_STEPS - 1, int((math.log2(m) - g) * _TABLE_STEPS))

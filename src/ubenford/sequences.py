@@ -19,19 +19,20 @@ from .bigreal import DEFAULT_POLICY, BigReal
 from .errors import DomainError, InsufficientPrecision, InvalidParameter
 from .kernels import dec_digits, digits_to_bits, e_fixed, exp_fixed, \
     ln2_fixed, ln_fixed, pi_fixed, pow_fixed
-from .transforms import _policy_bits, start_bits, transform_frac
+from .transforms import _Certifier
 
 _LOG10_E_FIXED17 = 43429448190325182  # floor(log10(e) * 1e17)
 _LN10 = math.log(10.0)
 
 
-def _ln_int_fixed(n, prec):
-    """ln(n) * 2**prec for an integer n >= 1, within bit_length(n) + 4 ulp."""
+def _ln_int_fixed(n, prec, ln2):
+    """ln(n) * 2**prec for an integer n >= 1, within bit_length(n) + 4 ulp,
+    given ln2 = ln2_fixed(prec)."""
     d = n.bit_length()
     ms = n << (prec + 1 - d) if d <= prec + 1 else n >> (d - prec - 1)
     v = ln_fixed(ms, prec)
     if d > 1:
-        v += (d - 1) * ln2_fixed(prec)
+        v += (d - 1) * ln2
     return v
 
 
@@ -190,6 +191,7 @@ class PowerLaw(Sequence):
     """n**alpha. alpha is "1/pi" or a positive float expanded exactly."""
 
     def __init__(self, alpha):
+        self._constants = (None, None, None)  # see _constants_at
         if isinstance(alpha, str) and alpha.strip() == "1/pi":
             self._inv_pi = True
             self._ratio = None
@@ -219,13 +221,22 @@ class PowerLaw(Sequence):
         slop = int(self._alpha_float * (n.bit_length() + 4)) + 6
         lost = slop.bit_length() + 2
         g = bits + lost
-        ln_n = _ln_int_fixed(n, g)
+        _, ln2, pi = self._constants_at(g)
+        ln_n = _ln_int_fixed(n, g, ln2)
         if self._inv_pi:
-            x = (ln_n << g) // pi_fixed(g)
+            x = (ln_n << g) // pi
         else:
             x = ln_n * self._ratio[0] // self._ratio[1]
         mant, e2 = exp_fixed(x, g)
         return BigReal(mant, e2 - g, g - lost, False)
+
+    def _constants_at(self, g):
+        """(g, ln 2, pi or None) at scale 2**-g, kept for the last g: the
+        terms of a cell share g over long runs."""
+        if self._constants[0] != g:
+            self._constants = (g, ln2_fixed(g),
+                               pi_fixed(g) if self._inv_pi else None)
+        return self._constants
 
     def int_digits_estimate(self, n):
         if n == 1:
@@ -283,27 +294,31 @@ def frac_sample(sequence, transform, n_max, policy=DEFAULT_POLICY,
     """{u(x_n)} for n = 1..n_max as certified doubles in [0, 1).
 
     Terms outside the transform's domain (e.g. x <= 1 under the iterated
-    log) are skipped and counted in `excluded`. Each term is generated at
-    the start_bits of its estimated integer bits, so its significant bits
-    cover eval_transform's first working precision; when the transform
-    refuses the term, it is regenerated at doubled precision.
+    log) are skipped and counted in `excluded`. One certifier serves the
+    whole cell. Each term is generated at the start_bits of its estimated
+    integer bits, so its significant bits cover the first working
+    precision; when the transform refuses the term, it is regenerated at
+    doubled precision.
     """
     if n_max < 1:
         raise InvalidParameter("n_max must be >= 1")
+    certifier = _Certifier(transform, policy)
     out = []
     excluded = 0
     requested = 0
-    a = _policy_bits(policy)[0]
+    digits = first_bits = None  # the last digit estimate and its bits
     for n in range(1, n_max + 1):
         if index_filter is not None and not index_filter(n):
             continue
         requested += 1
-        bits = start_bits(transform,
-                          digits_to_bits(sequence.int_digits_estimate(n)), a)
+        d = sequence.int_digits_estimate(n)
+        if d != digits:
+            digits, first_bits = d, certifier.start_bits(digits_to_bits(d))
+        bits = first_bits
         for _ in range(6):
             x = sequence.nth_term(n, bits)
             try:
-                out.append(transform_frac(x, transform, policy))
+                out.append(certifier.frac(x))
                 break
             except DomainError:
                 excluded += 1

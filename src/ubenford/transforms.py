@@ -2,15 +2,16 @@
 
 The transforms map positive reals to the scale on which mantissa behaviour
 becomes mod-1 behaviour: identity, log base b, iterated log (base 10 twice),
-square root, and the area map pi*x**2, one class each. eval_transform
-computes u(x) for a BigReal input with enough working precision that the
-fractional part is certified: the value is evaluated once per working
-precision w, starting at start_bits, and accepted when the bits its
-evaluator claims cover the leading fractional bits, so certification
-rests on each evaluator's claimed bits; w doubles otherwise, with one
-extra doubling when the result sits within the near-integer guard band.
-All precisions here are bits; decimal digits enter only through the
-policy, in _policy_bits.
+square root, and the area map pi*x**2, one class each. The certifier
+(_Certifier, one per transform and policy, serving a whole cell or a
+single term) computes u(x) for a BigReal input with enough working
+precision that the fractional part is certified: the value is evaluated
+once per working precision w, starting at start_bits, and accepted when
+the bits its evaluator claims cover the leading fractional bits, so
+certification rests on each evaluator's claimed bits; w doubles
+otherwise, with one extra doubling when the result sits within the
+near-integer guard band. All precisions here are bits; decimal digits
+enter only through the policy, in _policy_bits.
 """
 
 import functools
@@ -20,13 +21,10 @@ from math import isqrt
 
 import numpy as np
 
-from .bigreal import DEFAULT_POLICY, BigReal
+from .bigreal import _FRAC_OUT_BITS, DEFAULT_POLICY, BigReal, _frac_double
 from .errors import DomainError, InsufficientPrecision, PrecisionCapExceeded
 from .kernels import digits_to_bits, ln2_fixed, ln10_fixed, ln_fixed, \
     pi_fixed
-
-_LN10 = math.log(10.0)
-
 
 # ---------------------------------------------------------------------------
 # double-precision helpers shared by the classes
@@ -105,23 +103,6 @@ def _exact_log(x, base):
 # Working precisions are in bits: each evaluator returns floor-accurate
 # u(x) at scale 2**-w with the count of certified bits as its precision.
 
-_BASE_LN_CACHE = {}
-
-
-def _ln_base_fixed(base, prec):
-    if base == 2:
-        return ln2_fixed(prec)
-    if base == 10:
-        return ln10_fixed(prec)
-    key = (base, prec)
-    v = _BASE_LN_CACHE.get(key)
-    if v is None:
-        d = base.bit_length()
-        v = ln_fixed(base << (prec + 1 - d), prec) + (d - 1) * ln2_fixed(prec)
-        _BASE_LN_CACHE[key] = v
-    return v
-
-
 def _input_frac_limit(x, result_int_bits):
     """Fractional bits of u(x) supported by the input's own certification."""
     if x.exact:
@@ -129,7 +110,18 @@ def _input_frac_limit(x, result_int_bits):
     return x.significant_digits() - result_int_bits - 2
 
 
-def _log_at(x, base, w):
+def _log_constants(base, w):
+    """What _log_at needs at working precision w: ln 2 and ln(base) at
+    scale 2**-w, and the ulps by which that ln(base) may be off."""
+    ln2 = ln2_fixed(w)
+    if base in (2, 10):
+        return ln2, ln2 if base == 2 else ln10_fixed(w), 1
+    d = base.bit_length()
+    return ln2, ln_fixed(base << (w + 1 - d), w) + (d - 1) * ln2, d
+
+
+def _log_at(x, w, constants):
+    ln2, ln_base, c = constants
     m, e = x.mantissa, x.exponent
     d = m.bit_length()
     # x = (ms / 2**w) * 2**k with ms / 2**w in [1, 2)
@@ -137,8 +129,7 @@ def _log_at(x, base, w):
     lv = ln_fixed(ms, w)
     k = d - 1 + e
     if k:
-        lv += k * ln2_fixed(w)
-    ln_base = _ln_base_fixed(base, w)
+        lv += k * ln2
     q = (lv << w) // ln_base
     int_bits = max(0, q.bit_length() - w)
     # error of lv in ulps of 2**-w: |k| from ln 2, one each from ln_fixed
@@ -146,7 +137,6 @@ def _log_at(x, base, w):
     # error; ln(base) is off by c ulps, which costs c per unit of |u|;
     # dividing by ln(base) scales it all, and the floors of q and of this
     # bound add one each
-    c = 1 if base in (2, 10) else base.bit_length()
     err = abs(k) + 2 + c * ((abs(q) >> w) + 1)
     if not x.exact:
         err += 1 << max(0, w + 1 - x.significant_digits())
@@ -161,23 +151,28 @@ def _log_at(x, base, w):
 class Transform:
     """A rescaling map u; one subclass per map.
 
-    Double-precision side: `u_np` (forward map), `derivative` (u'), both
-    vectorized and raising DomainError outside their domain;
-    `u_float_from_log10` (u from log10 x, inf where a double overflows);
+    Double-precision side: `u_np` (forward map, vectorized, raising
+    DomainError outside the domain); `u_float_from_log10` (u from log10
+    x, inf where a double overflows);
     `inverse_log10` (vectorized log10 of the preimage, -inf below the
     image); `sup_ratio` (sup of pdf/u' and its argmax for a distribution);
     `lg_domain_lo`, log10 of the domain's open lower edge on the positive
-    axis. Certified side, for eval_transform: `_check_domain`,
-    `_try_exact` (exact result or None), `_eval_at` (u(x) floor-accurate
-    at scale 2**-w, certified bits as precision; it never raises, a value
-    it cannot vouch for gets a short claim) and `_result_bits_estimate`
-    (integer bits of u for an input of `int_bits` integer bits), which
-    start_bits turns into the first working precision and the precision
-    a sequence term is generated at.
+    axis. Certified side, for the certifier: `_check_domain`,
+    `_try_exact` (exact result or None), `_constants` (what `_eval_at`
+    needs at one working precision, taken once per w), `_eval_at`
+    (u(x) floor-accurate at scale 2**-w from those constants, certified
+    bits as precision; it never raises, a value it cannot vouch for gets
+    a short claim) and `_result_bits_estimate` (integer bits of u for an
+    input of `int_bits` integer bits), which start_bits turns into the
+    first working precision and the precision a sequence term is
+    generated at.
     """
 
     kind = None
     lg_domain_lo = -math.inf
+
+    def _constants(self, w):
+        return None
 
     def label(self):
         return self.kind
@@ -202,16 +197,13 @@ class Transform:
 
 @dataclass(frozen=True)
 class Identity(Transform):
-    """u(x) = x. Every input is its own exact result, so eval_transform
+    """u(x) = x. Every input is its own exact result, so the certifier
     never evaluates or escalates."""
 
     kind = "identity"
 
     def u_np(self, x):
         return x
-
-    def derivative(self, x):
-        return np.ones_like(x, dtype=np.float64)
 
     def u_float_from_log10(self, lg):
         return _pow10(lg)
@@ -251,10 +243,6 @@ class Log(Transform):
         # log10(10) is exactly 1.0, so base 10 is np.log10 bit for bit
         return np.log10(x) / math.log10(self.base)
 
-    def derivative(self, x):
-        _require(x > 0.0, f"{self.label()} requires x > 0")
-        return 1.0 / (x * math.log(self.base))
-
     def u_float_from_log10(self, lg):
         return lg / math.log10(self.base)
 
@@ -272,8 +260,11 @@ class Log(Transform):
     def _try_exact(self, x):
         return _exact_log(x, self.base) if x.exact else None
 
-    def _eval_at(self, x, w):
-        return _log_at(x, self.base, w)
+    def _constants(self, w):
+        return _log_constants(self.base, w)
+
+    def _eval_at(self, x, w, constants):
+        return _log_at(x, w, constants)
 
     def _result_bits_estimate(self, int_bits):
         return 27
@@ -289,10 +280,6 @@ class LogLog(Transform):
     def u_np(self, x):
         _require(x > 1.0, "iterated log requires x > 1")
         return np.log10(np.log10(x))
-
-    def derivative(self, x):
-        _require(x > 1.0, "iterated log requires x > 1")
-        return 1.0 / (x * np.log(x) * _LN10)
 
     def u_float_from_log10(self, lg):
         if lg <= 0:
@@ -324,13 +311,17 @@ class LogLog(Transform):
             return None
         return _exact_log(BigReal.from_int(inner.mantissa), 10)
 
-    def _eval_at(self, x, w):
-        y = _log_at(x, 10, w + 14)
+    def _constants(self, w):
+        return _log_constants(10, w + 14), _log_constants(10, w)
+
+    def _eval_at(self, x, w, constants):
+        inner, outer = constants
+        y = _log_at(x, w + 14, inner)
         if y.sign() <= 0:
             # the inner log cancelled to nothing at this precision: a
-            # zero-bit claim, which eval_transform answers by doubling w
+            # zero-bit claim, which the certifier answers by doubling w
             return BigReal(0, -w, 0, False)
-        return _log_at(y, 10, w)
+        return _log_at(y, w, outer)
 
     def _result_bits_estimate(self, int_bits):
         return 14
@@ -345,10 +336,6 @@ class Sqrt(Transform):
     def u_np(self, x):
         _require(x >= 0.0, "sqrt requires x >= 0")
         return np.sqrt(x)
-
-    def derivative(self, x):
-        _require(x > 0.0, "sqrt derivative requires x > 0")
-        return 0.5 / np.sqrt(x)
 
     def u_float_from_log10(self, lg):
         return _pow10(lg / 2.0)
@@ -377,7 +364,7 @@ class Sqrt(Transform):
             return BigReal(r, e // 2, max(53, r.bit_length()), True)
         return None
 
-    def _eval_at(self, x, w):
+    def _eval_at(self, x, w, constants):
         m, e = x.mantissa, x.exponent
         if e % 2:
             m <<= 1
@@ -403,10 +390,6 @@ class PiSquare(Transform):
         _require(x >= 0.0, "pi_square requires x >= 0")
         return np.pi * x * x
 
-    def derivative(self, x):
-        _require(x >= 0.0, "pi_square requires x >= 0")
-        return 2.0 * math.pi * x
-
     def u_float_from_log10(self, lg):
         return math.pi * _pow10(2.0 * lg)
 
@@ -423,9 +406,12 @@ class PiSquare(Transform):
     def _try_exact(self, x):
         return BigReal.from_int(0) if x.exact and x.mantissa == 0 else None
 
-    def _eval_at(self, x, w):
+    def _constants(self, w):
+        return pi_fixed(w)
+
+    def _eval_at(self, x, w, pi):
         m, e = x.mantissa, x.exponent
-        q = pi_fixed(w) * m * m
+        q = pi * m * m
         int_bits = max(0, q.bit_length() + 2 * e - w)
         # absolute error <= x**2 * 2**-w from the truncated pi bits
         frac_cert = w - 2 * x.integer_digits() - 1
@@ -476,54 +462,103 @@ def start_bits(transform, int_bits, a):
                transform._result_bits_estimate(int_bits) + _GUARD_BITS + a)
 
 
-def eval_transform(x, transform, policy=DEFAULT_POLICY):
-    """u(x) as a BigReal whose fractional part is certified.
+class _Certifier:
+    """The certified path for one transform and policy. frac_sample and
+    analyze_dataset hold one per cell or dataset; eval_transform and
+    transform_frac make one for a batch of one term.
 
-    Ziv's strategy in bits: one evaluation per working precision w,
-    starting at start_bits. The result is accepted as soon as its own
-    claimed precision vouches for the first `policy.agreement` fractional
-    digits, converted to bits, so the certificate rests on each
-    evaluator's claimed bits. Near-integer results get one extra doubling
-    before acceptance. Otherwise w doubles: for an exact input up to
-    policy.cap, for an inexact one while a doubling gains certified bits.
-    Raises DomainError outside the transform's domain, PrecisionCapExceeded
-    when w passes policy.cap, and InsufficientPrecision when a doubling
-    gains an inexact input nothing, its own bits being the limit.
+    What depends on the cell rather than the term is taken once: the
+    policy's bits, and start_bits and the transform's constants for the
+    last integer-bit count and working precision w. A dense cell
+    evaluates every term at one w, so these one-entry caches serve the
+    whole cell; where w moves per term, they still hold a single set.
     """
-    transform._check_domain(x)
-    fast = transform._try_exact(x)
-    if fast is not None:
-        return fast
 
-    a, mod, band, cap = _policy_bits(policy)
-    w = start_bits(transform, x.integer_digits(), a)
-    escalated_for_near_integer = False
-    refused = None  # certified fractional bits of the last refusal
-    while True:
-        if w > cap:
-            raise PrecisionCapExceeded(
-                f"needed working precision {w} bits exceeds cap "
-                f"{policy.cap} digits ({cap} bits)")
-        r = transform._eval_at(x, w)
-        try:
-            q = r.frac_scaled(a)
-        except InsufficientPrecision:
-            # a claim of no bits at all (LogLog's vanished inner log) is
-            # the working precision's limit, never evidence of the input's
-            if not x.exact and r.precision:
-                got = r.precision - r.integer_digits()
-                if refused is not None and got <= refused:
-                    raise
-                refused = got
-            w *= 2
-            continue
-        if (q < band or q >= mod - band) and not escalated_for_near_integer:
-            escalated_for_near_integer = True
-            w *= 2
-            continue
-        return r
+    def __init__(self, transform, policy):
+        self.transform = transform
+        self.policy = policy
+        self.a, self.mod, self.band, self.cap = _policy_bits(policy)
+        # one extraction per result serves both the claim check (a bits)
+        # and the double frac hands out (80 bits)
+        self._bits = max(self.a, _FRAC_OUT_BITS)
+        self._start = (None, None)
+        self._w = None
+        self._constants = None
+
+    def start_bits(self, int_bits):
+        """start_bits for this transform and policy."""
+        if int_bits != self._start[0]:
+            self._start = int_bits, start_bits(self.transform, int_bits,
+                                               self.a)
+        return self._start[1]
+
+    def certify(self, x):
+        """(u(x), floor({u(x)} * 2**b)), b = max(agreement bits, 80).
+
+        Ziv's strategy in bits: one evaluation per working precision w,
+        starting at start_bits. The result is accepted as soon as its own
+        claimed precision vouches for the first `policy.agreement`
+        fractional digits, converted to bits, so the certificate rests on
+        each evaluator's claimed bits. Near-integer results get one extra
+        doubling before acceptance. Otherwise w doubles: for an exact
+        input up to policy.cap, for an inexact one while a doubling gains
+        certified bits. Raises DomainError outside the transform's domain,
+        PrecisionCapExceeded when w passes policy.cap, and
+        InsufficientPrecision when a doubling gains an inexact input
+        nothing, its own bits being the limit.
+        """
+        transform = self.transform
+        transform._check_domain(x)
+        r = transform._try_exact(x)
+        if r is not None:
+            return r, r.frac_scaled(self._bits)  # exact: every bit holds
+
+        a, mod, band = self.a, self.mod, self.band
+        w = self.start_bits(x.integer_digits())
+        escalated_for_near_integer = False
+        refused = None  # certified fractional bits of the last refusal
+        while True:
+            if w > self.cap:
+                raise PrecisionCapExceeded(
+                    f"needed working precision {w} bits exceeds cap "
+                    f"{self.policy.cap} digits ({self.cap} bits)")
+            if w != self._w:
+                self._w, self._constants = w, transform._constants(w)
+            r = transform._eval_at(x, w, self._constants)
+            got = r.precision - r.integer_digits()
+            if got < a:
+                # a claim of no bits at all (LogLog's vanished inner log) is
+                # the working precision's limit, never evidence of the
+                # input's
+                if not x.exact and r.precision:
+                    if refused is not None and got <= refused:
+                        raise InsufficientPrecision(
+                            f"{got} certified fractional bits available, "
+                            f"{a} requested")
+                    refused = got
+                w *= 2
+                continue
+            f = r._frac_bits(self._bits)
+            q = f >> (self._bits - a)
+            if (q < band or q >= mod - band) and \
+                    not escalated_for_near_integer:
+                escalated_for_near_integer = True
+                w *= 2
+                continue
+            return r, f
+
+    def frac(self, x):
+        """{u(x)} as a certified double in [0, 1)."""
+        f = self.certify(x)[1]
+        return _frac_double(f >> (self._bits - _FRAC_OUT_BITS))
+
+
+def eval_transform(x, transform, policy=DEFAULT_POLICY):
+    """u(x) as a BigReal whose fractional part is certified (see
+    _Certifier.certify)."""
+    return _Certifier(transform, policy).certify(x)[0]
 
 
 def transform_frac(x, transform, policy=DEFAULT_POLICY):
     """Fractional part of u(x) as a certified double in [0, 1)."""
-    return eval_transform(x, transform, policy).frac(_policy_bits(policy)[0])
+    return _Certifier(transform, policy).frac(x)

@@ -1,0 +1,122 @@
+"""Test-side oracles that share no code with the closed forms they check.
+
+`derivative` is u' of a transform in doubles, and sup_ratio_numeric
+maximizes pdf/u' numerically: the independent route for the package's
+closed-form suprema (`ubenford.distributions.sup_ratio`).
+"""
+
+import math
+
+import numpy as np
+
+from ubenford.errors import DomainError, HypothesisViolated, NotUnimodal
+
+_LN10 = math.log(10.0)
+
+_GOLDEN_REL_TOL = 1e-10  # golden-section stop, relative to the log-x span
+
+
+def _require(ok, message):
+    if not np.all(ok):
+        raise DomainError(message)
+
+
+def derivative(transform, x):
+    """u'(x) for a transform, vectorized; DomainError outside the domain
+    (sqrt's derivative excludes 0)."""
+    kind = transform.kind
+    if kind == "identity":
+        return np.ones_like(x, dtype=np.float64)
+    if kind == "log":
+        _require(x > 0.0, f"{transform.label()} requires x > 0")
+        return 1.0 / (x * math.log(transform.base))
+    if kind == "loglog":
+        _require(x > 1.0, "iterated log requires x > 1")
+        return 1.0 / (x * np.log(x) * _LN10)
+    if kind == "sqrt":
+        _require(x > 0.0, "sqrt derivative requires x > 0")
+        return 0.5 / np.sqrt(x)
+    if kind == "pi_square":
+        _require(x >= 0.0, "pi_square requires x >= 0")
+        return 2.0 * math.pi * x
+    raise ValueError(f"no derivative for {transform.label()}")
+
+
+def sup_ratio_numeric(distribution, transform):
+    """Golden-section maximum of pdf/u' on a log-x axis.
+
+    Independent of the closed forms, which the tests cross-validate with
+    it. The scan window stretches well past both 1e-13 quantiles, and a
+    window-edge maximum that keeps growing as the window widens raises
+    NotUnimodal.
+    """
+    if distribution.support_lo < 10.0 ** transform.lg_domain_lo:
+        raise HypothesisViolated(
+            f"{transform.label()} is undefined on part of the support of "
+            f"{distribution.label()}")
+
+    def val(lg):
+        x = 10.0 ** lg
+        return float(distribution.pdf(np.asarray([x]))[0]
+                     / derivative(transform, np.asarray([x]))[0])
+
+    lg_lo = float(distribution.ppf_log10(1e-13))
+    lg_hi = float(distribution.isf_log10(1e-13))
+    if distribution.support_lo > 0.0:
+        lg_lo = max(lg_lo, math.log10(distribution.support_lo))
+    lg_lo = max(lg_lo, transform.lg_domain_lo + 1e-12)
+    if math.isfinite(distribution.support_hi):
+        lg_hi = min(lg_hi, math.log10(distribution.support_hi))
+
+    lo_is_support_edge = (distribution.support_lo > 0.0 and
+                          abs(lg_lo - math.log10(max(distribution.support_lo,
+                                                     1e-300))) < 1e-12)
+    hi_is_support_edge = math.isfinite(distribution.support_hi)
+
+    # A window-edge maximum is read three ways: equal value ten decades
+    # further out is an asymptotic plateau (accept the edge as the sup), a
+    # different value means the true peak sits outside (widen and rescan),
+    # and a window that keeps needing to widen means the ratio diverges.
+    for attempt in range(7):
+        grid = np.linspace(lg_lo, lg_hi, 601)
+        vals = np.array([val(t) for t in grid])
+        i = int(vals.argmax())
+        if i == 0 and not lo_is_support_edge:
+            probe = val(lg_lo - 10.0)
+            if abs(probe - vals[0]) <= 1e-9 * max(vals[0], 1e-300):
+                break  # plateau toward the lower edge
+            lg_lo -= 10.0
+            continue
+        if i == len(grid) - 1 and not hi_is_support_edge:
+            probe = val(lg_hi + 10.0)
+            if abs(probe - vals[-1]) <= 1e-9 * max(vals[-1], 1e-300):
+                break
+            lg_hi += 10.0
+            continue
+        break
+    else:
+        raise NotUnimodal(
+            f"pdf/u' keeps growing toward the support edge for "
+            f"{distribution.label()} under {transform.label()}")
+
+    a = grid[max(i - 1, 0)]
+    b = grid[min(i + 1, len(grid) - 1)]
+    if a == b:
+        return vals[i], 10.0 ** grid[i]
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = val(c), val(d)
+    for _ in range(200):
+        if b - a < _GOLDEN_REL_TOL * (1.0 + abs(a) + abs(b)):
+            break
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = val(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = val(d)
+    t = 0.5 * (a + b)
+    return val(t), 10.0 ** t

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -215,6 +218,21 @@ def test_analyze_loglog_skips_values_outside_its_domain(capsys, tmp_path):
     assert out.startswith(f"dataset: mixed (N={len(above)}, 2 rows dropped)")
 
 
+def test_python_dash_m_runs_the_cli():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                               else []))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ubenford", "bounds", "half_normal",
+         "--params", "1,10,100", "--transform", "sqrt"],
+        capture_output=True, text=True, env=env, cwd=root, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == (root / "tests" / "fixtures" /
+                           "bounds_half_normal.txt").read_text()
+
+
 def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
@@ -261,6 +279,26 @@ def test_input_errors_exit_one(capsys, argv):
     assert code == 1
     assert err.startswith("error:")
     assert len(err.splitlines()) == 1
+
+
+def test_argmax_outside_double_range_exits_one(capsys):
+    # the loglog supremum of pareto_i peaks at e**(1/alpha), past the
+    # largest double for every alpha below about 1/709
+    code, out, err = run(capsys, "bounds", "pareto_i", "--params", "0.001",
+                         "--transform", "loglog")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "double range" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_parameter_count_names_the_parameters(capsys):
+    # "0,2" is a path of two one-parameter points, and lognormal10 takes
+    # two parameters a point
+    code, out, err = run(capsys, "bounds", "lognormal10", "--params", "0,2")
+    assert code == 1 and out == ""
+    assert err == ("error: lognormal10 takes 2 parameter(s) (mu, sigma), "
+                   "got 1; a path of points is written "
+                   "'mu,sigma;mu,sigma'\n")
 
 
 def test_missing_subcommand_exits_one(capsys):

@@ -141,7 +141,7 @@ def claim_error(r, transform, make_x, x_bits):
 def test_claimed_bits_exact_integers(transform, scale, n):
     x = BigReal.from_int(n)
     w = start_bits(transform, x.integer_digits(), AGREEMENT_BITS)
-    r = transform._eval_at(x, scale * w)
+    r = transform._eval_at(x, scale * w, transform._constants(scale * w))
     err, bound = claim_error(r, transform, lambda: mpf(n), n.bit_length())
     assert err <= bound
 
@@ -166,7 +166,7 @@ def test_claimed_bits_inexact_terms(transform, scale, which, n, retries):
                       AGREEMENT_BITS)
     x = seq.nth_term(n, bits << retries)
     w = start_bits(transform, x.integer_digits(), AGREEMENT_BITS)
-    r = transform._eval_at(x, scale * w)
+    r = transform._eval_at(x, scale * w, transform._constants(scale * w))
     err, bound = claim_error(r, transform, lambda: term(n), 0)
     assert err <= bound
 

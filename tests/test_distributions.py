@@ -15,13 +15,13 @@ import scipy.integrate
 import scipy.stats
 from mpmath import mp, mpf
 
+from oracles import sup_ratio_numeric
 from ubenford.bounds import discrepancy_bound
 
 from ubenford.distributions import (DISTRIBUTIONS, Exponential, HalfNormal,
                                     LognormalBase10, ParetoI, ParetoII,
                                     SeededSampler, UniformOnZeroK,
-                                    parse_distribution, sup_ratio,
-                                    sup_ratio_numeric)
+                                    parse_distribution, sup_ratio)
 from ubenford.errors import (HypothesisViolated, InvalidParameter,
                              NotUnimodal)
 from ubenford.transforms import (IDENTITY, LOG2, LOG10, LOGLOG, PI_SQUARE,

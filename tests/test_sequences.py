@@ -1,5 +1,6 @@
 """Sequence terms, prime generation, sampling, and growth diagnostics."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -220,6 +221,77 @@ class TestFracSample:
             r = eval_transform(NPowN().nth_term(n), SQRT)
             expect = (n % 2 == 0) or (math.isqrt(n) ** 2 == n)
             assert r.exact == expect, n
+
+
+# sha256 of frac_sample's values, the excluded count and the sample size,
+# recorded before the certified path evaluated a whole cell with one
+# certifier; each cell takes a different route through it
+PINNED_CELLS = [
+    ("sqrt_n", LOG10, 10000, False,
+     "c9151831ee48e37df20ea86d276f09f18b91b49c65cd6597ce0d23e9bc4e7ec7",
+     0, 10000),
+    ("pi_n", LOGLOG, 10000, False,
+     "88919341833659438e8fca70fa21d3c3dd8711f873be99997ea3f65b3e79fa1d",
+     0, 10000),
+    ("primes", SQRT, 10000, False,
+     "c2430b2f6d0530da8634390a6c0bf4528176643be7d4cd63c5704e5cb2b8dc52",
+     0, 10000),
+    ("sqrt_n", PI_SQUARE, 10000, False,
+     "3522455a91c6253ba2ded665bd77183c92e453a5b16fdd9fb943f06c3bebfb3e",
+     0, 10000),
+    ("power_law:0.367427", LOG10, 10000, False,
+     "f4ed70760e50d277be49fe23ee1bc8ea56d5ed6b24130c08b0ca7d9f5fb81d31",
+     0, 10000),
+    # the exact q = 2 route of n**(1/2) on perfect squares
+    ("power_law:0.5", IDENTITY, 10000, False,
+     "2c2a4a85cb4817e943ca0f5a97b919654e6b0a4633a9cbb28e95dd1d31cbbb6e",
+     0, 10000),
+    # terms that round onto 1 and are regenerated at more bits
+    ("power_law:1e-70", LOGLOG, 1000, False,
+     "0259291b5803088dd0226313169dda3427e0a698c44a1507d9613d631363bd5a",
+     1, 999),
+    ("n_pow_n", SQRT, 1000, True,
+     "9d46de415d81871cb1ffb85b781d6ac603111a3a1af8cedce9125b612325b063",
+     0, 484),
+]
+
+
+@pytest.mark.parametrize(
+    "name, transform, n_max, filtered, digest, excluded, size",
+    PINNED_CELLS, ids=[f"{c[0]}-{c[1].label()}{'-filtered' * c[3]}"
+                       for c in PINNED_CELLS])
+def test_cell_fractions_are_pinned(name, transform, n_max, filtered, digest,
+                                   excluded, size):
+    fs = frac_sample(parse_sequence(name), transform, n_max,
+                     index_filter=odd_nonsquare if filtered else None)
+    assert (fs.excluded, fs.size) == (excluded, size)
+    assert hashlib.sha256(fs.values.tobytes()).hexdigest() == digest
+
+
+# cells without exclusions, so term n sits at index n - 1
+ALONE_CELLS = (("sqrt_n", LOG10), ("pi_n", LOGLOG), ("primes", SQRT),
+               ("power_law:0.367427", PI_SQUARE), ("power_law:1/pi", LOG10),
+               ("exp_n", LOG10), ("n_pow_n", SQRT))
+ALONE_N = 300
+_FULL_CELLS = {}
+
+
+@given(which=st.integers(min_value=0, max_value=len(ALONE_CELLS) - 1),
+       n=st.integers(min_value=1, max_value=ALONE_N))
+@settings(max_examples=60, deadline=None)
+def test_term_alone_equals_term_in_its_cell(which, n):
+    # a fresh sequence and certifier for the one term, against the term
+    # after every earlier one has passed through the cell's caches
+    name, transform = ALONE_CELLS[which]
+    full = _FULL_CELLS.get(which)
+    if full is None:
+        full = _FULL_CELLS[which] = frac_sample(parse_sequence(name),
+                                                transform, ALONE_N)
+    assert full.excluded == 0
+    alone = frac_sample(parse_sequence(name), transform, ALONE_N,
+                        index_filter=lambda k: k == n)
+    assert alone.size == 1
+    assert alone.values[0] == full.values[n - 1]
 
 
 class TestOddNonsquare:
