@@ -1,12 +1,15 @@
 """Positive continuous families with log10-stable tails and analytic
 derivative-ratio suprema.
 
-Each family exposes vectorized pdf/cdf/sf/ppf plus log10-domain variants
+Each family exposes vectorized cdf/sf/ppf plus log10-domain variants
 (cdf_log10 etc.) that stay finite where the plain forms overflow a double:
 heavy Pareto tails at survival 1e-14 live thousands of decades up. The
-supremum of pdf/u' over the support, the quantity the discrepancy bounds
-are built from, has a closed form for every (family, transform) pair here;
-the tests cross-check it with a golden-section maximizer of their own.
+discrepancy bounds are built from the supremum of pdf/u' over the support.
+For every power map u' is a constant times x**-k, so that supremum is the
+constant times sup x**k * pdf(x); each family gives the latter as one
+closed form in k, `sup_x_pow_pdf(k)`, and the iterated log separately as
+`sup_loglog`. The tests check both against mpmath and against a
+golden-section maximizer of their own.
 """
 
 import inspect
@@ -15,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .errors import HypothesisViolated, InvalidParameter, NotUnimodal
+from .errors import HypothesisViolated, InvalidParameter
 from .special import erf, erfc, normal_cdf, normal_sf, probit
 
 _LN10 = math.log(10.0)
@@ -34,6 +37,19 @@ def _maybe_scalar(out, x):
     return out if np.ndim(x) else float(out)
 
 
+def _pow(x, y):
+    """x**y for doubles, inf where it overflows."""
+    try:
+        return x ** y
+    except OverflowError:
+        return math.inf
+
+
+def _normal(v):
+    """True for a finite double at or above the smallest normal one."""
+    return _DOUBLE_MIN <= v < math.inf
+
+
 class Distribution:
     """Base for positive continuous families.
 
@@ -47,9 +63,6 @@ class Distribution:
 
     def label(self):
         return self.name
-
-    def pdf(self, x):
-        raise NotImplementedError
 
     def cdf(self, x):
         raise NotImplementedError
@@ -84,21 +97,11 @@ class Distribution:
     def sample(self, n, seed):
         return SeededSampler(self, seed).draw(n)
 
-    # closed-form suprema of pdf(x)/u'(x); each returns (value, argmax)
-    def sup_pdf(self):
-        raise NotImplementedError
-
-    def sup_x_pdf(self):
-        """sup of x*pdf(x): the ratio under log10, up to the factor ln 10."""
-        raise NotImplementedError
-
-    def sup_sqrt(self):
-        raise NotImplementedError
-
-    def sup_pi_square(self):
-        if self.density_positive_at_origin:
-            raise NotUnimodal(
-                f"pdf/u' for pi*x**2 is unbounded near 0 for {self.label()}")
+    # closed-form suprema; each returns (value, argmax)
+    def sup_x_pow_pdf(self, k):
+        """sup over the support of x**k * pdf(x), for the exponent k of a
+        power map (Transform.sup_ratio); k >= 0 where the density reaches
+        the origin."""
         raise NotImplementedError
 
     def sup_loglog(self):
@@ -122,13 +125,6 @@ class ParetoI(Distribution):
         self.x0 = float(x0)
         self.support_lo = self.x0
         self.name = f"pareto_i(alpha={alpha:g}, x0={x0:g})"
-
-    def pdf(self, x):
-        x = _as_array(x)
-        out = np.where(x >= self.x0,
-                       self.alpha * self.x0 ** self.alpha
-                       / np.maximum(x, self.x0) ** (self.alpha + 1.0), 0.0)
-        return _maybe_scalar(out, x)
 
     def cdf(self, x):
         x = _as_array(x)
@@ -163,43 +159,44 @@ class ParetoI(Distribution):
         return _maybe_scalar(out, p)
 
     def sf_log10(self, lg):
+        # below the support the clamped exponent gives exp(0) = 1
         lg = _as_array(lg)
-        out = np.where(lg >= math.log10(self.x0),
-                       np.exp(self.alpha * _LN10
-                              * (math.log10(self.x0) - lg)), 1.0)
+        out = np.exp(self.alpha * _LN10
+                     * np.minimum(math.log10(self.x0) - lg, 0.0))
         return _maybe_scalar(out, lg)
 
     def cdf_log10(self, lg):
         lg = _as_array(lg)
         return _maybe_scalar(1.0 - self.sf_log10(lg), lg)
 
-    def sup_pdf(self):
-        return self.alpha / self.x0, self.x0
-
-    def sup_x_pdf(self):
-        # x*pdf = alpha*(x0/x)**alpha, decreasing: sup at the left edge
-        return self.alpha, self.x0
-
-    def sup_sqrt(self):
-        return 2.0 * self.alpha / math.sqrt(self.x0), self.x0
-
-    def sup_pi_square(self):
-        return self.alpha / (2.0 * math.pi * self.x0 * self.x0), self.x0
+    def sup_x_pow_pdf(self, k):
+        # x**k * pdf = alpha * x0**alpha * x**(k - alpha - 1) falls for
+        # every k < alpha + 1: the sup is alpha * x0**(k - 1) at the left
+        # edge, taken in log10 space where x0**(1 - k) alone leaves the
+        # normal doubles
+        power = _pow(self.x0, 1.0 - k)
+        if _normal(power):
+            return self.alpha / power, self.x0
+        return _pow(10.0, math.log10(self.alpha)
+                    - (1.0 - k) * math.log10(self.x0)), self.x0
 
     def sup_loglog(self):
         if self.x0 < 1.0:
             raise HypothesisViolated(
                 "iterated log is undefined on part of the support of "
                 f"{self.label()}")
-        # ratio = ln(10)*alpha*x0^alpha * ln(x)/x^alpha peaks at e^(1/alpha)
+        # ratio = ln 10 * alpha * (x0/x)**alpha * ln x peaks where
+        # ln x = 1/alpha; ln x is kept exact rather than read back from x
+        ln_x0 = math.log(self.x0)
+        ln_xs = max(ln_x0, 1.0 / self.alpha)
         try:
-            xs = max(self.x0, math.exp(1.0 / self.alpha))
+            xs = self.x0 if ln_xs == ln_x0 else math.exp(ln_xs)
         except OverflowError:
             raise InvalidParameter(
                 f"{self.name}: the supremum's argmax e**{1.0 / self.alpha:.6g}"
                 f" lies outside the double range") from None
-        val = (_LN10 * self.alpha * self.x0 ** self.alpha
-               * math.log(xs) / xs ** self.alpha)
+        val = (_LN10 * self.alpha * math.exp(self.alpha * (ln_x0 - ln_xs))
+               * ln_xs)
         return val, xs
 
 
@@ -213,13 +210,6 @@ class ParetoII(Distribution):
             raise InvalidParameter("ParetoII needs b > 0")
         self.b = float(b)
         self.name = f"pareto_ii(b={b:g})"
-
-    def pdf(self, x):
-        x = _as_array(x)
-        out = np.where(x >= 0.0,
-                       self.b * np.exp(-(self.b + 1.0)
-                                       * np.log1p(np.maximum(x, 0.0))), 0.0)
-        return _maybe_scalar(out, x)
 
     def cdf(self, x):
         x = _as_array(x)
@@ -268,17 +258,12 @@ class ParetoII(Distribution):
         lg = _as_array(lg)
         return _maybe_scalar(1.0 - self.sf_log10(lg), lg)
 
-    def sup_pdf(self):
-        # decreasing density: sup at the origin edge
-        return self.b, 0.0
-
-    def sup_x_pdf(self):
-        xs = 1.0 / self.b
-        return (self.b / (1.0 + self.b)) ** (self.b + 1.0), xs
-
-    def sup_sqrt(self):
-        xs = 1.0 / (2.0 * self.b + 1.0)
-        return 2.0 * self.b * math.sqrt(xs) / (1.0 + xs) ** (self.b + 1.0), xs
+    def sup_x_pow_pdf(self, k):
+        # d/dx ln(x**k * (1 + x)**-(b + 1)) vanishes at k/(b + 1 - k); the
+        # origin for k = 0. log1p keeps 1 + xs from rounding at large b
+        xs = k / (self.b + (1.0 - k))
+        return (self.b * xs ** k
+                * math.exp(-(self.b + 1.0) * math.log1p(xs))), xs
 
 
 class LognormalBase10(Distribution):
@@ -290,16 +275,6 @@ class LognormalBase10(Distribution):
         self.mu = float(mu)
         self.sigma = float(sigma)
         self.name = f"lognormal10(mu={mu:g}, sigma={sigma:g})"
-
-    def pdf(self, x):
-        x = _as_array(x)
-        safe = np.maximum(x, 1e-320)
-        z = (np.log10(safe) - self.mu) / self.sigma
-        out = np.where(x > 0.0,
-                       np.exp(-0.5 * z * z)
-                       / (safe * self.sigma * _LN10 * math.sqrt(2 * math.pi)),
-                       0.0)
-        return _maybe_scalar(out, x)
 
     def cdf(self, x):
         x = _as_array(x)
@@ -337,62 +312,34 @@ class LognormalBase10(Distribution):
         lg = _as_array(lg)
         return _maybe_scalar(normal_sf((lg - self.mu) / self.sigma), lg)
 
-    def _pdf_scalar(self, x):
-        return float(self.pdf(np.asarray([x]))[0])
+    def sup_x_pow_pdf(self, k):
+        """x**k * pdf = x**-c * exp(-z**2/2) / (sigma*ln 10*sqrt(2*pi)),
+        c = 1 - k, z = (log10 x - mu)/sigma.
 
-    def _sup_at(self, c, log10_k, direct):
-        """(sup, argmax) of k * x**(1 - c) * pdf(x).
-
-        log10 of the product is a parabola in log10 x with its vertex at
-        log10 x = mu - c*sigma**2*ln 10, where the Gaussian factor of the
-        pdf is exp(-(c*sigma*ln 10)**2 / 2). `direct(xs)` evaluates the
-        product in doubles; where that factor leaves the normal double
+        Its log10 is a parabola in log10 x with its vertex at
+        log10 x = mu - c*sigma**2*ln 10, where the Gaussian factor is
+        exp(-(c*sigma*ln 10)**2 / 2). The product is taken in doubles;
+        where x**-c, that factor or the product leaves the normal double
         range, the same closed form is taken in log10 space instead.
-        InvalidParameter when a normal double cannot hold the argmax or
-        the supremum.
+        InvalidParameter when a normal double cannot hold the argmax.
         """
-        lg = self.mu - c * self.sigma ** 2 * _LN10
-        try:
-            xs = 10.0 ** lg
-        except OverflowError:
-            xs = math.inf
-        if not _DOUBLE_MIN <= xs < math.inf:
+        c = 1.0 - k
+        lg = self.mu - c * self.sigma * self.sigma * _LN10
+        xs = _pow(10.0, lg)
+        if not _normal(xs):
             raise InvalidParameter(
                 f"{self.name}: the supremum's argmax 10**{lg:.6g} lies "
                 f"outside the double range")
-        gauss_ln = -0.5 * (c * self.sigma * _LN10) ** 2
-        if gauss_ln >= _LN_DOUBLE_MIN:
-            value = direct(xs)
-        else:
-            lv = (log10_k - c * lg + gauss_ln / _LN10
-                  - math.log10(self.sigma * _LN10 * _SQRT_2PI))
-            try:
-                value = 10.0 ** lv
-            except OverflowError:
-                value = math.inf
-        if not _DOUBLE_MIN <= value < math.inf:
-            raise InvalidParameter(
-                f"{self.name}: the supremum lies outside the double range")
+        g = c * self.sigma * _LN10
+        gauss_ln = -0.5 * g * g
+        scale = self.sigma * _LN10 * _SQRT_2PI
+        power = _pow(xs, -c)
+        value = power * math.exp(gauss_ln) / scale
+        if not (_normal(power) and gauss_ln >= _LN_DOUBLE_MIN
+                and _normal(value)):
+            value = _pow(10.0, -c * lg + gauss_ln / _LN10
+                         - math.log10(scale))
         return value, xs
-
-    def sup_pdf(self):
-        return self._sup_at(1.0, 0.0, self._pdf_scalar)
-
-    def sup_x_pdf(self):
-        # x*pdf peaks where log10 x = mu, at 1/(sigma*ln 10*sqrt(2*pi))
-        return self._sup_at(
-            0.0, 0.0,
-            lambda xs: 1.0 / (self.sigma * _LN10 * math.sqrt(2 * math.pi)))
-
-    def sup_sqrt(self):
-        return self._sup_at(
-            0.5, math.log10(2.0),
-            lambda xs: 2.0 * math.sqrt(xs) * self._pdf_scalar(xs))
-
-    def sup_pi_square(self):
-        return self._sup_at(
-            2.0, -math.log10(2.0 * math.pi),
-            lambda xs: self._pdf_scalar(xs) / (2.0 * math.pi * xs))
 
 
 class UniformOnZeroK(Distribution):
@@ -407,11 +354,6 @@ class UniformOnZeroK(Distribution):
         self.support_hi = self.k
         self.name = f"uniform(0,{k:g}]"
 
-    def pdf(self, x):
-        x = _as_array(x)
-        out = np.where((x > 0.0) & (x <= self.k), 1.0 / self.k, 0.0)
-        return _maybe_scalar(out, x)
-
     def cdf(self, x):
         x = _as_array(x)
         return _maybe_scalar(np.clip(x / self.k, 0.0, 1.0), x)
@@ -420,15 +362,10 @@ class UniformOnZeroK(Distribution):
         q = _as_array(q)
         return _maybe_scalar(q * self.k, q)
 
-    def sup_pdf(self):
-        # flat density: sup attained everywhere on (0, k]
-        return 1.0 / self.k, self.k
-
-    def sup_x_pdf(self):
-        return 1.0, self.k
-
-    def sup_sqrt(self):
-        return 2.0 / math.sqrt(self.k), self.k
+    def sup_x_pow_pdf(self, k):
+        # x**k times the flat density rises for k > 0 and is flat at k = 0:
+        # the sup is at the right edge
+        return 1.0 / _pow(self.k, 1.0 - k), self.k
 
 
 class Exponential(Distribution):
@@ -441,12 +378,6 @@ class Exponential(Distribution):
             raise InvalidParameter("Exponential needs lam > 0")
         self.lam = float(lam)
         self.name = f"exponential(lam={lam:g})"
-
-    def pdf(self, x):
-        x = _as_array(x)
-        out = np.where(x >= 0.0,
-                       self.lam * np.exp(-self.lam * np.maximum(x, 0.0)), 0.0)
-        return _maybe_scalar(out, x)
 
     def cdf(self, x):
         x = _as_array(x)
@@ -468,15 +399,9 @@ class Exponential(Distribution):
         out = np.log10(-np.log(p) / self.lam)
         return _maybe_scalar(out, p)
 
-    def sup_pdf(self):
-        return self.lam, 0.0
-
-    def sup_x_pdf(self):
-        # x*pdf peaks at 1/lam with value 1/e
-        return 1.0 / math.e, 1.0 / self.lam
-
-    def sup_sqrt(self):
-        return math.sqrt(2.0 * self.lam / math.e), 0.5 / self.lam
+    def sup_x_pow_pdf(self, k):
+        # x**k * lam * exp(-lam*x) peaks at k/lam: (k/e)**k * lam**(1 - k)
+        return (k / math.e) ** k * self.lam ** (1.0 - k), k / self.lam
 
 
 class HalfNormal(Distribution):
@@ -489,14 +414,6 @@ class HalfNormal(Distribution):
             raise InvalidParameter("HalfNormal needs sigma > 0")
         self.sigma = float(sigma)
         self.name = f"half_normal(sigma={sigma:g})"
-
-    def pdf(self, x):
-        x = _as_array(x)
-        z = np.maximum(x, 0.0) / self.sigma
-        out = np.where(x >= 0.0,
-                       _SQRT_2_OVER_PI / self.sigma * np.exp(-0.5 * z * z),
-                       0.0)
-        return _maybe_scalar(out, x)
 
     def cdf(self, x):
         x = _as_array(x)
@@ -534,16 +451,10 @@ class HalfNormal(Distribution):
         out = np.log10(self.sigma * -probit(p / 2.0))
         return _maybe_scalar(out, p)
 
-    def sup_pdf(self):
-        return _SQRT_2_OVER_PI / self.sigma, 0.0
-
-    def sup_x_pdf(self):
-        return _SQRT_2_OVER_PI * math.exp(-0.5), self.sigma
-
-    def sup_sqrt(self):
-        xs = self.sigma / _SQRT2
-        return (2.0 * _SQRT_2_OVER_PI * math.exp(-0.25) * 2.0 ** -0.25
-                / math.sqrt(self.sigma)), xs
+    def sup_x_pow_pdf(self, k):
+        # x**k * exp(-x**2/(2*sigma**2)) peaks at sigma*sqrt(k)
+        return (_SQRT_2_OVER_PI * (k / math.e) ** (0.5 * k)
+                / self.sigma ** (1.0 - k)), self.sigma * math.sqrt(k)
 
 
 DISTRIBUTIONS = {
@@ -625,8 +536,17 @@ class SeededSampler:
 def sup_ratio(distribution, transform):
     """(sup of pdf/u', argmax) for the discrepancy bounds.
 
-    Raises NotUnimodal when the ratio is unbounded (pi*x**2 with density
-    reaching the origin) and HypothesisViolated when u is undefined on part
-    of the support (iterated log with mass at or below 1).
+    For a power map this is the map's constant factor times the family's
+    one closed form sup_x_pow_pdf(k) (Transform.sup_ratio); the iterated
+    log has its own, sup_loglog. Raises NotUnimodal when the ratio is
+    unbounded (k < 0, as for pi*x**2, with density reaching the origin),
+    HypothesisViolated when u is undefined on part of the support
+    (iterated log with mass at or below 1) and InvalidParameter when a
+    normal double cannot hold the supremum or its argmax.
     """
-    return transform.sup_ratio(distribution)
+    value, xs = transform.sup_ratio(distribution)
+    if not _normal(value):
+        raise InvalidParameter(
+            f"{distribution.name}: the supremum lies outside the double "
+            f"range")
+    return value, xs

@@ -22,7 +22,8 @@ from math import isqrt
 import numpy as np
 
 from .bigreal import _FRAC_OUT_BITS, DEFAULT_POLICY, BigReal, _frac_double
-from .errors import DomainError, InsufficientPrecision, PrecisionCapExceeded
+from .errors import DomainError, InsufficientPrecision, NotUnimodal, \
+    PrecisionCapExceeded
 from .kernels import digits_to_bits, ln2_fixed, ln10_fixed, ln_fixed, \
     pi_fixed
 
@@ -155,11 +156,16 @@ class Transform:
     DomainError outside the domain); `u_float_from_log10` (u from log10
     x, inf where a double overflows);
     `inverse_log10` (vectorized log10 of the preimage, -inf below the
-    image); `sup_ratio` (sup of pdf/u' and its argmax for a distribution);
-    `lg_domain_lo`, log10 of the domain's open lower edge on the positive
-    axis. Certified side, for the certifier: `_check_domain`,
-    `_try_exact` (exact result or None), `_constants` (what `_eval_at`
-    needs at one working precision, taken once per w), `_eval_at`
+    image); `power`, the pair (k, factor) of a power map, whose
+    u' = x**-k / factor, so that `sup_ratio` (sup of pdf/u' and its
+    argmax for a distribution) is factor times the family's one closed
+    form sup_x_pow_pdf(k); `formula`, the map as the refusal names it
+    where k < 0 leaves that sup unbounded; a map that is no power
+    (LogLog) overrides `sup_ratio`; `lg_domain_lo`, log10 of the domain's
+    open lower edge on the positive axis. Certified side, for the
+    certifier: `_check_domain`, `_try_exact` (exact result or None),
+    `_constants` (what `_eval_at` needs at one working precision, taken
+    once per w), `_eval_at`
     (u(x) floor-accurate at scale 2**-w from those constants, certified
     bits as precision; it never raises, a value it cannot vouch for gets
     a short claim) and `_result_bits_estimate` (integer bits of u for an
@@ -176,6 +182,20 @@ class Transform:
 
     def label(self):
         return self.kind
+
+    def sup_ratio(self, distribution):
+        """(sup of pdf/u', argmax) = factor * sup of x**k * pdf(x).
+
+        With k < 0 the ratio grows without bound toward the origin, so a
+        density that reaches it raises NotUnimodal.
+        """
+        k, factor = self.power
+        if k < 0 and distribution.density_positive_at_origin:
+            raise NotUnimodal(
+                f"pdf/u' for {self.formula} is unbounded near 0 for "
+                f"{distribution.label()}")
+        value, xs = distribution.sup_x_pow_pdf(k)
+        return value * factor, xs
 
     @staticmethod
     def parse(text):
@@ -201,6 +221,7 @@ class Identity(Transform):
     never evaluates or escalates."""
 
     kind = "identity"
+    power = (0.0, 1.0)
 
     def u_np(self, x):
         return x
@@ -210,9 +231,6 @@ class Identity(Transform):
 
     def inverse_log10(self, y):
         return _log10_positive(y)
-
-    def sup_ratio(self, distribution):
-        return distribution.sup_pdf()
 
     def _check_domain(self, x):
         pass
@@ -238,6 +256,10 @@ class Log(Transform):
     def label(self):
         return f"log{self.base}"
 
+    @property
+    def power(self):
+        return 1.0, math.log(self.base)
+
     def u_np(self, x):
         _require(x > 0.0, f"{self.label()} requires x > 0")
         # log10(10) is exactly 1.0, so base 10 is np.log10 bit for bit
@@ -248,10 +270,6 @@ class Log(Transform):
 
     def inverse_log10(self, y):
         return y * math.log10(self.base)
-
-    def sup_ratio(self, distribution):
-        m, xs = distribution.sup_x_pdf()
-        return m * math.log(self.base), xs
 
     def _check_domain(self, x):
         if x.sign() <= 0:
@@ -332,6 +350,7 @@ class Sqrt(Transform):
     """u(x) = sqrt(x), defined for x >= 0."""
 
     kind = "sqrt"
+    power = (0.5, 2.0)
 
     def u_np(self, x):
         _require(x >= 0.0, "sqrt requires x >= 0")
@@ -342,9 +361,6 @@ class Sqrt(Transform):
 
     def inverse_log10(self, y):
         return 2.0 * _log10_positive(y)
-
-    def sup_ratio(self, distribution):
-        return distribution.sup_sqrt()
 
     def _check_domain(self, x):
         if x.sign() < 0:
@@ -385,6 +401,8 @@ class PiSquare(Transform):
     """u(x) = pi*x**2, defined for x >= 0."""
 
     kind = "pi_square"
+    power = (-1.0, 1.0 / (2.0 * math.pi))
+    formula = "pi*x**2"
 
     def u_np(self, x):
         _require(x >= 0.0, "pi_square requires x >= 0")
@@ -395,9 +413,6 @@ class PiSquare(Transform):
 
     def inverse_log10(self, y):
         return 0.5 * (_log10_positive(y) - math.log10(math.pi))
-
-    def sup_ratio(self, distribution):
-        return distribution.sup_pi_square()
 
     def _check_domain(self, x):
         if x.sign() < 0:

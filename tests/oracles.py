@@ -1,14 +1,18 @@
 """Test-side oracles that share no code with the closed forms they check.
 
-`derivative` is u' of a transform in doubles, and sup_ratio_numeric
-maximizes pdf/u' numerically: the independent route for the package's
-closed-form suprema (`ubenford.distributions.sup_ratio`).
+`density` is the pdf of a package family and `derivative` is u' of a
+transform, both in doubles; sup_ratio_numeric maximizes pdf/u'
+numerically: the independent route for the package's closed-form suprema
+(`ubenford.distributions.sup_ratio`).
 """
 
 import math
 
 import numpy as np
 
+from ubenford.distributions import (Exponential, HalfNormal,
+                                    LognormalBase10, ParetoI, ParetoII,
+                                    UniformOnZeroK)
 from ubenford.errors import DomainError, HypothesisViolated, NotUnimodal
 
 _LN10 = math.log(10.0)
@@ -19,6 +23,36 @@ _GOLDEN_REL_TOL = 1e-10  # golden-section stop, relative to the log-x span
 def _require(ok, message):
     if not np.all(ok):
         raise DomainError(message)
+
+
+def density(distribution, x):
+    """pdf of a package family, vectorized, 0 off the support; a float for
+    a scalar x."""
+    d = distribution
+    xa = np.asarray(x, dtype=np.float64)
+    if isinstance(d, ParetoI):
+        out = np.where(xa >= d.x0, d.alpha / d.x0 * (
+            d.x0 / np.maximum(xa, d.x0)) ** (d.alpha + 1.0), 0.0)
+    elif isinstance(d, ParetoII):
+        out = np.where(xa >= 0.0, d.b * np.exp(
+            -(d.b + 1.0) * np.log1p(np.maximum(xa, 0.0))), 0.0)
+    elif isinstance(d, LognormalBase10):
+        safe = np.maximum(xa, 1e-320)
+        z = (np.log10(safe) - d.mu) / d.sigma
+        out = np.where(xa > 0.0, np.exp(-0.5 * z * z) / (
+            safe * d.sigma * _LN10 * math.sqrt(2 * math.pi)), 0.0)
+    elif isinstance(d, UniformOnZeroK):
+        out = np.where((xa > 0.0) & (xa <= d.k), 1.0 / d.k, 0.0)
+    elif isinstance(d, Exponential):
+        out = np.where(xa >= 0.0,
+                       d.lam * np.exp(-d.lam * np.maximum(xa, 0.0)), 0.0)
+    elif isinstance(d, HalfNormal):
+        z = np.maximum(xa, 0.0) / d.sigma
+        out = np.where(xa >= 0.0, math.sqrt(2.0 / math.pi) / d.sigma
+                       * np.exp(-0.5 * z * z), 0.0)
+    else:
+        raise ValueError(f"no density for {d.label()}")
+    return out if np.ndim(x) else float(out)
 
 
 def derivative(transform, x):
@@ -57,7 +91,7 @@ def sup_ratio_numeric(distribution, transform):
 
     def val(lg):
         x = 10.0 ** lg
-        return float(distribution.pdf(np.asarray([x]))[0]
+        return float(density(distribution, np.asarray([x]))[0]
                      / derivative(transform, np.asarray([x]))[0])
 
     lg_lo = float(distribution.ppf_log10(1e-13))

@@ -305,7 +305,7 @@ class TestBoundCertificates:
 
     def test_violation_detected(self):
         class Liar(Exponential):
-            def sup_x_pdf(self):
+            def sup_x_pow_pdf(self, k):
                 return 1e-9, 1.0
 
         with pytest.raises(CertificateViolation):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -169,12 +170,14 @@ def test_analyze_text_bytes_are_pinned(capsys, name):
 @pytest.mark.parametrize("name, argv", [
     ("half_normal", ("--params", "1,10,100", "--transform", "sqrt")),
     ("lognormal10", ("--params", "0,2;0,3")),
+    ("pareto_ii", ("--params", "1e8,1e12,1e20", "--transform", "log10")),
 ])
 def test_bounds_text_bytes_are_pinned(capsys, name, argv):
     # laws summed from erfc cells; CI compares the console script's output
     # with the same files. lognormal10's discrepancy column is float noise
     # (the true value of its cells is 1.24e-15 and 1.76e-14), so its bytes
-    # pin the erfc kernel's rounding too
+    # pin the erfc kernel's rounding too. pareto_ii's ratio_sup reads
+    # ln 10/e = 0.847074 on every row: its closed form does not round 1 + x
     code, out, err = run(capsys, "bounds", name, *argv)
     assert (code, err) == (0, "")
     pinned = Path(__file__).parent / "fixtures" / f"bounds_{name}.txt"
@@ -289,6 +292,19 @@ def test_argmax_outside_double_range_exits_one(capsys):
     assert code == 1 and out == ""
     assert err.startswith("error:") and "double range" in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("transform", ["loglog", "sqrt", "log10"])
+def test_pareto_i_with_x0_above_one(capsys, transform):
+    # x0**alpha overflowed in the loglog supremum, and the survival
+    # function's exponent overflowed below the support
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "bounds", "pareto_i", "--params",
+                             "2000,2;2000,3", "--transform", transform)
+    assert (code, err) == (0, "")
+    assert [ln.split()[0] for ln in out.splitlines()[3:]] == \
+        ["2000,2", "2000,3"]
 
 
 def test_parameter_count_names_the_parameters(capsys):
