@@ -132,8 +132,7 @@ def mod1_law(distribution, transform, zs=None, tail=1e-14,
 
 def discrepancy_bound(distribution, transform):
     """Certified ceiling 2*sup(pdf/u') for the mod-1 discrepancy."""
-    m, _ = sup_ratio(distribution, transform)
-    return 2.0 * m
+    return 2.0 * sup_ratio(distribution, transform)
 
 
 @dataclass(frozen=True)
@@ -146,8 +145,7 @@ class BoundCertificate:
     error_budget: float
 
 
-def certify_mod1_bound(distribution, transform, zs=None, tail=1e-14,
-                       max_cells=5_000_000):
+def certify_mod1_bound(distribution, transform):
     """Measure the law and check it against its ceiling.
 
     Raises CertificateViolation when the measured discrepancy exceeds
@@ -155,8 +153,7 @@ def certify_mod1_bound(distribution, transform, zs=None, tail=1e-14,
     the ceiling itself does not exist.
     """
     bound = discrepancy_bound(distribution, transform)
-    res = mod1_law(distribution, transform, zs=zs, tail=tail,
-                   max_cells=max_cells)
+    res = mod1_law(distribution, transform)
     slack = bound + res.error_budget - res.discrepancy
     if slack < 0.0:
         raise CertificateViolation(

@@ -1,15 +1,16 @@
-"""Positive continuous families with log10-stable tails and analytic
-derivative-ratio suprema.
+"""Positive continuous families, each stated once: its law on the log10
+axis and the supremum of pdf/u' as a value.
 
-Each family exposes vectorized cdf/sf/ppf plus log10-domain variants
-(cdf_log10 etc.) that stay finite where the plain forms overflow a double:
-heavy Pareto tails at survival 1e-14 live thousands of decades up. The
-discrepancy bounds are built from the supremum of pdf/u' over the support.
-For every power map u' is a constant times x**-k, so that supremum is the
-constant times sup x**k * pdf(x); each family gives the latter as one
-closed form in k, `sup_x_pow_pdf(k)`, and the iterated log separately as
-`sup_loglog`. The tests check both against mpmath and against a
-golden-section maximizer of their own.
+mod1_law reads a family only through cdf_log10/sf_log10 (the law at
+x = 10**lg) and ppf_log10/isf_log10 (its window); on that axis the law
+stays finite where x itself overflows a double: heavy Pareto tails at
+survival 1e-14 live thousands of decades up. ppf and sample are for
+sampling. The discrepancy bounds are built from the supremum of pdf/u'
+over the support. For every power map u' is a constant times x**-k, so
+that supremum is the constant times sup x**k * pdf(x); each family gives
+the latter as one closed form in k, `sup_x_pow_pdf(k)`, and the iterated
+log separately as `sup_loglog`. The tests check both against mpmath and
+against a golden-section maximizer of their own.
 """
 
 import inspect
@@ -37,6 +38,12 @@ def _maybe_scalar(out, x):
     return out if np.ndim(x) else float(out)
 
 
+def _pow10(lg):
+    """10**lg for an array of log10 abscissae, inf where it overflows."""
+    with np.errstate(over="ignore"):
+        return np.power(10.0, lg)
+
+
 def _pow(x, y):
     """x**y for doubles, inf where it overflows."""
     try:
@@ -53,7 +60,11 @@ def _normal(v):
 class Distribution:
     """Base for positive continuous families.
 
-    support_lo/support_hi bound the support.
+    Each family defines its law on the log10 axis, cdf_log10(lg) and
+    sf_log10(lg) at x = 10**lg, and its quantiles ppf (x for sampling)
+    and ppf_log10/isf_log10 (log10 x for the window); sup_x_pow_pdf and
+    sup_loglog return the supremum as a float. support_lo/support_hi
+    bound the support.
     """
 
     name = "?"
@@ -64,26 +75,8 @@ class Distribution:
     def label(self):
         return self.name
 
-    def cdf(self, x):
-        raise NotImplementedError
-
-    def sf(self, x):
-        x = _as_array(x)
-        return _maybe_scalar(1.0 - self.cdf(x), x)
-
     def ppf(self, q):
         raise NotImplementedError
-
-    # log10-domain forms; subclasses override where the defaults overflow
-    def cdf_log10(self, lg):
-        lg = _as_array(lg)
-        with np.errstate(over="ignore"):
-            return _maybe_scalar(self.cdf(np.power(10.0, lg)), lg)
-
-    def sf_log10(self, lg):
-        lg = _as_array(lg)
-        with np.errstate(over="ignore"):
-            return _maybe_scalar(self.sf(np.power(10.0, lg)), lg)
 
     def ppf_log10(self, q):
         q = _as_array(q)
@@ -97,7 +90,7 @@ class Distribution:
     def sample(self, n, seed):
         return SeededSampler(self, seed).draw(n)
 
-    # closed-form suprema; each returns (value, argmax)
+    # closed-form suprema, each a float
     def sup_x_pow_pdf(self, k):
         """sup over the support of x**k * pdf(x), for the exponent k of a
         power map (Transform.sup_ratio); k >= 0 where the density reaches
@@ -125,22 +118,6 @@ class ParetoI(Distribution):
         self.x0 = float(x0)
         self.support_lo = self.x0
         self.name = f"pareto_i(alpha={alpha:g}, x0={x0:g})"
-
-    def cdf(self, x):
-        x = _as_array(x)
-        out = np.where(x >= self.x0,
-                       -np.expm1(self.alpha
-                                 * np.log(self.x0 / np.maximum(x, self.x0))),
-                       0.0)
-        return _maybe_scalar(out, x)
-
-    def sf(self, x):
-        x = _as_array(x)
-        out = np.where(x >= self.x0,
-                       np.exp(self.alpha
-                              * np.log(self.x0 / np.maximum(x, self.x0))),
-                       1.0)
-        return _maybe_scalar(out, x)
 
     def ppf(self, q):
         q = _as_array(q)
@@ -176,9 +153,9 @@ class ParetoI(Distribution):
         # normal doubles
         power = _pow(self.x0, 1.0 - k)
         if _normal(power):
-            return self.alpha / power, self.x0
+            return self.alpha / power
         return _pow(10.0, math.log10(self.alpha)
-                    - (1.0 - k) * math.log10(self.x0)), self.x0
+                    - (1.0 - k) * math.log10(self.x0))
 
     def sup_loglog(self):
         if self.x0 < 1.0:
@@ -186,18 +163,12 @@ class ParetoI(Distribution):
                 "iterated log is undefined on part of the support of "
                 f"{self.label()}")
         # ratio = ln 10 * alpha * (x0/x)**alpha * ln x peaks where
-        # ln x = 1/alpha; ln x is kept exact rather than read back from x
+        # ln x = 1/alpha; only ln x enters, so x itself may lie past the
+        # largest double
         ln_x0 = math.log(self.x0)
         ln_xs = max(ln_x0, 1.0 / self.alpha)
-        try:
-            xs = self.x0 if ln_xs == ln_x0 else math.exp(ln_xs)
-        except OverflowError:
-            raise InvalidParameter(
-                f"{self.name}: the supremum's argmax e**{1.0 / self.alpha:.6g}"
-                f" lies outside the double range") from None
-        val = (_LN10 * self.alpha * math.exp(self.alpha * (ln_x0 - ln_xs))
-               * ln_xs)
-        return val, xs
+        return (_LN10 * self.alpha * math.exp(self.alpha * (ln_x0 - ln_xs))
+                * ln_xs)
 
 
 class ParetoII(Distribution):
@@ -210,19 +181,6 @@ class ParetoII(Distribution):
             raise InvalidParameter("ParetoII needs b > 0")
         self.b = float(b)
         self.name = f"pareto_ii(b={b:g})"
-
-    def cdf(self, x):
-        x = _as_array(x)
-        out = np.where(x >= 0.0,
-                       -np.expm1(-self.b * np.log1p(np.maximum(x, 0.0))),
-                       0.0)
-        return _maybe_scalar(out, x)
-
-    def sf(self, x):
-        x = _as_array(x)
-        out = np.where(x >= 0.0,
-                       np.exp(-self.b * np.log1p(np.maximum(x, 0.0))), 1.0)
-        return _maybe_scalar(out, x)
 
     def ppf(self, q):
         q = _as_array(q)
@@ -262,8 +220,7 @@ class ParetoII(Distribution):
         # d/dx ln(x**k * (1 + x)**-(b + 1)) vanishes at k/(b + 1 - k); the
         # origin for k = 0. log1p keeps 1 + xs from rounding at large b
         xs = k / (self.b + (1.0 - k))
-        return (self.b * xs ** k
-                * math.exp(-(self.b + 1.0) * math.log1p(xs))), xs
+        return self.b * xs ** k * math.exp(-(self.b + 1.0) * math.log1p(xs))
 
 
 class LognormalBase10(Distribution):
@@ -275,20 +232,6 @@ class LognormalBase10(Distribution):
         self.mu = float(mu)
         self.sigma = float(sigma)
         self.name = f"lognormal10(mu={mu:g}, sigma={sigma:g})"
-
-    def cdf(self, x):
-        x = _as_array(x)
-        safe = np.maximum(x, 1e-320)
-        out = np.where(x > 0.0, normal_cdf(
-            (np.log10(safe) - self.mu) / self.sigma), 0.0)
-        return _maybe_scalar(out, x)
-
-    def sf(self, x):
-        x = _as_array(x)
-        safe = np.maximum(x, 1e-320)
-        out = np.where(x > 0.0, normal_sf(
-            (np.log10(safe) - self.mu) / self.sigma), 1.0)
-        return _maybe_scalar(out, x)
 
     def ppf(self, q):
         q = _as_array(q)
@@ -320,26 +263,24 @@ class LognormalBase10(Distribution):
         log10 x = mu - c*sigma**2*ln 10, where the Gaussian factor is
         exp(-(c*sigma*ln 10)**2 / 2). The product is taken in doubles;
         where x**-c, that factor or the product leaves the normal double
-        range, the same closed form is taken in log10 space instead.
-        InvalidParameter when a normal double cannot hold the argmax.
+        range, or the argmax x itself does, the same closed form is taken
+        in log10 space instead.
         """
         c = 1.0 - k
         lg = self.mu - c * self.sigma * self.sigma * _LN10
-        xs = _pow(10.0, lg)
-        if not _normal(xs):
-            raise InvalidParameter(
-                f"{self.name}: the supremum's argmax 10**{lg:.6g} lies "
-                f"outside the double range")
         g = c * self.sigma * _LN10
         gauss_ln = -0.5 * g * g
         scale = self.sigma * _LN10 * _SQRT_2PI
-        power = _pow(xs, -c)
+        xs = _pow(10.0, lg)
+        # 0.0 ** -c raises and a subnormal xs has lost bits; x**0 is 1
+        # wherever x lies, so the log10 scale keeps its exact 1/scale
+        power = _pow(xs, -c) if c == 0.0 or _normal(xs) else 0.0
         value = power * math.exp(gauss_ln) / scale
         if not (_normal(power) and gauss_ln >= _LN_DOUBLE_MIN
                 and _normal(value)):
             value = _pow(10.0, -c * lg + gauss_ln / _LN10
                          - math.log10(scale))
-        return value, xs
+        return value
 
 
 class UniformOnZeroK(Distribution):
@@ -354,9 +295,14 @@ class UniformOnZeroK(Distribution):
         self.support_hi = self.k
         self.name = f"uniform(0,{k:g}]"
 
-    def cdf(self, x):
-        x = _as_array(x)
-        return _maybe_scalar(np.clip(x / self.k, 0.0, 1.0), x)
+    def cdf_log10(self, lg):
+        lg = _as_array(lg)
+        return _maybe_scalar(np.clip(_pow10(lg) / self.k, 0.0, 1.0), lg)
+
+    def sf_log10(self, lg):
+        lg = _as_array(lg)
+        return _maybe_scalar(
+            1.0 - np.clip(_pow10(lg) / self.k, 0.0, 1.0), lg)
 
     def ppf(self, q):
         q = _as_array(q)
@@ -365,7 +311,7 @@ class UniformOnZeroK(Distribution):
     def sup_x_pow_pdf(self, k):
         # x**k times the flat density rises for k > 0 and is flat at k = 0:
         # the sup is at the right edge
-        return 1.0 / _pow(self.k, 1.0 - k), self.k
+        return 1.0 / _pow(self.k, 1.0 - k)
 
 
 class Exponential(Distribution):
@@ -379,16 +325,13 @@ class Exponential(Distribution):
         self.lam = float(lam)
         self.name = f"exponential(lam={lam:g})"
 
-    def cdf(self, x):
-        x = _as_array(x)
-        out = np.where(x >= 0.0, -np.expm1(-self.lam * np.maximum(x, 0.0)),
-                       0.0)
-        return _maybe_scalar(out, x)
+    def cdf_log10(self, lg):
+        lg = _as_array(lg)
+        return _maybe_scalar(-np.expm1(-self.lam * _pow10(lg)), lg)
 
-    def sf(self, x):
-        x = _as_array(x)
-        out = np.where(x >= 0.0, np.exp(-self.lam * np.maximum(x, 0.0)), 1.0)
-        return _maybe_scalar(out, x)
+    def sf_log10(self, lg):
+        lg = _as_array(lg)
+        return _maybe_scalar(np.exp(-self.lam * _pow10(lg)), lg)
 
     def ppf(self, q):
         q = _as_array(q)
@@ -401,7 +344,7 @@ class Exponential(Distribution):
 
     def sup_x_pow_pdf(self, k):
         # x**k * lam * exp(-lam*x) peaks at k/lam: (k/e)**k * lam**(1 - k)
-        return (k / math.e) ** k * self.lam ** (1.0 - k), k / self.lam
+        return (k / math.e) ** k * self.lam ** (1.0 - k)
 
 
 class HalfNormal(Distribution):
@@ -415,17 +358,13 @@ class HalfNormal(Distribution):
         self.sigma = float(sigma)
         self.name = f"half_normal(sigma={sigma:g})"
 
-    def cdf(self, x):
-        x = _as_array(x)
-        out = np.where(x >= 0.0,
-                       erf(np.maximum(x, 0.0) / (self.sigma * _SQRT2)), 0.0)
-        return _maybe_scalar(out, x)
+    def cdf_log10(self, lg):
+        lg = _as_array(lg)
+        return _maybe_scalar(erf(_pow10(lg) / (self.sigma * _SQRT2)), lg)
 
-    def sf(self, x):
-        x = _as_array(x)
-        out = np.where(x >= 0.0,
-                       erfc(np.maximum(x, 0.0) / (self.sigma * _SQRT2)), 1.0)
-        return _maybe_scalar(out, x)
+    def sf_log10(self, lg):
+        lg = _as_array(lg)
+        return _maybe_scalar(erfc(_pow10(lg) / (self.sigma * _SQRT2)), lg)
 
     def ppf(self, q):
         q = _as_array(q)
@@ -454,7 +393,7 @@ class HalfNormal(Distribution):
     def sup_x_pow_pdf(self, k):
         # x**k * exp(-x**2/(2*sigma**2)) peaks at sigma*sqrt(k)
         return (_SQRT_2_OVER_PI * (k / math.e) ** (0.5 * k)
-                / self.sigma ** (1.0 - k)), self.sigma * math.sqrt(k)
+                / self.sigma ** (1.0 - k))
 
 
 DISTRIBUTIONS = {
@@ -534,7 +473,7 @@ class SeededSampler:
 # sup of pdf/u' over the support
 
 def sup_ratio(distribution, transform):
-    """(sup of pdf/u', argmax) for the discrepancy bounds.
+    """sup of pdf/u' over the support, for the discrepancy bounds.
 
     For a power map this is the map's constant factor times the family's
     one closed form sup_x_pow_pdf(k) (Transform.sup_ratio); the iterated
@@ -542,11 +481,11 @@ def sup_ratio(distribution, transform):
     unbounded (k < 0, as for pi*x**2, with density reaching the origin),
     HypothesisViolated when u is undefined on part of the support
     (iterated log with mass at or below 1) and InvalidParameter when a
-    normal double cannot hold the supremum or its argmax.
+    normal double cannot hold the supremum.
     """
-    value, xs = transform.sup_ratio(distribution)
+    value = transform.sup_ratio(distribution)
     if not _normal(value):
         raise InvalidParameter(
             f"{distribution.name}: the supremum lies outside the double "
             f"range")
-    return value, xs
+    return value

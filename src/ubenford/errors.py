@@ -16,9 +16,9 @@ class InvalidParameter(UBenfordError):
 class InsufficientPrecision(UBenfordError):
     """A value's certified bits cannot cover the requested fractional bits.
 
-    BigReal.frac refuses with it; the certifier (eval_transform) raises it
-    for an inexact input once doubling the working precision gains no
-    certified bits.
+    BigReal.frac refuses with it; the certifier (_Certifier.certify in
+    transforms.py) raises it for an inexact input once doubling the
+    working precision gains no certified bits.
     Callers are expected to regenerate the input at more bits and retry
     (frac_sample doubles them); this is a control-flow signal, not a
     fatal condition.

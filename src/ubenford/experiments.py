@@ -279,8 +279,7 @@ class BoundSweepReport:
     rows: tuple
 
 
-def bound_sweep(family, params, transform=LOG10, tail=1e-14,
-                max_cells=5_000_000):
+def bound_sweep(family, params, transform=LOG10):
     """certify_mod1_bound at each point of a parameter path.
 
     A point is a number (one-parameter families) or a sequence of numbers,
@@ -295,8 +294,7 @@ def bound_sweep(family, params, transform=LOG10, tail=1e-14,
         point = tuple(param) if isinstance(param, (tuple, list)) else (param,)
         dist = parse_distribution(
             f"{family}:{','.join(str(p) for p in point)}")
-        cert = certify_mod1_bound(dist, transform, tail=tail,
-                                  max_cells=max_cells)
+        cert = certify_mod1_bound(dist, transform)
         rows.append(SweepRow(
             parameter=(float(point[0]) if len(point) == 1
                        else tuple(float(p) for p in point)),

@@ -157,8 +157,8 @@ class Transform:
     x, inf where a double overflows);
     `inverse_log10` (vectorized log10 of the preimage, -inf below the
     image); `power`, the pair (k, factor) of a power map, whose
-    u' = x**-k / factor, so that `sup_ratio` (sup of pdf/u' and its
-    argmax for a distribution) is factor times the family's one closed
+    u' = x**-k / factor, so that `sup_ratio` (sup of pdf/u' for a
+    distribution, a float) is factor times the family's one closed
     form sup_x_pow_pdf(k); `formula`, the map as the refusal names it
     where k < 0 leaves that sup unbounded; a map that is no power
     (LogLog) overrides `sup_ratio`; `lg_domain_lo`, log10 of the domain's
@@ -184,7 +184,7 @@ class Transform:
         return self.kind
 
     def sup_ratio(self, distribution):
-        """(sup of pdf/u', argmax) = factor * sup of x**k * pdf(x).
+        """sup of pdf/u' = factor * sup of x**k * pdf(x).
 
         With k < 0 the ratio grows without bound toward the origin, so a
         density that reaches it raises NotUnimodal.
@@ -194,8 +194,7 @@ class Transform:
             raise NotUnimodal(
                 f"pdf/u' for {self.formula} is unbounded near 0 for "
                 f"{distribution.label()}")
-        value, xs = distribution.sup_x_pow_pdf(k)
-        return value * factor, xs
+        return distribution.sup_x_pow_pdf(k) * factor
 
     @staticmethod
     def parse(text):

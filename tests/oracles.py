@@ -3,12 +3,14 @@
 `density` is the pdf of a package family and `derivative` is u' of a
 transform, both in doubles; sup_ratio_numeric maximizes pdf/u'
 numerically: the independent route for the package's closed-form suprema
-(`ubenford.distributions.sup_ratio`).
+(`ubenford.distributions.sup_ratio`). `argmax` is where pdf/u' peaks, in
+mpmath, from the first-order condition; the package returns no argmax.
 """
 
 import math
 
 import numpy as np
+from mpmath import mp, mpf
 
 from ubenford.distributions import (Exponential, HalfNormal,
                                     LognormalBase10, ParetoI, ParetoII,
@@ -18,6 +20,9 @@ from ubenford.errors import DomainError, HypothesisViolated, NotUnimodal
 _LN10 = math.log(10.0)
 
 _GOLDEN_REL_TOL = 1e-10  # golden-section stop, relative to the log-x span
+
+# pdf/u' = x**k * pdf up to a constant for each power map
+_K = {"identity": 0, "log": 1, "sqrt": mpf(1) / 2, "pi_square": -1}
 
 
 def _require(ok, message):
@@ -154,3 +159,24 @@ def sup_ratio_numeric(distribution, transform):
             fd = val(d)
     t = 0.5 * (a + b)
     return val(t), 10.0 ** t
+
+
+def argmax(d, t):
+    """Where pdf/u' peaks, an mpf: zero of its log-derivative, or a support
+    edge. Only ParetoI has a loglog supremum; the argmax may lie past the
+    largest double."""
+    if t.kind == "loglog":
+        ln_xs = 1 / mpf(d.alpha)
+        return mp.exp(ln_xs) if ln_xs > mp.log(d.x0) else mpf(d.x0)
+    k = _K[t.kind]
+    if isinstance(d, ParetoI):
+        return mpf(d.x0)
+    if isinstance(d, ParetoII):
+        return k / (mpf(d.b) + 1 - k)
+    if isinstance(d, LognormalBase10):
+        return mpf(10) ** (d.mu - (1 - k) * mpf(d.sigma) ** 2 * mp.log(10))
+    if isinstance(d, UniformOnZeroK):
+        return mpf(d.k)
+    if isinstance(d, Exponential):
+        return k / mpf(d.lam)
+    return d.sigma * mp.sqrt(k)

@@ -306,7 +306,7 @@ class TestBoundCertificates:
     def test_violation_detected(self):
         class Liar(Exponential):
             def sup_x_pow_pdf(self, k):
-                return 1e-9, 1.0
+                return 1e-9
 
         with pytest.raises(CertificateViolation):
             certify_mod1_bound(Liar(1.0), LOG10)

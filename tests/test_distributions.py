@@ -1,6 +1,7 @@
 """Distribution families, their log10-stable tails, and the pdf/u' suprema.
 
-scipy.stats supplies independent pdf/cdf/ppf references. The closed-form
+scipy.stats supplies independent pdf/cdf/ppf references; a family's law
+is checked on the log10 axis, at x = 10**lg. The closed-form
 suprema are checked three ways: against the golden-section route, against a
 dense grid built from scipy densities, and for exception parity on the
 degenerate (family, transform) pairs.
@@ -15,7 +16,7 @@ import scipy.integrate
 import scipy.stats
 from mpmath import mp, mpf
 
-from oracles import density, sup_ratio_numeric
+from oracles import argmax, density, sup_ratio_numeric
 from ubenford.bounds import discrepancy_bound
 
 from ubenford.distributions import (DISTRIBUTIONS, Exponential, HalfNormal,
@@ -81,10 +82,11 @@ class TestAgainstScipy:
 
     def test_cdf_sf(self, dist):
         ref = scipy_twin(dist)
-        x = ref.ppf(np.linspace(0.001, 0.999, 99))
-        np.testing.assert_allclose(dist.cdf(x), ref.cdf(x),
+        lg = np.log10(ref.ppf(np.linspace(0.001, 0.999, 99)))
+        x = 10.0 ** lg
+        np.testing.assert_allclose(dist.cdf_log10(lg), ref.cdf(x),
                                    rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(dist.sf(x), ref.sf(x),
+        np.testing.assert_allclose(dist.sf_log10(lg), ref.sf(x),
                                    rtol=1e-12, atol=1e-15)
 
     def test_ppf(self, dist):
@@ -129,40 +131,38 @@ class TestShapeAndSupport:
 
     def test_pdf_zero_outside_support(self, dist):
         assert density(dist, dist.support_lo - 1.0) == 0.0
-        assert dist.cdf(dist.support_lo - 1.0) == 0.0
-        assert dist.sf(dist.support_lo - 1.0) == 1.0
+        # a decade below the support, or x = 0 where the support starts
+        # at the origin
+        below = (math.log10(dist.support_lo) - 1.0 if dist.support_lo > 0.0
+                 else -math.inf)
+        assert dist.cdf_log10(below) == 0.0
+        assert dist.sf_log10(below) == 1.0
         if math.isfinite(dist.support_hi):
             assert density(dist, dist.support_hi * 1.5) == 0.0
-            assert dist.cdf(dist.support_hi * 1.5) == 1.0
+            assert dist.cdf_log10(math.log10(dist.support_hi * 1.5)) == 1.0
 
     def test_cdf_ppf_roundtrip(self, dist):
         q = np.linspace(1e-10, 1.0 - 1e-10, 201)
-        np.testing.assert_allclose(dist.cdf(dist.ppf(q)), q,
+        np.testing.assert_allclose(dist.cdf_log10(dist.ppf_log10(q)), q,
                                    rtol=5e-12, atol=5e-14)
 
     def test_cdf_plus_sf(self, dist):
-        x = dist.ppf(np.linspace(0.01, 0.99, 51))
-        np.testing.assert_allclose(dist.cdf(x) + dist.sf(x), 1.0,
-                                   rtol=0, atol=1e-14)
+        lg = dist.ppf_log10(np.linspace(0.01, 0.99, 51))
+        np.testing.assert_allclose(dist.cdf_log10(lg) + dist.sf_log10(lg),
+                                   1.0, rtol=0, atol=1e-14)
 
     def test_scalar_passthrough(self, dist):
         x = float(dist.ppf(0.37))
         assert isinstance(x, float)
-        assert isinstance(dist.sf(x), float)
-        assert isinstance(dist.cdf_log10(math.log10(x)), float)
-        arr = dist.sf(np.array([x, x]))
+        lg = float(dist.ppf_log10(0.37))
+        assert isinstance(dist.sf_log10(lg), float)
+        assert isinstance(dist.cdf_log10(lg), float)
+        arr = dist.sf_log10(np.array([lg, lg]))
         assert isinstance(arr, np.ndarray)
 
 
 class TestLog10Forms:
     def test_match_plain_forms_in_range(self, dist):
-        lg = np.log10(dist.ppf(np.linspace(0.01, 0.99, 61)))
-        np.testing.assert_allclose(dist.cdf_log10(lg),
-                                   dist.cdf(10.0 ** lg),
-                                   rtol=1e-11, atol=1e-14)
-        np.testing.assert_allclose(dist.sf_log10(lg),
-                                   dist.sf(10.0 ** lg),
-                                   rtol=1e-11, atol=1e-14)
         q = np.linspace(1e-6, 1 - 1e-6, 61)
         np.testing.assert_allclose(dist.ppf_log10(q),
                                    np.log10(dist.ppf(q)), atol=1e-10)
@@ -227,15 +227,14 @@ class TestSupRatio:
     @pytest.mark.parametrize("d,t,expected", FROZEN_SUPS,
                              ids=lambda v: getattr(v, "kind", None) and None)
     def test_frozen_values(self, d, t, expected):
-        val, _ = sup_ratio(d, t)
-        assert val == pytest.approx(expected, rel=1e-12)
+        assert sup_ratio(d, t) == pytest.approx(expected, rel=1e-12)
 
     def test_closed_forms_match_golden_section(self):
         checked = 0
         for d in INSTANCES:
             for t in TRANSFORMS:
                 try:
-                    a_val, _ = sup_ratio(d, t)
+                    a_val = sup_ratio(d, t)
                 except (NotUnimodal, HypothesisViolated) as exc:
                     with pytest.raises(type(exc)):
                         sup_ratio_numeric(d, t)
@@ -258,9 +257,10 @@ class TestSupRatio:
     ], ids=lambda v: getattr(v, "label", lambda: getattr(v, "kind", ""))())
     def test_scipy_grid_oracle(self, d, t):
         # dense scipy-density grid around the quantile window, widened to
-        # cover the analytic argmax; checks both routes against a third
+        # cover the oracle's argmax; checks both routes against a third
         ref = scipy_twin(d)
-        val, xs = sup_ratio(d, t)
+        val = sup_ratio(d, t)
+        xs = float(argmax(d, t))
         lo = float(ref.ppf(1e-12))
         hi = float(ref.isf(1e-12))
         if xs > 0.0:
@@ -306,16 +306,20 @@ class TestSupRatio:
             sup_ratio_numeric(d, LOGLOG)
 
     def test_scale_ratio_is_identity_sup(self):
+        # x * pdf(x) peaks at x = 1/lam, where it is 1/e for every lam
         d = Exponential(3.0)
-        val, xs = d.sup_x_pow_pdf(1.0)
+        val = d.sup_x_pow_pdf(1.0)
+        xs = float(argmax(d, LOG10))
         assert val == pytest.approx(1.0 / math.e, rel=1e-12)
         assert xs == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert val == pytest.approx(xs * density(d, xs), rel=1e-12)
 
 
 class TestLognormalSupremaRange:
     """LognormalBase10 suprema once the argmax 10**(mu - c*sigma**2*ln 10)
-    nears the edge of the double range: a value a double holds, or
-    InvalidParameter; never 0, never a traceback."""
+    nears or leaves the edge of the double range: a value a double holds,
+    or InvalidParameter where the value itself does not fit; never 0,
+    never a traceback."""
 
     # transform, c in the argmax exponent, the factor k*x**(1-c) on pdf
     CASES = ((IDENTITY, 1, lambda x: 1),
@@ -342,18 +346,20 @@ class TestLognormalSupremaRange:
         for sigma in np.arange(8.0, 45.0 + 1e-9, 0.05):
             d = LognormalBase10(mu, float(sigma))
             try:
-                val, xs = sup_ratio(d, transform)
+                val = sup_ratio(d, transform)
             except InvalidParameter:
                 with pytest.raises(InvalidParameter):
                     discrepancy_bound(d, transform)
+                # refused only where a normal double cannot hold it
+                assert not (sys.float_info.min
+                            <= self.mp_sup(mu, sigma, c, factor) < math.inf)
                 refused += 1
                 continue
-            assert sys.float_info.min <= xs < math.inf
             assert sys.float_info.min <= val < math.inf
             assert val == pytest.approx(
                 self.mp_sup(mu, sigma, c, factor), rel=1e-12)
             assert discrepancy_bound(d, transform) == 2.0 * val
-        # the argmax leaves the double range well before sigma = 45
+        # the supremum leaves the double range well before sigma = 45
         assert refused > 0
 
     @pytest.mark.parametrize("case", CASES, ids=lambda c: c[0].label())
@@ -371,25 +377,18 @@ class TestLognormalSupremaRange:
                 g = c * d.sigma * _LN10
                 direct = (xs ** -c * math.exp(-0.5 * g * g)
                           / (d.sigma * _LN10 * math.sqrt(2 * math.pi)))
-                assert sup_ratio(d, transform) == (direct * factor, xs)
+                assert sup_ratio(d, transform) == direct * factor
 
-    @pytest.mark.parametrize("sigma", (0.5, 2.0))
+    @pytest.mark.parametrize("sigma", (0.5, 1.0, 2.0))
     def test_log_scale_mu_minus_400_to_400(self, sigma):
         # under log10 the ratio is ln 10 * x * pdf, peaking at x = 10**mu;
-        # its value 1/(sigma*sqrt(2*pi)) never leaves the double range
+        # its value 1/(sigma*sqrt(2*pi)) never leaves the double range,
+        # and is the same double wherever the argmax lies
         peak = 1.0 / (sigma * _LN10 * math.sqrt(2 * math.pi)) * math.log(10)
         for mu in np.arange(-400.0, 400.0 + 1e-9, 0.25):
             d = LognormalBase10(float(mu), sigma)
-            try:
-                val, xs = sup_ratio(d, LOG10)
-            except InvalidParameter:
-                with pytest.raises(InvalidParameter):
-                    discrepancy_bound(d, LOG10)
-                assert not -307.0 <= mu <= 308.0, mu
-                continue
-            assert -308.5 <= mu <= 308.5, mu
-            assert sys.float_info.min <= xs < math.inf
-            assert (val, xs) == (peak, 10.0 ** mu)
+            val = sup_ratio(d, LOG10)
+            assert val == peak, mu
             assert discrepancy_bound(d, LOG10) == 2.0 * val
 
 
