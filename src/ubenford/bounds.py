@@ -24,7 +24,6 @@ import numpy as np
 from .distributions import sup_ratio
 from .errors import TruncationFailure, CertificateViolation
 
-_LN10 = math.log(10.0)
 _SQRT_PI = math.sqrt(math.pi)
 _EPS = float(np.finfo(np.float64).eps)
 _CHUNK = 1 << 16
@@ -55,9 +54,11 @@ def mod1_law(distribution, transform, zs=None, tail=1e-14,
              max_cells=5_000_000):
     """P({u(X)} <= z) for each z, summed cell by cell.
 
-    The windowed support [ppf(tail), isf(tail)] fixes which integer cells
-    of u are enumerated; everything outside contributes at most 2*tail,
-    which lands in the returned error budget rather than in the numbers.
+    The family is read only on the log10 axis: ppf_log10/isf_log10 at
+    `tail` fix which integer cells of u are enumerated; everything outside
+    contributes at most 2*tail, which lands in the returned error budget
+    rather than in the numbers. Raises HypothesisViolated where u is
+    undefined on part of the support (Transform.check_support).
 
     Cells are taken _CHUNK at a time, and z rows in blocks of at most
     _CHUNK elements (one row when a chunk is full). Each row is reduced
@@ -69,17 +70,10 @@ def mod1_law(distribution, transform, zs=None, tail=1e-14,
     zs = np.asarray(zs, dtype=np.float64)
     if not np.all((zs > 0.0) & (zs < 1.0)):
         raise ValueError("z grid must lie strictly inside (0, 1)")
+    transform.check_support(distribution)
 
     lg_lo = float(distribution.ppf_log10(tail))
     lg_hi = float(distribution.isf_log10(tail))
-    if distribution.support_lo > 0.0:
-        lg_lo = max(lg_lo, math.log10(distribution.support_lo))
-    if math.isfinite(distribution.support_hi):
-        lg_hi = min(lg_hi, math.log10(distribution.support_hi))
-    # u is defined above lg_domain_lo only (x > 1 for the iterated log);
-    # mass below it was rejected upstream by the hypothesis checks
-    lg_lo = max(lg_lo, transform.lg_domain_lo + 1e-300)
-
     u_lo = transform.u_float_from_log10(lg_lo)
     u_hi = transform.u_float_from_log10(lg_hi)
     if not (math.isfinite(u_lo) and math.isfinite(u_hi)):
@@ -90,21 +84,20 @@ def mod1_law(distribution, transform, zs=None, tail=1e-14,
     j_hi = math.floor(u_hi)
     cells = j_hi - j_lo + 1
     if cells > max_cells:
+        # float(j_hi) keeps a count past the doubles from raising
         raise TruncationFailure(
-            f"{cells} integer cells exceed the budget of {max_cells} for "
-            f"{distribution.label()} under {transform.label()}")
+            f"{float(j_hi) - j_lo + 1:.3g} integer cells exceed the budget "
+            f"of {max_cells:.3g} for {distribution.label()} under "
+            f"{transform.label()}")
 
     probs = np.zeros_like(zs)
     for start in range(j_lo, j_hi + 1, _CHUNK):
         j = np.arange(start, min(start + _CHUNK, j_hi + 1),
                       dtype=np.float64)
+        # a cell edge at x = 0 has lg = -inf, where cdf is 0 and sf is 1
         lg_left = transform.inverse_log10(j)
-        finite = np.isfinite(lg_left)
-        cdf_left = np.zeros_like(j)
-        sf_left = np.ones_like(j)
-        if finite.any():
-            cdf_left[finite] = distribution.cdf_log10(lg_left[finite])
-            sf_left[finite] = distribution.sf_log10(lg_left[finite])
+        cdf_left = distribution.cdf_log10(lg_left)
+        sf_left = distribution.sf_log10(lg_left)
         # upper-half cells difference survivals, the rest cdfs, so neither
         # side cancels against a value near 1
         use_sf = cdf_left >= 0.5
@@ -173,6 +166,11 @@ def _check_delta(delta):
         raise ValueError("delta must lie strictly inside (0, 1)")
 
 
+def _check_parameter(name, value):
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive")
+
+
 def p_delta_uniform(k, delta, max_cells=50_000_000):
     """P({pi*X**2} <= delta) for X uniform on (0, k], summed exactly.
 
@@ -180,14 +178,15 @@ def p_delta_uniform(k, delta, max_cells=50_000_000):
     sqrt(j))/a; the top cell is clamped at the image boundary a**2.
     """
     _check_delta(delta)
-    if not k > 0.0:
-        raise ValueError("k must be positive")
+    _check_parameter("k", k)
     a = k * _SQRT_PI
     a2 = a * a
-    n = math.ceil(a2)
-    if n > max_cells:
+    # compared as a float, so an a**2 past the doubles is refused too
+    if a2 > max_cells:
         raise TruncationFailure(
-            f"{n} cells exceed the budget of {max_cells} for k={k:g}")
+            f"{a2:.3g} cells exceed the budget of {max_cells:.3g} for "
+            f"k={k:g}")
+    n = math.ceil(a2)
     total = 0.0
     for start in range(0, n, _CHUNK * 16):
         j = np.arange(start, min(start + _CHUNK * 16, n), dtype=np.float64)
@@ -199,8 +198,7 @@ def p_delta_uniform(k, delta, max_cells=50_000_000):
 def p_delta_uniform_envelope(k, delta):
     """Two-sided envelope for p_delta_uniform, valid for every k > 0."""
     _check_delta(delta)
-    if not k > 0.0:
-        raise ValueError("k must be positive")
+    _check_parameter("k", k)
     a = k * _SQRT_PI
     a2 = a * a
     top = math.floor(a2 - delta) + 1.0
@@ -226,8 +224,7 @@ def p_delta_exponential(lam, delta, direct_terms=100_000):
     corrections, accurate to ~1e-11 absolute.
     """
     _check_delta(delta)
-    if not lam > 0.0:
-        raise ValueError("lam must be positive")
+    _check_parameter("lam", lam)
     mu = lam / _SQRT_PI
     total = 0.0
     j0 = 0
@@ -258,8 +255,7 @@ def p_delta_exponential(lam, delta, direct_terms=100_000):
 def p_delta_exponential_envelope(lam, delta):
     """Two-sided envelope for p_delta_exponential."""
     _check_delta(delta)
-    if not lam > 0.0:
-        raise ValueError("lam must be positive")
+    _check_parameter("lam", lam)
     mu = lam / _SQRT_PI
     edge = math.exp(-mu * math.sqrt(delta))
     return delta * edge, min(1.0 - edge + delta, 1.0)

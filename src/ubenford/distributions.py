@@ -2,15 +2,17 @@
 axis and the supremum of pdf/u' as a value.
 
 mod1_law reads a family only through cdf_log10/sf_log10 (the law at
-x = 10**lg) and ppf_log10/isf_log10 (its window); on that axis the law
-stays finite where x itself overflows a double: heavy Pareto tails at
+x = 10**lg), ppf_log10/isf_log10 (its window) and support_lo, the one
+edge the support rule Transform.check_support reads. On the log10 axis
+the law stays finite where x overflows a double: heavy Pareto tails at
 survival 1e-14 live thousands of decades up. ppf and sample are for
 sampling. The discrepancy bounds are built from the supremum of pdf/u'
 over the support. For every power map u' is a constant times x**-k, so
 that supremum is the constant times sup x**k * pdf(x); each family gives
-the latter as one closed form in k, `sup_x_pow_pdf(k)`, and the iterated
-log separately as `sup_loglog`. The tests check both against mpmath and
-against a golden-section maximizer of their own.
+the latter as one closed form in k, `sup_x_pow_pdf(k)`, and ParetoI, the
+one family the iterated log may take, `sup_loglog`. The tests check both
+against mpmath and a golden-section maximizer of their own. Every
+parameter is a finite double.
 """
 
 import inspect
@@ -19,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .errors import HypothesisViolated, InvalidParameter
+from .errors import InvalidParameter
 from .special import erf, erfc, normal_cdf, normal_sf, probit
 
 _LN10 = math.log(10.0)
@@ -38,10 +40,11 @@ def _maybe_scalar(out, x):
     return out if np.ndim(x) else float(out)
 
 
-def _pow10(lg):
-    """10**lg for an array of log10 abscissae, inf where it overflows."""
+def _pow10(lg, scale=1.0):
+    """10**lg / scale for an array of log10 abscissae, inf where it
+    overflows (a subnormal scale included)."""
     with np.errstate(over="ignore"):
-        return np.power(10.0, lg)
+        return np.power(10.0, lg) / scale
 
 
 def _pow(x, y):
@@ -57,19 +60,29 @@ def _normal(v):
     return _DOUBLE_MIN <= v < math.inf
 
 
+def _parameter(family, name, value, positive=True):
+    """value as a float; InvalidParameter naming it unless it is finite,
+    and positive where the family needs that."""
+    v = float(value)
+    if not math.isfinite(v) or (positive and not v > 0.0):
+        need = "finite and positive" if positive else "finite"
+        raise InvalidParameter(f"{family} needs {name} {need}, got {value!r}")
+    return v
+
+
 class Distribution:
     """Base for positive continuous families.
 
     Each family defines its law on the log10 axis, cdf_log10(lg) and
-    sf_log10(lg) at x = 10**lg, and its quantiles ppf (x for sampling)
-    and ppf_log10/isf_log10 (log10 x for the window); sup_x_pow_pdf and
-    sup_loglog return the supremum as a float. support_lo/support_hi
-    bound the support.
+    sf_log10(lg) at x = 10**lg (exactly 0 and 1 at lg = -inf), and its
+    quantiles ppf (x for sampling) and ppf_log10/isf_log10 (log10 x for
+    the window); sup_x_pow_pdf returns the supremum as a float. support_lo,
+    the left edge of the support, is what the support rule
+    (Transform.check_support) compares with a map's domain.
     """
 
     name = "?"
     support_lo = 0.0
-    support_hi = math.inf
     density_positive_at_origin = False
 
     def label(self):
@@ -80,7 +93,8 @@ class Distribution:
 
     def ppf_log10(self, q):
         q = _as_array(q)
-        return _maybe_scalar(np.log10(self.ppf(q)), q)
+        with np.errstate(divide="ignore"):  # -inf where ppf underflows
+            return _maybe_scalar(np.log10(self.ppf(q)), q)
 
     def isf_log10(self, p):
         """log10 of the upper quantile with survival mass p."""
@@ -97,13 +111,6 @@ class Distribution:
         the origin."""
         raise NotImplementedError
 
-    def sup_loglog(self):
-        if self.support_lo < 1.0:
-            raise HypothesisViolated(
-                f"iterated log is undefined on part of the support of "
-                f"{self.label()}")
-        raise NotImplementedError
-
     def __repr__(self):
         return f"<{self.label()}>"
 
@@ -112,10 +119,8 @@ class ParetoI(Distribution):
     """Power tail starting at x0: sf(x) = (x0/x)**alpha for x >= x0."""
 
     def __init__(self, alpha, x0=1.0):
-        if not (alpha > 0) or not (x0 > 0):
-            raise InvalidParameter("ParetoI needs alpha > 0 and x0 > 0")
-        self.alpha = float(alpha)
-        self.x0 = float(x0)
+        self.alpha = _parameter("ParetoI", "alpha", alpha)
+        self.x0 = _parameter("ParetoI", "x0", x0)
         self.support_lo = self.x0
         self.name = f"pareto_i(alpha={alpha:g}, x0={x0:g})"
 
@@ -158,10 +163,9 @@ class ParetoI(Distribution):
                     - (1.0 - k) * math.log10(self.x0))
 
     def sup_loglog(self):
-        if self.x0 < 1.0:
-            raise HypothesisViolated(
-                "iterated log is undefined on part of the support of "
-                f"{self.label()}")
+        """sup over the support of pdf(x) * x * ln x * ln 10, the ratio
+        for the iterated log; x0 >= 1, so that the map is defined on the
+        whole support (Transform.check_support)."""
         # ratio = ln 10 * alpha * (x0/x)**alpha * ln x peaks where
         # ln x = 1/alpha; only ln x enters, so x itself may lie past the
         # largest double
@@ -177,9 +181,7 @@ class ParetoII(Distribution):
     density_positive_at_origin = True
 
     def __init__(self, b):
-        if not (b > 0):
-            raise InvalidParameter("ParetoII needs b > 0")
-        self.b = float(b)
+        self.b = _parameter("ParetoII", "b", b)
         self.name = f"pareto_ii(b={b:g})"
 
     def ppf(self, q):
@@ -227,10 +229,8 @@ class LognormalBase10(Distribution):
     """log10(X) ~ Normal(mu, sigma**2)."""
 
     def __init__(self, mu, sigma):
-        if not (sigma > 0):
-            raise InvalidParameter("LognormalBase10 needs sigma > 0")
-        self.mu = float(mu)
-        self.sigma = float(sigma)
+        self.mu = _parameter("LognormalBase10", "mu", mu, positive=False)
+        self.sigma = _parameter("LognormalBase10", "sigma", sigma)
         self.name = f"lognormal10(mu={mu:g}, sigma={sigma:g})"
 
     def ppf(self, q):
@@ -289,20 +289,16 @@ class UniformOnZeroK(Distribution):
     density_positive_at_origin = True
 
     def __init__(self, k):
-        if not (k > 0):
-            raise InvalidParameter("UniformOnZeroK needs k > 0")
-        self.k = float(k)
-        self.support_hi = self.k
+        self.k = _parameter("UniformOnZeroK", "k", k)
         self.name = f"uniform(0,{k:g}]"
 
     def cdf_log10(self, lg):
         lg = _as_array(lg)
-        return _maybe_scalar(np.clip(_pow10(lg) / self.k, 0.0, 1.0), lg)
+        return _maybe_scalar(np.clip(_pow10(lg, self.k), 0.0, 1.0), lg)
 
     def sf_log10(self, lg):
         lg = _as_array(lg)
-        return _maybe_scalar(
-            1.0 - np.clip(_pow10(lg) / self.k, 0.0, 1.0), lg)
+        return _maybe_scalar(1.0 - self.cdf_log10(lg), lg)
 
     def ppf(self, q):
         q = _as_array(q)
@@ -320,9 +316,7 @@ class Exponential(Distribution):
     density_positive_at_origin = True
 
     def __init__(self, lam):
-        if not (lam > 0):
-            raise InvalidParameter("Exponential needs lam > 0")
-        self.lam = float(lam)
+        self.lam = _parameter("Exponential", "lam", lam)
         self.name = f"exponential(lam={lam:g})"
 
     def cdf_log10(self, lg):
@@ -339,7 +333,8 @@ class Exponential(Distribution):
 
     def isf_log10(self, p):
         p = _as_array(p)
-        out = np.log10(-np.log(p) / self.lam)
+        with np.errstate(over="ignore"):  # inf for a subnormal lam
+            out = np.log10(-np.log(p) / self.lam)
         return _maybe_scalar(out, p)
 
     def sup_x_pow_pdf(self, k):
@@ -353,18 +348,16 @@ class HalfNormal(Distribution):
     density_positive_at_origin = True
 
     def __init__(self, sigma):
-        if not (sigma > 0):
-            raise InvalidParameter("HalfNormal needs sigma > 0")
-        self.sigma = float(sigma)
+        self.sigma = _parameter("HalfNormal", "sigma", sigma)
         self.name = f"half_normal(sigma={sigma:g})"
 
     def cdf_log10(self, lg):
         lg = _as_array(lg)
-        return _maybe_scalar(erf(_pow10(lg) / (self.sigma * _SQRT2)), lg)
+        return _maybe_scalar(erf(_pow10(lg, self.sigma * _SQRT2)), lg)
 
     def sf_log10(self, lg):
         lg = _as_array(lg)
-        return _maybe_scalar(erfc(_pow10(lg) / (self.sigma * _SQRT2)), lg)
+        return _maybe_scalar(erfc(_pow10(lg, self.sigma * _SQRT2)), lg)
 
     def ppf(self, q):
         q = _as_array(q)
@@ -480,8 +473,8 @@ def sup_ratio(distribution, transform):
     log has its own, sup_loglog. Raises NotUnimodal when the ratio is
     unbounded (k < 0, as for pi*x**2, with density reaching the origin),
     HypothesisViolated when u is undefined on part of the support
-    (iterated log with mass at or below 1) and InvalidParameter when a
-    normal double cannot hold the supremum.
+    (Transform.check_support: the iterated log with mass below 1) and
+    InvalidParameter when a normal double cannot hold the supremum.
     """
     value = transform.sup_ratio(distribution)
     if not _normal(value):

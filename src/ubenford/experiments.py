@@ -123,12 +123,6 @@ class Table1Report:
     reruns: tuple
     flagged: tuple = INCONSISTENT_REFERENCE_CELLS
 
-    def cell(self, sequence, transform_label):
-        for c in self.cells:
-            if c.sequence == sequence and c.transform == transform_label:
-                return c
-        raise KeyError((sequence, transform_label))
-
 
 def run_table1(n_fast=10000, n_slow=1000, workers=1, policy=DEFAULT_POLICY):
     """The full sequence-by-transform KS table.

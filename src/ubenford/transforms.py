@@ -22,8 +22,8 @@ from math import isqrt
 import numpy as np
 
 from .bigreal import _FRAC_OUT_BITS, DEFAULT_POLICY, BigReal, _frac_double
-from .errors import DomainError, InsufficientPrecision, NotUnimodal, \
-    PrecisionCapExceeded
+from .errors import DomainError, HypothesisViolated, InsufficientPrecision, \
+    NotUnimodal, PrecisionCapExceeded
 from .kernels import digits_to_bits, ln2_fixed, ln10_fixed, ln_fixed, \
     pi_fixed
 
@@ -162,7 +162,9 @@ class Transform:
     form sup_x_pow_pdf(k); `formula`, the map as the refusal names it
     where k < 0 leaves that sup unbounded; a map that is no power
     (LogLog) overrides `sup_ratio`; `lg_domain_lo`, log10 of the domain's
-    open lower edge on the positive axis. Certified side, for the
+    open lower edge on the positive axis (0 for the iterated log, -inf
+    for the rest); `check_support`, the one support rule, which the law
+    (bounds.mod1_law) and LogLog's ceiling read. Certified side, for the
     certifier: `_check_domain`, `_try_exact` (exact result or None),
     `_constants` (what `_eval_at` needs at one working precision, taken
     once per w), `_eval_at`
@@ -182,6 +184,14 @@ class Transform:
 
     def label(self):
         return self.kind
+
+    def check_support(self, distribution):
+        """HypothesisViolated unless u is defined on the whole support: the
+        theorem, and so the law and its ceiling, need all of it."""
+        if distribution.support_lo < 10.0 ** self.lg_domain_lo:
+            raise HypothesisViolated(
+                f"iterated log is undefined on part of the support of "
+                f"{distribution.label()}")
 
     def sup_ratio(self, distribution):
         """sup of pdf/u' = factor * sup of x**k * pdf(x).
@@ -307,6 +317,7 @@ class LogLog(Transform):
         return np.power(10.0, y)
 
     def sup_ratio(self, distribution):
+        self.check_support(distribution)
         return distribution.sup_loglog()
 
     def _check_domain(self, x):

@@ -1,8 +1,9 @@
 """Test-side oracles that share no code with the closed forms they check.
 
-`density` is the pdf of a package family and `derivative` is u' of a
-transform, both in doubles; sup_ratio_numeric maximizes pdf/u'
-numerically: the independent route for the package's closed-form suprema
+`density` is the pdf of a package family, `support_hi` the right edge of
+its support and `derivative` u' of a transform, all in doubles;
+sup_ratio_numeric maximizes pdf/u' numerically: the independent route
+for the package's closed-form suprema
 (`ubenford.distributions.sup_ratio`). `argmax` is where pdf/u' peaks, in
 mpmath, from the first-order condition; the package returns no argmax.
 """
@@ -28,6 +29,14 @@ _K = {"identity": 0, "log": 1, "sqrt": mpf(1) / 2, "pi_square": -1}
 def _require(ok, message):
     if not np.all(ok):
         raise DomainError(message)
+
+
+def support_hi(distribution):
+    """Right edge of a family's support: k for the uniform, inf for the
+    rest, which reach to infinity."""
+    if isinstance(distribution, UniformOnZeroK):
+        return distribution.k
+    return math.inf
 
 
 def density(distribution, x):
@@ -104,13 +113,13 @@ def sup_ratio_numeric(distribution, transform):
     if distribution.support_lo > 0.0:
         lg_lo = max(lg_lo, math.log10(distribution.support_lo))
     lg_lo = max(lg_lo, transform.lg_domain_lo + 1e-12)
-    if math.isfinite(distribution.support_hi):
-        lg_hi = min(lg_hi, math.log10(distribution.support_hi))
+    if math.isfinite(support_hi(distribution)):
+        lg_hi = min(lg_hi, math.log10(support_hi(distribution)))
 
     lo_is_support_edge = (distribution.support_lo > 0.0 and
                           abs(lg_lo - math.log10(max(distribution.support_lo,
                                                      1e-300))) < 1e-12)
-    hi_is_support_edge = math.isfinite(distribution.support_hi)
+    hi_is_support_edge = math.isfinite(support_hi(distribution))
 
     # A window-edge maximum is read three ways: equal value ten decades
     # further out is an asymptotic plateau (accept the edge as the sup), a

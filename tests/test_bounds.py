@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import support_hi
 from ubenford.bounds import (_CHUNK, _EPS, BoundCertificate,
                              certify_mod1_bound, default_z_grid,
                              discrepancy_bound, mod1_law,
@@ -138,6 +139,35 @@ class TestMod1Law:
         assert res.cells < 50
         assert res.error_budget < 1e-9
 
+    @pytest.mark.parametrize("d", [ParetoII(1.0), Exponential(0.01),
+                                   LognormalBase10(0.0, 2.0)],
+                             ids=lambda d: d.label())
+    def test_loglog_law_needs_support_above_one(self, d):
+        # about half the mass lies below x = 1, where the iterated log is
+        # undefined; dropping it gave discrepancies near 0.5 with budgets
+        # of 1e-12, a law of something other than u(X)
+        with pytest.raises(HypothesisViolated,
+                           match="iterated log is undefined"):
+            mod1_law(d, LOGLOG, zs=QUARTERS)
+
+    @pytest.mark.parametrize("alpha", [1e3, 1e300, 1e306])
+    def test_loglog_law_of_steep_pareto_i(self, alpha):
+        # log10 X is exponential with rate alpha*ln 10, so a power of ten
+        # in alpha shifts log10(log10 X) by an integer and leaves its law
+        # mod 1 alone. The window opens within 1e-300 decades of x = 1
+        # for the steep ones, and no floor on log10 x may cut it there
+        ref = mod1_law(ParetoI(1.0), LOGLOG, zs=QUARTERS)
+        res = mod1_law(ParetoI(alpha), LOGLOG, zs=QUARTERS)
+        assert res.cells == ref.cells
+        np.testing.assert_allclose(res.probs, ref.probs, rtol=0, atol=1e-14)
+
+    def test_budget_refusal_is_short(self):
+        # 4.5e207 cells: the count goes out in three digits
+        with pytest.raises(TruncationFailure,
+                           match=r"^4\.47e\+207 integer cells exceed the "
+                                 r"budget of 5e\+06 for"):
+            mod1_law(LognormalBase10(400.0, 2.0), SQRT, zs=QUARTERS)
+
 
 def _mod1_law_per_z(distribution, transform, zs, tail=1e-14):
     """Reference: mod1_law as one Python step per z point.
@@ -149,10 +179,8 @@ def _mod1_law_per_z(distribution, transform, zs, tail=1e-14):
     lg_hi = float(distribution.isf_log10(tail))
     if distribution.support_lo > 0.0:
         lg_lo = max(lg_lo, math.log10(distribution.support_lo))
-    if math.isfinite(distribution.support_hi):
-        lg_hi = min(lg_hi, math.log10(distribution.support_hi))
-    if transform.kind == "loglog":
-        lg_lo = max(lg_lo, 1e-300)
+    if math.isfinite(support_hi(distribution)):
+        lg_hi = min(lg_hi, math.log10(support_hi(distribution)))
     j_lo = math.floor(transform.u_float_from_log10(lg_lo))
     j_hi = math.floor(transform.u_float_from_log10(lg_hi))
     cells = j_hi - j_lo + 1
@@ -362,6 +390,10 @@ class TestFractionLawUniform:
             p_delta_uniform(-1.0, 0.5)
         with pytest.raises(TruncationFailure):
             p_delta_uniform(1e6, 0.5, max_cells=1000)
+        # a**2 past the doubles is over budget, not an OverflowError
+        for k in (1e150, 1e200):
+            with pytest.raises(TruncationFailure, match=r"^\S+ cells exceed"):
+                p_delta_uniform(k, 0.5)
 
 
 class TestFractionLawExponential:
@@ -411,6 +443,16 @@ class TestFractionLawExponential:
             p_delta_exponential(0.0, 0.5)
         with pytest.raises(ValueError):
             p_delta_exponential(1.0, -0.1)
+
+
+@pytest.mark.parametrize("fn", [p_delta_uniform, p_delta_uniform_envelope,
+                                p_delta_exponential,
+                                p_delta_exponential_envelope],
+                         ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_fraction_laws_refuse_non_finite_parameters(fn, bad):
+    with pytest.raises(ValueError, match="must be finite and positive"):
+        fn(bad, 0.5)
 
 
 @settings(max_examples=60, deadline=None)

@@ -229,18 +229,26 @@ def test_analyze_loglog_skips_values_outside_its_domain(capsys, tmp_path):
     assert out.startswith(f"dataset: mixed (N={len(above)}, 2 rows dropped)")
 
 
-def test_python_dash_m_runs_the_cli():
-    root = Path(__file__).resolve().parents[1]
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_module(*argv):
+    """`python -m ubenford argv` in a fresh process: what a shell sees,
+    numpy warnings and tracebacks included."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
-                               else []))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ubenford", "bounds", "half_normal",
-         "--params", "1,10,100", "--transform", "sqrt"],
-        capture_output=True, text=True, env=env, cwd=root, timeout=120)
+        [str(_ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                                else []))
+    return subprocess.run([sys.executable, "-m", "ubenford", *argv],
+                          capture_output=True, text=True, env=env, cwd=_ROOT,
+                          timeout=120)
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = run_module("bounds", "half_normal", "--params", "1,10,100",
+                      "--transform", "sqrt")
     assert proc.returncode == 0 and proc.stderr == ""
-    assert proc.stdout == (root / "tests" / "fixtures" /
+    assert proc.stdout == (_ROOT / "tests" / "fixtures" /
                            "bounds_half_normal.txt").read_text()
 
 
@@ -292,6 +300,33 @@ def test_input_errors_exit_one(capsys, argv):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv, name", [
+    (("bounds", "uniform", "--params", "inf"), "k"),
+    (("bounds", "exponential", "--params", "inf"), "lam"),
+    (("bounds", "pareto_i", "--params", "inf"), "alpha"),
+    (("bounds", "pareto_i", "--params", "1,inf;"), "x0"),
+    (("bounds", "lognormal10", "--params", "inf,1;"), "mu"),
+    (("bounds", "half_normal", "--params", "nan", "--transform", "sqrt"),
+     "sigma"),
+])
+def test_non_finite_parameters_exit_one(argv, name):
+    # an infinite parameter used to reach the law engine and end in exit 2
+    # ("u image of the support window is not finite"), after numpy warnings
+    proc = run_module(*argv)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error:") and f"needs {name} " in \
+        proc.stderr
+
+
+def test_loglog_below_one_exits_one():
+    proc = run_module("bounds", "exponential", "--params", "0.01",
+                      "--transform", "loglog")
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: iterated log is undefined on part of the "
+                           "support of exponential(lam=0.01)\n")
+
+
 def test_argmax_outside_double_range_exits_zero(capsys):
     # the loglog supremum of pareto_i peaks at e**(1/alpha), past the
     # largest double for every alpha below about 1/709; the supremum
@@ -340,6 +375,36 @@ def test_cell_budget_exhaustion_exits_two(capsys):
                          "--transform", "sqrt")
     assert code == 2
     assert err.startswith("numerical failure:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("pdelta", "uniform", "1e200"),
+    ("pdelta", "uniform", "1e150"),
+    ("bounds", "lognormal10", "--params", "400,2;", "--transform", "sqrt"),
+])
+def test_overflowing_cell_counts_exit_two(argv):
+    # an infinite a**2 raised OverflowError, and the finite ones printed
+    # every digit of a 208- or 300-digit count
+    proc = run_module(*argv)
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("numerical failure:")
+    assert len(proc.stderr) < 200
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("bounds", "exponential", "--params", "1e-320"), 2),
+    (("bounds", "half_normal", "--params", "1e-320", "--transform", "sqrt"),
+     0),
+    (("bounds", "uniform", "--params", "1e-320", "--transform", "sqrt"), 0),
+])
+def test_subnormal_parameters_print_no_warnings(argv, code):
+    # x/k, x/sigma and the exponential's upper quantile overflow for a
+    # subnormal parameter, as they may: the law reads inf there
+    proc = run_module(*argv)
+    assert proc.returncode == code
+    assert len(proc.stderr.splitlines()) <= 1
+    assert "Warning" not in proc.stderr
 
 
 def test_certificate_violation_exits_two(capsys, monkeypatch):

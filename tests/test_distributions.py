@@ -7,6 +7,7 @@ dense grid built from scipy densities, and for exception parity on the
 degenerate (family, transform) pairs.
 """
 
+import inspect
 import math
 import sys
 
@@ -16,7 +17,7 @@ import scipy.integrate
 import scipy.stats
 from mpmath import mp, mpf
 
-from oracles import argmax, density, sup_ratio_numeric
+from oracles import argmax, density, sup_ratio_numeric, support_hi
 from ubenford.bounds import discrepancy_bound
 
 from ubenford.distributions import (DISTRIBUTIONS, Exponential, HalfNormal,
@@ -119,7 +120,7 @@ class TestShapeAndSupport:
         # the quadrature well conditioned; truncation leaves <= 2e-10 mass
         ref = scipy_twin(dist)
         lo = max(dist.support_lo, float(ref.ppf(1e-10)))
-        hi = dist.support_hi
+        hi = support_hi(dist)
         if not math.isfinite(hi):
             hi = float(ref.isf(1e-10))
         t_lo = math.log10(max(lo, 1e-280))
@@ -137,9 +138,10 @@ class TestShapeAndSupport:
                  else -math.inf)
         assert dist.cdf_log10(below) == 0.0
         assert dist.sf_log10(below) == 1.0
-        if math.isfinite(dist.support_hi):
-            assert density(dist, dist.support_hi * 1.5) == 0.0
-            assert dist.cdf_log10(math.log10(dist.support_hi * 1.5)) == 1.0
+        hi = support_hi(dist)
+        if math.isfinite(hi):
+            assert density(dist, hi * 1.5) == 0.0
+            assert dist.cdf_log10(math.log10(hi * 1.5)) == 1.0
 
     def test_cdf_ppf_roundtrip(self, dist):
         q = np.linspace(1e-10, 1.0 - 1e-10, 201)
@@ -170,7 +172,7 @@ class TestLog10Forms:
     def test_isf_inverts_sf(self, dist):
         # near a finite right endpoint the log10 axis cannot resolve
         # survival below ~1e-11 (1 - 10**lg cancels), so stop at 1e-5 there
-        deep = math.isinf(dist.support_hi)
+        deep = math.isinf(support_hi(dist))
         p = np.logspace(-12 if deep else -5, -1, 45)
         lg = dist.isf_log10(p)
         np.testing.assert_allclose(dist.sf_log10(lg), p, rtol=1e-9)
@@ -180,8 +182,9 @@ class TestLog10Forms:
         # heavy families; the log10 forms must still resolve it
         lg = dist.isf_log10(1e-250)
         assert math.isfinite(lg)
-        if math.isfinite(dist.support_hi):
-            assert abs(10.0 ** lg - dist.support_hi) <= 1e-6 * dist.support_hi
+        hi = support_hi(dist)
+        if math.isfinite(hi):
+            assert abs(10.0 ** lg - hi) <= 1e-6 * hi
         else:
             assert dist.sf_log10(lg) == pytest.approx(1e-250, rel=1e-8)
 
@@ -447,8 +450,8 @@ class TestSampler:
         x = dist.sample(500, seed=5)
         assert x.shape == (500,)
         assert np.all(x >= dist.support_lo)
-        if math.isfinite(dist.support_hi):
-            assert np.all(x <= dist.support_hi)
+        if math.isfinite(support_hi(dist)):
+            assert np.all(x <= support_hi(dist))
 
     def test_sample_matches_ppf_of_uniforms(self):
         d = LognormalBase10(0.0, 2.0)
@@ -485,3 +488,24 @@ class TestParse:
             parse_distribution("exponential:-2")
         with pytest.raises(ValueError):
             parse_distribution("exponential:abc")
+
+
+# one valid point per family; each position in turn takes a bad value
+_VALID_POINT = {ParetoI: (2.0, 3.0), ParetoII: (1.5,),
+                LognormalBase10: (-1.0, 2.0), UniformOnZeroK: (4.0,),
+                Exponential: (0.5,), HalfNormal: (2.0,)}
+
+
+@pytest.mark.parametrize("family, position", [
+    (family, i) for family, point in _VALID_POINT.items()
+    for i in range(len(point))],
+    ids=lambda v: v.__name__ if isinstance(v, type) else str(v))
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_constructors_refuse_non_finite_parameters(family, position, bad):
+    names = list(inspect.signature(family).parameters)
+    args = list(_VALID_POINT[family])
+    family(*args)
+    args[position] = bad
+    with pytest.raises(InvalidParameter,
+                       match=f"needs {names[position]} finite"):
+        family(*args)

@@ -134,11 +134,13 @@ def test_table1_pool_never_exceeds_the_cell_count(monkeypatch):
 
 
 def test_table1_cell_lookup():
+    # each (sequence, transform) names one cell, so a dict looks it up
     rep = run_table1(n_fast=50, n_slow=50)
-    cell = rep.cell("primes", "sqrt")
+    cells = {(c.sequence, c.transform): c for c in rep.cells}
+    assert len(cells) == len(rep.cells)
+    cell = cells["primes", "sqrt"]
     assert cell.sequence == "primes" and cell.transform == "sqrt"
-    with pytest.raises(KeyError):
-        rep.cell("primes", "identity")
+    assert ("primes", "identity") not in cells
 
 
 @pytest.mark.parametrize("kwargs", [
