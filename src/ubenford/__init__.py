@@ -23,8 +23,7 @@ from .experiments import (AnalyzeReport, BoundSweepReport, KsCell,
 from .ingest import Dataset, ingest_csv
 from .kernels import BACKEND
 from .report import emit
-from .sequences import (SEQUENCES, frac_sample, growth_criterion,
-                        odd_nonsquare, parse_sequence)
+from .sequences import SEQUENCES, frac_sample, odd_nonsquare, parse_sequence
 from .stats import (DigitReport, benford_expected, digit_report,
                     kolmogorov_q, ks_uniform, leading_digit)
 from .transforms import (IDENTITY, LOG2, LOG10, LOGLOG, PI_SQUARE, SQRT,
@@ -45,7 +44,7 @@ __all__ = [
     "Transform", "TruncationFailure", "UBenfordError", "UniformOnZeroK",
     "analyze_dataset", "benford_expected", "bound_sweep",
     "certify_mod1_bound", "digit_report", "discrepancy_bound", "emit",
-    "eval_transform", "frac_sample", "growth_criterion", "ingest_csv",
+    "eval_transform", "frac_sample", "ingest_csv",
     "kolmogorov_q", "ks_cell", "ks_uniform", "leading_digit", "mod1_law",
     "odd_nonsquare", "p_delta_exponential", "p_delta_exponential_envelope",
     "p_delta_uniform", "p_delta_uniform_envelope", "parse_distribution",

@@ -201,6 +201,9 @@ def p_delta_uniform_envelope(k, delta):
     _check_parameter("k", k)
     a = k * _SQRT_PI
     a2 = a * a
+    if a2 == math.inf:  # then sqrt(top) and sqrt(top + delta) read a
+        edge = math.sqrt(delta) / a
+        return delta - delta * edge, min(delta + edge, 1.0)
     top = math.floor(a2 - delta) + 1.0
     lower = (delta / a) * (math.sqrt(top + delta) - math.sqrt(delta))
     upper = math.sqrt(delta) / a + (delta / a) * math.sqrt(top)

@@ -9,10 +9,10 @@ survival 1e-14 live thousands of decades up. ppf and sample are for
 sampling. The discrepancy bounds are built from the supremum of pdf/u'
 over the support. For every power map u' is a constant times x**-k, so
 that supremum is the constant times sup x**k * pdf(x); each family gives
-the latter as one closed form in k, `sup_x_pow_pdf(k)`, and ParetoI, the
-one family the iterated log may take, `sup_loglog`. The tests check both
-against mpmath and a golden-section maximizer of their own. Every
-parameter is a finite double.
+it as one closed form in k and the constant, `sup_x_pow_pdf(k, factor)`,
+and ParetoI, the one family the iterated log may take, `sup_loglog`. The
+tests check both against mpmath and a golden-section maximizer of their
+own. Every parameter is a finite double.
 """
 
 import inspect
@@ -105,10 +105,11 @@ class Distribution:
         return SeededSampler(self, seed).draw(n)
 
     # closed-form suprema, each a float
-    def sup_x_pow_pdf(self, k):
-        """sup over the support of x**k * pdf(x), for the exponent k of a
-        power map (Transform.sup_ratio); k >= 0 where the density reaches
-        the origin."""
+    def sup_x_pow_pdf(self, k, factor):
+        """sup over the support of factor * x**k * pdf(x), for the exponent
+        k and the constant factor of a power map (Transform.sup_ratio);
+        k >= 0 where the density reaches the origin. A factor below 1 can
+        bring a sup past the largest double back into range."""
         raise NotImplementedError
 
     def __repr__(self):
@@ -123,6 +124,12 @@ class ParetoI(Distribution):
         self.x0 = _parameter("ParetoI", "x0", x0)
         self.support_lo = self.x0
         self.name = f"pareto_i(alpha={alpha:g}, x0={x0:g})"
+        # log10(X/x0) is exponential with rate alpha * ln 10, applied as two
+        # factors: the rate and 1, or ln 10 and alpha apart where the rate
+        # overflows (alpha above 7.8e307)
+        rate = self.alpha * _LN10
+        self._rate_a, self._rate_b = ((rate, 1.0) if rate < math.inf
+                                      else (_LN10, self.alpha))
 
     def ppf(self, q):
         q = _as_array(q)
@@ -132,35 +139,36 @@ class ParetoI(Distribution):
 
     def ppf_log10(self, q):
         q = _as_array(q)
-        out = math.log10(self.x0) - np.log1p(-q) / (self.alpha * _LN10)
+        out = math.log10(self.x0) - np.log1p(-q) / self._rate_a / self._rate_b
         return _maybe_scalar(out, q)
 
     def isf_log10(self, p):
         p = _as_array(p)
-        out = math.log10(self.x0) - np.log(p) / (self.alpha * _LN10)
+        out = math.log10(self.x0) - np.log(p) / self._rate_a / self._rate_b
         return _maybe_scalar(out, p)
 
     def sf_log10(self, lg):
         # below the support the clamped exponent gives exp(0) = 1
         lg = _as_array(lg)
-        out = np.exp(self.alpha * _LN10
-                     * np.minimum(math.log10(self.x0) - lg, 0.0))
+        d = np.minimum(math.log10(self.x0) - lg, 0.0)
+        with np.errstate(over="ignore"):  # exp(-inf) = 0 far above it
+            out = np.exp(self._rate_b * d * self._rate_a)
         return _maybe_scalar(out, lg)
 
     def cdf_log10(self, lg):
         lg = _as_array(lg)
         return _maybe_scalar(1.0 - self.sf_log10(lg), lg)
 
-    def sup_x_pow_pdf(self, k):
+    def sup_x_pow_pdf(self, k, factor):
         # x**k * pdf = alpha * x0**alpha * x**(k - alpha - 1) falls for
         # every k < alpha + 1: the sup is alpha * x0**(k - 1) at the left
-        # edge, taken in log10 space where x0**(1 - k) alone leaves the
-        # normal doubles
+        # edge, taken in log10 space where x0**(1 - k) alone or the product
+        # with the map's factor leaves the normal doubles
+        lg = math.log10(self.alpha) - (1.0 - k) * math.log10(self.x0)
         power = _pow(self.x0, 1.0 - k)
-        if _normal(power):
-            return self.alpha / power
-        return _pow(10.0, math.log10(self.alpha)
-                    - (1.0 - k) * math.log10(self.x0))
+        value = (self.alpha / power if _normal(power)
+                 else _pow(10.0, lg)) * factor
+        return value if _normal(value) else _pow(10.0, lg + math.log10(factor))
 
     def sup_loglog(self):
         """sup over the support of pdf(x) * x * ln x * ln 10, the ratio
@@ -171,8 +179,8 @@ class ParetoI(Distribution):
         # largest double
         ln_x0 = math.log(self.x0)
         ln_xs = max(ln_x0, 1.0 / self.alpha)
-        return (_LN10 * self.alpha * math.exp(self.alpha * (ln_x0 - ln_xs))
-                * ln_xs)
+        return (self._rate_a * math.exp(self.alpha * (ln_x0 - ln_xs))
+                * ln_xs * self._rate_b)
 
 
 class ParetoII(Distribution):
@@ -218,11 +226,12 @@ class ParetoII(Distribution):
         lg = _as_array(lg)
         return _maybe_scalar(1.0 - self.sf_log10(lg), lg)
 
-    def sup_x_pow_pdf(self, k):
+    def sup_x_pow_pdf(self, k, factor):
         # d/dx ln(x**k * (1 + x)**-(b + 1)) vanishes at k/(b + 1 - k); the
         # origin for k = 0. log1p keeps 1 + xs from rounding at large b
         xs = k / (self.b + (1.0 - k))
-        return self.b * xs ** k * math.exp(-(self.b + 1.0) * math.log1p(xs))
+        return (self.b * xs ** k * math.exp(-(self.b + 1.0) * math.log1p(xs))
+                * factor)
 
 
 class LognormalBase10(Distribution):
@@ -255,7 +264,7 @@ class LognormalBase10(Distribution):
         lg = _as_array(lg)
         return _maybe_scalar(normal_sf((lg - self.mu) / self.sigma), lg)
 
-    def sup_x_pow_pdf(self, k):
+    def sup_x_pow_pdf(self, k, factor):
         """x**k * pdf = x**-c * exp(-z**2/2) / (sigma*ln 10*sqrt(2*pi)),
         c = 1 - k, z = (log10 x - mu)/sigma.
 
@@ -264,7 +273,8 @@ class LognormalBase10(Distribution):
         exp(-(c*sigma*ln 10)**2 / 2). The product is taken in doubles;
         where x**-c, that factor or the product leaves the normal double
         range, or the argmax x itself does, the same closed form is taken
-        in log10 space instead.
+        in log10 space instead, and so is its product with the map's
+        factor where that leaves the range.
         """
         c = 1.0 - k
         lg = self.mu - c * self.sigma * self.sigma * _LN10
@@ -276,10 +286,13 @@ class LognormalBase10(Distribution):
         # wherever x lies, so the log10 scale keeps its exact 1/scale
         power = _pow(xs, -c) if c == 0.0 or _normal(xs) else 0.0
         value = power * math.exp(gauss_ln) / scale
+        lg_value = -c * lg + gauss_ln / _LN10 - math.log10(scale)
         if not (_normal(power) and gauss_ln >= _LN_DOUBLE_MIN
                 and _normal(value)):
-            value = _pow(10.0, -c * lg + gauss_ln / _LN10
-                         - math.log10(scale))
+            value = _pow(10.0, lg_value)
+        value *= factor
+        if not _normal(value):
+            value = _pow(10.0, lg_value + math.log10(factor))
         return value
 
 
@@ -304,10 +317,10 @@ class UniformOnZeroK(Distribution):
         q = _as_array(q)
         return _maybe_scalar(q * self.k, q)
 
-    def sup_x_pow_pdf(self, k):
+    def sup_x_pow_pdf(self, k, factor):
         # x**k times the flat density rises for k > 0 and is flat at k = 0:
         # the sup is at the right edge
-        return 1.0 / _pow(self.k, 1.0 - k)
+        return 1.0 / _pow(self.k, 1.0 - k) * factor
 
 
 class Exponential(Distribution):
@@ -337,9 +350,9 @@ class Exponential(Distribution):
             out = np.log10(-np.log(p) / self.lam)
         return _maybe_scalar(out, p)
 
-    def sup_x_pow_pdf(self, k):
+    def sup_x_pow_pdf(self, k, factor):
         # x**k * lam * exp(-lam*x) peaks at k/lam: (k/e)**k * lam**(1 - k)
-        return (k / math.e) ** k * self.lam ** (1.0 - k)
+        return (k / math.e) ** k * self.lam ** (1.0 - k) * factor
 
 
 class HalfNormal(Distribution):
@@ -383,10 +396,10 @@ class HalfNormal(Distribution):
         out = np.log10(self.sigma * -probit(p / 2.0))
         return _maybe_scalar(out, p)
 
-    def sup_x_pow_pdf(self, k):
+    def sup_x_pow_pdf(self, k, factor):
         # x**k * exp(-x**2/(2*sigma**2)) peaks at sigma*sqrt(k)
         return (_SQRT_2_OVER_PI * (k / math.e) ** (0.5 * k)
-                / self.sigma ** (1.0 - k))
+                / self.sigma ** (1.0 - k) * factor)
 
 
 DISTRIBUTIONS = {
@@ -468,8 +481,8 @@ class SeededSampler:
 def sup_ratio(distribution, transform):
     """sup of pdf/u' over the support, for the discrepancy bounds.
 
-    For a power map this is the map's constant factor times the family's
-    one closed form sup_x_pow_pdf(k) (Transform.sup_ratio); the iterated
+    For a power map this is the family's one closed form
+    sup_x_pow_pdf(k, factor) (Transform.sup_ratio); the iterated
     log has its own, sup_loglog. Raises NotUnimodal when the ratio is
     unbounded (k < 0, as for pi*x**2, with density reaching the origin),
     HypothesisViolated when u is undefined on part of the support

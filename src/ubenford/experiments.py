@@ -261,6 +261,7 @@ class SweepRow:
     discrepancy: float
     worst_z: float
     slack: float
+    error_budget: float
 
 
 @dataclass(frozen=True)
@@ -297,6 +298,7 @@ def bound_sweep(family, params, transform=LOG10):
             discrepancy=cert.discrepancy,
             worst_z=cert.worst_z,
             slack=cert.slack,
+            error_budget=cert.error_budget,
         ))
     certificate = ("log-scale-density-bound" if isinstance(transform, Log)
                    else "u-scale-density-bound")

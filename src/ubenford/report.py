@@ -137,9 +137,11 @@ def _point(parameter, fmt):
 def _text_sweep(rep):
     rows = [["parameter", "ratio_sup", "bound", "discrepancy", "slack"]]
     for r in rep.rows:
+        # the digits of a discrepancy below its error budget are rounding
+        shown = (f"<{r.error_budget:.2g}" if r.discrepancy < r.error_budget
+                 else f"{r.discrepancy:.6g}")
         rows.append([_point(r.parameter, lambda v: f"{v:g}"),
-                     f"{r.ratio_sup:.6g}",
-                     f"{r.bound:.6g}", f"{r.discrepancy:.6g}",
+                     f"{r.ratio_sup:.6g}", f"{r.bound:.6g}", shown,
                      f"{r.slack:.6g}"])
     title = (f"{rep.family} under {rep.transform} "
              f"[certificate: {rep.certificate}]")

@@ -113,9 +113,6 @@ class SqrtN(Sequence):
     def int_digits_estimate(self, n):
         return (dec_digits(n) + 1) // 2
 
-    def term_log10(self, n):
-        return 0.5 * math.log10(n)
-
 
 class PiN(Sequence):
     name = "pi_n"
@@ -126,9 +123,6 @@ class PiN(Sequence):
     def int_digits_estimate(self, n):
         return dec_digits(n) + 1
 
-    def term_log10(self, n):
-        return math.log10(math.pi) + math.log10(n)
-
 
 class Primes(Sequence):
     name = "primes"
@@ -138,9 +132,6 @@ class Primes(Sequence):
 
     def int_digits_estimate(self, n):
         return dec_digits(nth_prime(n))
-
-    def term_log10(self, n):
-        return math.log10(nth_prime(n))
 
 
 class ExpN(Sequence):
@@ -157,9 +148,6 @@ class ExpN(Sequence):
     def int_digits_estimate(self, n):
         return n * _LOG10_E_FIXED17 // 10 ** 17 + 1
 
-    def term_log10(self, n):
-        return n / math.log(10.0)
-
 
 class Factorial(Sequence):
     name = "factorial"
@@ -170,9 +158,6 @@ class Factorial(Sequence):
     def int_digits_estimate(self, n):
         return _digits_from_log10(math.lgamma(n + 1) / _LN10)
 
-    def term_log10(self, n):
-        return math.lgamma(n + 1) / math.log(10.0)
-
 
 class NPowN(Sequence):
     name = "n_pow_n"
@@ -182,9 +167,6 @@ class NPowN(Sequence):
 
     def int_digits_estimate(self, n):
         return _digits_from_log10(n * math.log10(n))
-
-    def term_log10(self, n):
-        return n * math.log10(n)
 
 
 class PowerLaw(Sequence):
@@ -242,9 +224,6 @@ class PowerLaw(Sequence):
         if n == 1:
             return 1
         return int(self._alpha_float * math.log10(n)) + 2
-
-    def term_log10(self, n):
-        return self._alpha_float * math.log10(n)
 
 
 SEQUENCES = {
@@ -330,43 +309,3 @@ def frac_sample(sequence, transform, n_max, policy=DEFAULT_POLICY,
                 f"term {n} of {sequence.name} would not certify under "
                 f"{transform.label()} after repeated escalation")
     return FracSample(np.asarray(out, dtype=np.float64), excluded, requested)
-
-
-# ---------------------------------------------------------------------------
-# growth diagnostics
-
-@dataclass(frozen=True)
-class GrowthReport:
-    """Successive-gap diagnostic for u(x_n) equidistribution."""
-
-    first_gap: float
-    last_gap: float
-    vanishing: bool
-
-
-def growth_criterion(sequence, transform, n_max=1000):
-    """Check whether the u-scale gaps u(x_{n+1}) - u(x_n) die out.
-
-    Vanishing gaps (with divergent total) are the mechanism behind mod-1
-    equidistribution; the verdict here is the pragmatic end-of-range check:
-    the last gap is below 1e-2 and under half the first gap. Gaps are
-    computed from log10 of the terms so that astronomically large terms
-    (n!, n**n) still give finite answers on the log scales.
-    """
-    if n_max < 3:
-        raise InvalidParameter("n_max must be >= 3 for a gap trend")
-
-    def u_at(n):
-        try:
-            return transform.u_float_from_log10(sequence.term_log10(n))
-        except (DomainError, ValueError):
-            return math.nan
-
-    us = [u_at(n) for n in (1, 2, n_max - 1, n_max)]
-    first = us[1] - us[0]
-    if math.isnan(first):  # first term outside the domain: shift by one
-        first = u_at(3) - u_at(2)
-    last = us[3] - us[2]
-    vanishing = (math.isfinite(last) and last < 1e-2
-                 and math.isfinite(first) and last < first / 2)
-    return GrowthReport(first, last, vanishing)

@@ -158,8 +158,8 @@ class Transform:
     `inverse_log10` (vectorized log10 of the preimage, -inf below the
     image); `power`, the pair (k, factor) of a power map, whose
     u' = x**-k / factor, so that `sup_ratio` (sup of pdf/u' for a
-    distribution, a float) is factor times the family's one closed
-    form sup_x_pow_pdf(k); `formula`, the map as the refusal names it
+    distribution, a float) is the family's one closed form
+    sup_x_pow_pdf(k, factor); `formula`, the map as the refusal names it
     where k < 0 leaves that sup unbounded; a map that is no power
     (LogLog) overrides `sup_ratio`; `lg_domain_lo`, log10 of the domain's
     open lower edge on the positive axis (0 for the iterated log, -inf
@@ -204,7 +204,7 @@ class Transform:
             raise NotUnimodal(
                 f"pdf/u' for {self.formula} is unbounded near 0 for "
                 f"{distribution.label()}")
-        return distribution.sup_x_pow_pdf(k) * factor
+        return distribution.sup_x_pow_pdf(k, factor)
 
     @staticmethod
     def parse(text):

@@ -150,7 +150,7 @@ class TestMod1Law:
                            match="iterated log is undefined"):
             mod1_law(d, LOGLOG, zs=QUARTERS)
 
-    @pytest.mark.parametrize("alpha", [1e3, 1e300, 1e306])
+    @pytest.mark.parametrize("alpha", [1e3, 1e300, 1e306, 1e308])
     def test_loglog_law_of_steep_pareto_i(self, alpha):
         # log10 X is exponential with rate alpha*ln 10, so a power of ten
         # in alpha shifts log10(log10 X) by an integer and leaves its law
@@ -333,7 +333,7 @@ class TestBoundCertificates:
 
     def test_violation_detected(self):
         class Liar(Exponential):
-            def sup_x_pow_pdf(self, k):
+            def sup_x_pow_pdf(self, k, factor):
                 return 1e-9
 
         with pytest.raises(CertificateViolation):
@@ -380,6 +380,15 @@ class TestFractionLawUniform:
         assert widths[0] > widths[1] > widths[2]
         lo, hi = p_delta_uniform_envelope(100.0, d)
         assert hi - lo < 0.02
+
+    @pytest.mark.parametrize("k", [1e154, 1e200, 1.7e308])
+    def test_envelope_past_the_doubles(self, k):
+        # a**2 overflows from k = 7.6e153 and a itself from k = 1.01e308;
+        # the envelope closes on delta
+        for d in (0.01, 0.25, 0.5, 0.75, 0.99):
+            lo, hi = p_delta_uniform_envelope(k, d)
+            assert 0.0 <= lo <= hi <= 1.0
+            assert abs(lo - d) < 1e-12 and abs(hi - d) < 1e-12
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

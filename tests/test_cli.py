@@ -182,13 +182,22 @@ def test_analyze_text_bytes_are_pinned(capsys, name):
 ])
 def test_bounds_text_bytes_are_pinned(capsys, name, argv):
     # laws summed from erfc cells; CI compares the console script's output
-    # with the same files. lognormal10's discrepancy column is float noise
-    # (the true value of its cells is 1.24e-15 and 1.76e-14), so its bytes
-    # pin the erfc kernel's rounding too. pareto_ii's ratio_sup reads
-    # ln 10/e = 0.847074 on every row: its closed form does not round 1 + x
+    # with the same files. lognormal10's discrepancies (the true value of
+    # its cells is 1.24e-15 and 1.76e-14) lie below their error budgets and
+    # print as the budgets. pareto_ii's ratio_sup reads ln 10/e = 0.847074
+    # on every row: its closed form does not round 1 + x
     code, out, err = run(capsys, "bounds", name, *argv)
     assert (code, err) == (0, "")
     pinned = Path(__file__).parent / "fixtures" / f"bounds_{name}.txt"
+    assert out.encode() == pinned.read_bytes()
+
+
+def test_pdelta_text_bytes_are_pinned(capsys):
+    # the exact uniform series only; CI compares the console script's
+    # output with the same file
+    code, out, err = run(capsys, "pdelta", "uniform", "100")
+    assert (code, err) == (0, "")
+    pinned = Path(__file__).parent / "fixtures" / "pdelta_uniform_100.txt"
     assert out.encode() == pinned.read_bytes()
 
 
@@ -335,6 +344,17 @@ def test_argmax_outside_double_range_exits_zero(capsys):
                          "--transform", "loglog")
     assert (code, err) == (0, "")
     assert out.splitlines()[3].split()[:2] == ["0.001", "0.847074"]
+
+
+def test_steep_pareto_i_loglog_exits_zero(capsys):
+    # alpha * ln 10 overflows above alpha = 7.8e307, while the supremum
+    # stays ln 10/e for x0 = 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "bounds", "pareto_i", "--params",
+                             "1e308", "--transform", "loglog")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[3].split()[:2] == ["1e+308", "0.847074"]
 
 
 @pytest.mark.parametrize("transform", ["loglog", "sqrt", "log10"])

@@ -311,7 +311,7 @@ class TestSupRatio:
     def test_scale_ratio_is_identity_sup(self):
         # x * pdf(x) peaks at x = 1/lam, where it is 1/e for every lam
         d = Exponential(3.0)
-        val = d.sup_x_pow_pdf(1.0)
+        val = d.sup_x_pow_pdf(1.0, 1.0)
         xs = float(argmax(d, LOG10))
         assert val == pytest.approx(1.0 / math.e, rel=1e-12)
         assert xs == pytest.approx(1.0 / 3.0, rel=1e-12)

@@ -7,8 +7,9 @@ import pytest
 from ubenford.bounds import certify_mod1_bound, mod1_law
 from ubenford.distributions import Exponential, ParetoI
 from ubenford.errors import InvalidParameter
-from ubenford.experiments import (KsCell, Table1Report, analyze_dataset,
-                                  bound_sweep, pdelta_curve, run_table3)
+from ubenford.experiments import (BoundSweepReport, KsCell, SweepRow,
+                                  Table1Report, analyze_dataset, bound_sweep,
+                                  pdelta_curve, run_table3)
 from ubenford.ingest import Dataset
 from ubenford.report import emit
 from ubenford.transforms import LOG10, SQRT
@@ -91,6 +92,27 @@ def test_text_sweep_and_pdelta_and_law():
     assert "<= bound" in cert and "slack" in cert
 
 
+@pytest.mark.parametrize("discrepancy,budget,shown", [
+    (1.44329e-15, 7.8e-14, "<7.8e-14"),
+    (7.8e-14, 7.8e-14, "7.8e-14"),
+    (0.0123456789, 1e-13, "0.0123457"),
+])
+def test_text_sweep_prints_discrepancy_above_its_budget(discrepancy, budget,
+                                                        shown):
+    # digits below the certificate's error budget are rounding; the record
+    # keeps the float either way
+    row = SweepRow(parameter=2.0, ratio_sup=0.5, bound=0.25,
+                   discrepancy=discrepancy, worst_z=0.5,
+                   slack=0.25 - discrepancy, error_budget=budget)
+    rep = BoundSweepReport(family="lognormal10", transform="log10",
+                           certificate="log-scale-density-bound",
+                           rows=(row,))
+    assert emit(rep, "text-table").splitlines()[3].split()[3] == shown
+    body = json.loads(emit(rep, "structured-record"))
+    assert body["rows"][0]["discrepancy"] == discrepancy
+    assert body["rows"][0]["error_budget"] == budget
+
+
 def test_text_analyze_both_digit_branches():
     big = Dataset(name="big", path="big.csv", column=1,
                   values=np.array([2.0 ** n for n in range(1, 121)]),
@@ -120,7 +142,8 @@ def test_record_is_sorted_json_with_kind():
     assert body["certificate"] == "log-scale-density-bound"
     assert len(body["rows"]) == 2
     assert set(body["rows"][0]) == {"parameter", "ratio_sup", "bound",
-                                    "discrepancy", "worst_z", "slack"}
+                                    "discrepancy", "worst_z", "slack",
+                                    "error_budget"}
 
 
 @pytest.mark.parametrize("make,kind", [

@@ -1,4 +1,4 @@
-"""Sequence terms, prime generation, sampling, and growth diagnostics."""
+"""Sequence terms, prime generation and sampling."""
 
 import hashlib
 import math
@@ -13,8 +13,7 @@ from mpmath import mp
 from ubenford.errors import InsufficientPrecision, InvalidParameter
 from ubenford.sequences import (ExpN, Factorial, FracSample, NPowN, PiN,
                                 PowerLaw, Primes, SqrtN, frac_sample,
-                                growth_criterion, nth_prime, odd_nonsquare,
-                                parse_sequence)
+                                nth_prime, odd_nonsquare, parse_sequence)
 from ubenford.transforms import (IDENTITY, LOG10, LOGLOG, PI_SQUARE, SQRT,
                                  eval_transform)
 
@@ -99,11 +98,6 @@ class TestTerms:
                 real = len(str(whole)) if whole else 0
                 assert est >= real, (seq.name, n)
                 assert est <= real + 2, (seq.name, n)
-
-    def test_term_log10(self):
-        assert abs(Factorial().term_log10(5) - math.log10(120)) < 1e-12
-        assert abs(NPowN().term_log10(4) - math.log10(256)) < 1e-12
-        assert abs(ExpN().term_log10(2) - math.log10(math.exp(2))) < 1e-12
 
 
 class TestPowerLaw:
@@ -302,30 +296,6 @@ class TestOddNonsquare:
         assert odd_nonsquare(3) and odd_nonsquare(5)
         assert not odd_nonsquare(9)  # odd square
         assert not odd_nonsquare(4)  # even
-
-
-class TestGrowthCriterion:
-    @pytest.mark.parametrize("seq,t,verdict", [
-        (Factorial(), LOGLOG, True),
-        (NPowN(), LOGLOG, True),
-        (Primes(), LOGLOG, True),
-        (Primes(), LOG10, True),
-        (SqrtN(), LOGLOG, True),
-        (ExpN(), LOG10, False),     # constant gaps
-        (SqrtN(), PI_SQUARE, False),  # constant gaps
-        (Factorial(), LOG10, False),  # growing gaps
-        (NPowN(), SQRT, False),
-    ])
-    def test_verdicts(self, seq, t, verdict):
-        assert growth_criterion(seq, t).vanishing == verdict
-
-    def test_structure(self):
-        g = growth_criterion(SqrtN(), SQRT, n_max=100)
-        # gaps of n**(1/4) at the end of the range
-        want = 100 ** 0.25 - 99 ** 0.25
-        assert abs(g.last_gap - want) < 1e-9
-        with pytest.raises(InvalidParameter):
-            growth_criterion(SqrtN(), SQRT, n_max=2)
 
 
 @given(st.integers(min_value=5, max_value=40))

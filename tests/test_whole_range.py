@@ -136,6 +136,12 @@ def check_sup(d, t):
     (LognormalBase10(200.0, 1e-300), PI_SQUARE),
     # x0**2 overflows, alpha / x0**2 does not
     (ParetoI(1e300, 1e200), PI_SQUARE),
+    # the sup leaves the doubles before pi_square's factor 1/(2*pi) brings
+    # it back: from the log10 form (x0**2 subnormal), from alpha / x0**2
+    # and from the lognormal closed form
+    (ParetoI(1.0, 10.0 ** -154.5), PI_SQUARE),
+    (ParetoI(1e9, 1e-150), PI_SQUARE),
+    (LognormalBase10(-152.4, 1.0), PI_SQUARE),
     # the argmax lies past the doubles though the supremum does not:
     # e**1000 under loglog, 10**395.4 and 10**-400 under log10
     (ParetoI(1e-3), LOGLOG),
