@@ -27,20 +27,20 @@ from .sequences import SEQUENCES, frac_sample, odd_nonsquare, parse_sequence
 from .stats import (DigitReport, benford_expected, digit_report,
                     kolmogorov_q, ks_uniform, leading_digit)
 from .transforms import (IDENTITY, LOG2, LOG10, LOGLOG, PI_SQUARE, SQRT,
-                         Identity, Log, LogLog, PiSquare, Sqrt, Transform,
-                         eval_transform, transform_frac)
+                         Log, LogLog, Power, Transform, eval_transform,
+                         transform_frac)
 
 __all__ = [
     "AnalyzeReport", "BACKEND", "BigReal", "BoundCertificate",
     "BoundSweepReport", "CertificateViolation", "DEFAULT_POLICY",
     "DISTRIBUTIONS", "Dataset", "DigitReport", "DomainError", "EmptyDataset",
     "EmptySample", "Exponential", "FileError", "HalfNormal",
-    "HypothesisViolated", "IDENTITY", "Identity", "InsufficientPrecision",
+    "HypothesisViolated", "IDENTITY", "InsufficientPrecision",
     "InvalidParameter", "KsCell", "LOG2", "LOG10", "LOGLOG", "Log",
     "LogLog", "LognormalBase10", "Mod1Result", "NoNumericColumn",
     "NotUnimodal", "PDeltaReport", "PI_SQUARE", "ParetoI", "ParetoII",
-    "PiSquare", "PrecisionCapExceeded", "PrecisionPolicy", "SEQUENCES",
-    "SQRT", "SeededSampler", "Sqrt", "Table1Report", "Table3Report",
+    "Power", "PrecisionCapExceeded", "PrecisionPolicy", "SEQUENCES",
+    "SQRT", "SeededSampler", "Table1Report", "Table3Report",
     "Transform", "TruncationFailure", "UBenfordError", "UniformOnZeroK",
     "analyze_dataset", "benford_expected", "bound_sweep",
     "certify_mod1_bound", "digit_report", "discrepancy_bound", "emit",

@@ -22,11 +22,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import sup_ratio
-from .errors import TruncationFailure, CertificateViolation
+from .errors import CertificateViolation, InvalidParameter, \
+    TruncationFailure
 
 _SQRT_PI = math.sqrt(math.pi)
 _EPS = float(np.finfo(np.float64).eps)
 _CHUNK = 1 << 16
+
+
+def _over_budget(count, budget):
+    """count and budget at three significant digits, or at as many more as
+    keep a count just past the budget from reading the same."""
+    digits = 3
+    while f"{count:.{digits}g}" == f"{budget:.{digits}g}" and digits < 17:
+        digits += 1
+    return f"{count:.{digits}g}", f"{budget:.{digits}g}"
 
 
 def default_z_grid():
@@ -85,10 +95,10 @@ def mod1_law(distribution, transform, zs=None, tail=1e-14,
     cells = j_hi - j_lo + 1
     if cells > max_cells:
         # float(j_hi) keeps a count past the doubles from raising
+        count, budget = _over_budget(float(j_hi) - j_lo + 1, max_cells)
         raise TruncationFailure(
-            f"{float(j_hi) - j_lo + 1:.3g} integer cells exceed the budget "
-            f"of {max_cells:.3g} for {distribution.label()} under "
-            f"{transform.label()}")
+            f"{count} integer cells exceed the budget of {budget} for "
+            f"{distribution.label()} under {transform.label()}")
 
     probs = np.zeros_like(zs)
     for start in range(j_lo, j_hi + 1, _CHUNK):
@@ -124,8 +134,14 @@ def mod1_law(distribution, transform, zs=None, tail=1e-14,
 
 
 def discrepancy_bound(distribution, transform):
-    """Certified ceiling 2*sup(pdf/u') for the mod-1 discrepancy."""
-    return 2.0 * sup_ratio(distribution, transform)
+    """Certified ceiling 2*sup(pdf/u') for the mod-1 discrepancy; a
+    ceiling past the largest double is refused, so bound / 2 is the sup."""
+    bound = 2.0 * sup_ratio(distribution, transform)
+    if not math.isfinite(bound):
+        raise InvalidParameter(
+            f"the ceiling 2*sup(pdf/u') for {distribution.label()} under "
+            f"{transform.label()} lies outside the double range")
+    return bound
 
 
 @dataclass(frozen=True)
@@ -143,7 +159,8 @@ def certify_mod1_bound(distribution, transform):
 
     Raises CertificateViolation when the measured discrepancy exceeds
     bound + error budget; propagates NotUnimodal/HypothesisViolated when
-    the ceiling itself does not exist.
+    the ceiling itself does not exist, and InvalidParameter when it is
+    past the doubles.
     """
     bound = discrepancy_bound(distribution, transform)
     res = mod1_law(distribution, transform)
@@ -183,9 +200,9 @@ def p_delta_uniform(k, delta, max_cells=50_000_000):
     a2 = a * a
     # compared as a float, so an a**2 past the doubles is refused too
     if a2 > max_cells:
+        count, budget = _over_budget(a2, max_cells)
         raise TruncationFailure(
-            f"{a2:.3g} cells exceed the budget of {max_cells:.3g} for "
-            f"k={k:g}")
+            f"{count} cells exceed the budget of {budget} for k={k:g}")
     n = math.ceil(a2)
     total = 0.0
     for start in range(0, n, _CHUNK * 16):

@@ -21,7 +21,7 @@ from .errors import CertificateViolation, DomainError, InvalidParameter
 from .sequences import frac_sample, odd_nonsquare, parse_sequence
 from .stats import digit_report, kolmogorov_q, ks_uniform
 from .transforms import IDENTITY, LOG10, LOGLOG, PI_SQUARE, SQRT, Log, \
-    PiSquare, _Certifier
+    _Certifier
 
 # Row and column order of the published sequence table: sequences sorted by
 # divergence speed, transforms likewise.
@@ -187,7 +187,7 @@ class Table3Report:
 
 
 def _limit_cell(family, transform, sup_path, cell_path):
-    if isinstance(transform, PiSquare):
+    if transform == PI_SQUARE:
         # no bounded density ratio here; measure max_delta |P_delta - delta|
         # along the path instead, from the envelope-checked series
         path = [(param, max(r.gap for r in pdelta_curve(family, param).rows))

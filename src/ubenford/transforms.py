@@ -1,8 +1,9 @@
 """Rescaling transforms and certified fractional-part evaluation.
 
 The transforms map positive reals to the scale on which mantissa behaviour
-becomes mod-1 behaviour: identity, log base b, iterated log (base 10 twice),
-square root, and the area map pi*x**2, one class each. The certifier
+becomes mod-1 behaviour: log base b (Log), the iterated log, base 10 twice
+(LogLog), and the power maps c*x**(p/q) (Power), whose named instances are
+the identity, the square root and the area map pi*x**2. The certifier
 (_Certifier, one per transform and policy, serving a whole cell or a
 single term) computes u(x) for a BigReal input with enough working
 precision that the fractional part is certified: the value is evaluated
@@ -28,19 +29,7 @@ from .kernels import digits_to_bits, ln2_fixed, ln10_fixed, ln_fixed, \
     pi_fixed
 
 # ---------------------------------------------------------------------------
-# double-precision helpers shared by the classes
-
-def _pow10(y):
-    try:
-        return 10.0 ** y
-    except OverflowError:
-        return math.inf
-
-
-def _log10_positive(y):
-    """log10(y) where y > 0, -inf elsewhere (vectorized)."""
-    return np.where(y > 0.0, np.log10(np.maximum(y, 1e-320)), -np.inf)
-
+# the double-precision domain check shared by the classes
 
 def _require(ok, message):
     """DomainError unless `ok` holds for every element."""
@@ -150,7 +139,8 @@ def _log_at(x, w, constants):
 # the transforms
 
 class Transform:
-    """A rescaling map u; one subclass per map.
+    """A rescaling map u; one subclass per kind of map: Log, LogLog and
+    Power.
 
     Double-precision side: `u_np` (forward map, vectorized, raising
     DomainError outside the domain); `u_float_from_log10` (u from log10
@@ -222,33 +212,6 @@ class Transform:
         if t.startswith("log") and t[3:].isdigit():
             return Log(int(t[3:]))
         raise ValueError(f"unknown transform {text!r}")
-
-
-@dataclass(frozen=True)
-class Identity(Transform):
-    """u(x) = x. Every input is its own exact result, so the certifier
-    never evaluates or escalates."""
-
-    kind = "identity"
-    power = (0.0, 1.0)
-
-    def u_np(self, x):
-        return x
-
-    def u_float_from_log10(self, lg):
-        return _pow10(lg)
-
-    def inverse_log10(self, y):
-        return _log10_positive(y)
-
-    def _check_domain(self, x):
-        pass
-
-    def _try_exact(self, x):
-        return x
-
-    def _result_bits_estimate(self, int_bits):
-        return int_bits
 
 
 @dataclass(frozen=True)
@@ -355,104 +318,117 @@ class LogLog(Transform):
         return 14
 
 
-@dataclass(frozen=True)
-class Sqrt(Transform):
-    """u(x) = sqrt(x), defined for x >= 0."""
-
-    kind = "sqrt"
-    power = (0.5, 2.0)
-
-    def u_np(self, x):
-        _require(x >= 0.0, "sqrt requires x >= 0")
-        return np.sqrt(x)
-
-    def u_float_from_log10(self, lg):
-        return _pow10(lg / 2.0)
-
-    def inverse_log10(self, y):
-        return 2.0 * _log10_positive(y)
-
-    def _check_domain(self, x):
-        if x.sign() < 0:
-            raise DomainError("sqrt requires x >= 0")
-
-    def _try_exact(self, x):
-        if not x.exact:
-            return None
-        m, e = x.mantissa, x.exponent
-        if m == 0:
-            return BigReal.from_int(0)
-        if e % 2:
-            m <<= 1
-            e -= 1
-        r = isqrt(m)
-        if r * r == m:
-            return BigReal(r, e // 2, max(53, r.bit_length()), True)
-        return None
-
-    def _eval_at(self, x, w, constants):
-        m, e = x.mantissa, x.exponent
-        if e % 2:
-            m <<= 1
-            e -= 1
-        r = isqrt(m << 2 * w)
-        half = e // 2
-        int_bits = max(0, r.bit_length() + half - w)
-        # r is floor-exact at scale 2**(half - w)
-        frac_cert = min(w - 1 - max(0, half), _input_frac_limit(x, int_bits))
-        return BigReal(r, half - w, int_bits + frac_cert, False)
-
-    def _result_bits_estimate(self, int_bits):
-        return int_bits // 2 + 1
+_POWER_NAMES = {(1, 1, False): "identity", (1, 2, False): "sqrt",
+                (2, 1, True): "pi_square"}
 
 
 @dataclass(frozen=True)
-class PiSquare(Transform):
-    """u(x) = pi*x**2, defined for x >= 0."""
+class Power(Transform):
+    """u(x) = c*x**a with a = p/q and c = pi or 1, defined for x >= 0;
+    u(x) = x (a = c = 1) takes every real and returns its input itself.
 
-    kind = "pi_square"
-    power = (-1.0, 1.0 / (2.0 * math.pi))
-    formula = "pi*x**2"
+    One certified route: x**p in integers, its integer square root when
+    q = 2, then times pi_fixed(w) when c = pi; the bits it claims come from
+    whichever of those two floors it took. The constructor holds the
+    route's preconditions: integers p >= 1 and q in (1, 2) with p/q in
+    lowest terms, and pi only with q = 1.
+    """
+
+    p: int
+    q: int = 1
+    pi: bool = False
+
+    def __post_init__(self):
+        p, q, pi = self.p, self.q, self.pi
+        if not (isinstance(p, int) and p >= 1 and isinstance(pi, bool)
+                and (q == 1 or q == 2 and p % 2 and not pi)):
+            raise ValueError("a power map needs integers p >= 1 and q in "
+                             "(1, 2), p/q in lowest terms, pi only if q = 1")
+        a, c = p / q, math.pi if pi else 1.0
+        formula = ("pi*" if pi else "") + (
+            f"x**{p}" if q == 1 else f"x**({p}/2)")
+        # x**p multiplies an inexact input's relative error by p, which
+        # costs ceil(log2 p) bits; _input_frac_limit's pad covers one
+        for name, value in (
+                ("kind", _POWER_NAMES.get((p, q, pi), formula)),
+                ("formula", formula), ("power", (1.0 - a, 1.0 / (a * c))),
+                ("_a", a), ("_c", c), ("_identity", a == 1.0 and not pi),
+                ("_input_pad", max(0, (p - 1).bit_length() - 1))):
+            object.__setattr__(self, name, value)
 
     def u_np(self, x):
-        _require(x >= 0.0, "pi_square requires x >= 0")
-        return np.pi * x * x
+        if self._identity:
+            return x
+        _require(x >= 0.0, f"{self.kind} requires x >= 0")
+        # pi*x*x, not pi*x**2: the two round differently
+        u = np.pi * x if self.pi else x
+        for _ in range(self.p - 1):
+            u = u * x
+        return np.sqrt(u) if self.q == 2 else u
 
     def u_float_from_log10(self, lg):
-        return math.pi * _pow10(2.0 * lg)
+        try:
+            return self._c * 10.0 ** (self._a * lg)
+        except OverflowError:
+            return math.inf
 
     def inverse_log10(self, y):
-        return 0.5 * (_log10_positive(y) - math.log10(math.pi))
+        lg = np.where(y > 0.0, np.log10(np.maximum(y, 1e-320)), -np.inf)
+        return (lg - math.log10(math.pi) if self.pi else lg) / self._a
 
     def _check_domain(self, x):
-        if x.sign() < 0:
-            raise DomainError("pi_square requires x >= 0")
+        if x.mantissa < 0 and not self._identity:
+            raise DomainError(f"{self.kind} requires x >= 0")
 
     def _try_exact(self, x):
-        return BigReal.from_int(0) if x.exact and x.mantissa == 0 else None
+        if self._identity:
+            return x
+        if not x.exact or self.pi and x.mantissa:
+            return None  # pi*x**p is irrational for every x > 0
+        m, e = x.mantissa ** self.p, x.exponent * self.p
+        if self.q == 2:
+            if e % 2:
+                m <<= 1
+                e -= 1
+            r = isqrt(m)
+            if r * r != m:
+                return None
+            m, e = r, e // 2
+        return BigReal(m, e, max(53, m.bit_length()), True)
 
     def _constants(self, w):
-        return pi_fixed(w)
+        return pi_fixed(w) if self.pi else None
 
     def _eval_at(self, x, w, pi):
-        m, e = x.mantissa, x.exponent
-        q = pi * m * m
-        int_bits = max(0, q.bit_length() + 2 * e - w)
-        # absolute error <= x**2 * 2**-w from the truncated pi bits
-        frac_cert = w - 2 * x.integer_digits() - 1
-        frac_cert = min(frac_cert, _input_frac_limit(x, int_bits))
-        return BigReal(q, 2 * e - w, int_bits + frac_cert, False)
+        p = self.p
+        m, e = x.mantissa ** p, x.exponent * p
+        if self.q == 2:
+            if e % 2:
+                m <<= 1
+                e -= 1
+            e //= 2
+            # the root is floor-exact at scale 2**(e - w)
+            m, e, floor_bits = isqrt(m << 2 * w), e - w, w - 1 - max(0, e)
+        elif self.pi:
+            # absolute error <= x**p * 2**-w from the truncated pi bits
+            m, e, floor_bits = pi * m, e - w, w - p * x.integer_digits() - 1
+        else:
+            floor_bits = w  # x**p itself is exact
+        int_bits = max(0, m.bit_length() + e)
+        frac_cert = min(floor_bits,
+                        _input_frac_limit(x, int_bits) - self._input_pad)
+        return BigReal(m, e, int_bits + frac_cert, False)
 
     def _result_bits_estimate(self, int_bits):
-        return 2 * int_bits + 2
+        return self.p * int_bits // self.q + (self.q == 2) + 2 * self.pi
 
 
-IDENTITY = Identity()
+IDENTITY = Power(1)
 LOG10 = Log(10)
 LOG2 = Log(2)
 LOGLOG = LogLog()
-SQRT = Sqrt()
-PI_SQUARE = PiSquare()
+SQRT = Power(1, 2)
+PI_SQUARE = Power(2, pi=True)
 
 
 # ---------------------------------------------------------------------------

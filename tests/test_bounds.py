@@ -25,8 +25,10 @@ from ubenford.bounds import (_CHUNK, _EPS, BoundCertificate,
 from ubenford.distributions import (Exponential, HalfNormal,
                                     LognormalBase10, ParetoI, ParetoII,
                                     UniformOnZeroK)
+from ubenford.distributions import sup_ratio
 from ubenford.errors import (CertificateViolation, HypothesisViolated,
-                             NotUnimodal, TruncationFailure)
+                             InvalidParameter, NotUnimodal,
+                             TruncationFailure)
 from ubenford.transforms import (IDENTITY, LOG2, LOG10, LOGLOG, PI_SQUARE,
                                  SQRT)
 
@@ -167,6 +169,14 @@ class TestMod1Law:
                            match=r"^4\.47e\+207 integer cells exceed the "
                                  r"budget of 5e\+06 for"):
             mod1_law(LognormalBase10(400.0, 2.0), SQRT, zs=QUARTERS)
+
+    def test_budget_refusal_tells_count_from_budget(self):
+        # 1001 cells against a budget of 1000: both read 1e+03 at three
+        # digits, so the count takes a fourth
+        with pytest.raises(TruncationFailure,
+                           match=r"^1001 integer cells exceed the budget "
+                                 r"of 1000 for"):
+            mod1_law(UniformOnZeroK(1000.5), IDENTITY, max_cells=1000)
 
 
 def _mod1_law_per_z(distribution, transform, zs, tail=1e-14):
@@ -338,6 +348,18 @@ class TestBoundCertificates:
 
         with pytest.raises(CertificateViolation):
             certify_mod1_bound(Liar(1.0), LOG10)
+
+    def test_ceiling_past_the_doubles_is_refused(self):
+        # a finite supremum above half the largest double: 2*sup is inf
+        d = ParetoI(7.7e307, 2.5)
+        assert math.isfinite(sup_ratio(d, LOGLOG))
+        with pytest.raises(InvalidParameter,
+                           match="outside the double range"):
+            discrepancy_bound(d, LOGLOG)
+
+    def test_finite_ceiling_halves_to_the_supremum(self):
+        d = ParetoI(3e307, 2.5)
+        assert discrepancy_bound(d, LOGLOG) / 2.0 == sup_ratio(d, LOGLOG)
 
     def test_degenerate_pairs_propagate(self):
         with pytest.raises(NotUnimodal):

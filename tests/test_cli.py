@@ -370,6 +370,17 @@ def test_pareto_i_with_x0_above_one(capsys, transform):
         ["2000,2", "2000,3"]
 
 
+@pytest.mark.parametrize("fmt", ["text-table", "structured-record"])
+def test_ceiling_past_the_doubles_exits_one(capsys, fmt):
+    # the supremum is finite, but 2*sup is not: this printed inf for
+    # ratio_sup, bound and slack, and Infinity in the record, with exit 0
+    code, out, err = run(capsys, "bounds", "pareto_i", "--params",
+                         "7.7e307,2.5;", "--transform", "loglog",
+                         "--format", fmt)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_parameter_count_names_the_parameters(capsys):
     # "0,2" is a path of two one-parameter points, and lognormal10 takes
     # two parameters a point
@@ -410,6 +421,19 @@ def test_overflowing_cell_counts_exit_two(argv):
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("numerical failure:")
     assert len(proc.stderr) < 200
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("bounds", "uniform", "--params", "5000000.5", "--transform",
+      "identity"), "5000001 integer cells exceed the budget of 5000000 "),
+    (("pdelta", "uniform", "3989.5"),
+     "5.0002e+07 cells exceed the budget of 5e+07 "),
+])
+def test_budget_refusal_tells_count_from_budget(capsys, argv, message):
+    # at three digits the count just past the budget read the same as it
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"numerical failure: {message}")
 
 
 @pytest.mark.parametrize("argv, code", [

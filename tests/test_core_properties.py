@@ -2,9 +2,11 @@
 
 transform_frac must agree with an independent mpmath evaluation of the same
 value to 1e-12, measured as wrapped distance on the circle [0, 1), under
-every transform kind: for exact integers up to 10**3000, for exact doubles
+every named transform: for exact integers up to 10**3000, for exact doubles
 over +-300 decades, and for the inexact terms of every sequence at
 n <= 1000 (taken through frac_sample, so input regeneration is covered).
+The same checks run over power maps drawn from every accepted (p, q, pi)
+with p <= 7.
 
 eval_transform accepts a result on the strength of its claimed precision
 alone, so the claim of every `_eval_at` is checked too: the result must lie
@@ -25,8 +27,8 @@ from ubenford.errors import DomainError
 from ubenford.kernels import digits_to_bits
 from ubenford.sequences import ExpN, PiN, PowerLaw, SqrtN, frac_sample
 from ubenford.transforms import (IDENTITY, LOG2, LOG10, LOGLOG, PI_SQUARE,
-                                 SQRT, Log, _policy_bits, eval_transform,
-                                 start_bits, transform_frac)
+                                 SQRT, Log, Power, _policy_bits,
+                                 eval_transform, start_bits, transform_frac)
 
 TOL = 1e-12
 TRANSFORMS = (IDENTITY, LOG10, LOG2, LOGLOG, SQRT, PI_SQUARE)
@@ -37,25 +39,34 @@ def wrapped(a, b):
     return min(d, 1.0 - d)
 
 
+def u_mp(transform, x):
+    """u(x) in mpmath, at the working precision in force."""
+    if isinstance(transform, Power):
+        u = x ** transform.p
+        u = mp.sqrt(u) if transform.q == 2 else u
+        return mp.pi * u if transform.pi else u
+    if transform == LOGLOG:
+        return mp.log10(mp.log10(x))
+    return mp.log(x) / mp.log(transform.base)
+
+
 def mp_frac(make_x, transform, lg):
     """{u(x)} in mpmath; `lg` bounds log10 of x from above."""
-    int_digits = {"pi_square": 2 * lg + 1, "sqrt": lg / 2 + 1,
-                  "identity": lg + 1}.get(transform.kind, 10)
+    int_digits = (transform.p * lg / transform.q + 1
+                  if isinstance(transform, Power) else 10)
     with mp.workdps(int(max(lg, int_digits, 0)) + 40):
-        x = make_x()
-        if transform == IDENTITY:
-            u = x
-        elif transform == LOG10:
-            u = mp.log10(x)
-        elif transform == LOG2:
-            u = mp.log(x, 2)
-        elif transform == LOGLOG:
-            u = mp.log10(mp.log10(x))
-        elif transform == SQRT:
-            u = mp.sqrt(x)
-        else:
-            u = mp.pi * x * x
+        u = u_mp(transform, make_x())
         return float(u - mp.floor(u))
+
+
+@st.composite
+def powers(draw):
+    """An accepted Power: p/q in lowest terms, q in (1, 2), pi only with
+    q = 1."""
+    q = draw(st.sampled_from((1, 2)))
+    p = draw(st.integers(min_value=1, max_value=7).filter(
+        lambda p: q == 1 or p % 2))
+    return Power(p, q, q == 1 and draw(st.booleans()))
 
 
 @pytest.mark.parametrize("transform", TRANSFORMS, ids=lambda t: t.label())
@@ -72,6 +83,18 @@ def test_exact_integers(transform, n):
        decade=st.integers(min_value=-300, max_value=299))
 @settings(max_examples=200, deadline=None)
 def test_exact_doubles(transform, m, decade):
+    check_exact_double(transform, m, decade)
+
+
+@given(power=powers(),
+       m=st.floats(min_value=1.0, max_value=10.0, exclude_max=True),
+       decade=st.integers(min_value=-300, max_value=299))
+@settings(max_examples=100, deadline=None)
+def test_power_maps_exact_doubles(power, m, decade):
+    check_exact_double(power, m, decade)
+
+
+def check_exact_double(transform, m, decade):
     v = m * 10.0 ** decade
     x = BigReal.from_float(v)
     if transform == LOGLOG and v <= 1.0:
@@ -101,6 +124,18 @@ SEQUENCE_TERMS = (
        n=st.integers(min_value=2, max_value=1000))
 @settings(max_examples=150, deadline=None)
 def test_inexact_sequence_terms(transform, which, n):
+    check_sequence_term(transform, which, n)
+
+
+@given(power=powers(),
+       which=st.integers(min_value=0, max_value=len(SEQUENCE_TERMS) - 1),
+       n=st.integers(min_value=2, max_value=1000))
+@settings(max_examples=100, deadline=None)
+def test_power_maps_inexact_sequence_terms(power, which, n):
+    check_sequence_term(power, which, n)
+
+
+def check_sequence_term(transform, which, n):
     seq, term, log10_of = SEQUENCE_TERMS[which]
     sample = frac_sample(seq, transform, n, index_filter=lambda k: k == n)
     want = mp_frac(lambda: term(n), transform, log10_of(n) + 1)
@@ -113,16 +148,6 @@ def test_inexact_sequence_terms(transform, which, n):
 
 EVALUATORS = (LOG10, LOG2, Log(7), LOGLOG, SQRT, PI_SQUARE)
 AGREEMENT_BITS = _policy_bits(DEFAULT_POLICY)[0]
-
-
-def u_mp(transform, x):
-    if transform == LOGLOG:
-        return mp.log10(mp.log10(x))
-    if transform == SQRT:
-        return mp.sqrt(x)
-    if transform == PI_SQUARE:
-        return mp.pi * x * x
-    return mp.log(x) / mp.log(transform.base)
 
 
 def claim_error(r, transform, make_x, x_bits):
@@ -139,6 +164,17 @@ def claim_error(r, transform, make_x, x_bits):
 @given(n=st.integers(min_value=2, max_value=10 ** 3000))
 @settings(max_examples=25, deadline=None)
 def test_claimed_bits_exact_integers(transform, scale, n):
+    check_claim_exact(transform, scale, n)
+
+
+@pytest.mark.parametrize("scale", (1, 2, 4))
+@given(power=powers(), n=st.integers(min_value=2, max_value=10 ** 300))
+@settings(max_examples=25, deadline=None)
+def test_power_maps_claimed_bits_exact_integers(power, scale, n):
+    check_claim_exact(power, scale, n)
+
+
+def check_claim_exact(transform, scale, n):
     x = BigReal.from_int(n)
     w = start_bits(transform, x.integer_digits(), AGREEMENT_BITS)
     r = transform._eval_at(x, scale * w, transform._constants(scale * w))
@@ -160,6 +196,21 @@ INEXACT_TERMS = (
        retries=st.integers(min_value=0, max_value=1))
 @settings(max_examples=25, deadline=None)
 def test_claimed_bits_inexact_terms(transform, scale, which, n, retries):
+    check_claim_inexact(transform, scale, which, n, retries)
+
+
+@pytest.mark.parametrize("scale", (1, 2, 4))
+@given(power=powers(),
+       which=st.integers(min_value=0, max_value=len(INEXACT_TERMS) - 1),
+       n=st.integers(min_value=2, max_value=1000),
+       retries=st.integers(min_value=0, max_value=1))
+@settings(max_examples=50, deadline=None)
+def test_power_maps_claimed_bits_inexact_terms(power, scale, which, n,
+                                               retries):
+    check_claim_inexact(power, scale, which, n, retries)
+
+
+def check_claim_inexact(transform, scale, which, n, retries):
     seq, term = INEXACT_TERMS[which]
     # the input precision frac_sample asks for, and after a regeneration
     bits = start_bits(transform, digits_to_bits(seq.int_digits_estimate(n)),

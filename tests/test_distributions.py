@@ -361,7 +361,13 @@ class TestLognormalSupremaRange:
             assert sys.float_info.min <= val < math.inf
             assert val == pytest.approx(
                 self.mp_sup(mu, sigma, c, factor), rel=1e-12)
-            assert discrepancy_bound(d, transform) == 2.0 * val
+            if math.isfinite(2.0 * val):
+                assert discrepancy_bound(d, transform) == 2.0 * val
+            else:
+                # a supremum above half the largest double: its ceiling
+                # 2*sup is refused rather than handed out as inf
+                with pytest.raises(InvalidParameter):
+                    discrepancy_bound(d, transform)
         # the supremum leaves the double range well before sigma = 45
         assert refused > 0
 

@@ -1,6 +1,7 @@
 """Transform evaluation: exact fast paths, certified escalation, domains."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,7 @@ from ubenford.errors import (DomainError, InsufficientPrecision,
                              PrecisionCapExceeded)
 from ubenford.kernels import digits_to_bits, pi_fixed
 from ubenford.transforms import (IDENTITY, LOG2, LOG10, LOGLOG, PI_SQUARE,
-                                 SQRT, Log, LogLog, Transform,
+                                 SQRT, Log, LogLog, Power, Transform,
                                  eval_transform, start_bits, transform_frac)
 
 # independently computed reference bits: floor(frac(u) * 2**b)
@@ -397,8 +398,102 @@ class TestFloatHelpers:
                             1.0 / (8.0 * math.log(2)))
 
 
-# one instance of every transform class, plus two more log bases
-REGISTRY = tuple(cls() for cls in Transform.__subclasses__()) + (LOG2, Log(7))
+class TestPowerMaps:
+    """identity, sqrt and pi_square are Power(1), Power(1, 2) and
+    Power(2, pi=True); each keeps the double expressions of its former
+    class bit for bit, which table3's sampled row and the analyze fixtures
+    read."""
+
+    rng = np.random.default_rng(20091)
+    # seeded doubles over +-300 decades; pi*x*x overflows past 1e154
+    XS = rng.uniform(1.0, 10.0, 4000) * 10.0 ** rng.integers(-300, 300, 4000)
+    LGS = np.concatenate([np.log10(XS), [-400.0, 0.0, 400.0]])
+
+    def test_named_instances(self):
+        assert (IDENTITY, SQRT, PI_SQUARE) == \
+            (Power(1), Power(1, 2), Power(2, pi=True))
+        assert [t.label() for t in (IDENTITY, SQRT, PI_SQUARE)] == \
+            ["identity", "sqrt", "pi_square"]
+        assert PI_SQUARE.formula == "pi*x**2"
+        assert Power(3).label() == "x**3"
+        assert Power(3, 2).label() == "x**(3/2)"
+        assert Power(3, pi=True).label() == "pi*x**3"
+
+    def test_u_np_keeps_the_former_expressions(self):
+        x = self.XS
+        assert IDENTITY.u_np(x) is x
+        assert SQRT.u_np(x).tobytes() == np.sqrt(x).tobytes()
+        with np.errstate(over="ignore"):
+            assert PI_SQUARE.u_np(x).tobytes() == (np.pi * x * x).tobytes()
+            # the test tells the two roundings of pi*x**2 apart
+            assert np.any(np.pi * x * x != np.pi * x ** 2)
+        for v in x[:50]:
+            assert SQRT.u_np(float(v)) == np.sqrt(v)
+            assert PI_SQUARE.u_np(float(v)) == np.pi * float(v) * float(v)
+
+    def test_float_side_keeps_the_former_expressions(self):
+        def pow10(y):
+            try:
+                return 10.0 ** y
+            except OverflowError:
+                return math.inf
+
+        for lg in self.LGS:
+            lg = float(lg)
+            assert IDENTITY.u_float_from_log10(lg) == pow10(lg)
+            assert SQRT.u_float_from_log10(lg) == pow10(lg / 2.0)
+            assert PI_SQUARE.u_float_from_log10(lg) == \
+                math.pi * pow10(2.0 * lg)
+        ys = np.concatenate([self.XS, [0.0]])
+        with np.errstate(divide="ignore"):
+            lg = np.where(ys > 0.0, np.log10(ys), -np.inf)
+        assert IDENTITY.inverse_log10(ys).tobytes() == lg.tobytes()
+        assert SQRT.inverse_log10(ys).tobytes() == (2.0 * lg).tobytes()
+        assert PI_SQUARE.inverse_log10(ys).tobytes() == \
+            (0.5 * (lg - math.log10(math.pi))).tobytes()
+
+    def test_power_pairs(self):
+        assert IDENTITY.power == (0.0, 1.0)
+        assert SQRT.power == (0.5, 2.0)
+        assert PI_SQUARE.power == (-1.0, 1.0 / (2.0 * math.pi))
+
+    def test_start_bits_estimates(self):
+        for b in (0, 1, 17, 1000):
+            assert IDENTITY._result_bits_estimate(b) == b
+            assert SQRT._result_bits_estimate(b) == b // 2 + 1
+            assert PI_SQUARE._result_bits_estimate(b) == 2 * b + 2
+
+    @pytest.mark.parametrize("args", [(0,), (-1,), (1.0,), (2, 2), (1, 3),
+                                      (1, 2, True), (1, 1, 1)])
+    def test_constructor_refuses_what_the_route_cannot_take(self, args):
+        with pytest.raises(ValueError):
+            Power(*args)
+
+    def test_domains(self):
+        for t in (SQRT, PI_SQUARE, Power(3), Power(3, 2)):
+            with pytest.raises(DomainError, match=f"^{re.escape(t.label())}"
+                                                  r" requires x >= 0"):
+                t.u_np(np.array([1.0, -1.0]))
+            with pytest.raises(DomainError):
+                eval_transform(BigReal.from_float(-0.5), t)
+        x = BigReal.from_float(-2.5)
+        assert eval_transform(x, IDENTITY) is x
+        assert IDENTITY.u_np(-2.5) == -2.5
+
+    def test_exact_results(self):
+        r = eval_transform(BigReal.from_float(1.5), Power(3))
+        assert r.exact and exact(r) == Fraction(27, 8)
+        r = eval_transform(BigReal.from_int(4), Power(3, 2))
+        assert r.exact and exact(r) == 8
+        r = eval_transform(BigReal.from_float(0.5), Power(5, 2))
+        assert not r.exact  # 2**-5/2 is irrational
+        assert abs(float(exact(r)) - 0.5 ** 2.5) < 1e-15
+        assert eval_transform(BigReal.from_int(3), Power(3, pi=True)).exact \
+            is False
+
+
+# every named transform, plus one more log base
+REGISTRY = (IDENTITY, LOG10, LOGLOG, SQRT, PI_SQUARE, LOG2, Log(7))
 
 
 # the same value written several ways around the iterated log's edge x = 1,
