@@ -412,13 +412,18 @@ DISTRIBUTIONS = {
 }
 
 
-def parse_distribution(text):
-    """"name:arg1,arg2" with positional numeric arguments."""
-    t = text.strip().lower()
-    head, _, argpart = t.partition(":")
+def build_distribution(name, args):
+    """The family `name` at the positional parameters `args` (numbers, or
+    their text), refusing an unknown name, a non-numeric parameter and a
+    parameter count the family does not take."""
+    head = name.strip().lower()
     if head not in DISTRIBUTIONS:
-        raise InvalidParameter(f"unknown distribution {text!r}")
-    args = [float(a) for a in argpart.split(",") if a] if argpart else []
+        raise InvalidParameter(f"unknown distribution {name!r}")
+    try:
+        args = [float(a) for a in args]
+    except (TypeError, ValueError):
+        raise InvalidParameter(
+            f"{head} parameters must be numbers, got {args!r}") from None
     family = DISTRIBUTIONS[head]
     params = inspect.signature(family).parameters.values()
     names = [p.name for p in params]
@@ -431,6 +436,12 @@ def parse_distribution(text):
             f"{head} takes {count} parameter(s) ({', '.join(names)}), got "
             f"{len(args)}; a path of points is written '{point};{point}'")
     return family(*args)
+
+
+def parse_distribution(text):
+    """"name:arg1,arg2" with positional numeric arguments."""
+    head, _, argpart = text.partition(":")
+    return build_distribution(head, [a for a in argpart.split(",") if a])
 
 
 # ---------------------------------------------------------------------------

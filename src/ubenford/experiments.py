@@ -16,7 +16,7 @@ from .bigreal import DEFAULT_POLICY, BigReal
 from .bounds import (certify_mod1_bound, mod1_law, p_delta_exponential,
                      p_delta_exponential_envelope, p_delta_uniform,
                      p_delta_uniform_envelope)
-from .distributions import DISTRIBUTIONS, HalfNormal, parse_distribution
+from .distributions import DISTRIBUTIONS, HalfNormal, build_distribution
 from .errors import CertificateViolation, DomainError, InvalidParameter
 from .sequences import frac_sample, odd_nonsquare, parse_sequence
 from .stats import digit_report, kolmogorov_q, ks_uniform
@@ -205,12 +205,21 @@ def _limit_cell(family, transform, sup_path, cell_path):
 
 
 def sample_cell(values, transform):
-    """KS cell for a float sample pushed through a transform in doubles.
+    """KS cell for a float sample, its fractional parts {u(x)} certified as
+    analyze_dataset certifies them: each double is an exact binary
+    rational, so scatter far past the doubles' resolution still tests
+    the true fractions.
 
-    Raises DomainError when a value lies outside the transform's domain.
+    Raises InvalidParameter naming the first value that is not finite,
+    and DomainError when a value lies outside the transform's domain.
     """
-    u = transform.u_np(np.asarray(values, dtype=np.float64))
-    statistic, z = ks_uniform(np.mod(u, 1.0))
+    xs = np.asarray(values, dtype=np.float64)
+    bad = xs[~np.isfinite(xs)]
+    if bad.size:
+        raise InvalidParameter(f"sample value {bad[0]} is not finite")
+    certifier = _Certifier(transform, DEFAULT_POLICY)
+    statistic, z = ks_uniform(
+        [certifier.frac(BigReal.from_float(v)) for v in xs])
     p = kolmogorov_q(z)
     if p < ALPHA_REJECT:
         verdict = "rejected"
@@ -227,7 +236,8 @@ def run_table3(seed=0, sigma=1e4, sample_size=2000):
 
     The limit rows follow the two certified routes (density-ratio ceiling
     where one exists, cell-probability gap otherwise); the sampled row is
-    an honest finite-N KS test, so its magnitudes move with the seed.
+    an honest finite-N KS test of certified fractional parts (see
+    sample_cell), so its magnitudes move with the seed.
     """
     if sample_size < 2:
         raise InvalidParameter("sample_size must be >= 2")
@@ -287,8 +297,7 @@ def bound_sweep(family, params, transform=LOG10):
     rows = []
     for param in params:
         point = tuple(param) if isinstance(param, (tuple, list)) else (param,)
-        dist = parse_distribution(
-            f"{family}:{','.join(str(p) for p in point)}")
+        dist = build_distribution(family, point)
         cert = certify_mod1_bound(dist, transform)
         rows.append(SweepRow(
             parameter=(float(point[0]) if len(point) == 1

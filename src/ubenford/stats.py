@@ -19,13 +19,14 @@ def ks_uniform(values):
     """Two-sided KS distance of a sample against Uniform(0, 1).
 
     Returns (statistic, z) with z = sqrt(N) * statistic. Values must lie
-    in [0, 1]; ties are legitimate and kept.
+    in [0, 1] (a NaN is refused); ties are legitimate and kept.
     """
     x = np.sort(np.asarray(values, dtype=np.float64))
     n = x.size
     if n == 0:
         raise EmptySample("KS statistic of an empty sample")
-    if x[0] < 0.0 or x[-1] > 1.0:
+    # np.sort puts NaN last, and a NaN fails the comparison
+    if not (x[0] >= 0.0 and x[-1] <= 1.0):
         raise DomainError("KS against Uniform(0,1) needs values in [0, 1]")
     i = np.arange(1, n + 1, dtype=np.float64)
     d_plus = float(np.max(i / n - x))
@@ -42,8 +43,8 @@ def kolmogorov_q(z):
     of exp(-(2k-1)**2 * pi**2 / (8 z**2)), takes over. Each side reaches
     machine precision in a handful of terms and they agree at the seam.
     """
-    if z < 0.0:
-        raise DomainError("z must be nonnegative")
+    if not z >= 0.0:
+        raise DomainError(f"z must be nonnegative, got {z}")
     if z <= 1e-12:
         return 1.0
     if z >= 1.0:

@@ -29,15 +29,6 @@ from .kernels import digits_to_bits, ln2_fixed, ln10_fixed, ln_fixed, \
     pi_fixed
 
 # ---------------------------------------------------------------------------
-# the double-precision domain check shared by the classes
-
-def _require(ok, message):
-    """DomainError unless `ok` holds for every element."""
-    if not np.all(ok):
-        raise DomainError(message)
-
-
-# ---------------------------------------------------------------------------
 # exact fast paths
 
 def _power_exponent(v, base):
@@ -142,9 +133,9 @@ class Transform:
     """A rescaling map u; one subclass per kind of map: Log, LogLog and
     Power.
 
-    Double-precision side: `u_np` (forward map, vectorized, raising
-    DomainError outside the domain); `u_float_from_log10` (u from log10
-    x, inf where a double overflows);
+    Double-precision side, on the log10 axis only (no map takes a double
+    x to u(x) in doubles; a sample's {u(x)} is certified):
+    `u_float_from_log10` (u from log10 x, inf where a double overflows);
     `inverse_log10` (vectorized log10 of the preimage, -inf below the
     image); `power`, the pair (k, factor) of a power map, whose
     u' = x**-k / factor, so that `sup_ratio` (sup of pdf/u' for a
@@ -232,11 +223,6 @@ class Log(Transform):
     def power(self):
         return 1.0, math.log(self.base)
 
-    def u_np(self, x):
-        _require(x > 0.0, f"{self.label()} requires x > 0")
-        # log10(10) is exactly 1.0, so base 10 is np.log10 bit for bit
-        return np.log10(x) / math.log10(self.base)
-
     def u_float_from_log10(self, lg):
         return lg / math.log10(self.base)
 
@@ -266,10 +252,6 @@ class LogLog(Transform):
 
     kind = "loglog"
     lg_domain_lo = 0.0
-
-    def u_np(self, x):
-        _require(x > 1.0, "iterated log requires x > 1")
-        return np.log10(np.log10(x))
 
     def u_float_from_log10(self, lg):
         if lg <= 0:
@@ -355,16 +337,6 @@ class Power(Transform):
                 ("_a", a), ("_c", c), ("_identity", a == 1.0 and not pi),
                 ("_input_pad", max(0, (p - 1).bit_length() - 1))):
             object.__setattr__(self, name, value)
-
-    def u_np(self, x):
-        if self._identity:
-            return x
-        _require(x >= 0.0, f"{self.kind} requires x >= 0")
-        # pi*x*x, not pi*x**2: the two round differently
-        u = np.pi * x if self.pi else x
-        for _ in range(self.p - 1):
-            u = u * x
-        return np.sqrt(u) if self.q == 2 else u
 
     def u_float_from_log10(self, lg):
         try:

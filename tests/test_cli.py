@@ -391,6 +391,17 @@ def test_parameter_count_names_the_parameters(capsys):
                    "'mu,sigma;mu,sigma'\n")
 
 
+@pytest.mark.parametrize("family", ["uniform:3", "uniform:1,", "uniform,",
+                                    "lognormal10:0"])
+def test_unknown_family_names_what_was_typed(capsys, family):
+    # the sweep used to format each point into "family:params" text and
+    # parse it again: "uniform:3" ended in a ValueError traceback, and
+    # "uniform," was reported as 'uniform,:2.0'
+    code, out, err = run(capsys, "bounds", family, "--params", "2")
+    assert code == 1 and out == ""
+    assert err == f"error: unknown distribution {family!r}\n"
+
+
 def test_missing_subcommand_exits_one(capsys):
     code, _, err = run(capsys)
     assert code == 1 and "error:" in err

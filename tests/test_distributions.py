@@ -492,8 +492,10 @@ class TestParse:
             parse_distribution("pareto_i:1,2,3")
         with pytest.raises(InvalidParameter):
             parse_distribution("exponential:-2")
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter):
             parse_distribution("exponential:abc")
+        with pytest.raises(InvalidParameter):
+            parse_distribution("uniform:abc")
 
 
 # one valid point per family; each position in turn takes a bad value

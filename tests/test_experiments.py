@@ -10,6 +10,7 @@ own independent anchors).
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -23,7 +24,7 @@ from ubenford.experiments import (DELTA_GRID, TABLE1_TRANSFORMS,
 from ubenford.ingest import Dataset
 from ubenford.report import emit
 from ubenford.sequences import odd_nonsquare, parse_sequence
-from ubenford.stats import ks_uniform
+from ubenford.stats import kolmogorov_q, ks_uniform
 from ubenford.transforms import IDENTITY, LOG2, LOG10, LOGLOG, PI_SQUARE, SQRT
 
 
@@ -211,15 +212,46 @@ def test_table3_defects_shrink_along_path():
 
 
 def test_table3_sampled_row_frozen_at_seed_zero():
+    # the KS z of the mpmath fractions of the same 2,000 draws, and
+    # Q(z) for pi*x**2
     rep = run_table3(seed=0)
     log10_cell, sqrt_cell, pi_cell = rep.half_normal_row
-    assert log10_cell.z == pytest.approx(3.013838227831707, rel=1e-12)
+    assert log10_cell.z == pytest.approx(3.0138382278317097, rel=1e-12)
     assert log10_cell.verdict == "rejected"
-    assert sqrt_cell.z == pytest.approx(1.3457781722685456, rel=1e-12)
+    assert sqrt_cell.z == pytest.approx(1.345778172268585, rel=1e-12)
     assert sqrt_cell.verdict == "not rejected"
-    assert pi_cell.z == pytest.approx(0.6957351077210004, rel=1e-12)
-    assert pi_cell.p == pytest.approx(0.7183229198879367, rel=1e-12)
+    assert pi_cell.z == pytest.approx(0.6957351354046326, rel=1e-12)
+    assert pi_cell.p == pytest.approx(0.7183228739635867, rel=1e-12)
     assert pi_cell.verdict == "not rejected"
+
+
+def _mp_frac(x, transform):
+    """{u(x)} of a double x in mpmath, 60 digits past u's integer part."""
+    x = mpmath.mpf(x)
+    lg = abs(math.log10(x)) if x else 0.0
+    with mpmath.workdps(60 + int(2 * lg + 1)):
+        if transform == "log10":
+            u = mpmath.log10(x)
+        elif transform == "sqrt":
+            u = mpmath.sqrt(x)
+        else:
+            u = mpmath.pi * x * x
+        return float(u - mpmath.floor(u))
+
+
+@pytest.mark.parametrize("sigma", [1e4, 1e7, 1e300])
+def test_table3_sampled_row_matches_mpmath_fractions(sigma):
+    # the sampled row used to push the draws through u in doubles: at
+    # sigma = 1e7 pi*x**2 keeps no fractional digits and was rejected
+    # (z = 2.33), at 1e300 it overflowed to z = nan
+    rep = run_table3(seed=0, sigma=sigma)
+    xs = HalfNormal(sigma).sample(rep.sample_size, 0)
+    for cell in rep.half_normal_row:
+        _, z = ks_uniform([_mp_frac(float(v), cell.transform) for v in xs])
+        assert abs(cell.z - z) <= 1e-12, (sigma, cell.transform)
+        assert cell.p == kolmogorov_q(cell.z)
+    if sigma == 1e7:
+        assert rep.half_normal_row[2].verdict == "not rejected"
 
 
 def test_table3_seed_changes_sample_not_limits():
@@ -258,6 +290,20 @@ def test_sample_cell_uses_each_transforms_own_map():
     assert sample_cell(xs, IDENTITY).z == z
     with pytest.raises(DomainError):
         sample_cell(np.array([0.5, 2.0, 30.0]), LOGLOG)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_sample_cell_refuses_non_finite_values(bad):
+    with pytest.raises(InvalidParameter, match=f"sample value {bad} is not "
+                                               "finite"):
+        sample_cell(np.array([2.0, bad, 3.0, math.inf]), SQRT)
+
+
+def test_table3_refuses_a_sample_that_overflows():
+    # sigma = 1e308 draws inf; the row read z = nan, "inconclusive"
+    with np.errstate(over="ignore"), \
+            pytest.raises(InvalidParameter, match="inf is not finite"):
+        run_table3(seed=0, sigma=1e308)
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,14 @@ class TestKsUniform:
         with pytest.raises(DomainError):
             ks_uniform([-0.1])
 
+    @pytest.mark.parametrize("values", [[0.5, math.nan], [math.nan],
+                                        [math.nan, 0.0, 1.0]])
+    def test_nan_rejected(self, values):
+        # NaN fails every comparison, so a check written as "x < 0 or
+        # x > 1" let it through and returned (nan, nan)
+        with pytest.raises(DomainError):
+            ks_uniform(values)
+
     def test_boundary_values_allowed(self):
         d, _ = ks_uniform([0.0, 1.0])
         assert d == 0.5
@@ -90,6 +98,10 @@ class TestKolmogorovQ:
     def test_negative_z_rejected(self):
         with pytest.raises(DomainError):
             kolmogorov_q(-0.1)
+
+    def test_nan_z_rejected(self):
+        with pytest.raises(DomainError):
+            kolmogorov_q(math.nan)
 
     def test_clamped_to_unit_interval(self):
         assert 0.0 <= kolmogorov_q(8.0) <= 1.0

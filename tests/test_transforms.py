@@ -15,7 +15,9 @@ from oracles import derivative
 from ubenford.bigreal import BigReal, PrecisionPolicy
 from ubenford.errors import (DomainError, InsufficientPrecision,
                              PrecisionCapExceeded)
+from ubenford.experiments import sample_cell
 from ubenford.kernels import digits_to_bits, pi_fixed
+from ubenford.stats import ks_uniform
 from ubenford.transforms import (IDENTITY, LOG2, LOG10, LOGLOG, PI_SQUARE,
                                  SQRT, Log, LogLog, Power, Transform,
                                  eval_transform, start_bits, transform_frac)
@@ -359,12 +361,6 @@ class TestDomains:
 
     def test_float_helpers_share_domains(self):
         with pytest.raises(DomainError):
-            LOG10.u_np(0.0)
-        with pytest.raises(DomainError):
-            LOGLOG.u_np(1.0)
-        with pytest.raises(DomainError):
-            SQRT.u_np(-1.0)
-        with pytest.raises(DomainError):
             derivative(SQRT, 0.0)
         with pytest.raises(DomainError):
             LOGLOG.u_float_from_log10(0.0)
@@ -401,8 +397,9 @@ class TestFloatHelpers:
 class TestPowerMaps:
     """identity, sqrt and pi_square are Power(1), Power(1, 2) and
     Power(2, pi=True); each keeps the double expressions of its former
-    class bit for bit, which table3's sampled row and the analyze fixtures
-    read."""
+    class bit for bit on the log10 axis (u_float_from_log10 and
+    inverse_log10), which the law reads. No power map has a forward
+    double map: a sample's {u(x)} is certified."""
 
     rng = np.random.default_rng(20091)
     # seeded doubles over +-300 decades; pi*x*x overflows past 1e154
@@ -418,18 +415,6 @@ class TestPowerMaps:
         assert Power(3).label() == "x**3"
         assert Power(3, 2).label() == "x**(3/2)"
         assert Power(3, pi=True).label() == "pi*x**3"
-
-    def test_u_np_keeps_the_former_expressions(self):
-        x = self.XS
-        assert IDENTITY.u_np(x) is x
-        assert SQRT.u_np(x).tobytes() == np.sqrt(x).tobytes()
-        with np.errstate(over="ignore"):
-            assert PI_SQUARE.u_np(x).tobytes() == (np.pi * x * x).tobytes()
-            # the test tells the two roundings of pi*x**2 apart
-            assert np.any(np.pi * x * x != np.pi * x ** 2)
-        for v in x[:50]:
-            assert SQRT.u_np(float(v)) == np.sqrt(v)
-            assert PI_SQUARE.u_np(float(v)) == np.pi * float(v) * float(v)
 
     def test_float_side_keeps_the_former_expressions(self):
         def pow10(y):
@@ -473,12 +458,14 @@ class TestPowerMaps:
         for t in (SQRT, PI_SQUARE, Power(3), Power(3, 2)):
             with pytest.raises(DomainError, match=f"^{re.escape(t.label())}"
                                                   r" requires x >= 0"):
-                t.u_np(np.array([1.0, -1.0]))
-            with pytest.raises(DomainError):
                 eval_transform(BigReal.from_float(-0.5), t)
+            # one value outside the domain refuses the whole sample
+            with pytest.raises(DomainError):
+                sample_cell(np.array([1.0, -1.0]), t)
         x = BigReal.from_float(-2.5)
         assert eval_transform(x, IDENTITY) is x
-        assert IDENTITY.u_np(-2.5) == -2.5
+        assert sample_cell(np.array([-2.5, 0.25]), IDENTITY).z == \
+            ks_uniform([0.5, 0.25])[1]
 
     def test_exact_results(self):
         r = eval_transform(BigReal.from_float(1.5), Power(3))
@@ -527,9 +514,9 @@ class TestTransformContract:
     def test_domains_agree(self, t, x):
         rejected = _rejects(lambda v: eval_transform(BigReal.from_float(v), t),
                             x)
-        assert _rejects(t.u_np, x) == rejected
-        # one value outside the domain rejects the whole array
-        assert _rejects(t.u_np, np.array([2.5, x, 3.0])) == rejected
+        # one value outside the domain rejects the whole sample
+        assert _rejects(lambda v: sample_cell(v, t),
+                        np.array([2.5, x, 3.0])) == rejected
         if rejected:
             assert _rejects(lambda v: derivative(t, v), x)
             assert _rejects(lambda v: derivative(t, v), np.array([2.5, x]))
@@ -547,9 +534,9 @@ class TestTransformContract:
         if t == LOGLOG:
             assert rejected == (value <= 1)
         if Fraction(float(value)) == value:
-            # the double side draws the same edge
-            assert _rejects(t.u_np, float(value)) == rejected
-            assert _rejects(t.u_np, np.array([float(value)])) == rejected
+            # a sample holding the same double draws the same edge
+            assert _rejects(lambda v: sample_cell(v, t),
+                            np.array([float(value), 2.5])) == rejected
 
     @pytest.mark.parametrize("y", [0.3, 1.7, 12.5, 200.0])
     def test_log10_round_trip(self, t, y):
@@ -562,17 +549,10 @@ class TestTransformContract:
     @pytest.mark.parametrize("x", [1.5, 7.0, 300.0])
     def test_derivative_matches_centered_difference(self, t, x):
         h = 1e-5 * x
-        u = t.u_np(np.array([x - h, x + h]))
+        u = [t.u_float_from_log10(math.log10(v)) for v in (x - h, x + h)]
         slope = (u[1] - u[0]) / (2.0 * h)
         assert math.isclose(float(derivative(t, x)), slope, rel_tol=1e-6)
         assert derivative(t, np.array([x]))[0] == derivative(t, x)
-
-    def test_float_map_matches_certified_frac(self, t):
-        ns = np.arange(2, 18)
-        fracs = np.mod(t.u_np(ns.astype(np.float64)), 1.0)
-        for n, f in zip(ns, fracs):
-            d = abs(transform_frac(BigReal.from_int(int(n)), t) - f)
-            assert min(d, 1.0 - d) < 1e-12, (t.label(), n)
 
 
 class TestAgreementProperty:
