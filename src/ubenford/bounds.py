@@ -191,8 +191,9 @@ def _check_parameter(name, value):
 def p_delta_uniform(k, delta, max_cells=50_000_000):
     """P({pi*X**2} <= delta) for X uniform on (0, k], summed exactly.
 
-    With a = k*sqrt(pi), cell j contributes (sqrt(min(j+delta, a**2)) -
-    sqrt(j))/a; the top cell is clamped at the image boundary a**2.
+    With a = k*sqrt(pi), cell j contributes (min(sqrt(j+delta), a) -
+    sqrt(j))/a; the top cell is clamped at the image boundary a, not at
+    a**2, which underflows for tiny k. Cell 0 always carries mass.
     """
     _check_delta(delta)
     _check_parameter("k", k)
@@ -203,13 +204,21 @@ def p_delta_uniform(k, delta, max_cells=50_000_000):
         count, budget = _over_budget(a2, max_cells)
         raise TruncationFailure(
             f"{count} cells exceed the budget of {budget} for k={k:g}")
-    n = math.ceil(a2)
+    n = max(1, math.ceil(a2))
     total = 0.0
     for start in range(0, n, _CHUNK * 16):
-        j = np.arange(start, min(start + _CHUNK * 16, n), dtype=np.float64)
-        total += float(np.sum(np.sqrt(np.minimum(j + delta, a2))
-                              - np.sqrt(np.minimum(j, a2))))
+        total += _uniform_cells(start, min(start + _CHUNK * 16, n), delta, a)
     return total / a
+
+
+def _uniform_cells(start, stop, delta, a):
+    """Sum of min(sqrt(j + delta), a) - sqrt(j) over cells start..stop-1,
+    worked in place: two arrays live at a time, freed on return."""
+    j = np.arange(start, stop, dtype=np.float64)
+    top = j + delta
+    np.minimum(np.sqrt(top, out=top), a, out=top)
+    top -= np.sqrt(j, out=j)
+    return float(np.sum(top))
 
 
 def p_delta_uniform_envelope(k, delta):
@@ -221,6 +230,8 @@ def p_delta_uniform_envelope(k, delta):
     if a2 == math.inf:  # then sqrt(top) and sqrt(top + delta) read a
         edge = math.sqrt(delta) / a
         return delta - delta * edge, min(delta + edge, 1.0)
+    if a2 < delta:  # no full cell, and delta / a may overflow
+        return 0.0, 1.0
     top = math.floor(a2 - delta) + 1.0
     lower = (delta / a) * (math.sqrt(top + delta) - math.sqrt(delta))
     upper = math.sqrt(delta) / a + (delta / a) * math.sqrt(top)
@@ -232,7 +243,14 @@ def p_delta_uniform_envelope(k, delta):
 # tail-corrected remainder once the index budget runs out
 
 def _exp_h(mu, j, delta):
-    return np.exp(-mu * np.sqrt(j)) - np.exp(-mu * np.sqrt(j + delta))
+    """exp(-mu*sqrt(j)) - exp(-mu*sqrt(j + delta)), worked in j's own
+    buffer, which it overwrites, and one more array."""
+    far = j + delta
+    with np.errstate(over="ignore"):  # -mu * sqrt(j) is -inf for a huge mu
+        np.exp(np.multiply(np.sqrt(j, out=j), -mu, out=j), out=j)
+        np.exp(np.multiply(np.sqrt(far, out=far), -mu, out=far), out=far)
+    j -= far
+    return j
 
 
 def p_delta_exponential(lam, delta, direct_terms=100_000):
@@ -249,11 +267,10 @@ def p_delta_exponential(lam, delta, direct_terms=100_000):
     total = 0.0
     j0 = 0
     while j0 < direct_terms:
-        j = np.arange(j0, min(j0 + _CHUNK * 4, direct_terms),
-                      dtype=np.float64)
-        terms = _exp_h(mu, j, delta)
+        j1 = min(j0 + _CHUNK * 4, direct_terms)
+        terms = _exp_h(mu, np.arange(j0, j1, dtype=np.float64), delta)
         total += float(np.sum(terms))
-        j0 = int(j[-1]) + 1
+        j0 = j1
         if terms[-1] < 1e-18 * max(total, 1e-300):
             return total
     # remainder from j0 onward: integral + h/2 - h'/12

@@ -32,14 +32,6 @@ _DOUBLE_MIN = sys.float_info.min  # smallest normal double
 _LN_DOUBLE_MIN = math.log(_DOUBLE_MIN)
 
 
-def _as_array(x):
-    return np.asarray(x, dtype=np.float64)
-
-
-def _maybe_scalar(out, x):
-    return out if np.ndim(x) else float(out)
-
-
 def _pow10(lg, scale=1.0):
     """10**lg / scale for an array of log10 abscissae, inf where it
     overflows (a subnormal scale included)."""
@@ -76,9 +68,11 @@ class Distribution:
     Each family defines its law on the log10 axis, cdf_log10(lg) and
     sf_log10(lg) at x = 10**lg (exactly 0 and 1 at lg = -inf), and its
     quantiles ppf (x for sampling) and ppf_log10/isf_log10 (log10 x for
-    the window); sup_x_pow_pdf returns the supremum as a float. support_lo,
-    the left edge of the support, is what the support rule
-    (Transform.check_support) compares with a map's domain.
+    the window). Each of these is one numpy expression: an array gives an
+    array, a scalar a float or a 0-d array. sup_x_pow_pdf returns
+    the supremum as a float. support_lo, the left edge of the support, is
+    what the support rule (Transform.check_support) compares with a map's
+    domain.
     """
 
     name = "?"
@@ -92,14 +86,12 @@ class Distribution:
         raise NotImplementedError
 
     def ppf_log10(self, q):
-        q = _as_array(q)
         with np.errstate(divide="ignore"):  # -inf where ppf underflows
-            return _maybe_scalar(np.log10(self.ppf(q)), q)
+            return np.log10(self.ppf(q))
 
     def isf_log10(self, p):
         """log10 of the upper quantile with survival mass p."""
-        p = _as_array(p)
-        return _maybe_scalar(self.ppf_log10(1.0 - p), p)
+        return self.ppf_log10(1.0 - p)
 
     def sample(self, n, seed):
         return SeededSampler(self, seed).draw(n)
@@ -132,32 +124,23 @@ class ParetoI(Distribution):
                                       else (_LN10, self.alpha))
 
     def ppf(self, q):
-        q = _as_array(q)
         with np.errstate(over="ignore"):
-            out = self.x0 * np.exp(-np.log1p(-q) / self.alpha)
-        return _maybe_scalar(out, q)
+            return self.x0 * np.exp(-np.log1p(-q) / self.alpha)
 
     def ppf_log10(self, q):
-        q = _as_array(q)
-        out = math.log10(self.x0) - np.log1p(-q) / self._rate_a / self._rate_b
-        return _maybe_scalar(out, q)
+        return math.log10(self.x0) - np.log1p(-q) / self._rate_a / self._rate_b
 
     def isf_log10(self, p):
-        p = _as_array(p)
-        out = math.log10(self.x0) - np.log(p) / self._rate_a / self._rate_b
-        return _maybe_scalar(out, p)
+        return math.log10(self.x0) - np.log(p) / self._rate_a / self._rate_b
 
     def sf_log10(self, lg):
         # below the support the clamped exponent gives exp(0) = 1
-        lg = _as_array(lg)
         d = np.minimum(math.log10(self.x0) - lg, 0.0)
         with np.errstate(over="ignore"):  # exp(-inf) = 0 far above it
-            out = np.exp(self._rate_b * d * self._rate_a)
-        return _maybe_scalar(out, lg)
+            return np.exp(self._rate_b * d * self._rate_a)
 
     def cdf_log10(self, lg):
-        lg = _as_array(lg)
-        return _maybe_scalar(1.0 - self.sf_log10(lg), lg)
+        return 1.0 - self.sf_log10(lg)
 
     def sup_x_pow_pdf(self, k, factor):
         # x**k * pdf = alpha * x0**alpha * x**(k - alpha - 1) falls for
@@ -193,38 +176,30 @@ class ParetoII(Distribution):
         self.name = f"pareto_ii(b={b:g})"
 
     def ppf(self, q):
-        q = _as_array(q)
         with np.errstate(over="ignore"):
-            out = np.expm1(-np.log1p(-q) / self.b)
-        return _maybe_scalar(out, q)
+            return np.expm1(-np.log1p(-q) / self.b)
 
     def ppf_log10(self, q):
-        q = _as_array(q)
         with np.errstate(over="ignore", divide="ignore"):
             out = np.log10(np.expm1(-np.log1p(-q) / self.b))
             # far in the upper tail, 1 + x ~ x: switch to the exact log form
             big = -np.log1p(-q) / self.b > 300.0 * _LN10
-            out = np.where(big, -np.log1p(-q) / (self.b * _LN10), out)
-        return _maybe_scalar(out, q)
+            return np.where(big, -np.log1p(-q) / (self.b * _LN10), out)
 
     def isf_log10(self, p):
-        p = _as_array(p)
         t = -np.log(p) / self.b  # ln(1+x)
         with np.errstate(over="ignore"):
-            out = np.where(t > 300.0 * _LN10, t / _LN10,
-                           np.log10(np.expm1(np.minimum(t, 700.0))))
-        return _maybe_scalar(out, p)
+            return np.where(t > 300.0 * _LN10, t / _LN10,
+                            np.log10(np.expm1(np.minimum(t, 700.0))))
 
     def sf_log10(self, lg):
-        lg = _as_array(lg)
         # ln(1 + 10^lg) without overflow
         ln1px = np.where(lg > 30.0, lg * _LN10,
                          np.log1p(np.power(10.0, np.minimum(lg, 30.0))))
-        return _maybe_scalar(np.exp(-self.b * ln1px), lg)
+        return np.exp(-self.b * ln1px)
 
     def cdf_log10(self, lg):
-        lg = _as_array(lg)
-        return _maybe_scalar(1.0 - self.sf_log10(lg), lg)
+        return 1.0 - self.sf_log10(lg)
 
     def sup_x_pow_pdf(self, k, factor):
         # d/dx ln(x**k * (1 + x)**-(b + 1)) vanishes at k/(b + 1 - k); the
@@ -243,26 +218,20 @@ class LognormalBase10(Distribution):
         self.name = f"lognormal10(mu={mu:g}, sigma={sigma:g})"
 
     def ppf(self, q):
-        q = _as_array(q)
         with np.errstate(over="ignore"):
-            out = np.power(10.0, self.mu + self.sigma * probit(q))
-        return _maybe_scalar(out, q)
+            return np.power(10.0, self.ppf_log10(q))
 
     def ppf_log10(self, q):
-        q = _as_array(q)
-        return _maybe_scalar(self.mu + self.sigma * probit(q), q)
+        return self.mu + self.sigma * probit(q)
 
     def isf_log10(self, p):
-        p = _as_array(p)
-        return _maybe_scalar(self.mu - self.sigma * probit(p), p)
+        return self.mu - self.sigma * probit(p)
 
     def cdf_log10(self, lg):
-        lg = _as_array(lg)
-        return _maybe_scalar(normal_cdf((lg - self.mu) / self.sigma), lg)
+        return normal_cdf((lg - self.mu) / self.sigma)
 
     def sf_log10(self, lg):
-        lg = _as_array(lg)
-        return _maybe_scalar(normal_sf((lg - self.mu) / self.sigma), lg)
+        return normal_sf((lg - self.mu) / self.sigma)
 
     def sup_x_pow_pdf(self, k, factor):
         """x**k * pdf = x**-c * exp(-z**2/2) / (sigma*ln 10*sqrt(2*pi)),
@@ -306,16 +275,13 @@ class UniformOnZeroK(Distribution):
         self.name = f"uniform(0,{k:g}]"
 
     def cdf_log10(self, lg):
-        lg = _as_array(lg)
-        return _maybe_scalar(np.clip(_pow10(lg, self.k), 0.0, 1.0), lg)
+        return np.clip(_pow10(lg, self.k), 0.0, 1.0)
 
     def sf_log10(self, lg):
-        lg = _as_array(lg)
-        return _maybe_scalar(1.0 - self.cdf_log10(lg), lg)
+        return 1.0 - self.cdf_log10(lg)
 
     def ppf(self, q):
-        q = _as_array(q)
-        return _maybe_scalar(q * self.k, q)
+        return q * self.k
 
     def sup_x_pow_pdf(self, k, factor):
         # x**k times the flat density rises for k > 0 and is flat at k = 0:
@@ -333,22 +299,17 @@ class Exponential(Distribution):
         self.name = f"exponential(lam={lam:g})"
 
     def cdf_log10(self, lg):
-        lg = _as_array(lg)
-        return _maybe_scalar(-np.expm1(-self.lam * _pow10(lg)), lg)
+        return -np.expm1(-self.lam * _pow10(lg))
 
     def sf_log10(self, lg):
-        lg = _as_array(lg)
-        return _maybe_scalar(np.exp(-self.lam * _pow10(lg)), lg)
+        return np.exp(-self.lam * _pow10(lg))
 
     def ppf(self, q):
-        q = _as_array(q)
-        return _maybe_scalar(-np.log1p(-q) / self.lam, q)
+        return -np.log1p(-q) / self.lam
 
     def isf_log10(self, p):
-        p = _as_array(p)
         with np.errstate(over="ignore"):  # inf for a subnormal lam
-            out = np.log10(-np.log(p) / self.lam)
-        return _maybe_scalar(out, p)
+            return np.log10(-np.log(p) / self.lam)
 
     def sup_x_pow_pdf(self, k, factor):
         # x**k * lam * exp(-lam*x) peaks at k/lam: (k/e)**k * lam**(1 - k)
@@ -365,36 +326,28 @@ class HalfNormal(Distribution):
         self.name = f"half_normal(sigma={sigma:g})"
 
     def cdf_log10(self, lg):
-        lg = _as_array(lg)
-        return _maybe_scalar(erf(_pow10(lg, self.sigma * _SQRT2)), lg)
+        return erf(_pow10(lg, self.sigma * _SQRT2))
 
     def sf_log10(self, lg):
-        lg = _as_array(lg)
-        return _maybe_scalar(erfc(_pow10(lg, self.sigma * _SQRT2)), lg)
+        return erfc(_pow10(lg, self.sigma * _SQRT2))
 
     def ppf(self, q):
-        q = _as_array(q)
-        out = self.sigma * probit((1.0 + q) / 2.0)
-        return _maybe_scalar(out, q)
+        return self.sigma * probit((1.0 + q) / 2.0)
 
     def ppf_log10(self, q):
         # probit((1+q)/2) loses all resolution once q/2 dips below the
         # spacing of doubles at 0.5; switch to the linearization
         # probit(1/2 + h) ~ h*sqrt(2*pi) there
-        q = _as_array(q)
-        direct = self.sigma * probit((1.0 + q) / 2.0)
+        direct = self.ppf(q)
         with np.errstate(divide="ignore"):
-            lg = np.where(
+            return np.where(
                 q < 1e-12,
                 np.log10(self.sigma * q * (_SQRT_2PI / 2.0)),
                 np.log10(np.maximum(direct, 1e-320)))
-        return _maybe_scalar(lg, q)
 
     def isf_log10(self, p):
         # -probit(p/2) keeps the tail resolved where 1 - p/2 rounds to 1
-        p = _as_array(p)
-        out = np.log10(self.sigma * -probit(p / 2.0))
-        return _maybe_scalar(out, p)
+        return np.log10(self.sigma * -probit(p / 2.0))
 
     def sup_x_pow_pdf(self, k, factor):
         # x**k * exp(-x**2/(2*sigma**2)) peaks at sigma*sqrt(k)
@@ -471,8 +424,12 @@ class SeededSampler:
     def uniforms(self, n):
         if n < 0:
             raise InvalidParameter("draw count must be nonnegative")
-        idx = np.arange(self._counter + 1, self._counter + n + 1,
-                        dtype=np.uint64)
+        try:
+            idx = np.arange(self._counter + 1, self._counter + n + 1,
+                            dtype=np.uint64)
+        except ValueError:  # numpy refuses the size before allocating
+            raise InvalidParameter(
+                f"draw count {n} is more than one array can hold") from None
         self._counter += n
         z = np.uint64(self.seed) + idx * _GOLDEN_GAMMA
         z ^= z >> np.uint64(30)
@@ -483,7 +440,14 @@ class SeededSampler:
         return ((z >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
 
     def draw(self, n):
-        return self.distribution.ppf(self.uniforms(n))
+        """n draws, refusing a family whose quantiles leave the doubles."""
+        with np.errstate(over="ignore"):
+            x = self.distribution.ppf(self.uniforms(n))
+        bad = x[~np.isfinite(x)]
+        if bad.size:
+            raise InvalidParameter(
+                f"{self.distribution.label()}: draw {bad[0]} is not finite")
+        return x
 
 
 # ---------------------------------------------------------------------------

@@ -412,6 +412,14 @@ class TestFractionLawUniform:
             assert 0.0 <= lo <= hi <= 1.0
             assert abs(lo - d) < 1e-12 and abs(hi - d) < 1e-12
 
+    @pytest.mark.parametrize("k", [1e-5, 1e-160, 1e-200, 1e-320])
+    def test_tiny_k_puts_all_mass_in_cell_zero(self, k):
+        # pi*k**2 < delta; a**2 underflows from k = 1e-154, where the
+        # series clamped in a**2 read 0 and a subnormal envelope nan
+        for d in (0.01, 0.25, 0.5, 0.75, 0.99):
+            assert p_delta_uniform(k, d) == 1.0
+            assert p_delta_uniform_envelope(k, d) == (0.0, 1.0)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             p_delta_uniform(1.0, 0.0)

@@ -238,6 +238,17 @@ def test_analyze_loglog_skips_values_outside_its_domain(capsys, tmp_path):
     assert out.startswith(f"dataset: mixed (N={len(above)}, 2 rows dropped)")
 
 
+@pytest.mark.parametrize("k", ["1e-5", "1e-160", "1e-200", "1e-320"])
+def test_pdelta_uniform_tiny_k_reads_one(capsys, k):
+    # pi*k**2 < delta puts all the mass in cell 0; the series read 0
+    # at 1e-200 and left its envelope at 1e-160 and 1e-320
+    code, out, err = run(capsys, "pdelta", "uniform", k,
+                         "--format", "plot-points")
+    assert code == 0 and err == ""
+    assert [line.split(",")[1] for line in out.splitlines()] == \
+        ["1.0"] * 9
+
+
 _ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -301,6 +312,7 @@ def test_help_exits_zero(capsys):
     ("pdelta", "uniform", "-5"),
     ("pdelta", "exponential", "nan"),
     ("pdelta", "uniform", "inf"),
+    ("table3", "--n", "100000000000000000000"),
 ])
 def test_input_errors_exit_one(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -9,7 +9,9 @@ degenerate (family, transform) pairs.
 
 import inspect
 import math
+import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -464,6 +466,20 @@ class TestSampler:
         got = d.sample(64, seed=99)
         want = d.ppf(SeededSampler(d, 99).uniforms(64))
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("family", [
+        HalfNormal(1e308), ParetoI(1e-3), ParetoII(1e-3),
+        LognormalBase10(300.0, 10.0)],
+        ids=["half_normal", "pareto_i", "pareto_ii", "lognormal10"])
+    def test_draws_past_the_doubles_are_refused(self, family):
+        # their upper quantiles overflow: the sampler handed out inf,
+        # the half-normal with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameter,
+                               match=rf"^{re.escape(family.label())}: "
+                                     "draw inf is not finite"):
+                family.sample(2000, 0)
 
     def test_bad_seed(self):
         with pytest.raises(InvalidParameter):

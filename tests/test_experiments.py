@@ -9,6 +9,7 @@ own independent anchors).
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -358,6 +359,14 @@ def test_pdelta_curve_default_grid():
     assert [r.delta for r in rep.rows] == list(DELTA_GRID)
     for row in rep.rows:
         assert row.lower - 1e-9 <= row.probability <= row.upper + 1e-9
+
+
+def test_pdelta_curve_huge_rate_prints_no_warning():
+    # -mu*sqrt(j) overflows to -inf, whose exp is the 0 the series wants
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = pdelta_curve("exponential", 1e308)
+    assert [r.probability for r in rep.rows] == [1.0] * len(DELTA_GRID)
 
 
 def test_pdelta_curve_envelope_breach_raises(monkeypatch):
