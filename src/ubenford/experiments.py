@@ -7,7 +7,6 @@ assembled in (row, column) order, so worker count never changes output.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,8 @@ from .bounds import (certify_mod1_bound, mod1_law, p_delta_exponential,
                      p_delta_exponential_envelope, p_delta_uniform,
                      p_delta_uniform_envelope)
 from .distributions import DISTRIBUTIONS, HalfNormal, build_distribution
-from .errors import CertificateViolation, DomainError, InvalidParameter
+from .errors import (CertificateViolation, DomainError, EmptySample,
+                     InvalidParameter)
 from .sequences import frac_sample, odd_nonsquare, parse_sequence
 from .stats import digit_report, kolmogorov_q, ks_uniform
 from .transforms import IDENTITY, LOG10, LOGLOG, PI_SQUARE, SQRT, Log, \
@@ -101,6 +101,9 @@ def _cell_task(spec):
 def _run_cells(specs, workers):
     if workers == 1:
         return [_cell_task(s) for s in specs]
+    # imported here: it pulls in multiprocessing, which every CLI command
+    # would otherwise pay for at start-up
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         # map preserves submission order, so assembly stays deterministic
         return list(pool.map(_cell_task, specs))
@@ -403,18 +406,26 @@ def analyze_dataset(dataset, transform=LOG10, base=10, alpha=0.05,
     table is tested separately in the requested base, over every ingested
     value. Values outside the transform's domain (x <= 1 under the
     iterated log) are skipped and counted in `dropped`, so `sample_size`
-    is the number of fractional parts tested.
+    is the number of fractional parts tested; EmptySample, naming the
+    dataset, the transform and the dropped count, refuses a dataset with
+    no value in that domain.
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidParameter("alpha must lie strictly inside (0, 1)")
     certifier = _Certifier(transform, policy)
     fracs = []
     out_of_domain = 0
-    for v in dataset.values:
+    for v in dataset.values.tolist():
         try:
             fracs.append(certifier.frac(BigReal.from_float(v)))
         except DomainError:
             out_of_domain += 1
+    dropped = dataset.dropped + out_of_domain
+    if not fracs:
+        raise EmptySample(
+            f"{dataset.name}: no value lies in the domain of "
+            f"{transform.label()} ({dropped} rows dropped, "
+            f"{out_of_domain} of them outside that domain)")
     fracs = np.asarray(fracs, dtype=np.float64)
     statistic, z = ks_uniform(fracs)
     p = kolmogorov_q(z)
@@ -422,7 +433,7 @@ def analyze_dataset(dataset, transform=LOG10, base=10, alpha=0.05,
     return AnalyzeReport(
         dataset=dataset.name,
         sample_size=int(fracs.size),
-        dropped=dataset.dropped + out_of_domain,
+        dropped=dropped,
         transform=transform.label(),
         base=int(base),
         alpha=float(alpha),
@@ -431,5 +442,5 @@ def analyze_dataset(dataset, transform=LOG10, base=10, alpha=0.05,
         z=z,
         p=p,
         verdict="inconsistent" if p < alpha else "consistent",
-        fracs=tuple(float(u) for u in np.sort(fracs)),
+        fracs=tuple(np.sort(fracs).tolist()),
     )

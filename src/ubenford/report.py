@@ -2,12 +2,13 @@
 
 Three formats: `text-table` mirrors the published table layouts for
 humans, `structured-record` is one JSON object with sorted keys and no
-volatile fields (same config in, same bytes out), and `plot-points` is
+volatile fields (same config in, same bytes out), built by walking the
+report's dataclass fields in place (see _jsonable), and `plot-points` is
 delimiter-separated rows ready for any plotting tool.
 """
 
 import json
-from dataclasses import asdict, is_dataclass
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -40,14 +41,23 @@ def emit(report, format="text-table"):
 # structured records
 
 def _jsonable(obj):
+    """Plain JSON values of a report, its dataclass fields walked in place.
+
+    Fields are read with getattr rather than through dataclasses.asdict,
+    which would deep-copy every value first (each of a dataset's thousands
+    of fracs). A Python float is already plain and is returned as it is.
+    """
+    if type(obj) is float:
+        return obj
     if is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(asdict(obj))
+        return {f.name: _jsonable(getattr(obj, f.name))
+                for f in fields(obj)}
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return [v if type(v) is float else _jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+        return _jsonable(obj.tolist())
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.floating):

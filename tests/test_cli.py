@@ -201,6 +201,25 @@ def test_pdelta_text_bytes_are_pinned(capsys):
     assert out.encode() == pinned.read_bytes()
 
 
+@pytest.mark.parametrize("name, argv", [
+    ("analyze_compound_growth",
+     ("analyze", str(_DATA / "compound_growth.csv"), "--column", "2")),
+    ("analyze_powers_of_two_sqrt_base7",
+     ("analyze", str(_DATA / "powers_of_two.csv"), "--column", "2",
+      "--transform", "sqrt", "--base", "7")),
+    ("table3", ("table3",)),
+    ("table1_n30", ("table1", "--n", "30")),
+    ("bounds_lognormal10", ("bounds", "lognormal10", "--params", "0,2;0,3")),
+    ("pdelta_uniform_100", ("pdelta", "uniform", "100")),
+])
+def test_structured_record_bytes_are_pinned(capsys, name, argv):
+    # CI compares the console script's output with the same files
+    code, out, err = run(capsys, *argv, "--format", "structured-record")
+    assert (code, err) == (0, "")
+    pinned = Path(__file__).parent / "fixtures" / f"record_{name}.json"
+    assert out.encode() == pinned.read_bytes()
+
+
 def test_analyze_transform_and_alpha_flags(capsys):
     code, out, _ = run(capsys, "analyze", FIXTURES["powers"],
                        "--column", "2", "--transform", "sqrt",
@@ -236,6 +255,17 @@ def test_analyze_loglog_skips_values_outside_its_domain(capsys, tmp_path):
     code, out, _ = run(capsys, "analyze", str(path), "--transform", "loglog")
     assert code == 0
     assert out.startswith(f"dataset: mixed (N={len(above)}, 2 rows dropped)")
+
+
+def test_analyze_with_no_value_in_the_domain_exits_one(capsys, tmp_path):
+    path = tmp_path / "below_one.csv"
+    path.write_text("value\n0.5\n0.25\n0.1\n-3\n", encoding="utf-8")
+    code, out, err = run(capsys, "analyze", str(path), "--transform",
+                         "loglog")
+    assert (code, out) == (1, "")
+    assert err == ("error: below_one: no value lies in the domain of "
+                   "loglog (4 rows dropped, 3 of them outside that "
+                   "domain)\n")
 
 
 @pytest.mark.parametrize("k", ["1e-5", "1e-160", "1e-200", "1e-320"])

@@ -110,7 +110,6 @@ def test_table1_worker_count_does_not_change_output():
 def test_table1_pool_never_exceeds_the_cell_count(monkeypatch):
     # a pool forks all its workers at the first submit, so the request is
     # clamped before the pool exists; the fake runs the cells inline
-    import ubenford.experiments as exp
     sizes = []
 
     class InlinePool:
@@ -126,7 +125,7 @@ def test_table1_pool_never_exceeds_the_cell_count(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(exp, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     serial = emit(run_table1(n_fast=20, n_slow=20), "structured-record")
     huge = emit(run_table1(n_fast=20, n_slow=20, workers=10000),
                 "structured-record")

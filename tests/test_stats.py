@@ -1,6 +1,7 @@
 """KS machinery, the Kolmogorov limit law, and exact first digits."""
 
 import math
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -12,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ubenford.errors import DomainError, EmptySample, InvalidParameter
-from ubenford.stats import (_chi2_sf, benford_expected, digit_report,
-                            kolmogorov_q, ks_uniform, leading_digit)
+from ubenford.stats import (_chi2_sf, _leading_digits, benford_expected,
+                            digit_report, kolmogorov_q, ks_uniform,
+                            leading_digit)
 
 # mpmath, 30 dps
 Q_044 = 0.99026960815455634
@@ -188,6 +190,69 @@ def fraction_leading_digit(value, base):
        base=st.integers(min_value=2, max_value=36))
 def test_leading_digit_matches_fraction_oracle(value, base):
     assert leading_digit(value, base) == fraction_leading_digit(value, base)
+
+
+@pytest.mark.filterwarnings("error")
+class TestLeadingDigitsPass:
+    """The one-pass numpy estimate against the exact leading_digit."""
+
+    @staticmethod
+    def check(values, base):
+        got = _leading_digits(np.array(values, dtype=np.float64), base)
+        assert got.tolist() == [leading_digit(v, base) for v in values]
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(
+               st.floats(min_value=0.0, exclude_min=True,
+                         allow_infinity=False, allow_subnormal=True),
+               min_size=1, max_size=40),
+           base=st.integers(min_value=3, max_value=36))
+    def test_matches_exact_digits(self, values, base):
+        self.check(values, base)
+
+    def test_exact_binary_values(self):
+        # the double nearest 1e23 is 99999999999999991611392, and the one
+        # nearest 6e-321 is 5.99...e-321
+        assert _leading_digits(np.array([1e23, 6e-321]), 10).tolist() == \
+            [9, 5]
+
+    @pytest.mark.parametrize("base", range(3, 37))
+    def test_extremes_of_the_doubles(self, base):
+        subnormals = [5e-324 * 3 ** j for j in range(34)]
+        self.check(subnormals + [2.2250738585072014e-308,
+                                 1.7976931348623157e308], base)
+
+    @pytest.mark.parametrize("base", [3, 7, 10, 16, 36])
+    def test_neighbours_of_digit_boundaries(self, base):
+        values = []
+        for k in (-300, -40, -3, -1, 0, 1, 2, 17, 200):
+            for d in range(1, base + 1):
+                exact = Fraction(d) * Fraction(base) ** k
+                if exact > sys.float_info.max:
+                    continue
+                x = float(exact)
+                if x > 0.0:
+                    values += [math.nextafter(x, 0.0), x,
+                               math.nextafter(x, math.inf)]
+        self.check(values, base)
+
+    def test_python_ints_past_int64(self):
+        values = [2 ** 63, 2 ** 64 + 1, 3 ** 200, 10 ** 30 - 1]
+        for base in (3, 10, 36):
+            assert _leading_digits(values, base).tolist() == \
+                [leading_digit(v, base) for v in values]
+
+    def test_digit_report_reads_arrays_as_lists(self):
+        values = [2.0 ** n for n in range(-1000, 1000, 3)] + [1e23]
+        for base in (3, 10, 17):
+            assert np.array_equal(
+                digit_report(np.array(values), base).counts,
+                digit_report(values, base).counts)
+
+    def test_nonpositive_and_nonfinite_values_are_refused(self):
+        for bad in (0.0, -2.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                _leading_digits(np.array([3.0, bad]), 10)
 
 
 class TestChiSquareSf:
