@@ -14,8 +14,8 @@ from .distributions import (DISTRIBUTIONS, Exponential, HalfNormal,
 from .errors import (CertificateViolation, DomainError, EmptyDataset,
                      EmptySample, FileError, HypothesisViolated,
                      InsufficientPrecision, InvalidParameter, NoNumericColumn,
-                     NotUnimodal, PrecisionCapExceeded, TruncationFailure,
-                     UBenfordError)
+                     NotUnimodal, NumericalFailure, PrecisionCapExceeded,
+                     TruncationFailure, UBenfordError)
 from .experiments import (AnalyzeReport, BoundSweepReport, KsCell,
                           PDeltaReport, Table1Report, Table3Report,
                           analyze_dataset, bound_sweep, ks_cell, pdelta_curve,
@@ -27,8 +27,7 @@ from .sequences import SEQUENCES, frac_sample, odd_nonsquare, parse_sequence
 from .stats import (DigitReport, benford_expected, digit_report,
                     kolmogorov_q, ks_uniform, leading_digit)
 from .transforms import (IDENTITY, LOG2, LOG10, LOGLOG, PI_SQUARE, SQRT,
-                         Log, LogLog, Power, Transform, eval_transform,
-                         transform_frac)
+                         Log, LogLog, Power, Transform, eval_transform)
 
 __all__ = [
     "AnalyzeReport", "BACKEND", "BigReal", "BoundCertificate",
@@ -38,8 +37,8 @@ __all__ = [
     "HypothesisViolated", "IDENTITY", "InsufficientPrecision",
     "InvalidParameter", "KsCell", "LOG2", "LOG10", "LOGLOG", "Log",
     "LogLog", "LognormalBase10", "Mod1Result", "NoNumericColumn",
-    "NotUnimodal", "PDeltaReport", "PI_SQUARE", "ParetoI", "ParetoII",
-    "Power", "PrecisionCapExceeded", "PrecisionPolicy", "SEQUENCES",
+    "NotUnimodal", "NumericalFailure", "PDeltaReport", "PI_SQUARE",
+    "ParetoI", "ParetoII", "Power", "PrecisionCapExceeded", "PrecisionPolicy", "SEQUENCES",
     "SQRT", "SeededSampler", "Table1Report", "Table3Report",
     "Transform", "TruncationFailure", "UBenfordError", "UniformOnZeroK",
     "analyze_dataset", "benford_expected", "bound_sweep",
@@ -49,5 +48,5 @@ __all__ = [
     "odd_nonsquare", "p_delta_exponential", "p_delta_exponential_envelope",
     "p_delta_uniform", "p_delta_uniform_envelope", "parse_distribution",
     "parse_sequence", "pdelta_curve", "run_table1", "run_table3",
-    "sup_ratio", "transform_frac", "__version__",
+    "sup_ratio", "__version__",
 ]

@@ -10,7 +10,7 @@ fractional bits it cannot vouch for. Fractional parts are masks and shifts.
 import math
 from dataclasses import dataclass
 
-from .errors import InsufficientPrecision
+from .errors import InsufficientPrecision, InvalidParameter
 
 _FRAC_OUT_BITS = 80  # bits materialized when converting a frac to double
 _ONE_MINUS = math.nextafter(1.0, 0.0)
@@ -46,9 +46,9 @@ class PrecisionPolicy:
 
     def __post_init__(self):
         if self.agreement < 12:
-            raise ValueError("agreement threshold must be >= 12")
+            raise InvalidParameter("agreement threshold must be >= 12")
         if self.cap < 64:
-            raise ValueError("cap must leave room for escalation")
+            raise InvalidParameter("cap must leave room for escalation")
 
 
 DEFAULT_POLICY = PrecisionPolicy()

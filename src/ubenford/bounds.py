@@ -79,7 +79,7 @@ def mod1_law(distribution, transform, zs=None, tail=1e-14,
         zs = default_z_grid()
     zs = np.asarray(zs, dtype=np.float64)
     if not np.all((zs > 0.0) & (zs < 1.0)):
-        raise ValueError("z grid must lie strictly inside (0, 1)")
+        raise InvalidParameter("z grid must lie strictly inside (0, 1)")
     transform.check_support(distribution)
 
     lg_lo = float(distribution.ppf_log10(tail))
@@ -180,12 +180,13 @@ def certify_mod1_bound(distribution, transform):
 
 def _check_delta(delta):
     if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie strictly inside (0, 1)")
+        raise InvalidParameter("delta must lie strictly inside (0, 1)")
 
 
 def _check_parameter(name, value):
     if not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be finite and positive")
+        raise InvalidParameter(
+            f"{name} must be finite and positive, got {value!r}")
 
 
 def p_delta_uniform(k, delta, max_cells=50_000_000):

@@ -1,9 +1,8 @@
 """Command-line interface.
 
 One subcommand per experiment plus a generic dataset analyzer. Exit
-codes: 0 on success, 1 on input errors (bad arguments, unreadable or
-empty data), 2 on internal numerical failures (a certificate violation
-or the precision cap).
+codes: 0 on success, otherwise the refusing exception's own exit_code
+(1 for input errors, 2 for a NumericalFailure; see errors.py).
 """
 
 import argparse
@@ -11,20 +10,12 @@ import dataclasses
 import sys
 
 from .bigreal import DEFAULT_POLICY
-from .errors import (CertificateViolation, DomainError, EmptyDataset,
-                     EmptySample, FileError, HypothesisViolated,
-                     InsufficientPrecision, InvalidParameter, NoNumericColumn,
-                     NotUnimodal, PrecisionCapExceeded, TruncationFailure)
+from .errors import InvalidParameter, UBenfordError
 from .experiments import (analyze_dataset, bound_sweep, pdelta_curve,
                           run_table1, run_table3)
 from .ingest import ingest_csv
 from .report import FORMATS, emit
 from .transforms import Transform
-
-_INPUT_ERRORS = (InvalidParameter, DomainError, FileError, NoNumericColumn,
-                 EmptyDataset, EmptySample, NotUnimodal, HypothesisViolated)
-_NUMERICAL_ERRORS = (CertificateViolation, PrecisionCapExceeded,
-                     TruncationFailure, InsufficientPrecision)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -32,13 +23,6 @@ class _Parser(argparse.ArgumentParser):
     # numerical failures, so route usage problems through exit 1 instead
     def error(self, message):
         raise InvalidParameter(message)
-
-
-def _parse_transform(text):
-    try:
-        return Transform.parse(text)
-    except ValueError as exc:
-        raise InvalidParameter(str(exc)) from None
 
 
 def _float_list(text, what):
@@ -80,37 +64,32 @@ def _add_format(sub):
 def _cmd_table1(args):
     n_fast = args.n if args.n is not None else 10000
     n_slow = args.n if args.n is not None else 1000
-    report = run_table1(n_fast=n_fast, n_slow=n_slow, workers=args.workers,
-                        policy=_policy(args))
-    return emit(report, args.format)
+    return run_table1(n_fast=n_fast, n_slow=n_slow, workers=args.workers,
+                      policy=_policy(args))
 
 
 def _cmd_table3(args):
-    report = run_table3(seed=args.seed,
-                        sample_size=args.n if args.n is not None else 2000)
-    return emit(report, args.format)
+    return run_table3(seed=args.seed,
+                      sample_size=args.n if args.n is not None else 2000)
 
 
 def _cmd_bounds(args):
-    report = bound_sweep(args.family, _sweep_points(args.params),
-                         _parse_transform(args.transform))
-    return emit(report, args.format)
+    return bound_sweep(args.family, _sweep_points(args.params),
+                       Transform.parse(args.transform))
 
 
 def _cmd_pdelta(args):
     deltas = (_float_list(args.deltas, "--deltas")
               if args.deltas is not None else None)
-    report = pdelta_curve(args.family, args.parameter, deltas=deltas)
-    return emit(report, args.format)
+    return pdelta_curve(args.family, args.parameter, deltas=deltas)
 
 
 def _cmd_analyze(args):
     dataset = ingest_csv(args.csv, column=args.column)
-    report = analyze_dataset(dataset,
-                             transform=_parse_transform(args.transform),
-                             base=args.base, alpha=args.alpha_level,
-                             policy=_policy(args))
-    return emit(report, args.format)
+    return analyze_dataset(dataset,
+                           transform=Transform.parse(args.transform),
+                           base=args.base, alpha=args.alpha_level,
+                           policy=_policy(args))
 
 
 def build_parser():
@@ -187,13 +166,10 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        text = args.run(args)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except _NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
+        text = emit(args.run(args), args.format)
+    except UBenfordError as exc:
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     sys.stdout.write(text)

@@ -305,7 +305,8 @@ class Exponential(Distribution):
         return np.exp(-self.lam * _pow10(lg))
 
     def ppf(self, q):
-        return -np.log1p(-q) / self.lam
+        with np.errstate(over="ignore"):  # inf for a subnormal lam
+            return -np.log1p(-q) / self.lam
 
     def isf_log10(self, p):
         with np.errstate(over="ignore"):  # inf for a subnormal lam

@@ -1,19 +1,35 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each class carries the CLI's exit code and the prefix of its one-line
+message: a UBenfordError is an input refusal (exit 1, "error"), and a
+NumericalFailure is a computation that could not be trusted (exit 2,
+"numerical failure").
+"""
 
 
 class UBenfordError(Exception):
     """Base class for all package-specific failures."""
 
+    exit_code = 1
+    prefix = "error"
 
-class DomainError(UBenfordError):
+
+class NumericalFailure(UBenfordError):
+    """The computation itself could not be trusted; never bad input."""
+
+    exit_code = 2
+    prefix = "numerical failure"
+
+
+class DomainError(UBenfordError, ValueError):
     """Input lies outside the mathematical domain of an operation."""
 
 
-class InvalidParameter(UBenfordError):
+class InvalidParameter(UBenfordError, ValueError):
     """Distribution or transform constructed with impossible parameters."""
 
 
-class InsufficientPrecision(UBenfordError):
+class InsufficientPrecision(NumericalFailure):
     """A value's certified bits cannot cover the requested fractional bits.
 
     BigReal.frac refuses with it; the certifier (_Certifier.certify in
@@ -25,7 +41,7 @@ class InsufficientPrecision(UBenfordError):
     """
 
 
-class PrecisionCapExceeded(UBenfordError):
+class PrecisionCapExceeded(NumericalFailure):
     """Escalation hit the policy cap without resolving the value."""
 
 
@@ -38,11 +54,11 @@ class HypothesisViolated(UBenfordError):
     """A theorem's hypothesis fails numerically for the given inputs."""
 
 
-class CertificateViolation(UBenfordError):
+class CertificateViolation(NumericalFailure):
     """A measured quantity exceeded its certified bound. Build-failing."""
 
 
-class TruncationFailure(UBenfordError):
+class TruncationFailure(NumericalFailure):
     """Series tails did not decay within the configured index budget."""
 
 

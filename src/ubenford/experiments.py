@@ -6,7 +6,6 @@ Cell evaluation can fan out over a process pool, but reports are always
 assembled in (row, column) order, so worker count never changes output.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,14 +71,25 @@ class KsCell:
 
 def ks_cell(sequence, transform, n_max, policy=DEFAULT_POLICY,
             index_filter=None, label=None):
-    """Certified fractional parts of u(x_n), then the KS verdict."""
+    """Certified fractional parts of u(x_n), then the KS verdict.
+
+    EmptySample, naming the cell, refuses one where the index filter and
+    the transform's domain leave no term to test.
+    """
     if isinstance(sequence, str):
         sequence = parse_sequence(sequence)
+    if label is None:
+        label = sequence.name
     sample = frac_sample(sequence, transform, n_max, policy,
                          index_filter=index_filter)
+    if not sample.size:
+        raise EmptySample(
+            f"{label}: no term of the first {n_max} is left to test under "
+            f"{transform.label()} ({sample.n_requested} requested, "
+            f"{sample.excluded} outside its domain)")
     statistic, z = ks_uniform(sample.values)
     return KsCell(
-        sequence=label if label is not None else sequence.name,
+        sequence=label,
         transform=transform.label(),
         n_requested=sample.n_requested,
         n_used=sample.size,
@@ -345,6 +355,8 @@ def pdelta_curve(family, parameter, deltas=None):
     `family` is "uniform" (parameter k, the support endpoint) or
     "exponential" (parameter lambda, the rate). Each probability must sit
     inside its analytic envelope; a breach raises CertificateViolation.
+    The series refuse a parameter that is not finite and positive, and a
+    delta outside (0, 1), with InvalidParameter.
     """
     if deltas is None:
         deltas = DELTA_GRID
@@ -355,14 +367,8 @@ def pdelta_curve(family, parameter, deltas=None):
     else:
         raise InvalidParameter(
             f"no cell-probability series for family {family!r}")
-    if not (math.isfinite(parameter) and parameter > 0.0):
-        raise InvalidParameter(
-            f"{family} parameter must be finite and positive, got "
-            f"{parameter!r}")
     rows = []
     for delta in deltas:
-        if not 0.0 < delta < 1.0:
-            raise InvalidParameter("deltas must lie strictly inside (0, 1)")
         p = series(parameter, delta)
         lo, hi = envelope(parameter, delta)
         if not lo - 1e-9 <= p <= hi + 1e-9:
@@ -410,8 +416,7 @@ def analyze_dataset(dataset, transform=LOG10, base=10, alpha=0.05,
     dataset, the transform and the dropped count, refuses a dataset with
     no value in that domain.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InvalidParameter("alpha must lie strictly inside (0, 1)")
+    digits = digit_report(dataset.values, base=base, alpha=alpha)
     certifier = _Certifier(transform, policy)
     fracs = []
     out_of_domain = 0
@@ -429,7 +434,6 @@ def analyze_dataset(dataset, transform=LOG10, base=10, alpha=0.05,
     fracs = np.asarray(fracs, dtype=np.float64)
     statistic, z = ks_uniform(fracs)
     p = kolmogorov_q(z)
-    digits = digit_report(dataset.values, base=base, alpha=alpha)
     return AnalyzeReport(
         dataset=dataset.name,
         sample_size=int(fracs.size),

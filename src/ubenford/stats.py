@@ -167,9 +167,15 @@ def _leading_digits(values, base):
     value below base times the smallest normal double, every ratio within
     1e-9 (relative) of an integer, and every ratio that is not finite or
     whose digit falls outside 1..base-1 (a nonpositive or nonfinite value
-    among them raises there). Any other input goes through leading_digit
-    value by value.
+    among them raises there). float16 and float32 arrays are widened to
+    float64, which is exact, and integer arrays become Python ints; any
+    other input goes through leading_digit value by value.
     """
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind in "iu":
+            values = values.tolist()
+        elif values.dtype in (np.float16, np.float32):
+            values = values.astype(np.float64)
     if not (isinstance(values, np.ndarray) and values.dtype == np.float64
             and values.ndim == 1):
         return np.array([leading_digit(v, base) for v in values],
@@ -191,7 +197,7 @@ def digit_report(values, base=10, alpha=0.05):
     """First-digit tally against the Benford proportions.
 
     Digits are those of each value's exact binary rational (1e23 is
-    9.999...e22, a 9). A float64 array is read in one numpy pass and only
+    9.999...e22, a 9). A float array is read in one numpy pass and only
     the values the estimate could get wrong go through the exact
     leading_digit (see _leading_digits).
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .bigreal import _FRAC_OUT_BITS, DEFAULT_POLICY, BigReal, _frac_double
 from .errors import DomainError, HypothesisViolated, InsufficientPrecision, \
-    NotUnimodal, PrecisionCapExceeded
+    InvalidParameter, NotUnimodal, PrecisionCapExceeded
 from .kernels import digits_to_bits, ln2_fixed, ln10_fixed, ln_fixed, \
     pi_fixed
 
@@ -202,7 +202,7 @@ class Transform:
             return LOG10
         if t.startswith("log") and t[3:].isdigit():
             return Log(int(t[3:]))
-        raise ValueError(f"unknown transform {text!r}")
+        raise InvalidParameter(f"unknown transform {text!r}")
 
 
 @dataclass(frozen=True)
@@ -214,7 +214,7 @@ class Log(Transform):
 
     def __post_init__(self):
         if not isinstance(self.base, int) or self.base < 2:
-            raise ValueError("log base must be an integer >= 2")
+            raise InvalidParameter("log base must be an integer >= 2")
 
     def label(self):
         return f"log{self.base}"
@@ -324,8 +324,9 @@ class Power(Transform):
         p, q, pi = self.p, self.q, self.pi
         if not (isinstance(p, int) and p >= 1 and isinstance(pi, bool)
                 and (q == 1 or q == 2 and p % 2 and not pi)):
-            raise ValueError("a power map needs integers p >= 1 and q in "
-                             "(1, 2), p/q in lowest terms, pi only if q = 1")
+            raise InvalidParameter(
+                "a power map needs integers p >= 1 and q in (1, 2), p/q in "
+                "lowest terms, pi only if q = 1")
         a, c = p / q, math.pi if pi else 1.0
         formula = ("pi*" if pi else "") + (
             f"x**{p}" if q == 1 else f"x**({p}/2)")
@@ -437,8 +438,8 @@ def start_bits(transform, int_bits, a):
 
 class _Certifier:
     """The certified path for one transform and policy. frac_sample and
-    analyze_dataset hold one per cell or dataset; eval_transform and
-    transform_frac make one for a batch of one term.
+    analyze_dataset hold one per cell or dataset; eval_transform makes one
+    for a batch of one term.
 
     What depends on the cell rather than the term is taken once: the
     policy's bits, and start_bits and the transform's constants for the
@@ -530,8 +531,3 @@ def eval_transform(x, transform, policy=DEFAULT_POLICY):
     """u(x) as a BigReal whose fractional part is certified (see
     _Certifier.certify)."""
     return _Certifier(transform, policy).certify(x)[0]
-
-
-def transform_frac(x, transform, policy=DEFAULT_POLICY):
-    """Fractional part of u(x) as a certified double in [0, 1)."""
-    return _Certifier(transform, policy).frac(x)

@@ -343,6 +343,7 @@ def test_help_exits_zero(capsys):
     ("pdelta", "exponential", "nan"),
     ("pdelta", "uniform", "inf"),
     ("table3", "--n", "100000000000000000000"),
+    ("table1", "--n", "2"),
 ])
 def test_input_errors_exit_one(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -494,6 +495,8 @@ def test_budget_refusal_tells_count_from_budget(capsys, argv, message):
     (("bounds", "half_normal", "--params", "1e-320", "--transform", "sqrt"),
      0),
     (("bounds", "uniform", "--params", "1e-320", "--transform", "sqrt"), 0),
+    (("bounds", "exponential", "--params", "5e-324", "--transform", "log10"),
+     2),
 ])
 def test_subnormal_parameters_print_no_warnings(argv, code):
     # x/k, x/sigma and the exponential's upper quantile overflow for a
@@ -515,3 +518,31 @@ def test_certificate_violation_exits_two(capsys, monkeypatch):
     code, _, err = run(capsys, "bounds", "pareto_i", "--params", "0.5")
     assert code == 2
     assert "numerical failure:" in err
+
+
+def _error_classes():
+    from ubenford import errors
+    return sorted((cls for cls in vars(errors).values()
+                   if isinstance(cls, type)
+                   and issubclass(cls, errors.UBenfordError)),
+                  key=lambda cls: cls.__name__)
+
+
+@pytest.mark.parametrize("cls", _error_classes(), ids=lambda c: c.__name__)
+def test_exit_code_and_prefix_come_from_the_class(capsys, monkeypatch, cls):
+    import ubenford.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise cls("refused")
+
+    monkeypatch.setattr(cli, "run_table3", refuse)
+    code, out, err = run(capsys, "table3")
+    assert code == cls.exit_code and out == ""
+    assert err == f"{cls.prefix}: refused\n"
+
+
+def test_exactly_the_numerical_failures_exit_two():
+    assert {cls.__name__ for cls in _error_classes()
+            if cls.exit_code == 2} == {
+        "NumericalFailure", "CertificateViolation", "PrecisionCapExceeded",
+        "TruncationFailure", "InsufficientPrecision"}

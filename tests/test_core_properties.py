@@ -1,12 +1,12 @@
 """Property tests of the binary fixed-point core against mpmath.
 
-transform_frac must agree with an independent mpmath evaluation of the same
-value to 1e-12, measured as wrapped distance on the circle [0, 1), under
-every named transform: for exact integers up to 10**3000, for exact doubles
-over +-300 decades, and for the inexact terms of every sequence at
-n <= 1000 (taken through frac_sample, so input regeneration is covered).
-The same checks run over power maps drawn from every accepted (p, q, pi)
-with p <= 7.
+eval_transform(x, t).frac() must agree with an independent mpmath
+evaluation of the same value to 1e-12, measured as wrapped distance on the
+circle [0, 1), under every named transform: for exact integers up to
+10**3000, for exact doubles over +-300 decades, and for the inexact terms
+of every sequence at n <= 1000 (taken through frac_sample, so input
+regeneration is covered). The same checks run over power maps drawn from
+every accepted (p, q, pi) with p <= 7.
 
 eval_transform accepts a result on the strength of its claimed precision
 alone, so the claim of every `_eval_at` is checked too: the result must lie
@@ -28,7 +28,7 @@ from ubenford.kernels import digits_to_bits
 from ubenford.sequences import ExpN, PiN, PowerLaw, SqrtN, frac_sample
 from ubenford.transforms import (IDENTITY, LOG2, LOG10, LOGLOG, PI_SQUARE,
                                  SQRT, Log, Power, _policy_bits,
-                                 eval_transform, start_bits, transform_frac)
+                                 eval_transform, start_bits)
 
 TOL = 1e-12
 TRANSFORMS = (IDENTITY, LOG10, LOG2, LOGLOG, SQRT, PI_SQUARE)
@@ -73,7 +73,7 @@ def powers(draw):
 @given(n=st.integers(min_value=2, max_value=10 ** 3000))
 @settings(max_examples=25, deadline=None)
 def test_exact_integers(transform, n):
-    got = transform_frac(BigReal.from_int(n), transform)
+    got = eval_transform(BigReal.from_int(n), transform).frac()
     want = mp_frac(lambda: mpf(n), transform, n.bit_length() * 0.302 + 1)
     assert wrapped(got, want) < TOL
 
@@ -99,9 +99,9 @@ def check_exact_double(transform, m, decade):
     x = BigReal.from_float(v)
     if transform == LOGLOG and v <= 1.0:
         with pytest.raises(DomainError):
-            transform_frac(x, transform)
+            eval_transform(x, transform).frac()
         return
-    got = transform_frac(x, transform)
+    got = eval_transform(x, transform).frac()
     want = mp_frac(lambda: mpf(v), transform, decade + 1)
     assert wrapped(got, want) < TOL
 

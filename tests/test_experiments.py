@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from ubenford.distributions import HalfNormal
-from ubenford.errors import (CertificateViolation, DomainError,
+from ubenford.errors import (CertificateViolation, DomainError, EmptySample,
                              InvalidParameter, NotUnimodal)
 from ubenford.experiments import (DELTA_GRID, TABLE1_TRANSFORMS,
                                   TABLE3_TRANSFORMS, analyze_dataset,
@@ -161,6 +161,21 @@ def test_ks_cell_filter_and_label():
     direct = ks_cell(parse_sequence("sqrt_n"), SQRT, 100,
                      index_filter=odd_nonsquare)
     assert direct.z == cell.z
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    (("sqrt_n", LOGLOG, 1), {},
+     "sqrt_n: no term of the first 1 is left to test under loglog "
+     "(1 requested, 1 outside its domain)"),
+    (("n_pow_n", SQRT, 2), {"index_filter": odd_nonsquare, "label": "odd"},
+     "odd: no term of the first 2 is left to test under sqrt "
+     "(0 requested, 0 outside its domain)"),
+])
+def test_ks_cell_with_no_term_names_the_cell(args, kwargs, message):
+    # both ended in "KS statistic of an empty sample", naming no cell
+    with pytest.raises(EmptySample) as info:
+        ks_cell(*args, **kwargs)
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +457,10 @@ def test_analyze_dataset_large_values_keep_certified_fracs():
     rep = analyze_dataset(_dataset(values), transform=PI_SQUARE)
     assert all(0.0 <= u < 1.0 for u in rep.fracs)
     from ubenford.bigreal import BigReal
-    from ubenford.transforms import transform_frac
-    expected = sorted(transform_frac(BigReal.from_float(v), PI_SQUARE)
-                      for v in values)
+    from ubenford.transforms import eval_transform
+    expected = sorted(
+        eval_transform(BigReal.from_float(v), PI_SQUARE).frac()
+        for v in values)
     assert list(rep.fracs) == expected
 
 

@@ -254,6 +254,32 @@ class TestLeadingDigitsPass:
             with pytest.raises(DomainError):
                 _leading_digits(np.array([3.0, bad]), 10)
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.int8, np.uint8,
+                                       np.uint64, np.float16, np.float32])
+    def test_integer_and_narrow_float_arrays(self, dtype):
+        # these were refused as "unsupported type int64", "float32", ...
+        values = np.array([1, 2, 3, 9, 10, 19, 64, 99, 100, 127], dtype=dtype)
+        for base in (3, 10):
+            counts = digit_report(values, base).counts
+            assert np.array_equal(counts,
+                                  digit_report(values.tolist(), base).counts)
+            assert np.array_equal(
+                counts, digit_report(values.astype(np.float64), base).counts)
+
+    def test_large_integer_arrays_are_read_exactly(self):
+        # 2**63 - 1 is 9.22e18; as a double it would round up to 2**63
+        values = np.array([2 ** 63 - 1, 10 ** 18 - 1], dtype=np.int64)
+        assert _leading_digits(values, 10).tolist() == [9, 9]
+        assert _leading_digits(np.array([2 ** 64 - 1], dtype=np.uint64),
+                               10).tolist() == [1]
+
+    @pytest.mark.parametrize("values", [np.array([True, True]),
+                                        np.array([1.0 + 0.0j, 2.0]),
+                                        np.array(["7"], dtype=object)])
+    def test_bool_complex_and_object_arrays_are_refused(self, values):
+        with pytest.raises(InvalidParameter):
+            digit_report(values)
+
 
 class TestChiSquareSf:
     def test_even_dof_anchors(self):

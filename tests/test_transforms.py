@@ -20,7 +20,7 @@ from ubenford.kernels import digits_to_bits, pi_fixed
 from ubenford.stats import ks_uniform
 from ubenford.transforms import (IDENTITY, LOG2, LOG10, LOGLOG, PI_SQUARE,
                                  SQRT, Log, LogLog, Power, Transform,
-                                 eval_transform, start_bits, transform_frac)
+                                 eval_transform, start_bits)
 
 # independently computed reference bits: floor(frac(u) * 2**b)
 # sqrt(2) = 1.6A09E667F3BCC908B2FB1366E...
@@ -205,11 +205,11 @@ class TestCertifiedValues:
             (BigReal.from_int(5), LOG2, lambda: mp.log(5) / mp.log(2)),
         ]
         for x, t, oracle in cases:
-            assert abs(transform_frac(x, t) - mp_frac(oracle)) < 1e-15
+            assert abs(eval_transform(x, t).frac() - mp_frac(oracle)) < 1e-15
 
     def test_decimal_input(self):
         x = BigReal.from_float(2.5)
-        got = transform_frac(x, LOG10)
+        got = eval_transform(x, LOG10).frac()
         assert abs(got - mp_frac(lambda: mp.log10(mpf("2.5")))) < 1e-15
 
 
@@ -559,7 +559,7 @@ class TestAgreementProperty:
     @given(st.integers(min_value=2, max_value=10 ** 6))
     @settings(max_examples=150, deadline=None)
     def test_log10_frac_close_to_float(self, n):
-        ours = transform_frac(BigReal.from_int(n), LOG10)
+        ours = eval_transform(BigReal.from_int(n), LOG10).frac()
         ref = math.log10(n) % 1.0
         d = abs(ours - ref)
         assert min(d, 1.0 - d) < 1e-9
@@ -567,7 +567,7 @@ class TestAgreementProperty:
     @given(st.integers(min_value=1, max_value=10 ** 6))
     @settings(max_examples=150, deadline=None)
     def test_sqrt_frac_close_to_float(self, n):
-        ours = transform_frac(BigReal.from_int(n), SQRT)
+        ours = eval_transform(BigReal.from_int(n), SQRT).frac()
         ref = math.sqrt(n) % 1.0
         d = abs(ours - ref)
         assert min(d, 1.0 - d) < 1e-9
@@ -576,7 +576,7 @@ class TestAgreementProperty:
     @settings(max_examples=100, deadline=None)
     def test_stability_under_higher_initial_precision(self, n):
         deeper = PrecisionPolicy(agreement=16, cap=40000)
-        a = transform_frac(BigReal.from_int(n), PI_SQUARE)
-        b = transform_frac(BigReal.from_int(n), PI_SQUARE, deeper)
+        a = eval_transform(BigReal.from_int(n), PI_SQUARE).frac()
+        b = eval_transform(BigReal.from_int(n), PI_SQUARE, deeper).frac()
         d = abs(a - b)
         assert min(d, 1.0 - d) < 1e-12
