@@ -77,7 +77,14 @@ def mod1_law(distribution, transform, zs=None, tail=1e-14,
     """
     if zs is None:
         zs = default_z_grid()
-    zs = np.asarray(zs, dtype=np.float64)
+    try:
+        zs = np.asarray(zs, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise InvalidParameter(
+            f"z grid must be numbers, got {zs!r}") from None
+    if zs.ndim != 1 or not zs.size:
+        raise InvalidParameter(
+            f"z grid must be a nonempty 1-D array, got shape {zs.shape}")
     if not np.all((zs > 0.0) & (zs < 1.0)):
         raise InvalidParameter("z grid must lie strictly inside (0, 1)")
     transform.check_support(distribution)

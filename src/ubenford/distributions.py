@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .errors import InvalidParameter
+from .errors import InvalidParameter, count
 from .special import erf, erfc, normal_cdf, normal_sf, probit
 
 _LN10 = math.log(10.0)
@@ -65,8 +65,9 @@ def _parameter(family, name, value, positive=True):
 class Distribution:
     """Base for positive continuous families.
 
-    Each family defines its law on the log10 axis, cdf_log10(lg) and
-    sf_log10(lg) at x = 10**lg (exactly 0 and 1 at lg = -inf), and its
+    Each family defines its law on the log10 axis, cdf_log10(lg) or
+    sf_log10(lg) at x = 10**lg or both (exactly 0 and 1 at lg = -inf; the
+    base gives a missing one as the complement), and its
     quantiles ppf (x for sampling) and ppf_log10/isf_log10 (log10 x for
     the window). Each of these is one numpy expression: an array gives an
     array, a scalar a float or a 0-d array. sup_x_pow_pdf returns
@@ -81,6 +82,12 @@ class Distribution:
 
     def label(self):
         return self.name
+
+    def cdf_log10(self, lg):
+        return 1.0 - self.sf_log10(lg)
+
+    def sf_log10(self, lg):
+        return 1.0 - self.cdf_log10(lg)
 
     def ppf(self, q):
         raise NotImplementedError
@@ -139,9 +146,6 @@ class ParetoI(Distribution):
         with np.errstate(over="ignore"):  # exp(-inf) = 0 far above it
             return np.exp(self._rate_b * d * self._rate_a)
 
-    def cdf_log10(self, lg):
-        return 1.0 - self.sf_log10(lg)
-
     def sup_x_pow_pdf(self, k, factor):
         # x**k * pdf = alpha * x0**alpha * x**(k - alpha - 1) falls for
         # every k < alpha + 1: the sup is alpha * x0**(k - 1) at the left
@@ -197,9 +201,6 @@ class ParetoII(Distribution):
         ln1px = np.where(lg > 30.0, lg * _LN10,
                          np.log1p(np.power(10.0, np.minimum(lg, 30.0))))
         return np.exp(-self.b * ln1px)
-
-    def cdf_log10(self, lg):
-        return 1.0 - self.sf_log10(lg)
 
     def sup_x_pow_pdf(self, k, factor):
         # d/dx ln(x**k * (1 + x)**-(b + 1)) vanishes at k/(b + 1 - k); the
@@ -276,9 +277,6 @@ class UniformOnZeroK(Distribution):
 
     def cdf_log10(self, lg):
         return np.clip(_pow10(lg, self.k), 0.0, 1.0)
-
-    def sf_log10(self, lg):
-        return 1.0 - self.cdf_log10(lg)
 
     def ppf(self, q):
         return q * self.k
@@ -423,8 +421,7 @@ class SeededSampler:
         self._counter = 0
 
     def uniforms(self, n):
-        if n < 0:
-            raise InvalidParameter("draw count must be nonnegative")
+        n = count("draw count", n, 0)
         try:
             idx = np.arange(self._counter + 1, self._counter + n + 1,
                             dtype=np.uint64)

@@ -1,10 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one check of a count.
 
 Each class carries the CLI's exit code and the prefix of its one-line
 message: a UBenfordError is an input refusal (exit 1, "error"), and a
 NumericalFailure is a computation that could not be trusted (exit 2,
 "numerical failure").
 """
+
+import operator
 
 
 class UBenfordError(Exception):
@@ -27,6 +29,19 @@ class DomainError(UBenfordError, ValueError):
 
 class InvalidParameter(UBenfordError, ValueError):
     """Distribution or transform constructed with impossible parameters."""
+
+
+def count(name, value, least):
+    """value as an int; InvalidParameter naming it unless it is an integer
+    (Python or numpy, not a float) of at least `least`."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or n < least:
+        raise InvalidParameter(
+            f"{name} must be an integer >= {least}, got {value!r}")
+    return n
 
 
 class InsufficientPrecision(NumericalFailure):

@@ -16,7 +16,7 @@ from .bounds import (certify_mod1_bound, mod1_law, p_delta_exponential,
                      p_delta_uniform_envelope)
 from .distributions import DISTRIBUTIONS, HalfNormal, build_distribution
 from .errors import (CertificateViolation, DomainError, EmptySample,
-                     InvalidParameter)
+                     InvalidParameter, count)
 from .sequences import frac_sample, odd_nonsquare, parse_sequence
 from .stats import digit_report, kolmogorov_q, ks_uniform
 from .transforms import IDENTITY, LOG10, LOGLOG, PI_SQUARE, SQRT, Log, \
@@ -143,10 +143,9 @@ def run_table1(n_fast=10000, n_slow=1000, workers=1, policy=DEFAULT_POLICY):
     Slowly diverging sequences get `n_fast` terms, the super-polynomial
     ones `n_slow`. `workers` > 1 evaluates cells in a process pool.
     """
-    if n_fast < 2 or n_slow < 2:
-        raise InvalidParameter("table needs at least 2 terms per cell")
-    if not isinstance(workers, int) or workers < 1:
-        raise InvalidParameter("workers must be a positive integer")
+    n_fast = count("n_fast", n_fast, 2)
+    n_slow = count("n_slow", n_slow, 2)
+    workers = count("workers", workers, 1)
     specs = []
     for name in TABLE1_FAST_SEQUENCES + TABLE1_SLOW_SEQUENCES:
         n = n_fast if name in TABLE1_FAST_SEQUENCES else n_slow
@@ -252,8 +251,7 @@ def run_table3(seed=0, sigma=1e4, sample_size=2000):
     an honest finite-N KS test of certified fractional parts (see
     sample_cell), so its magnitudes move with the seed.
     """
-    if sample_size < 2:
-        raise InvalidParameter("sample_size must be >= 2")
+    sample_size = count("sample_size", sample_size, 2)
     uniform_row = tuple(
         _limit_cell("uniform", t, UNIFORM_SUP_PATH, UNIFORM_CELL_PATH)
         for t in TABLE3_TRANSFORMS)
@@ -264,7 +262,7 @@ def run_table3(seed=0, sigma=1e4, sample_size=2000):
     xs = HalfNormal(sigma).sample(sample_size, seed)
     half_normal_row = tuple(sample_cell(xs, t) for t in TABLE3_TRANSFORMS)
     return Table3Report(seed=int(seed), sigma=float(sigma),
-                        sample_size=int(sample_size),
+                        sample_size=sample_size,
                         uniform_row=uniform_row,
                         exponential_row=exponential_row,
                         half_normal_row=half_normal_row)

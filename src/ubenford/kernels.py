@@ -264,6 +264,19 @@ def ln_fixed(m, prec):
     return ((total << (k + 1)) + jln2) >> (_GUARD + k)
 
 
+def ln_int_fixed(n, prec, ln2):
+    """ln(n) * 2**prec for an integer n >= 1, within bit_length(n) + 2 ulp
+    given ln2 within 1 ulp of ln 2 * 2**prec (ln2_fixed(prec) is).
+
+    With d = bit_length(n) and n cut to a mantissa ms of prec + 1 bits,
+    ln n = ln_fixed(ms, prec) + (d - 1) ln 2: d - 1 ulps come from ln2,
+    below one from the cut and 1 + 2**-16 from ln_fixed.
+    """
+    d = n.bit_length()
+    ms = n << (prec + 1 - d) if d <= prec + 1 else n >> (d - prec - 1)
+    return ln_fixed(ms, prec) + (d - 1) * ln2
+
+
 def exp_fixed(x, prec):
     """e**(x / 2**prec) for x >= 0 as (mantissa, exponent2).
 

@@ -16,24 +16,14 @@ from math import isqrt
 import numpy as np
 
 from .bigreal import DEFAULT_POLICY, BigReal
-from .errors import DomainError, InsufficientPrecision, InvalidParameter
+from .errors import DomainError, InsufficientPrecision, InvalidParameter, \
+    count
 from .kernels import dec_digits, digits_to_bits, e_fixed, exp_fixed, \
-    ln2_fixed, ln_fixed, pi_fixed, pow_fixed
-from .transforms import _Certifier
+    ln2_fixed, ln_int_fixed, pi_fixed, pow_fixed
+from .transforms import Power, _Certifier
 
 _LOG10_E_FIXED17 = 43429448190325182  # floor(log10(e) * 1e17)
 _LN10 = math.log(10.0)
-
-
-def _ln_int_fixed(n, prec, ln2):
-    """ln(n) * 2**prec for an integer n >= 1, within bit_length(n) + 4 ulp,
-    given ln2 = ln2_fixed(prec)."""
-    d = n.bit_length()
-    ms = n << (prec + 1 - d) if d <= prec + 1 else n >> (d - prec - 1)
-    v = ln_fixed(ms, prec)
-    if d > 1:
-        v += (d - 1) * ln2
-    return v
 
 
 def _digits_from_log10(lg):
@@ -176,35 +166,37 @@ class PowerLaw(Sequence):
         self._constants = (None, None, None)  # see _constants_at
         if isinstance(alpha, str) and alpha.strip() == "1/pi":
             self._inv_pi = True
-            self._ratio = None
+            self._ratio = self._exact = None
             self._alpha_float = 1.0 / math.pi
             self.name = "power_law(1/pi)"
             return
-        a = float(alpha)
+        try:
+            a = float(alpha)
+        except (TypeError, ValueError):
+            a = math.nan
         if not (a > 0) or not math.isfinite(a):
-            raise InvalidParameter("power-law exponent must be positive")
+            raise InvalidParameter(
+                f"power-law exponent must be positive, got {alpha!r}")
         self._inv_pi = False
-        self._ratio = a.as_integer_ratio()  # exact, in lowest terms
+        self._ratio = p, q = a.as_integer_ratio()  # exact, lowest terms
+        # x**(p/q) finds every term exact for q = 1, squares' roots for 2
+        self._exact = Power(p, q) if q <= 2 else None
         self._alpha_float = a
         self.name = f"power_law({a:g})"
 
     def nth_term(self, n, bits=140):
         if n == 1:
             return BigReal.from_int(1)  # 1**alpha is exactly 1
-        if not self._inv_pi:
-            p, q = self._ratio
-            if q == 1:
-                return BigReal.from_int(n ** p)
-            if q == 2:
-                r = isqrt(n ** p)
-                if r * r == n ** p:
-                    return BigReal.from_int(r)
+        if self._exact is not None:
+            r = self._exact._try_exact(BigReal.from_int(n))
+            if r is not None:
+                return r
         # ulps of ln n, scaled by alpha, become relative error of exp
         slop = int(self._alpha_float * (n.bit_length() + 4)) + 6
         lost = slop.bit_length() + 2
         g = bits + lost
         _, ln2, pi = self._constants_at(g)
-        ln_n = _ln_int_fixed(n, g, ln2)
+        ln_n = ln_int_fixed(n, g, ln2)
         if self._inv_pi:
             x = (ln_n << g) // pi
         else:
@@ -279,8 +271,7 @@ def frac_sample(sequence, transform, n_max, policy=DEFAULT_POLICY,
     precision; when the transform refuses the term, it is regenerated at
     doubled precision.
     """
-    if n_max < 1:
-        raise InvalidParameter("n_max must be >= 1")
+    n_max = count("n_max", n_max, 1)
     certifier = _Certifier(transform, policy)
     out = []
     excluded = 0

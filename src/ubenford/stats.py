@@ -74,8 +74,8 @@ def leading_digit(value, base=10):
     log only seeds the exponent, which is then verified and nudged so
     values within an ulp of a power of the base still land correctly.
     """
-    if base < 2 or base != int(base):
-        raise InvalidParameter("base must be an integer >= 2")
+    if not 2 <= base < math.inf or base != int(base):
+        raise InvalidParameter(f"base must be an integer >= 2, got {base!r}")
     base = int(base)
     if isinstance(value, float):
         if not math.isfinite(value) or value <= 0.0:
@@ -132,8 +132,8 @@ def _chi2_sf(x, dof):
 
 def benford_expected(base=10):
     """Benford first-digit proportions log_base(1 + 1/d), d = 1..base-1."""
-    if base < 3 or base != int(base):
-        raise InvalidParameter("base must be an integer >= 3")
+    if not 3 <= base < math.inf or base != int(base):
+        raise InvalidParameter(f"base must be an integer >= 3, got {base!r}")
     d = np.arange(1, int(base))
     return np.log1p(1.0 / d) / math.log(base)
 
@@ -207,8 +207,8 @@ def digit_report(values, base=10, alpha=0.05):
     """
     if not (0.0 < alpha < 1.0):
         raise InvalidParameter("alpha must lie in (0, 1)")
+    probs = benford_expected(base)  # refuses a base that is no integer
     base = int(base)
-    probs = benford_expected(base)
     digits = _leading_digits(values, base)
     n = len(digits)
     if n == 0:

@@ -25,7 +25,7 @@ import numpy as np
 from .bigreal import _FRAC_OUT_BITS, DEFAULT_POLICY, BigReal, _frac_double
 from .errors import DomainError, HypothesisViolated, InsufficientPrecision, \
     InvalidParameter, NotUnimodal, PrecisionCapExceeded
-from .kernels import digits_to_bits, ln2_fixed, ln10_fixed, ln_fixed, \
+from .kernels import digits_to_bits, ln2_fixed, ln10_fixed, ln_int_fixed, \
     pi_fixed
 
 # ---------------------------------------------------------------------------
@@ -86,8 +86,6 @@ def _exact_log(x, base):
 
 def _input_frac_limit(x, result_int_bits):
     """Fractional bits of u(x) supported by the input's own certification."""
-    if x.exact:
-        return 10 ** 9
     return x.significant_digits() - result_int_bits - 2
 
 
@@ -97,20 +95,15 @@ def _log_constants(base, w):
     ln2 = ln2_fixed(w)
     if base in (2, 10):
         return ln2, ln2 if base == 2 else ln10_fixed(w), 1
-    d = base.bit_length()
-    return ln2, ln_fixed(base << (w + 1 - d), w) + (d - 1) * ln2, d
+    return ln2, ln_int_fixed(base, w, ln2), base.bit_length()
 
 
 def _log_at(x, w, constants):
     ln2, ln_base, c = constants
     m, e = x.mantissa, x.exponent
-    d = m.bit_length()
-    # x = (ms / 2**w) * 2**k with ms / 2**w in [1, 2)
-    ms = m << (w + 1 - d) if d <= w + 1 else m >> (d - w - 1)
-    lv = ln_fixed(ms, w)
-    k = d - 1 + e
-    if k:
-        lv += k * ln2
+    # x = m * 2**e = (ms / 2**w) * 2**k with ms / 2**w in [1, 2)
+    lv = ln_int_fixed(m, w, ln2) + e * ln2
+    k = m.bit_length() - 1 + e
     q = (lv << w) // ln_base
     int_bits = max(0, q.bit_length() - w)
     # error of lv in ulps of 2**-w: |k| from ln 2, one each from ln_fixed
@@ -353,16 +346,21 @@ class Power(Transform):
         if x.mantissa < 0 and not self._identity:
             raise DomainError(f"{self.kind} requires x >= 0")
 
+    def _raised(self, x):
+        """x**p as (m, e), x**p = m * 2**e, with e even when q = 2."""
+        m, e = x.mantissa ** self.p, x.exponent * self.p
+        if self.q == 2 and e % 2:
+            m <<= 1
+            e -= 1
+        return m, e
+
     def _try_exact(self, x):
         if self._identity:
             return x
         if not x.exact or self.pi and x.mantissa:
             return None  # pi*x**p is irrational for every x > 0
-        m, e = x.mantissa ** self.p, x.exponent * self.p
+        m, e = self._raised(x)
         if self.q == 2:
-            if e % 2:
-                m <<= 1
-                e -= 1
             r = isqrt(m)
             if r * r != m:
                 return None
@@ -373,18 +371,15 @@ class Power(Transform):
         return pi_fixed(w) if self.pi else None
 
     def _eval_at(self, x, w, pi):
-        p = self.p
-        m, e = x.mantissa ** p, x.exponent * p
+        m, e = self._raised(x)
         if self.q == 2:
-            if e % 2:
-                m <<= 1
-                e -= 1
             e //= 2
             # the root is floor-exact at scale 2**(e - w)
             m, e, floor_bits = isqrt(m << 2 * w), e - w, w - 1 - max(0, e)
         elif self.pi:
             # absolute error <= x**p * 2**-w from the truncated pi bits
-            m, e, floor_bits = pi * m, e - w, w - p * x.integer_digits() - 1
+            m, e, floor_bits = (pi * m, e - w,
+                                w - self.p * x.integer_digits() - 1)
         else:
             floor_bits = w  # x**p itself is exact
         int_bits = max(0, m.bit_length() + e)

@@ -129,6 +129,12 @@ class TestMod1Law:
             mod1_law(d, IDENTITY, zs=np.array([0.5, 1.0]))
         with pytest.raises(ValueError):
             mod1_law(d, LOG10, zs=np.array([0.25, math.nan]))
+        with pytest.raises(InvalidParameter, match=r"shape \(0,\)"):
+            mod1_law(d, IDENTITY, zs=[])
+        with pytest.raises(InvalidParameter, match=r"shape \(1, 1\)"):
+            mod1_law(d, IDENTITY, zs=[[0.5]])
+        with pytest.raises(InvalidParameter, match="got 'abc'"):
+            mod1_law(d, IDENTITY, zs="abc")
 
     def test_cell_budget(self):
         with pytest.raises(TruncationFailure):

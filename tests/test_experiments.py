@@ -146,6 +146,7 @@ def test_table1_cell_lookup():
 
 @pytest.mark.parametrize("kwargs", [
     {"n_fast": 1}, {"n_slow": 0}, {"workers": 0}, {"workers": 1.5},
+    {"n_fast": 2.5},
 ])
 def test_table1_rejects_bad_config(kwargs):
     with pytest.raises(InvalidParameter):
@@ -284,6 +285,8 @@ def test_table3_seed_changes_sample_not_limits():
 def test_table3_rejects_tiny_sample():
     with pytest.raises(InvalidParameter):
         run_table3(seed=0, sample_size=1)
+    with pytest.raises(InvalidParameter, match="sample_size .* got 2.5"):
+        run_table3(seed=0, sample_size=2.5)
 
 
 def test_sample_cell_verdict_thresholds():
@@ -469,3 +472,5 @@ def test_analyze_dataset_alpha_validation():
         analyze_dataset(_dataset([1.0, 2.0]), alpha=0.0)
     with pytest.raises(InvalidParameter):
         analyze_dataset(_dataset([1.0, 2.0]), alpha=1.0)
+    with pytest.raises(InvalidParameter, match="got 10.5"):
+        analyze_dataset(_dataset([1.0, 2.0]), base=10.5)

@@ -5,15 +5,18 @@ published hexadecimal expansions. Parametrized precisions are given in
 decimal digits and run at digits_to_bits(digits) bits.
 """
 
+import ast
 import math
 import random
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf
 
+from ubenford import kernels
 from ubenford.kernels import (BACKEND, dec_digits, digits_to_bits, e_fixed,
                               exp_fixed, ln2_fixed, ln10_fixed, ln_fixed,
-                              pi_fixed, pow_fixed)
+                              ln_int_fixed, pi_fixed, pow_fixed)
 
 # floor(pi * 2**128): pi = 3.243F6A8885A308D3...
 PI_128 = 0x3243F6A8885A308D313198A2E03707344
@@ -224,6 +227,35 @@ class TestLn:
             ln_fixed(1 << 99, 100)  # below 1
         with pytest.raises(ValueError):
             ln_fixed(1 << 101, 100)  # 2 and above
+
+
+class TestLnInt:
+    # both sides of ln_fixed's switch to square roots (4,064 | 4,065) and
+    # well past it; integers up to 2**20000, cut to prec + 1 bits or not
+    @pytest.mark.parametrize("prec", [64, 65, 200, 1200, 4064, 4065, 8192])
+    def test_within_stated_bound(self, prec):
+        rng = random.Random(prec)
+        ns = [1, 2, 3, 10, 255, (1 << prec) + 1, (2 << prec) - 1,
+              (1 << 20000) - 1, 1 << 20000, 3 ** 12618] + [
+            rng.getrandbits(rng.randrange(2, 20001)) | 1 for _ in range(6)]
+        ln2 = ln2_fixed(prec)
+        for n in ns:
+            got = ln_int_fixed(n, prec, ln2)
+            with mp.workprec(prec + 100):
+                want = mp.log(mpf(n)) * mpf(2) ** prec
+                assert abs(got - want) <= n.bit_length() + 2, n
+
+    def test_only_kernels_reads_ln_fixed(self):
+        # ln of an integer has one home: every module but kernels goes
+        # through ln_int_fixed
+        readers = set()
+        for path in Path(kernels.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+                if "ln_fixed" in (getattr(node, "id", None),
+                                  getattr(node, "attr", None),
+                                  getattr(node, "name", None)):
+                    readers.add(path.name)
+        assert readers == {"kernels.py"}
 
 
 class TestExp:

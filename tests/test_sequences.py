@@ -137,6 +137,8 @@ class TestPowerLaw:
             PowerLaw(-1.5)
         with pytest.raises(InvalidParameter):
             PowerLaw(math.inf)
+        with pytest.raises(InvalidParameter, match="got 'abc'"):
+            parse_sequence("power_law:abc")
 
 
 class TestParse:
@@ -199,6 +201,8 @@ class TestFracSample:
     def test_rejects_empty_request(self):
         with pytest.raises(InvalidParameter):
             frac_sample(SqrtN(), LOG10, 0)
+        with pytest.raises(InvalidParameter, match="n_max .* got 2.5"):
+            frac_sample(SqrtN(), LOG10, 2.5)
 
     def test_two_routes_for_n_pow_n_log(self):
         # direct certified evaluation vs n*log10(n) in multiprecision

@@ -161,6 +161,8 @@ class TestLeadingDigit:
         with pytest.raises(InvalidParameter):
             leading_digit(5, base=1)
         with pytest.raises(InvalidParameter):
+            leading_digit(5, base=math.inf)
+        with pytest.raises(InvalidParameter):
             leading_digit("12")
 
 
@@ -353,5 +355,11 @@ class TestDigitReport:
             digit_report([])
         with pytest.raises(InvalidParameter):
             digit_report([1, 2], alpha=0.0)
+        with pytest.raises(InvalidParameter, match="got 10.5"):
+            digit_report([1, 2], base=10.5)
+        with pytest.raises(InvalidParameter, match="got inf"):
+            digit_report([1, 2], base=math.inf)
+        with pytest.raises(InvalidParameter, match="got nan"):
+            digit_report([1, 2], base=math.nan)
         with pytest.raises(InvalidParameter):
             benford_expected(2)
