@@ -10,7 +10,7 @@ fractional bits it cannot vouch for. Fractional parts are masks and shifts.
 import math
 from dataclasses import dataclass
 
-from .errors import InsufficientPrecision, InvalidParameter
+from .errors import InsufficientPrecision, count
 
 _FRAC_OUT_BITS = 80  # bits materialized when converting a frac to double
 _ONE_MINUS = math.nextafter(1.0, 0.0)
@@ -45,10 +45,10 @@ class PrecisionPolicy:
     cap: int = 30000
 
     def __post_init__(self):
-        if self.agreement < 12:
-            raise InvalidParameter("agreement threshold must be >= 12")
-        if self.cap < 64:
-            raise InvalidParameter("cap must leave room for escalation")
+        # Python ints, so the bit sizes derived from them are Python ints
+        object.__setattr__(self, "agreement",
+                           count("agreement", self.agreement, 12))
+        object.__setattr__(self, "cap", count("cap", self.cap, 64))
 
 
 DEFAULT_POLICY = PrecisionPolicy()

@@ -23,7 +23,7 @@ import numpy as np
 
 from .distributions import sup_ratio
 from .errors import CertificateViolation, InvalidParameter, \
-    TruncationFailure
+    TruncationFailure, count, real
 
 _SQRT_PI = math.sqrt(math.pi)
 _EPS = float(np.finfo(np.float64).eps)
@@ -87,6 +87,8 @@ def mod1_law(distribution, transform, zs=None, tail=1e-14,
             f"z grid must be a nonempty 1-D array, got shape {zs.shape}")
     if not np.all((zs > 0.0) & (zs < 1.0)):
         raise InvalidParameter("z grid must lie strictly inside (0, 1)")
+    tail = real("tail", tail, 0.0, 0.5)
+    max_cells = count("max_cells", max_cells, 1)
     transform.check_support(distribution)
 
     lg_lo = float(distribution.ppf_log10(tail))
@@ -102,9 +104,9 @@ def mod1_law(distribution, transform, zs=None, tail=1e-14,
     cells = j_hi - j_lo + 1
     if cells > max_cells:
         # float(j_hi) keeps a count past the doubles from raising
-        count, budget = _over_budget(float(j_hi) - j_lo + 1, max_cells)
+        needed, budget = _over_budget(float(j_hi) - j_lo + 1, max_cells)
         raise TruncationFailure(
-            f"{count} integer cells exceed the budget of {budget} for "
+            f"{needed} integer cells exceed the budget of {budget} for "
             f"{distribution.label()} under {transform.label()}")
 
     probs = np.zeros_like(zs)
@@ -185,17 +187,6 @@ def certify_mod1_bound(distribution, transform):
 # ---------------------------------------------------------------------------
 # fraction law of pi*X**2 for uniform input: exact clamped-cell series
 
-def _check_delta(delta):
-    if not (0.0 < delta < 1.0):
-        raise InvalidParameter("delta must lie strictly inside (0, 1)")
-
-
-def _check_parameter(name, value):
-    if not 0.0 < value < math.inf:
-        raise InvalidParameter(
-            f"{name} must be finite and positive, got {value!r}")
-
-
 def p_delta_uniform(k, delta, max_cells=50_000_000):
     """P({pi*X**2} <= delta) for X uniform on (0, k], summed exactly.
 
@@ -203,15 +194,16 @@ def p_delta_uniform(k, delta, max_cells=50_000_000):
     sqrt(j))/a; the top cell is clamped at the image boundary a, not at
     a**2, which underflows for tiny k. Cell 0 always carries mass.
     """
-    _check_delta(delta)
-    _check_parameter("k", k)
+    delta = real("delta", delta, 0.0, 1.0)
+    k = real("k", k)
+    max_cells = count("max_cells", max_cells, 1)
     a = k * _SQRT_PI
     a2 = a * a
     # compared as a float, so an a**2 past the doubles is refused too
     if a2 > max_cells:
-        count, budget = _over_budget(a2, max_cells)
+        needed, budget = _over_budget(a2, max_cells)
         raise TruncationFailure(
-            f"{count} cells exceed the budget of {budget} for k={k:g}")
+            f"{needed} cells exceed the budget of {budget} for k={k:g}")
     n = max(1, math.ceil(a2))
     total = 0.0
     for start in range(0, n, _CHUNK * 16):
@@ -231,8 +223,8 @@ def _uniform_cells(start, stop, delta, a):
 
 def p_delta_uniform_envelope(k, delta):
     """Two-sided envelope for p_delta_uniform, valid for every k > 0."""
-    _check_delta(delta)
-    _check_parameter("k", k)
+    delta = real("delta", delta, 0.0, 1.0)
+    k = real("k", k)
     a = k * _SQRT_PI
     a2 = a * a
     if a2 == math.inf:  # then sqrt(top) and sqrt(top + delta) read a
@@ -269,8 +261,9 @@ def p_delta_exponential(lam, delta, direct_terms=100_000):
     folded in through the integral plus trapezoid and curvature
     corrections, accurate to ~1e-11 absolute.
     """
-    _check_delta(delta)
-    _check_parameter("lam", lam)
+    delta = real("delta", delta, 0.0, 1.0)
+    lam = real("lam", lam)
+    direct_terms = count("direct_terms", direct_terms, 1)
     mu = lam / _SQRT_PI
     total = 0.0
     j0 = 0
@@ -299,8 +292,8 @@ def p_delta_exponential(lam, delta, direct_terms=100_000):
 
 def p_delta_exponential_envelope(lam, delta):
     """Two-sided envelope for p_delta_exponential."""
-    _check_delta(delta)
-    _check_parameter("lam", lam)
+    delta = real("delta", delta, 0.0, 1.0)
+    lam = real("lam", lam)
     mu = lam / _SQRT_PI
     edge = math.exp(-mu * math.sqrt(delta))
     return delta * edge, min(1.0 - edge + delta, 1.0)

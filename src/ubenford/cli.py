@@ -62,15 +62,13 @@ def _add_format(sub):
 
 
 def _cmd_table1(args):
-    n_fast = args.n if args.n is not None else 10000
-    n_slow = args.n if args.n is not None else 1000
-    return run_table1(n_fast=n_fast, n_slow=n_slow, workers=args.workers,
-                      policy=_policy(args))
+    sizes = {} if args.n is None else {"n_fast": args.n, "n_slow": args.n}
+    return run_table1(workers=args.workers, policy=_policy(args), **sizes)
 
 
 def _cmd_table3(args):
-    return run_table3(seed=args.seed,
-                      sample_size=args.n if args.n is not None else 2000)
+    sizes = {} if args.n is None else {"sample_size": args.n}
+    return run_table3(seed=args.seed, **sizes)
 
 
 def _cmd_bounds(args):

@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .errors import InvalidParameter, count
+from .errors import InvalidParameter, count, real, string
 from .special import erf, erfc, normal_cdf, normal_sf, probit
 
 _LN10 = math.log(10.0)
@@ -50,16 +50,6 @@ def _pow(x, y):
 def _normal(v):
     """True for a finite double at or above the smallest normal one."""
     return _DOUBLE_MIN <= v < math.inf
-
-
-def _parameter(family, name, value, positive=True):
-    """value as a float; InvalidParameter naming it unless it is finite,
-    and positive where the family needs that."""
-    v = float(value)
-    if not math.isfinite(v) or (positive and not v > 0.0):
-        need = "finite and positive" if positive else "finite"
-        raise InvalidParameter(f"{family} needs {name} {need}, got {value!r}")
-    return v
 
 
 class Distribution:
@@ -119,10 +109,10 @@ class ParetoI(Distribution):
     """Power tail starting at x0: sf(x) = (x0/x)**alpha for x >= x0."""
 
     def __init__(self, alpha, x0=1.0):
-        self.alpha = _parameter("ParetoI", "alpha", alpha)
-        self.x0 = _parameter("ParetoI", "x0", x0)
+        self.alpha = real("ParetoI alpha", alpha)
+        self.x0 = real("ParetoI x0", x0)
         self.support_lo = self.x0
-        self.name = f"pareto_i(alpha={alpha:g}, x0={x0:g})"
+        self.name = f"pareto_i(alpha={self.alpha:g}, x0={self.x0:g})"
         # log10(X/x0) is exponential with rate alpha * ln 10, applied as two
         # factors: the rate and 1, or ln 10 and alpha apart where the rate
         # overflows (alpha above 7.8e307)
@@ -176,8 +166,8 @@ class ParetoII(Distribution):
     density_positive_at_origin = True
 
     def __init__(self, b):
-        self.b = _parameter("ParetoII", "b", b)
-        self.name = f"pareto_ii(b={b:g})"
+        self.b = real("ParetoII b", b)
+        self.name = f"pareto_ii(b={self.b:g})"
 
     def ppf(self, q):
         with np.errstate(over="ignore"):
@@ -214,9 +204,9 @@ class LognormalBase10(Distribution):
     """log10(X) ~ Normal(mu, sigma**2)."""
 
     def __init__(self, mu, sigma):
-        self.mu = _parameter("LognormalBase10", "mu", mu, positive=False)
-        self.sigma = _parameter("LognormalBase10", "sigma", sigma)
-        self.name = f"lognormal10(mu={mu:g}, sigma={sigma:g})"
+        self.mu = real("LognormalBase10 mu", mu, low=-math.inf)
+        self.sigma = real("LognormalBase10 sigma", sigma)
+        self.name = f"lognormal10(mu={self.mu:g}, sigma={self.sigma:g})"
 
     def ppf(self, q):
         with np.errstate(over="ignore"):
@@ -272,8 +262,8 @@ class UniformOnZeroK(Distribution):
     density_positive_at_origin = True
 
     def __init__(self, k):
-        self.k = _parameter("UniformOnZeroK", "k", k)
-        self.name = f"uniform(0,{k:g}]"
+        self.k = real("UniformOnZeroK k", k)
+        self.name = f"uniform(0,{self.k:g}]"
 
     def cdf_log10(self, lg):
         return np.clip(_pow10(lg, self.k), 0.0, 1.0)
@@ -293,8 +283,8 @@ class Exponential(Distribution):
     density_positive_at_origin = True
 
     def __init__(self, lam):
-        self.lam = _parameter("Exponential", "lam", lam)
-        self.name = f"exponential(lam={lam:g})"
+        self.lam = real("Exponential lam", lam)
+        self.name = f"exponential(lam={self.lam:g})"
 
     def cdf_log10(self, lg):
         return -np.expm1(-self.lam * _pow10(lg))
@@ -321,8 +311,8 @@ class HalfNormal(Distribution):
     density_positive_at_origin = True
 
     def __init__(self, sigma):
-        self.sigma = _parameter("HalfNormal", "sigma", sigma)
-        self.name = f"half_normal(sigma={sigma:g})"
+        self.sigma = real("HalfNormal sigma", sigma)
+        self.name = f"half_normal(sigma={self.sigma:g})"
 
     def cdf_log10(self, lg):
         return erf(_pow10(lg, self.sigma * _SQRT2))
@@ -366,16 +356,11 @@ DISTRIBUTIONS = {
 
 def build_distribution(name, args):
     """The family `name` at the positional parameters `args` (numbers, or
-    their text), refusing an unknown name, a non-numeric parameter and a
-    parameter count the family does not take."""
-    head = name.strip().lower()
+    their text), refusing an unknown name and a parameter count the family
+    does not take; the family refuses a parameter that is no real."""
+    head = string("distribution", name).strip().lower()
     if head not in DISTRIBUTIONS:
         raise InvalidParameter(f"unknown distribution {name!r}")
-    try:
-        args = [float(a) for a in args]
-    except (TypeError, ValueError):
-        raise InvalidParameter(
-            f"{head} parameters must be numbers, got {args!r}") from None
     family = DISTRIBUTIONS[head]
     params = inspect.signature(family).parameters.values()
     names = [p.name for p in params]
@@ -392,7 +377,7 @@ def build_distribution(name, args):
 
 def parse_distribution(text):
     """"name:arg1,arg2" with positional numeric arguments."""
-    head, _, argpart = text.partition(":")
+    head, _, argpart = string("distribution", text).partition(":")
     return build_distribution(head, [a for a in argpart.split(",") if a])
 
 
@@ -414,10 +399,10 @@ class SeededSampler:
     """
 
     def __init__(self, distribution, seed):
-        if not (0 <= int(seed) < 2 ** 64):
-            raise InvalidParameter("seed must fit in 64 bits")
+        self.seed = count("seed", seed, 0)
+        if self.seed >= 2 ** 64:
+            raise InvalidParameter(f"seed must fit in 64 bits, got {seed!r}")
         self.distribution = distribution
-        self.seed = int(seed)
         self._counter = 0
 
     def uniforms(self, n):

@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the one check of a count.
+"""Exception types shared across the package, and the one check of each
+kind of parameter: `count` for an integer, `real` for a real number and
+`string` for a name or a spec.
 
 Each class carries the CLI's exit code and the prefix of its one-line
 message: a UBenfordError is an input refusal (exit 1, "error"), and a
@@ -6,6 +8,7 @@ NumericalFailure is a computation that could not be trusted (exit 2,
 "numerical failure").
 """
 
+import math
 import operator
 
 
@@ -42,6 +45,28 @@ def count(name, value, least):
         raise InvalidParameter(
             f"{name} must be an integer >= {least}, got {value!r}")
     return n
+
+
+def real(name, value, low=0.0, high=math.inf):
+    """float(value); InvalidParameter naming it unless float() reads it
+    and it lies strictly inside (low, high), so it is never inf or nan."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not low < x < high:
+        need = {(0.0, math.inf): "finite and positive",
+                (-math.inf, math.inf): "finite"}.get(
+                    (low, high), f"strictly inside ({low:g}, {high:g})")
+        raise InvalidParameter(f"{name} must be {need}, got {value!r}")
+    return x
+
+
+def string(name, value):
+    """value; InvalidParameter naming it unless it is a str."""
+    if not isinstance(value, str):
+        raise InvalidParameter(f"{name} must be text, got {value!r}")
+    return value
 
 
 class InsufficientPrecision(NumericalFailure):

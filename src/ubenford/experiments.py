@@ -17,7 +17,7 @@ from .bounds import (certify_mod1_bound, mod1_law, p_delta_exponential,
 from .distributions import DISTRIBUTIONS, HalfNormal, build_distribution
 from .errors import (CertificateViolation, DomainError, EmptySample,
                      InvalidParameter, count)
-from .sequences import frac_sample, odd_nonsquare, parse_sequence
+from .sequences import Sequence, frac_sample, odd_nonsquare, parse_sequence
 from .stats import digit_report, kolmogorov_q, ks_uniform
 from .transforms import IDENTITY, LOG10, LOGLOG, PI_SQUARE, SQRT, Log, \
     _Certifier
@@ -76,7 +76,7 @@ def ks_cell(sequence, transform, n_max, policy=DEFAULT_POLICY,
     EmptySample, naming the cell, refuses one where the index filter and
     the transform's domain leave no term to test.
     """
-    if isinstance(sequence, str):
+    if not isinstance(sequence, Sequence):
         sequence = parse_sequence(sequence)
     if label is None:
         label = sequence.name
@@ -252,6 +252,8 @@ def run_table3(seed=0, sigma=1e4, sample_size=2000):
     sample_cell), so its magnitudes move with the seed.
     """
     sample_size = count("sample_size", sample_size, 2)
+    # drawn first: a bad seed or sigma is refused before the limit rows
+    xs = HalfNormal(sigma).sample(sample_size, seed)
     uniform_row = tuple(
         _limit_cell("uniform", t, UNIFORM_SUP_PATH, UNIFORM_CELL_PATH)
         for t in TABLE3_TRANSFORMS)
@@ -259,7 +261,6 @@ def run_table3(seed=0, sigma=1e4, sample_size=2000):
         _limit_cell("exponential", t, EXPONENTIAL_SUP_PATH,
                     EXPONENTIAL_CELL_PATH)
         for t in TABLE3_TRANSFORMS)
-    xs = HalfNormal(sigma).sample(sample_size, seed)
     half_normal_row = tuple(sample_cell(xs, t) for t in TABLE3_TRANSFORMS)
     return Table3Report(seed=int(seed), sigma=float(sigma),
                         sample_size=sample_size,
@@ -270,6 +271,19 @@ def run_table3(seed=0, sigma=1e4, sample_size=2000):
 
 # ---------------------------------------------------------------------------
 # bound sweeps
+
+def _points(name, values):
+    """values as a tuple; InvalidParameter naming them unless they are a
+    nonempty sequence other than one string, read item by item."""
+    try:
+        points = () if isinstance(values, str) else tuple(values)
+    except TypeError:
+        points = ()
+    if not points:
+        raise InvalidParameter(
+            f"{name} must be a nonempty sequence, got {values!r}")
+    return points
+
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -303,10 +317,8 @@ def bound_sweep(family, params, transform=LOG10):
     Raises CertificateViolation if any measured discrepancy lands above
     its ceiling; that is an internal failure, never a data verdict.
     """
-    if not params:
-        raise InvalidParameter("params must be a nonempty sequence")
     rows = []
-    for param in params:
+    for param in _points("params", params):
         point = tuple(param) if isinstance(param, (tuple, list)) else (param,)
         dist = build_distribution(family, point)
         cert = certify_mod1_bound(dist, transform)
@@ -356,8 +368,7 @@ def pdelta_curve(family, parameter, deltas=None):
     The series refuse a parameter that is not finite and positive, and a
     delta outside (0, 1), with InvalidParameter.
     """
-    if deltas is None:
-        deltas = DELTA_GRID
+    deltas = DELTA_GRID if deltas is None else _points("deltas", deltas)
     if family == "uniform":
         series, envelope = p_delta_uniform, p_delta_uniform_envelope
     elif family == "exponential":
@@ -369,11 +380,12 @@ def pdelta_curve(family, parameter, deltas=None):
     for delta in deltas:
         p = series(parameter, delta)
         lo, hi = envelope(parameter, delta)
+        delta = float(delta)  # the series refused one float() cannot read
         if not lo - 1e-9 <= p <= hi + 1e-9:
             raise CertificateViolation(
                 f"P_delta({parameter}, {delta}) = {p} outside "
                 f"[{lo}, {hi}]")
-        rows.append(PDeltaRow(delta=float(delta), probability=p,
+        rows.append(PDeltaRow(delta=delta, probability=p,
                               lower=lo, upper=hi, gap=abs(p - delta)))
     return PDeltaReport(family=family, parameter=float(parameter),
                         rows=tuple(rows))
@@ -437,12 +449,12 @@ def analyze_dataset(dataset, transform=LOG10, base=10, alpha=0.05,
         sample_size=int(fracs.size),
         dropped=dropped,
         transform=transform.label(),
-        base=int(base),
-        alpha=float(alpha),
+        base=digits.base,
+        alpha=digits.alpha,
         digits=digits,
         ks_statistic=statistic,
         z=z,
         p=p,
-        verdict="inconsistent" if p < alpha else "consistent",
+        verdict="inconsistent" if p < digits.alpha else "consistent",
         fracs=tuple(np.sort(fracs).tolist()),
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyDataset, FileError, InvalidParameter, NoNumericColumn
+from .errors import EmptyDataset, FileError, NoNumericColumn, count
 
 
 @dataclass(frozen=True)
@@ -80,9 +80,7 @@ def ingest_csv(path, column=1, name=None):
     a file yielding no numeric field at all raises NoNumericColumn, and
     one yielding numbers but nothing positive raises EmptyDataset.
     """
-    if column < 1 or column != int(column):
-        raise InvalidParameter("column selector is 1-based")
-    column = int(column)
+    column = count("column", column, 1)
     try:
         with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()

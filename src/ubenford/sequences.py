@@ -17,7 +17,7 @@ import numpy as np
 
 from .bigreal import DEFAULT_POLICY, BigReal
 from .errors import DomainError, InsufficientPrecision, InvalidParameter, \
-    count
+    count, real, string
 from .kernels import dec_digits, digits_to_bits, e_fixed, exp_fixed, \
     ln2_fixed, ln_int_fixed, pi_fixed, pow_fixed
 from .transforms import Power, _Certifier
@@ -170,13 +170,7 @@ class PowerLaw(Sequence):
             self._alpha_float = 1.0 / math.pi
             self.name = "power_law(1/pi)"
             return
-        try:
-            a = float(alpha)
-        except (TypeError, ValueError):
-            a = math.nan
-        if not (a > 0) or not math.isfinite(a):
-            raise InvalidParameter(
-                f"power-law exponent must be positive, got {alpha!r}")
+        a = real("power-law exponent", alpha)
         self._inv_pi = False
         self._ratio = p, q = a.as_integer_ratio()  # exact, lowest terms
         # x**(p/q) finds every term exact for q = 1, squares' roots for 2
@@ -230,7 +224,7 @@ SEQUENCES = {
 
 def parse_sequence(text):
     """Registry lookup; power laws take a parameter: "power_law:1/pi"."""
-    t = text.strip().lower()
+    t = string("sequence", text).strip().lower()
     if t.startswith("power_law"):
         _, _, arg = t.partition(":")
         return PowerLaw(arg if arg else "1/pi")

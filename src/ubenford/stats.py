@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EmptySample, InvalidParameter
+from .errors import DomainError, EmptySample, InvalidParameter, count, real
 from .special import erfc
 
 
@@ -74,9 +74,7 @@ def leading_digit(value, base=10):
     log only seeds the exponent, which is then verified and nudged so
     values within an ulp of a power of the base still land correctly.
     """
-    if not 2 <= base < math.inf or base != int(base):
-        raise InvalidParameter(f"base must be an integer >= 2, got {base!r}")
-    base = int(base)
+    base = count("base", base, 2)
     if isinstance(value, float):
         if not math.isfinite(value) or value <= 0.0:
             raise DomainError("leading digit needs a finite positive value")
@@ -111,8 +109,7 @@ def _chi2_sf(x, dof):
     forward recursion Q(s+1, t) = Q(s, t) + t**s * exp(-t) / Gamma(s+1),
     so both parities of dof are exact to machine precision.
     """
-    if dof < 1:
-        raise InvalidParameter("dof must be >= 1")
+    dof = count("dof", dof, 1)
     t = x / 2.0
     if t <= 0.0:
         return 1.0
@@ -132,9 +129,8 @@ def _chi2_sf(x, dof):
 
 def benford_expected(base=10):
     """Benford first-digit proportions log_base(1 + 1/d), d = 1..base-1."""
-    if not 3 <= base < math.inf or base != int(base):
-        raise InvalidParameter(f"base must be an integer >= 3, got {base!r}")
-    d = np.arange(1, int(base))
+    base = count("base", base, 3)
+    d = np.arange(1, base)
     return np.log1p(1.0 / d) / math.log(base)
 
 
@@ -205,8 +201,7 @@ def digit_report(values, base=10, alpha=0.05):
     cell count falls below 5, i.e. when N < 5 / min proportion; the verdict
     is then "insufficient-sample" rather than a coin flip on bad asymptotics.
     """
-    if not (0.0 < alpha < 1.0):
-        raise InvalidParameter("alpha must lie in (0, 1)")
+    alpha = real("alpha", alpha, 0.0, 1.0)
     probs = benford_expected(base)  # refuses a base that is no integer
     base = int(base)
     digits = _leading_digits(values, base)

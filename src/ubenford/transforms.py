@@ -24,7 +24,7 @@ import numpy as np
 
 from .bigreal import _FRAC_OUT_BITS, DEFAULT_POLICY, BigReal, _frac_double
 from .errors import DomainError, HypothesisViolated, InsufficientPrecision, \
-    InvalidParameter, NotUnimodal, PrecisionCapExceeded
+    InvalidParameter, NotUnimodal, PrecisionCapExceeded, count, string
 from .kernels import digits_to_bits, ln2_fixed, ln10_fixed, ln_int_fixed, \
     pi_fixed
 
@@ -182,7 +182,7 @@ class Transform:
 
     @staticmethod
     def parse(text):
-        t = text.strip().lower().replace("-", "_")
+        t = string("transform", text).strip().lower().replace("-", "_")
         if t in ("identity", "id"):
             return IDENTITY
         if t in ("loglog", "log_log"):
@@ -206,8 +206,8 @@ class Log(Transform):
     kind = "log"
 
     def __post_init__(self):
-        if not isinstance(self.base, int) or self.base < 2:
-            raise InvalidParameter("log base must be an integer >= 2")
+        # an int, since ln_int_fixed reads base.bit_length()
+        object.__setattr__(self, "base", count("log base", self.base, 2))
 
     def label(self):
         return f"log{self.base}"

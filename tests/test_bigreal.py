@@ -7,12 +7,14 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ubenford.bigreal import DEFAULT_POLICY, BigReal, PrecisionPolicy
-from ubenford.errors import InsufficientPrecision
+from ubenford.errors import InsufficientPrecision, InvalidParameter
+from ubenford.transforms import LOG10, eval_transform
 
 
 def exact(x):
@@ -133,3 +135,14 @@ class TestPrecisionPolicy:
         with pytest.raises(ValueError):
             PrecisionPolicy(cap=63)
         PrecisionPolicy(agreement=16, cap=64)
+        with pytest.raises(InvalidParameter, match="agreement .* got 12.5"):
+            PrecisionPolicy(agreement=12.5)
+        with pytest.raises(InvalidParameter, match="agreement .* got '20'"):
+            PrecisionPolicy(agreement="20")
+        # a numpy integer is stored as the int it equals, and certifies so
+        p = PrecisionPolicy(agreement=np.int64(14), cap=np.int64(100))
+        assert type(p.agreement) is int and type(p.cap) is int
+        assert p == PrecisionPolicy(agreement=14, cap=100)
+        x = BigReal.from_int(7)
+        assert repr(eval_transform(x, LOG10, p)) == \
+            repr(eval_transform(x, LOG10, PrecisionPolicy(14, 100)))

@@ -135,6 +135,12 @@ class TestMod1Law:
             mod1_law(d, IDENTITY, zs=[[0.5]])
         with pytest.raises(InvalidParameter, match="got 'abc'"):
             mod1_law(d, IDENTITY, zs="abc")
+        # the tail mass and the cell budget are checked as well
+        for tail in (0.0, 0.5, math.nan):
+            with pytest.raises(InvalidParameter, match="tail must be"):
+                mod1_law(d, IDENTITY, zs=QUARTERS, tail=tail)
+        with pytest.raises(InvalidParameter, match="max_cells .* got 2.5"):
+            mod1_law(d, IDENTITY, zs=QUARTERS, max_cells=2.5)
 
     def test_cell_budget(self):
         with pytest.raises(TruncationFailure):
@@ -439,6 +445,10 @@ class TestFractionLawUniform:
         for k in (1e150, 1e200):
             with pytest.raises(TruncationFailure, match=r"^\S+ cells exceed"):
                 p_delta_uniform(k, 0.5)
+        with pytest.raises(InvalidParameter, match="max_cells .* got 2.5"):
+            p_delta_uniform(10.0, 0.5, max_cells=2.5)
+        # numeric text reads as the number it spells
+        assert p_delta_uniform("10", "0.5") == p_delta_uniform(10.0, 0.5)
 
 
 class TestFractionLawExponential:
@@ -488,6 +498,8 @@ class TestFractionLawExponential:
             p_delta_exponential(0.0, 0.5)
         with pytest.raises(ValueError):
             p_delta_exponential(1.0, -0.1)
+        with pytest.raises(InvalidParameter, match="direct_terms .* got 0"):
+            p_delta_exponential(0.01, 0.5, direct_terms=0)
 
 
 @pytest.mark.parametrize("fn", [p_delta_uniform, p_delta_uniform_envelope,

@@ -367,7 +367,7 @@ def test_non_finite_parameters_exit_one(argv, name):
     proc = run_module(*argv)
     assert proc.returncode == 1 and proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
-    assert proc.stderr.startswith("error:") and f"needs {name} " in \
+    assert proc.stderr.startswith("error:") and f"{name} must be" in \
         proc.stderr
 
 

@@ -512,6 +512,8 @@ class TestParse:
             parse_distribution("exponential:abc")
         with pytest.raises(InvalidParameter):
             parse_distribution("uniform:abc")
+        with pytest.raises(InvalidParameter, match="got 5"):
+            parse_distribution(5)
 
 
 # one valid point per family; each position in turn takes a bad value
@@ -531,5 +533,5 @@ def test_constructors_refuse_non_finite_parameters(family, position, bad):
     family(*args)
     args[position] = bad
     with pytest.raises(InvalidParameter,
-                       match=f"needs {names[position]} finite"):
+                       match=f"{names[position]} must be"):
         family(*args)

@@ -162,6 +162,8 @@ def test_ks_cell_filter_and_label():
     direct = ks_cell(parse_sequence("sqrt_n"), SQRT, 100,
                      index_filter=odd_nonsquare)
     assert direct.z == cell.z
+    with pytest.raises(InvalidParameter, match="got 5"):
+        ks_cell(5, SQRT, 100)
 
 
 @pytest.mark.parametrize("args, kwargs, message", [
@@ -287,6 +289,10 @@ def test_table3_rejects_tiny_sample():
         run_table3(seed=0, sample_size=1)
     with pytest.raises(InvalidParameter, match="sample_size .* got 2.5"):
         run_table3(seed=0, sample_size=2.5)
+    # a seed is an integer, never rounded from a float
+    for seed in (1.5, 1.0):
+        with pytest.raises(InvalidParameter, match=f"seed .* got {seed}"):
+            run_table3(seed=seed)
 
 
 def test_sample_cell_verdict_thresholds():
@@ -354,6 +360,9 @@ def test_bound_sweep_input_errors():
         bound_sweep("no_such_family", (1.0,), LOG10)
     with pytest.raises(NotUnimodal):
         bound_sweep("uniform", (10.0,), PI_SQUARE)
+    # one string is not a path of points
+    with pytest.raises(InvalidParameter, match="params .* got '12'"):
+        bound_sweep("uniform", "12", LOG10)
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +378,9 @@ def test_pdelta_curve_uniform_frozen():
     for row in rep.rows:
         assert row.lower <= row.probability <= row.upper
         assert row.gap == abs(row.probability - row.delta)
+    # numeric text reads as the number it spells
+    assert pdelta_curve("uniform", "100", deltas=("0.25", "0.5", "0.75")) \
+        == rep
 
 
 def test_pdelta_curve_default_grid():
@@ -402,6 +414,8 @@ def test_pdelta_curve_envelope_breach_raises(monkeypatch):
     ("uniform", -5.0, None),
     ("exponential", math.nan, None),
     ("uniform", math.inf, None),
+    ("uniform", 10.0, "0.5"),
+    ("uniform", 10.0, []),
 ])
 def test_pdelta_curve_input_errors(family, param, deltas):
     with pytest.raises(InvalidParameter):

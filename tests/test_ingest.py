@@ -91,6 +91,11 @@ class TestColumns:
     def test_bad_column_selector(self, tmp_path):
         with pytest.raises(InvalidParameter):
             ingest_csv(write(tmp_path, "1\n"), column=0)
+        # a column is an integer: text and 2.0 are refused
+        for column in ("2", 2.0):
+            with pytest.raises(InvalidParameter,
+                               match=f"column .* got {column!r}"):
+                ingest_csv(write(tmp_path, "1;2\n"), column=column)
 
 
 class TestErrors:

@@ -155,6 +155,8 @@ class TestParse:
     def test_unknown(self):
         with pytest.raises(InvalidParameter):
             parse_sequence("fibonacci")
+        with pytest.raises(InvalidParameter, match="got 5"):
+            parse_sequence(5)
 
 
 class TestFracSample:

@@ -361,5 +361,9 @@ class TestDigitReport:
             digit_report([1, 2], base=math.inf)
         with pytest.raises(InvalidParameter, match="got nan"):
             digit_report([1, 2], base=math.nan)
+        with pytest.raises(InvalidParameter, match="got 10.0"):
+            digit_report([1, 2], base=10.0)
+        # numeric text reads as the number it spells
+        assert digit_report([1, 2], alpha="0.5").alpha == 0.5
         with pytest.raises(InvalidParameter):
             benford_expected(2)

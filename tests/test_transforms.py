@@ -14,7 +14,7 @@ import ubenford.transforms as tr
 from oracles import derivative
 from ubenford.bigreal import BigReal, PrecisionPolicy
 from ubenford.errors import (DomainError, InsufficientPrecision,
-                             PrecisionCapExceeded)
+                             InvalidParameter, PrecisionCapExceeded)
 from ubenford.experiments import sample_cell
 from ubenford.kernels import digits_to_bits, pi_fixed
 from ubenford.stats import ks_uniform
@@ -63,6 +63,11 @@ class TestTransformType:
         assert Transform.parse("log7") == Log(7)
         with pytest.raises(ValueError):
             Transform.parse("cosh")
+        with pytest.raises(InvalidParameter, match="got 5"):
+            Transform.parse(5)
+        # a numpy integer base is the int it equals
+        assert Log(np.int64(7)) == Log(7)
+        assert type(Log(np.int64(7)).base) is int
 
     def test_labels(self):
         assert LOG10.label() == "log10"
