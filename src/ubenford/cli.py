@@ -48,11 +48,13 @@ def _sweep_points(text):
 
 
 def _policy(args):
+    # PrecisionPolicy refuses digits below its floor; the CLI adds a ceiling
     digits = getattr(args, "precision", None)
     if digits is None:
         return DEFAULT_POLICY
-    if not 12 <= digits <= 1000:
-        raise InvalidParameter("precision must be between 12 and 1000 digits")
+    if digits > 1000:
+        raise InvalidParameter(
+            f"precision must be at most 1000 digits, got {digits}")
     return dataclasses.replace(DEFAULT_POLICY, agreement=digits)
 
 

@@ -36,9 +36,9 @@ class InvalidParameter(UBenfordError, ValueError):
 
 def count(name, value, least):
     """value as an int; InvalidParameter naming it unless it is an integer
-    (Python or numpy, not a float) of at least `least`."""
+    (Python or numpy, not a float or a bool) of at least `least`."""
     try:
-        n = operator.index(value)
+        n = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
         n = None
     if n is None or n < least:

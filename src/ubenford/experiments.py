@@ -15,8 +15,8 @@ from .bounds import (certify_mod1_bound, mod1_law, p_delta_exponential,
                      p_delta_exponential_envelope, p_delta_uniform,
                      p_delta_uniform_envelope)
 from .distributions import DISTRIBUTIONS, HalfNormal, build_distribution
-from .errors import (CertificateViolation, DomainError, EmptySample,
-                     InvalidParameter, count)
+from .errors import (CertificateViolation, EmptySample, InvalidParameter,
+                     count)
 from .sequences import Sequence, frac_sample, odd_nonsquare, parse_sequence
 from .stats import digit_report, kolmogorov_q, ks_uniform
 from .transforms import IDENTITY, LOG10, LOGLOG, PI_SQUARE, SQRT, Log, \
@@ -230,8 +230,12 @@ def sample_cell(values, transform):
     if bad.size:
         raise InvalidParameter(f"sample value {bad[0]} is not finite")
     certifier = _Certifier(transform, DEFAULT_POLICY)
-    statistic, z = ks_uniform(
-        [certifier.frac(BigReal.from_float(v)) for v in xs])
+    fracs, outside = certifier.fracs(xs)
+    if outside.any():
+        # certified again on its own, the first such value raises its
+        # DomainError
+        certifier.frac(BigReal.from_float(xs[outside][0].item()))
+    statistic, z = ks_uniform(fracs)
     p = kolmogorov_q(z)
     if p < ALPHA_REJECT:
         verdict = "rejected"
@@ -416,32 +420,26 @@ def analyze_dataset(dataset, transform=LOG10, base=10, alpha=0.05,
                     policy=DEFAULT_POLICY):
     """Run both conformance views over an ingested dataset.
 
-    Values go through the certified evaluation path (floats are exact
-    binary rationals, so even pi*x**2 of a large entry keeps a trustworthy
-    fractional part), then a KS test against uniformity; the leading-digit
-    table is tested separately in the requested base, over every ingested
-    value. Values outside the transform's domain (x <= 1 under the
-    iterated log) are skipped and counted in `dropped`, so `sample_size`
-    is the number of fractional parts tested; EmptySample, naming the
-    dataset, the transform and the dropped count, refuses a dataset with
-    no value in that domain.
+    Values go through the certified evaluation path, _Certifier.fracs
+    (floats are exact binary rationals, so even pi*x**2 of a large entry
+    keeps a trustworthy fractional part), then a KS test against
+    uniformity; the leading-digit table is tested separately in the
+    requested base, over every ingested value. Values outside the
+    transform's domain (x <= 1 under the iterated log) are skipped and
+    counted in `dropped`, so `sample_size` is the number of fractional
+    parts tested; EmptySample, naming the dataset, the transform and the
+    dropped count, refuses a dataset with no value in that domain.
     """
     digits = digit_report(dataset.values, base=base, alpha=alpha)
-    certifier = _Certifier(transform, policy)
-    fracs = []
-    out_of_domain = 0
-    for v in dataset.values.tolist():
-        try:
-            fracs.append(certifier.frac(BigReal.from_float(v)))
-        except DomainError:
-            out_of_domain += 1
+    fracs, outside = _Certifier(transform, policy).fracs(dataset.values)
+    fracs = fracs[~outside]
+    out_of_domain = int(outside.sum())
     dropped = dataset.dropped + out_of_domain
-    if not fracs:
+    if not fracs.size:
         raise EmptySample(
             f"{dataset.name}: no value lies in the domain of "
             f"{transform.label()} ({dropped} rows dropped, "
             f"{out_of_domain} of them outside that domain)")
-    fracs = np.asarray(fracs, dtype=np.float64)
     statistic, z = ks_uniform(fracs)
     p = kolmogorov_q(z)
     return AnalyzeReport(

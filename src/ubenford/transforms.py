@@ -13,16 +13,34 @@ certification rests on each evaluator's claimed bits; w doubles
 otherwise, with one extra doubling when the result sits within the
 near-integer guard band. All precisions here are bits; decimal digits
 enter only through the policy, in _policy_bits.
+
+An array of doubles (analyze_dataset, the sampled row of table3) goes
+through _Certifier.fracs in two phases, after Ziv. The quick phase
+evaluates Log (every base), sqrt and pi*x**2 in numpy double-double
+arithmetic, a block of _QUICK_BLOCK values at a time, with a proved
+bound err on each value's error (below 2**-92 for a log, about 2**-105 u
+for sqrt and 2**-104 u for pi*x**2; the proofs are in the `_quick`
+methods).
+It hands a double out only where u +- err, widened by the certifier's own
+error claim at its first working precision, lies strictly inside one
+2**-80 cell of {u}, the policy certifies at most 80 bits, and the
+certifier could double that precision once within the cap: the double is
+then the one certify would return. Every other value falls back to the
+certifier: one outside the quick range (nonpositive, subnormal, a power
+map's u past 2**20, or any other transform), an exact power of the base,
+and any u that lies near a cell edge or an integer.
 """
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
 
-from .bigreal import _FRAC_OUT_BITS, DEFAULT_POLICY, BigReal, _frac_double
+from .bigreal import _FRAC_OUT_BITS, _ONE_MINUS, DEFAULT_POLICY, BigReal, \
+    _frac_double
 from .errors import DomainError, HypothesisViolated, InsufficientPrecision, \
     InvalidParameter, NotUnimodal, PrecisionCapExceeded, count, string
 from .kernels import digits_to_bits, ln2_fixed, ln10_fixed, ln_int_fixed, \
@@ -120,6 +138,84 @@ def _log_at(x, w, constants):
 
 
 # ---------------------------------------------------------------------------
+# double-double arithmetic for the quick phase
+#
+# A double-double is a pair of float64 arrays whose exact sum is the value.
+# _two_sum (Knuth) and _two_prod (Dekker, with Veltkamp's split) return a
+# rounded result and its exact rounding error, for finite operands whose
+# products neither overflow nor underflow. A rounded operation's error is
+# at most 2**-53 times its computed result (round to nearest, normal
+# range), which is how every error bound below counts one rounding.
+
+_DD_BITS = 160  # fixed-point bits of the constants the quick phase rounds
+_HALF_ULP = 2.0 ** -53
+_QUICK_BLOCK = 4096  # values per numpy pass, which bounds its temporaries
+_QUICK_U_MAX = 2.0 ** 20  # a power map's quick phase stops at this u
+
+
+def _two_sum(a, b):
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+def _split(a):
+    c = 134217729.0 * a  # 2**27 + 1
+    h = c - (c - a)
+    return h, a - h
+
+
+def _two_prod(a, b):
+    p = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _dd(v, ulps):
+    """(hi, lo, err) for a constant c with |v - c * 2**160| <= ulps: v / 2**160
+    rounded to the double-double hi + lo, and err >= |c - hi - lo|, taken
+    from the exact residual in integers."""
+    one = 1 << _DD_BITS
+    hi = v / one  # int / int rounds once
+    n, d = hi.as_integer_ratio()
+    den = max(one, d)
+    rest = v * (den // one) - n * (den // d)
+    lo = rest / den
+    n, d = lo.as_integer_ratio()
+    den2 = max(den, d)
+    miss = abs(rest * (den2 // den) - n * (den2 // d)) + ulps * (den2 // one)
+    return hi, lo, miss / den2
+
+
+@functools.cache
+def _quick_log_tables():
+    """ln 2 and ln c_j for the 256 cell centres c_j = (513 + 2j)/512 of
+    [1, 2), as double-doubles: ((hi, lo, err) of ln 2, the arrays of the
+    cells' hi and lo, and one err for every cell). ln c_j = ln(513 + 2j)
+    - 9 ln 2 is within 10 + 2 + 9 ulps."""
+    ln2 = ln2_fixed(_DD_BITS)
+    cells = [_dd(ln_int_fixed(513 + 2 * j, _DD_BITS, ln2) - 9 * ln2, 21)
+             for j in range(256)]
+    hi, lo, err = zip(*cells)
+    return _dd(ln2, 1), np.array(hi), np.array(lo), max(err)
+
+
+@functools.cache
+def _quick_inv_ln(base):
+    """1/ln(base) as (hi, lo, err). ln_int_fixed is within bit_length + 2
+    ulps, so the quotient is within (bit_length + 2) / ln(base)**2 + 1 <=
+    3 (bit_length + 2) ulps."""
+    ln = ln_int_fixed(base, _DD_BITS, ln2_fixed(_DD_BITS))
+    return _dd((1 << 2 * _DD_BITS) // ln, 3 * (base.bit_length() + 2))
+
+
+@functools.cache
+def _quick_pi():
+    return _dd(pi_fixed(_DD_BITS), 2)
+
+
+# ---------------------------------------------------------------------------
 # the transforms
 
 class Transform:
@@ -152,6 +248,7 @@ class Transform:
 
     kind = None
     lg_domain_lo = -math.inf
+    _quick_range = None  # no quick phase
 
     def _constants(self, w):
         return None
@@ -238,6 +335,95 @@ class Log(Transform):
     def _result_bits_estimate(self, int_bits):
         return 27
 
+    # every normal double; |u| stays below 1,075 on it
+    _quick_range = (2.0 ** -1022, sys.float_info.max)
+
+    def _quick(self, x):
+        """u(x) = uh + ul in double-double and err >= |uh + ul - u(x)|,
+        for an array of doubles in _quick_range.
+
+        x = m 2**k with m in [1, 2), c the centre of m's cell of [1, 2)
+        (width 2**-8), t = (m - c)/(m + c) with |t| <= 2**-10, and
+        ln x = k ln 2 + ln c + 2 atanh(t), atanh(t) = t + t g,
+        g = t**2/3 + t**4 (1/5 + t**2/7 + t**4/9 + t**6/11) + O(t**10).
+
+        The bound, M = ln c + 2 atanh(t) first:
+        - m - c is exact, m + c = dh + dl exactly and num - th dh is the
+          exactly representable remainder of th = RN(num/dh); so th + tl
+          is t within 2**-112 (roundings below 2**-113, and dividing by
+          dh, not dh + dl, costs 2**-53 of a correction below 2**-61),
+          which 2 atanh's slope (< 2.0001) makes 2**-110.9.
+        - sh + sl is t*t within 2**-121 (tl**2 and two roundings), gh +
+          gl, before q joins it, is t*t/3 within 2**-121.
+        - q stands for t**4 (1/5 + ...): z = RN(sh + sl) is t*t within
+          2**-53 relative, the polynomial in z within 2**-52 relative
+          (the double 0.2 and the last addition; its tail is below
+          2**-80 relative), and two products round once each: 2**-50 |q|.
+        - atanh(t) = th + tl + th gh + th gl + tl gh (+ tl gl < 2**-134),
+          th gh = p + pe exactly and th + p = ah + r exactly; the six
+          roundings in al act on partial sums below 2**-60.5.
+        So 2 atanh(t) is within 2**-49 |th q| + 2**-109.5 (|t| <= |th|
+        (1 + 2**-51)), and then: ln c_j's double-double is off by at most
+        the table's err; ml = (r + cl) + 2 al rounds twice.
+        Then L = k ln 2 + M: k ln2h = a1 + a2 and a1 + mh = lh + r
+        exactly, b = RN(k ln2l) rounds once, ll = ((r + a2) + b) + ml
+        three times, and ln 2's double-double is off by its err, k times.
+        Then u = L R with R = 1/ln(base) = rh + rl up to its err: lh rh =
+        ph + pe exactly, m1 = RN(lh rl) and m2 = RN(ll rh) round once each
+        and low = (pe + m1) + m2 twice; ll rl (left out) is added whole,
+        L's error is scaled by rh and R's by |lh| + |ll|; uh + ul =
+        ph + low exactly. Relative slack below 2**-50 per term (rh for R,
+        |th| for |t|, the rounding of err itself) is left to the factor
+        1 + 2**-40 the certifier puts on err.
+        """
+        ln2, cell_hi, cell_lo, cell_err = _quick_log_tables()
+        rh, rl, r_err = _quick_inv_ln(self.base)
+        m, k = np.frexp(x)
+        m += m
+        k = k - 1.0
+        j = ((m - 1.0) * 256.0).astype(np.intp)
+        c = (j + 0.5) / 256.0 + 1.0
+        num = m - c
+        dh, dl = _two_sum(m, c)
+        th = num / dh
+        p, pe = _two_prod(th, dh)
+        tl = (num - p - pe - th * dl) / dh
+        sh, sl = _two_prod(th, th)
+        sl += 2.0 * th * tl
+        gh = sh / 3.0
+        p, pe = _two_prod(gh, 3.0)
+        gl = (sh - p - pe + sl) / 3.0
+        z = sh + sl
+        q = z * z * (0.2 + z * (1 / 7 + z * (1 / 9 + z / 11)))
+        gh, r = _two_sum(gh, q)
+        gl += r
+        p, pe = _two_prod(th, gh)
+        ah, r = _two_sum(th, p)
+        al = r + tl + (pe + th * gl + tl * gh)
+        mh, r = _two_sum(cell_hi[j], ah + ah)
+        s1 = r + cell_lo[j]
+        ml = s1 + (al + al)
+        err = (2.0 ** -49 * np.abs(th * q) + (2.0 ** -109.5 + cell_err)
+               + _HALF_ULP * (np.abs(s1) + np.abs(ml)))
+        a1, a2 = _two_prod(k, ln2[0])
+        lh, r = _two_sum(a1, mh)
+        b = k * ln2[1]
+        s1 = r + a2
+        s2 = s1 + b
+        ll = s2 + ml
+        err += np.abs(k) * ln2[2] + _HALF_ULP * (
+            np.abs(b) + np.abs(s1) + np.abs(s2) + np.abs(ll))
+        ph, pe = _two_prod(lh, rh)
+        m1 = lh * rl
+        m2 = ll * rh
+        s1 = pe + m1
+        low = s1 + m2
+        err = (err * rh + (np.abs(lh) + np.abs(ll)) * r_err
+               + np.abs(ll * rl) + _HALF_ULP * (
+                   np.abs(m1) + np.abs(m2) + np.abs(s1) + np.abs(low)))
+        uh, ul = _two_sum(ph, low)
+        return uh, ul, err
+
 
 @dataclass(frozen=True)
 class LogLog(Transform):
@@ -314,18 +500,22 @@ class Power(Transform):
     pi: bool = False
 
     def __post_init__(self):
-        p, q, pi = self.p, self.q, self.pi
-        if not (isinstance(p, int) and p >= 1 and isinstance(pi, bool)
+        p, q, pi = count("p", self.p, 1), count("q", self.q, 1), self.pi
+        if not (isinstance(pi, bool)
                 and (q == 1 or q == 2 and p % 2 and not pi)):
             raise InvalidParameter(
-                "a power map needs integers p >= 1 and q in (1, 2), p/q in "
-                "lowest terms, pi only if q = 1")
+                "a power map needs q in (1, 2), p/q in lowest terms, pi "
+                f"only if q = 1, got p={p}, q={q}, pi={pi!r}")
         a, c = p / q, math.pi if pi else 1.0
         formula = ("pi*" if pi else "") + (
             f"x**{p}" if q == 1 else f"x**({p}/2)")
         # x**p multiplies an inexact input's relative error by p, which
         # costs ceil(log2 p) bits; _input_frac_limit's pad covers one
+        # the quick phase covers sqrt and pi*x**2 while u <= _QUICK_U_MAX
+        quick = (2.0 ** -400, (_QUICK_U_MAX / c) ** (1.0 / a)) \
+            if (p, q, pi) in ((1, 2, False), (2, 1, True)) else None
         for name, value in (
+                ("p", p), ("q", q), ("_quick_range", quick),
                 ("kind", _POWER_NAMES.get((p, q, pi), formula)),
                 ("formula", formula), ("power", (1.0 - a, 1.0 / (a * c))),
                 ("_a", a), ("_c", c), ("_identity", a == 1.0 and not pi),
@@ -389,6 +579,38 @@ class Power(Transform):
 
     def _result_bits_estimate(self, int_bits):
         return self.p * int_bits // self.q + (self.q == 2) + 2 * self.pi
+
+    def _quick(self, x):
+        """u(x) = uh + ul in double-double and err >= |uh + ul - u(x)|,
+        for an array of doubles in _quick_range (sqrt and pi*x**2 only).
+
+        sqrt: s = RN(sqrt(x)) leaves x - s*s exactly representable, so
+        x - p - pe is exact with s*s = p + pe; d = RN((x - s*s)/(2 s))
+        rounds once. With δ = (x - s*s)/(2 s), sqrt(x) = s + δ - δ**2/(2 s)
+        (1 + O(2**-51)), so s + d is within 2**-53 |d| + d**2/(2 s).
+        pi*x**2: x*x = x2h + x2l and x2h pih = ph + pe exactly; m1 =
+        RN(x2h pil) and m2 = RN(x2l pih) round once each and low =
+        (pe + m1) + m2 twice; x2l pil (left out) is added whole, and pi's
+        double-double is off by its err, x*x times. uh + ul = ph + low
+        exactly. Relative slack below 2**-50 is left to the certifier's
+        factor 1 + 2**-40, as for Log.
+        """
+        if self.q == 2:
+            s = np.sqrt(x)
+            p, pe = _two_prod(s, s)
+            d = (x - p - pe) / (s + s)
+            uh, ul = _two_sum(s, d)
+            return uh, ul, _HALF_ULP * np.abs(d) + 0.5 * d * d / s
+        pih, pil, pi_err = _quick_pi()
+        x2h, x2l = _two_prod(x, x)
+        ph, pe = _two_prod(x2h, pih)
+        m1 = x2h * pil
+        m2 = x2l * pih
+        s1 = pe + m1
+        low = s1 + m2
+        uh, ul = _two_sum(ph, low)
+        return uh, ul, (x2h * pi_err + np.abs(x2l * pil) + _HALF_ULP * (
+            np.abs(m1) + np.abs(m2) + np.abs(s1) + np.abs(low)))
 
 
 IDENTITY = Power(1)
@@ -520,6 +742,99 @@ class _Certifier:
         """{u(x)} as a certified double in [0, 1)."""
         f = self.certify(x)[1]
         return _frac_double(f >> (self._bits - _FRAC_OUT_BITS))
+
+    def fracs(self, xs):
+        """(fracs, outside) for an array of doubles: {u(x)} as the doubles
+        `frac` certifies, and the mask of the x outside u's domain, whose
+        entries in fracs read 0.0. Raises what `frac` raises, but
+        DomainError.
+
+        Ziv's two phases: the quick phase (the transform's `_quick`, in
+        double-double, one numpy pass per _QUICK_BLOCK values) hands a
+        double out where it can prove it equals the certifier's; every
+        other x, including each outside the quick range, goes to `frac`.
+        """
+        xs = np.asarray(xs, dtype=np.float64)
+        out = np.zeros(xs.size)
+        outside = np.zeros(xs.size, dtype=bool)
+        for lo in range(0, xs.size, _QUICK_BLOCK):
+            x, got = xs[lo:lo + _QUICK_BLOCK], out[lo:lo + _QUICK_BLOCK]
+            handed = self._hand_out(x, got)
+            for i in np.flatnonzero(~handed):
+                try:
+                    got[i] = self.frac(BigReal.from_float(x[i].item()))
+                except DomainError:
+                    outside[lo + i] = True
+        return out, outside
+
+    @functools.cached_property
+    def _quick_width(self):
+        """2**-b, b the fewest fractional bits the transform's evaluator
+        claims for a double in its quick range at the first working
+        precision, or None where the quick phase hands nothing out: no
+        quick range, more than 80 agreement bits, a first precision whose
+        near-integer doubling would pass the cap, or a claim short of the
+        agreement bits, which would make certify escalate.
+
+        The claim is fewest at an end of the range (Log's error count
+        grows with |k| and |u|; sqrt's first precision grows with x, and
+        pi*x**2 loses two bits per integer bit of x), and it only grows
+        with the working precision, so every result certify accepts for
+        such a double lies within this width of u(x).
+        """
+        t = self.transform
+        if t._quick_range is None or self.a > _FRAC_OUT_BITS:
+            return None
+        claims = []
+        for v in t._quick_range:
+            x = BigReal.from_float(v)
+            w = start_bits(t, x.integer_digits(), self.a)
+            if 2 * w > self.cap:
+                return None
+            r = t._eval_at(x, w, t._constants(w))
+            claims.append(r.precision - r.integer_digits())
+        return None if min(claims) < self.a else 2.0 ** -min(claims)
+
+    def _hand_out(self, x, out):
+        """The quick phase on one block: write into `out` each {u(x)} it
+        vouches for and return the mask of those x.
+
+        u +- err (times 1 + 2**-40 for the roundings of err itself),
+        widened by _quick_width, must lie strictly inside one cell
+        [j, j + 1) * 2**-80 of {u}. Then every result certify accepts
+        floors to j as well, and the double handed out is frac's:
+        j * 2**-80 rounded once, and 1 - 2**-53 where that rounds to 1.
+        An exact power of the base, and any other u whose {u} is 0, has
+        an integer inside its interval and falls back.
+        """
+        if self._quick_width is None:
+            return np.zeros(x.size, dtype=bool)
+        lo, hi = self.transform._quick_range
+        took = np.flatnonzero((x >= lo) & (x <= hi))
+        uh, ul, err = self.transform._quick(x[took])
+        # {u} = fh + fl: uh - floor(uh) = a + ae exactly, where ae is 0
+        # unless -1 < uh < 0; so ae + ul rounds only there, and that
+        # rounding joins err. ul is at most half an ulp of uh, so only a
+        # negative low part under an integer uh borrows a one
+        a, ae = _two_sum(uh, -np.floor(uh))
+        low = ae + ul
+        err = err * (1.0 + 2.0 ** -40) + _HALF_ULP * np.abs(low) * (ae != 0.0)
+        fh, fl = _two_sum(a + ((a == 0.0) & (low < 0.0)), low)
+        # the cell j = jh + jl: where 2**80 fh is an integer the low
+        # part's floor counts too, -1 for a negative one
+        h, l = fh * 2.0 ** 80, fl * 2.0 ** 80
+        jh = np.floor(h)
+        jl = np.where(jh == h, np.floor(l), 0.0)
+        # in cells; pos, the sum in margin and 1 - margin round once each,
+        # below 2**-53 cells while margin < 1, which the 2**-50 covers
+        pos = (h - jh) + (l - jl)
+        margin = (err + self._quick_width) * 2.0 ** 80 + 2.0 ** -50
+        inside = (pos > margin) & (pos < 1.0 - margin)
+        took = took[inside]
+        out[took] = np.minimum((jh + jl)[inside] * 2.0 ** -80, _ONE_MINUS)
+        handed = np.zeros(x.size, dtype=bool)
+        handed[took] = True
+        return handed
 
 
 def eval_transform(x, transform, policy=DEFAULT_POLICY):

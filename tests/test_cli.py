@@ -352,6 +352,18 @@ def test_input_errors_exit_one(capsys, argv):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("digits, message", [
+    # the floor is PrecisionPolicy's, the ceiling the CLI's
+    ("11", "error: agreement must be an integer >= 12, got 11\n"),
+    ("1001", "error: precision must be at most 1000 digits, got 1001\n"),
+])
+def test_precision_outside_its_range_exits_one(capsys, digits, message):
+    for argv in (("analyze", FIXTURES["powers"], "--column", "2"),
+                 ("table1", "--n", "20")):
+        code, out, err = run(capsys, *argv, "--precision", digits)
+        assert (code, out, err) == (1, "", message)
+
+
 @pytest.mark.parametrize("argv, name", [
     (("bounds", "uniform", "--params", "inf"), "k"),
     (("bounds", "exponential", "--params", "inf"), "lam"),

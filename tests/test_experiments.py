@@ -9,12 +9,14 @@ own independent anchors).
 """
 
 import math
+import re
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
+from ubenford.bigreal import DEFAULT_POLICY, BigReal, PrecisionPolicy
 from ubenford.distributions import HalfNormal
 from ubenford.errors import (CertificateViolation, DomainError, EmptySample,
                              InvalidParameter, NotUnimodal)
@@ -26,7 +28,8 @@ from ubenford.ingest import Dataset
 from ubenford.report import emit
 from ubenford.sequences import odd_nonsquare, parse_sequence
 from ubenford.stats import kolmogorov_q, ks_uniform
-from ubenford.transforms import IDENTITY, LOG2, LOG10, LOGLOG, PI_SQUARE, SQRT
+from ubenford.transforms import (IDENTITY, LOG2, LOG10, LOGLOG, PI_SQUARE,
+                                 SQRT, _Certifier)
 
 
 # ---------------------------------------------------------------------------
@@ -488,3 +491,57 @@ def test_analyze_dataset_alpha_validation():
         analyze_dataset(_dataset([1.0, 2.0]), alpha=1.0)
     with pytest.raises(InvalidParameter, match="got 10.5"):
         analyze_dataset(_dataset([1.0, 2.0]), base=10.5)
+
+
+def _one_by_one(values, transform, policy=DEFAULT_POLICY):
+    """{u(x)} one certify call per value, out-of-domain values counted:
+    the route analyze_dataset and sample_cell took before the quick
+    phase."""
+    certifier = _Certifier(transform, policy)
+    fracs, outside = [], 0
+    for v in values:
+        try:
+            fracs.append(certifier.frac(BigReal.from_float(v)))
+        except DomainError:
+            outside += 1
+    return fracs, outside
+
+
+def test_sample_cell_and_analyze_dataset_refuse_as_before():
+    with pytest.raises(InvalidParameter,
+                       match=r"^sample value nan is not finite$"):
+        sample_cell(np.array([2.0, math.nan, -1.0]), LOG10)
+    for bad in (0.0, -0.0, -3.5):
+        with pytest.raises(DomainError, match=r"^log10 requires x > 0$"):
+            sample_cell(np.array([2.0, 3.0, bad, 4.0, -1.0]), LOG10)
+    with pytest.raises(EmptySample,
+                       match=r"^KS statistic of an empty sample$"):
+        sample_cell(np.array([]), LOG10)
+    # analyze_dataset counts the values outside the domain (its values
+    # are positive: the digit table refuses the rest)
+    values = [0.5, 1.0, 2.0, 5.0, 1e300]
+    for t, dropped in ((LOG10, 0), (LOGLOG, 2)):
+        rep = analyze_dataset(_dataset(values), transform=t)
+        fracs, outside = _one_by_one(values, t)
+        assert (rep.dropped, rep.fracs) == (dropped, tuple(sorted(fracs)))
+        assert outside == dropped
+    with pytest.raises(EmptySample, match=re.escape(
+            "synthetic: no value lies in the domain of loglog (3 rows "
+            "dropped, 3 of them outside that domain)")):
+        analyze_dataset(_dataset([0.5, 1.0, 1e-300]), transform=LOGLOG)
+
+
+def test_analyze_dataset_past_80_agreement_bits_certifies_each_value():
+    # 30 digits are 100 bits, so no value takes the quick phase and the
+    # result is the one-by-one route's
+    policy = PrecisionPolicy(agreement=30)
+    values = HalfNormal(1e4).sample(300, 5)
+    for t in (LOG10, SQRT, PI_SQUARE):
+        assert _Certifier(t, policy)._quick_width is None
+        rep = analyze_dataset(_dataset(values), transform=t, policy=policy)
+        fracs, _ = _one_by_one(values.tolist(), t, policy)
+        assert rep.fracs == tuple(sorted(fracs))
+        assert (rep.ks_statistic, rep.z) == ks_uniform(fracs)
+        # and the default policy's quick doubles are the certifier's
+        rep = analyze_dataset(_dataset(values), transform=t)
+        assert rep.fracs == tuple(sorted(_one_by_one(values.tolist(), t)[0]))

@@ -2,7 +2,9 @@
 
 import math
 import re
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,10 +14,11 @@ from mpmath import mp, mpf
 
 import ubenford.transforms as tr
 from oracles import derivative
-from ubenford.bigreal import BigReal, PrecisionPolicy
+from ubenford.bigreal import DEFAULT_POLICY, BigReal, PrecisionPolicy
 from ubenford.errors import (DomainError, InsufficientPrecision,
                              InvalidParameter, PrecisionCapExceeded)
 from ubenford.experiments import sample_cell
+from ubenford.ingest import ingest_csv
 from ubenford.kernels import digits_to_bits, pi_fixed
 from ubenford.stats import ks_uniform
 from ubenford.transforms import (IDENTITY, LOG2, LOG10, LOGLOG, PI_SQUARE,
@@ -459,6 +462,14 @@ class TestPowerMaps:
         with pytest.raises(ValueError):
             Power(*args)
 
+    def test_constructor_reads_p_and_q_as_counts(self):
+        assert Power(np.int64(3)) == Power(3)
+        assert Power(np.int64(3), np.int64(2)) == Power(3, 2)
+        assert type(Power(np.int64(3), np.int64(1)).q) is int
+        for args in ((3, 2.0), (3, True), (3.0,), (True,), ("3",)):
+            with pytest.raises(InvalidParameter):
+                Power(*args)
+
     def test_domains(self):
         for t in (SQRT, PI_SQUARE, Power(3), Power(3, 2)):
             with pytest.raises(DomainError, match=f"^{re.escape(t.label())}"
@@ -585,3 +596,150 @@ class TestAgreementProperty:
         b = eval_transform(BigReal.from_int(n), PI_SQUARE, deeper).frac()
         d = abs(a - b)
         assert min(d, 1.0 - d) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the quick phase of _Certifier.fracs
+
+QUICK = (LOG2, LOG10, Log(7), SQRT, PI_SQUARE)
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+def _true_u(t, x):
+    """u(x) in mpmath at 400 bits (the caller sets the precision)."""
+    x = mpf(x)
+    if t == SQRT:
+        return mp.sqrt(x)
+    if t == PI_SQUARE:
+        return mp.pi * x * x
+    return mp.log(x) / mp.log(t.base)
+
+
+def _nudge(x, steps):
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+# positive doubles, subnormals included, and doubles on or next to a
+# point where some quick transform is an integer
+_NEAR_INTEGER = st.one_of(
+    st.integers(-1022, 1023).map(lambda k: 2.0 ** k),
+    st.integers(-307, 308).map(lambda k: 10.0 ** k),
+    st.integers(-364, 364).map(lambda k: 7.0 ** k),
+    st.integers(1, 1 << 20).map(lambda n: float(n * n)),
+    st.integers(1, 1 << 20).map(lambda n: math.sqrt(n / math.pi)))
+_DOUBLES = st.one_of(
+    st.floats(min_value=0.0, max_value=sys.float_info.max, exclude_min=True),
+    st.tuples(_NEAR_INTEGER, st.integers(-3, 3)).map(lambda a: _nudge(*a)))
+
+
+def _seeded(seed):
+    """20,000 doubles log-uniform over +-300 decades, 4,000 log-uniform over
+    the power maps' quick range and 2,000 in (0.05, 1), where log u is
+    negative: the doubles whose handed-out fractions are checked."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate([10.0 ** rng.uniform(-300.0, 300.0, 20000),
+                           2.0 ** rng.uniform(-120.0, 40.0, 4000),
+                           rng.uniform(0.05, 1.0, 2000)])
+
+
+def _handed(certifier, xs):
+    return certifier._hand_out(xs, np.zeros(xs.size))
+
+
+class TestQuickPhase:
+    """fracs hands a double out of the double-double quick phase only
+    where it equals the certifier's; the rest goes to the certifier."""
+
+    @given(x=_DOUBLES, t=st.sampled_from(QUICK))
+    @settings(max_examples=400, deadline=None)
+    def test_error_within_its_bound(self, x, t):
+        lo, hi = t._quick_range
+        if not lo <= x <= hi:
+            return
+        uh, ul, err = t._quick(np.array([x]))
+        with mp.workprec(400):
+            assert abs(mpf(uh[0]) + mpf(ul[0]) - _true_u(t, x)) <= err[0]
+
+    @pytest.mark.parametrize("t", QUICK, ids=lambda t: t.label())
+    def test_error_within_its_bound_on_a_seeded_sample(self, t):
+        # the bound is tight enough that half of it fails here
+        lo, hi = t._quick_range
+        xs = _seeded(7)
+        xs = xs[(xs >= lo) & (xs <= hi)][::4]
+        uh, ul, err = t._quick(xs)
+        with mp.workprec(400):
+            ratio = max(abs(mpf(h) + mpf(l) - _true_u(t, x)) / mpf(e)
+                        for x, h, l, e in zip(xs, uh, ul, err))
+        assert 0.5 < ratio <= 1.0
+
+    @pytest.mark.parametrize("t", QUICK, ids=lambda t: t.label())
+    def test_handed_out_doubles_are_the_certifiers(self, t):
+        certifier = tr._Certifier(t, DEFAULT_POLICY)
+        files = [ingest_csv(DATA / f"{name}.csv", column=2).values
+                 for name in ("compound_growth", "powers_of_two",
+                              "uniform_noise")]
+        for xs in files + [_seeded(1)]:
+            fracs, outside = certifier.fracs(xs)
+            handed = _handed(certifier, xs)
+            want = np.array([certifier.frac(BigReal.from_float(v))
+                             for v in xs[handed].tolist()])
+            assert fracs[handed].tobytes() == want.tobytes()
+            assert not outside.any()
+        assert handed.sum() >= 2000  # on the seeded sample
+
+    @pytest.mark.parametrize("t", QUICK, ids=lambda t: t.label())
+    def test_hand_out_rule_in_exact_arithmetic(self, t):
+        # u +- (err (1 + 2**-40) + width) strictly inside one 2**-80 cell
+        certifier = tr._Certifier(t, DEFAULT_POLICY)
+        lo, hi = t._quick_range
+        xs = _seeded(3)
+        xs = xs[(xs >= lo) & (xs <= hi)]
+        uh, ul, err = t._quick(xs)
+        width = Fraction(certifier._quick_width)
+        inside = []
+        for h, l, e in zip(uh, ul, err):
+            u, r = Fraction(h) + Fraction(l), Fraction(e) * (
+                1 + Fraction(1, 1 << 40)) + width
+            a, b = (u - r) * (1 << 80), (u + r) * (1 << 80)
+            inside.append(math.floor(a) < a and b < math.floor(a) + 1)
+        assert _handed(certifier, xs).tolist() == inside
+        if t == PI_SQUARE:
+            # its width leaves some doubles near a cell edge
+            assert inside.count(False) > 10
+
+    def test_fallback_cases(self):
+        edge = [0.0, -0.0, -1.0, -1e300, 5e-324, 2.0 ** -1023]
+        cases = [(LOG10, [10.0 ** k for k in range(23)]),
+                 (LOG2, [2.0 ** k for k in range(-1022, 1024)]),
+                 (Log(7), [7.0 ** k for k in range(19)]),
+                 (SQRT, [float(n * n) for n in range(1, 200)]
+                  + [2.0 ** 40 * 1.0000001, 1e20, 1e300]),
+                 # past the cut, and below the certifier's own width
+                 (PI_SQUARE, [578.0, 1e20, 1e300, 1e-20, 1e-300])]
+        cases += [(t, edge) for t in QUICK]
+        for t, xs in cases:
+            xs = np.array(xs)
+            certifier = tr._Certifier(t, DEFAULT_POLICY)
+            assert not _handed(certifier, xs).any(), t.label()
+            fracs, outside = certifier.fracs(xs)
+            for x, f, out in zip(xs.tolist(), fracs, outside):
+                try:
+                    assert f == certifier.frac(BigReal.from_float(x))
+                except DomainError:
+                    assert out and f == 0.0
+                else:
+                    assert not out
+
+    @pytest.mark.parametrize("t, policy", [
+        (LOGLOG, DEFAULT_POLICY), (IDENTITY, DEFAULT_POLICY),
+        (Power(3), DEFAULT_POLICY), (Power(1, 2, False), DEFAULT_POLICY),
+        # more than 80 agreement bits, a cap one near-integer doubling
+        # would pass
+        (LOG10, PrecisionPolicy(agreement=30)),
+        (LOG10, PrecisionPolicy(cap=64)), (PI_SQUARE, PrecisionPolicy(cap=64)),
+    ])
+    def test_quick_phase_off(self, t, policy):
+        on = t == SQRT and policy == DEFAULT_POLICY
+        assert (tr._Certifier(t, policy)._quick_width is not None) == on
