@@ -15,22 +15,28 @@ near-integer guard band. All precisions here are bits; decimal digits
 enter only through the policy, in _policy_bits.
 
 An array of doubles (analyze_dataset, the sampled row of table3) goes
-through _Certifier.fracs in two phases, after Ziv. The quick phase
-evaluates Log (every base), sqrt and pi*x**2 in numpy double-double
-arithmetic, a block of _QUICK_BLOCK values at a time, with a proved
-bound err on each value's error (below 2**-92 for a log, about 2**-105 u
-for sqrt and 2**-104 u for pi*x**2; the proofs are in the `_quick`
-methods).
-It hands a double out only where u +- err, widened by the certifier's own
-error claim at its first working precision, lies strictly inside one
-2**-80 cell of {u}, the policy certifies at most 80 bits, and the
-certifier could double that precision once within the cap: the double is
-then the one certify would return. Every other value falls back to the
-certifier: one outside the quick range (nonpositive, subnormal, a power
-map's u past 2**20, or any other transform), an exact power of the base,
-and any u that lies near a cell edge or an integer.
+through _Certifier.fracs in two phases, after Ziv, a block of
+_QUICK_BLOCK values at a time. The quick phase has two routes. The
+double-double route evaluates Log (every base), and sqrt and pi*x**2
+while u <= 2**20, in numpy, with a proved bound err on each value's
+error (below 2**-92 for a log, about 2**-105 u for sqrt and 2**-104 u
+for pi*x**2; the proofs are in the `_quick` methods). The integer route
+(`Power._scaled`) takes what the power maps with an inexact result
+(q = 2, or c = pi) leave, at any size: A = floor(u * 2**120) in Python
+ints, exact but for pi's few units. A double is handed out only where
+its u, widened by its route's error and by the fewest bits the
+certifier's own evaluator claims (`_quick_width`), lies inside one
+2**-80 cell of {u}; the policy certifies at most 80 bits, and certify
+could double the x's first precision within the cap. The double is
+then the one certify would return. Every other value falls back to
+the certifier: one outside both routes (nonpositive or subnormal for
+Log, LogLog, the identity and x**p without pi everywhere), an exact
+power of the base, and any u that lies near a cell edge or, for Log,
+an integer. Below 2**-80 the integer route needs no lower margin: its
+maps' certified results are never negative.
 """
 
+import bisect
 import functools
 import math
 import sys
@@ -150,7 +156,13 @@ def _log_at(x, w, constants):
 _DD_BITS = 160  # fixed-point bits of the constants the quick phase rounds
 _HALF_ULP = 2.0 ** -53
 _QUICK_BLOCK = 4096  # values per numpy pass, which bounds its temporaries
-_QUICK_U_MAX = 2.0 ** 20  # a power map's quick phase stops at this u
+_QUICK_U_MAX = 2.0 ** 20  # a power map's double-double phase stops here
+# the integer route's A = floor(u * 2**_ROUTE_BITS) keeps _ROUTE_GUARD bits
+# below the 2**-80 cell
+_ROUTE_GUARD = 40
+_ROUTE_BITS = _FRAC_OUT_BITS + _ROUTE_GUARD
+_isqrt = np.frompyfunc(isqrt, 1, 1)
+_frac_doubles = np.frompyfunc(_frac_double, 1, 1)
 
 
 def _two_sum(a, b):
@@ -237,7 +249,8 @@ class Transform:
     (bounds.mod1_law) and LogLog's ceiling read. Certified side, for the
     certifier: `_check_domain`, `_try_exact` (exact result or None),
     `_constants` (what `_eval_at` needs at one working precision, taken
-    once per w), `_eval_at`
+    once per w), `_fewest_claim` (which sizes the quick routes' width),
+    `_eval_at`
     (u(x) floor-accurate at scale 2**-w from those constants, certified
     bits as precision; it never raises, a value it cannot vouch for gets
     a short claim) and `_result_bits_estimate` (integer bits of u for an
@@ -248,9 +261,16 @@ class Transform:
 
     kind = None
     lg_domain_lo = -math.inf
-    _quick_range = None  # no quick phase
+    _quick_range = None  # no double-double phase
+    _integer_route = False  # no integer route (Power._scaled)
 
     def _constants(self, w):
+        return None
+
+    def _fewest_claim(self, a):
+        """The fewest fractional bits `_eval_at` claims, at its first
+        working precision for `a` agreement bits, for a double a quick
+        route takes; None without a quick route."""
         return None
 
     def label(self):
@@ -290,7 +310,8 @@ class Transform:
             return PI_SQUARE
         if t == "log":
             return LOG10
-        if t.startswith("log") and t[3:].isdigit():
+        # str.isdigit alone takes '²' and Arabic-Indic digits
+        if t.startswith("log") and t[3:].isascii() and t[3:].isdigit():
             return Log(int(t[3:]))
         raise InvalidParameter(f"unknown transform {text!r}")
 
@@ -337,6 +358,17 @@ class Log(Transform):
 
     # every normal double; |u| stays below 1,075 on it
     _quick_range = (2.0 ** -1022, sys.float_info.max)
+
+    def _fewest_claim(self, a):
+        # the error count grows with |k| and |u|, and the first precision
+        # is one for every double, so the claim is fewest at a range end
+        claims = []
+        for v in self._quick_range:
+            x = BigReal.from_float(v)
+            w = start_bits(self, x.integer_digits(), a)
+            r = self._eval_at(x, w, self._constants(w))
+            claims.append(r.precision - r.integer_digits())
+        return min(claims)
 
     def _quick(self, x):
         """u(x) = uh + ul in double-double and err >= |uh + ul - u(x)|,
@@ -511,11 +543,14 @@ class Power(Transform):
             f"x**{p}" if q == 1 else f"x**({p}/2)")
         # x**p multiplies an inexact input's relative error by p, which
         # costs ceil(log2 p) bits; _input_frac_limit's pad covers one
-        # the quick phase covers sqrt and pi*x**2 while u <= _QUICK_U_MAX
+        # the double-double phase covers sqrt and pi*x**2 while u <=
+        # _QUICK_U_MAX; the integer route (_scaled) covers every map whose
+        # _try_exact can fail for a double
         quick = (2.0 ** -400, (_QUICK_U_MAX / c) ** (1.0 / a)) \
             if (p, q, pi) in ((1, 2, False), (2, 1, True)) else None
         for name, value in (
                 ("p", p), ("q", q), ("_quick_range", quick),
+                ("_integer_route", q == 2 or pi),
                 ("kind", _POWER_NAMES.get((p, q, pi), formula)),
                 ("formula", formula), ("power", (1.0 - a, 1.0 / (a * c))),
                 ("_a", a), ("_c", c), ("_identity", a == 1.0 and not pi),
@@ -536,12 +571,13 @@ class Power(Transform):
         if x.mantissa < 0 and not self._identity:
             raise DomainError(f"{self.kind} requires x >= 0")
 
-    def _raised(self, x):
-        """x**p as (m, e), x**p = m * 2**e, with e even when q = 2."""
-        m, e = x.mantissa ** self.p, x.exponent * self.p
-        if self.q == 2 and e % 2:
-            m <<= 1
-            e -= 1
+    def _raised(self, m, e):
+        """x**p as (m, e), x**p = m * 2**e, for x = m * 2**e, with e even
+        when q = 2; m and e are ints or object arrays of them."""
+        m, e = m ** self.p, e * self.p
+        if self.q == 2:
+            odd = e % 2
+            m, e = m << odd, e - odd
         return m, e
 
     def _try_exact(self, x):
@@ -549,7 +585,7 @@ class Power(Transform):
             return x
         if not x.exact or self.pi and x.mantissa:
             return None  # pi*x**p is irrational for every x > 0
-        m, e = self._raised(x)
+        m, e = self._raised(x.mantissa, x.exponent)
         if self.q == 2:
             r = isqrt(m)
             if r * r != m:
@@ -561,7 +597,7 @@ class Power(Transform):
         return pi_fixed(w) if self.pi else None
 
     def _eval_at(self, x, w, pi):
-        m, e = self._raised(x)
+        m, e = self._raised(x.mantissa, x.exponent)
         if self.q == 2:
             e //= 2
             # the root is floor-exact at scale 2**(e - w)
@@ -579,6 +615,46 @@ class Power(Transform):
 
     def _result_bits_estimate(self, int_bits):
         return self.p * int_bits // self.q + (self.q == 2) + 2 * self.pi
+
+    def _fewest_claim(self, a):
+        """_GUARD_BITS + a, for every double, where the integer route runs.
+        A double is m * 2**e with e <= 0 (an integer-valued one has e =
+        0), and certify starts at w >= est + _GUARD_BITS + a, est =
+        _result_bits_estimate(ib) for x's ib integer bits. So the root's
+        exponent, half x**p's, is <= 0 and the root claims w - 1 >= est -
+        1 + _GUARD_BITS + a, with est >= 1; pi*x**p claims w - p*ib - 1 >=
+        _GUARD_BITS + a + 1, est being p*ib + 2. An exact input's own
+        limit, 10**9 bits, never binds below the cap.
+        """
+        return _GUARD_BITS + a if self._integer_route else None
+
+    def _scaled(self, x):
+        """The integer route: A = floor(u(x) * 2**_ROUTE_BITS), as an object
+        array of ints, for an array of finite doubles in u's domain, with
+        u(x) * 2**_ROUTE_BITS in (A - 1, A + 2); for a map with the route
+        (q = 2, or c = pi).
+
+        x = m * 2**e from np.frexp, with m a 53-bit integer, and x**p =
+        m * 2**e through `_raised`. q = 2: with k = e/2 + _ROUTE_BITS, A
+        = isqrt(m * 2**(2k)) for k >= 0 and isqrt(m) // 2**-k below
+        (floor(floor(y)/n) = floor(y/n)), exact. c = pi: A = floor(pi_L
+        m 2**(e + _ROUTE_BITS - L)) for the constant pi_L = pi_fixed(L),
+        within 2 of pi * 2**L (kernels), a right shift for every double.
+        Then A is off from u * 2**_ROUTE_BITS, before its floor, by at
+        most 2 x**p 2**(_ROUTE_BITS - L) < 2**(p E + _ROUTE_BITS + 1 - L)
+        for every x < 2**E, which L = p max(E, 0) + _ROUTE_BITS + 2, E the
+        largest in the array, keeps below 1/2. Only pi's bits near u's
+        binary point reach A (Payne and Hanek, SIGNUM Newsletter 18,
+        1983): the shift drops the rest.
+        """
+        m, big = np.frexp(x)
+        m, e = self._raised((m * 2.0 ** 53).astype(np.int64).astype(object),
+                            (big - 53).astype(object))
+        if self.q == 2:
+            k = e // 2 + _ROUTE_BITS
+            return _isqrt(m << np.maximum(2 * k, 0)) >> np.maximum(-k, 0)
+        bits = self.p * int(big.max(initial=0)) + _ROUTE_BITS + 2
+        return m * pi_fixed(bits) >> (bits - _ROUTE_BITS - e)
 
     def _quick(self, x):
         """u(x) = uh + ul in double-double and err >= |uh + ul - u(x)|,
@@ -749,10 +825,10 @@ class _Certifier:
         entries in fracs read 0.0. Raises what `frac` raises, but
         DomainError.
 
-        Ziv's two phases: the quick phase (the transform's `_quick`, in
-        double-double, one numpy pass per _QUICK_BLOCK values) hands a
-        double out where it can prove it equals the certifier's; every
-        other x, including each outside the quick range, goes to `frac`.
+        Ziv's two phases, one block of _QUICK_BLOCK values at a time: the
+        quick routes (`_hand_out`: the transform's double-double `_quick`,
+        then a power map's integer route) hand a double out where they
+        can prove it equals the certifier's; every other x goes to `frac`.
         """
         xs = np.asarray(xs, dtype=np.float64)
         out = np.zeros(xs.size)
@@ -768,36 +844,66 @@ class _Certifier:
         return out, outside
 
     @functools.cached_property
-    def _quick_width(self):
-        """2**-b, b the fewest fractional bits the transform's evaluator
-        claims for a double in its quick range at the first working
-        precision, or None where the quick phase hands nothing out: no
-        quick range, more than 80 agreement bits, a first precision whose
-        near-integer doubling would pass the cap, or a claim short of the
-        agreement bits, which would make certify escalate.
+    def _quick_int_bits(self):
+        """The most integer bits a double may have for certify to double
+        its first working precision within the cap, as a near-integer
+        result makes it do; -1 where no double may. The first precision
+        only grows with the integer bits."""
+        return bisect.bisect_right(
+            range(1025), self.cap,
+            key=lambda b: 2 * start_bits(self.transform, b, self.a)) - 1
 
-        The claim is fewest at an end of the range (Log's error count
-        grows with |k| and |u|; sqrt's first precision grows with x, and
-        pi*x**2 loses two bits per integer bit of x), and it only grows
-        with the working precision, so every result certify accepts for
-        such a double lies within this width of u(x).
+    @functools.cached_property
+    def _quick_width(self):
+        """2**-b, b the transform's `_fewest_claim`, or None where the quick
+        routes hand nothing out: more than 80 agreement bits, no double
+        whose first precision could double within the cap, no quick
+        route, or a claim short of the agreement bits, which would make
+        certify escalate.
+
+        A claim only grows with the working precision, so every result
+        certify accepts for a double the routes take lies within this
+        width of u(x). Each route adds its own error on top: err for the
+        double-double route, A's units for the integer route (`_scaled`).
         """
-        t = self.transform
-        if t._quick_range is None or self.a > _FRAC_OUT_BITS:
+        if self.a > _FRAC_OUT_BITS or self._quick_int_bits < 0:
             return None
-        claims = []
-        for v in t._quick_range:
-            x = BigReal.from_float(v)
-            w = start_bits(t, x.integer_digits(), self.a)
-            if 2 * w > self.cap:
-                return None
-            r = t._eval_at(x, w, t._constants(w))
-            claims.append(r.precision - r.integer_digits())
-        return None if min(claims) < self.a else 2.0 ** -min(claims)
+        claim = self.transform._fewest_claim(self.a)
+        return None if claim is None or claim < self.a else 2.0 ** -claim
 
     def _hand_out(self, x, out):
-        """The quick phase on one block: write into `out` each {u(x)} it
-        vouches for and return the mask of those x.
+        """The quick routes on one block: write into `out` each {u(x)} they
+        vouch for and return the mask of those x.
+
+        A route takes only an x of at most _quick_int_bits integer bits,
+        for which certify never raises. The double-double phase takes the
+        x in the transform's _quick_range (sqrt's and pi*x**2's while u <=
+        2**20, where it is the faster); the integer route takes what is
+        left of the domain of a map with one (q = 2, or c = pi).
+        """
+        handed = np.zeros(x.size, dtype=bool)
+        if self._quick_width is None:
+            return handed
+
+        def take(cells, mask):
+            took = np.flatnonzero(mask)
+            inside, f = cells(x[took])
+            out[took[inside]] = f
+            handed[took[inside]] = True
+
+        t = self.transform
+        fits = np.frexp(x)[1] <= self._quick_int_bits  # x < 2**E
+        if t._quick_range is not None:
+            lo, hi = t._quick_range
+            take(self._double_double_cells, fits & (x >= lo) & (x <= hi))
+        if t._integer_route:
+            take(self._integer_cells,
+                 fits & ~handed & np.isfinite(x) & (x >= 0.0))
+        return handed
+
+    def _double_double_cells(self, x):
+        """(inside, {u} of the inside x) from the double-double phase, for
+        doubles in the transform's _quick_range.
 
         u +- err (times 1 + 2**-40 for the roundings of err itself),
         widened by _quick_width, must lie strictly inside one cell
@@ -807,11 +913,7 @@ class _Certifier:
         An exact power of the base, and any other u whose {u} is 0, has
         an integer inside its interval and falls back.
         """
-        if self._quick_width is None:
-            return np.zeros(x.size, dtype=bool)
-        lo, hi = self.transform._quick_range
-        took = np.flatnonzero((x >= lo) & (x <= hi))
-        uh, ul, err = self.transform._quick(x[took])
+        uh, ul, err = self.transform._quick(x)
         # {u} = fh + fl: uh - floor(uh) = a + ae exactly, where ae is 0
         # unless -1 < uh < 0; so ae + ul rounds only there, and that
         # rounding joins err. ul is at most half an ulp of uh, so only a
@@ -830,11 +932,31 @@ class _Certifier:
         pos = (h - jh) + (l - jl)
         margin = (err + self._quick_width) * 2.0 ** 80 + 2.0 ** -50
         inside = (pos > margin) & (pos < 1.0 - margin)
-        took = took[inside]
-        out[took] = np.minimum((jh + jl)[inside] * 2.0 ** -80, _ONE_MINUS)
-        handed = np.zeros(x.size, dtype=bool)
-        handed[took] = True
-        return handed
+        return inside, np.minimum((jh + jl)[inside] * 2.0 ** -80, _ONE_MINUS)
+
+    def _integer_cells(self, x):
+        """(inside, {u} of the inside x) from a power map's integer route
+        (`Power._scaled`), for finite doubles in u's domain.
+
+        In units of 2**-_ROUTE_BITS, u lies in (A - 1, A + 2) and every
+        result certify accepts within W = _quick_width of u, so all of
+        them lie in (A - 1 - W, A + 2 + W). Where A's low _ROUTE_GUARD
+        bits, pos, leave 1 + W below and 2 + W above, inside the cell c =
+        A >> _ROUTE_GUARD, they all floor to c, and the double handed out
+        is _frac_double(c mod 2**80), frac's own. In cell 0 the lower
+        margin goes: the route's maps take x >= 0, so a certified result
+        there is never negative. pos, an integer below 2**40, and the
+        margins, multiples of 2**-10 while a <= 80, add exactly in
+        doubles.
+        """
+        a = self.transform._scaled(x)
+        cell = a >> _ROUTE_GUARD
+        pos = (a & ((1 << _ROUTE_GUARD) - 1)).astype(np.float64)
+        margin = self._quick_width * 2.0 ** _ROUTE_BITS + 1.0
+        inside = ((pos >= margin) | (cell == 0)) \
+            & (pos + margin + 1.0 <= 2.0 ** _ROUTE_GUARD)
+        return inside, _frac_doubles(
+            cell[inside] & ((1 << _FRAC_OUT_BITS) - 1)).astype(np.float64)
 
 
 def eval_transform(x, transform, policy=DEFAULT_POLICY):

@@ -211,6 +211,13 @@ def test_pdelta_text_bytes_are_pinned(capsys):
     ("table1_n30", ("table1", "--n", "30")),
     ("bounds_lognormal10", ("bounds", "lognormal10", "--params", "0,2;0,3")),
     ("pdelta_uniform_100", ("pdelta", "uniform", "100")),
+] + [
+    # 3,004 doubles over +-300 decades, subnormals, 2**k, n**2 and
+    # sqrt(n/pi), through both quick routes of the power maps
+    (f"analyze_wide_range_{t}",
+     ("analyze", str(Path(__file__).parent / "fixtures" / "wide_range.csv"),
+      "--column", "2", "--transform", t))
+    for t in ("sqrt", "pi_square", "identity")
 ])
 def test_structured_record_bytes_are_pinned(capsys, name, argv):
     # CI compares the console script's output with the same files
@@ -350,6 +357,15 @@ def test_input_errors_exit_one(capsys, argv):
     assert code == 1
     assert err.startswith("error:")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("name", ["log\u00b2", "log\u0661\u0660"])
+def test_non_ascii_digits_are_no_log_base(capsys, name):
+    # '²' once ended in a ValueError traceback, and Arabic-Indic 10 was
+    # read as log10
+    code, out, err = run(capsys, "analyze", FIXTURES["growth"], "--column",
+                         "2", "--transform", name)
+    assert (code, out, err) == (1, "", f"error: unknown transform {name!r}\n")
 
 
 @pytest.mark.parametrize("digits, message", [

@@ -66,6 +66,11 @@ class TestTransformType:
         assert Transform.parse("log7") == Log(7)
         with pytest.raises(ValueError):
             Transform.parse("cosh")
+        # a base takes ASCII digits only: '²' and Arabic-Indic digits pass
+        # str.isdigit
+        for text in ("log²", "log\u0661\u0660", "log\uff11\uff10"):
+            with pytest.raises(InvalidParameter, match="unknown transform"):
+                Transform.parse(text)
         with pytest.raises(InvalidParameter, match="got 5"):
             Transform.parse(5)
         # a numpy integer base is the int it equals
@@ -648,9 +653,45 @@ def _handed(certifier, xs):
     return certifier._hand_out(xs, np.zeros(xs.size))
 
 
+POWERS = (IDENTITY, SQRT, PI_SQUARE, Power(3), Power(3, 2), Power(3, pi=True))
+# the maps with the integer route: those whose result can be inexact
+ROUTED = (SQRT, PI_SQUARE, Power(3, 2), Power(3, pi=True))
+
+
+def _true_power(t, x):
+    """c * x**(p/q) in mpmath (the caller sets the precision)."""
+    u = mpf(x) ** t.p
+    u = mp.sqrt(u) if t.q == 2 else u
+    return mp.pi * u if t.pi else u
+
+
+# every finite double, negatives, subnormals and the largest included, and
+# doubles on or next to a point where some power map is an integer
+_EVERY_DOUBLE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([5e-324, -5e-324, sys.float_info.max,
+                     -sys.float_info.max, 2.0 ** -1022]),
+    st.tuples(st.one_of(
+        st.integers(-1074, 1023).map(lambda k: 2.0 ** k),
+        st.integers(1, 1 << 26).map(lambda n: float(n * n)),
+        st.integers(1, 1 << 40).map(lambda n: math.sqrt(n / math.pi)),
+        st.integers(1, 1 << 26).map(lambda n: n * n / math.pi)),
+        st.integers(-3, 3)).map(lambda a: _nudge(*a)))
+
+
+def _whole_range(seed):
+    """2,000 positive doubles log-uniform over the whole double range,
+    subnormals included, and the ends of that range."""
+    rng = np.random.default_rng(seed)
+    xs = 2.0 ** rng.uniform(-1074.0, 1024.0, 2000)
+    return np.concatenate([xs[np.isfinite(xs) & (xs > 0.0)],
+                           [5e-324, 2.0 ** -1022, sys.float_info.max]])
+
+
 class TestQuickPhase:
-    """fracs hands a double out of the double-double quick phase only
-    where it equals the certifier's; the rest goes to the certifier."""
+    """fracs hands a double out of a quick route (double-double, or a
+    power map's integer route) only where it equals the certifier's; the
+    rest goes to the certifier."""
 
     @given(x=_DOUBLES, t=st.sampled_from(QUICK))
     @settings(max_examples=400, deadline=None)
@@ -704,25 +745,32 @@ class TestQuickPhase:
                 1 + Fraction(1, 1 << 40)) + width
             a, b = (u - r) * (1 << 80), (u + r) * (1 << 80)
             inside.append(math.floor(a) < a and b < math.floor(a) + 1)
-        assert _handed(certifier, xs).tolist() == inside
+        assert certifier._double_double_cells(xs)[0].tolist() == inside
         if t == PI_SQUARE:
             # its width leaves some doubles near a cell edge
             assert inside.count(False) > 10
 
     def test_fallback_cases(self):
+        # the log maps hand none of these out; the power maps' integer
+        # route hands out the ones listed, each as frac's own double
         edge = [0.0, -0.0, -1.0, -1e300, 5e-324, 2.0 ** -1023]
-        cases = [(LOG10, [10.0 ** k for k in range(23)]),
-                 (LOG2, [2.0 ** k for k in range(-1022, 1024)]),
-                 (Log(7), [7.0 ** k for k in range(19)]),
-                 (SQRT, [float(n * n) for n in range(1, 200)]
-                  + [2.0 ** 40 * 1.0000001, 1e20, 1e300]),
+        cell_0 = [0.0, -0.0, 5e-324, 2.0 ** -1023]
+        past_cut = [2.0 ** 40 * 1.0000001, 1e20, 1e300]
+        cases = [(LOG10, [10.0 ** k for k in range(23)], []),
+                 (LOG2, [2.0 ** k for k in range(-1022, 1024)], []),
+                 (Log(7), [7.0 ** k for k in range(19)], []),
+                 # an integer root sits on a cell edge; 1e20 is 1e10 squared
+                 (SQRT, [float(n * n) for n in range(1, 200)] + past_cut,
+                  [past_cut[0], 1e300]),
                  # past the cut, and below the certifier's own width
-                 (PI_SQUARE, [578.0, 1e20, 1e300, 1e-20, 1e-300])]
-        cases += [(t, edge) for t in QUICK]
-        for t, xs in cases:
+                 (PI_SQUARE, [578.0, 1e20, 1e300, 1e-20, 1e-300],
+                  [578.0, 1e20, 1e300, 1e-20, 1e-300])]
+        cases += [(t, edge, cell_0 if t in (SQRT, PI_SQUARE) else [])
+                  for t in QUICK]
+        for t, xs, handed in cases:
             xs = np.array(xs)
             certifier = tr._Certifier(t, DEFAULT_POLICY)
-            assert not _handed(certifier, xs).any(), t.label()
+            assert xs[_handed(certifier, xs)].tolist() == handed, t.label()
             fracs, outside = certifier.fracs(xs)
             for x, f, out in zip(xs.tolist(), fracs, outside):
                 try:
@@ -743,3 +791,81 @@ class TestQuickPhase:
     def test_quick_phase_off(self, t, policy):
         on = t == SQRT and policy == DEFAULT_POLICY
         assert (tr._Certifier(t, policy)._quick_width is not None) == on
+
+    # the integer route, over every finite double; the exact maps hand
+    # nothing out and must agree all the same
+
+    @given(x=_EVERY_DOUBLE, t=st.sampled_from(POWERS))
+    @settings(max_examples=600, deadline=None)
+    def test_integer_route_over_every_double(self, x, t):
+        xs = np.array([x])
+        certifier = tr._Certifier(t, DEFAULT_POLICY)
+        fracs, outside = certifier.fracs(xs)
+        try:
+            want = certifier.frac(BigReal.from_float(x))
+        except DomainError:
+            assert outside[0] and fracs[0] == 0.0
+        else:
+            assert fracs.tobytes() == np.array([want]).tobytes()
+        # under a cap that refuses the larger doubles, a handed-out double
+        # is still one certify returns, never one it raises for
+        certifier = tr._Certifier(t, PrecisionPolicy(cap=300))
+        got = np.zeros(1)
+        if certifier._hand_out(xs, got)[0]:
+            assert got.tobytes() == np.array(
+                [certifier.frac(BigReal.from_float(x))]).tobytes()
+
+    @pytest.mark.parametrize("t", ROUTED, ids=lambda t: t.label())
+    def test_route_is_floor_of_u_times_2_120(self, t):
+        # A = floor(u * 2**120) for the roots, and u * 2**120 in (A - 1,
+        # A + 2) under pi, from the smallest double to the largest
+        xs = _whole_range(11)
+        a = t._scaled(xs)
+        with mp.workprec(1100 * t.p + 400):
+            for x, ai in zip(xs.tolist(), a):
+                u = _true_power(t, x) * mpf(2) ** 120
+                if t.pi:
+                    assert ai - 1 < u < ai + 2, x
+                else:
+                    assert int(mp.floor(u)) == ai, x
+
+    @pytest.mark.parametrize("t", ROUTED, ids=lambda t: t.label())
+    def test_integer_route_rule(self, t):
+        # A's low 40 bits leave 1 + W units below and 2 + W above, W the
+        # width in units of 2**-120; in cell 0 the lower margin goes, u
+        # being never negative
+        certifier = tr._Certifier(t, DEFAULT_POLICY)
+        xs = np.concatenate([_whole_range(13), 2.0 ** -np.arange(81.0, 125)])
+        a = t._scaled(xs)
+        w = int(certifier._quick_width * 2 ** 120)
+        inside = []
+        for ai in a:
+            cell, pos = ai >> 40, ai & ((1 << 40) - 1)
+            low = pos >= 1 + w or cell == 0
+            inside.append(low and pos + 2 + w <= 1 << 40)
+        got, fracs = certifier._integer_cells(xs)
+        assert got.tolist() == inside
+        assert fracs.tolist() == [
+            tr._frac_double(ai >> 40 & ((1 << 80) - 1))
+            for ai, i in zip(a, inside) if i]
+        # u below 2**-80 (2**-124 among them): all handed out
+        tiny = got[-44:][np.array([ai < 1 << 40 for ai in a[-44:]])]
+        assert tiny.all()
+
+    @pytest.mark.parametrize("t", ROUTED, ids=lambda t: t.label())
+    def test_fewest_claim_holds(self, t):
+        # every double's first working precision claims at least the
+        # bits _fewest_claim promises, and the width rests on them
+        a = digits_to_bits(DEFAULT_POLICY.agreement)
+        for x in _whole_range(17)[::4].tolist():
+            b = BigReal.from_float(x)
+            w = start_bits(t, b.integer_digits(), a)
+            r = t._eval_at(b, w, t._constants(w))
+            assert r.precision - r.integer_digits() >= t._fewest_claim(a)
+
+    def test_few_doubles_reach_the_certifier(self):
+        # under 1% of 26,000 doubles over +-300 decades, where the
+        # double-double phase alone left 67% (sqrt) and 85% (pi*x**2)
+        xs = _seeded(1)
+        for t in (SQRT, PI_SQUARE):
+            assert _handed(tr._Certifier(t, DEFAULT_POLICY), xs).mean() > 0.99
