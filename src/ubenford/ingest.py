@@ -1,15 +1,45 @@
 """Dataset ingestion: one numeric column out of a delimited text file.
 
-Delimiter detection prefers semicolon, then tab, then comma; files that use
-decimal commas delimit with semicolons in practice, so a comma never plays
-both roles. A field with exactly one comma and no dot is read as a decimal
-comma. The first row is a header iff its selected field is not numeric;
+Rows are the file's non-blank lines. The delimiter is the first of
+semicolon, tab and comma that appears in them; files that use decimal
+commas delimit with semicolons in practice, so a comma never plays both
+roles. The first row is a header iff its selected field is not a number;
 headers are not counted as dropped rows.
+
+The field grammar, stated once:
+
+- The selected field is the row's `column`-th piece when split at the
+  delimiter; a row with fewer pieces is non-numeric.
+- Its text t is the field stripped of whitespace, then of double
+  quotes, then of single quotes, then of whitespace again.
+- Its number is float(t.replace(",", ".")) when that is finite; a field
+  float refuses, and inf or nan, make the row non-numeric.
+
+The comma replace is the decimal-comma rule: "float(t), else, when t
+has exactly one comma and no dot, float of t with the comma made a dot".
+The one call equals that rule for every t:
+
+- float() never accepts a comma. So where t has none the two forms are
+  the same call, and where it has one float(t) fails and only the
+  retry can succeed.
+- float() never accepts two dots. So where t has a comma and also a dot
+  or a second comma, the replace leaves two dots and float fails, as
+  the rule refuses t.
+- The case left, one comma and no dot, is the rule's retry itself.
+
+Quotes pair. A quoted field that holds the delimiter is cut in pieces by
+the split, and no piece may be read as a number. So in a row that holds
+a quote character, a field among its first `column` whose quotes do not
+pair makes the row non-numeric (the header, if it is the first row). A
+field's quotes pair when, after the whitespace strip, it starts with a
+quote character iff it ends with the same one.
 """
 
 import math
 import os
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import contains
 
 import numpy as np
 
@@ -48,29 +78,37 @@ class Dataset:
                 f"row accounting broken: {accounted} != {self.raw_rows}")
 
 
-def _detect_delimiter(lines):
-    for cand in (";", "\t", ","):
-        if any(cand in line for line in lines):
-            return cand
-    return None
+_QUOTES = frozenset("\"'")
 
 
-def _parse_number(field):
-    """float or None; accepts a decimal comma when it is unambiguous."""
-    text = field.strip().strip('"').strip("'").strip()
-    if not text:
-        return None
-    try:
-        v = float(text)
-    except ValueError:
-        if text.count(",") == 1 and "." not in text:
-            try:
-                v = float(text.replace(",", "."))
-            except ValueError:
-                return None
+def _numbers(fields):
+    """The grammar's float of each field, NaN where float refuses it."""
+    texts = map(str.strip, fields)
+    texts = map(str.strip, texts, repeat('"'))
+    texts = map(str.strip, texts, repeat("'"))
+    texts = map(str.strip, texts)
+    floats = map(float, map(str.replace, texts, repeat(","), repeat(".")))
+    out = []
+    while True:
+        # list.extend keeps what it took before a refusal and map goes on
+        # after one, so Python runs once per refused field, not per field
+        try:
+            out.extend(floats)
+        except ValueError:
+            out.append(math.nan)
         else:
-            return None
-    return v if math.isfinite(v) else None
+            return np.array(out, dtype=np.float64)
+
+
+def _quotes_unpaired(line, delim, column):
+    """Whether the quotes of one of the line's first `column` fields do
+    not pair: its first and last characters differ and one of them is a
+    quote."""
+    for field in map(str.strip, line.split(delim, column)[:column]):
+        first, last = field[:1], field[-1:]
+        if first != last and (first in _QUOTES or last in _QUOTES):
+            return True
+    return False
 
 
 def ingest_csv(path, column=1, name=None):
@@ -89,45 +127,37 @@ def ingest_csv(path, column=1, name=None):
     except UnicodeDecodeError as exc:
         raise FileError(f"{path} is not utf-8 text: {exc}") from None
 
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = list(filter(str.strip, text.splitlines()))
     if not lines:
         raise EmptyDataset(f"{path} contains no data rows")
-    delim = _detect_delimiter(lines)
-
-    def field_of(line):
-        parts = line.split(delim) if delim else [line]
-        return parts[column - 1] if column <= len(parts) else None
-
-    values = []
-    non_numeric = 0
-    non_positive = 0
-    saw_numeric = False
-    had_header = False
-    for i, line in enumerate(lines):
-        raw = field_of(line)
-        v = None if raw is None else _parse_number(raw)
-        if v is None:
-            if i == 0:
-                had_header = True
-            else:
-                non_numeric += 1
-            continue
-        saw_numeric = True
-        if v > 0.0:
-            values.append(v)
-        else:
-            non_positive += 1
-
-    if not saw_numeric:
+    joined = "\n".join(lines)
+    # no line holds a newline, so without a delimiter a row splits into
+    # one piece, the whole line
+    delim = next((d for d in (";", "\t", ",") if d in joined), "\n")
+    # a missing field reads "nan": a refusal, without the cost of one
+    v = _numbers([p[column - 1] if len(p) >= column else "nan"
+                  for p in map(str.split, lines, repeat(delim),
+                               repeat(column))])
+    # only the rows that hold a quote character pay for the pair check
+    quoted = set()
+    for quote in _QUOTES:
+        if quote in joined:
+            quoted.update(compress(range(len(lines)),
+                                   map(contains, lines, repeat(quote))))
+    v[[i for i in quoted
+       if _quotes_unpaired(lines[i], delim, column)]] = math.nan
+    numbers = v[np.isfinite(v)]
+    values = numbers[numbers > 0.0]
+    if not numbers.size:
         raise NoNumericColumn(
             f"column {column} of {path} never parses as a number")
-    if not values:
+    if not values.size:
         raise EmptyDataset(f"{path} has no positive values in "
                            f"column {column}")
+    had_header = not math.isfinite(v[0])
     if name is None:
         name = os.path.splitext(os.path.basename(path))[0]
-    return Dataset(name=name, path=str(path), column=column,
-                   values=np.asarray(values, dtype=np.float64),
+    return Dataset(name=name, path=str(path), column=column, values=values,
                    raw_rows=len(lines), had_header=had_header,
-                   dropped_non_numeric=non_numeric,
-                   dropped_non_positive=non_positive)
+                   dropped_non_numeric=len(lines) - numbers.size - had_header,
+                   dropped_non_positive=numbers.size - values.size)

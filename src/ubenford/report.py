@@ -3,11 +3,13 @@
 Three formats: `text-table` mirrors the published table layouts for
 humans, `structured-record` is one JSON object with sorted keys and no
 volatile fields (same config in, same bytes out), built by walking the
-report's dataclass fields in place (see _jsonable), and `plot-points` is
+report's dataclass fields in place (see _jsonable) and writing each float
+array in one join (see _record), and `plot-points` is
 delimiter-separated rows ready for any plotting tool.
 """
 
 import json
+import re
 from dataclasses import fields, is_dataclass
 
 import numpy as np
@@ -40,24 +42,33 @@ def emit(report, format="text-table"):
 # ---------------------------------------------------------------------------
 # structured records
 
-def _jsonable(obj):
+def _jsonable(obj, blocks=None):
     """Plain JSON values of a report, its dataclass fields walked in place.
 
     Fields are read with getattr rather than through dataclasses.asdict,
     which would deep-copy every value first (each of a dataset's thousands
-    of fracs). A Python float is already plain and is returned as it is.
+    of fracs). A Python float is already plain and is returned as it is,
+    and a float block, a list or tuple of nothing but Python floats (a
+    float array's tolist), is returned as a list without a walk. Given
+    `blocks`, a float block is appended there instead and stands in the
+    tree as the placeholder string _record fills in.
     """
     if type(obj) is float:
         return obj
     if is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name))
+        return {f.name: _jsonable(getattr(obj, f.name), blocks)
                 for f in fields(obj)}
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
+        return {k: _jsonable(v, blocks) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [v if type(v) is float else _jsonable(v) for v in obj]
+        if set(map(type, obj)) != {float}:
+            return [_jsonable(v, blocks) for v in obj]
+        if blocks is None:
+            return list(obj)
+        blocks.append(obj)
+        return f"{_PLACEHOLDER}{len(blocks) - 1}"
     if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
+        return _jsonable(obj.tolist(), blocks)
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.floating):
@@ -65,10 +76,39 @@ def _jsonable(obj):
     return obj
 
 
+_PLACEHOLDER = "\0float block "
+# a placeholder's line in the indented text: the line up to the
+# placeholder (its indent, then a key or nothing), and the index that the
+# placeholder, written as a JSON string, holds
+_PLACEHOLDER_LINE = re.compile(
+    r'^(( *).*)"\\u0000float block (\d+)"', re.MULTILINE)
+
+
 def _record(kind, report):
-    body = {"kind": kind}
-    body.update(_jsonable(report))
-    return json.dumps(body, sort_keys=True, indent=2) + "\n"
+    """The report as indented JSON with sorted keys.
+
+    json.dumps with an indent runs the pure-Python encoder, one call per
+    value. A float block (see _jsonable) is written instead in one join of
+    the C encoder's spellings of its floats, which are the pure encoder's
+    (float repr, NaN, Infinity, -Infinity), at the indent its placeholder
+    stands at: the same bytes.
+    """
+    blocks = []
+    text = json.dumps({"kind": kind, **_jsonable(report, blocks)},
+                      sort_keys=True, indent=2)
+    if text.count("\\u0000") != len(blocks):
+        # a string of the report holds a NUL and might pass for a
+        # placeholder, so its float blocks go through the pure encoder
+        return json.dumps({"kind": kind, **_jsonable(report)},
+                          sort_keys=True, indent=2) + "\n"
+
+    def fill(m):
+        inner = m[2] + "  "
+        floats = json.dumps(blocks[int(m[3])])[1:-1]
+        return (f"{m[1]}[\n{inner}" + floats.replace(", ", ",\n" + inner)
+                + f"\n{m[2]}]")
+
+    return _PLACEHOLDER_LINE.sub(fill, text) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -162,7 +162,21 @@ _QUICK_U_MAX = 2.0 ** 20  # a power map's double-double phase stops here
 _ROUTE_GUARD = 40
 _ROUTE_BITS = _FRAC_OUT_BITS + _ROUTE_GUARD
 _isqrt = np.frompyfunc(isqrt, 1, 1)
-_frac_doubles = np.frompyfunc(_frac_double, 1, 1)
+
+
+def _frac_doubles(cells):
+    """_frac_double of each cell of an object array of ints below 2**80.
+
+    A cell's halves c >> 40 and c mod 2**40 are below 2**40, so they and
+    their scaled values (c >> 40) * 2**-40 and (c mod 2**40) * 2**-80 are
+    exact doubles, and their sum rounds once: to the correctly rounded
+    c / 2**80, as int / int true division does.
+    """
+    half = _FRAC_OUT_BITS // 2
+    hi = (cells >> half).astype(np.float64)
+    lo = (cells & ((1 << half) - 1)).astype(np.float64)
+    return np.minimum(hi * 2.0 ** -half + lo * 2.0 ** -_FRAC_OUT_BITS,
+                      _ONE_MINUS)
 
 
 def _two_sum(a, b):
@@ -956,7 +970,7 @@ class _Certifier:
         inside = ((pos >= margin) | (cell == 0)) \
             & (pos + margin + 1.0 <= 2.0 ** _ROUTE_GUARD)
         return inside, _frac_doubles(
-            cell[inside] & ((1 << _FRAC_OUT_BITS) - 1)).astype(np.float64)
+            cell[inside] & ((1 << _FRAC_OUT_BITS) - 1))
 
 
 def eval_transform(x, transform, policy=DEFAULT_POLICY):

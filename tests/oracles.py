@@ -6,6 +6,9 @@ sup_ratio_numeric maximizes pdf/u' numerically: the independent route
 for the package's closed-form suprema
 (`ubenford.distributions.sup_ratio`). `argmax` is where pdf/u' peaks, in
 mpmath, from the first-order condition; the package returns no argmax.
+`ingest_rows` reads a column a row at a time, field by field: the
+reference for `ubenford.ingest.ingest_csv`, which reads it in whole-
+column passes.
 """
 
 import math
@@ -16,7 +19,8 @@ from mpmath import mp, mpf
 from ubenford.distributions import (Exponential, HalfNormal,
                                     LognormalBase10, ParetoI, ParetoII,
                                     UniformOnZeroK)
-from ubenford.errors import DomainError, HypothesisViolated, NotUnimodal
+from ubenford.errors import (DomainError, EmptyDataset, HypothesisViolated,
+                             NoNumericColumn, NotUnimodal)
 
 _LN10 = math.log(10.0)
 
@@ -189,3 +193,75 @@ def argmax(d, t):
     if isinstance(d, Exponential):
         return k / mpf(d.lam)
     return d.sigma * mp.sqrt(k)
+
+
+def _parse_number(field):
+    """float or None; accepts a decimal comma when it is unambiguous."""
+    text = field.strip().strip('"').strip("'").strip()
+    if not text:
+        return None
+    try:
+        v = float(text)
+    except ValueError:
+        if text.count(",") == 1 and "." not in text:
+            try:
+                v = float(text.replace(",", "."))
+            except ValueError:
+                return None
+        else:
+            return None
+    return v if math.isfinite(v) else None
+
+
+def _quote_cut(parts, column):
+    """Whether one of the first `column` fields has a quote at one end and
+    not the same quote at the other: a quoted field the delimiter cut."""
+    for part in parts[:column]:
+        part = part.strip()
+        for q in "\"'":
+            if part.startswith(q) != part.endswith(q):
+                return True
+    return False
+
+
+def ingest_rows(text, column):
+    """A column of a delimited text (its BOM removed) read row by row:
+    (values, raw_rows, had_header, non_numeric, non_positive), or the
+    refusal class ingest_csv raises for it.
+
+    This is the per-row rule ingest_csv had before it read the column in
+    whole-column passes, with one rule added since: a row that holds a
+    quote character and whose quotes do not pair in one of its first
+    `column` fields is non-numeric.
+    """
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        return EmptyDataset
+    delim = next((c for c in (";", "\t", ",")
+                  if any(c in line for line in lines)), None)
+
+    values, non_numeric, non_positive = [], 0, 0
+    saw_numeric = had_header = False
+    for i, line in enumerate(lines):
+        parts = line.split(delim) if delim else [line]
+        v = None
+        if column <= len(parts) and not (
+                ('"' in line or "'" in line) and _quote_cut(parts, column)):
+            v = _parse_number(parts[column - 1])
+        if v is None:
+            if i == 0:
+                had_header = True
+            else:
+                non_numeric += 1
+            continue
+        saw_numeric = True
+        if v > 0.0:
+            values.append(v)
+        else:
+            non_positive += 1
+    if not saw_numeric:
+        return NoNumericColumn
+    if not values:
+        return EmptyDataset
+    return (np.asarray(values, dtype=np.float64), len(lines), had_header,
+            non_numeric, non_positive)

@@ -218,6 +218,12 @@ def test_pdelta_text_bytes_are_pinned(capsys):
      ("analyze", str(Path(__file__).parent / "fixtures" / "wide_range.csv"),
       "--column", "2", "--transform", t))
     for t in ("sqrt", "pi_square", "identity")
+] + [
+    # a ';' file with a BOM, CRLF and blank lines, decimal commas, both
+    # quote kinds, missing fields, non-finite and non-ASCII numbers
+    ("analyze_dirty_log10",
+     ("analyze", str(Path(__file__).parent / "fixtures" / "dirty.csv"),
+      "--column", "2", "--transform", "log10")),
 ])
 def test_structured_record_bytes_are_pinned(capsys, name, argv):
     # CI compares the console script's output with the same files

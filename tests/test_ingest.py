@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from oracles import ingest_rows
 from ubenford.errors import (EmptyDataset, FileError, InvalidParameter,
                              NoNumericColumn)
 from ubenford.ingest import Dataset, ingest_csv
@@ -76,6 +79,91 @@ class TestDelimiters:
     def test_quoted_fields(self, tmp_path):
         ds = ingest_csv(write(tmp_path, '"name";"v"\n"a";"3.5"\n'), column=2)
         np.testing.assert_array_equal(ds.values, [3.5])
+
+
+class TestQuotePairs:
+    # a quoted field holding the delimiter is cut by the split; no piece
+    # of it is read as a number
+
+    def test_quoted_delimiter_drops_the_row(self, tmp_path):
+        ds = ingest_csv(write(tmp_path, 'id,value\n1,"1,234"\n2,"2,5"\n'
+                                        '3,4.5\n'), column=2)
+        np.testing.assert_array_equal(ds.values, [4.5])
+        assert ds.had_header and ds.dropped_non_numeric == 2
+
+    def test_either_quote_and_any_delimiter(self, tmp_path):
+        ds = ingest_csv(write(tmp_path, "id;v\n1;\"1;234\"\n2;'3;5'\n3;7\n"),
+                        column=2)
+        np.testing.assert_array_equal(ds.values, [7.0])
+        assert ds.dropped_non_numeric == 2
+
+    def test_a_cut_before_the_column_shifts_no_field_in(self, tmp_path):
+        # the row has three fields, so it has no fourth to read
+        ds = ingest_csv(write(tmp_path, 'a,b,c,d\n1,"a,b",5\n1,2,3,4\n'),
+                        column=4)
+        np.testing.assert_array_equal(ds.values, [4.0])
+        assert ds.had_header and ds.dropped_non_numeric == 1
+
+    def test_cut_first_row_is_the_header(self, tmp_path):
+        ds = ingest_csv(write(tmp_path, '"x,2",3\n4,5\n'), column=2)
+        np.testing.assert_array_equal(ds.values, [5.0])
+        assert ds.had_header and ds.dropped == 0
+
+    def test_paired_and_later_quotes_are_read(self, tmp_path):
+        text = '1,"2.5",x\n2, \'3\' ,x\n3,4,"a,b"\n4,"\'5\'",x\n'
+        ds = ingest_csv(write(tmp_path, text), column=2)
+        np.testing.assert_array_equal(ds.values, [2.5, 3.0, 4.0, 5.0])
+        assert ds.dropped == 0
+
+
+# fields over the grammar's cases: decimal commas, both quote kinds,
+# paired and cut, non-finite and non-ASCII numbers, underscores, padding
+_NUMBER = st.one_of(
+    st.floats(width=32).map(repr),
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.sampled_from(["1e999", "-0", "0", "1_000", "1__0", "١٢٣", "１２",
+                     "٣,٥", "inf", "-inf", "nan", "1.2.3", "1,5.0",
+                     "1,2,3", ",5", "5,", "abc", "", "--", "0x10"]),
+)
+_FIELD = st.tuples(
+    st.sampled_from(["", " ", "\t", "\xa0", "  "]),
+    st.sampled_from(["", '"', "'", "\"'", "'\""]),
+    _NUMBER, st.booleans(),
+    st.sampled_from(["", '"', "'", "'\"", "\"'"]),
+    st.sampled_from(["", " ", "\xa0"]),
+).map(lambda t: t[0] + t[1] + (t[2].replace(".", ",") if t[3] else t[2])
+      + t[4] + t[5])
+_BLANK = st.sampled_from(["", "  ", "\t", "\xa0", " \t "])
+
+
+@st.composite
+def _files(draw):
+    delim = draw(st.sampled_from([";", "\t", ",", ""]))
+    rows = draw(st.lists(st.one_of(
+        st.lists(_FIELD, max_size=5).map(delim.join), _BLANK),
+        min_size=1, max_size=12))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(rows), max_size=len(rows)))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + "".join(r + e for r, e in zip(rows, ends))
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_files(), column=st.integers(1, 4))
+def test_ingest_matches_the_row_by_row_rule(tmp_path, text, column):
+    path = tmp_path / "h.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, encoding="utf-8-sig") as fh:
+        want = ingest_rows(fh.read(), column)
+    if isinstance(want, type):
+        with pytest.raises(want):
+            ingest_csv(path, column=column)
+        return
+    ds = ingest_csv(path, column=column)
+    assert (ds.values.tobytes(), ds.raw_rows, ds.had_header,
+            ds.dropped_non_numeric, ds.dropped_non_positive) \
+        == (want[0].tobytes(), *want[1:])
 
 
 class TestColumns:

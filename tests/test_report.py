@@ -1,17 +1,21 @@
 """Rendering: layout of text tables, stable structured records, plot rows."""
 
 import json
+import math
 
 import pytest
 
 from ubenford.bounds import certify_mod1_bound, mod1_law
 from ubenford.distributions import Exponential, ParetoI
 from ubenford.errors import InvalidParameter
-from ubenford.experiments import (BoundSweepReport, KsCell, SweepRow,
-                                  Table1Report, analyze_dataset, bound_sweep,
+from ubenford.bounds import Mod1Result
+from ubenford.experiments import (AnalyzeReport, BoundSweepReport, KsCell,
+                                  LimitCell, SweepRow, Table1Report,
+                                  Table3Report, analyze_dataset, bound_sweep,
                                   pdelta_curve, run_table3)
 from ubenford.ingest import Dataset
-from ubenford.report import emit
+from ubenford.report import _jsonable, emit
+from ubenford.stats import DigitReport
 from ubenford.transforms import LOG10, SQRT
 
 import numpy as np
@@ -181,6 +185,78 @@ def test_record_analyze_nests_digit_report():
     assert body["digits"]["base"] == 10
     assert len(body["digits"]["counts"]) == 9
     assert len(body["fracs"]) == 120
+
+
+_EDGES = (math.nan, math.inf, -math.inf, -0.0, 5e-324,
+          1.7976931348623157e308, 0.1, 1.0)
+
+
+def _analyze_report(fracs, expected, name="d"):
+    digits = DigitReport(base=10, counts=np.arange(9),
+                         expected=np.asarray(expected, dtype=np.float64),
+                         sample_size=9, chi2=math.nan, dof=8, p_value=None,
+                         alpha=0.05, verdict="too few values")
+    return AnalyzeReport(dataset=name, sample_size=len(fracs), dropped=0,
+                         transform="log10", base=10, alpha=0.05,
+                         digits=digits, ks_statistic=0.5, z=-0.0, p=math.inf,
+                         verdict="consistent", fracs=tuple(fracs))
+
+
+def _dataset(n):
+    return Dataset(name="d", path="d.csv", column=1,
+                   values=np.array([2.0 ** k for k in range(1, n + 1)]),
+                   raw_rows=n, had_header=False, dropped_non_numeric=0,
+                   dropped_non_positive=0)
+
+
+@pytest.mark.parametrize("make", [
+    # every report kind, as computed
+    _tiny_table1,
+    lambda: run_table3(seed=0),
+    lambda: bound_sweep("lognormal10", ((0.0, 2.0), (0.0, 3.0)), LOG10),
+    lambda: pdelta_curve("uniform", 5.0, deltas=(0.5,)),
+    lambda: analyze_dataset(_dataset(120)),
+    lambda: mod1_law(Exponential(1.0), SQRT),
+    lambda: certify_mod1_bound(Exponential(1.0), SQRT),
+    # float blocks at the edges of the doubles, empty, of one float, and
+    # of floats mixed with other values
+    lambda: _analyze_report(_EDGES, _EDGES[::-1] + (2.5,)),
+    lambda: _analyze_report((), ()),
+    lambda: _analyze_report((0.25,), (math.nan,)),
+    lambda: _analyze_report((0.5, 1, None, 0.25), [1.5, 2.0]),
+    # nested float blocks: pairs inside a tuple, tuples as parameters
+    lambda: Table3Report(
+        seed=1, sigma=math.inf, sample_size=0,
+        uniform_row=(LimitCell(transform="log10", route="mod1-sup",
+                               path=((1.0, math.nan), (math.inf, -0.0), ()),
+                               defect=5e-324, verdict="YES"),),
+        exponential_row=(), half_normal_row=()),
+    lambda: BoundSweepReport(family="f", transform="sqrt", certificate="c",
+                             rows=(SweepRow(parameter=(-0.0, math.inf),
+                                            ratio_sup=math.nan, bound=1.0,
+                                            discrepancy=0.0, worst_z=0.5,
+                                            slack=1.0, error_budget=0.0),)),
+    lambda: Mod1Result(zs=np.array(_EDGES), probs=np.array([]),
+                       discrepancy=math.nan, worst_z=0.0, cells=0,
+                       error_budget=0.0),
+    # a string that could pass for a placeholder
+    lambda: _analyze_report((0.5, 0.75), (1.0,), name="\0float block 0"),
+], ids=["sequence-table", "rv-table", "bound-sweep", "pdelta-curve",
+        "data-table", "mod1-law", "bound-certificate", "edge-floats",
+        "empty", "one-float", "mixed", "nested-path", "tuple-parameter",
+        "float-arrays", "placeholder-name"])
+def test_record_is_the_indented_dump_of_its_tree(make):
+    report = make()
+    text = emit(report, "structured-record")
+    kind = json.loads(text)["kind"]
+    want = json.dumps({"kind": kind, **_jsonable(report)},
+                      sort_keys=True, indent=2) + "\n"
+    # reports the first line that differs: pytest's diff of two texts
+    # this long takes minutes
+    same = text == want
+    assert same, next((i, a, b) for i, (a, b) in enumerate(
+        zip(text.splitlines() + [None], want.splitlines() + [None]))
+        if a != b)
 
 
 # ---------------------------------------------------------------------------

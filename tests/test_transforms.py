@@ -1,6 +1,7 @@
 """Transform evaluation: exact fast paths, certified escalation, domains."""
 
 import math
+import random
 import re
 import sys
 from fractions import Fraction
@@ -851,6 +852,24 @@ class TestQuickPhase:
         # u below 2**-80 (2**-124 among them): all handed out
         tiny = got[-44:][np.array([ai < 1 << 40 for ai in a[-44:]])]
         assert tiny.all()
+
+    def test_frac_doubles_is_frac_double(self):
+        # random 80-bit cells, halfway cases at every exponent (c / 2**80
+        # a tie between two doubles, both mantissa parities), and the
+        # cells that round up to 1.0 and are clamped below it
+        rng = random.Random(80)
+        cells = [rng.getrandbits(80) for _ in range(20000)]
+        for shift in range(1, 28):
+            for parity in (0, 1) * 10:
+                m = 1 << 52 | rng.getrandbits(51) << 1 | parity
+                cells.append(m << shift | 1 << (shift - 1))
+        cells += [0, 1, 2 ** 40 - 1, 2 ** 40, 2 ** 79, 2 ** 80 - 2 ** 27,
+                  2 ** 80 - 2 ** 26 - 1, 2 ** 80 - 2 ** 26, 2 ** 80 - 1]
+        got = tr._frac_doubles(np.array(cells, dtype=object))
+        assert got.dtype == np.float64
+        assert got.tolist() == [tr._frac_double(c) for c in cells]
+        assert got[-1] == got[-2] == math.nextafter(1.0, 0.0)
+        assert tr._frac_doubles(np.array([], dtype=object)).shape == (0,)
 
     @pytest.mark.parametrize("t", ROUTED, ids=lambda t: t.label())
     def test_fewest_claim_holds(self, t):
