@@ -83,11 +83,11 @@ class BigReal:
 
     # ---- structure --------------------------------------------------------
 
-    def integer_digits(self):
+    def integer_bits(self):
         """Binary digit count of the integer part (0 when |value| < 1)."""
         return max(0, self.mantissa.bit_length() + self.exponent)
 
-    def significant_digits(self):
+    def significant_bits(self):
         """Certified significant bits (relative-error view of precision).
 
         For |value| >= 1 this is `precision - 1`; below 1 the leading zero
@@ -109,7 +109,7 @@ class BigReal:
     def _check_frac_precision(self, bits):
         if self.exact:
             return
-        avail = self.precision - self.integer_digits()
+        avail = self.precision - self.integer_bits()
         if avail < bits:
             raise InsufficientPrecision(
                 f"{avail} certified fractional bits available, "

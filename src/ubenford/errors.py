@@ -75,9 +75,10 @@ class InsufficientPrecision(NumericalFailure):
     BigReal.frac refuses with it; the certifier (_Certifier.certify in
     transforms.py) raises it for an inexact input once doubling the
     working precision gains no certified bits.
-    Callers are expected to regenerate the input at more bits and retry
-    (frac_sample doubles them); this is a control-flow signal, not a
-    fatal condition.
+    Callers are expected to regenerate the input at more bits and retry:
+    frac_sample doubles them until they pass the policy's cap, where it
+    raises PrecisionCapExceeded instead. This is a control-flow signal,
+    not a fatal condition.
     """
 
 

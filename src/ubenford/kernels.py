@@ -5,8 +5,10 @@ so rescaling, slicing and fractional parts are shifts and masks, which take
 linear time where decimal division takes quadratic time. Every kernel
 carries its own guard bits and floors the result back to the requested
 scale, so results are exact to a few ulp (integer-only arithmetic, no
-platform drift). Decimal appears only in `dec_digits` and `digits_to_bits`,
-which serve the decimal-facing edges (precision policies, digit counts).
+platform drift). Decimal appears only in `digits_to_bits`, which converts
+the precision policy's digits once (transforms._policy_bits), and in
+`dec_digits`, which no module of the package calls: it stays only for
+`perfbench/tracer.py`, which binds it by name.
 
 Constants (pi, ln 2, ln 10, e) are computed once per power-of-two precision
 bucket and sliced down by a shift: floor(floor(c*2^B) / 2^(B-p)) equals

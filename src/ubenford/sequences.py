@@ -4,9 +4,12 @@ Each sequence produces BigReal terms: exact integers where the value is an
 integer (primes, factorials, n**n), and certified approximations for
 irrational terms (sqrt n, pi*n, e**n, n**alpha) generated as binary fixed
 point with as many significant bits as the downstream transform asks for.
-frac_sample drives the whole pipeline term by term, retrying at doubled
-input precision whenever the transform refuses to certify a fractional
-part.
+One rule in bits sizes a term: a sequence with inexact terms bounds their
+integer bits (int_bits_estimate), and the certifier's start_bits turns
+that into the bits the term is generated at. An exact term ignores its
+bits. frac_sample drives the whole pipeline term by term, regenerating a
+term at doubled bits whenever the transform refuses to certify its
+fractional part, up to the policy's cap.
 """
 
 import math
@@ -18,21 +21,11 @@ import numpy as np
 from .bigreal import DEFAULT_POLICY, BigReal
 from .errors import DomainError, InsufficientPrecision, InvalidParameter, \
     count, real, string
-from .kernels import dec_digits, digits_to_bits, e_fixed, exp_fixed, \
-    ln2_fixed, ln_int_fixed, pi_fixed, pow_fixed
+from .kernels import e_fixed, exp_fixed, ln2_fixed, ln_int_fixed, \
+    pi_fixed, pow_fixed
 from .transforms import Power, _Certifier
 
-_LOG10_E_FIXED17 = 43429448190325182  # floor(log10(e) * 1e17)
-_LN10 = math.log(10.0)
-
-
-def _digits_from_log10(lg):
-    """Decimal integer digits of a value >= 1 with log10 = lg (a double).
-
-    The margin absorbs the double's rounding, so the count is the true one
-    or one more.
-    """
-    return int(lg + 1e-12 * lg + 1e-9) + 1
+_LOG2_E_FIXED64 = 26613026195688644984  # ceil(log2(e) * 2**64)
 
 
 # ---------------------------------------------------------------------------
@@ -75,17 +68,19 @@ class Sequence:
     """Base: positive terms indexed from n = 1.
 
     nth_term(n, bits) returns term n, certified to `bits` significant
-    bits where it is not exact; int_digits_estimate(n) estimates its
-    decimal integer digits.
+    bits where it is not exact.
     """
 
     name = "?"
 
-    def nth_term(self, n, bits=140):
+    def nth_term(self, n, bits):
         raise NotImplementedError
 
-    def int_digits_estimate(self, n):
-        raise NotImplementedError
+    def int_bits_estimate(self, n):
+        """An upper bound on the integer bits of term n, which sizes the
+        bits it is generated at. An exact term ignores `bits`, so a
+        sequence of exact terms keeps this 0."""
+        return 0
 
     def __repr__(self):
         return f"<Sequence {self.name}>"
@@ -94,40 +89,37 @@ class Sequence:
 class SqrtN(Sequence):
     name = "sqrt_n"
 
-    def nth_term(self, n, bits=140):
+    def nth_term(self, n, bits):
         r = isqrt(n)
         if r * r == n:
             return BigReal.from_int(r)
         return BigReal(isqrt(n << 2 * bits), -bits, bits, False)
 
-    def int_digits_estimate(self, n):
-        return (dec_digits(n) + 1) // 2
+    def int_bits_estimate(self, n):
+        return (n.bit_length() + 1) // 2
 
 
 class PiN(Sequence):
     name = "pi_n"
 
-    def nth_term(self, n, bits=140):
+    def nth_term(self, n, bits):
         return BigReal(pi_fixed(bits) * n, -bits, bits, False)
 
-    def int_digits_estimate(self, n):
-        return dec_digits(n) + 1
+    def int_bits_estimate(self, n):
+        return n.bit_length() + 2
 
 
 class Primes(Sequence):
     name = "primes"
 
-    def nth_term(self, n, bits=140):
+    def nth_term(self, n, bits):
         return BigReal.from_int(nth_prime(n))
-
-    def int_digits_estimate(self, n):
-        return dec_digits(nth_prime(n))
 
 
 class ExpN(Sequence):
     name = "exp_n"
 
-    def nth_term(self, n, bits=140):
+    def nth_term(self, n, bits):
         # e**n = (e/2)**n * 2**n, and floor(e * 2**(p-1)) at scale 2**p
         # is e/2; its last-bit error grows n-fold
         lost = n.bit_length() + 2
@@ -135,28 +127,22 @@ class ExpN(Sequence):
         mant, e2 = pow_fixed(e_fixed(p - 1), p, n)
         return BigReal(mant, e2 + n - p, p - lost, False)
 
-    def int_digits_estimate(self, n):
-        return n * _LOG10_E_FIXED17 // 10 ** 17 + 1
+    def int_bits_estimate(self, n):
+        return (n * _LOG2_E_FIXED64 >> 64) + 1
 
 
 class Factorial(Sequence):
     name = "factorial"
 
-    def nth_term(self, n, bits=140):
+    def nth_term(self, n, bits):
         return BigReal.from_int(math.factorial(n))
-
-    def int_digits_estimate(self, n):
-        return _digits_from_log10(math.lgamma(n + 1) / _LN10)
 
 
 class NPowN(Sequence):
     name = "n_pow_n"
 
-    def nth_term(self, n, bits=140):
+    def nth_term(self, n, bits):
         return BigReal.from_int(n ** n)
-
-    def int_digits_estimate(self, n):
-        return _digits_from_log10(n * math.log10(n))
 
 
 class PowerLaw(Sequence):
@@ -178,7 +164,7 @@ class PowerLaw(Sequence):
         self._alpha_float = a
         self.name = f"power_law({a:g})"
 
-    def nth_term(self, n, bits=140):
+    def nth_term(self, n, bits):
         if n == 1:
             return BigReal.from_int(1)  # 1**alpha is exactly 1
         if self._exact is not None:
@@ -206,10 +192,8 @@ class PowerLaw(Sequence):
                                pi_fixed(g) if self._inv_pi else None)
         return self._constants
 
-    def int_digits_estimate(self, n):
-        if n == 1:
-            return 1
-        return int(self._alpha_float * math.log10(n)) + 2
+    def int_bits_estimate(self, n):
+        return int(self._alpha_float * math.log2(n)) + 2
 
 
 SEQUENCES = {
@@ -263,23 +247,20 @@ def frac_sample(sequence, transform, n_max, policy=DEFAULT_POLICY,
     whole cell. Each term is generated at the start_bits of its estimated
     integer bits, so its significant bits cover the first working
     precision; when the transform refuses the term, it is regenerated at
-    doubled precision.
+    doubled bits, and PrecisionCapExceeded is raised once they pass the
+    policy's cap.
     """
     n_max = count("n_max", n_max, 1)
     certifier = _Certifier(transform, policy)
     out = []
     excluded = 0
     requested = 0
-    digits = first_bits = None  # the last digit estimate and its bits
     for n in range(1, n_max + 1):
         if index_filter is not None and not index_filter(n):
             continue
         requested += 1
-        d = sequence.int_digits_estimate(n)
-        if d != digits:
-            digits, first_bits = d, certifier.start_bits(digits_to_bits(d))
-        bits = first_bits
-        for _ in range(6):
+        bits = certifier.start_bits(sequence.int_bits_estimate(n))
+        while True:
             x = sequence.nth_term(n, bits)
             try:
                 out.append(certifier.frac(x))
@@ -289,8 +270,6 @@ def frac_sample(sequence, transform, n_max, policy=DEFAULT_POLICY,
                 break
             except InsufficientPrecision:
                 bits *= 2
-        else:
-            raise InsufficientPrecision(
-                f"term {n} of {sequence.name} would not certify under "
-                f"{transform.label()} after repeated escalation")
+                certifier.check_cap(bits, f"term {n} of {sequence.name} "
+                                          f"under {transform.label()}")
     return FracSample(np.asarray(out, dtype=np.float64), excluded, requested)

@@ -110,7 +110,7 @@ def _exact_log(x, base):
 
 def _input_frac_limit(x, result_int_bits):
     """Fractional bits of u(x) supported by the input's own certification."""
-    return x.significant_digits() - result_int_bits - 2
+    return x.significant_bits() - result_int_bits - 2
 
 
 def _log_constants(base, w):
@@ -137,7 +137,7 @@ def _log_at(x, w, constants):
     # bound add one each
     err = abs(k) + 2 + c * ((abs(q) >> w) + 1)
     if not x.exact:
-        err += 1 << max(0, w + 1 - x.significant_digits())
+        err += 1 << max(0, w + 1 - x.significant_bits())
     err = (err << w) // ln_base + 2
     frac_cert = min(w - err.bit_length(), _input_frac_limit(x, int_bits))
     return BigReal(q, -w, int_bits + frac_cert, False)
@@ -379,9 +379,9 @@ class Log(Transform):
         claims = []
         for v in self._quick_range:
             x = BigReal.from_float(v)
-            w = start_bits(self, x.integer_digits(), a)
+            w = start_bits(self, x.integer_bits(), a)
             r = self._eval_at(x, w, self._constants(w))
-            claims.append(r.precision - r.integer_digits())
+            claims.append(r.precision - r.integer_bits())
         return min(claims)
 
     def _quick(self, x):
@@ -497,7 +497,7 @@ class LogLog(Transform):
         if m < one or (m == one and e <= 0):
             # an inexact x within its certified error of 1 may still exceed
             # 1; refusing it lets the caller regenerate it at more bits
-            slack = 1 << max(0, -e - x.precision + x.integer_digits())
+            slack = 1 << max(0, -e - x.precision + x.integer_bits())
             if not x.exact and one - m <= slack:
                 raise InsufficientPrecision(
                     "certified bits cannot separate x from 1")
@@ -619,7 +619,7 @@ class Power(Transform):
         elif self.pi:
             # absolute error <= x**p * 2**-w from the truncated pi bits
             m, e, floor_bits = (pi * m, e - w,
-                                w - self.p * x.integer_digits() - 1)
+                                w - self.p * x.integer_bits() - 1)
         else:
             floor_bits = w  # x**p itself is exact
         int_bits = max(0, m.bit_length() + e)
@@ -773,6 +773,15 @@ class _Certifier:
                                                self.a)
         return self._start[1]
 
+    def check_cap(self, bits, what):
+        """PrecisionCapExceeded when `bits`, the bits `what` needs, pass
+        policy.cap: the one refusal at the cap, for the working precision
+        here and for a regenerated sequence term in frac_sample."""
+        if bits > self.cap:
+            raise PrecisionCapExceeded(
+                f"{what} needs {bits} bits, past the cap of "
+                f"{self.policy.cap} digits ({self.cap} bits)")
+
     def certify(self, x):
         """(u(x), floor({u(x)} * 2**b)), b = max(agreement bits, 80).
 
@@ -795,18 +804,15 @@ class _Certifier:
             return r, r.frac_scaled(self._bits)  # exact: every bit holds
 
         a, mod, band = self.a, self.mod, self.band
-        w = self.start_bits(x.integer_digits())
+        w = self.start_bits(x.integer_bits())
         escalated_for_near_integer = False
         refused = None  # certified fractional bits of the last refusal
         while True:
-            if w > self.cap:
-                raise PrecisionCapExceeded(
-                    f"needed working precision {w} bits exceeds cap "
-                    f"{self.policy.cap} digits ({self.cap} bits)")
+            self.check_cap(w, "the working precision")
             if w != self._w:
                 self._w, self._constants = w, transform._constants(w)
             r = transform._eval_at(x, w, self._constants)
-            got = r.precision - r.integer_digits()
+            got = r.precision - r.integer_bits()
             if got < a:
                 # a claim of no bits at all (LogLog's vanished inner log) is
                 # the working precision's limit, never evidence of the

@@ -11,12 +11,12 @@ tolerances are never loosened to force agreement.
 
 import math
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import density, sup_ratio_numeric
+from pinned import assert_pinned
 from ubenford.bigreal import BigReal, PrecisionPolicy
 from ubenford.distributions import (Exponential, HalfNormal,
                                     LognormalBase10, ParetoI, ParetoII,
@@ -230,14 +230,11 @@ def test_criterion_1_sequence_table_reproduction(full_table1):
         assert abs(cell.z - z) <= INDEPENDENT_Z_TOL, (key, cell.z, z)
 
 
-# `ubenford table1` stdout, byte for byte: a kernel rewrite must keep it,
-# and CI compares the console script's output with the same file
-TABLE1_TEXT = Path(__file__).parent / "fixtures" / "table1.txt"
-
-
 def test_table1_text_bytes_are_pinned(full_table1):
+    # `ubenford table1` stdout, byte for byte: a kernel rewrite must keep
+    # it, and CI compares the console script's output with the same file
     report, _ = full_table1
-    assert emit(report, "text-table").encode() == TABLE1_TEXT.read_bytes()
+    assert_pinned(emit(report, "text-table"), "table1.txt")
 
 
 def test_criterion_2_pathological_reruns(full_table1):

@@ -55,23 +55,23 @@ class TestConstruction:
 
 
 class TestStructure:
-    def test_integer_digits(self):
+    def test_integer_bits(self):
         # binary digits of the integer part
-        assert BigReal.from_float(0.5).integer_digits() == 0
-        assert BigReal.from_int(1).integer_digits() == 1
-        assert BigReal.from_int(255).integer_digits() == 8
-        assert BigReal.from_int(256).integer_digits() == 9
-        assert BigReal(1023, -8, 53, True).integer_digits() == 2  # 3.99...
-        assert BigReal.from_int(0).integer_digits() == 0
-        assert BigReal.from_int(10 ** 100).integer_digits() == 333
+        assert BigReal.from_float(0.5).integer_bits() == 0
+        assert BigReal.from_int(1).integer_bits() == 1
+        assert BigReal.from_int(255).integer_bits() == 8
+        assert BigReal.from_int(256).integer_bits() == 9
+        assert BigReal(1023, -8, 53, True).integer_bits() == 2  # 3.99...
+        assert BigReal.from_int(0).integer_bits() == 0
+        assert BigReal.from_int(10 ** 100).integer_bits() == 333
 
-    def test_significant_digits(self):
+    def test_significant_bits(self):
         # 0b1100000.111 (96.875) certified to 10 bits: relative error can
         # reach 2**-9
-        assert BigReal(775, -3, 10, False).significant_digits() == 9
+        assert BigReal(775, -3, 10, False).significant_bits() == 9
         # 775 * 2**-13 (~0.0946): the leading zero bits do not count
-        assert BigReal(775, -13, 10, False).significant_digits() == 6
-        assert BigReal.from_int(5).significant_digits() > 10 ** 8
+        assert BigReal(775, -13, 10, False).significant_bits() == 6
+        assert BigReal.from_int(5).significant_bits() > 10 ** 8
 
     def test_sign(self):
         assert BigReal.from_int(-3).sign() == -1

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from pinned import assert_pinned
 from ubenford.cli import main
 
 _DATA = Path(__file__).resolve().parents[1] / "data"
@@ -69,8 +70,7 @@ def test_table3_text_bytes_are_pinned(capsys):
     # CI compares the console script's output with the same file
     code, out, err = run(capsys, "table3")
     assert (code, err) == (0, "")
-    pinned = Path(__file__).parent / "fixtures" / "table3.txt"
-    assert out.encode() == pinned.read_bytes()
+    assert_pinned(out, "table3.txt")
 
 
 def test_bounds_text_and_plot(capsys):
@@ -171,8 +171,7 @@ def test_analyze_text_bytes_are_pinned(capsys, name):
     code, out, err = run(capsys, "analyze", str(_DATA / f"{name}.csv"),
                          "--column", "2")
     assert (code, err) == (0, "")
-    pinned = Path(__file__).parent / "fixtures" / f"analyze_{name}.txt"
-    assert out.encode() == pinned.read_bytes()
+    assert_pinned(out, f"analyze_{name}.txt")
 
 
 @pytest.mark.parametrize("name, argv", [
@@ -188,8 +187,7 @@ def test_bounds_text_bytes_are_pinned(capsys, name, argv):
     # on every row: its closed form does not round 1 + x
     code, out, err = run(capsys, "bounds", name, *argv)
     assert (code, err) == (0, "")
-    pinned = Path(__file__).parent / "fixtures" / f"bounds_{name}.txt"
-    assert out.encode() == pinned.read_bytes()
+    assert_pinned(out, f"bounds_{name}.txt")
 
 
 def test_pdelta_text_bytes_are_pinned(capsys):
@@ -197,8 +195,7 @@ def test_pdelta_text_bytes_are_pinned(capsys):
     # output with the same file
     code, out, err = run(capsys, "pdelta", "uniform", "100")
     assert (code, err) == (0, "")
-    pinned = Path(__file__).parent / "fixtures" / "pdelta_uniform_100.txt"
-    assert out.encode() == pinned.read_bytes()
+    assert_pinned(out, "pdelta_uniform_100.txt")
 
 
 @pytest.mark.parametrize("name, argv", [
@@ -229,8 +226,7 @@ def test_structured_record_bytes_are_pinned(capsys, name, argv):
     # CI compares the console script's output with the same files
     code, out, err = run(capsys, *argv, "--format", "structured-record")
     assert (code, err) == (0, "")
-    pinned = Path(__file__).parent / "fixtures" / f"record_{name}.json"
-    assert out.encode() == pinned.read_bytes()
+    assert_pinned(out, f"record_{name}.json")
 
 
 def test_analyze_transform_and_alpha_flags(capsys):

@@ -24,7 +24,6 @@ from mpmath import mp, mpf
 
 from ubenford.bigreal import DEFAULT_POLICY, BigReal
 from ubenford.errors import DomainError
-from ubenford.kernels import digits_to_bits
 from ubenford.sequences import ExpN, PiN, PowerLaw, SqrtN, frac_sample
 from ubenford.transforms import (IDENTITY, LOG2, LOG10, LOGLOG, PI_SQUARE,
                                  SQRT, Log, Power, _policy_bits,
@@ -153,7 +152,7 @@ AGREEMENT_BITS = _policy_bits(DEFAULT_POLICY)[0]
 def claim_error(r, transform, make_x, x_bits):
     """(|r - u(x)|, 2**-F) for the F fractional bits r claims; make_x
     builds the true input in mpmath, x_bits bounds its bit length."""
-    claimed = r.precision - r.integer_digits()
+    claimed = r.precision - r.integer_bits()
     with mp.workprec(max(r.mantissa.bit_length(), x_bits) + 64):
         value = mp.ldexp(mpf(r.mantissa), r.exponent)
         return abs(value - u_mp(transform, make_x())), mp.ldexp(1, -claimed)
@@ -176,7 +175,7 @@ def test_power_maps_claimed_bits_exact_integers(power, scale, n):
 
 def check_claim_exact(transform, scale, n):
     x = BigReal.from_int(n)
-    w = start_bits(transform, x.integer_digits(), AGREEMENT_BITS)
+    w = start_bits(transform, x.integer_bits(), AGREEMENT_BITS)
     r = transform._eval_at(x, scale * w, transform._constants(scale * w))
     err, bound = claim_error(r, transform, lambda: mpf(n), n.bit_length())
     assert err <= bound
@@ -213,10 +212,9 @@ def test_power_maps_claimed_bits_inexact_terms(power, scale, which, n,
 def check_claim_inexact(transform, scale, which, n, retries):
     seq, term = INEXACT_TERMS[which]
     # the input precision frac_sample asks for, and after a regeneration
-    bits = start_bits(transform, digits_to_bits(seq.int_digits_estimate(n)),
-                      AGREEMENT_BITS)
+    bits = start_bits(transform, seq.int_bits_estimate(n), AGREEMENT_BITS)
     x = seq.nth_term(n, bits << retries)
-    w = start_bits(transform, x.integer_digits(), AGREEMENT_BITS)
+    w = start_bits(transform, x.integer_bits(), AGREEMENT_BITS)
     r = transform._eval_at(x, scale * w, transform._constants(scale * w))
     err, bound = claim_error(r, transform, lambda: term(n), 0)
     assert err <= bound
@@ -226,7 +224,7 @@ def assert_certified(x, transform, make_x, x_bits):
     """eval_transform's result vouches for the agreement bits, and those
     bits hold: floor({u} * 2**a) is off by at most one, wrapping."""
     r = eval_transform(x, transform)
-    assert r.precision - r.integer_digits() >= AGREEMENT_BITS
+    assert r.precision - r.integer_bits() >= AGREEMENT_BITS
     err, bound = claim_error(r, transform, make_x, x_bits)
     assert err <= bound
     mod = 1 << AGREEMENT_BITS

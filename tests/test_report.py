@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from pinned import first_difference
 from ubenford.bounds import certify_mod1_bound, mod1_law
 from ubenford.distributions import Exponential, ParetoI
 from ubenford.errors import InvalidParameter
@@ -251,12 +252,8 @@ def test_record_is_the_indented_dump_of_its_tree(make):
     kind = json.loads(text)["kind"]
     want = json.dumps({"kind": kind, **_jsonable(report)},
                       sort_keys=True, indent=2) + "\n"
-    # reports the first line that differs: pytest's diff of two texts
-    # this long takes minutes
-    same = text == want
-    assert same, next((i, a, b) for i, (a, b) in enumerate(
-        zip(text.splitlines() + [None], want.splitlines() + [None]))
-        if a != b)
+    same = text == want  # a bare bool, so pytest does not diff the texts
+    assert same, first_difference(text, want)
 
 
 # ---------------------------------------------------------------------------

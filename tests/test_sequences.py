@@ -10,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from ubenford.errors import InsufficientPrecision, InvalidParameter
+from ubenford.bigreal import BigReal, PrecisionPolicy
+from ubenford.errors import InvalidParameter, PrecisionCapExceeded
 from ubenford.sequences import (ExpN, Factorial, FracSample, NPowN, PiN,
-                                PowerLaw, Primes, SqrtN, frac_sample,
-                                nth_prime, odd_nonsquare, parse_sequence)
+                                PowerLaw, Primes, Sequence, SqrtN,
+                                frac_sample, nth_prime, odd_nonsquare,
+                                parse_sequence)
 from ubenford.transforms import (IDENTITY, LOG10, LOGLOG, PI_SQUARE, SQRT,
-                                 eval_transform)
+                                 _policy_bits, eval_transform, start_bits)
 
 
 def exact(x):
@@ -50,10 +52,22 @@ class TestPrimes:
             nth_prime(0)
 
 
+SIZED = [SqrtN(), PiN(), ExpN(), PowerLaw(0.37), PowerLaw(0.5),
+         PowerLaw("1/pi"), PowerLaw(33.3)]
+
+
+def check_int_bits_estimate(seq, n):
+    """int_bits_estimate(n) bounds the integer bits of term n from above,
+    by at most 2 bits too many."""
+    est = seq.int_bits_estimate(n)
+    got = seq.nth_term(n, bits=107).integer_bits()
+    assert got <= est <= got + 2, (seq.name, n, est, got)
+
+
 class TestTerms:
     def test_sqrt_n_exactness(self):
-        assert SqrtN().nth_term(49).exact
-        assert exact(SqrtN().nth_term(49)) == 7
+        assert SqrtN().nth_term(49, bits=100).exact
+        assert exact(SqrtN().nth_term(49, bits=100)) == 7
         x = SqrtN().nth_term(2, bits=100)
         assert not x.exact
         assert abs(float(exact(x)) - math.sqrt(2)) < 1e-15
@@ -64,10 +78,10 @@ class TestTerms:
 
     def test_exp_n(self):
         x = ExpN().nth_term(100, bits=100)
-        assert x.integer_digits() == 145  # 2**144 < e**100 < 2**145
-        assert ExpN().int_digits_estimate(100) == 44
+        assert x.integer_bits() == 145  # 2**144 < e**100 < 2**145
+        assert ExpN().int_bits_estimate(100) == 145
         assert abs(float(exact(x)) / math.exp(100) - 1) < 1e-13
-        assert ExpN().int_digits_estimate(1000) == 435
+        assert ExpN().int_bits_estimate(1000) == 1443  # 1000 log2(e) = 1442.7
 
     def test_exp_n_single_constant_consistency(self):
         a = float(exact(ExpN().nth_term(9, bits=100)))
@@ -82,22 +96,79 @@ class TestTerms:
             assert not x.exact and x.precision == bits
 
     def test_exact_integer_sequences(self):
-        assert exact(Factorial().nth_term(10)) == 3628800
-        assert Factorial().nth_term(10).exact
-        assert exact(NPowN().nth_term(5)) == 3125
-        assert exact(Primes().nth_term(4)) == 7
+        assert exact(Factorial().nth_term(10, bits=100)) == 3628800
+        assert Factorial().nth_term(10, bits=100).exact
+        assert exact(NPowN().nth_term(5, bits=100)) == 3125
+        assert exact(Primes().nth_term(4, bits=100)) == 7
 
-    def test_int_digit_estimates_match(self):
-        # estimates are decimal digit counts of the integer part
-        for seq in (SqrtN(), PiN(), Primes(), Factorial(), NPowN()):
-            for n in (1, 2, 17, 300, 1000):
-                est = seq.int_digits_estimate(n)
-                x = seq.nth_term(n, bits=100)
-                whole = x.mantissa >> -x.exponent if x.exponent < 0 \
-                    else x.mantissa << x.exponent
-                real = len(str(whole)) if whole else 0
-                assert est >= real, (seq.name, n)
-                assert est <= real + 2, (seq.name, n)
+    @pytest.mark.parametrize("seq", [Primes(), Factorial(), NPowN()],
+                             ids=repr)
+    def test_exact_sequences_state_no_size(self, seq):
+        # an exact term ignores its bits, so only the base's 0 sizes it
+        assert "int_bits_estimate" not in type(seq).__dict__
+        assert seq.int_bits_estimate(1000) == 0
+
+    @pytest.mark.parametrize("seq", [Primes(), Factorial(), NPowN(), SqrtN(),
+                                     PowerLaw(3.0)], ids=repr)
+    def test_exact_terms_ignore_their_bits(self, seq):
+        # every n for the exact sequences, the squares for sqrt n
+        root = isinstance(seq, SqrtN)
+        for n in (k * k if root else k for k in range(1, 61)):
+            terms = {(x.mantissa, x.exponent, x.precision, x.exact)
+                     for x in (seq.nth_term(n, b) for b in (1, 107, 4096))}
+            assert len(terms) == 1 and terms.pop()[3], (seq.name, n)
+
+    def test_int_bits_estimates_match(self):
+        for seq in SIZED:
+            for n in range(1, 10 ** 4 + 1):
+                check_int_bits_estimate(seq, n)
+
+
+class TestIntBitsEstimate:
+    @given(which=st.integers(min_value=0, max_value=len(SIZED) - 1),
+           n=st.integers(min_value=1, max_value=10 ** 6))
+    @settings(max_examples=200, deadline=None)
+    def test_sampled_terms(self, which, n):
+        seq = SIZED[which]
+        check_int_bits_estimate(seq, n % 5000 + 1 if seq.name == "exp_n"
+                                else n)
+
+    @given(n=st.integers(min_value=1, max_value=2 ** 100))
+    @settings(max_examples=200, deadline=None)
+    def test_exp_n_bound_holds_past_the_generated_terms(self, n):
+        # e**n has floor(n log2 e) + 1 integer bits; far past 2**64 the
+        # rounding of log2 e decides the bound, whatever is generated
+        with mp.workprec(n.bit_length() + 128):
+            want = int(mp.floor(n / mp.log(2))) + 1
+        assert ExpN().int_bits_estimate(n) >= want
+
+
+class InputLimited(Sequence):
+    """Terms whose certified bits never grow with the bits asked for."""
+
+    name = "input_limited"
+
+    def __init__(self):
+        self.asked = []
+
+    def nth_term(self, n, bits):
+        self.asked.append(bits)
+        return BigReal(3 << 28, -28, 30, False)
+
+
+def test_regeneration_stops_at_the_cap():
+    policy = PrecisionPolicy(cap=300)
+    a, _, _, cap_bits = _policy_bits(policy)
+    first = start_bits(LOG10, 0, a)
+    seq = InputLimited()
+    with pytest.raises(PrecisionCapExceeded) as refusal:
+        frac_sample(seq, LOG10, 5, policy)
+    asked = seq.asked
+    assert len(asked) <= math.ceil(math.log2(cap_bits / first)) + 1
+    assert asked == [first << k for k in range(len(asked))]
+    assert asked[-1] <= cap_bits < 2 * asked[-1]
+    assert str(refusal.value).startswith(
+        f"term 1 of input_limited under log10 needs {2 * asked[-1]} bits")
 
 
 class TestPowerLaw:
@@ -111,11 +182,11 @@ class TestPowerLaw:
         assert abs(got - want) < 1e-14
 
     def test_integer_exponent_exact(self):
-        x = PowerLaw(3.0).nth_term(7)
+        x = PowerLaw(3.0).nth_term(7, bits=100)
         assert x.exact and exact(x) == 343
 
     def test_half_integer_exact_on_squares(self):
-        x = PowerLaw(0.5).nth_term(16)
+        x = PowerLaw(0.5).nth_term(16, bits=100)
         assert x.exact and exact(x) == 4
         y = PowerLaw(0.5).nth_term(2, bits=100)
         assert not y.exact
@@ -218,7 +289,7 @@ class TestFracSample:
 
     def test_sqrt_of_n_pow_n_exact_iff_even_or_square(self):
         for n in range(1, 61):
-            r = eval_transform(NPowN().nth_term(n), SQRT)
+            r = eval_transform(NPowN().nth_term(n, bits=100), SQRT)
             expect = (n % 2 == 0) or (math.isqrt(n) ** 2 == n)
             assert r.exact == expect, n
 

@@ -13,9 +13,10 @@ import ubenford
 
 SRC = Path(ubenford.__file__).parent
 
-# names a library calls on our objects: argparse's usage-error hook,
-# overridden by cli._Parser
-ALLOWED = {"error"}
+# names called from outside the package: argparse's usage-error hook,
+# overridden by cli._Parser, and kernels.dec_digits, which
+# perfbench/tracer.py binds by name
+ALLOWED = {"error", "dec_digits"}
 
 
 def _scan():

@@ -878,9 +878,9 @@ class TestQuickPhase:
         a = digits_to_bits(DEFAULT_POLICY.agreement)
         for x in _whole_range(17)[::4].tolist():
             b = BigReal.from_float(x)
-            w = start_bits(t, b.integer_digits(), a)
+            w = start_bits(t, b.integer_bits(), a)
             r = t._eval_at(b, w, t._constants(w))
-            assert r.precision - r.integer_digits() >= t._fewest_claim(a)
+            assert r.precision - r.integer_bits() >= t._fewest_claim(a)
 
     def test_few_doubles_reach_the_certifier(self):
         # under 1% of 26,000 doubles over +-300 decades, where the
