@@ -7,9 +7,11 @@ point with as many significant bits as the downstream transform asks for.
 One rule in bits sizes a term: a sequence with inexact terms bounds their
 integer bits (int_bits_estimate), and the certifier's start_bits turns
 that into the bits the term is generated at. An exact term ignores its
-bits. frac_sample drives the whole pipeline term by term, regenerating a
-term at doubled bits whenever the transform refuses to certify its
-fractional part, up to the policy's cap.
+bits. frac_sample hands a cell to the certifier (_Certifier.terms): the
+terms of a sequence that states them as pi**c m_n**s (`form`) are mostly
+certified in numpy blocks from m_n (`_bases`); every other term is
+generated, and regenerated at doubled bits while the transform refuses
+its fractional part, up to the policy's cap.
 """
 
 import math
@@ -19,13 +21,15 @@ from math import isqrt
 import numpy as np
 
 from .bigreal import DEFAULT_POLICY, BigReal
-from .errors import DomainError, InsufficientPrecision, InvalidParameter, \
-    count, real, string
+from .errors import InvalidParameter, count, real, string
 from .kernels import e_fixed, exp_fixed, ln2_fixed, ln_int_fixed, \
     pi_fixed, pow_fixed
-from .transforms import Power, _Certifier
+from .transforms import Power, _Certifier, _policy_bits
 
 _LOG2_E_FIXED64 = 26613026195688644984  # ceil(log2(e) * 2**64)
+# a power law builds n**(p/q) exactly while p bit_length(n) / q stays
+# within the default cap's bits; past them its exp route certifies
+_EXACT_MAX_BITS = _policy_bits(DEFAULT_POLICY)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -68,10 +72,17 @@ class Sequence:
     """Base: positive terms indexed from n = 1.
 
     nth_term(n, bits) returns term n, certified to `bits` significant
-    bits where it is not exact.
+    bits where it is not exact. `form` = (s, c), a float s and c in (0,
+    1), states term n as pi**c m_n**s, m_n = _bases(n) an integer below
+    2**53; None where no such form holds.
     """
 
     name = "?"
+    form = None
+
+    def _bases(self, n):
+        """m_n as doubles, for an ascending int64 array of indices n."""
+        return n.astype(np.float64)
 
     def nth_term(self, n, bits):
         raise NotImplementedError
@@ -88,6 +99,7 @@ class Sequence:
 
 class SqrtN(Sequence):
     name = "sqrt_n"
+    form = (0.5, 0)
 
     def nth_term(self, n, bits):
         r = isqrt(n)
@@ -101,6 +113,7 @@ class SqrtN(Sequence):
 
 class PiN(Sequence):
     name = "pi_n"
+    form = (1.0, 1)
 
     def nth_term(self, n, bits):
         return BigReal(pi_fixed(bits) * n, -bits, bits, False)
@@ -111,9 +124,15 @@ class PiN(Sequence):
 
 class Primes(Sequence):
     name = "primes"
+    form = (1.0, 0)
 
     def nth_term(self, n, bits):
         return BigReal.from_int(nth_prime(n))
+
+    def _bases(self, n):
+        lo, hi = int(n[0]), int(n[-1])
+        nth_prime(hi)  # the sieve reaches p_hi
+        return np.array(_PRIMES[lo - 1:hi], dtype=np.float64)[n - lo]
 
 
 class ExpN(Sequence):
@@ -162,13 +181,15 @@ class PowerLaw(Sequence):
         # x**(p/q) finds every term exact for q = 1, squares' roots for 2
         self._exact = Power(p, q) if q <= 2 else None
         self._alpha_float = a
+        self.form = (a, 0)
         self.name = f"power_law({a:g})"
 
     def nth_term(self, n, bits):
         if n == 1:
             return BigReal.from_int(1)  # 1**alpha is exactly 1
-        if self._exact is not None:
-            r = self._exact._try_exact(BigReal.from_int(n))
+        t = self._exact
+        if t is not None and t.p * n.bit_length() <= t.q * _EXACT_MAX_BITS:
+            r = t._try_exact(BigReal.from_int(n))
             if r is not None:
                 return r
         # ulps of ln n, scaled by alpha, become relative error of exp
@@ -209,8 +230,8 @@ SEQUENCES = {
 def parse_sequence(text):
     """Registry lookup; power laws take a parameter: "power_law:1/pi"."""
     t = string("sequence", text).strip().lower()
-    if t.startswith("power_law"):
-        _, _, arg = t.partition(":")
+    name, _, arg = t.partition(":")
+    if name == "power_law":
         return PowerLaw(arg if arg else "1/pi")
     if t in SEQUENCES:
         return SEQUENCES[t]()
@@ -244,32 +265,8 @@ def frac_sample(sequence, transform, n_max, policy=DEFAULT_POLICY,
 
     Terms outside the transform's domain (e.g. x <= 1 under the iterated
     log) are skipped and counted in `excluded`. One certifier serves the
-    whole cell. Each term is generated at the start_bits of its estimated
-    integer bits, so its significant bits cover the first working
-    precision; when the transform refuses the term, it is regenerated at
-    doubled bits, and PrecisionCapExceeded is raised once they pass the
-    policy's cap.
+    whole cell (_Certifier.terms) and raises PrecisionCapExceeded before
+    a term would be generated past the policy's cap.
     """
-    n_max = count("n_max", n_max, 1)
-    certifier = _Certifier(transform, policy)
-    out = []
-    excluded = 0
-    requested = 0
-    for n in range(1, n_max + 1):
-        if index_filter is not None and not index_filter(n):
-            continue
-        requested += 1
-        bits = certifier.start_bits(sequence.int_bits_estimate(n))
-        while True:
-            x = sequence.nth_term(n, bits)
-            try:
-                out.append(certifier.frac(x))
-                break
-            except DomainError:
-                excluded += 1
-                break
-            except InsufficientPrecision:
-                bits *= 2
-                certifier.check_cap(bits, f"term {n} of {sequence.name} "
-                                          f"under {transform.label()}")
-    return FracSample(np.asarray(out, dtype=np.float64), excluded, requested)
+    return FracSample(*_Certifier(transform, policy).terms(
+        sequence, count("n_max", n_max, 1), index_filter))

@@ -17,10 +17,11 @@ enter only through the policy, in _policy_bits.
 An array of doubles (analyze_dataset, the sampled row of table3) goes
 through _Certifier.fracs in two phases, after Ziv, a block of
 _QUICK_BLOCK values at a time. The quick phase has two routes. The
-double-double route evaluates Log (every base), and sqrt and pi*x**2
-while u <= 2**20, in numpy, with a proved bound err on each value's
-error (below 2**-92 for a log, about 2**-105 u for sqrt and 2**-104 u
-for pi*x**2; the proofs are in the `_quick` methods). The integer route
+double-double route evaluates Log (every base), LogLog, and sqrt and
+pi*x**2 while u <= 2**20, in numpy, with a proved bound err on each
+value's error (below 2**-92 for a log, about 2**-105 u for sqrt and
+2**-104 u for pi*x**2; the proofs are in the `_quick` methods and in
+`_log10_of`). The integer route
 (`Power._scaled`) takes what the power maps with an inexact result
 (q = 2, or c = pi) leave, at any size: A = floor(u * 2**120) in Python
 ints, exact but for pi's few units. A double is handed out only where
@@ -34,6 +35,23 @@ Log, LogLog, the identity and x**p without pi everywhere), an exact
 power of the base, and any u that lies near a cell edge or, for Log,
 an integer. Below 2**-80 the integer route needs no lower margin: its
 maps' certified results are never negative.
+
+A sequence's terms (frac_sample) go through _Certifier.terms, the same
+two phases over blocks of indices. A sequence that states its term n as
+pi**c m_n**s, m_n an integer below 2**53 (Sequence.form), hands m_n to
+the quick routes of u composed with that form (`_on_terms`): a log
+becomes s log_b m + c log_b pi (`_scale_shift`), the iterated log the
+outer log of that, and a power map with c = 0 the power map
+m**(s p/q) where that map has a route. The width is then the fewest
+bits the per-term route claims on the generated terms (`_term_width`),
+not the width for doubles. Routed: sqrt_n, pi_n, primes and the power
+laws with a double exponent under every log; primes under sqrt and
+pi*x**2, sqrt_n under pi*x**2 (pi*n), and a power law whose exponent
+times the map's gives sqrt, pi*x**2 or another map with the integer
+route. Per term only: sqrt_n and pi_n under sqrt, pi_n under pi*x**2,
+the power laws under sqrt and the identity whose composed exponent has
+a denominator past 2 (every seeded one), n**(1/pi), and the slow rows
+e**n, n! and n**n, which state no such form.
 """
 
 import bisect
@@ -156,6 +174,10 @@ def _log_at(x, w, constants):
 _DD_BITS = 160  # fixed-point bits of the constants the quick phase rounds
 _HALF_ULP = 2.0 ** -53
 _QUICK_BLOCK = 4096  # values per numpy pass, which bounds its temporaries
+# indices per block of a sequence cell: the iterated log's quick phase
+# keeps about 50 doubles live per value, and a cell's peak memory stays
+# near the per-term route's list of doubles
+_TERM_BLOCK = 1024
 _QUICK_U_MAX = 2.0 ** 20  # a power map's double-double phase stops here
 # the integer route's A = floor(u * 2**_ROUTE_BITS) keeps _ROUTE_GUARD bits
 # below the 2**-80 cell
@@ -241,6 +263,80 @@ def _quick_pi():
     return _dd(pi_fixed(_DD_BITS), 2)
 
 
+@functools.cache
+def _quick_log_pi(base):
+    """log_base(pi) as (hi, lo, err). At g = _DD_BITS + 64 bits, ln of
+    pi_fixed(g) (within 2 units of pi 2**g, so below 1 ulp of ln pi + g
+    ln 2) is within g + 4 ulps and g ln 2 within g, ln(base) within
+    bit_length + 2; the quotient by ln(base) >= ln 2, with log_base(pi) <
+    2, is within 3 (2g + 4) + 3 (bit_length + 2) + 1 ulps at 2**-g, and
+    the shift to 2**-160 floors once more: 2 ulps for every base below
+    2**(2**55)."""
+    g = _DD_BITS + 64
+    ln2 = ln2_fixed(g)
+    ln_pi = ln_int_fixed(pi_fixed(g), g, ln2) - g * ln2
+    q = (ln_pi << g) // ln_int_fixed(base, g, ln2)
+    return _dd(q >> 64, 2)
+
+
+# the iterated log's quick phase falls back where the inner log is below
+# this: its error, divided by the inner log, would fill a 2**-80 cell
+_LOGLOG_Y_MIN = 2.0 ** -10
+_INV_LN10_UP = 0.4343  # above 1/ln 10 = 0.43429448...
+
+
+def _scale_shift(lh, ll, e, s, c):
+    """s L + C in double-double and its error bound, for L = lh + ll
+    within e, a double s in [2**-400, 2**400] and C = (ch, cl, ec), ch +
+    cl within ec.
+
+    s lh = p + pe exactly (Dekker), m1 = RN(s ll) rounds once, p + ch =
+    h + r exactly, low = ((r + pe) + m1) + cl rounds three times and
+    vh + vl = h + low exactly. So the error is s e + ec + 2**-53 (|m1| +
+    each partial sum of low), and 2**-1000 for a product s ll below the
+    normal range (within 2**-1074 of its value, where the relative count
+    fails); s keeps s lh and its error term normal for |lh| >= 2**-500.
+    """
+    ch, cl, ec = c
+    p, pe = _two_prod(s, lh)
+    m1 = s * ll
+    h, r = _two_sum(p, ch)
+    s1 = r + pe
+    s2 = s1 + m1
+    low = s2 + cl
+    vh, vl = _two_sum(h, low)
+    return vh, vl, (s * e + (ec + 2.0 ** -1000) + _HALF_ULP * (
+        np.abs(m1) + np.abs(s1) + np.abs(s2) + np.abs(low)))
+
+
+def _log10_of(yh, yl, e1):
+    """log10(y) in double-double and its error bound, for y = yh + yl
+    within e1 (yh = RN(yh + yl)); err is 1, a whole unit that no cell
+    holds, where yh < _LOGLOG_Y_MIN or e1 > 2**-60 yh, and the caller's
+    value falls back.
+
+    log10(yh + yl) = log10(yh) + log10(1 + r), r = yl / yh with |r| <=
+    2**-53, and log10(1 + r) = r / ln 10 within r**2 / (2 ln 10) <
+    2**-107. LOG10._quick(yh) gives log10(yh) within its own err; c =
+    RN(yl / yh) and d = RN(c ih), ih = RN(1 / ln 10), round once each and
+    ih is within 2**-53 relative, so d is r / ln 10 within 2**-51 |d|;
+    ul + d rounds once more. The true y lies within e1 of yh + yl, and
+    the log's slope on that interval, 1 / ((y - e1) ln 10), is below
+    _INV_LN10_UP / yh up to a relative 2**-52 (|yl| + e1 <= 2**-52 yh),
+    which with the roundings of that term is slack left to the
+    certifier's factor 1 + 2**-40, as in `Log._quick`.
+    """
+    ok = (yh >= _LOGLOG_Y_MIN) & (e1 <= 2.0 ** -60 * yh)
+    yh = np.where(ok, yh, 1.0)
+    uh, ul, err = LOG10._quick(yh)
+    d = yl / yh * _quick_inv_ln(10)[0]
+    wl = ul + d
+    vh, vl = _two_sum(uh, wl)
+    err += (2.0 ** -51 * np.abs(d) + 2.0 ** -107 + _HALF_ULP * np.abs(wl)
+            + e1 * _INV_LN10_UP / yh)
+    return vh, vl, np.where(ok, err, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # the transforms
 
@@ -264,7 +360,7 @@ class Transform:
     certifier: `_check_domain`, `_try_exact` (exact result or None),
     `_constants` (what `_eval_at` needs at one working precision, taken
     once per w), `_fewest_claim` (which sizes the quick routes' width),
-    `_eval_at`
+    `_on_terms` (the quick route on a sequence's terms), `_eval_at`
     (u(x) floor-accurate at scale 2**-w from those constants, certified
     bits as precision; it never raises, a value it cannot vouch for gets
     a short claim) and `_result_bits_estimate` (integer bits of u for an
@@ -284,8 +380,27 @@ class Transform:
     def _fewest_claim(self, a):
         """The fewest fractional bits `_eval_at` claims, at its first
         working precision for `a` agreement bits, for a double a quick
-        route takes; None without a quick route."""
-        return None
+        route takes; None without a quick route. Power overrides it; for
+        the logs the error count grows with |k| and |u|, the input's
+        binary exponent and its image, and the first precision is one
+        for every double, so the claim is fewest at a range end."""
+        if self._quick_range is None:
+            return None
+        claims = []
+        for v in self._quick_range:
+            x = BigReal.from_float(v)
+            w = start_bits(self, x.integer_bits(), a)
+            r = self._eval_at(x, w, self._constants(w))
+            claims.append(r.precision - r.integer_bits())
+        return min(claims)
+
+    def _on_terms(self, s, c):
+        """The quick route of u on terms pi**c m**s, c in (0, 1), as a map
+        of the integers m (`_LogOfTerms` for the logs), or None. Power
+        overrides it."""
+        if not 2.0 ** -400 <= s <= 2.0 ** 400:
+            return None  # _scale_shift's range
+        return _LogOfTerms(self, s, c)
 
     def label(self):
         return self.kind
@@ -372,17 +487,6 @@ class Log(Transform):
 
     # every normal double; |u| stays below 1,075 on it
     _quick_range = (2.0 ** -1022, sys.float_info.max)
-
-    def _fewest_claim(self, a):
-        # the error count grows with |k| and |u|, and the first precision
-        # is one for every double, so the claim is fewest at a range end
-        claims = []
-        for v in self._quick_range:
-            x = BigReal.from_float(v)
-            w = start_bits(self, x.integer_bits(), a)
-            r = self._eval_at(x, w, self._constants(w))
-            claims.append(r.precision - r.integer_bits())
-        return min(claims)
 
     def _quick(self, x):
         """u(x) = uh + ul in double-double and err >= |uh + ul - u(x)|,
@@ -524,6 +628,44 @@ class LogLog(Transform):
     def _result_bits_estimate(self, int_bits):
         return 14
 
+    # from where log10 x reaches _LOGLOG_Y_MIN to the largest double
+    _quick_range = (10.0 ** _LOGLOG_Y_MIN, sys.float_info.max)
+
+    def _quick(self, x):
+        """u(x) = uh + ul in double-double and err >= |uh + ul - u(x)|,
+        for an array of doubles in _quick_range: the outer log10
+        (`_log10_of`) of LOG10's double-double log10 x."""
+        return _log10_of(*LOG10._quick(x))
+
+
+@dataclass(frozen=True)
+class _LogOfTerms:
+    """The quick route of a log map u on the terms pi**c m**s of a
+    sequence, as a map of the integers m in _quick_range: s log_b m + c
+    log_b pi (`_scale_shift` on Log's double-double log_b m) for u =
+    log_b, and `_log10_of` that for the iterated log. m = 1 with c = 0
+    is the term 1, whose log is the integer 0 and which lies outside the
+    iterated log's domain, so the range starts at 2 there.
+    """
+
+    u: Transform
+    s: float
+    c: int
+    _integer_route = False
+
+    @property
+    def _quick_range(self):
+        return (1.0 if self.c else 2.0, 2.0 ** 53 - 1.0)
+
+    def _quick(self, m):
+        log = LOG10 if isinstance(self.u, LogLog) else self.u
+        y = log._quick(m)
+        if self.s != 1.0 or self.c:
+            zero = (0.0, 0.0, 0.0)
+            y = _scale_shift(*y, self.s,
+                             _quick_log_pi(log.base) if self.c else zero)
+        return y if log is self.u else _log10_of(*y)
+
 
 _POWER_NAMES = {(1, 1, False): "identity", (1, 2, False): "sqrt",
                 (2, 1, True): "pi_square"}
@@ -641,6 +783,21 @@ class Power(Transform):
         limit, 10**9 bits, never binds below the cap.
         """
         return _GUARD_BITS + a if self._integer_route else None
+
+    def _on_terms(self, s, c):
+        """Power(P, Q, pi) on m, P/Q = s p/q in lowest terms, for terms
+        m**s (c = 0), where that is a power map with a quick route; else
+        None."""
+        if c:
+            return None
+        a, b = s.as_integer_ratio()
+        p, q = a * self.p, b * self.q
+        g = math.gcd(p, q)
+        try:
+            t = Power(p // g, q // g, self.pi)
+        except InvalidParameter:
+            return None
+        return t if t._quick_range or t._integer_route else None
 
     def _scaled(self, x):
         """The integer route: A = floor(u(x) * 2**_ROUTE_BITS), as an object
@@ -776,7 +933,7 @@ class _Certifier:
     def check_cap(self, bits, what):
         """PrecisionCapExceeded when `bits`, the bits `what` needs, pass
         policy.cap: the one refusal at the cap, for the working precision
-        here and for a regenerated sequence term in frac_sample."""
+        here and for a sequence term in `_term_frac`."""
         if bits > self.cap:
             raise PrecisionCapExceeded(
                 f"{what} needs {bits} bits, past the cap of "
@@ -809,9 +966,7 @@ class _Certifier:
         refused = None  # certified fractional bits of the last refusal
         while True:
             self.check_cap(w, "the working precision")
-            if w != self._w:
-                self._w, self._constants = w, transform._constants(w)
-            r = transform._eval_at(x, w, self._constants)
+            r = self._eval(x, w)
             got = r.precision - r.integer_bits()
             if got < a:
                 # a claim of no bits at all (LogLog's vanished inner log) is
@@ -834,6 +989,13 @@ class _Certifier:
                 continue
             return r, f
 
+    def _eval(self, x, w):
+        """The transform's `_eval_at` at w, with the constants of the
+        last w kept."""
+        if w != self._w:
+            self._w, self._constants = w, self.transform._constants(w)
+        return self.transform._eval_at(x, w, self._constants)
+
     def frac(self, x):
         """{u(x)} as a certified double in [0, 1)."""
         f = self.certify(x)[1]
@@ -854,14 +1016,63 @@ class _Certifier:
         out = np.zeros(xs.size)
         outside = np.zeros(xs.size, dtype=bool)
         for lo in range(0, xs.size, _QUICK_BLOCK):
-            x, got = xs[lo:lo + _QUICK_BLOCK], out[lo:lo + _QUICK_BLOCK]
-            handed = self._hand_out(x, got)
-            for i in np.flatnonzero(~handed):
-                try:
-                    got[i] = self.frac(BigReal.from_float(x[i].item()))
-                except DomainError:
-                    outside[lo + i] = True
+            s = slice(lo, lo + _QUICK_BLOCK)
+            self._settle(xs[s], out[s], outside[s],
+                         self._hand_out(xs[s], out[s]),
+                         lambda v: self.frac(BigReal.from_float(v)))
         return out, outside
+
+    def terms(self, sequence, n_max, keep=None):
+        """(fracs, excluded, requested) for the terms x_n of `sequence`,
+        n = 1..n_max where keep(n) holds (every n without `keep`): {u(x_n)}
+        as the doubles `_term_frac` certifies, in order of n, the count of
+        terms outside u's domain, left out of fracs, and the count of n.
+
+        The two phases of `fracs`, one block of _TERM_BLOCK indices at a
+        time: `_hand_out_terms` hands out the terms of a sequence with a
+        form, and every other term takes the per-term route.
+        """
+        frac = functools.partial(self._term_frac, sequence)
+        parts, excluded, requested = [], 0, 0
+        for lo in range(1, n_max + 1, _TERM_BLOCK):
+            hi = min(lo + _TERM_BLOCK, n_max + 1)
+            n = np.arange(lo, hi) if keep is None else np.array(
+                [i for i in range(lo, hi) if keep(i)], dtype=np.int64)
+            out = np.zeros(n.size)
+            outside = np.zeros(n.size, dtype=bool)
+            self._settle(n, out, outside,
+                         self._hand_out_terms(sequence, n, out), frac)
+            parts.append(out[~outside])
+            excluded += int(outside.sum())
+            requested += n.size
+        return np.concatenate(parts), excluded, requested
+
+    def _settle(self, x, out, outside, handed, frac):
+        """The second phase on one block: out[i] = frac(x[i]) for each x
+        the quick phase did not hand out, or outside[i] where that raises
+        DomainError."""
+        left = np.flatnonzero(~handed)
+        for i, v in zip(left.tolist(), x[left].tolist()):
+            try:
+                out[i] = frac(v)
+            except DomainError:
+                outside[i] = True
+
+    def _term_frac(self, sequence, n):
+        """{u(x_n)} as a certified double, the per-term route: x_n is
+        generated at the start_bits of its estimated integer bits and
+        regenerated at doubled bits while the transform refuses it.
+        PrecisionCapExceeded is raised before a term would be generated
+        past the cap."""
+        bits = self.start_bits(sequence.int_bits_estimate(n))
+        while True:
+            if bits > self.cap:
+                self.check_cap(bits, f"term {n} of {sequence.name} under "
+                                     f"{self.transform.label()}")
+            try:
+                return self.frac(sequence.nth_term(n, bits))
+            except InsufficientPrecision:
+                bits *= 2
 
     @functools.cached_property
     def _quick_int_bits(self):
@@ -891,28 +1102,91 @@ class _Certifier:
         claim = self.transform._fewest_claim(self.a)
         return None if claim is None or claim < self.a else 2.0 ** -claim
 
+    def _term_width(self, sequence, n_lo, n_hi):
+        """`_quick_width` for the terms x_n, n_lo <= n <= n_hi, of a
+        sequence whose terms grow with n: 2**-b, b the fewest fractional
+        bits the per-term route's first evaluation claims on them, or None
+        where a route must hand none out (more than 80 agreement bits, a
+        claim short of them, or a term whose bits, or twice its first
+        working precision, pass the cap). A claim past _GUARD_BITS + 80
+        bits counts as that many, the most `_quick_width` claims, which
+        keeps the integer route's margins multiples of 2**-10.
+
+        Each x_n is generated at its start_bits. One that comes out exact
+        where the form (s, c) also gives inexact terms (c = 1, or s no
+        integer) is evaluated as an inexact term at those bits, as its
+        neighbours are: an exact term claims no fewer bits. As for
+        `_fewest_claim`, the claim falls with the term's binary exponent
+        and its image and with an input's lost bits, so it is fewest at a
+        range end.
+        """
+        if self.a > _FRAC_OUT_BITS:
+            return None
+        s, c = sequence.form
+        claims = []
+        for n in (int(n_lo), int(n_hi)):
+            bits = self.start_bits(sequence.int_bits_estimate(n))
+            x = sequence.nth_term(n, bits)
+            w = self.start_bits(x.integer_bits())
+            if max(bits, 2 * w) > self.cap:
+                return None
+            if x.exact and (c or not s.is_integer()):
+                x = BigReal(x.mantissa, x.exponent, bits, False)
+            r = self._eval(x, w)
+            claims.append(r.precision - r.integer_bits())
+        claim = min(claims)
+        return None if claim < self.a else \
+            2.0 ** -min(claim, _GUARD_BITS + _FRAC_OUT_BITS)
+
     def _hand_out(self, x, out):
-        """The quick routes on one block: write into `out` each {u(x)} they
-        vouch for and return the mask of those x.
+        """The quick routes on one block of doubles: write into `out` each
+        {u(x)} they vouch for and return the mask of those x.
 
         A route takes only an x of at most _quick_int_bits integer bits,
-        for which certify never raises. The double-double phase takes the
-        x in the transform's _quick_range (sqrt's and pi*x**2's while u <=
-        2**20, where it is the faster); the integer route takes what is
-        left of the domain of a map with one (q = 2, or c = pi).
+        for which certify never raises.
+        """
+        if self._quick_width is None:
+            return np.zeros(x.size, dtype=bool)
+        return self._routes(self.transform, x, out,
+                            np.frexp(x)[1] <= self._quick_int_bits,
+                            lambda took: self._quick_width)
+
+    def _hand_out_terms(self, sequence, n, out):
+        """The quick routes on one block of indices n: write into `out`
+        each {u(x_n)} they vouch for and return the mask of those n.
+
+        A sequence with a form (s, c), x_n = pi**c m_n**s, hands m_n to
+        u's route on that form (`_on_terms`), with the per-term route's
+        width at the ends of the indices each route takes (`_term_width`).
+        """
+        form = sequence.form
+        route = None if form is None or not n.size \
+            else self.transform._on_terms(*form)
+        if route is None:
+            return np.zeros(n.size, dtype=bool)
+        return self._routes(route, sequence._bases(n), out, True,
+                            lambda took: self._term_width(
+                                sequence, n[took[0]], n[took[-1]]))
+
+    def _routes(self, t, x, out, fits, width):
+        """The quick routes of t on one block: the double-double phase for
+        the x in t's _quick_range (sqrt's and pi*x**2's while u <= 2**20,
+        where it is the faster), then the integer route for what is left
+        of the domain of a map with one (q = 2, or c = pi). `fits` masks
+        the x a route may take; width(took), for the indices `took` of the
+        x a route takes, is the certifier's width on them, or None for
+        none to be handed out.
         """
         handed = np.zeros(x.size, dtype=bool)
-        if self._quick_width is None:
-            return handed
 
         def take(cells, mask):
             took = np.flatnonzero(mask)
-            inside, f = cells(x[took])
-            out[took[inside]] = f
-            handed[took[inside]] = True
+            w = width(took) if took.size else None
+            if w is not None:
+                inside, f = cells(x[took], t, w)
+                out[took[inside]] = f
+                handed[took[inside]] = True
 
-        t = self.transform
-        fits = np.frexp(x)[1] <= self._quick_int_bits  # x < 2**E
         if t._quick_range is not None:
             lo, hi = t._quick_range
             take(self._double_double_cells, fits & (x >= lo) & (x <= hi))
@@ -921,19 +1195,19 @@ class _Certifier:
                  fits & ~handed & np.isfinite(x) & (x >= 0.0))
         return handed
 
-    def _double_double_cells(self, x):
-        """(inside, {u} of the inside x) from the double-double phase, for
-        doubles in the transform's _quick_range.
+    def _double_double_cells(self, x, t, width):
+        """(inside, {u} of the inside x) from t's double-double phase, for
+        doubles in t's _quick_range, and the certifier's width there.
 
         u +- err (times 1 + 2**-40 for the roundings of err itself),
-        widened by _quick_width, must lie strictly inside one cell
+        widened by the width, must lie strictly inside one cell
         [j, j + 1) * 2**-80 of {u}. Then every result certify accepts
         floors to j as well, and the double handed out is frac's:
         j * 2**-80 rounded once, and 1 - 2**-53 where that rounds to 1.
         An exact power of the base, and any other u whose {u} is 0, has
         an integer inside its interval and falls back.
         """
-        uh, ul, err = self.transform._quick(x)
+        uh, ul, err = t._quick(x)
         # {u} = fh + fl: uh - floor(uh) = a + ae exactly, where ae is 0
         # unless -1 < uh < 0; so ae + ul rounds only there, and that
         # rounding joins err. ul is at most half an ulp of uh, so only a
@@ -950,16 +1224,17 @@ class _Certifier:
         # in cells; pos, the sum in margin and 1 - margin round once each,
         # below 2**-53 cells while margin < 1, which the 2**-50 covers
         pos = (h - jh) + (l - jl)
-        margin = (err + self._quick_width) * 2.0 ** 80 + 2.0 ** -50
+        margin = (err + width) * 2.0 ** 80 + 2.0 ** -50
         inside = (pos > margin) & (pos < 1.0 - margin)
         return inside, np.minimum((jh + jl)[inside] * 2.0 ** -80, _ONE_MINUS)
 
-    def _integer_cells(self, x):
+    def _integer_cells(self, x, t, width):
         """(inside, {u} of the inside x) from a power map's integer route
-        (`Power._scaled`), for finite doubles in u's domain.
+        (`Power._scaled`), for finite doubles in t's domain, and the
+        certifier's width there.
 
         In units of 2**-_ROUTE_BITS, u lies in (A - 1, A + 2) and every
-        result certify accepts within W = _quick_width of u, so all of
+        result certify accepts within W = width of u, so all of
         them lie in (A - 1 - W, A + 2 + W). Where A's low _ROUTE_GUARD
         bits, pos, leave 1 + W below and 2 + W above, inside the cell c =
         A >> _ROUTE_GUARD, they all floor to c, and the double handed out
@@ -969,10 +1244,10 @@ class _Certifier:
         margins, multiples of 2**-10 while a <= 80, add exactly in
         doubles.
         """
-        a = self.transform._scaled(x)
+        a = t._scaled(x)
         cell = a >> _ROUTE_GUARD
         pos = (a & ((1 << _ROUTE_GUARD) - 1)).astype(np.float64)
-        margin = self._quick_width * 2.0 ** _ROUTE_BITS + 1.0
+        margin = width * 2.0 ** _ROUTE_BITS + 1.0
         inside = ((pos >= margin) | (cell == 0)) \
             & (pos + margin + 1.0 <= 2.0 ** _ROUTE_GUARD)
         return inside, _frac_doubles(

@@ -174,6 +174,15 @@ def test_analyze_text_bytes_are_pinned(capsys, name):
     assert_pinned(out, f"analyze_{name}.txt")
 
 
+def test_analyze_loglog_text_bytes_are_pinned(capsys):
+    # recorded before the iterated log had a quick phase; CI compares the
+    # console script's output with the same file
+    code, out, err = run(capsys, "analyze", str(_DATA / "compound_growth.csv"),
+                         "--column", "2", "--transform", "loglog")
+    assert (code, err) == (0, "")
+    assert_pinned(out, "analyze_compound_growth_loglog.txt")
+
+
 @pytest.mark.parametrize("name, argv", [
     ("half_normal", ("--params", "1,10,100", "--transform", "sqrt")),
     ("lognormal10", ("--params", "0,2;0,3")),
@@ -201,6 +210,10 @@ def test_pdelta_text_bytes_are_pinned(capsys):
 @pytest.mark.parametrize("name, argv", [
     ("analyze_compound_growth",
      ("analyze", str(_DATA / "compound_growth.csv"), "--column", "2")),
+    # recorded before the iterated log had a quick phase
+    ("analyze_compound_growth_loglog",
+     ("analyze", str(_DATA / "compound_growth.csv"), "--column", "2",
+      "--transform", "loglog")),
     ("analyze_powers_of_two_sqrt_base7",
      ("analyze", str(_DATA / "powers_of_two.csv"), "--column", "2",
       "--transform", "sqrt", "--base", "7")),

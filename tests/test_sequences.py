@@ -1,7 +1,11 @@
 """Sequence terms, prime generation and sampling."""
 
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +21,8 @@ from ubenford.sequences import (ExpN, Factorial, FracSample, NPowN, PiN,
                                 frac_sample, nth_prime, odd_nonsquare,
                                 parse_sequence)
 from ubenford.transforms import (IDENTITY, LOG10, LOGLOG, PI_SQUARE, SQRT,
-                                 _policy_bits, eval_transform, start_bits)
+                                 _Certifier, _policy_bits, _QUICK_BLOCK,
+                                 eval_transform, start_bits)
 
 
 def exact(x):
@@ -171,6 +176,39 @@ def test_regeneration_stops_at_the_cap():
         f"term 1 of input_limited under log10 needs {2 * asked[-1]} bits")
 
 
+class OneHugeTerm(Sequence):
+    """Exact terms n, but term 3 claims more integer bits than the cap."""
+
+    name = "one_huge_term"
+
+    def __init__(self):
+        self.asked = []
+
+    def int_bits_estimate(self, n):
+        return 10 ** 6 if n == 3 else 1
+
+    def nth_term(self, n, bits):
+        self.asked.append(n)
+        return BigReal.from_int(n)
+
+
+def test_a_term_past_the_cap_is_never_generated():
+    seq = OneHugeTerm()
+    with pytest.raises(PrecisionCapExceeded) as refusal:
+        frac_sample(seq, IDENTITY, 5)
+    assert seq.asked == [1, 2]
+    assert str(refusal.value).startswith(
+        f"term 3 of one_huge_term under identity needs "
+        f"{start_bits(IDENTITY, 10 ** 6, 40)} bits")
+    # the largest term 1..31 of n**20000.3 fits the cap, term 32's bits
+    # do not
+    with pytest.raises(PrecisionCapExceeded,
+                       match=r"^term 32 of power_law\(20000.3\) under "
+                             r"identity needs 100093 bits"):
+        frac_sample(PowerLaw(20000.3), IDENTITY, 32,
+                    index_filter=lambda n: n == 32)
+
+
 class TestPowerLaw:
     def test_inv_pi_token(self):
         pl = PowerLaw("1/pi")
@@ -201,6 +239,27 @@ class TestPowerLaw:
         x = PowerLaw(alpha).nth_term(1, bits=133)
         assert x.exact and exact(x) == 1
 
+    def test_integer_exponent_past_the_cap_takes_the_exp_route(self):
+        # n**1e20 is never built: under a 1.5 GB address space the exact
+        # route would raise MemoryError, and without one exhaust memory
+        code = (
+            "import json, resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))\n"
+            "from ubenford.sequences import PowerLaw, frac_sample\n"
+            "from ubenford.transforms import LOG10\n"
+            "print(json.dumps(frac_sample(PowerLaw(1e20), LOG10, 5)"
+            ".values.tolist()))\n")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        got = json.loads(proc.stdout)
+        with mp.workprec(300):
+            want = [float(mp.frac(mp.mpf(10) ** 20 * mp.log10(n)))
+                    for n in range(1, 6)]
+        assert max(abs(a - b) for a, b in zip(got, want)) < 2.0 ** -40
+
     def test_rejects_bad_alpha(self):
         with pytest.raises(InvalidParameter):
             PowerLaw(0.0)
@@ -223,9 +282,15 @@ class TestParse:
         assert parse_sequence("power_law:1/pi").name == "power_law(1/pi)"
         assert parse_sequence("power_law:0.5").name == "power_law(0.5)"
 
+    @pytest.mark.parametrize("text", ["fibonacci", "power_lawx:2",
+                                      "power_lawyer", "power_law_2",
+                                      "sqrt_n:2"])
+    def test_unknown_names(self, text):
+        with pytest.raises(InvalidParameter,
+                           match=f"unknown sequence {text!r}"):
+            parse_sequence(text)
+
     def test_unknown(self):
-        with pytest.raises(InvalidParameter):
-            parse_sequence("fibonacci")
         with pytest.raises(InvalidParameter, match="got 5"):
             parse_sequence(5)
 
@@ -339,6 +404,76 @@ def test_cell_fractions_are_pinned(name, transform, n_max, filtered, digest,
     assert hashlib.sha256(fs.values.tobytes()).hexdigest() == digest
 
 
+# the 24 table1 cells and the seeded power laws of the sequence
+# benchmark's seeds 1-3: the dense ones under log10, sqrt and the
+# identity, the steep ones under pi*x**2 and log10
+_FAST = ("sqrt_n", "pi_n", "primes")
+TABLE1_CELLS = [(s, t, 10000 if s in _FAST else 1000)
+                for s in _FAST + ("exp_n", "factorial", "n_pow_n")
+                for t in (LOGLOG, LOG10, SQRT, PI_SQUARE)]
+SEEDED_CELLS = [
+    (f"power_law:{c}", t, 10000)
+    for c in (0.367427, 0.613197, 0.316098, 0.897527, 0.309838, 0.6281)
+    for t in (LOG10, SQRT, IDENTITY)] + [
+    (f"power_law:{c}", t, 1000)
+    for c in (23.1317, 39.2621, 55.6231, 25.0508, 41.635, 48.5529, 27.8995,
+              46.3059, 47.4929)
+    for t in (PI_SQUARE, LOG10)]
+
+
+def _routed(name, transform):
+    """The cells whose terms a quick route takes: every log of a sequence
+    with a form, and primes under sqrt and pi*x**2 and sqrt_n under
+    pi*x**2 (pi*n)."""
+    if transform in (LOG10, LOGLOG):
+        return name in _FAST or name.startswith("power_law")
+    return (name, transform) in (("primes", SQRT), ("primes", PI_SQUARE),
+                                 ("sqrt_n", PI_SQUARE))
+
+
+@pytest.mark.parametrize("name, transform, n_max",
+                         TABLE1_CELLS + SEEDED_CELLS,
+                         ids=[f"{c[0]}-{c[1].label()}"
+                              for c in TABLE1_CELLS + SEEDED_CELLS])
+def test_handed_out_terms_are_the_per_term_routes(name, transform, n_max):
+    # each block's quick phase against the per-term route, term by term;
+    # a routed cell hands out at least 99% of its terms
+    seq = parse_sequence(name)
+    certifier = _Certifier(transform, PrecisionPolicy())
+    handed = 0
+    for lo in range(1, n_max + 1, _QUICK_BLOCK):
+        n = np.arange(lo, min(lo + _QUICK_BLOCK, n_max + 1))
+        got = np.zeros(n.size)
+        mask = certifier._hand_out_terms(seq, n, got)
+        want = [certifier._term_frac(seq, k) for k in n[mask].tolist()]
+        assert got[mask].tobytes() == np.array(want).tobytes()
+        handed += int(mask.sum())
+    if _routed(name, transform):
+        assert handed >= 0.99 * n_max
+    else:
+        assert handed == 0
+
+
+@pytest.mark.parametrize("policy", [PrecisionPolicy(agreement=24),
+                                    PrecisionPolicy(agreement=25),
+                                    PrecisionPolicy(cap=64)],
+                         ids=["a80", "a84", "cap64"])
+@pytest.mark.parametrize("name, transform", [
+    ("primes", SQRT), ("primes", PI_SQUARE), ("sqrt_n", PI_SQUARE),
+    ("pi_n", LOG10), ("power_law:0.5", LOGLOG)])
+def test_handed_out_terms_under_other_policies(policy, name, transform):
+    # 80 agreement bits hand out against the widest width; 84 and a cap
+    # one doubling would pass hand nothing out
+    seq = parse_sequence(name)
+    certifier = _Certifier(transform, policy)
+    n = np.arange(1, 1500)
+    got = np.zeros(n.size)
+    mask = certifier._hand_out_terms(seq, n, got)
+    want = [certifier._term_frac(seq, k) for k in n[mask].tolist()]
+    assert got[mask].tobytes() == np.array(want).tobytes()
+    assert mask.mean() > 0.9 if policy.agreement == 24 else not mask.any()
+
+
 # cells without exclusions, so term n sits at index n - 1
 ALONE_CELLS = (("sqrt_n", LOG10), ("pi_n", LOGLOG), ("primes", SQRT),
                ("power_law:0.367427", PI_SQUARE), ("power_law:1/pi", LOG10),
@@ -363,6 +498,17 @@ def test_term_alone_equals_term_in_its_cell(which, n):
                         index_filter=lambda k: k == n)
     assert alone.size == 1
     assert alone.values[0] == full.values[n - 1]
+
+
+@pytest.mark.parametrize("name", ["primes", "sqrt_n", "power_law:0.5"])
+def test_a_block_the_filter_empties(name):
+    # the filter leaves the first block of indices empty and one term in
+    # the second, which a quick route hands out
+    full = frac_sample(parse_sequence(name), LOG10, 5000)
+    one = frac_sample(parse_sequence(name), LOG10, 5000,
+                      index_filter=lambda k: k == 4500)
+    assert (one.size, one.excluded, one.n_requested) == (1, 0, 1)
+    assert one.values[0] == full.values[4499]
 
 
 class TestOddNonsquare:

@@ -607,13 +607,15 @@ class TestAgreementProperty:
 # ---------------------------------------------------------------------------
 # the quick phase of _Certifier.fracs
 
-QUICK = (LOG2, LOG10, Log(7), SQRT, PI_SQUARE)
+QUICK = (LOG2, LOG10, Log(7), LOGLOG, SQRT, PI_SQUARE)
 DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def _true_u(t, x):
     """u(x) in mpmath at 400 bits (the caller sets the precision)."""
     x = mpf(x)
+    if t == LOGLOG:
+        return mp.log10(mp.log10(x))
     if t == SQRT:
         return mp.sqrt(x)
     if t == PI_SQUARE:
@@ -728,7 +730,8 @@ class TestQuickPhase:
             want = np.array([certifier.frac(BigReal.from_float(v))
                              for v in xs[handed].tolist()])
             assert fracs[handed].tobytes() == want.tobytes()
-            assert not outside.any()
+            assert outside.tolist() == (xs <= 1.0).tolist() if t == LOGLOG \
+                else not outside.any()
         assert handed.sum() >= 2000  # on the seeded sample
 
     @pytest.mark.parametrize("t", QUICK, ids=lambda t: t.label())
@@ -746,7 +749,8 @@ class TestQuickPhase:
                 1 + Fraction(1, 1 << 40)) + width
             a, b = (u - r) * (1 << 80), (u + r) * (1 << 80)
             inside.append(math.floor(a) < a and b < math.floor(a) + 1)
-        assert certifier._double_double_cells(xs)[0].tolist() == inside
+        assert certifier._double_double_cells(
+            xs, t, certifier._quick_width)[0].tolist() == inside
         if t == PI_SQUARE:
             # its width leaves some doubles near a cell edge
             assert inside.count(False) > 10
@@ -760,6 +764,10 @@ class TestQuickPhase:
         cases = [(LOG10, [10.0 ** k for k in range(23)], []),
                  (LOG2, [2.0 ** k for k in range(-1022, 1024)], []),
                  (Log(7), [7.0 ** k for k in range(19)], []),
+                 # x <= 1, x just above 1 (the inner log below its floor)
+                 # and 10**(10**k), whose iterated log is an integer
+                 (LOGLOG, [0.5, 1.0, math.nextafter(1.0, 2.0),
+                           1.0 + 2.0 ** -30, 1.001, 10.0, 1e10], []),
                  # an integer root sits on a cell edge; 1e20 is 1e10 squared
                  (SQRT, [float(n * n) for n in range(1, 200)] + past_cut,
                   [past_cut[0], 1e300]),
@@ -790,7 +798,7 @@ class TestQuickPhase:
         (LOG10, PrecisionPolicy(cap=64)), (PI_SQUARE, PrecisionPolicy(cap=64)),
     ])
     def test_quick_phase_off(self, t, policy):
-        on = t == SQRT and policy == DEFAULT_POLICY
+        on = t in (SQRT, LOGLOG) and policy == DEFAULT_POLICY
         assert (tr._Certifier(t, policy)._quick_width is not None) == on
 
     # the integer route, over every finite double; the exact maps hand
@@ -844,7 +852,7 @@ class TestQuickPhase:
             cell, pos = ai >> 40, ai & ((1 << 40) - 1)
             low = pos >= 1 + w or cell == 0
             inside.append(low and pos + 2 + w <= 1 << 40)
-        got, fracs = certifier._integer_cells(xs)
+        got, fracs = certifier._integer_cells(xs, t, certifier._quick_width)
         assert got.tolist() == inside
         assert fracs.tolist() == [
             tr._frac_double(ai >> 40 & ((1 << 80) - 1))
@@ -888,3 +896,134 @@ class TestQuickPhase:
         xs = _seeded(1)
         for t in (SQRT, PI_SQUARE):
             assert _handed(tr._Certifier(t, DEFAULT_POLICY), xs).mean() > 0.99
+
+
+# ---------------------------------------------------------------------------
+# the quick routes on a sequence's terms pi**c m**s
+
+TERM_LOGS = (LOG2, LOG10, Log(7), LOGLOG)
+
+
+def _true_term_u(t, m, s, c):
+    """u(pi**c m**s) in mpmath (the caller sets the precision)."""
+    x = mp.pi ** c * mpf(m) ** mpf(s)
+    if t == LOGLOG:
+        return mp.log10(mp.log10(x))
+    return mp.log(x) / mp.log(t.base)
+
+
+# (m, s): m up to 2**53 and next to powers of 2 and 10, s = 1/2, 1, a
+# double exponent of either benchmark range; and s that put the iterated
+# log's inner log y = s log10 m next to its floor _LOGLOG_Y_MIN
+_TERM_M = st.one_of(
+    st.integers(1, (1 << 53) - 1), st.integers(1, 10 ** 4),
+    st.tuples(st.integers(0, 52), st.integers(-3, 3)).map(
+        lambda a: max(1, (1 << a[0]) + a[1])),
+    st.tuples(st.integers(0, 15), st.integers(-3, 3)).map(
+        lambda a: max(1, 10 ** a[0] + a[1])))
+_TERM_S = st.one_of(st.just(0.5), st.just(1.0),
+                    st.floats(2.0 ** -12, 1.0), st.floats(20.0, 60.0))
+_TERM_MS = st.one_of(
+    st.tuples(_TERM_M, _TERM_S),
+    st.tuples(st.integers(2, 10 ** 6), st.integers(-3, 3)).map(
+        lambda a: (a[0], _nudge(tr._LOGLOG_Y_MIN / math.log10(a[0]),
+                                a[1]))))
+_SLACK = 1 + Fraction(1, 1 << 40)  # the certifier's factor on err
+
+
+class TestTermRoutes:
+    """The logs' quick phase on terms pi**c m**s: s log_b m + c log_b pi,
+    and the outer log10 of that for the iterated log, each within its
+    proved bound, and sound for every input within its stated error."""
+
+    @given(ms=_TERM_MS, c=st.integers(0, 1), t=st.sampled_from(TERM_LOGS))
+    @settings(max_examples=500, deadline=None)
+    def test_composed_error_within_its_bound(self, ms, c, t):
+        m, s = ms
+        route = t._on_terms(s, c)
+        lo, hi = route._quick_range
+        if not lo <= m <= hi:
+            return
+        uh, ul, err = route._quick(np.array([float(m)]))
+        with mp.workprec(400):
+            if err[0] == 1.0:
+                # only the iterated log falls back, where y is below 2**-10
+                y = c * mp.log10(mp.pi) + s * mp.log10(m)
+                assert t == LOGLOG and y < tr._LOGLOG_Y_MIN * (1 + 2 ** -40)
+                return
+            miss = abs(mpf(uh[0]) + mpf(ul[0]) - _true_term_u(t, m, s, c))
+            assert miss <= mpf(err[0]) * (1 + mpf(2) ** -40)
+
+    @pytest.mark.parametrize("base", [2, 3, 7, 10, 1000, 2 ** 100 + 1])
+    def test_log_pi_constant(self, base):
+        hi, lo, err = tr._quick_log_pi(base)
+        with mp.workprec(400):
+            assert abs(mpf(hi) + mpf(lo) - mp.log(mp.pi) / mp.log(base)) \
+                <= err <= 2.0 ** -105
+
+    @given(lh=st.one_of(st.just(0.0), st.tuples(
+               st.floats(2.0 ** -20, 40.0), st.sampled_from((1.0, -1.0))
+           ).map(lambda a: a[0] * a[1])),
+           r=st.floats(-1.0, 1.0), e=st.floats(2.0 ** -110, 2.0 ** -60),
+           s=st.one_of(st.just(0.5), st.floats(2.0 ** -12, 64.0)),
+           ch=st.floats(-3.0, 3.0), rc=st.floats(-1.0, 1.0),
+           ec=st.floats(2.0 ** -110, 2.0 ** -60))
+    @settings(max_examples=300, deadline=None)
+    def test_scale_shift_holds_at_its_inputs_extremes(self, lh, r, e, s, ch,
+                                                      rc, ec):
+        # s L + C for every L within e of lh + ll and C within ec of ch +
+        # cl: the bound must cover the four corners, exactly
+        ll, cl = r * math.ulp(lh) / 2, rc * math.ulp(ch) / 2
+        vh, vl, err = tr._scale_shift(np.array([lh]), np.array([ll]),
+                                      np.array([e]), s, (ch, cl, ec))
+        v, bound = Fraction(vh[0]) + Fraction(vl[0]), Fraction(err[0])
+        for de in (-e, e):
+            for dc in (-ec, ec):
+                want = (Fraction(s) * (Fraction(lh) + Fraction(ll)
+                                       + Fraction(de))
+                        + Fraction(ch) + Fraction(cl) + Fraction(dc))
+                assert abs(want - v) <= bound * _SLACK
+
+    @given(yh=st.floats(2.0 ** -10, 1100.0), r=st.floats(-1.0, 1.0),
+           k=st.integers(60, 110))
+    @settings(max_examples=300, deadline=None)
+    def test_log10_of_holds_at_its_inputs_extremes(self, yh, r, k):
+        # log10 y for every y within e1 of yh + yl
+        yl, e1 = r * math.ulp(yh) / 2, yh * 2.0 ** -k
+        vh, vl, err = tr._log10_of(np.array([yh]), np.array([yl]),
+                                   np.array([e1]))
+        assert err[0] < 1.0
+        with mp.workprec(300):
+            v = mpf(vh[0]) + mpf(vl[0])
+            for d in (-e1, e1):
+                y = mpf(yh) + mpf(yl) + mpf(d)
+                assert abs(mp.log10(y) - v) <= mpf(err[0]) * (
+                    1 + mpf(2) ** -40)
+
+    def test_log10_of_falls_back_below_its_floor(self):
+        floor = tr._LOGLOG_Y_MIN
+        yh = np.array([floor, math.nextafter(floor, 0.0), 0.0, -1.0, 1.0,
+                       1.0])
+        e1 = np.array([0.0, 0.0, 0.0, 0.0, 2.0 ** -60, 2.0 ** -59])
+        err = tr._log10_of(yh, np.zeros(6), e1)[2]
+        assert (err == 1.0).tolist() == [False, True, True, True, False,
+                                         True]
+
+    def test_power_maps_compose_where_a_route_exists(self):
+        cases = [(SQRT, 1.0, 0, SQRT), (PI_SQUARE, 1.0, 0, PI_SQUARE),
+                 (PI_SQUARE, 0.5, 0, Power(1, pi=True)),
+                 (IDENTITY, 0.5, 0, SQRT), (IDENTITY, 1.5, 0, Power(3, 2)),
+                 (SQRT, 3.0, 0, Power(3, 2)),
+                 # no route: an exact map, a root past the square root, a
+                 # double exponent, and the terms pi m
+                 (IDENTITY, 2.0, 0, None), (SQRT, 0.5, 0, None),
+                 (IDENTITY, 0.367427, 0, None), (SQRT, 1.0, 1, None),
+                 (PI_SQUARE, 1.0, 1, None)]
+        for t, s, c, want in cases:
+            assert t._on_terms(s, c) == want, (t.label(), s, c)
+
+    def test_logs_compose_within_their_scale_range(self):
+        for t in TERM_LOGS:
+            assert t._on_terms(2.0 ** -400, 0) is not None
+            assert t._on_terms(2.0 ** -401, 1) is None
+            assert t._on_terms(2.0 ** 401, 0) is None
