@@ -389,6 +389,23 @@ PINNED_CELLS = [
     ("n_pow_n", SQRT, 1000, True,
      "9d46de415d81871cb1ffb85b781d6ac603111a3a1af8cedce9125b612325b063",
      0, 484),
+    # recorded while these cells took the per-term route only: the power
+    # maps on terms pi**c m**s with no power map of m to compose into
+    ("sqrt_n", SQRT, 10000, False,
+     "7d8c4c387580a4889821ac60c9090a5e6747f4ad058e3e4b53c13187278022d9",
+     0, 10000),
+    ("pi_n", SQRT, 10000, False,
+     "dd15af03999332cb23deba9f598a7e624240b39cffc045aa756830b3c3822136",
+     0, 10000),
+    ("pi_n", PI_SQUARE, 10000, False,
+     "5424ab590d8969bfdaa7be0534a03a97e2194b93a45b7eed4f477db8bbe24552",
+     0, 10000),
+    ("power_law:0.613197", SQRT, 10000, False,
+     "22d3ce0a5c045f0d14db45a508e7896d6018309c825aef0c836a5b38f8c3c41e",
+     0, 10000),
+    ("power_law:0.613197", IDENTITY, 10000, False,
+     "84e4e6c9aa7eb559ea1c830251e3735d65d0129d30e42370e2537adbe0e132f4",
+     0, 10000),
 ]
 
 
