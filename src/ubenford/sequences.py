@@ -8,10 +8,13 @@ One rule in bits sizes a term: a sequence with inexact terms bounds their
 integer bits (int_bits_estimate), and the certifier's start_bits turns
 that into the bits the term is generated at. An exact term ignores its
 bits. frac_sample hands a cell to the certifier (_Certifier.terms): the
-terms of a sequence that states them as pi**c m_n**s (`form`) are mostly
-certified in numpy blocks from m_n (`_bases`); every other term is
-generated, and regenerated at doubled bits while the transform refuses
-its fractional part, up to the policy's cap.
+terms of a sequence that states them as pi**c m_n**s (`form`: sqrt_n,
+pi_n, primes and the power laws with a double exponent) are mostly
+certified in numpy blocks from m_n (`_bases`), under every transform;
+every other term (e**n, n!, n**n, n**(1/pi), and the few a block's
+quick routes cannot vouch for) is generated, and regenerated at doubled
+bits while the transform refuses its fractional part, up to the policy's
+cap.
 """
 
 import math
@@ -72,9 +75,9 @@ class Sequence:
     """Base: positive terms indexed from n = 1.
 
     nth_term(n, bits) returns term n, certified to `bits` significant
-    bits where it is not exact. `form` = (s, c), a float s and c in (0,
-    1), states term n as pi**c m_n**s, m_n = _bases(n) an integer below
-    2**53; None where no such form holds.
+    bits where it is not exact. `form` = (s, c), a float s > 0 and c in
+    {0, 1}, states term n as pi**c m_n**s, m_n = _bases(n) an integer
+    below 2**53; None where no such form holds.
     """
 
     name = "?"

@@ -41,17 +41,18 @@ two phases over blocks of indices. A sequence that states its term n as
 pi**c m_n**s, m_n an integer below 2**53 (Sequence.form), hands m_n to
 the quick routes of u composed with that form (`_on_terms`): a log
 becomes s log_b m + c log_b pi (`_scale_shift`), the iterated log the
-outer log of that, and a power map with c = 0 the power map
-m**(s p/q) where that map has a route. The width is then the fewest
-bits the per-term route claims on the generated terms (`_term_width`),
-not the width for doubles. Routed: sqrt_n, pi_n, primes and the power
-laws with a double exponent under every log; primes under sqrt and
-pi*x**2, sqrt_n under pi*x**2 (pi*n), and a power law whose exponent
-times the map's gives sqrt, pi*x**2 or another map with the integer
-route. Per term only: sqrt_n and pi_n under sqrt, pi_n under pi*x**2,
-the power laws under sqrt and the identity whose composed exponent has
-a denominator past 2 (every seeded one), n**(1/pi), and the slow rows
-e**n, n! and n**n, which state no such form.
+outer log of that, and a power map, which sends the term to pi**k m**e,
+the power map of m where k is 0 or 1 and that map has a route, else the
+exp2 route (`_PowerOfTerms`): 2**(e log2 m + k log2 pi) in double-double
+while u <= about 2**23 (`_exp2`, within about u (ey ln 2 + 2**-104) for
+y's bound ey), and for integers e and k floor(pi**k m**e 2**120) in
+ints. The width is then the fewest bits the per-term route claims on
+the generated terms (`_term_width`), not the width for doubles. Routed:
+sqrt_n, pi_n, primes and the power laws with a double exponent under
+every log and every power map but for the exact ones (a u that is
+always an integer), the steep power laws under pi*x**2 taking nothing
+past the cut. Per term only: n**(1/pi), and the slow rows e**n, n! and
+n**n, which state no such form.
 """
 
 import bisect
@@ -67,8 +68,8 @@ from .bigreal import _FRAC_OUT_BITS, _ONE_MINUS, DEFAULT_POLICY, BigReal, \
     _frac_double
 from .errors import DomainError, HypothesisViolated, InsufficientPrecision, \
     InvalidParameter, NotUnimodal, PrecisionCapExceeded, count, string
-from .kernels import digits_to_bits, ln2_fixed, ln10_fixed, ln_int_fixed, \
-    pi_fixed
+from .kernels import digits_to_bits, exp_fixed, ln2_fixed, ln10_fixed, \
+    ln_int_fixed, pi_fixed
 
 # ---------------------------------------------------------------------------
 # exact fast paths
@@ -264,19 +265,20 @@ def _quick_pi():
 
 
 @functools.cache
-def _quick_log_pi(base):
-    """log_base(pi) as (hi, lo, err). At g = _DD_BITS + 64 bits, ln of
-    pi_fixed(g) (within 2 units of pi 2**g, so below 1 ulp of ln pi + g
-    ln 2) is within g + 4 ulps and g ln 2 within g, ln(base) within
-    bit_length + 2; the quotient by ln(base) >= ln 2, with log_base(pi) <
-    2, is within 3 (2g + 4) + 3 (bit_length + 2) + 1 ulps at 2**-g, and
-    the shift to 2**-160 floors once more: 2 ulps for every base below
-    2**(2**55)."""
+def _quick_log_pi(base, k=1.0):
+    """k log_base(pi) as (hi, lo, err), for a k >= 0 with 2k an integer
+    below 2**40. At g = _DD_BITS + 64 bits, ln of pi_fixed(g) (within 2
+    units of pi 2**g, so below 1 ulp of ln pi + g ln 2) is within g + 4
+    ulps and g ln 2 within g, ln(base) within bit_length + 2; the
+    quotient by ln(base) >= ln 2, with log_base(pi) < 2, is within 3 (2g
+    + 4) + 3 (bit_length + 2) + 1 ulps at 2**-g, k times that and one
+    more for the halving, and the shift to 2**-160 floors once more: 2
+    ulps for every base below 2**(2**15)."""
     g = _DD_BITS + 64
     ln2 = ln2_fixed(g)
     ln_pi = ln_int_fixed(pi_fixed(g), g, ln2) - g * ln2
     q = (ln_pi << g) // ln_int_fixed(base, g, ln2)
-    return _dd(q >> 64, 2)
+    return _dd(int(2 * k) * q >> 65, 2)
 
 
 # the iterated log's quick phase falls back where the inner log is below
@@ -337,6 +339,124 @@ def _log10_of(yh, yl, e1):
     return vh, vl, np.where(ok, err, 1.0)
 
 
+# exp2's reduced argument z = r ln 2 stays within _EXP2_Z_MAX (|r| <= 2**-9
+# and the low part of a y below 2**10); the Taylor polynomial of e**z of
+# degree 8 is within _EXP2_REMAINDER of it there; _LN2_UP is above ln 2
+_EXP2_Z_MAX = 0.69315 * (2.0 ** -9 + 2.0 ** -44)
+_EXP2_REMAINDER = _EXP2_Z_MAX ** 9 / 362880 / (1 - _EXP2_Z_MAX / 10) * (
+    1 + 2.0 ** -40)
+_LN2_UP = 0.6931471805599454
+# exp2's err is at least _EXP2_REMAINDER u / (1 + 2**-9), more than half
+# a 2**-80 cell past this (about 2**23.2), where no u is handed out
+_EXP2_U_MAX = 2.0 ** -81 * (1 + 2.0 ** -9) / _EXP2_REMAINDER
+
+
+@functools.cache
+def _quick_exp2_table():
+    """2**(j/256) for j = 0..255 as the arrays of hi and lo and one err
+    for every entry, and the Taylor coefficients 1/i! of e**z for i = 0..8
+    as (hi, lo, err), from integers at 2**-160.
+
+    exp_fixed(x, 160) of x = floor(j ln2_fixed(160) / 256), within 2
+    ulps of j ln 2 / 256 (ln2_fixed is within 1), is within 1 + 2**-15
+    ulps of e**x and e**x within 2 e**x <= 4 ulps of 2**(j/256): 6 ulps.
+    """
+    ln2 = ln2_fixed(_DD_BITS)
+    cells = []
+    for j in range(256):
+        mant, k = exp_fixed(j * ln2 >> 8, _DD_BITS)
+        cells.append(_dd(mant << k, 6))
+    hi, lo, err = zip(*cells)
+    one = 1 << _DD_BITS
+    taylor = [_dd(one // math.factorial(i), 1) for i in range(9)]
+    return np.array(hi), np.array(lo), max(err), taylor
+
+
+def _mul_add(zh, zl, sh, sl, c):
+    """z S + C in double-double for z = zh + zl, S = sh + sl and C = (ch,
+    cl), and the bound on what its arithmetic loses:
+    zh sh = p + pe and ch + p = h + r exactly, zh sl, zl sh and their
+    sum round once each, so do the three additions that make low, and
+    vh + vl = h + low exactly; zl sl is left out."""
+    ch, cl = c
+    p, pe = _two_prod(zh, sh)
+    m1 = zh * sl
+    m2 = zl * sh
+    m = m1 + m2
+    h, r = _two_sum(ch, p)
+    s1 = r + pe
+    s2 = s1 + m
+    low = s2 + cl
+    vh, vl = _two_sum(h, low)
+    return vh, vl, np.abs(zl * sl) + _HALF_ULP * (
+        np.abs(m1) + np.abs(m2) + np.abs(m) + np.abs(s1) + np.abs(s2)
+        + np.abs(low))
+
+
+def _exp2(yh, yl, ey):
+    """2**y in double-double and its error bound, for y = yh + yl within
+    ey <= 2**-60, 0 <= yh <= 1000 and |yl| <= ulp(yh)/2.
+
+    Reduction: t = RN(256 yh), and 256 yh - t is exact (a double minus
+    its nearest integer), so is r_h = (256 yh - t)/256, |r_h| <= 2**-9.
+    With N = floor(t/256) and j = t - 256 N, y = N + j/256 + r, r = r_h
+    + yl, and 2**y = 2**N 2**(j/256) e**z, z = r ln 2, |z| <= _EXP2_Z_MAX.
+
+    z: r_h ln2h = p + pe exactly, r_h ln2l and yl ln2h round once each and
+    so do their two sums with pe, zh + zl = p + s2 exactly; yl ln2l is
+    left out, and ln 2's double-double is off by its err, |r| times. An
+    error dz of z is one of e**z of at most e**|z| |dz| (1 + |dz|) <
+    1.0015 |dz|.
+
+    e**z - 1: its Taylor polynomial of degree 8 leaves _EXP2_REMAINDER.
+    Horner's scheme runs the tail 1/6! + z (1/7! + z/8!) in doubles, on
+    zh: each coefficient is within 2**-53 relative, two products and two
+    sums round once each, and zl's share is below 2**-60 of it, so the
+    tail is within 2**-60; then five double-double steps (`_mul_add`)
+    add 1/5!, ..., 1/1!, and a sixth multiplies by z. A step's error is
+    |z| times what it inherits, its own loss, and its coefficient's err.
+
+    2**(j/256) e**z = T + T (e**z - 1), one more step: the table's entry
+    T is off by its err, times e**z <= 1.0015, and T carries the error
+    of e**z - 1 times |T| <= th (1 + 2**-52); the scaling by 2**N is
+    exact, as is the same scaling of the bound.
+
+    y: 2**(y + d) = 2**y e**(d ln 2), so |d| <= ey costs at most 2**y
+    (e**(ey ln 2) - 1) <= 2**y ey ln 2 (1 + ey), and 2**y is within the
+    bound above of |uh + ul| <= |uh| (1 + 2**-52): the term |uh| ey
+    _LN2_UP, whose relative slack below 2**-50 is left to the
+    certifier's factor 1 + 2**-40, as in `Log._quick`.
+    """
+    table_hi, table_lo, table_err, taylor = _quick_exp2_table()
+    ln2h, ln2l, ln2_err = _quick_log_tables()[0]
+    t = np.rint(yh * 256.0)
+    rh = (yh * 256.0 - t) * (1.0 / 256.0)
+    n = np.floor(t * (1.0 / 256.0))
+    j = (t - 256.0 * n).astype(np.intp)
+    p, pe = _two_prod(rh, ln2h)
+    m1 = rh * ln2l
+    m2 = yl * ln2h
+    s1 = pe + m1
+    s2 = s1 + m2
+    zh, zl = _two_sum(p, s2)
+    ez = (np.abs(rh) + np.abs(yl)) * ln2_err + np.abs(yl * ln2l) \
+        + _HALF_ULP * (np.abs(m1) + np.abs(m2) + np.abs(s1) + np.abs(s2))
+    sh = taylor[6][0] + zh * (taylor[7][0] + zh * taylor[8][0])
+    sl = np.zeros_like(sh)
+    e = 2.0 ** -60
+    for c in taylor[5:0:-1]:
+        sh, sl, loss = _mul_add(zh, zl, sh, sl, c[:2])
+        e = e * _EXP2_Z_MAX + loss + c[2]
+    wh, wl, loss = _mul_add(zh, zl, sh, sl, (0.0, 0.0))
+    e = e * _EXP2_Z_MAX + loss + _EXP2_REMAINDER + 1.0015 * ez
+    th, tl = table_hi[j], table_lo[j]
+    uh, ul, loss = _mul_add(th, tl, wh, wl, (th, tl))
+    err = th * e * (1.0 + 2.0 ** -50) + loss + 1.0015 * table_err
+    n = n.astype(np.intp)
+    uh, ul = np.ldexp(uh, n), np.ldexp(ul, n)
+    return uh, ul, np.ldexp(err, n) + np.abs(uh) * ey * _LN2_UP
+
+
 # ---------------------------------------------------------------------------
 # the transforms
 
@@ -395,7 +515,7 @@ class Transform:
         return min(claims)
 
     def _on_terms(self, s, c):
-        """The quick route of u on terms pi**c m**s, c in (0, 1), as a map
+        """The quick route of u on terms pi**c m**s, c in {0, 1}, as a map
         of the integers m (`_LogOfTerms` for the logs), or None. Power
         overrides it."""
         if not 2.0 ** -400 <= s <= 2.0 ** 400:
@@ -667,6 +787,66 @@ class _LogOfTerms:
         return y if log is self.u else _log10_of(*y)
 
 
+@dataclass(frozen=True)
+class _PowerOfTerms:
+    """The quick routes of a power map on the terms pi**c m**s of a
+    sequence where no power map of m composes (`Power._on_terms`): u =
+    pi**k m**e, as a map of the integers m, for doubles e > 0 and k >= 0
+    with 2k an integer.
+
+    Double-double phase, on 2 <= m while u <= _EXP2_U_MAX: y = e log2 m
+    + k log2 pi (`_scale_shift` on a double-double log2 m, with the
+    constant rounded once from fixed point) within its bound ey, then u
+    = 2**y (`_exp2`), whose error is about u (ey ln 2 + 2**-104). log2 m
+    is b + log2 f for m = f 2**b, f in [1, 2), on LOG2's log2 f, whose
+    bound then holds none of the b ln 2 its ln of m itself would carry
+    (about 2**-104 b); b + fh = lh + r exactly and r + fl rounds once.
+    m = 1 is left to the per-term route: it is the term 1 for c = 0.
+    Integer route, where e and k are integers (pi n under pi*x**2): A =
+    floor(u 2**_ROUTE_BITS) in ints (`_scaled`), at any size.
+    """
+
+    e: float
+    k: float
+
+    @property
+    def _quick_range(self):
+        lg = (math.log2(_EXP2_U_MAX) - self.k * math.log2(math.pi)) / self.e
+        return 2.0, 2.0 ** min(lg, 53.0) * (1.0 - 2.0 ** -40)
+
+    @property
+    def _integer_route(self):
+        return self.e.is_integer() and self.k.is_integer()
+
+    def _quick(self, m):
+        f, b = np.frexp(m)
+        f += f
+        fh, fl, err = LOG2._quick(f)
+        lh, r = _two_sum(b - 1.0, fh)
+        ll = r + fl
+        return _exp2(*_scale_shift(
+            lh, ll, err + _HALF_ULP * np.abs(ll), self.e,
+            _quick_log_pi(2, self.k) if self.k else (0.0, 0.0, 0.0)))
+
+    def _scaled(self, m):
+        """A = floor(u 2**_ROUTE_BITS) for an array of integers m >= 0 below
+        2**53, with u 2**_ROUTE_BITS in (A - 1, A + 2), for integers e and
+        k: A = floor(m**e P 2**(_ROUTE_BITS - kL)), P = pi_fixed(L)**k.
+
+        pi_fixed(L) is within 2 of pi 2**L, so P is within (pi 2**L)**k
+        k 2**(1 - L) / pi (1 + 2**-40) of (pi 2**L)**k, and A before its
+        floor is off by at most 2**(eE + _ROUTE_BITS + 1 - L) k
+        pi**(k - 1) (1 + 2**-40) for m < 2**E. L = eE + _ROUTE_BITS + 2k
+        + 2 + bit_length(k) makes that k 2**-bit_length(k) (pi/4)**(k - 1)
+        / 8 < 1/8.
+        """
+        e, k = int(self.e), int(self.k)
+        big = e * int(m.max(initial=1.0)).bit_length()
+        bits = big + _ROUTE_BITS + 2 * k + 2 + k.bit_length()
+        return m.astype(np.int64).astype(object) ** e * pi_fixed(bits) ** k \
+            >> (k * bits - _ROUTE_BITS)
+
+
 _POWER_NAMES = {(1, 1, False): "identity", (1, 2, False): "sqrt",
                 (2, 1, True): "pi_square"}
 
@@ -785,19 +965,32 @@ class Power(Transform):
         return _GUARD_BITS + a if self._integer_route else None
 
     def _on_terms(self, s, c):
-        """Power(P, Q, pi) on m, P/Q = s p/q in lowest terms, for terms
-        m**s (c = 0), where that is a power map with a quick route; else
-        None."""
-        if c:
-            return None
+        """The quick route of u on terms pi**c m**s, which u maps to pi**k
+        m**e, e = s p/q and k = pi + c p/q: Power(P, Q, k = 1) on m, P/Q =
+        e in lowest terms, where k is 0 or 1 and that power map has a
+        quick route; else the exp2 route (`_PowerOfTerms`) where e and k
+        are doubles and e is in _scale_shift's range; else None, as for
+        k = 0 and an integer e, whose u is an integer that no route hands
+        out."""
         a, b = s.as_integer_ratio()
         p, q = a * self.p, b * self.q
         g = math.gcd(p, q)
-        try:
-            t = Power(p // g, q // g, self.pi)
-        except InvalidParameter:
+        p, q = p // g, q // g  # e = p/q; k = kp/self.q, an exact double
+        kp = c * self.p + self.pi * self.q
+        if kp in (0, self.q):
+            try:
+                t = Power(p, q, kp > 0)
+            except InvalidParameter:
+                t = None
+            if t is not None and (t._quick_range or t._integer_route):
+                return t
+            if not kp and q == 1:
+                return None
+        e = p / q
+        if e.as_integer_ratio() != (p, q) \
+                or not 2.0 ** -400 <= e <= 2.0 ** 400:
             return None
-        return t if t._quick_range or t._integer_route else None
+        return _PowerOfTerms(e, kp / self.q)
 
     def _scaled(self, x):
         """The integer route: A = floor(u(x) * 2**_ROUTE_BITS), as an object
@@ -1102,36 +1295,56 @@ class _Certifier:
         claim = self.transform._fewest_claim(self.a)
         return None if claim is None or claim < self.a else 2.0 ** -claim
 
-    def _term_width(self, sequence, n_lo, n_hi):
-        """`_quick_width` for the terms x_n, n_lo <= n <= n_hi, of a
-        sequence whose terms grow with n: 2**-b, b the fewest fractional
-        bits the per-term route's first evaluation claims on them, or None
-        where a route must hand none out (more than 80 agreement bits, a
-        claim short of them, or a term whose bits, or twice its first
-        working precision, pass the cap). A claim past _GUARD_BITS + 80
-        bits counts as that many, the most `_quick_width` claims, which
-        keeps the integer route's margins multiples of 2**-10.
+    def _term_width(self, sequence, n):
+        """`_quick_width` for the terms x_n of a sequence whose terms grow
+        with n, n an ascending array of indices: 2**-b, b the fewest
+        fractional bits the per-term route's first evaluation claims on
+        them, or None where a route must hand none out (more than 80
+        agreement bits, a claim short of them, or a term whose bits, or
+        twice its first working precision, pass the cap). A claim past
+        _GUARD_BITS + 80 bits counts as that many, the most `_quick_width`
+        claims, which keeps the integer route's margins multiples of
+        2**-10.
 
-        Each x_n is generated at its start_bits. One that comes out exact
-        where the form (s, c) also gives inexact terms (c = 1, or s no
-        integer) is evaluated as an inexact term at those bits, as its
-        neighbours are: an exact term claims no fewer bits. As for
-        `_fewest_claim`, the claim falls with the term's binary exponent
-        and its image and with an input's lost bits, so it is fewest at a
-        range end.
+        Each x_n is generated at the start_bits of its estimated integer
+        bits. One that comes out exact where the form (s, c) also gives
+        inexact terms (c = 1, or s no integer) is evaluated as an inexact
+        term at those bits, as its neighbours are: an exact term claims
+        no fewer bits. The claim is taken at both ends of each run of n
+        that share those bits (a step), which is where it is fewest. In a
+        step every claim is min(f, g): g, the input's limit, is the
+        constant bits less the image's integer bits, which grow with n;
+        f, the evaluator's own, moves one way with n: for a power map f is
+        w - 1 (q = 2), w (x**p) or w less p times the term's integer bits
+        (c = pi), w = start_bits of those bits, and for a log w less the
+        bits of an error count that grows with the term's binary exponent
+        and its image, at a w the same for every term. The ends of a step
+        can differ from those of the block: the root of an inexact term
+        claims its bits less the root's integer bits, which step up at
+        other n than the bits do.
         """
         if self.a > _FRAC_OUT_BITS:
             return None
         s, c = sequence.form
+        n = n.tolist()
+
+        def bits(k):
+            return self.start_bits(sequence.int_bits_estimate(k))
+
+        ends, i = [], 0
+        while i < len(n):
+            j = bisect.bisect_right(n, bits(n[i]), lo=i, key=bits)
+            ends += (n[i], n[j - 1])
+            i = j
         claims = []
-        for n in (int(n_lo), int(n_hi)):
-            bits = self.start_bits(sequence.int_bits_estimate(n))
-            x = sequence.nth_term(n, bits)
+        for k in dict.fromkeys(ends):
+            b = bits(k)
+            x = sequence.nth_term(k, b)
             w = self.start_bits(x.integer_bits())
-            if max(bits, 2 * w) > self.cap:
+            if max(b, 2 * w) > self.cap:
                 return None
             if x.exact and (c or not s.is_integer()):
-                x = BigReal(x.mantissa, x.exponent, bits, False)
+                x = BigReal(x.mantissa, x.exponent, b, False)
             r = self._eval(x, w)
             claims.append(r.precision - r.integer_bits())
         claim = min(claims)
@@ -1157,7 +1370,7 @@ class _Certifier:
 
         A sequence with a form (s, c), x_n = pi**c m_n**s, hands m_n to
         u's route on that form (`_on_terms`), with the per-term route's
-        width at the ends of the indices each route takes (`_term_width`).
+        width on the indices each route takes (`_term_width`).
         """
         form = sequence.form
         route = None if form is None or not n.size \
@@ -1165,8 +1378,8 @@ class _Certifier:
         if route is None:
             return np.zeros(n.size, dtype=bool)
         return self._routes(route, sequence._bases(n), out, True,
-                            lambda took: self._term_width(
-                                sequence, n[took[0]], n[took[-1]]))
+                            lambda took: self._term_width(sequence,
+                                                          n[took]))
 
     def _routes(self, t, x, out, fits, width):
         """The quick routes of t on one block: the double-double phase for

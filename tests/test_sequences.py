@@ -440,12 +440,16 @@ SEEDED_CELLS = [
 
 def _routed(name, transform):
     """The cells whose terms a quick route takes: every log of a sequence
-    with a form, and primes under sqrt and pi*x**2 and sqrt_n under
-    pi*x**2 (pi*n)."""
+    with a form; primes under sqrt and pi*x**2 and sqrt_n under pi*x**2
+    (pi*n), which compose into a power map of m; and through the exp2
+    route sqrt_n and pi_n under sqrt, pi_n under pi*x**2 (pi**3 n**2)
+    and the sub-linear power laws under sqrt and the identity. The steep
+    power laws under pi*x**2 lie past its cut."""
     if transform in (LOG10, LOGLOG):
         return name in _FAST or name.startswith("power_law")
-    return (name, transform) in (("primes", SQRT), ("primes", PI_SQUARE),
-                                 ("sqrt_n", PI_SQUARE))
+    if name.startswith("power_law"):
+        return transform in (SQRT, IDENTITY)
+    return name in _FAST
 
 
 @pytest.mark.parametrize("name, transform, n_max",
@@ -477,7 +481,9 @@ def test_handed_out_terms_are_the_per_term_routes(name, transform, n_max):
                          ids=["a80", "a84", "cap64"])
 @pytest.mark.parametrize("name, transform", [
     ("primes", SQRT), ("primes", PI_SQUARE), ("sqrt_n", PI_SQUARE),
-    ("pi_n", LOG10), ("power_law:0.5", LOGLOG)])
+    ("pi_n", LOG10), ("power_law:0.5", LOGLOG), ("sqrt_n", SQRT),
+    ("pi_n", PI_SQUARE), ("power_law:0.613197", SQRT),
+    ("power_law:0.613197", IDENTITY)])
 def test_handed_out_terms_under_other_policies(policy, name, transform):
     # 80 agreement bits hand out against the widest width; 84 and a cap
     # one doubling would pass hand nothing out

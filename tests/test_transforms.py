@@ -1010,20 +1010,160 @@ class TestTermRoutes:
                                          True]
 
     def test_power_maps_compose_where_a_route_exists(self):
+        exp2 = tr._PowerOfTerms
         cases = [(SQRT, 1.0, 0, SQRT), (PI_SQUARE, 1.0, 0, PI_SQUARE),
                  (PI_SQUARE, 0.5, 0, Power(1, pi=True)),
                  (IDENTITY, 0.5, 0, SQRT), (IDENTITY, 1.5, 0, Power(3, 2)),
                  (SQRT, 3.0, 0, Power(3, 2)),
-                 # no route: an exact map, a root past the square root, a
-                 # double exponent, and the terms pi m
-                 (IDENTITY, 2.0, 0, None), (SQRT, 0.5, 0, None),
-                 (IDENTITY, 0.367427, 0, None), (SQRT, 1.0, 1, None),
-                 (PI_SQUARE, 1.0, 1, None)]
+                 (IDENTITY, 1.0, 1, Power(1, pi=True)),
+                 # no power map of m: the exp2 route on pi**k m**e, for a
+                 # root past the square root, a double exponent and the
+                 # terms pi m
+                 (SQRT, 0.5, 0, exp2(0.25, 0.0)),
+                 (IDENTITY, 0.367427, 0, exp2(0.367427, 0.0)),
+                 (SQRT, 0.367427, 0, exp2(0.1837135, 0.0)),
+                 (SQRT, 1.0, 1, exp2(0.5, 0.5)),
+                 (PI_SQUARE, 1.0, 1, exp2(2.0, 3.0)),
+                 (PI_SQUARE, 23.1317, 0, exp2(46.2634, 1.0)),
+                 # no route: an exact map, whose u is an integer, and an
+                 # exponent past _scale_shift's range
+                 (IDENTITY, 2.0, 0, None), (Power(3), 1.0, 0, None),
+                 (SQRT, 2.0 ** -400, 0, None)]
         for t, s, c, want in cases:
             assert t._on_terms(s, c) == want, (t.label(), s, c)
+        assert exp2(2.0, 3.0)._integer_route
+        assert not exp2(0.5, 0.5)._integer_route
+
+    def test_exp2_route_takes_nothing_past_its_cut(self):
+        # the bound holds at least _EXP2_REMAINDER u, more than half a
+        # cell past the cut; the steep power laws under pi*x**2 start
+        # past it at m = 2
+        for e, k in [(0.25, 0.0), (0.5, 0.5), (2.0, 3.0), (0.9, 0.0)]:
+            lo, hi = tr._PowerOfTerms(e, k)._quick_range
+            assert math.pi ** k * hi ** e <= tr._EXP2_U_MAX
+            assert lo == 2.0
+        assert tr._EXP2_REMAINDER * tr._EXP2_U_MAX / (1 + 2.0 ** -9) \
+            >= 2.0 ** -81
+        u = np.array([tr._EXP2_U_MAX * 0.999])
+        y = tr._scale_shift(*tr.LOG2._quick(u), 1.0, (0.0, 0.0, 0.0))
+        assert tr._exp2(*y)[2][0] > 2.0 ** -81 * 0.999
+        for alpha in (23.1317, 41.635, 55.6231):
+            lo, hi = tr._PowerOfTerms(2.0 * alpha, 1.0)._quick_range
+            assert hi < lo
+        # sub-linear power laws take every m
+        assert tr._PowerOfTerms(0.1, 0.0)._quick_range[1] > 2.0 ** 52
 
     def test_logs_compose_within_their_scale_range(self):
         for t in TERM_LOGS:
             assert t._on_terms(2.0 ** -400, 0) is not None
             assert t._on_terms(2.0 ** -401, 1) is None
             assert t._on_terms(2.0 ** 401, 0) is None
+
+
+# the exp2 route of the power maps on terms pi**k m**e
+
+_EXP2_E = st.one_of(st.just(0.25), st.just(0.5), st.floats(0.1, 1.0))
+
+
+def _exp2_route_m(route, f):
+    """An integer m in the route's double-double range, log-uniform in f."""
+    lo, hi = route._quick_range
+    return max(2, min(int(hi), int(hi ** f)))
+
+
+def _exp2_ratio(route, ms):
+    """The largest |uh + ul - u| / err of the route's double-double phase
+    over the integers ms (mpmath at 400 bits)."""
+    uh, ul, err = route._quick(np.array(ms, dtype=np.float64))
+    with mp.workprec(400):
+        return max(abs(mpf(h) + mpf(l) - mp.pi ** mpf(route.k)
+                       * mpf(m) ** mpf(route.e)) / mpf(b)
+                   for m, h, l, b in zip(ms, uh, ul, err))
+
+
+class TestExp2Route:
+    """The power maps' quick phase on terms pi**c m**s: pi**k m**e as
+    2**(e log2 m + k log2 pi), within its proved bound, the bound sound
+    for every y within its stated error and tight where one part of it
+    dominates."""
+
+    @given(e=_EXP2_E, k=st.sampled_from((0.0, 0.5, 1.0, 3.0)),
+           f=st.floats(0.0, 1.0))
+    @settings(max_examples=400, deadline=None)
+    def test_error_within_its_bound(self, e, k, f):
+        route = tr._PowerOfTerms(e, k)
+        m = _exp2_route_m(route, f)
+        assert _exp2_ratio(route, [m]) <= 1 + mpf(2) ** -40
+
+    @pytest.mark.parametrize("k", [0.0, 0.5])
+    def test_error_within_its_bound_on_a_seeded_sample(self, k):
+        # e = 1/4 and 1/2, and seeded doubles in (0.1, 1), each on m
+        # log-uniform up to the cut: the bound is tight enough that half
+        # of it fails somewhere
+        rng = random.Random(28)
+        ratio = 0
+        for e in [0.25, 0.5] + [rng.uniform(0.1, 1.0) for _ in range(6)]:
+            route = tr._PowerOfTerms(e, k)
+            ratio = max(ratio, _exp2_ratio(route, [
+                _exp2_route_m(route, rng.random()) for _ in range(1000)]))
+        assert 0.5 < ratio <= 1 + mpf(2) ** -40
+
+    @given(yh=st.one_of(st.floats(0.0, 40.0), st.floats(0.0, 1000.0)),
+           r=st.floats(-1.0, 1.0), ey=st.one_of(
+               st.just(0.0), st.floats(2.0 ** -110, 2.0 ** -60)))
+    @settings(max_examples=400, deadline=None)
+    def test_holds_at_its_inputs_extremes(self, yh, r, ey):
+        # 2**y for every y within ey of yh + yl; where ey is the bound's
+        # main part, the worse end of y takes over 0.9 of the bound
+        yl = r * math.ulp(yh) / 2
+        uh, ul, err = tr._exp2(np.array([yh]), np.array([yl]),
+                               np.array([ey]))
+        with mp.workprec(400):
+            v, bound = mpf(uh[0]) + mpf(ul[0]), mpf(err[0])
+            worst = max(abs(mpf(2) ** (mpf(yh) + mpf(yl) + d) - v)
+                        for d in (-mpf(ey), mpf(ey)))
+            assert worst <= bound * (1 + mpf(2) ** -40)
+            if ey >= 2.0 ** -85:
+                assert worst > 0.9 * bound
+
+    @pytest.mark.parametrize("t", [0, 1, 255, 256, 1001, 5000, 12345])
+    def test_holds_at_the_reductions_ends(self, t):
+        # y as far from t/256 as the reduction lets it be, |z| near
+        # _EXP2_Z_MAX: the polynomial's remainder is then most of the
+        # miss, on the side of z
+        for side in (1.0, -1.0):
+            if t == 0 and side < 0:
+                continue
+            yh = (t + side * (0.5 - 2.0 ** -30)) / 256
+            uh, ul, err = tr._exp2(np.array([yh]), np.zeros(1), np.zeros(1))
+            with mp.workprec(400):
+                miss = mpf(2) ** mpf(yh) - mpf(uh[0]) - mpf(ul[0])
+                assert abs(miss) <= mpf(err[0]) * (1 + mpf(2) ** -40)
+                if side > 0:
+                    assert miss > 0.5 * tr._EXP2_REMAINDER * uh[0]
+
+    def test_table_and_coefficients(self):
+        hi, lo, err, taylor = tr._quick_exp2_table()
+        with mp.workprec(400):
+            for j in range(256):
+                assert abs(mpf(hi[j]) + mpf(lo[j]) - mpf(2) ** (mpf(j) / 256)
+                           ) <= err
+            for i, (h, l, e) in enumerate(taylor):
+                assert abs(mpf(h) + mpf(l) - 1 / mp.factorial(i)) <= e
+        assert err <= 2.0 ** -104
+
+    @pytest.mark.parametrize("e, k", [(2.0, 3.0), (3.0, 2.0), (1.0, 5.0)])
+    def test_integer_route_is_floor_of_u_times_2_120(self, e, k):
+        # u * 2**120 in (A - 1, A + 2), from m = 0 to the largest m below
+        # 2**53, in one array and alone
+        rng = random.Random(int(e * 10 + k))
+        ms = [0, 1, 2, 3, 535, 536, 10 ** 4, 2 ** 53 - 1] + [
+            int(2 ** rng.uniform(0, 53)) for _ in range(60)]
+        route = tr._PowerOfTerms(e, k)
+        for a, one in ((route._scaled(np.array(ms, dtype=np.float64)), None),
+                       *((route._scaled(np.array([m], dtype=np.float64)), m)
+                         for m in ms[:8])):
+            with mp.workprec(int(53 * e) + 400):
+                for m, ai in zip([one] if one is not None else ms, a):
+                    u = mp.pi ** int(k) * mpf(m) ** int(e) * mpf(2) ** 120
+                    assert ai - 1 < u < ai + 2, (m, e, k)
