@@ -497,8 +497,39 @@ def test_handed_out_terms_under_other_policies(policy, name, transform):
     assert mask.mean() > 0.9 if policy.agreement == 24 else not mask.any()
 
 
+def _first_claim(certifier, seq, n):
+    """The bits the per-term route's first evaluation of term n claims,
+    an exact term counted as inexact where the form also gives inexact
+    ones, as `_term_width` counts it."""
+    s, c = seq.form
+    bits = certifier.start_bits(seq.int_bits_estimate(n))
+    x = seq.nth_term(n, bits)
+    if x.exact and (c or not s.is_integer()):
+        x = BigReal(x.mantissa, x.exponent, bits, False)
+    r = certifier._eval(x, certifier.start_bits(x.integer_bits()))
+    return r.precision - r.integer_bits()
+
+
+@pytest.mark.parametrize("policy", [PrecisionPolicy(),
+                                    PrecisionPolicy(agreement=24)],
+                         ids=["a40", "a80"])
+@pytest.mark.parametrize("name, transform", [
+    ("sqrt_n", PI_SQUARE), ("pi_n", SQRT), ("pi_n", PI_SQUARE),
+    ("power_law:0.613197", SQRT), ("primes", SQRT)])
+def test_term_width_is_the_fewest_claim_of_the_block(policy, name,
+                                                     transform):
+    # the first block's fewest claim can lie between its ends (at 80
+    # bits: 127 against 129 at both ends for sqrt_n under pi*x**2)
+    seq = parse_sequence(name)
+    certifier = _Certifier(transform, policy)
+    for lo in (1, 1025):
+        n = np.arange(lo, lo + 1024)
+        claim = min(_first_claim(certifier, seq, k) for k in n.tolist())
+        assert certifier._term_width(seq, n) == 2.0 ** -min(claim, 130)
+
+
 # cells without exclusions, so term n sits at index n - 1
-ALONE_CELLS = (("sqrt_n", LOG10), ("pi_n", LOGLOG), ("primes", SQRT),
+ALONE_CELLS =(("sqrt_n", LOG10), ("pi_n", LOGLOG), ("primes", SQRT),
                ("power_law:0.367427", PI_SQUARE), ("power_law:1/pi", LOG10),
                ("exp_n", LOG10), ("n_pow_n", SQRT))
 ALONE_N = 300
