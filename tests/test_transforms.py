@@ -930,11 +930,33 @@ _TERM_MS = st.one_of(
                                 a[1]))))
 _SLACK = 1 + Fraction(1, 1 << 40)  # the certifier's factor on err
 
+# the exp2 route of the power maps on terms pi**k m**e
+
+_EXP2_E = st.one_of(st.just(0.25), st.just(0.5), st.floats(0.1, 1.0))
+
+
+def _exp2_route_m(route, f):
+    """An integer m in the route's double-double range, log-uniform in f."""
+    lo, hi = route._quick_range
+    return max(2, min(int(hi), int(hi ** f)))
+
+
+def _exp2_ratio(route, ms):
+    """The largest |uh + ul - u| / err of the route's double-double phase
+    over the integers ms (mpmath at 400 bits)."""
+    uh, ul, err = route._quick(np.array(ms, dtype=np.float64))
+    with mp.workprec(400):
+        return max(abs(mpf(h) + mpf(l) - mp.pi ** mpf(route.k)
+                       * mpf(m) ** mpf(route.e)) / mpf(b)
+                   for m, h, l, b in zip(ms, uh, ul, err))
+
 
 class TestTermRoutes:
-    """The logs' quick phase on terms pi**c m**s: s log_b m + c log_b pi,
-    and the outer log10 of that for the iterated log, each within its
-    proved bound, and sound for every input within its stated error."""
+    """The quick phase on terms pi**c m**s: for the logs s log_b m + c
+    log_b pi, and the outer log10 of that for the iterated log; for the
+    power maps pi**k m**e as 2**(e log2 m + k log2 pi) (the exp2 route);
+    each within its proved bound, sound for every input within its stated
+    error, and tight where one part of the bound dominates."""
 
     @given(ms=_TERM_MS, c=st.integers(0, 1), t=st.sampled_from(TERM_LOGS))
     @settings(max_examples=500, deadline=None)
@@ -1059,44 +1081,16 @@ class TestTermRoutes:
             assert t._on_terms(2.0 ** -401, 1) is None
             assert t._on_terms(2.0 ** 401, 0) is None
 
-
-# the exp2 route of the power maps on terms pi**k m**e
-
-_EXP2_E = st.one_of(st.just(0.25), st.just(0.5), st.floats(0.1, 1.0))
-
-
-def _exp2_route_m(route, f):
-    """An integer m in the route's double-double range, log-uniform in f."""
-    lo, hi = route._quick_range
-    return max(2, min(int(hi), int(hi ** f)))
-
-
-def _exp2_ratio(route, ms):
-    """The largest |uh + ul - u| / err of the route's double-double phase
-    over the integers ms (mpmath at 400 bits)."""
-    uh, ul, err = route._quick(np.array(ms, dtype=np.float64))
-    with mp.workprec(400):
-        return max(abs(mpf(h) + mpf(l) - mp.pi ** mpf(route.k)
-                       * mpf(m) ** mpf(route.e)) / mpf(b)
-                   for m, h, l, b in zip(ms, uh, ul, err))
-
-
-class TestExp2Route:
-    """The power maps' quick phase on terms pi**c m**s: pi**k m**e as
-    2**(e log2 m + k log2 pi), within its proved bound, the bound sound
-    for every y within its stated error and tight where one part of it
-    dominates."""
-
     @given(e=_EXP2_E, k=st.sampled_from((0.0, 0.5, 1.0, 3.0)),
            f=st.floats(0.0, 1.0))
     @settings(max_examples=400, deadline=None)
-    def test_error_within_its_bound(self, e, k, f):
+    def test_power_error_within_its_bound(self, e, k, f):
         route = tr._PowerOfTerms(e, k)
         m = _exp2_route_m(route, f)
         assert _exp2_ratio(route, [m]) <= 1 + mpf(2) ** -40
 
     @pytest.mark.parametrize("k", [0.0, 0.5])
-    def test_error_within_its_bound_on_a_seeded_sample(self, k):
+    def test_power_error_on_a_seeded_sample(self, k):
         # e = 1/4 and 1/2, and seeded doubles in (0.1, 1), each on m
         # log-uniform up to the cut: the bound is tight enough that half
         # of it fails somewhere
@@ -1112,7 +1106,7 @@ class TestExp2Route:
            r=st.floats(-1.0, 1.0), ey=st.one_of(
                st.just(0.0), st.floats(2.0 ** -110, 2.0 ** -60)))
     @settings(max_examples=400, deadline=None)
-    def test_holds_at_its_inputs_extremes(self, yh, r, ey):
+    def test_exp2_holds_at_its_inputs_extremes(self, yh, r, ey):
         # 2**y for every y within ey of yh + yl; where ey is the bound's
         # main part, the worse end of y takes over 0.9 of the bound
         yl = r * math.ulp(yh) / 2
@@ -1127,7 +1121,7 @@ class TestExp2Route:
                 assert worst > 0.9 * bound
 
     @pytest.mark.parametrize("t", [0, 1, 255, 256, 1001, 5000, 12345])
-    def test_holds_at_the_reductions_ends(self, t):
+    def test_exp2_at_the_reductions_ends(self, t):
         # y as far from t/256 as the reduction lets it be, |z| near
         # _EXP2_Z_MAX: the polynomial's remainder is then most of the
         # miss, on the side of z
@@ -1142,7 +1136,7 @@ class TestExp2Route:
                 if side > 0:
                     assert miss > 0.5 * tr._EXP2_REMAINDER * uh[0]
 
-    def test_table_and_coefficients(self):
+    def test_exp2_table_and_coefficients(self):
         hi, lo, err, taylor = tr._quick_exp2_table()
         with mp.workprec(400):
             for j in range(256):
@@ -1153,7 +1147,7 @@ class TestExp2Route:
         assert err <= 2.0 ** -104
 
     @pytest.mark.parametrize("e, k", [(2.0, 3.0), (3.0, 2.0), (1.0, 5.0)])
-    def test_integer_route_is_floor_of_u_times_2_120(self, e, k):
+    def test_power_integer_route_is_floor_of_u_times_2_120(self, e, k):
         # u * 2**120 in (A - 1, A + 2), from m = 0 to the largest m below
         # 2**53, in one array and alone
         rng = random.Random(int(e * 10 + k))
