@@ -3,12 +3,12 @@
 mod1_law sums exact cell probabilities P(u(X) in [j, j+z]) over the integer
 cells that carry mass, working on a log10 abscissa so heavy tails never
 overflow. It evaluates blocks of z rows x cells, at most _CHUNK elements
-each, with at most one cdf and one survival call per block; every row still
-sums its cells in cell order, so each probability is bit-identical to
-evaluating one z at a time. discrepancy_bound turns the closed-form
-supremum of pdf/u' into the certified ceiling 2*sup; certify_mod1_bound
-measures one against the other and raises if the measurement ever crosses
-the ceiling.
+each, with one cdf or survival call per block and run of adjacent cells on
+one side of the median; every row still sums its cells in cell order, so
+each probability is bit-identical to evaluating one z at a time.
+discrepancy_bound turns the closed-form supremum of pdf/u' into the
+certified ceiling 2*sup; certify_mod1_bound measures one against the other
+and raises if the measurement ever crosses the ceiling.
 
 The two fraction laws with explicit series (uniform and exponential inputs
 under pi*x**2) get dedicated evaluators: an exact clamped-cell sum for the
@@ -71,9 +71,13 @@ def mod1_law(distribution, transform, zs=None, tail=1e-14,
     undefined on part of the support (Transform.check_support).
 
     Cells are taken _CHUNK at a time, and z rows in blocks of at most
-    _CHUNK elements (one row when a chunk is full). Each row is reduced
-    over its cells in cell order, so the result is bit-identical to a
-    per-z loop over the same cells.
+    _CHUNK elements (one row when a chunk is full). A chunk's cells split
+    once into maximal runs of adjacent cells whose left edge lies on one
+    side of the median; each run is read as a column slice of the block,
+    and its differences go into one buffer per chunk, so no cell is
+    gathered, reordered or scattered. Each row is reduced over its cells
+    in cell order, so the result is bit-identical to a per-z loop over the
+    same cells.
     """
     if zs is None:
         zs = default_z_grid()
@@ -118,21 +122,27 @@ def mod1_law(distribution, transform, zs=None, tail=1e-14,
         cdf_left = distribution.cdf_log10(lg_left)
         sf_left = distribution.sf_log10(lg_left)
         # upper-half cells difference survivals, the rest cdfs, so neither
-        # side cancels against a value near 1
+        # side cancels against a value near 1; runs[i] = (a, b, sf) marks
+        # the cells a..b-1 of one side
         use_sf = cdf_left >= 0.5
-        use_cdf = ~use_sf
+        cuts = [0, *(np.flatnonzero(use_sf[1:] != use_sf[:-1]) + 1).tolist(),
+                j.size]
+        runs = [(a, b, bool(use_sf[a])) for a, b in zip(cuts, cuts[1:])]
         rows = max(1, _CHUNK // j.size)
+        p_chunk = np.empty((min(rows, zs.size), j.size))
         for r0 in range(0, zs.size, rows):
             block = slice(r0, r0 + rows)
             lg_right = transform.inverse_log10(j + zs[block, None])
-            p = np.empty_like(lg_right)
-            if use_sf.any():
-                p[:, use_sf] = sf_left[use_sf] - distribution.sf_log10(
-                    lg_right[:, use_sf])
-            if use_cdf.any():
-                p[:, use_cdf] = distribution.cdf_log10(
-                    lg_right[:, use_cdf]) - cdf_left[use_cdf]
-            probs[block] += np.sum(np.maximum(p, 0.0), axis=1)
+            p = p_chunk[:len(lg_right)]
+            for a, b, sf in runs:
+                if sf:
+                    np.subtract(sf_left[a:b],
+                                distribution.sf_log10(lg_right[:, a:b]),
+                                out=p[:, a:b])
+                else:
+                    np.subtract(distribution.cdf_log10(lg_right[:, a:b]),
+                                cdf_left[a:b], out=p[:, a:b])
+            probs[block] += np.sum(np.maximum(p, 0.0, out=p), axis=1)
 
     errs = np.abs(probs - zs)
     i = int(errs.argmax())
@@ -205,17 +215,21 @@ def p_delta_uniform(k, delta, max_cells=50_000_000):
         raise TruncationFailure(
             f"{needed} cells exceed the budget of {budget} for k={k:g}")
     n = max(1, math.ceil(a2))
+    step = _CHUNK * 16
+    top = np.empty(min(n, step))
     total = 0.0
-    for start in range(0, n, _CHUNK * 16):
-        total += _uniform_cells(start, min(start + _CHUNK * 16, n), delta, a)
+    for start in range(0, n, step):
+        total += _uniform_cells(start, min(start + step, n), delta, a, top)
     return total / a
 
 
-def _uniform_cells(start, stop, delta, a):
+def _uniform_cells(start, stop, delta, a, buffer):
     """Sum of min(sqrt(j + delta), a) - sqrt(j) over cells start..stop-1,
-    worked in place: two arrays live at a time, freed on return."""
+    worked in place: in the caller's buffer of at least stop - start
+    doubles, which it overwrites, and in one fresh array of j, freed on
+    return, so two arrays live at a time."""
     j = np.arange(start, stop, dtype=np.float64)
-    top = j + delta
+    top = np.add(j, delta, out=buffer[:j.size])
     np.minimum(np.sqrt(top, out=top), a, out=top)
     top -= np.sqrt(j, out=j)
     return float(np.sum(top))

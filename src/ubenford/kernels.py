@@ -82,7 +82,11 @@ def _atanh_inv(q, prec):
         return p1 * r2 * shift + p2 * r1, r1 * r2 * shift
 
     p, r = split(0, n_terms)
-    return (p << g) // (r * q) >> _GUARD
+    r *= q
+    # p < r: dropping the s low bits of both, which leaves r with g + 64
+    # bits, moves the quotient at scale 2**-g by less than 2**-61
+    s = max(0, r.bit_length() - g - 64)
+    return (p >> s << g) // (r >> s) >> _GUARD
 
 
 def _pi(prec):

@@ -7,6 +7,7 @@ mod1_law, which computes the same probabilities through cdf differences
 rather than through square roots.
 """
 
+import hashlib
 import math
 
 import mpmath
@@ -26,6 +27,7 @@ from ubenford.distributions import (Exponential, HalfNormal,
                                     LognormalBase10, ParetoI, ParetoII,
                                     UniformOnZeroK)
 from ubenford.distributions import sup_ratio
+from ubenford.experiments import DELTA_GRID
 from ubenford.errors import (CertificateViolation, HypothesisViolated,
                              InvalidParameter, NotUnimodal,
                              TruncationFailure)
@@ -312,6 +314,126 @@ class TestMod1LawBlocks:
         res = _assert_matches_per_z(HalfNormal(4.0), PI_SQUARE, zs)
         assert res.cells * zs.size > 10 * _CHUNK
         assert np.all(np.diff(res.probs) >= 0.0)
+
+
+class _Wobble:
+    """Duck-typed family for the run split: its "cdf" c + a*sin(w*x) on
+    [1, hi] need not rise, so the side of the cells' left edges may
+    change at any cell. Only the reads mod1_law makes are defined."""
+
+    support_lo = 1.0
+
+    def __init__(self, hi, c, a, w):
+        self.hi, self.c, self.a, self.w = hi, c, a, w
+
+    def label(self):
+        return f"wobble({self.hi:g}, {self.c:g}, {self.a:g}, {self.w:g})"
+
+    def ppf_log10(self, q):
+        return 0.0
+
+    def isf_log10(self, p):
+        return math.log10(self.hi)
+
+    def cdf_log10(self, lg):
+        return self.c + self.a * np.sin(self.w * np.power(10.0, lg))
+
+    def sf_log10(self, lg):
+        return 1.0 - self.cdf_log10(lg)
+
+
+def _run_lengths(distribution, transform, cells):
+    """Lengths of the maximal runs of adjacent cells j = 1..cells whose
+    left edges lie on one side of the median, in cell order."""
+    j = np.arange(1.0, cells + 1.0)
+    side = distribution.cdf_log10(transform.inverse_log10(j)) >= 0.5
+    cuts = np.flatnonzero(side[1:] != side[:-1]) + 1
+    return np.diff([0, *cuts, side.size]), side
+
+
+class TestMod1LawRuns:
+    ZS = TestMod1LawBlocks.ZS
+
+    def test_several_runs_and_one_cell_runs(self):
+        d = _Wobble(60.5, 0.5, 0.45, 2.5)
+        lengths, _ = _run_lengths(d, IDENTITY, 60)
+        assert lengths.size > 10 and lengths.min() == 1
+        assert _assert_matches_per_z(d, IDENTITY, self.ZS).cells == 60
+        _assert_matches_per_z(d, IDENTITY, default_z_grid())
+
+    @pytest.mark.parametrize("d,t,side", [
+        (UniformOnZeroK(3.0), LOG10, False),
+        (_Wobble(60.5, 0.7, 0.1, 2.5), IDENTITY, True),
+    ], ids=["cdf", "sf"])
+    def test_every_cell_on_one_side(self, d, t, side):
+        res = _assert_matches_per_z(d, t, self.ZS)
+        j = np.arange(math.floor(t.u_float_from_log10(d.ppf_log10(1e-14))),
+                      math.floor(t.u_float_from_log10(d.isf_log10(1e-14)))
+                      + 1.0)
+        assert res.cells == j.size > 10
+        assert np.all((d.cdf_log10(t.inverse_log10(j)) >= 0.5) == side)
+
+    def test_runs_across_two_chunks(self):
+        # 1,000 cells past the first chunk, so the second chunk's block
+        # holds every z row; a run spans the chunk boundary, and the
+        # second chunk has runs of its own
+        d = _Wobble(_CHUNK + 1000.5, 0.5, 0.45, math.pi / 400.5)
+        lengths, side = _run_lengths(d, IDENTITY, _CHUNK + 1000)
+        assert side[_CHUNK - 1] == side[_CHUNK]
+        assert np.unique(side[_CHUNK:]).size == 2
+        assert lengths.size > 100
+        res = _assert_matches_per_z(d, IDENTITY, self.ZS)
+        assert res.cells == _CHUNK + 1000
+
+
+# recorded with the boolean-mask block loop that came before the run
+# split; the per-z reference makes the same family calls as mod1_law, so
+# only a pinned value sees a change that both share
+PINNED_LAWS = [
+    (HalfNormal(4.0), PI_SQUARE,
+     "179555f9bf2311f49ad0c3c72979f427b71f9d13d0707ff1aa21ac5e4efbe34c",
+     0.03389621227948031, 0.302734375, 3011, 5.369610443434154e-12),
+    (HalfNormal(51.7755), SQRT,
+     "0eab3e6b988d72988041174a0d7a01b5064f6d78e513da5073c19aa9050fe604",
+     0.00024714131622161073, 0.7890625, 21, 5.830349362740526e-14),
+    (ParetoII(0.0134701), LOG10,
+     "437bd4a4093d41b4c8c860ea6e463c9b8b8cbc0b22e67c7c2a6b636bbc9a2793",
+     1.0412936353509927e-05, 0.49609375, 1053, 1.8915037518884638e-12),
+    (LognormalBase10(0.91579, 1.89314), LOG10,
+     "fa01dcde40c93dbc05d9799324d9118f34233d84a4712382d53c6a756e8d8c96",
+     2.7755575615628914e-15, 0.9970703125, 30, 7.429070518200751e-14),
+    (UniformOnZeroK(8796.51), SQRT,
+     "05f30386cd3f594c0d6f0490b88f36aaa01d66047bd7c0e3867e403961fbadf2",
+     0.0017671491379838145, 0.7900390625, 94, 1.8797754290362353e-13),
+    (Exponential(0.470661), LOG10,
+     "eea3ec56b34a94d6a0cdf36acc82046ee4313a8c6ceca0d0f0cbf004921252fd",
+     0.02397028483279129, 0.7021484375, 16, 4.942170943040401e-14),
+]
+
+# p_delta_uniform(1000, delta) over DELTA_GRID, recorded with the
+# per-chunk arrays that came before the shared buffer
+PINNED_P_DELTA_UNIFORM_1000 = [
+    0.1001354175843382, 0.20016289375336965, 0.3001699591251237,
+    0.40016508804866135, 0.500151647552869, 0.6001314191673498,
+    0.7001054917643924, 0.8000746060966397, 0.900039306741281,
+]
+
+
+class TestPinnedBits:
+    @pytest.mark.parametrize("d,t,digest,disc,worst_z,cells,budget",
+                             PINNED_LAWS,
+                             ids=[f"{d.label()}-{t.label()}"
+                                  for d, t, *_ in PINNED_LAWS])
+    def test_law_on_the_default_grid(self, d, t, digest, disc, worst_z,
+                                     cells, budget):
+        res = mod1_law(d, t, zs=default_z_grid())
+        assert hashlib.sha256(res.probs.tobytes()).hexdigest() == digest
+        assert (res.discrepancy, res.worst_z, res.cells,
+                res.error_budget) == (disc, worst_z, cells, budget)
+
+    def test_p_delta_uniform_over_the_delta_grid(self):
+        got = [p_delta_uniform(1000, delta) for delta in DELTA_GRID]
+        assert got == PINNED_P_DELTA_UNIFORM_1000
 
 
 class TestBoundCertificates:

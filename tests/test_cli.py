@@ -234,6 +234,11 @@ def test_pdelta_text_bytes_are_pinned(capsys):
     ("analyze_compound_growth_loglog",
      ("analyze", str(_DATA / "compound_growth.csv"), "--column", "2",
       "--transform", "loglog")),
+    # three erfc-fed laws to the last bit, where the text table prints six
+    # digits; recorded before mod1_law split its cells into runs
+    ("bounds_half_normal",
+     ("bounds", "half_normal", "--params", "1,10,100", "--transform",
+      "sqrt")),
 ])
 def test_structured_record_bytes_are_pinned(capsys, name, argv):
     # CI compares the console script's output with the same files
