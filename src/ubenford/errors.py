@@ -76,8 +76,9 @@ class InsufficientPrecision(NumericalFailure):
     transforms.py) raises it for an inexact input once doubling the
     working precision gains no certified bits.
     Callers are expected to regenerate the input at more bits and retry:
-    frac_sample doubles them until they pass the policy's cap, where it
-    raises PrecisionCapExceeded instead. This is a control-flow signal,
+    the per-term route of a sequence (_Certifier._term_frac) doubles them
+    until they pass the policy's cap, where it raises
+    PrecisionCapExceeded instead. This is a control-flow signal,
     not a fatal condition.
     """
 

@@ -171,7 +171,6 @@ class PowerLaw(Sequence):
     """n**alpha. alpha is "1/pi" or a positive float expanded exactly."""
 
     def __init__(self, alpha):
-        self._constants = (None, None, None)  # see _constants_at
         if isinstance(alpha, str) and alpha.strip() == "1/pi":
             self._inv_pi = True
             self._ratio = self._exact = None
@@ -199,22 +198,13 @@ class PowerLaw(Sequence):
         slop = int(self._alpha_float * (n.bit_length() + 4)) + 6
         lost = slop.bit_length() + 2
         g = bits + lost
-        _, ln2, pi = self._constants_at(g)
-        ln_n = ln_int_fixed(n, g, ln2)
+        ln_n = ln_int_fixed(n, g, ln2_fixed(g))
         if self._inv_pi:
-            x = (ln_n << g) // pi
+            x = (ln_n << g) // pi_fixed(g)
         else:
             x = ln_n * self._ratio[0] // self._ratio[1]
         mant, e2 = exp_fixed(x, g)
         return BigReal(mant, e2 - g, g - lost, False)
-
-    def _constants_at(self, g):
-        """(g, ln 2, pi or None) at scale 2**-g, kept for the last g: the
-        terms of a cell share g over long runs."""
-        if self._constants[0] != g:
-            self._constants = (g, ln2_fixed(g),
-                               pi_fixed(g) if self._inv_pi else None)
-        return self._constants
 
     def int_bits_estimate(self, n):
         return int(self._alpha_float * math.log2(n)) + 2

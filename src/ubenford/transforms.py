@@ -16,38 +16,40 @@ enter only through the policy, in _policy_bits.
 
 An array of doubles (analyze_dataset, the sampled row of table3) goes
 through _Certifier.fracs in two phases, after Ziv, a block of
-_QUICK_BLOCK values at a time. The quick phase has two routes. The
-double-double route evaluates Log (every base), LogLog, and sqrt and
+_QUICK_BLOCK (4,096) values at a time. The quick phase has two routes.
+The double-double route evaluates Log (every base), LogLog, and sqrt and
 pi*x**2 while u <= 2**20, in numpy, with a proved bound err on each
 value's error (below 2**-92 for a log, about 2**-105 u for sqrt and
-2**-104 u for pi*x**2; the proofs are in the `_quick` methods and in
-`_log10_of`). The integer route
-(`Power._scaled`) takes what the power maps with an inexact result
-(q = 2, or c = pi) leave, at any size: A = floor(u * 2**120) in Python
-ints, exact but for pi's few units. A double is handed out only where
-its u, widened by its route's error and by the fewest bits the
-certifier's own evaluator claims (`_quick_width`), lies inside one
-2**-80 cell of {u}; the policy certifies at most 80 bits, and certify
-could double the x's first precision within the cap. The double is
-then the one certify would return. Every other value falls back to
-the certifier: one outside both routes (nonpositive or subnormal for
-Log, LogLog, the identity and x**p without pi everywhere), an exact
-power of the base, and any u that lies near a cell edge or, for Log,
-an integer. Below 2**-80 the integer route needs no lower margin: its
+2**-104 u for pi*x**2; the proofs are in the `_quick` methods, in
+`_log10_of` and in `_dd_mul`, the one double-double product). The
+integer route (`Power._scaled`) takes what the power maps with an
+inexact result (q = 2, or c = pi) leave, at any size: A = floor(u *
+2**120) in Python ints, exact but for pi's few units
+(`_pi_power_floor`). A double is handed out only where its u, widened
+by its route's error and by the fewest bits the certifier's own
+evaluator claims (`_quick_width`), lies inside one 2**-80 cell of {u};
+the policy certifies at most 80 bits, and certify could double the x's
+first precision within the cap. The double is then the one certify
+would return (`_cell_doubles`, for both routes). Every other value
+falls back to the certifier: one outside both routes (nonpositive or
+subnormal for Log, LogLog, the identity and x**p without pi
+everywhere), an exact power of the base, and any u that lies near a
+cell edge or, for Log, an integer. Below 2**-80 the integer route needs no lower margin: its
 maps' certified results are never negative.
 
 A sequence's terms (frac_sample) go through _Certifier.terms, the same
-two phases over blocks of indices. A sequence that states its term n as
-pi**c m_n**s, m_n an integer below 2**53 (Sequence.form), hands m_n to
-the quick routes of u composed with that form (`_on_terms`): a log
-becomes s log_b m + c log_b pi (`_scale_shift`), the iterated log the
-outer log of that, and a power map, which sends the term to pi**k m**e,
-the power map of m where k is 0 or 1 and that map has a route, else the
-exp2 route (`_PowerOfTerms`): 2**(e log2 m + k log2 pi) in double-double
-while u <= about 2**23 (`_exp2`, within about u (ey ln 2 + 2**-104) for
-y's bound ey), and for integers e and k floor(pi**k m**e 2**120) in
-ints. The width is then the fewest bits the per-term route claims on
-the generated terms (`_term_width`), not the width for doubles. Routed:
+two phases over blocks of _QUICK_BLOCK indices. A sequence that states
+its term n as pi**c m_n**s, m_n an integer below 2**53 (Sequence.form),
+hands m_n to the quick routes of u composed with that form
+(`_on_terms`): a log becomes s log_b m + c log_b pi (`_scale_shift`),
+the iterated log the outer log of that, and a power map, which sends
+the term to pi**k m**e, the power map of m where k is 0 or 1 and that
+map has a route, else the exp2 route (`_PowerOfTerms`): 2**(e log2 m +
+k log2 pi) in double-double while u <= about 2**23 (`_exp2`, within
+about u (ey ln 2 + 2**-104) for y's bound ey), and for integers e and
+k floor(pi**k m**e 2**120) in ints (`_pi_power_floor`). The width is
+then the fewest bits the per-term route claims on the generated terms
+(`_term_width`), not the width for doubles. Routed:
 sqrt_n, pi_n, primes and the power laws with a double exponent under
 every log and every power map but for the exact ones (a u that is
 always an integer), the steep power laws under pi*x**2 taking nothing
@@ -174,11 +176,9 @@ def _log_at(x, w, constants):
 
 _DD_BITS = 160  # fixed-point bits of the constants the quick phase rounds
 _HALF_ULP = 2.0 ** -53
-_QUICK_BLOCK = 4096  # values per numpy pass, which bounds its temporaries
-# indices per block of a sequence cell: the iterated log's quick phase
-# keeps about 50 doubles live per value, and a cell's peak memory stays
-# near the per-term route's list of doubles
-_TERM_BLOCK = 1024
+# values, or a sequence's indices, per numpy pass, which bounds its
+# temporaries
+_QUICK_BLOCK = 4096
 _QUICK_U_MAX = 2.0 ** 20  # a power map's double-double phase stops here
 # the integer route's A = floor(u * 2**_ROUTE_BITS) keeps _ROUTE_GUARD bits
 # below the 2**-80 cell
@@ -187,19 +187,33 @@ _ROUTE_BITS = _FRAC_OUT_BITS + _ROUTE_GUARD
 _isqrt = np.frompyfunc(isqrt, 1, 1)
 
 
-def _frac_doubles(cells):
-    """_frac_double of each cell of an object array of ints below 2**80.
-
-    A cell's halves c >> 40 and c mod 2**40 are below 2**40, so they and
-    their scaled values (c >> 40) * 2**-40 and (c mod 2**40) * 2**-80 are
-    exact doubles, and their sum rounds once: to the correctly rounded
-    c / 2**80, as int / int true division does.
+def _cell_doubles(jh, jl):
+    """frac's double for each cell j = jh + jl of {u}, j < 2**80 the exact
+    sum of two doubles: j * 2**-80 rounded once, as _frac_double's int /
+    int true division rounds it, and 1 - 2**-53 where that rounds to 1.
+    jh + jl rounds once and the scaling by 2**-80 is exact.
     """
-    half = _FRAC_OUT_BITS // 2
-    hi = (cells >> half).astype(np.float64)
-    lo = (cells & ((1 << half) - 1)).astype(np.float64)
-    return np.minimum(hi * 2.0 ** -half + lo * 2.0 ** -_FRAC_OUT_BITS,
-                      _ONE_MINUS)
+    return np.minimum((jh + jl) * 2.0 ** -_FRAC_OUT_BITS, _ONE_MINUS)
+
+
+def _pi_power_floor(m, e, k, big):
+    """The integer route's A under pi: pi**k m 2**(e + _ROUTE_BITS) lies
+    in (A - 1, A + 2), for ints m >= 0 and e (or object arrays of them),
+    an int k >= 1 and an int big >= 0 with every m 2**e < 2**big.
+
+    A = floor(m P 2**(e + _ROUTE_BITS - kL)), a right shift, for P =
+    pi_fixed(L)**k and L = big + _ROUTE_BITS + 2k + bit_length(k) - 1.
+    pi_fixed(L) is within 2 of pi 2**L (kernels), so P is within (pi
+    2**L)**k k 2**(1 - L) / pi (1 + 2**-40) of (pi 2**L)**k, and the
+    shifted product before its floor is off by at most 2**(big +
+    _ROUTE_BITS + 1 - L) k pi**(k - 1) (1 + 2**-40) = k 2**-bit_length(k)
+    (pi/4)**(k - 1) (1 + 2**-40) < 1: k 2**-bit_length(k) is 1/2 at k =
+    1 and below 1 past it, where (pi/4)**(k - 1) <= pi/4. Only pi's bits
+    near u's binary point reach A (Payne and Hanek, SIGNUM Newsletter 18,
+    1983): L follows the largest m 2**e, and the shift drops the rest.
+    """
+    bits = big + _ROUTE_BITS + 2 * k + k.bit_length() - 1
+    return m * pi_fixed(bits) ** k >> (k * bits - _ROUTE_BITS - e)
 
 
 def _two_sum(a, b):
@@ -219,6 +233,26 @@ def _two_prod(a, b):
     ah, al = _split(a)
     bh, bl = _split(b)
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _dd_mul(ah, al, bh, bl):
+    """(ah + al)(bh + bl) = vh + vl in double-double, and the bound loss
+    on what its arithmetic loses, the operands taken as exact:
+    ah bh = p + pe exactly (Dekker), m1 = RN(ah bl) and m2 = RN(al bh)
+    round once each, low = (pe + m1) + m2 twice, and vh + vl = p + low
+    exactly (Knuth); al bl is left out and added whole. An operand's own
+    error is the caller's: times the other operand's magnitude. Relative
+    slack below 2**-50 (the rounding of al bl and of loss itself) is left
+    to the certifier's factor 1 + 2**-40, as in `Log._quick`.
+    """
+    p, pe = _two_prod(ah, bh)
+    m1 = ah * bl
+    m2 = al * bh
+    s1 = pe + m1
+    low = s1 + m2
+    vh, vl = _two_sum(p, low)
+    return vh, vl, np.abs(al * bl) + _HALF_ULP * (
+        np.abs(m1) + np.abs(m2) + np.abs(s1) + np.abs(low))
 
 
 def _dd(v, ulps):
@@ -402,11 +436,9 @@ def _exp2(yh, yl, ey):
     With N = floor(t/256) and j = t - 256 N, y = N + j/256 + r, r = r_h
     + yl, and 2**y = 2**N 2**(j/256) e**z, z = r ln 2, |z| <= _EXP2_Z_MAX.
 
-    z: r_h ln2h = p + pe exactly, r_h ln2l and yl ln2h round once each and
-    so do their two sums with pe, zh + zl = p + s2 exactly; yl ln2l is
-    left out, and ln 2's double-double is off by its err, |r| times. An
-    error dz of z is one of e**z of at most e**|z| |dz| (1 + |dz|) <
-    1.0015 |dz|.
+    z: (r_h + yl)(ln2h + ln2l) (`_dd_mul`), and ln 2's double-double is
+    off by its err, |r| times. An error dz of z is one of e**z of at most
+    e**|z| |dz| (1 + |dz|) < 1.0015 |dz|.
 
     e**z - 1: its Taylor polynomial of degree 8 leaves _EXP2_REMAINDER.
     Horner's scheme runs the tail 1/6! + z (1/7! + z/8!) in doubles, on
@@ -433,14 +465,8 @@ def _exp2(yh, yl, ey):
     rh = (yh * 256.0 - t) * (1.0 / 256.0)
     n = np.floor(t * (1.0 / 256.0))
     j = (t - 256.0 * n).astype(np.intp)
-    p, pe = _two_prod(rh, ln2h)
-    m1 = rh * ln2l
-    m2 = yl * ln2h
-    s1 = pe + m1
-    s2 = s1 + m2
-    zh, zl = _two_sum(p, s2)
-    ez = (np.abs(rh) + np.abs(yl)) * ln2_err + np.abs(yl * ln2l) \
-        + _HALF_ULP * (np.abs(m1) + np.abs(m2) + np.abs(s1) + np.abs(s2))
+    zh, zl, loss = _dd_mul(rh, yl, ln2h, ln2l)
+    ez = (np.abs(rh) + np.abs(yl)) * ln2_err + loss
     sh = taylor[6][0] + zh * (taylor[7][0] + zh * taylor[8][0])
     sl = np.zeros_like(sh)
     e = 2.0 ** -60
@@ -638,13 +664,11 @@ class Log(Transform):
         Then L = k ln 2 + M: k ln2h = a1 + a2 and a1 + mh = lh + r
         exactly, b = RN(k ln2l) rounds once, ll = ((r + a2) + b) + ml
         three times, and ln 2's double-double is off by its err, k times.
-        Then u = L R with R = 1/ln(base) = rh + rl up to its err: lh rh =
-        ph + pe exactly, m1 = RN(lh rl) and m2 = RN(ll rh) round once each
-        and low = (pe + m1) + m2 twice; ll rl (left out) is added whole,
-        L's error is scaled by rh and R's by |lh| + |ll|; uh + ul =
-        ph + low exactly. Relative slack below 2**-50 per term (rh for R,
-        |th| for |t|, the rounding of err itself) is left to the factor
-        1 + 2**-40 the certifier puts on err.
+        Then u = L R with R = 1/ln(base) = rh + rl up to its err
+        (`_dd_mul`): L's error is scaled by rh and R's by |lh| + |ll|.
+        Relative slack below 2**-50 per term (rh for R, |th| for |t|, the
+        rounding of err itself) is left to the factor 1 + 2**-40 the
+        certifier puts on err.
         """
         ln2, cell_hi, cell_lo, cell_err = _quick_log_tables()
         rh, rl, r_err = _quick_inv_ln(self.base)
@@ -683,16 +707,8 @@ class Log(Transform):
         ll = s2 + ml
         err += np.abs(k) * ln2[2] + _HALF_ULP * (
             np.abs(b) + np.abs(s1) + np.abs(s2) + np.abs(ll))
-        ph, pe = _two_prod(lh, rh)
-        m1 = lh * rl
-        m2 = ll * rh
-        s1 = pe + m1
-        low = s1 + m2
-        err = (err * rh + (np.abs(lh) + np.abs(ll)) * r_err
-               + np.abs(ll * rl) + _HALF_ULP * (
-                   np.abs(m1) + np.abs(m2) + np.abs(s1) + np.abs(low)))
-        uh, ul = _two_sum(ph, low)
-        return uh, ul, err
+        uh, ul, loss = _dd_mul(lh, ll, rh, rl)
+        return uh, ul, err * rh + (np.abs(lh) + np.abs(ll)) * r_err + loss
 
 
 @dataclass(frozen=True)
@@ -803,7 +819,8 @@ class _PowerOfTerms:
     (about 2**-104 b); b + fh = lh + r exactly and r + fl rounds once.
     m = 1 is left to the per-term route: it is the term 1 for c = 0.
     Integer route, where e and k are integers (pi n under pi*x**2): A =
-    floor(u 2**_ROUTE_BITS) in ints (`_scaled`), at any size.
+    floor(u 2**_ROUTE_BITS) in ints (`_scaled`, on `_pi_power_floor`), at
+    any size.
     """
 
     e: float
@@ -831,20 +848,10 @@ class _PowerOfTerms:
     def _scaled(self, m):
         """A = floor(u 2**_ROUTE_BITS) for an array of integers m >= 0 below
         2**53, with u 2**_ROUTE_BITS in (A - 1, A + 2), for integers e and
-        k: A = floor(m**e P 2**(_ROUTE_BITS - kL)), P = pi_fixed(L)**k.
-
-        pi_fixed(L) is within 2 of pi 2**L, so P is within (pi 2**L)**k
-        k 2**(1 - L) / pi (1 + 2**-40) of (pi 2**L)**k, and A before its
-        floor is off by at most 2**(eE + _ROUTE_BITS + 1 - L) k
-        pi**(k - 1) (1 + 2**-40) for m < 2**E. L = eE + _ROUTE_BITS + 2k
-        + 2 + bit_length(k) makes that k 2**-bit_length(k) (pi/4)**(k - 1)
-        / 8 < 1/8.
-        """
+        k (`_pi_power_floor` of m**e < 2**(eE), m < 2**E)."""
         e, k = int(self.e), int(self.k)
-        big = e * int(m.max(initial=1.0)).bit_length()
-        bits = big + _ROUTE_BITS + 2 * k + 2 + k.bit_length()
-        return m.astype(np.int64).astype(object) ** e * pi_fixed(bits) ** k \
-            >> (k * bits - _ROUTE_BITS)
+        return _pi_power_floor(m.astype(np.int64).astype(object) ** e, 0, k,
+                               e * int(m.max(initial=1.0)).bit_length())
 
 
 _POWER_NAMES = {(1, 1, False): "identity", (1, 2, False): "sqrt",
@@ -1001,15 +1008,9 @@ class Power(Transform):
         x = m * 2**e from np.frexp, with m a 53-bit integer, and x**p =
         m * 2**e through `_raised`. q = 2: with k = e/2 + _ROUTE_BITS, A
         = isqrt(m * 2**(2k)) for k >= 0 and isqrt(m) // 2**-k below
-        (floor(floor(y)/n) = floor(y/n)), exact. c = pi: A = floor(pi_L
-        m 2**(e + _ROUTE_BITS - L)) for the constant pi_L = pi_fixed(L),
-        within 2 of pi * 2**L (kernels), a right shift for every double.
-        Then A is off from u * 2**_ROUTE_BITS, before its floor, by at
-        most 2 x**p 2**(_ROUTE_BITS - L) < 2**(p E + _ROUTE_BITS + 1 - L)
-        for every x < 2**E, which L = p max(E, 0) + _ROUTE_BITS + 2, E the
-        largest in the array, keeps below 1/2. Only pi's bits near u's
-        binary point reach A (Payne and Hanek, SIGNUM Newsletter 18,
-        1983): the shift drops the rest.
+        (floor(floor(y)/n) = floor(y/n)), exact. c = pi:
+        `_pi_power_floor` with k = 1, for x**p < 2**(p max(E, 0)), E the
+        largest binary exponent in the array.
         """
         m, big = np.frexp(x)
         m, e = self._raised((m * 2.0 ** 53).astype(np.int64).astype(object),
@@ -1017,8 +1018,7 @@ class Power(Transform):
         if self.q == 2:
             k = e // 2 + _ROUTE_BITS
             return _isqrt(m << np.maximum(2 * k, 0)) >> np.maximum(-k, 0)
-        bits = self.p * int(big.max(initial=0)) + _ROUTE_BITS + 2
-        return m * pi_fixed(bits) >> (bits - _ROUTE_BITS - e)
+        return _pi_power_floor(m, e, 1, self.p * int(big.max(initial=0)))
 
     def _quick(self, x):
         """u(x) = uh + ul in double-double and err >= |uh + ul - u(x)|,
@@ -1028,12 +1028,10 @@ class Power(Transform):
         x - p - pe is exact with s*s = p + pe; d = RN((x - s*s)/(2 s))
         rounds once. With δ = (x - s*s)/(2 s), sqrt(x) = s + δ - δ**2/(2 s)
         (1 + O(2**-51)), so s + d is within 2**-53 |d| + d**2/(2 s).
-        pi*x**2: x*x = x2h + x2l and x2h pih = ph + pe exactly; m1 =
-        RN(x2h pil) and m2 = RN(x2l pih) round once each and low =
-        (pe + m1) + m2 twice; x2l pil (left out) is added whole, and pi's
-        double-double is off by its err, x*x times. uh + ul = ph + low
-        exactly. Relative slack below 2**-50 is left to the certifier's
-        factor 1 + 2**-40, as for Log.
+        pi*x**2: x*x = x2h + x2l exactly, times pi's double-double
+        (`_dd_mul`), which is off by its err, x*x times. Relative slack
+        below 2**-50 is left to the certifier's factor 1 + 2**-40, as for
+        Log.
         """
         if self.q == 2:
             s = np.sqrt(x)
@@ -1043,14 +1041,8 @@ class Power(Transform):
             return uh, ul, _HALF_ULP * np.abs(d) + 0.5 * d * d / s
         pih, pil, pi_err = _quick_pi()
         x2h, x2l = _two_prod(x, x)
-        ph, pe = _two_prod(x2h, pih)
-        m1 = x2h * pil
-        m2 = x2l * pih
-        s1 = pe + m1
-        low = s1 + m2
-        uh, ul = _two_sum(ph, low)
-        return uh, ul, (x2h * pi_err + np.abs(x2l * pil) + _HALF_ULP * (
-            np.abs(m1) + np.abs(m2) + np.abs(s1) + np.abs(low)))
+        uh, ul, loss = _dd_mul(x2h, x2l, pih, pil)
+        return uh, ul, x2h * pi_err + loss
 
 
 IDENTITY = Power(1)
@@ -1221,14 +1213,14 @@ class _Certifier:
         as the doubles `_term_frac` certifies, in order of n, the count of
         terms outside u's domain, left out of fracs, and the count of n.
 
-        The two phases of `fracs`, one block of _TERM_BLOCK indices at a
+        The two phases of `fracs`, one block of _QUICK_BLOCK indices at a
         time: `_hand_out_terms` hands out the terms of a sequence with a
         form, and every other term takes the per-term route.
         """
         frac = functools.partial(self._term_frac, sequence)
         parts, excluded, requested = [], 0, 0
-        for lo in range(1, n_max + 1, _TERM_BLOCK):
-            hi = min(lo + _TERM_BLOCK, n_max + 1)
+        for lo in range(1, n_max + 1, _QUICK_BLOCK):
+            hi = min(lo + _QUICK_BLOCK, n_max + 1)
             n = np.arange(lo, hi) if keep is None else np.array(
                 [i for i in range(lo, hi) if keep(i)], dtype=np.int64)
             out = np.zeros(n.size)
@@ -1439,7 +1431,7 @@ class _Certifier:
         pos = (h - jh) + (l - jl)
         margin = (err + width) * 2.0 ** 80 + 2.0 ** -50
         inside = (pos > margin) & (pos < 1.0 - margin)
-        return inside, np.minimum((jh + jl)[inside] * 2.0 ** -80, _ONE_MINUS)
+        return inside, _cell_doubles(jh[inside], jl[inside])
 
     def _integer_cells(self, x, t, width):
         """(inside, {u} of the inside x) from a power map's integer route
@@ -1451,11 +1443,12 @@ class _Certifier:
         them lie in (A - 1 - W, A + 2 + W). Where A's low _ROUTE_GUARD
         bits, pos, leave 1 + W below and 2 + W above, inside the cell c =
         A >> _ROUTE_GUARD, they all floor to c, and the double handed out
-        is _frac_double(c mod 2**80), frac's own. In cell 0 the lower
-        margin goes: the route's maps take x >= 0, so a certified result
-        there is never negative. pos, an integer below 2**40, and the
-        margins, multiples of 2**-10 while a <= 80, add exactly in
-        doubles.
+        is frac's own for the cell c mod 2**80 (`_cell_doubles`), whose
+        two 40-bit halves hi and lo pass as the exact doubles hi 2**40 and
+        lo. In cell 0 the lower margin goes: the route's maps take x >= 0,
+        so a certified result there is never negative. pos, an integer
+        below 2**40, and the margins, multiples of 2**-10 while a <= 80,
+        add exactly in doubles.
         """
         a = t._scaled(x)
         cell = a >> _ROUTE_GUARD
@@ -1463,8 +1456,11 @@ class _Certifier:
         margin = width * 2.0 ** _ROUTE_BITS + 1.0
         inside = ((pos >= margin) | (cell == 0)) \
             & (pos + margin + 1.0 <= 2.0 ** _ROUTE_GUARD)
-        return inside, _frac_doubles(
-            cell[inside] & ((1 << _FRAC_OUT_BITS) - 1))
+        c = cell[inside] & ((1 << _FRAC_OUT_BITS) - 1)
+        half = _FRAC_OUT_BITS // 2
+        return inside, _cell_doubles(
+            (c >> half).astype(np.float64) * 2.0 ** half,
+            (c & ((1 << half) - 1)).astype(np.float64))
 
 
 def eval_transform(x, transform, policy=DEFAULT_POLICY):

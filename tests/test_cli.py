@@ -239,6 +239,13 @@ def test_pdelta_text_bytes_are_pinned(capsys):
     ("bounds_half_normal",
      ("bounds", "half_normal", "--params", "1,10,100", "--transform",
       "sqrt")),
+] + [
+    # the wide-range file under the double-double logs, recorded before
+    # their products shared one helper
+    (f"analyze_wide_range_{t}",
+     ("analyze", str(Path(__file__).parent / "fixtures" / "wide_range.csv"),
+      "--column", "2", "--transform", t))
+    for t in ("log10", "loglog")
 ])
 def test_structured_record_bytes_are_pinned(capsys, name, argv):
     # CI compares the console script's output with the same files

@@ -838,6 +838,25 @@ class TestQuickPhase:
                 else:
                     assert int(mp.floor(u)) == ai, x
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_pi_power_floor_against_mpmath(self, k):
+        # pi**k m 2**(e + 120) in (A - 1, A + 2), with one e for every m
+        # and with an e per m, from m = 0 to m 2**e just below 2**big
+        rng = random.Random(k)
+        ms = [0, 1, 3, 2 ** 53 - 1, 2 ** 200 - 1] + [
+            rng.getrandbits(rng.randint(1, 200)) for _ in range(40)]
+        es = [rng.randint(-300, 300) for _ in ms]
+        for e in (0, -140, 37, np.array(es, dtype=object)):
+            m = np.array(ms, dtype=object)
+            each = np.broadcast_to(e, m.shape).tolist()
+            big = max(0, max(mi.bit_length() + ei
+                             for mi, ei in zip(ms, each)))
+            a = tr._pi_power_floor(m, e, k, big)
+            with mp.workprec(big + 600):
+                for mi, ei, ai in zip(ms, each, a):
+                    u = mp.pi ** k * mpf(mi) * mpf(2) ** (ei + 120)
+                    assert ai - 1 < u < ai + 2, (mi, ei, k)
+
     @pytest.mark.parametrize("t", ROUTED, ids=lambda t: t.label())
     def test_integer_route_rule(self, t):
         # A's low 40 bits leave 1 + W units below and 2 + W above, W the
@@ -864,7 +883,9 @@ class TestQuickPhase:
     def test_frac_doubles_is_frac_double(self):
         # random 80-bit cells, halfway cases at every exponent (c / 2**80
         # a tie between two doubles, both mantissa parities), and the
-        # cells that round up to 1.0 and are clamped below it
+        # cells that round up to 1.0 and are clamped below it; each cell
+        # as the integer route splits it (its 40-bit halves, the high one
+        # scaled) and as a rounded high part and its exact remainder
         rng = random.Random(80)
         cells = [rng.getrandbits(80) for _ in range(20000)]
         for shift in range(1, 28):
@@ -873,11 +894,17 @@ class TestQuickPhase:
                 cells.append(m << shift | 1 << (shift - 1))
         cells += [0, 1, 2 ** 40 - 1, 2 ** 40, 2 ** 79, 2 ** 80 - 2 ** 27,
                   2 ** 80 - 2 ** 26 - 1, 2 ** 80 - 2 ** 26, 2 ** 80 - 1]
-        got = tr._frac_doubles(np.array(cells, dtype=object))
-        assert got.dtype == np.float64
-        assert got.tolist() == [tr._frac_double(c) for c in cells]
-        assert got[-1] == got[-2] == math.nextafter(1.0, 0.0)
-        assert tr._frac_doubles(np.array([], dtype=object)).shape == (0,)
+        want = [tr._frac_double(c) for c in cells]
+        rounded = [float(c) for c in cells]
+        for jh, jl in (([float(c >> 40 << 40) for c in cells],
+                        [float(c & (2 ** 40 - 1)) for c in cells]),
+                       (rounded, [float(c - int(h))
+                                  for c, h in zip(cells, rounded)])):
+            got = tr._cell_doubles(np.array(jh), np.array(jl))
+            assert got.dtype == np.float64
+            assert got.tolist() == want
+            assert got[-1] == got[-2] == math.nextafter(1.0, 0.0)
+        assert tr._cell_doubles(np.zeros(0), np.zeros(0)).shape == (0,)
 
     @pytest.mark.parametrize("t", ROUTED, ids=lambda t: t.label())
     def test_fewest_claim_holds(self, t):
@@ -929,6 +956,18 @@ _TERM_MS = st.one_of(
         lambda a: (a[0], _nudge(tr._LOGLOG_Y_MIN / math.log10(a[0]),
                                 a[1]))))
 _SLACK = 1 + Fraction(1, 1 << 40)  # the certifier's factor on err
+# a double-double operand (hi, lo) of either sign over 400 binades, so
+# that no product of parts leaves the normal range: zero, hi with lo a
+# multiple of 2**-20 of ulp(hi)/2, or 0 with a lo alone, as _exp2's
+# reduced argument is where 256 y is an integer
+_DD_SIGNED = st.tuples(st.floats(2.0 ** -200, 2.0 ** 200),
+                       st.sampled_from((1.0, -1.0))).map(
+    lambda a: a[0] * a[1])
+_DD_OPERAND = st.one_of(
+    st.just((0.0, 0.0)),
+    st.tuples(_DD_SIGNED, st.integers(-2 ** 20, 2 ** 20)).map(
+        lambda a: (a[0], a[1] * 2.0 ** -21 * math.ulp(a[0]))),
+    _DD_SIGNED.map(lambda lo: (0.0, lo)))
 
 # the exp2 route of the power maps on terms pi**k m**e
 
@@ -982,6 +1021,17 @@ class TestTermRoutes:
         with mp.workprec(400):
             assert abs(mpf(hi) + mpf(lo) - mp.log(mp.pi) / mp.log(base)) \
                 <= err <= 2.0 ** -105
+
+    @given(a=_DD_OPERAND, b=_DD_OPERAND)
+    @settings(max_examples=300, deadline=None)
+    def test_dd_mul_holds_at_its_inputs_extremes(self, a, b):
+        # the exact product of two double-doubles, zeros and both signs
+        # among them, lies within loss of vh + vl
+        (ah, al), (bh, bl) = a, b
+        vh, vl, loss = tr._dd_mul(*(np.array([v]) for v in (ah, al, bh, bl)))
+        want = (Fraction(ah) + Fraction(al)) * (Fraction(bh) + Fraction(bl))
+        assert abs(want - Fraction(vh[0]) - Fraction(vl[0])) \
+            <= Fraction(loss[0]) * _SLACK
 
     @given(lh=st.one_of(st.just(0.0), st.tuples(
                st.floats(2.0 ** -20, 40.0), st.sampled_from((1.0, -1.0))
