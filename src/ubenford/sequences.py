@@ -7,16 +7,22 @@ point with as many significant bits as the downstream transform asks for.
 One rule in bits sizes a term: a sequence with inexact terms bounds their
 integer bits (int_bits_estimate), and the certifier's start_bits turns
 that into the bits the term is generated at. An exact term ignores its
-bits. frac_sample hands a cell to the certifier (_Certifier.terms): the
-terms of a sequence that states them as pi**c m_n**s (`form`: sqrt_n,
-pi_n, primes and the power laws with a double exponent) are mostly
-certified in numpy blocks from m_n (`_bases`), under every transform;
-every other term (e**n, n!, n**n, n**(1/pi), and the few a block's
-quick routes cannot vouch for) is generated, and regenerated at doubled
-bits while the transform refuses its fractional part, up to the policy's
-cap.
+bits. frac_sample hands a cell to the certifier (_Certifier.terms), which
+certifies most terms in numpy blocks from what the sequence states of
+them. Under every log, each sequence's ln x_n (`_ln_terms`): n for e**n,
+n ln n for n**n, Stirling's series for n! from n = 16 on, ln n / pi for
+n**(1/pi), and s ln m_n + c ln pi for the sequences that state their
+terms as pi**c m_n**s (`form`: sqrt_n, pi_n, primes and the power laws
+with a double exponent). Under the power maps, that form; ln x_n for
+n**(1/pi); and n! under pi*x**2 as a running product (`_ratios`). Every
+other term (e**n and n**n under the power maps, n! under sqrt and below
+16 under the logs, the steep power laws under pi*x**2, and the few a
+block's quick routes cannot vouch for) is generated, and regenerated at
+doubled bits while the transform refuses its fractional part, up to the
+policy's cap.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from math import isqrt
@@ -27,7 +33,9 @@ from .bigreal import DEFAULT_POLICY, BigReal
 from .errors import InvalidParameter, count, real, string
 from .kernels import e_fixed, exp_fixed, ln2_fixed, ln_int_fixed, \
     pi_fixed, pow_fixed
-from .transforms import Power, _Certifier, _policy_bits
+from .transforms import _DD_BITS, _HALF_ULP, Power, _Certifier, _dd, \
+    _dd_mul, _ln, _ln_pi_fixed, _mul_add, _policy_bits, _quick_inv_pi, \
+    _quick_ln_pi, _scale_shift, _times, _two_prod, _two_sum
 
 _LOG2_E_FIXED64 = 26613026195688644984  # ceil(log2(e) * 2**64)
 # a power law builds n**(p/q) exactly while p bit_length(n) / q stays
@@ -71,21 +79,50 @@ def nth_prime(n):
 # ---------------------------------------------------------------------------
 # sequences
 
+# every index a double holds exactly, and every one past a first term 1,
+# whose log is the integer 0 and which lies outside the iterated log's
+# domain
+_WHOLE = (1.0, 2.0 ** 53 - 1.0)
+_PAST_ONE = (2.0, _WHOLE[1])
+
+
 class Sequence:
     """Base: positive terms indexed from n = 1.
 
     nth_term(n, bits) returns term n, certified to `bits` significant
-    bits where it is not exact. `form` = (s, c), a float s > 0 and c in
-    {0, 1}, states term n as pi**c m_n**s, m_n = _bases(n) an integer
-    below 2**53; None where no such form holds.
+    bits where it is not exact. What a sequence states of its terms
+    besides, for the quick routes of _Certifier.terms:
+    - `_ln_range` = (lo, hi), the indices n (as doubles) on which
+      `_ln_terms` states ln x_n in double-double with a proved bound;
+      None where it states none.
+    - `form` = (s, c), a float s > 0 and c in {0, 1}, states term n as
+      pi**c m_n**s, m_n = _bases(n) an integer below 2**53; None where
+      no such form holds. Only the power maps read it; the logs read
+      ln x_n, s ln m_n + c ln pi for a form.
+    - `growth`, a double g with x_n <= n**g for every n, where one is
+      stated and no form is (n**(1/pi)); `_ratios`, where the terms are a
+      running product of integers (n!).
     """
 
     name = "?"
     form = None
+    _ln_range = None
+    growth = None
+    _ratios = None
 
     def _bases(self, n):
         """m_n as doubles, for an ascending int64 array of indices n."""
         return n.astype(np.float64)
+
+    def _ln_terms(self, n):
+        """ln x_n = lh + ll and err >= |lh + ll - ln x_n|, for an array of
+        indices n in `_ln_range`, as doubles. From the form: s ln m_n + c
+        ln pi (`_scale_shift` on `_ln`'s ln m_n, s in its range)."""
+        s, c = self.form
+        y = _ln(self._bases(n.astype(np.int64)))
+        if s != 1.0 or c:
+            y = _scale_shift(*y, s, _quick_ln_pi() if c else (0.0, 0.0, 0.0))
+        return y
 
     def nth_term(self, n, bits):
         raise NotImplementedError
@@ -103,6 +140,7 @@ class Sequence:
 class SqrtN(Sequence):
     name = "sqrt_n"
     form = (0.5, 0)
+    _ln_range = _PAST_ONE
 
     def nth_term(self, n, bits):
         r = isqrt(n)
@@ -117,6 +155,7 @@ class SqrtN(Sequence):
 class PiN(Sequence):
     name = "pi_n"
     form = (1.0, 1)
+    _ln_range = _WHOLE
 
     def nth_term(self, n, bits):
         return BigReal(pi_fixed(bits) * n, -bits, bits, False)
@@ -128,6 +167,7 @@ class PiN(Sequence):
 class Primes(Sequence):
     name = "primes"
     form = (1.0, 0)
+    _ln_range = _WHOLE
 
     def nth_term(self, n, bits):
         return BigReal.from_int(nth_prime(n))
@@ -140,6 +180,10 @@ class Primes(Sequence):
 
 class ExpN(Sequence):
     name = "exp_n"
+    _ln_range = _WHOLE
+
+    def _ln_terms(self, n):
+        return n, np.zeros_like(n), np.zeros_like(n)  # ln e**n = n, exact
 
     def nth_term(self, n, bits):
         # e**n = (e/2)**n * 2**n, and floor(e * 2**(p-1)) at scale 2**p
@@ -153,18 +197,117 @@ class ExpN(Sequence):
         return (n * _LOG2_E_FIXED64 >> 64) + 1
 
 
+# ln n! from Stirling's series takes n >= _STIRLING_N0 with _STIRLING_K
+# terms, whose remainder is below 2**-96 there; a smaller n! takes the
+# per-term route
+_STIRLING_N0 = 16
+_STIRLING_K = 14
+
+
+@functools.cache
+def _stirling_constants():
+    """(1/2) ln(2 pi) as (hi, lo, err), the series' coefficients c_k =
+    B_2k / (2k (2k - 1)), k = 1.._STIRLING_K, each as (hi, lo, err), and
+    |c_(K+1)| rounded up, the remainder's. The Bernoulli numbers B_j come
+    exact from sum_(i <= j) C(j + 1, i) B_i = 0; each c_k floors to
+    2**-160 within one ulp. ln pi (within 2 ulps at 2**-160) plus ln 2
+    (within 1), halved, is within 2.5."""
+    # imported here, where the first n! needs it, not with the package
+    from fractions import Fraction
+    b = [Fraction(1)]
+    for j in range(1, 2 * _STIRLING_K + 3):
+        b.append(-sum(math.comb(j + 1, i) * b[i] for i in range(j)) / (j + 1))
+    c = [b[2 * k] / (2 * k * (2 * k - 1)) for k in range(1, _STIRLING_K + 2)]
+    one = 1 << _DD_BITS
+    half_ln_2pi = (_ln_pi_fixed() >> 64) + ln2_fixed(_DD_BITS) >> 1
+    return (_dd(half_ln_2pi, 3),
+            [_dd(ck.numerator * one // ck.denominator, 1) for ck in c[:-1]],
+            float(abs(c[-1])) * (1.0 + 2.0 ** -50))
+
+
 class Factorial(Sequence):
     name = "factorial"
+    _ln_range = (float(_STIRLING_N0), 2.0 ** 52 - 1.0)  # n + 1/2 exact
 
     def nth_term(self, n, bits):
         return BigReal.from_int(math.factorial(n))
 
+    def _ln_terms(self, n):
+        """ln n! = (n + 1/2) ln n - n + (1/2) ln(2 pi) + S + R, S = sum_k
+        c_k t**(2k - 1), t = 1/n, k = 1..K (`_stirling_constants`;
+        Stirling's series, DLMF 5.11.1). For real n > 0 the remainder R
+        has the sign of, and is at most, the first term left out, |c_(K+1)|
+        t**(2K + 1) (DLMF 5.11(ii); at K = 1 this is Robbins, Amer. Math.
+        Monthly 62 (1955)), below 2**-96 from n = _STIRLING_N0 on.
+
+        t = th + tl: th = RN(1/n) and 1 - n th = (1 - p) - pe, exact: 1 -
+        p by Sterbenz, and 1 - n th, a multiple of ulp(th) below 2**-53,
+        is a double; tl, that over n, is within 2**-53 |tl|. z = t t
+        (`_dd_mul`), off by 2 t times t's error as well. S/t = c_1 + z (c_2
+        + ... + z c_K) takes K - 1 double-double steps (`_mul_add`), each
+        within z <= _STIRLING_N0**-2 times what it inherits, |S/t| times
+        z's error, its own loss and its coefficient's err; S = t (S/t)
+        (`_dd_mul`). The sum: (n + 1/2) ln n = ah + al (`_dd_mul`; n + 1/2
+        is exact) within n + 1/2 times ln n's error, ah - n = h1 + r1, h1
+        + ch = h2 + r2 and h2 + sh = h3 + r3 exactly, the five additions
+        that make low round once each, and vh + vl = h3 + low exactly.
+        Relative slack below 2**-50 (|t| <= th (1 + 2**-52), the rounding
+        of th**(2K + 1) and of err) is left to the certifier's factor 1 +
+        2**-40, as in `transforms._ln`.
+        """
+        (ch, cl, ce), coef, rest = _stirling_constants()
+        th = 1.0 / n
+        p, pe = _two_prod(n, th)
+        tl = ((1.0 - p) - pe) / n
+        et = _HALF_ULP * np.abs(tl)
+        zh, zl, ez = _dd_mul(th, tl, th, tl)
+        ez += 2.0 * th * et
+        sh, sl = np.full_like(n, coef[-1][0]), np.full_like(n, coef[-1][1])
+        es = coef[-1][2]
+        for c in coef[-2::-1]:
+            es = (es * _STIRLING_N0 ** -2 + (np.abs(sh) + np.abs(sl)) * ez
+                  + c[2])
+            sh, sl, loss = _mul_add(zh, zl, sh, sl, c[:2])
+            es += loss
+        es = es * th + (np.abs(sh) + np.abs(sl)) * et
+        sh, sl, loss = _dd_mul(th, tl, sh, sl)
+        lh, ll, err = _ln(n)
+        ah, al, loss0 = _dd_mul(n + 0.5, np.zeros_like(n), lh, ll)
+        h1, r1 = _two_sum(ah, -n)
+        h2, r2 = _two_sum(h1, ch)
+        h3, r3 = _two_sum(h2, sh)
+        s1 = r1 + r2
+        s2 = s1 + r3
+        s3 = s2 + al
+        s4 = s3 + cl
+        low = s4 + sl
+        vh, vl = _two_sum(h3, low)
+        return vh, vl, ((n + 0.5) * err + loss0 + ce + es + loss
+                        + rest * th ** (2 * _STIRLING_K + 1)
+                        + _HALF_ULP * (np.abs(s1) + np.abs(s2) + np.abs(s3)
+                                       + np.abs(s4) + np.abs(low)))
+
+    def _ratios(self, n):
+        """x_(n_i) / x_(n_(i-1)) for an ascending int64 array of indices n,
+        x_(n_0) itself first: their running products are the terms."""
+        n = n.tolist()
+        return [math.factorial(n[0])] + [math.prod(range(a + 1, b + 1))
+                                         for a, b in zip(n, n[1:])]
+
 
 class NPowN(Sequence):
     name = "n_pow_n"
+    _ln_range = _PAST_ONE
 
     def nth_term(self, n, bits):
         return BigReal.from_int(n ** n)
+
+    def _ln_terms(self, n):
+        """n ln n: the exact n times `_ln`'s ln n (`_dd_mul`), which scales
+        its error by n."""
+        lh, ll, err = _ln(n)
+        vh, vl, loss = _dd_mul(n, np.zeros_like(n), lh, ll)
+        return vh, vl, n * err + loss
 
 
 class PowerLaw(Sequence):
@@ -176,6 +319,8 @@ class PowerLaw(Sequence):
             self._ratio = self._exact = None
             self._alpha_float = 1.0 / math.pi
             self.name = "power_law(1/pi)"
+            self._ln_range = _PAST_ONE
+            self.growth = math.nextafter(1.0 / math.pi, 1.0)
             return
         a = real("power-law exponent", alpha)
         self._inv_pi = False
@@ -184,7 +329,16 @@ class PowerLaw(Sequence):
         self._exact = Power(p, q) if q <= 2 else None
         self._alpha_float = a
         self.form = (a, 0)
+        if 2.0 ** -400 <= a <= 2.0 ** 400:  # _scale_shift's range
+            self._ln_range = _PAST_ONE
         self.name = f"power_law({a:g})"
+
+    def _ln_terms(self, n):
+        """ln n / pi for n**(1/pi): `_ln`'s ln n times 1/pi's
+        double-double (`_times`); the form's otherwise."""
+        if self._inv_pi:
+            return _times(*_ln(n), _quick_inv_pi())
+        return super()._ln_terms(n)
 
     def nth_term(self, n, bits):
         if n == 1:

@@ -38,23 +38,29 @@ cell edge or, for Log, an integer. Below 2**-80 the integer route needs no lower
 maps' certified results are never negative.
 
 A sequence's terms (frac_sample) go through _Certifier.terms, the same
-two phases over blocks of _QUICK_BLOCK indices. A sequence that states
-its term n as pi**c m_n**s, m_n an integer below 2**53 (Sequence.form),
-hands m_n to the quick routes of u composed with that form
-(`_on_terms`): a log becomes s log_b m + c log_b pi (`_scale_shift`),
-the iterated log the outer log of that, and a power map, which sends
-the term to pi**k m**e, the power map of m where k is 0 or 1 and that
-map has a route, else the exp2 route (`_PowerOfTerms`): 2**(e log2 m +
-k log2 pi) in double-double while u <= about 2**23 (`_exp2`, within
-about u (ey ln 2 + 2**-104) for y's bound ey), and for integers e and
-k floor(pi**k m**e 2**120) in ints (`_pi_power_floor`). The width is
-then the fewest bits the per-term route claims on the generated terms
-(`_term_width`), not the width for doubles. Routed:
-sqrt_n, pi_n, primes and the power laws with a double exponent under
-every log and every power map but for the exact ones (a u that is
-always an integer), the steep power laws under pi*x**2 taking nothing
-past the cut. Per term only: n**(1/pi), and the slow rows e**n, n! and
-n**n, which state no such form.
+two phases over blocks of _QUICK_BLOCK indices, each transform's route
+on the terms taking what it can (`_terms_route`). Every sequence states
+ln x_n on a range of n in double-double (`Sequence._ln_terms`): n for
+e**n, n ln n for n**n, Stirling's series for n! from n = 16 on, ln n / pi
+for n**(1/pi), and s ln m + c ln pi for the terms pi**c m**s of a form.
+A log divides it by ln b, the iterated log takes the outer log10 of that
+(`_LogOfTerms`). A power map reads the form, which sends the term to
+pi**k m**e: the power map of m where k is 0 or 1 and that map has a
+route, else the exp2 route (`_PowerOfTerms`): 2**(e log2 m + k log2 pi)
+in double-double while u <= about 2**20.8, where its whole bound stays
+below half a cell (`_exp2`, within about u (ey ln 2 + 2**-104) for y's
+bound ey), and for integers e and k floor(pi**k m**e 2**120) in ints
+(`_pi_power_floor`). Without a form (`_PowerOfSequence`), n**(1/pi) takes
+the exp2 route on its stated ln x_n, and n! under pi*x**p the integer
+route as a running product. The width is then the fewest bits the
+per-term route claims on the generated terms (`_term_width`), not the
+width for doubles. Per term only: the slow rows e**n and n**n under the
+power maps and n! under sqrt, the steep power laws under pi*x**2, which
+lie past the cut, n! below 16 under the logs, and an exact power map of
+m (a u that is always an integer). A root of an exact integer past every
+double (n!, n**n) first meets a residue filter ahead of its square test
+(`_no_square`), and is taken at the fractional bits its working
+precision sizes (`Power._eval_at`).
 """
 
 import bisect
@@ -99,6 +105,26 @@ def _power_exponent(v, base):
     if j < 1 or abs(j * log2_base - (bl - 1)) > 1.0 + 1e-9 * bl:
         return None
     return j if base ** j == v else None
+
+
+# integers wider than this are past every double; only for them do the
+# square roots of Power take the residue filter and the sized root
+_DOUBLE_BITS = 1024
+# eight primes past 10**6: small moduli prove nothing about n!, which every
+# one of them divides
+_RESIDUE_PRIMES = (1000003, 1000033, 1000037, 1000039, 1000081, 1000099,
+                   1000117, 1000121)
+
+
+def _no_square(m):
+    """True where a residue proves the integer m >= 0 no square, as in
+    the square test of Cohen, A Course in Computational Algebraic Number
+    Theory (1993), Alg. 1.7.3, whose moduli 64, 63, 65 and 11 all divide
+    n! past n = 12. A square is 0 or a quadratic residue mod every odd
+    prime p, and r != 0 is one iff r**((p - 1)/2) = 1 mod p, else -1
+    (Euler's criterion). A non-square passes each prime with odds near
+    1/2."""
+    return any(pow(m % p, p >> 1, p) == p - 1 for p in _RESIDUE_PRIMES)
 
 
 def _exact_log(x, base):
@@ -212,8 +238,13 @@ def _pi_power_floor(m, e, k, big):
     near u's binary point reach A (Payne and Hanek, SIGNUM Newsletter 18,
     1983): L follows the largest m 2**e, and the shift drops the rest.
     """
-    bits = big + _ROUTE_BITS + 2 * k + k.bit_length() - 1
+    bits = _pi_power_bits(k, big)
     return m * pi_fixed(bits) ** k >> (k * bits - _ROUTE_BITS - e)
+
+
+def _pi_power_bits(k, big):
+    """`_pi_power_floor`'s L, the bits of pi it takes."""
+    return big + _ROUTE_BITS + 2 * k + k.bit_length() - 1
 
 
 def _two_sum(a, b):
@@ -299,20 +330,126 @@ def _quick_pi():
 
 
 @functools.cache
-def _quick_log_pi(base, k=1.0):
-    """k log_base(pi) as (hi, lo, err), for a k >= 0 with 2k an integer
-    below 2**40. At g = _DD_BITS + 64 bits, ln of pi_fixed(g) (within 2
-    units of pi 2**g, so below 1 ulp of ln pi + g ln 2) is within g + 4
-    ulps and g ln 2 within g, ln(base) within bit_length + 2; the
-    quotient by ln(base) >= ln 2, with log_base(pi) < 2, is within 3 (2g
-    + 4) + 3 (bit_length + 2) + 1 ulps at 2**-g, k times that and one
-    more for the halving, and the shift to 2**-160 floors once more: 2
-    ulps for every base below 2**(2**15)."""
+def _ln_pi_fixed():
+    """ln pi at g = _DD_BITS + 64 bits: ln of pi_fixed(g) (within 2 units
+    of pi 2**g, so below 1 ulp of ln pi + g ln 2) is within g + 4 ulps and
+    g ln 2 within g: 2g + 4 ulps at 2**-g."""
     g = _DD_BITS + 64
     ln2 = ln2_fixed(g)
-    ln_pi = ln_int_fixed(pi_fixed(g), g, ln2) - g * ln2
-    q = (ln_pi << g) // ln_int_fixed(base, g, ln2)
+    return ln_int_fixed(pi_fixed(g), g, ln2) - g * ln2
+
+
+@functools.cache
+def _quick_log_pi(base, k=1.0):
+    """k log_base(pi) as (hi, lo, err), for a k >= 0 with 2k an integer
+    below 2**40. At g = _DD_BITS + 64 bits, ln pi (`_ln_pi_fixed`) is
+    within 2g + 4 ulps, ln(base) within bit_length + 2; the quotient by
+    ln(base) >= ln 2, with log_base(pi) < 2, is within 3 (2g + 4) + 3
+    (bit_length + 2) + 1 ulps at 2**-g, k times that and one more for the
+    halving, and the shift to 2**-160 floors once more: 2 ulps for every
+    base below 2**(2**15)."""
+    g = _DD_BITS + 64
+    q = (_ln_pi_fixed() << g) // ln_int_fixed(base, g, ln2_fixed(g))
     return _dd(int(2 * k) * q >> 65, 2)
+
+
+@functools.cache
+def _quick_ln_pi():
+    """ln pi as (hi, lo, err), from `_ln_pi_fixed` at 2**-(_DD_BITS + 64),
+    whose floor to 2**-160 adds one ulp: 2 ulps."""
+    return _dd(_ln_pi_fixed() >> 64, 2)
+
+
+@functools.cache
+def _quick_inv_pi():
+    """1/pi as (hi, lo, err): pi_fixed is within 2 ulps, so the quotient
+    is within 2 / pi**2 + 1 <= 2 ulps."""
+    return _dd((1 << 2 * _DD_BITS) // pi_fixed(_DD_BITS), 2)
+
+
+def _ln(x):
+    """ln x = lh + ll in double-double and err >= |lh + ll - ln x|, for an
+    array of normal positive doubles; its temporaries die here, before a
+    caller's products.
+
+    x = m 2**k with m in [1, 2), c the centre of m's cell of [1, 2)
+    (width 2**-8), t = (m - c)/(m + c) with |t| <= 2**-10, and
+    ln x = k ln 2 + ln c + 2 atanh(t), atanh(t) = t + t g,
+    g = t**2/3 + t**4 (1/5 + t**2/7 + t**4/9 + t**6/11) + O(t**10).
+
+    The bound, M = ln c + 2 atanh(t) first:
+    - m - c is exact, m + c = dh + dl exactly and num - th dh is the
+      exactly representable remainder of th = RN(num/dh); so th + tl is t
+      within 2**-112 (roundings below 2**-113, and dividing by dh, not dh
+      + dl, costs 2**-53 of a correction below 2**-61), which 2 atanh's
+      slope (< 2.0001) makes 2**-110.9.
+    - sh + sl is t*t within 2**-121 (tl**2 and two roundings), gh + gl,
+      before q joins it, is t*t/3 within 2**-121.
+    - q stands for t**4 (1/5 + ...): z = RN(sh + sl) is t*t within 2**-53
+      relative, the polynomial in z within 2**-52 relative (the double
+      0.2 and the last addition; its tail is below 2**-80 relative), and
+      two products round once each: 2**-50 |q|.
+    - atanh(t) = th + tl + th gh + th gl + tl gh (+ tl gl < 2**-134), th
+      gh = p + pe exactly and th + p = ah + r exactly; the six roundings
+      in al act on partial sums below 2**-60.5.
+    So 2 atanh(t) is within 2**-49 |th q| + 2**-109.5 (|t| <= |th| (1 +
+    2**-51)), and then: ln c_j's double-double is off by at most the
+    table's err; ml = (r + cl) + 2 al rounds twice.
+    Then L = k ln 2 + M: k ln2h = a1 + a2 and a1 + mh = lh + r exactly, b
+    = RN(k ln2l) rounds once, ll = ((r + a2) + b) + ml three times, and
+    ln 2's double-double is off by its err, k times. Relative slack below
+    2**-50 per term (|th| for |t|, the rounding of err itself) is left to
+    the factor 1 + 2**-40 the certifier puts on err.
+    """
+    ln2, cell_hi, cell_lo, cell_err = _quick_log_tables()
+    m, k = np.frexp(x)
+    m += m
+    k = k - 1.0
+    j = ((m - 1.0) * 256.0).astype(np.intp)
+    c = (j + 0.5) / 256.0 + 1.0
+    num = m - c
+    dh, dl = _two_sum(m, c)
+    th = num / dh
+    p, pe = _two_prod(th, dh)
+    tl = (num - p - pe - th * dl) / dh
+    sh, sl = _two_prod(th, th)
+    sl += 2.0 * th * tl
+    gh = sh / 3.0
+    p, pe = _two_prod(gh, 3.0)
+    gl = (sh - p - pe + sl) / 3.0
+    z = sh + sl
+    q = z * z * (0.2 + z * (1 / 7 + z * (1 / 9 + z / 11)))
+    gh, r = _two_sum(gh, q)
+    gl += r
+    p, pe = _two_prod(th, gh)
+    ah, r = _two_sum(th, p)
+    al = r + tl + (pe + th * gl + tl * gh)
+    mh, r = _two_sum(cell_hi[j], ah + ah)
+    s1 = r + cell_lo[j]
+    ml = s1 + (al + al)
+    err = (2.0 ** -49 * np.abs(th * q) + (2.0 ** -109.5 + cell_err)
+           + _HALF_ULP * (np.abs(s1) + np.abs(ml)))
+    a1, a2 = _two_prod(k, ln2[0])
+    lh, r = _two_sum(a1, mh)
+    b = k * ln2[1]
+    s1 = r + a2
+    s2 = s1 + b
+    ll = s2 + ml
+    err += np.abs(k) * ln2[2] + _HALF_ULP * (
+        np.abs(b) + np.abs(s1) + np.abs(s2) + np.abs(ll))
+    return lh, ll, err
+
+
+def _times(lh, ll, err, r):
+    """L R in double-double and its bound, for L = lh + ll within err and
+    a constant R = (rh, rl, r_err), rh + rl within r_err (`_dd_mul`): L's
+    error is scaled by rh and R's by |lh| + |ll|; relative slack below
+    2**-50 (rh for R) is left to the certifier's factor 1 + 2**-40, as in
+    `_ln`. With R = 1/ln(base) (`_quick_inv_ln`), log_base of x from ln x.
+    """
+    rh, rl, r_err = r
+    uh, ul, loss = _dd_mul(lh, ll, rh, rl)
+    return uh, ul, err * rh + (np.abs(lh) + np.abs(ll)) * r_err + loss
 
 
 # the iterated log's quick phase falls back where the inner log is below
@@ -383,6 +520,12 @@ _LN2_UP = 0.6931471805599454
 # exp2's err is at least _EXP2_REMAINDER u / (1 + 2**-9), more than half
 # a 2**-80 cell past this (about 2**23.2), where no u is handed out
 _EXP2_U_MAX = 2.0 ** -81 * (1 + 2.0 ** -9) / _EXP2_REMAINDER
+# the routes cut on the whole bound: on their inputs it is about u
+# (2**-104 + 2**-106.5 y) for u = 2**y, y's own bound being about
+# 2**-106.5 y, which reaches half a cell at y = 20.78. Past it a u whose
+# roundings all came out small can still fit a cell (none did past y =
+# 22.4 in 46,000 samples); it takes the integer or the per-term route
+_EXP2_U_CUT = 2.0 ** 20.78
 
 
 @functools.cache
@@ -506,7 +649,7 @@ class Transform:
     certifier: `_check_domain`, `_try_exact` (exact result or None),
     `_constants` (what `_eval_at` needs at one working precision, taken
     once per w), `_fewest_claim` (which sizes the quick routes' width),
-    `_on_terms` (the quick route on a sequence's terms), `_eval_at`
+    `_terms_route` (the quick route on a sequence's terms), `_eval_at`
     (u(x) floor-accurate at scale 2**-w from those constants, certified
     bits as precision; it never raises, a value it cannot vouch for gets
     a short claim) and `_result_bits_estimate` (integer bits of u for an
@@ -540,13 +683,15 @@ class Transform:
             claims.append(r.precision - r.integer_bits())
         return min(claims)
 
-    def _on_terms(self, s, c):
-        """The quick route of u on terms pi**c m**s, c in {0, 1}, as a map
-        of the integers m (`_LogOfTerms` for the logs), or None. Power
+    def _terms_route(self, sequence, n):
+        """(route, inputs): the quick route of u on the terms x_n of a
+        sequence, for an ascending int64 array of indices n, and the
+        array it reads; (None, None) for none. A log composes with the
+        ln x_n the sequence states (`_LogOfTerms`, on the indices). Power
         overrides it."""
-        if not 2.0 ** -400 <= s <= 2.0 ** 400:
-            return None  # _scale_shift's range
-        return _LogOfTerms(self, s, c)
+        if sequence._ln_range is None:
+            return None, None
+        return _LogOfTerms(self, sequence), n.astype(np.float64)
 
     def label(self):
         return self.kind
@@ -636,79 +781,9 @@ class Log(Transform):
 
     def _quick(self, x):
         """u(x) = uh + ul in double-double and err >= |uh + ul - u(x)|,
-        for an array of doubles in _quick_range.
-
-        x = m 2**k with m in [1, 2), c the centre of m's cell of [1, 2)
-        (width 2**-8), t = (m - c)/(m + c) with |t| <= 2**-10, and
-        ln x = k ln 2 + ln c + 2 atanh(t), atanh(t) = t + t g,
-        g = t**2/3 + t**4 (1/5 + t**2/7 + t**4/9 + t**6/11) + O(t**10).
-
-        The bound, M = ln c + 2 atanh(t) first:
-        - m - c is exact, m + c = dh + dl exactly and num - th dh is the
-          exactly representable remainder of th = RN(num/dh); so th + tl
-          is t within 2**-112 (roundings below 2**-113, and dividing by
-          dh, not dh + dl, costs 2**-53 of a correction below 2**-61),
-          which 2 atanh's slope (< 2.0001) makes 2**-110.9.
-        - sh + sl is t*t within 2**-121 (tl**2 and two roundings), gh +
-          gl, before q joins it, is t*t/3 within 2**-121.
-        - q stands for t**4 (1/5 + ...): z = RN(sh + sl) is t*t within
-          2**-53 relative, the polynomial in z within 2**-52 relative
-          (the double 0.2 and the last addition; its tail is below
-          2**-80 relative), and two products round once each: 2**-50 |q|.
-        - atanh(t) = th + tl + th gh + th gl + tl gh (+ tl gl < 2**-134),
-          th gh = p + pe exactly and th + p = ah + r exactly; the six
-          roundings in al act on partial sums below 2**-60.5.
-        So 2 atanh(t) is within 2**-49 |th q| + 2**-109.5 (|t| <= |th|
-        (1 + 2**-51)), and then: ln c_j's double-double is off by at most
-        the table's err; ml = (r + cl) + 2 al rounds twice.
-        Then L = k ln 2 + M: k ln2h = a1 + a2 and a1 + mh = lh + r
-        exactly, b = RN(k ln2l) rounds once, ll = ((r + a2) + b) + ml
-        three times, and ln 2's double-double is off by its err, k times.
-        Then u = L R with R = 1/ln(base) = rh + rl up to its err
-        (`_dd_mul`): L's error is scaled by rh and R's by |lh| + |ll|.
-        Relative slack below 2**-50 per term (rh for R, |th| for |t|, the
-        rounding of err itself) is left to the factor 1 + 2**-40 the
-        certifier puts on err.
-        """
-        ln2, cell_hi, cell_lo, cell_err = _quick_log_tables()
-        rh, rl, r_err = _quick_inv_ln(self.base)
-        m, k = np.frexp(x)
-        m += m
-        k = k - 1.0
-        j = ((m - 1.0) * 256.0).astype(np.intp)
-        c = (j + 0.5) / 256.0 + 1.0
-        num = m - c
-        dh, dl = _two_sum(m, c)
-        th = num / dh
-        p, pe = _two_prod(th, dh)
-        tl = (num - p - pe - th * dl) / dh
-        sh, sl = _two_prod(th, th)
-        sl += 2.0 * th * tl
-        gh = sh / 3.0
-        p, pe = _two_prod(gh, 3.0)
-        gl = (sh - p - pe + sl) / 3.0
-        z = sh + sl
-        q = z * z * (0.2 + z * (1 / 7 + z * (1 / 9 + z / 11)))
-        gh, r = _two_sum(gh, q)
-        gl += r
-        p, pe = _two_prod(th, gh)
-        ah, r = _two_sum(th, p)
-        al = r + tl + (pe + th * gl + tl * gh)
-        mh, r = _two_sum(cell_hi[j], ah + ah)
-        s1 = r + cell_lo[j]
-        ml = s1 + (al + al)
-        err = (2.0 ** -49 * np.abs(th * q) + (2.0 ** -109.5 + cell_err)
-               + _HALF_ULP * (np.abs(s1) + np.abs(ml)))
-        a1, a2 = _two_prod(k, ln2[0])
-        lh, r = _two_sum(a1, mh)
-        b = k * ln2[1]
-        s1 = r + a2
-        s2 = s1 + b
-        ll = s2 + ml
-        err += np.abs(k) * ln2[2] + _HALF_ULP * (
-            np.abs(b) + np.abs(s1) + np.abs(s2) + np.abs(ll))
-        uh, ul, loss = _dd_mul(lh, ll, rh, rl)
-        return uh, ul, err * rh + (np.abs(lh) + np.abs(ll)) * r_err + loss
+        for an array of doubles in _quick_range: `_ln` over ln(base)
+        (`_times`)."""
+        return _times(*_ln(x), _quick_inv_ln(self.base))
 
 
 @dataclass(frozen=True)
@@ -776,31 +851,26 @@ class LogLog(Transform):
 
 @dataclass(frozen=True)
 class _LogOfTerms:
-    """The quick route of a log map u on the terms pi**c m**s of a
-    sequence, as a map of the integers m in _quick_range: s log_b m + c
-    log_b pi (`_scale_shift` on Log's double-double log_b m) for u =
-    log_b, and `_log10_of` that for the iterated log. m = 1 with c = 0
-    is the term 1, whose log is the integer 0 and which lies outside the
-    iterated log's domain, so the range starts at 2 there.
+    """The quick route of a log map u on the terms x_n of a sequence, as a
+    map of the indices n in the sequence's `_ln_range`: the ln x_n it
+    states (`Sequence._ln_terms`) over ln b (`_times`) for u = log_b,
+    and `_log10_of` that for the iterated log. A term 1 falls back: its
+    log is the integer 0, and it lies outside the iterated log's domain.
     """
 
     u: Transform
-    s: float
-    c: int
+    sequence: object
     _integer_route = False
 
     @property
     def _quick_range(self):
-        return (1.0 if self.c else 2.0, 2.0 ** 53 - 1.0)
+        return self.sequence._ln_range
 
-    def _quick(self, m):
-        log = LOG10 if isinstance(self.u, LogLog) else self.u
-        y = log._quick(m)
-        if self.s != 1.0 or self.c:
-            zero = (0.0, 0.0, 0.0)
-            y = _scale_shift(*y, self.s,
-                             _quick_log_pi(log.base) if self.c else zero)
-        return y if log is self.u else _log10_of(*y)
+    def _quick(self, n):
+        if isinstance(self.u, LogLog):
+            return _log10_of(*_times(*self.sequence._ln_terms(n),
+                                     _quick_inv_ln(10)))
+        return _times(*self.sequence._ln_terms(n), _quick_inv_ln(self.u.base))
 
 
 @dataclass(frozen=True)
@@ -810,7 +880,7 @@ class _PowerOfTerms:
     pi**k m**e, as a map of the integers m, for doubles e > 0 and k >= 0
     with 2k an integer.
 
-    Double-double phase, on 2 <= m while u <= _EXP2_U_MAX: y = e log2 m
+    Double-double phase, on 2 <= m while u <= _EXP2_U_CUT: y = e log2 m
     + k log2 pi (`_scale_shift` on a double-double log2 m, with the
     constant rounded once from fixed point) within its bound ey, then u
     = 2**y (`_exp2`), whose error is about u (ey ln 2 + 2**-104). log2 m
@@ -828,7 +898,7 @@ class _PowerOfTerms:
 
     @property
     def _quick_range(self):
-        lg = (math.log2(_EXP2_U_MAX) - self.k * math.log2(math.pi)) / self.e
+        lg = (math.log2(_EXP2_U_CUT) - self.k * math.log2(math.pi)) / self.e
         return 2.0, 2.0 ** min(lg, 53.0) * (1.0 - 2.0 ** -40)
 
     @property
@@ -852,6 +922,64 @@ class _PowerOfTerms:
         e, k = int(self.e), int(self.k)
         return _pi_power_floor(m.astype(np.int64).astype(object) ** e, 0, k,
                                e * int(m.max(initial=1.0)).bit_length())
+
+
+@dataclass(frozen=True)
+class _PowerOfSequence:
+    """The quick routes of a power map u = c x**a on the terms x_n of a
+    sequence without a form, as a map of the indices n.
+
+    Double-double phase, for a sequence whose terms stay below n**g
+    (`Sequence.growth`: n**(1/pi)), on 2 <= n while c n**(a g) <=
+    _EXP2_U_CUT: y = a log2 x_n + k log2 pi (`_scale_shift`, k = 1 for c
+    = pi), log2 x_n the ln x_n the sequence states over ln 2
+    (`_times`), then u = 2**y (`_exp2`).
+    Integer route under pi*x**p, for a sequence whose terms are a running
+    product of integers (`Sequence._ratios`: n!): A_n = floor(pi x_n**p
+    2**_ROUTE_BITS) as `_pi_power_floor` builds it from the block's
+    largest term, M_n = pi_fixed(L) x_n**p, but as a running product, M_n
+    = M_(n-1) r_n**p for the ratios r_n = x_n / x_(n-1): a big integer
+    times a small one per term.
+    """
+
+    u: Transform
+    sequence: object
+
+    @property
+    def _quick_range(self):
+        g = self.sequence.growth
+        if g is None:
+            return None
+        u = self.u
+        lg = (math.log2(_EXP2_U_CUT) - u.pi * math.log2(math.pi)) / (u._a * g)
+        return 2.0, min(2.0 ** min(lg, 53.0) * (1.0 - 2.0 ** -40),
+                        self.sequence._ln_range[1])
+
+    @property
+    def _integer_route(self):
+        return self.sequence._ratios is not None and self.u.pi \
+            and self.u.q == 1
+
+    def _quick(self, n):
+        y = _times(*self.sequence._ln_terms(n), _quick_inv_ln(2))
+        if self.u._a != 1.0 or self.u.pi:
+            y = _scale_shift(*y, self.u._a, _quick_log_pi(2) if self.u.pi
+                             else (0.0, 0.0, 0.0))
+        return _exp2(*y)
+
+    def _scaled(self, n):
+        """A_n for an ascending array of indices n, with u 2**_ROUTE_BITS
+        in (A_n - 1, A_n + 2) (`_pi_power_floor` with k = 1 and big the
+        bits of the last x_n**p)."""
+        p = self.u.p
+        ratios = self.sequence._ratios(n.astype(np.int64))
+        bits = _pi_power_bits(1, p * math.prod(ratios).bit_length())
+        run = pi_fixed(bits)
+        a = np.empty(len(ratios), dtype=object)
+        for i, r in enumerate(ratios):
+            run *= r ** p
+            a[i] = run >> (bits - _ROUTE_BITS)
+        return a
 
 
 _POWER_NAMES = {(1, 1, False): "identity", (1, 2, False): "sqrt",
@@ -930,6 +1058,8 @@ class Power(Transform):
             return None  # pi*x**p is irrational for every x > 0
         m, e = self._raised(x.mantissa, x.exponent)
         if self.q == 2:
+            if x.mantissa.bit_length() > _DOUBLE_BITS and _no_square(m):
+                return None
             r = isqrt(m)
             if r * r != m:
                 return None
@@ -943,8 +1073,17 @@ class Power(Transform):
         m, e = self._raised(x.mantissa, x.exponent)
         if self.q == 2:
             e //= 2
-            # the root is floor-exact at scale 2**(e - w)
-            m, e, floor_bits = isqrt(m << 2 * w), e - w, w - 1 - max(0, e)
+            if x.exact and e >= 0 and x.mantissa.bit_length() > _DOUBLE_BITS:
+                # an integer past every double: start_bits sized w as the
+                # root's significant bits, so the root takes w - ib + 1
+                # fractional bits, ib its integer bits, and is floor-exact
+                # at scale 2**-f; f >= _GUARD_BITS + 41, as ib <= est
+                f = w + 1 - (m.bit_length() + 1) // 2 - e
+                m, e, floor_bits = isqrt(m << 2 * (e + f)), -f, f - 1
+            else:
+                # the root is floor-exact at scale 2**(e - w)
+                m, e, floor_bits = isqrt(m << 2 * w), e - w, \
+                    w - 1 - max(0, e)
         elif self.pi:
             # absolute error <= x**p * 2**-w from the truncated pi bits
             m, e, floor_bits = (pi * m, e - w,
@@ -970,6 +1109,18 @@ class Power(Transform):
         limit, 10**9 bits, never binds below the cap.
         """
         return _GUARD_BITS + a if self._integer_route else None
+
+    def _terms_route(self, sequence, n):
+        """A sequence with a form pi**c m_n**s hands m_n to u's route on
+        that form (`_on_terms`); one without, its indices to
+        `_PowerOfSequence`, where that has a route."""
+        if sequence.form is not None:
+            route = self._on_terms(*sequence.form)
+            return route, None if route is None else sequence._bases(n)
+        route = _PowerOfSequence(self, sequence)
+        if route._quick_range is None and not route._integer_route:
+            return None, None
+        return route, n.astype(np.float64)
 
     def _on_terms(self, s, c):
         """The quick route of u on terms pi**c m**s, which u maps to pi**k
@@ -1302,13 +1453,16 @@ class _Certifier:
         bits. One that comes out exact where the form (s, c) also gives
         inexact terms (c = 1, or s no integer) is evaluated as an inexact
         term at those bits, as its neighbours are: an exact term claims
-        no fewer bits. The claim is taken at both ends of each run of n
-        that share those bits (a step), which is where it is fewest. In a
-        step every claim is min(f, g): g, the input's limit, is the
-        constant bits less the image's integer bits, which grow with n;
-        f, the evaluator's own, moves one way with n: for a power map f is
-        w - 1 (q = 2), w (x**p) or w less p times the term's integer bits
-        (c = pi), w = start_bits of those bits, and for a log w less the
+        no fewer bits. Without a form the terms a route takes are all
+        exact (n!, n**n) or all inexact (e**n, and n**(1/pi) past its
+        term 1, which no route takes). The claim is taken at both ends of
+        each run of n that share those bits (a step), which is where it
+        is fewest. In a step every claim is min(f, g): g, the input's
+        limit, is the constant bits less the image's integer bits, which
+        grow with n; f, the evaluator's own, moves one way with n: for a
+        power map f is w - 1 (q = 2, on terms below 2**1024), w (x**p) or
+        w less p times the term's integer bits (c = pi), w = start_bits
+        of those bits, and for a log w less the
         bits of an error count that grows with the term's binary exponent
         and its image, at a w the same for every term. The ends of a step
         can differ from those of the block: the root of an inexact term
@@ -1317,7 +1471,7 @@ class _Certifier:
         """
         if self.a > _FRAC_OUT_BITS:
             return None
-        s, c = sequence.form
+        s, c = sequence.form or (1.0, 0)
         n = n.tolist()
 
         def bits(k):
@@ -1360,16 +1514,15 @@ class _Certifier:
         """The quick routes on one block of indices n: write into `out`
         each {u(x_n)} they vouch for and return the mask of those n.
 
-        A sequence with a form (s, c), x_n = pi**c m_n**s, hands m_n to
-        u's route on that form (`_on_terms`), with the per-term route's
-        width on the indices each route takes (`_term_width`).
+        The transform's route on the sequence's terms (`_terms_route`)
+        takes them, with the per-term route's width on the indices it
+        takes (`_term_width`).
         """
-        form = sequence.form
-        route = None if form is None or not n.size \
-            else self.transform._on_terms(*form)
+        route, x = self.transform._terms_route(sequence, n) if n.size \
+            else (None, None)
         if route is None:
             return np.zeros(n.size, dtype=bool)
-        return self._routes(route, sequence._bases(n), out, True,
+        return self._routes(route, x, out, True,
                             lambda took: self._term_width(sequence,
                                                           n[took]))
 

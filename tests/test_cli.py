@@ -246,6 +246,10 @@ def test_pdelta_text_bytes_are_pinned(capsys):
      ("analyze", str(Path(__file__).parent / "fixtures" / "wide_range.csv"),
       "--column", "2", "--transform", t))
     for t in ("log10", "loglog")
+] + [
+    # 54 agreement bits, between the 40 and 80 of the other table1
+    # records; recorded before the slow rows took their quick routes
+    ("table1_n1000_p16", ("table1", "--n", "1000", "--precision", "16")),
 ])
 def test_structured_record_bytes_are_pinned(capsys, name, argv):
     # CI compares the console script's output with the same files

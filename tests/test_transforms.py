@@ -21,6 +21,8 @@ from ubenford.errors import (DomainError, InsufficientPrecision,
 from ubenford.experiments import sample_cell
 from ubenford.ingest import ingest_csv
 from ubenford.kernels import digits_to_bits, pi_fixed
+from ubenford.sequences import (Factorial, NPowN, PowerLaw, Sequence,
+                                parse_sequence)
 from ubenford.stats import ks_uniform
 from ubenford.transforms import (IDENTITY, LOG2, LOG10, LOGLOG, PI_SQUARE,
                                  SQRT, Log, LogLog, Power, Transform,
@@ -956,6 +958,39 @@ _TERM_MS = st.one_of(
         lambda a: (a[0], _nudge(tr._LOGLOG_Y_MIN / math.log10(a[0]),
                                 a[1]))))
 _SLACK = 1 + Fraction(1, 1 << 40)  # the certifier's factor on err
+
+
+class _FormTerms(Sequence):
+    """A sequence whose every term is pi**c m**s, for one integer m: the
+    ln x_n a form states, on which the log routes compose."""
+
+    def __init__(self, s, c, m):
+        self.form, self._m = (s, c), m
+        self._ln_range = (1.0, 1.0)
+
+    def _bases(self, n):
+        return np.full(n.size, float(self._m))
+
+
+def _true_ln(seq, n):
+    """ln x_n in mpmath (the caller sets the precision)."""
+    if seq.name == "exp_n":
+        return mpf(n)
+    if seq.name == "factorial":
+        return mp.loggamma(n + 1)
+    if seq.name == "n_pow_n":
+        return n * mp.log(n)
+    if seq.name == "power_law(1/pi)":
+        return mp.log(n) / mp.pi
+    s, c = seq.form
+    m = seq._bases(np.array([n]))[0]
+    return c * mp.log(mp.pi) + mpf(s) * mp.log(mpf(m))
+
+
+# the sequences without a form, and one of each kind of form
+_LN_SEQUENCES = ("exp_n", "factorial", "n_pow_n", "power_law:1/pi", "sqrt_n",
+                 "pi_n", "primes", "power_law:0.367427", "power_law:41.635")
+
 # a double-double operand (hi, lo) of either sign over 400 binades, so
 # that no product of parts leaves the normal range: zero, hi with lo a
 # multiple of 2**-20 of ulp(hi)/2, or 0 with a lo alone, as _exp2's
@@ -991,21 +1026,19 @@ def _exp2_ratio(route, ms):
 
 
 class TestTermRoutes:
-    """The quick phase on terms pi**c m**s: for the logs s log_b m + c
-    log_b pi, and the outer log10 of that for the iterated log; for the
-    power maps pi**k m**e as 2**(e log2 m + k log2 pi) (the exp2 route);
-    each within its proved bound, sound for every input within its stated
-    error, and tight where one part of the bound dominates."""
+    """The quick phase on a sequence's terms: for the logs the ln x_n the
+    sequence states (s ln m + c ln pi for terms pi**c m**s) over ln b, and
+    the outer log10 of that for the iterated log; for the power maps
+    pi**k m**e as 2**(e log2 m + k log2 pi) (the exp2 route); each within
+    its proved bound, sound for every input within its stated error, and
+    tight where one part of the bound dominates."""
 
     @given(ms=_TERM_MS, c=st.integers(0, 1), t=st.sampled_from(TERM_LOGS))
     @settings(max_examples=500, deadline=None)
     def test_composed_error_within_its_bound(self, ms, c, t):
         m, s = ms
-        route = t._on_terms(s, c)
-        lo, hi = route._quick_range
-        if not lo <= m <= hi:
-            return
-        uh, ul, err = route._quick(np.array([float(m)]))
+        route = tr._LogOfTerms(t, _FormTerms(s, c, m))
+        uh, ul, err = route._quick(np.ones(1))
         with mp.workprec(400):
             if err[0] == 1.0:
                 # only the iterated log falls back, where y is below 2**-10
@@ -1112,8 +1145,13 @@ class TestTermRoutes:
         # past it at m = 2
         for e, k in [(0.25, 0.0), (0.5, 0.5), (2.0, 3.0), (0.9, 0.0)]:
             lo, hi = tr._PowerOfTerms(e, k)._quick_range
-            assert math.pi ** k * hi ** e <= tr._EXP2_U_MAX
+            assert math.pi ** k * hi ** e <= tr._EXP2_U_CUT
             assert lo == 2.0
+        # the cut on the whole bound lies below the one on its fixed part:
+        # pi_n under pi*x**2 takes m up to 240, not 563, and its first
+        # block hands out the same 99 terms
+        assert tr._EXP2_U_CUT < tr._EXP2_U_MAX / 4
+        assert int(tr._PowerOfTerms(2.0, 3.0)._quick_range[1]) == 240
         assert tr._EXP2_REMAINDER * tr._EXP2_U_MAX / (1 + 2.0 ** -9) \
             >= 2.0 ** -81
         u = np.array([tr._EXP2_U_MAX * 0.999])
@@ -1126,10 +1164,15 @@ class TestTermRoutes:
         assert tr._PowerOfTerms(0.1, 0.0)._quick_range[1] > 2.0 ** 52
 
     def test_logs_compose_within_their_scale_range(self):
-        for t in TERM_LOGS:
-            assert t._on_terms(2.0 ** -400, 0) is not None
-            assert t._on_terms(2.0 ** -401, 1) is None
-            assert t._on_terms(2.0 ** 401, 0) is None
+        # a form states ln x_n for s in _scale_shift's range, and the logs
+        # compose with it there only
+        n = np.arange(1, 5)
+        for a, routed in ((2.0 ** -400, True), (2.0 ** 400, True),
+                          (2.0 ** -401, False), (2.0 ** 401, False)):
+            seq = PowerLaw(a)
+            assert (seq._ln_range is not None) == routed
+            for t in TERM_LOGS:
+                assert (t._terms_route(seq, n)[0] is not None) == routed
 
     @given(e=_EXP2_E, k=st.sampled_from((0.0, 0.5, 1.0, 3.0)),
            f=st.floats(0.0, 1.0))
@@ -1211,3 +1254,142 @@ class TestTermRoutes:
                 for m, ai in zip([one] if one is not None else ms, a):
                     u = mp.pi ** int(k) * mpf(m) ** int(e) * mpf(2) ** 120
                     assert ai - 1 < u < ai + 2, (m, e, k)
+
+    # the ln x_n each sequence states, and the routes that read it
+
+    @given(name=st.sampled_from(_LN_SEQUENCES),
+           n=st.one_of(st.integers(1, 2 ** 20), st.integers(1, 64)))
+    @settings(max_examples=500, deadline=None)
+    def test_stated_ln_within_its_bound(self, name, n):
+        seq = parse_sequence(name)
+        if name == "primes":
+            n = n % 2 ** 14 + 1  # a sieve of 2**20 primes is slow
+        lo, hi = seq._ln_range
+        if not lo <= n <= hi:
+            return
+        lh, ll, err = seq._ln_terms(np.array([float(n)]))
+        with mp.workprec(400):
+            miss = abs(mpf(lh[0]) + mpf(ll[0]) - _true_ln(seq, n))
+            assert miss <= mpf(err[0]) * (1 + mpf(2) ** -40)
+
+    def test_stirling_remainder_fills_its_bound_at_the_cut(self):
+        # at the first n the series serves its remainder is most of the
+        # bound, which fails without it; far past it the roundings rule
+        lo = Factorial()._ln_range[0]
+        assert lo == 16.0
+        n = np.concatenate([np.arange(lo, lo + 8), [1000.0, 2.0 ** 20]])
+        lh, ll, err = Factorial()._ln_terms(n)
+        with mp.workprec(400):
+            ratio = [abs(mpf(h) + mpf(l) - mp.loggamma(k + 1)) / mpf(e)
+                     for h, l, e, k in zip(lh, ll, err, n)]
+        assert max(ratio) <= 1 + mpf(2) ** -40 and ratio[0] > 0.5
+        assert err[0] < 2.0 ** -95 and err[-2] < 2.0 ** -88
+
+    @given(n=st.integers(2, 2 ** 20), t=st.sampled_from(
+        (IDENTITY, SQRT, PI_SQUARE, Power(3))))
+    @settings(max_examples=300, deadline=None)
+    def test_inv_pi_power_within_its_bound(self, n, t):
+        # n**(1/pi) under the power maps: the exp2 route on ln n / pi
+        seq = PowerLaw("1/pi")
+        route, _ = t._terms_route(seq, np.array([n]))
+        lo, hi = route._quick_range
+        assert lo == 2.0 and hi >= 2 ** 20
+        uh, ul, err = route._quick(np.array([float(n)]))
+        with mp.workprec(400):
+            u = mp.pi ** t.pi * mpf(n) ** (mpf(t.p) / t.q / mp.pi)
+            miss = abs(mpf(uh[0]) + mpf(ul[0]) - u)
+            assert miss <= mpf(err[0]) * (1 + mpf(2) ** -40)
+        assert err[0] < 2.0 ** -90 * u
+
+    def test_terms_routes_of_the_sequences_without_a_form(self):
+        # the logs read ln x_n everywhere; of the power maps, n**(1/pi)
+        # takes the exp2 route and n! under pi*x**p its running product
+        n = np.arange(1, 9)
+        for name in ("exp_n", "factorial", "n_pow_n", "power_law:1/pi"):
+            seq = parse_sequence(name)
+            for t in TERM_LOGS:
+                route, x = t._terms_route(seq, n)
+                assert route == tr._LogOfTerms(t, seq)
+                assert x.tolist() == n.tolist()
+            for t in (IDENTITY, SQRT, PI_SQUARE, Power(3, pi=True)):
+                route = t._terms_route(seq, n)[0]
+                exp2 = name == "power_law:1/pi"
+                run = name == "factorial" and t.pi
+                assert (route is not None) == (exp2 or run), (name, t)
+                if route is not None:
+                    assert (route._quick_range is not None) == exp2
+                    assert route._integer_route == run
+
+    @pytest.mark.parametrize("t", [PI_SQUARE, Power(3, pi=True)],
+                             ids=lambda t: t.label())
+    def test_running_product_is_the_pi_power_floor(self, t):
+        # the integers _pi_power_floor builds per term, from the block's
+        # largest, whole and filtered; and u 2**120 in (A - 1, A + 2)
+        route = t._terms_route(Factorial(), np.arange(1, 3))[0]
+        for n in (np.arange(1, 300), np.array([1, 2, 5, 40, 41, 299]),
+                  np.array([7]), np.array([150, 151])):
+            a = route._scaled(n.astype(np.float64))
+            m = [math.factorial(k) ** t.p for k in n.tolist()]
+            want = tr._pi_power_floor(np.array(m, dtype=object), 0, 1,
+                                      m[-1].bit_length())
+            assert a.tolist() == want.tolist()
+        with mp.workprec(t.p * 2000 + 400):
+            for k, ai in zip([1, 2, 5, 40, 41, 299], route._scaled(
+                    np.array([1.0, 2, 5, 40, 41, 299]))):
+                u = mp.pi * mpf(math.factorial(k)) ** t.p * mpf(2) ** 120
+                assert ai - 1 < u < ai + 2
+
+
+# ---------------------------------------------------------------------------
+# the square root of an integer past every double
+
+
+class TestWideRoots:
+    """Power's roots of exact integers past every double: the residue
+    filter ahead of the square test, and the root at the fractional bits
+    its first working precision sizes."""
+
+    def test_residue_filter_never_rejects_a_square(self):
+        rng = random.Random(31)
+        squares = [n ** n for n in range(2, 1001, 2)]
+        squares += [rng.getrandbits(b) ** 2 for b in range(1, 4000, 13)]
+        # the squares of doubles, integral and not, as integers
+        squares += [Fraction(x).numerator ** 2 for x in _whole_range(31)]
+        squares += [0, 1, 4, (2 ** 1023) ** 2]
+        assert not any(tr._no_square(m) for m in squares)
+
+    def test_residue_filter_rejects_most_non_squares(self):
+        fact = [math.factorial(n) for n in range(2, 1001)]
+        odd = [n ** n for n in range(3, 1001, 2) if math.isqrt(n) ** 2 != n]
+        assert sum(map(tr._no_square, fact)) >= 990
+        assert sum(map(tr._no_square, odd)) >= 0.99 * len(odd)
+
+    def test_exact_roots_past_every_double(self):
+        # squares and n**n for even n stay exact; odd n**n is exact only
+        # for a square n
+        for n in (170, 171, 400, 441, 999, 1000):
+            r = SQRT._try_exact(BigReal.from_int(n ** n))
+            assert (r is not None) == (n % 2 == 0 or math.isqrt(n) ** 2 == n)
+            if r is not None:
+                assert exact(r) ** 2 == n ** n
+        k = 3 ** 1000
+        assert exact(SQRT._try_exact(BigReal.from_int(k * k))) == k
+        assert exact(Power(3, 2)._try_exact(BigReal.from_int(k * k))) == k ** 3
+
+    @pytest.mark.parametrize("t", [SQRT, Power(3, 2)], ids=lambda t: t.label())
+    def test_sized_root_claims_the_guard_bits(self, t):
+        # every bit length past the doubles, where the root's integer bits
+        # reach start_bits's estimate: the claim covers the guard and
+        # agreement bits, and the 80 leading fractional bits are those of
+        # the root taken at w fractional bits
+        a = digits_to_bits(DEFAULT_POLICY.agreement)
+        rng = random.Random(47)
+        for bits in range(1025, 1200):
+            x = BigReal.from_int(rng.getrandbits(bits) | 1 << (bits - 1))
+            w = start_bits(t, x.integer_bits(), a)
+            r = t._eval_at(x, w, None)
+            assert r.precision - r.integer_bits() >= tr._GUARD_BITS + a
+            m = x.mantissa ** t.p
+            assert r.mantissa == math.isqrt(m << 2 * -r.exponent)
+            assert r._frac_bits(80) == math.isqrt(m << 2 * w) >> (w - 80) \
+                & (1 << 80) - 1
