@@ -9,13 +9,16 @@ integer bits (int_bits_estimate), and the certifier's start_bits turns
 that into the bits the term is generated at. An exact term ignores its
 bits. frac_sample hands a cell to the certifier (_Certifier.terms), which
 certifies most terms in numpy blocks from what the sequence states of
-them. Under every log, each sequence's ln x_n (`_ln_terms`): n for e**n,
-n ln n for n**n, Stirling's series for n! from n = 16 on, ln n / pi for
-n**(1/pi), and s ln m_n + c ln pi for the sequences that state their
-terms as pi**c m_n**s (`form`: sqrt_n, pi_n, primes and the power laws
-with a double exponent). Under the power maps, that form; ln x_n for
-n**(1/pi); and n! under pi*x**2 as a running product (`_ratios`). Every
-other term (e**n and n**n under the power maps, n! under sqrt and below
+them: its ln x_n (`_ln_terms`): n for e**n, n ln n for n**n, Stirling's
+series for n! from n = 16 on, ln n / pi for n**(1/pi), and s ln m_n + c
+ln pi for the sequences that state their terms as pi**c m_n**s (`form`:
+sqrt_n, pi_n, primes and the power laws with a double exponent). Every
+log reads ln x_n, and so do the power maps, through one exp2 route on the
+indices while u <= about 2**23.2; a power map that sends a form's terms
+to a power map of m_n takes that map's route on m_n instead. Under
+pi*x**p the sequence may state an integer phase (`_pi_power_floors`):
+pi_n from its form, n! as a running product. Every other term (e**n and
+n**n under the power maps but their first few, n! under sqrt and below
 16 under the logs, the steep power laws under pi*x**2, and the few a
 block's quick routes cannot vouch for) is generated, and regenerated at
 doubled bits while the transform refuses its fractional part, up to the
@@ -33,9 +36,10 @@ from .bigreal import DEFAULT_POLICY, BigReal
 from .errors import InvalidParameter, count, real, string
 from .kernels import e_fixed, exp_fixed, ln2_fixed, ln_int_fixed, \
     pi_fixed, pow_fixed
-from .transforms import _DD_BITS, _HALF_ULP, Power, _Certifier, _dd, \
-    _dd_mul, _ln, _ln_pi_fixed, _mul_add, _policy_bits, _quick_inv_pi, \
-    _quick_ln_pi, _scale_shift, _times, _two_prod, _two_sum
+from .transforms import _DD_BITS, _HALF_ULP, _ROUTE_BITS, Power, \
+    _Certifier, _dd, _dd_mul, _ln, _ln_pi_fixed, _mul_add, _pi_power_bits, \
+    _pi_power_floor, _policy_bits, _quick_inv_pi, _quick_ln_pi, \
+    _scale_shift, _times, _two_prod, _two_sum
 
 _LOG2_E_FIXED64 = 26613026195688644984  # ceil(log2(e) * 2**64)
 # a power law builds n**(p/q) exactly while p bit_length(n) / q stays
@@ -97,18 +101,16 @@ class Sequence:
       None where it states none.
     - `form` = (s, c), a float s > 0 and c in {0, 1}, states term n as
       pi**c m_n**s, m_n = _bases(n) an integer below 2**53; None where
-      no such form holds. Only the power maps read it; the logs read
-      ln x_n, s ln m_n + c ln pi for a form.
-    - `growth`, a double g with x_n <= n**g for every n, where one is
-      stated and no form is (n**(1/pi)); `_ratios`, where the terms are a
-      running product of integers (n!).
+      no such form holds. It gives ln x_n = s ln m_n + c ln pi, and a
+      power map reads it to compose with a power map of m_n.
+    - `_pi_power_floors(p)`, the integer phase of pi*x**p on the terms,
+      where the sequence states one: from the form, or as a running
+      product (n!).
     """
 
     name = "?"
     form = None
     _ln_range = None
-    growth = None
-    _ratios = None
 
     def _bases(self, n):
         """m_n as doubles, for an ascending int64 array of indices n."""
@@ -123,6 +125,27 @@ class Sequence:
         if s != 1.0 or c:
             y = _scale_shift(*y, s, _quick_ln_pi() if c else (0.0, 0.0, 0.0))
         return y
+
+    def _pi_power_floors(self, p):
+        """The integer phase of pi*x**p on the terms, for an int p >= 1,
+        or None where the sequence states none: a map from an ascending
+        int64 array of indices n to the object array of the ints A_n with
+        pi x_n**p 2**_ROUTE_BITS in (A_n - 1, A_n + 2). A form pi**c m**s
+        states it where e = s p is an integer: pi**k m**e, k = c p + 1, as
+        `_pi_power_floor` takes it, for m**e below 2**(e E), E the bits of
+        the largest m."""
+        if self.form is None:
+            return None
+        (a, b), c = self.form[0].as_integer_ratio(), self.form[1]
+        if a * p % b:
+            return None
+        e, k = a * p // b, c * p + 1
+
+        def floors(n):
+            m = self._bases(n).astype(np.int64).astype(object)
+            return _pi_power_floor(m ** e, 0, k,
+                                   e * int(m.max()).bit_length())
+        return floors
 
     def nth_term(self, n, bits):
         raise NotImplementedError
@@ -287,12 +310,22 @@ class Factorial(Sequence):
                         + _HALF_ULP * (np.abs(s1) + np.abs(s2) + np.abs(s3)
                                        + np.abs(s4) + np.abs(low)))
 
-    def _ratios(self, n):
-        """x_(n_i) / x_(n_(i-1)) for an ascending int64 array of indices n,
-        x_(n_0) itself first: their running products are the terms."""
-        n = n.tolist()
-        return [math.factorial(n[0])] + [math.prod(range(a + 1, b + 1))
-                                         for a, b in zip(n, n[1:])]
+    def _pi_power_floors(self, p):
+        """n! states it for every p: the A_n that `_pi_power_floor` builds
+        with k = 1 from the block's last term, M_n = pi_fixed(L) (n!)**p
+        shifted right, but as a running product, M_n = M_n' (n!/n'!)**p
+        for the index n' before n (0 before the first): a big integer
+        times a small one per term."""
+        def floors(n):
+            n = n.tolist()
+            bits = _pi_power_bits(1, p * math.factorial(n[-1]).bit_length())
+            run = pi_fixed(bits)
+            a = np.empty(len(n), dtype=object)
+            for i, (lo, hi) in enumerate(zip([0] + n, n)):
+                run *= math.prod(range(lo + 1, hi + 1)) ** p
+                a[i] = run >> (bits - _ROUTE_BITS)
+            return a
+        return floors
 
 
 class NPowN(Sequence):
@@ -320,7 +353,6 @@ class PowerLaw(Sequence):
             self._alpha_float = 1.0 / math.pi
             self.name = "power_law(1/pi)"
             self._ln_range = _PAST_ONE
-            self.growth = math.nextafter(1.0 / math.pi, 1.0)
             return
         a = real("power-law exponent", alpha)
         self._inv_pi = False

@@ -44,21 +44,24 @@ ln x_n on a range of n in double-double (`Sequence._ln_terms`): n for
 e**n, n ln n for n**n, Stirling's series for n! from n = 16 on, ln n / pi
 for n**(1/pi), and s ln m + c ln pi for the terms pi**c m**s of a form.
 A log divides it by ln b, the iterated log takes the outer log10 of that
-(`_LogOfTerms`). A power map reads the form, which sends the term to
-pi**k m**e: the power map of m where k is 0 or 1 and that map has a
-route, else the exp2 route (`_PowerOfTerms`): 2**(e log2 m + k log2 pi)
-in double-double while u <= about 2**20.8, where its whole bound stays
-below half a cell (`_exp2`, within about u (ey ln 2 + 2**-104) for y's
-bound ey), and for integers e and k floor(pi**k m**e 2**120) in ints
-(`_pi_power_floor`). Without a form (`_PowerOfSequence`), n**(1/pi) takes
-the exp2 route on its stated ln x_n, and n! under pi*x**p the integer
-route as a running product. The width is then the fewest bits the
-per-term route claims on the generated terms (`_term_width`), not the
-width for doubles. Per term only: the slow rows e**n and n**n under the
-power maps and n! under sqrt, the steep power laws under pi*x**2, which
-lie past the cut, n! below 16 under the logs, and an exact power map of
-m (a u that is always an integer). A root of an exact integer past every
-double (n!, n**n) first meets a residue filter ahead of its square test
+(`_LogOfTerms`). A power map u = c x**a sends a form's term to pi**k
+m**e, and takes the power map of m where k is 0 or 1 and that map has a
+route; an exact map of m, whose u is always an integer, takes none.
+Every other sequence and map takes the one route on the indices
+(`_PowerOfSequence`): 2**((a ln x_n + k ln pi) / ln 2) in double-double
+on the ln x_n the sequence states (`_exp2`, within about u (ey ln 2 +
+2**-104) for y's bound ey), run while u <= _EXP2_U_MAX (about 2**23.2),
+past which its bound's fixed part alone fills half a cell; and under
+pi*x**p, where the sequence states it (`Sequence._pi_power_floors`),
+floor(u 2**120) in ints instead: pi**k m**e for a form with an integer
+e (pi n under pi*x**2), n! as a running product. The width is then the
+fewest bits the per-term route claims on the generated terms
+(`_term_width`), not the width for doubles, asked only on the terms
+whose route error leaves room in a cell. Per term: the slow rows e**n and
+n**n under the power maps but their first few terms, n! under sqrt and
+below 16 under the logs, and the steep power laws under pi*x**2, which
+lie past the cut. A root of an exact integer past every double (n!,
+n**n) first meets a residue filter ahead of its square test
 (`_no_square`), and is taken at the fractional bits its working
 precision sizes (`Power._eval_at`).
 """
@@ -340,20 +343,6 @@ def _ln_pi_fixed():
 
 
 @functools.cache
-def _quick_log_pi(base, k=1.0):
-    """k log_base(pi) as (hi, lo, err), for a k >= 0 with 2k an integer
-    below 2**40. At g = _DD_BITS + 64 bits, ln pi (`_ln_pi_fixed`) is
-    within 2g + 4 ulps, ln(base) within bit_length + 2; the quotient by
-    ln(base) >= ln 2, with log_base(pi) < 2, is within 3 (2g + 4) + 3
-    (bit_length + 2) + 1 ulps at 2**-g, k times that and one more for the
-    halving, and the shift to 2**-160 floors once more: 2 ulps for every
-    base below 2**(2**15)."""
-    g = _DD_BITS + 64
-    q = (_ln_pi_fixed() << g) // ln_int_fixed(base, g, ln2_fixed(g))
-    return _dd(int(2 * k) * q >> 65, 2)
-
-
-@functools.cache
 def _quick_ln_pi():
     """ln pi as (hi, lo, err), from `_ln_pi_fixed` at 2**-(_DD_BITS + 64),
     whose floor to 2**-160 adds one ulp: 2 ulps."""
@@ -520,12 +509,6 @@ _LN2_UP = 0.6931471805599454
 # exp2's err is at least _EXP2_REMAINDER u / (1 + 2**-9), more than half
 # a 2**-80 cell past this (about 2**23.2), where no u is handed out
 _EXP2_U_MAX = 2.0 ** -81 * (1 + 2.0 ** -9) / _EXP2_REMAINDER
-# the routes cut on the whole bound: on their inputs it is about u
-# (2**-104 + 2**-106.5 y) for u = 2**y, y's own bound being about
-# 2**-106.5 y, which reaches half a cell at y = 20.78. Past it a u whose
-# roundings all came out small can still fit a cell (none did past y =
-# 22.4 in 46,000 samples); it takes the integer or the per-term route
-_EXP2_U_CUT = 2.0 ** 20.78
 
 
 @functools.cache
@@ -874,72 +857,27 @@ class _LogOfTerms:
 
 
 @dataclass(frozen=True)
-class _PowerOfTerms:
-    """The quick routes of a power map on the terms pi**c m**s of a
-    sequence where no power map of m composes (`Power._on_terms`): u =
-    pi**k m**e, as a map of the integers m, for doubles e > 0 and k >= 0
-    with 2k an integer.
-
-    Double-double phase, on 2 <= m while u <= _EXP2_U_CUT: y = e log2 m
-    + k log2 pi (`_scale_shift` on a double-double log2 m, with the
-    constant rounded once from fixed point) within its bound ey, then u
-    = 2**y (`_exp2`), whose error is about u (ey ln 2 + 2**-104). log2 m
-    is b + log2 f for m = f 2**b, f in [1, 2), on LOG2's log2 f, whose
-    bound then holds none of the b ln 2 its ln of m itself would carry
-    (about 2**-104 b); b + fh = lh + r exactly and r + fl rounds once.
-    m = 1 is left to the per-term route: it is the term 1 for c = 0.
-    Integer route, where e and k are integers (pi n under pi*x**2): A =
-    floor(u 2**_ROUTE_BITS) in ints (`_scaled`, on `_pi_power_floor`), at
-    any size.
-    """
-
-    e: float
-    k: float
-
-    @property
-    def _quick_range(self):
-        lg = (math.log2(_EXP2_U_CUT) - self.k * math.log2(math.pi)) / self.e
-        return 2.0, 2.0 ** min(lg, 53.0) * (1.0 - 2.0 ** -40)
-
-    @property
-    def _integer_route(self):
-        return self.e.is_integer() and self.k.is_integer()
-
-    def _quick(self, m):
-        f, b = np.frexp(m)
-        f += f
-        fh, fl, err = LOG2._quick(f)
-        lh, r = _two_sum(b - 1.0, fh)
-        ll = r + fl
-        return _exp2(*_scale_shift(
-            lh, ll, err + _HALF_ULP * np.abs(ll), self.e,
-            _quick_log_pi(2, self.k) if self.k else (0.0, 0.0, 0.0)))
-
-    def _scaled(self, m):
-        """A = floor(u 2**_ROUTE_BITS) for an array of integers m >= 0 below
-        2**53, with u 2**_ROUTE_BITS in (A - 1, A + 2), for integers e and
-        k (`_pi_power_floor` of m**e < 2**(eE), m < 2**E)."""
-        e, k = int(self.e), int(self.k)
-        return _pi_power_floor(m.astype(np.int64).astype(object) ** e, 0, k,
-                               e * int(m.max(initial=1.0)).bit_length())
-
-
-@dataclass(frozen=True)
 class _PowerOfSequence:
     """The quick routes of a power map u = c x**a on the terms x_n of a
-    sequence without a form, as a map of the indices n.
+    sequence, as a map of the indices n: the one route of the power maps
+    on terms, but where u sends a form's terms to a power map of m
+    (`Power._terms_route`).
 
-    Double-double phase, for a sequence whose terms stay below n**g
-    (`Sequence.growth`: n**(1/pi)), on 2 <= n while c n**(a g) <=
-    _EXP2_U_CUT: y = a log2 x_n + k log2 pi (`_scale_shift`, k = 1 for c
-    = pi), log2 x_n the ln x_n the sequence states over ln 2
-    (`_times`), then u = 2**y (`_exp2`).
-    Integer route under pi*x**p, for a sequence whose terms are a running
-    product of integers (`Sequence._ratios`: n!): A_n = floor(pi x_n**p
-    2**_ROUTE_BITS) as `_pi_power_floor` builds it from the block's
-    largest term, M_n = pi_fixed(L) x_n**p, but as a running product, M_n
-    = M_(n-1) r_n**p for the ratios r_n = x_n / x_(n-1): a big integer
-    times a small one per term.
+    Double-double phase, on the n in the sequence's `_ln_range`: y = (a
+    ln x_n + k ln pi) / ln 2, k = 1 for c = pi, from the ln x_n the
+    sequence states (`_scale_shift` with `_quick_ln_pi`, then `_times`
+    with 1/ln 2), and u = 2**y (`_exp2`), within about u (ey ln 2 +
+    2**-104) for y's bound ey. `_exp2` runs on the block's leading terms
+    while u <= _EXP2_U_MAX, past which its bound's fixed part alone fills
+    half a 2**-80 cell; every u from the first past it gets err 1, a
+    whole unit that no cell holds, so a block whose first term is past
+    the cut runs no `_exp2`. Below the cut ln x_n is at most 2 y ln 2 <
+    33, so ey stays far below _exp2's 2**-60.
+    Integer phase under pi*x**p, where the sequence states one
+    (`Sequence._pi_power_floors`): A_n = floor(u 2**_ROUTE_BITS) in ints,
+    at any size. It takes every term alone: A is within 3 units of
+    2**-120, far inside any err of the other phase, and on the terms it
+    is also the faster.
     """
 
     u: Transform
@@ -947,39 +885,30 @@ class _PowerOfSequence:
 
     @property
     def _quick_range(self):
-        g = self.sequence.growth
-        if g is None:
-            return None
-        u = self.u
-        lg = (math.log2(_EXP2_U_CUT) - u.pi * math.log2(math.pi)) / (u._a * g)
-        return 2.0, min(2.0 ** min(lg, 53.0) * (1.0 - 2.0 ** -40),
-                        self.sequence._ln_range[1])
+        return None if self._integer_route else self.sequence._ln_range
 
     @property
     def _integer_route(self):
-        return self.sequence._ratios is not None and self.u.pi \
-            and self.u.q == 1
+        return self.u.pi and \
+            self.sequence._pi_power_floors(self.u.p) is not None
 
     def _quick(self, n):
-        y = _times(*self.sequence._ln_terms(n), _quick_inv_ln(2))
+        y = self.sequence._ln_terms(n)
         if self.u._a != 1.0 or self.u.pi:
-            y = _scale_shift(*y, self.u._a, _quick_log_pi(2) if self.u.pi
+            y = _scale_shift(*y, self.u._a, _quick_ln_pi() if self.u.pi
                              else (0.0, 0.0, 0.0))
-        return _exp2(*y)
+        yh, yl, ey = _times(*y, _quick_inv_ln(2))
+        past = np.flatnonzero(yh > math.log2(_EXP2_U_MAX))
+        k = past[0] if past.size else n.size
+        uh, ul, err = np.zeros(n.size), np.zeros(n.size), np.ones(n.size)
+        if k:
+            uh[:k], ul[:k], err[:k] = _exp2(yh[:k], yl[:k], ey[:k])
+        return uh, ul, err
 
     def _scaled(self, n):
         """A_n for an ascending array of indices n, with u 2**_ROUTE_BITS
-        in (A_n - 1, A_n + 2) (`_pi_power_floor` with k = 1 and big the
-        bits of the last x_n**p)."""
-        p = self.u.p
-        ratios = self.sequence._ratios(n.astype(np.int64))
-        bits = _pi_power_bits(1, p * math.prod(ratios).bit_length())
-        run = pi_fixed(bits)
-        a = np.empty(len(ratios), dtype=object)
-        for i, r in enumerate(ratios):
-            run *= r ** p
-            a[i] = run >> (bits - _ROUTE_BITS)
-        return a
+        in (A_n - 1, A_n + 2)."""
+        return self.sequence._pi_power_floors(self.u.p)(n.astype(np.int64))
 
 
 _POWER_NAMES = {(1, 1, False): "identity", (1, 2, False): "sqrt",
@@ -1111,44 +1040,32 @@ class Power(Transform):
         return _GUARD_BITS + a if self._integer_route else None
 
     def _terms_route(self, sequence, n):
-        """A sequence with a form pi**c m_n**s hands m_n to u's route on
-        that form (`_on_terms`); one without, its indices to
-        `_PowerOfSequence`, where that has a route."""
-        if sequence.form is not None:
-            route = self._on_terms(*sequence.form)
-            return route, None if route is None else sequence._bases(n)
-        route = _PowerOfSequence(self, sequence)
+        """A sequence with a form pi**c m_n**s hands m_n to the power map
+        of m that u composes into (`_on_terms`), where that map has a
+        route; an exact map, whose u is an integer that no route hands
+        out, takes none. Every other sequence hands its indices to the one
+        route on the terms (`_PowerOfSequence`), where that has a phase."""
+        t = None if sequence.form is None else self._on_terms(*sequence.form)
+        route = _PowerOfSequence(self, sequence) if t is None else t
         if route._quick_range is None and not route._integer_route:
             return None, None
-        return route, n.astype(np.float64)
+        return route, n.astype(np.float64) if t is None else sequence._bases(n)
 
     def _on_terms(self, s, c):
-        """The quick route of u on terms pi**c m**s, which u maps to pi**k
-        m**e, e = s p/q and k = pi + c p/q: Power(P, Q, k = 1) on m, P/Q =
-        e in lowest terms, where k is 0 or 1 and that power map has a
-        quick route; else the exp2 route (`_PowerOfTerms`) where e and k
-        are doubles and e is in _scale_shift's range; else None, as for
-        k = 0 and an integer e, whose u is an integer that no route hands
-        out."""
+        """The power map of m that u composes into on terms pi**c m**s,
+        which u maps to pi**k m**e, e = s p/q and k = pi + c p/q: Power(P,
+        Q, k = 1), P/Q = e in lowest terms, where k is 0 or 1 and that is
+        a power map; else None."""
         a, b = s.as_integer_ratio()
         p, q = a * self.p, b * self.q
         g = math.gcd(p, q)
-        p, q = p // g, q // g  # e = p/q; k = kp/self.q, an exact double
-        kp = c * self.p + self.pi * self.q
-        if kp in (0, self.q):
-            try:
-                t = Power(p, q, kp > 0)
-            except InvalidParameter:
-                t = None
-            if t is not None and (t._quick_range or t._integer_route):
-                return t
-            if not kp and q == 1:
-                return None
-        e = p / q
-        if e.as_integer_ratio() != (p, q) \
-                or not 2.0 ** -400 <= e <= 2.0 ** 400:
+        kp = c * self.p + self.pi * self.q  # k = kp / self.q
+        if kp not in (0, self.q):
             return None
-        return _PowerOfTerms(e, kp / self.q)
+        try:
+            return Power(p // g, q // g, kp > 0)
+        except InvalidParameter:
+            return None
 
     def _scaled(self, x):
         """The integer route: A = floor(u(x) * 2**_ROUTE_BITS), as an object
@@ -1365,8 +1282,9 @@ class _Certifier:
         terms outside u's domain, left out of fracs, and the count of n.
 
         The two phases of `fracs`, one block of _QUICK_BLOCK indices at a
-        time: `_hand_out_terms` hands out the terms of a sequence with a
-        form, and every other term takes the per-term route.
+        time: `_hand_out_terms` hands out the terms the transform's route
+        on the terms vouches for, and every other term takes the per-term
+        route.
         """
         frac = functools.partial(self._term_frac, sequence)
         parts, excluded, requested = [], 0, 0
@@ -1508,42 +1426,47 @@ class _Certifier:
             return np.zeros(x.size, dtype=bool)
         return self._routes(self.transform, x, out,
                             np.frexp(x)[1] <= self._quick_int_bits,
-                            lambda took: self._quick_width)
+                            lambda room: self._quick_width)
 
     def _hand_out_terms(self, sequence, n, out):
         """The quick routes on one block of indices n: write into `out`
         each {u(x_n)} they vouch for and return the mask of those n.
 
         The transform's route on the sequence's terms (`_terms_route`)
-        takes them, with the per-term route's width on the indices it
-        takes (`_term_width`).
+        takes them, with the per-term route's width on the indices whose
+        route error leaves room in a cell (`_term_width`).
         """
         route, x = self.transform._terms_route(sequence, n) if n.size \
             else (None, None)
         if route is None:
             return np.zeros(n.size, dtype=bool)
         return self._routes(route, x, out, True,
-                            lambda took: self._term_width(sequence,
-                                                          n[took]))
+                            lambda room: self._term_width(sequence,
+                                                          n[room]))
 
     def _routes(self, t, x, out, fits, width):
         """The quick routes of t on one block: the double-double phase for
         the x in t's _quick_range (sqrt's and pi*x**2's while u <= 2**20,
         where it is the faster), then the integer route for what is left
         of the domain of a map with one (q = 2, or c = pi). `fits` masks
-        the x a route may take; width(took), for the indices `took` of the
-        x a route takes, is the certifier's width on them, or None for
-        none to be handed out.
+        the x a route may take. A route's cells come first; width(room),
+        for the indices `room` of the x whose route error leaves room in a
+        cell, is the certifier's width on them, or None for none to be
+        handed out.
         """
         handed = np.zeros(x.size, dtype=bool)
 
         def take(cells, mask):
             took = np.flatnonzero(mask)
-            w = width(took) if took.size else None
+            if not took.size:
+                return
+            inside, doubles = cells(x[took], t)
+            room = inside(0.0)
+            w = width(took[room]) if room.any() else None
             if w is not None:
-                inside, f = cells(x[took], t, w)
-                out[took[inside]] = f
-                handed[took[inside]] = True
+                keep = inside(w)
+                out[took[keep]] = doubles(keep)
+                handed[took[keep]] = True
 
         if t._quick_range is not None:
             lo, hi = t._quick_range
@@ -1553,17 +1476,16 @@ class _Certifier:
                  fits & ~handed & np.isfinite(x) & (x >= 0.0))
         return handed
 
-    def _double_double_cells(self, x, t, width):
-        """(inside, {u} of the inside x) from t's double-double phase, for
-        doubles in t's _quick_range, and the certifier's width there.
-
-        u +- err (times 1 + 2**-40 for the roundings of err itself),
-        widened by the width, must lie strictly inside one cell
-        [j, j + 1) * 2**-80 of {u}. Then every result certify accepts
-        floors to j as well, and the double handed out is frac's:
-        j * 2**-80 rounded once, and 1 - 2**-53 where that rounds to 1.
-        An exact power of the base, and any other u whose {u} is 0, has
-        an integer inside its interval and falls back.
+    def _double_double_cells(self, x, t):
+        """(inside, doubles) from t's double-double phase, for doubles in
+        t's _quick_range: inside(width) masks the x whose u lies strictly
+        inside one cell [j, j + 1) * 2**-80 of {u} within err (times 1 +
+        2**-40 for the roundings of err itself) widened by the certifier's
+        width, and doubles(mask) is {u} of the masked x. Every result
+        certify accepts then floors to j as well, and the double handed
+        out is frac's: j * 2**-80 rounded once, and 1 - 2**-53 where that
+        rounds to 1. An exact power of the base, and any other u whose {u}
+        is 0, has an integer inside its interval and falls back.
         """
         uh, ul, err = t._quick(x)
         # {u} = fh + fl: uh - floor(uh) = a + ae exactly, where ae is 0
@@ -1582,14 +1504,17 @@ class _Certifier:
         # in cells; pos, the sum in margin and 1 - margin round once each,
         # below 2**-53 cells while margin < 1, which the 2**-50 covers
         pos = (h - jh) + (l - jl)
-        margin = (err + width) * 2.0 ** 80 + 2.0 ** -50
-        inside = (pos > margin) & (pos < 1.0 - margin)
-        return inside, _cell_doubles(jh[inside], jl[inside])
 
-    def _integer_cells(self, x, t, width):
-        """(inside, {u} of the inside x) from a power map's integer route
-        (`Power._scaled`), for finite doubles in t's domain, and the
-        certifier's width there.
+        def inside(width):
+            margin = (err + width) * 2.0 ** 80 + 2.0 ** -50
+            return (pos > margin) & (pos < 1.0 - margin)
+
+        return inside, lambda keep: _cell_doubles(jh[keep], jl[keep])
+
+    def _integer_cells(self, x, t):
+        """(inside, doubles) from a power map's integer route
+        (`Power._scaled`), for finite doubles in t's domain, as
+        `_double_double_cells` gives them.
 
         In units of 2**-_ROUTE_BITS, u lies in (A - 1, A + 2) and every
         result certify accepts within W = width of u, so all of
@@ -1606,14 +1531,20 @@ class _Certifier:
         a = t._scaled(x)
         cell = a >> _ROUTE_GUARD
         pos = (a & ((1 << _ROUTE_GUARD) - 1)).astype(np.float64)
-        margin = width * 2.0 ** _ROUTE_BITS + 1.0
-        inside = ((pos >= margin) | (cell == 0)) \
-            & (pos + margin + 1.0 <= 2.0 ** _ROUTE_GUARD)
-        c = cell[inside] & ((1 << _FRAC_OUT_BITS) - 1)
-        half = _FRAC_OUT_BITS // 2
-        return inside, _cell_doubles(
-            (c >> half).astype(np.float64) * 2.0 ** half,
-            (c & ((1 << half) - 1)).astype(np.float64))
+        first = cell == 0
+
+        def inside(width):
+            margin = width * 2.0 ** _ROUTE_BITS + 1.0
+            return ((pos >= margin) | first) \
+                & (pos + margin + 1.0 <= 2.0 ** _ROUTE_GUARD)
+
+        def doubles(keep):
+            c = cell[keep] & ((1 << _FRAC_OUT_BITS) - 1)
+            half = _FRAC_OUT_BITS // 2
+            return _cell_doubles((c >> half).astype(np.float64) * 2.0 ** half,
+                                 (c & ((1 << half) - 1)).astype(np.float64))
+
+        return inside, doubles
 
 
 def eval_transform(x, transform, policy=DEFAULT_POLICY):

@@ -438,23 +438,43 @@ SEEDED_CELLS = [
     for t in (PI_SQUARE, LOG10)]
 
 
-def _routed(name, transform):
-    """The least share of a cell's terms its quick routes hand out. Every
-    log of every sequence, which states ln x_n: factorial from n = 16 on
-    (985 of its first 1000 terms), n**n all but the terms 1, 10**10,
-    100**100 and 1000**1000 under log10, whose logs are integers. primes
-    under sqrt and pi*x**2 and sqrt_n under pi*x**2 (pi*n), which compose
-    into a power map of m; through the exp2 route sqrt_n and pi_n under
-    sqrt, pi_n under pi*x**2 (pi**3 n**2) and the sub-linear power laws
-    under sqrt and the identity; n! under pi*x**2 through its running
-    product. The steep power laws under pi*x**2 lie past the cut, and e**n
-    and n**n under the power maps, and n! under sqrt, have no route."""
-    if transform in (LOG10, LOGLOG):
-        return 0.98 if name == "factorial" else 0.99
-    if name.startswith("power_law"):
-        return 0.99 if transform in (SQRT, IDENTITY) else 0.0
-    return 0.99 if name in _FAST or (name, transform) == (
-        "factorial", PI_SQUARE) else 0.0
+# the fewest terms each cell's quick routes hand out: every log of every
+# sequence, which states ln x_n (n! from n = 16 on; n**n under log10 all
+# but the terms 1, 10**10, 100**100 and 1000**1000, whose logs are
+# integers, and one near a cell edge); primes under sqrt and pi*x**2 and
+# sqrt_n under pi*x**2 (pi n), which compose into a power map of m; the
+# one route on the indices for the other power-map cells: its exp2 phase
+# up to u = 2**23.2 (sqrt_n, pi_n, the sub-linear power laws and the
+# first terms of e**n and n**n), its integer phase for pi_n and n! under
+# pi*x**2. The steep power laws under pi*x**2 and n! under sqrt lie past
+# the cut from their first term on.
+ROUTED = {
+    "sqrt_n-loglog": 9998, "sqrt_n-log10": 9995, "sqrt_n-sqrt": 9990,
+    "sqrt_n-pi_square": 9970, "pi_n-loglog": 10000, "pi_n-log10": 10000,
+    "pi_n-sqrt": 10000, "pi_n-pi_square": 9929, "primes-loglog": 10000,
+    "primes-log10": 10000, "primes-sqrt": 10000, "primes-pi_square": 9984,
+    "exp_n-loglog": 1000, "exp_n-log10": 1000, "exp_n-sqrt": 22,
+    "exp_n-pi_square": 6, "factorial-loglog": 985, "factorial-log10": 985,
+    "factorial-sqrt": 0, "factorial-pi_square": 998, "n_pow_n-loglog": 998,
+    "n_pow_n-log10": 995, "n_pow_n-sqrt": 3, "n_pow_n-pi_square": 2,
+    "power_law:0.367427-log10": 9995, "power_law:0.367427-sqrt": 9998,
+    "power_law:0.367427-identity": 9999, "power_law:0.613197-log10": 9995,
+    "power_law:0.613197-sqrt": 9998, "power_law:0.613197-identity": 9995,
+    "power_law:0.316098-log10": 9995, "power_law:0.316098-sqrt": 9999,
+    "power_law:0.316098-identity": 9999, "power_law:0.897527-log10": 9995,
+    "power_law:0.897527-sqrt": 9999, "power_law:0.897527-identity": 9959,
+    "power_law:0.309838-log10": 9995, "power_law:0.309838-sqrt": 9999,
+    "power_law:0.309838-identity": 9998, "power_law:0.6281-log10": 9995,
+    "power_law:0.6281-sqrt": 9999, "power_law:0.6281-identity": 9997,
+    "power_law:23.1317-pi_square": 0, "power_law:23.1317-log10": 996,
+    "power_law:39.2621-pi_square": 0, "power_law:39.2621-log10": 996,
+    "power_law:55.6231-pi_square": 0, "power_law:55.6231-log10": 996,
+    "power_law:25.0508-pi_square": 0, "power_law:25.0508-log10": 996,
+    "power_law:41.635-pi_square": 0, "power_law:41.635-log10": 996,
+    "power_law:48.5529-pi_square": 0, "power_law:48.5529-log10": 996,
+    "power_law:27.8995-pi_square": 0, "power_law:27.8995-log10": 996,
+    "power_law:46.3059-pi_square": 0, "power_law:46.3059-log10": 996,
+    "power_law:47.4929-pi_square": 0, "power_law:47.4929-log10": 996}
 
 
 @pytest.mark.parametrize("name, transform, n_max",
@@ -463,7 +483,7 @@ def _routed(name, transform):
                               for c in TABLE1_CELLS + SEEDED_CELLS])
 def test_handed_out_terms_are_the_per_term_routes(name, transform, n_max):
     # each block's quick phase against the per-term route, term by term;
-    # a routed cell hands out at least its share of its terms
+    # every cell hands out at least its count in ROUTED
     seq = parse_sequence(name)
     certifier = _Certifier(transform, PrecisionPolicy())
     handed = 0
@@ -474,8 +494,7 @@ def test_handed_out_terms_are_the_per_term_routes(name, transform, n_max):
         want = [certifier._term_frac(seq, k) for k in n[mask].tolist()]
         assert got[mask].tobytes() == np.array(want).tobytes()
         handed += int(mask.sum())
-    share = _routed(name, transform)
-    assert handed >= share * n_max if share else handed == 0
+    assert handed >= ROUTED[f"{name}-{transform.label()}"]
 
 
 @pytest.mark.parametrize("transform", [IDENTITY, SQRT, PI_SQUARE, LOG10,
@@ -493,12 +512,36 @@ def test_inv_pi_terms_are_the_per_term_routes(transform):
 
 
 def test_the_odd_nonsquare_rerun_takes_the_per_term_route():
-    # n**n under sqrt has no quick route: each term is a root the sized
-    # per-term route certifies, behind the residue filter
+    # n**n under sqrt: the exp2 phase hands out n = 3, 5 and 7 as the
+    # per-term route gives them; from n = 11 on, where its err fills half
+    # a cell, each term is a root the sized per-term route certifies,
+    # behind the residue filter
     seq, n = NPowN(), np.array([k for k in range(1, 1001) if odd_nonsquare(k)])
     certifier = _Certifier(SQRT, PrecisionPolicy())
-    assert SQRT._terms_route(seq, n) == (None, None)
-    assert not certifier._hand_out_terms(seq, n, np.zeros(n.size)).any()
+    got = np.zeros(n.size)
+    mask = certifier._hand_out_terms(seq, n, got)
+    assert n[mask].tolist() == [3, 5, 7]
+    want = [certifier._term_frac(seq, k) for k in (3, 5, 7)]
+    assert got[mask].tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("alpha", ["23.1317", "55.6231"])
+def test_steep_power_laws_generate_no_term_for_a_width(alpha, monkeypatch):
+    # pi n**(2 alpha) lies past the exp2 route's cut from n = 2 on, so no
+    # term's err leaves room in a cell and the width is never asked: the
+    # cell calls nth_term as often as the per-term route alone does
+    calls = []
+    nth_term = PowerLaw.nth_term
+    monkeypatch.setattr(PowerLaw, "nth_term", lambda self, n, bits: (
+        calls.append(n), nth_term(self, n, bits))[1])
+    seq = parse_sequence(f"power_law:{alpha}")
+    frac_sample(seq, PI_SQUARE, 300)
+    cell = list(calls)
+    calls.clear()
+    certifier = _Certifier(PI_SQUARE, PrecisionPolicy())
+    for k in range(1, 301):
+        certifier._term_frac(seq, k)
+    assert cell == calls
 
 
 @pytest.mark.parametrize("policy", [PrecisionPolicy(agreement=24),

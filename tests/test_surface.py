@@ -1,9 +1,11 @@
-"""The package surface: every def and class in src/ubenford is used.
+"""The package surface: every def, class and module-level constant in
+src/ubenford is used.
 
-A def or class counts as used when its name is read somewhere in the
-package outside its own body, or when ubenford.__all__ exports it. A
-helper that only tests call fails this check; move its assertion to the
-code it stood in for and delete it.
+A definition counts as used when its name is read somewhere in the
+package outside its own body (a constant's own assignment), or when
+ubenford.__all__ exports it. A helper that only tests call, or a
+constant that only tests read, fails this check; move its assertion to
+the code it stood in for and delete it.
 """
 
 import ast
@@ -22,18 +24,27 @@ ALLOWED = {"error", "dec_digits"}
 def _scan():
     """(definitions, references) over every module of the package.
 
-    A definition is (module, name, first line, last line); a reference is
+    A definition is (module, name, first line, last line): each def and
+    class, and each name a module-level assignment binds. A reference is
     (module, name, line) for every Name read and attribute access.
     """
     defs, refs = [], []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                defs += [(path.name, name.id, node.lineno, node.end_lineno)
+                         for target in targets for name in ast.walk(target)
+                         if isinstance(name, ast.Name)]
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
                 defs.append((path.name, node.name, node.lineno,
                              node.end_lineno))
-            elif isinstance(node, ast.Name):
+            elif isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                           ast.Load):
                 refs.append((path.name, node.id, node.lineno))
             elif isinstance(node, ast.Attribute):
                 refs.append((path.name, node.attr, node.lineno))

@@ -751,8 +751,8 @@ class TestQuickPhase:
                 1 + Fraction(1, 1 << 40)) + width
             a, b = (u - r) * (1 << 80), (u + r) * (1 << 80)
             inside.append(math.floor(a) < a and b < math.floor(a) + 1)
-        assert certifier._double_double_cells(
-            xs, t, certifier._quick_width)[0].tolist() == inside
+        assert certifier._double_double_cells(xs, t)[0](
+            certifier._quick_width).tolist() == inside
         if t == PI_SQUARE:
             # its width leaves some doubles near a cell edge
             assert inside.count(False) > 10
@@ -873,9 +873,10 @@ class TestQuickPhase:
             cell, pos = ai >> 40, ai & ((1 << 40) - 1)
             low = pos >= 1 + w or cell == 0
             inside.append(low and pos + 2 + w <= 1 << 40)
-        got, fracs = certifier._integer_cells(xs, t, certifier._quick_width)
+        inside_at, doubles = certifier._integer_cells(xs, t)
+        got = inside_at(certifier._quick_width)
         assert got.tolist() == inside
-        assert fracs.tolist() == [
+        assert doubles(got).tolist() == [
             tr._frac_double(ai >> 40 & ((1 << 80) - 1))
             for ai, i in zip(a, inside) if i]
         # u below 2**-80 (2**-124 among them): all handed out
@@ -961,15 +962,16 @@ _SLACK = 1 + Fraction(1, 1 << 40)  # the certifier's factor on err
 
 
 class _FormTerms(Sequence):
-    """A sequence whose every term is pi**c m**s, for one integer m: the
-    ln x_n a form states, on which the log routes compose."""
+    """A sequence whose term n is pi**c m_n**s, for the integers m_n given
+    in order of n (one m for every term where one is given): the ln x_n
+    a form states, on which the routes on terms compose."""
 
     def __init__(self, s, c, m):
-        self.form, self._m = (s, c), m
-        self._ln_range = (1.0, 1.0)
+        self.form, self._m = (s, c), np.atleast_1d(np.array(m, dtype=float))
+        self._ln_range = (1.0, float(self._m.size))
 
     def _bases(self, n):
-        return np.full(n.size, float(self._m))
+        return self._m[n.astype(np.intp) - 1]
 
 
 def _true_ln(seq, n):
@@ -1004,34 +1006,45 @@ _DD_OPERAND = st.one_of(
         lambda a: (a[0], a[1] * 2.0 ** -21 * math.ulp(a[0]))),
     _DD_SIGNED.map(lambda lo: (0.0, lo)))
 
-# the exp2 route of the power maps on terms pi**k m**e
-
+# the exp2 route of the power maps on terms pi**k m**e, as a power map u
+# composes it with the form pi**c m**s: (u, s/e, c) for each k
 _EXP2_E = st.one_of(st.just(0.25), st.just(0.5), st.floats(0.1, 1.0))
+_EXP2_K = {0.0: (IDENTITY, 1.0, 0), 0.5: (SQRT, 2.0, 1),
+           1.0: (IDENTITY, 1.0, 1), 3.0: (PI_SQUARE, 0.5, 1)}
 
 
-def _exp2_route_m(route, f):
-    """An integer m in the route's double-double range, log-uniform in f."""
-    lo, hi = route._quick_range
-    return max(2, min(int(hi), int(hi ** f)))
+def _exp2_route(e, k, ms):
+    """The one route on the terms pi**c m**s that u sends to pi**k m**e,
+    for the integers ms as the terms n = 1, 2, ..."""
+    t, f, c = _EXP2_K[k]
+    return tr._PowerOfSequence(t, _FormTerms(e * f, c, ms))
 
 
-def _exp2_ratio(route, ms):
+def _exp2_m(e, k, f):
+    """An integer m >= 1 whose u = pi**k m**e lies below the cut,
+    log-uniform in f."""
+    hi = min((tr._EXP2_U_MAX / math.pi ** k) ** (1 / e) * (1 - 2.0 ** -40),
+             2.0 ** 53 - 1)
+    return max(1, min(int(hi), int(hi ** f)))
+
+
+def _exp2_ratio(e, k, ms):
     """The largest |uh + ul - u| / err of the route's double-double phase
     over the integers ms (mpmath at 400 bits)."""
-    uh, ul, err = route._quick(np.array(ms, dtype=np.float64))
+    uh, ul, err = _exp2_route(e, k, ms)._quick(np.arange(1.0, len(ms) + 1))
     with mp.workprec(400):
-        return max(abs(mpf(h) + mpf(l) - mp.pi ** mpf(route.k)
-                       * mpf(m) ** mpf(route.e)) / mpf(b)
-                   for m, h, l, b in zip(ms, uh, ul, err))
+        return max(abs(mpf(h) + mpf(l) - mp.pi ** mpf(k) * mpf(m) ** mpf(e))
+                   / mpf(b) for m, h, l, b in zip(ms, uh, ul, err))
 
 
 class TestTermRoutes:
-    """The quick phase on a sequence's terms: for the logs the ln x_n the
-    sequence states (s ln m + c ln pi for terms pi**c m**s) over ln b, and
-    the outer log10 of that for the iterated log; for the power maps
-    pi**k m**e as 2**(e log2 m + k log2 pi) (the exp2 route); each within
-    its proved bound, sound for every input within its stated error, and
-    tight where one part of the bound dominates."""
+    """The quick phase on a sequence's terms, from the ln x_n the sequence
+    states (s ln m + c ln pi for terms pi**c m**s): for the logs that over
+    ln b, and the outer log10 of that for the iterated log; for the power
+    maps u = c x**a the one route 2**((a ln x_n + k ln pi) / ln 2) (the
+    exp2 route); each within its proved bound, sound for every input
+    within its stated error, and tight where one part of the bound
+    dominates."""
 
     @given(ms=_TERM_MS, c=st.integers(0, 1), t=st.sampled_from(TERM_LOGS))
     @settings(max_examples=500, deadline=None)
@@ -1050,10 +1063,13 @@ class TestTermRoutes:
 
     @pytest.mark.parametrize("base", [2, 3, 7, 10, 1000, 2 ** 100 + 1])
     def test_log_pi_constant(self, base):
-        hi, lo, err = tr._quick_log_pi(base)
+        # log_b pi as the routes build it, ln pi over ln b (`_times`):
+        # the exp2 route's pi term for b = 2
+        hi, lo, err = tr._times(*(np.array([v]) for v in tr._quick_ln_pi()),
+                                tr._quick_inv_ln(base))
         with mp.workprec(400):
-            assert abs(mpf(hi) + mpf(lo) - mp.log(mp.pi) / mp.log(base)) \
-                <= err <= 2.0 ** -105
+            miss = abs(mpf(hi[0]) + mpf(lo[0]) - mp.log(mp.pi) / mp.log(base))
+            assert miss <= err[0] <= 2.0 ** -104
 
     @given(a=_DD_OPERAND, b=_DD_OPERAND)
     @settings(max_examples=300, deadline=None)
@@ -1115,53 +1131,70 @@ class TestTermRoutes:
                                          True]
 
     def test_power_maps_compose_where_a_route_exists(self):
-        exp2 = tr._PowerOfTerms
+        # u sends pi**c m**s to pi**k m**e: a power map of m where k is 0
+        # or 1, taken where it has a route, and none for an exact map,
+        # whose u is an integer; the one route on the indices otherwise
+        one = tr._PowerOfSequence
         cases = [(SQRT, 1.0, 0, SQRT), (PI_SQUARE, 1.0, 0, PI_SQUARE),
                  (PI_SQUARE, 0.5, 0, Power(1, pi=True)),
                  (IDENTITY, 0.5, 0, SQRT), (IDENTITY, 1.5, 0, Power(3, 2)),
                  (SQRT, 3.0, 0, Power(3, 2)),
                  (IDENTITY, 1.0, 1, Power(1, pi=True)),
-                 # no power map of m: the exp2 route on pi**k m**e, for a
-                 # root past the square root, a double exponent and the
-                 # terms pi m
-                 (SQRT, 0.5, 0, exp2(0.25, 0.0)),
-                 (IDENTITY, 0.367427, 0, exp2(0.367427, 0.0)),
-                 (SQRT, 0.367427, 0, exp2(0.1837135, 0.0)),
-                 (SQRT, 1.0, 1, exp2(0.5, 0.5)),
-                 (PI_SQUARE, 1.0, 1, exp2(2.0, 3.0)),
-                 (PI_SQUARE, 23.1317, 0, exp2(46.2634, 1.0)),
-                 # no route: an exact map, whose u is an integer, and an
-                 # exponent past _scale_shift's range
-                 (IDENTITY, 2.0, 0, None), (Power(3), 1.0, 0, None),
-                 (SQRT, 2.0 ** -400, 0, None)]
+                 (IDENTITY, 2.0, 0, Power(2)), (Power(3), 1.0, 0, Power(3)),
+                 # no power map of m: a root past the square root, a
+                 # double exponent, the terms pi m under the roots and
+                 # pi*x**2, and a steep power law under pi*x**2
+                 (SQRT, 0.5, 0, None), (IDENTITY, 0.367427, 0, None),
+                 (SQRT, 0.367427, 0, None), (SQRT, 1.0, 1, None),
+                 (PI_SQUARE, 1.0, 1, None), (PI_SQUARE, 23.1317, 0, None)]
+        n = np.arange(1, 3)
         for t, s, c, want in cases:
             assert t._on_terms(s, c) == want, (t.label(), s, c)
-        assert exp2(2.0, 3.0)._integer_route
-        assert not exp2(0.5, 0.5)._integer_route
+            terms = _FormTerms(s, c, [2, 3])
+            route, x = t._terms_route(terms, n)
+            if want is None:
+                assert route == one(t, terms) and x.tolist() == [1.0, 2.0]
+            elif want in (Power(2), Power(3)):  # exact maps
+                assert route is None
+            else:
+                assert route == want and x.tolist() == [2.0, 3.0]
+        # an exponent past _scale_shift's range states no ln x_n, and
+        # takes no route
+        assert SQRT._terms_route(PowerLaw(2.0 ** -401), n) == (None, None)
+        # pi_n under pi*x**2, pi**3 n**2, takes the integer phase alone; a
+        # half-integer k has none
+        route = PI_SQUARE._terms_route(_FormTerms(1.0, 1, [2, 3]), n)[0]
+        assert route._integer_route and route._quick_range is None
+        route = SQRT._terms_route(_FormTerms(1.0, 1, [2, 3]), n)[0]
+        assert not route._integer_route and route._quick_range == (1.0, 2.0)
 
-    def test_exp2_route_takes_nothing_past_its_cut(self):
+    def test_exp2_route_takes_nothing_past_its_cut(self, monkeypatch):
         # the bound holds at least _EXP2_REMAINDER u, more than half a
-        # cell past the cut; the steep power laws under pi*x**2 start
-        # past it at m = 2
-        for e, k in [(0.25, 0.0), (0.5, 0.5), (2.0, 3.0), (0.9, 0.0)]:
-            lo, hi = tr._PowerOfTerms(e, k)._quick_range
-            assert math.pi ** k * hi ** e <= tr._EXP2_U_CUT
-            assert lo == 2.0
-        # the cut on the whole bound lies below the one on its fixed part:
-        # pi_n under pi*x**2 takes m up to 240, not 563, and its first
-        # block hands out the same 99 terms
-        assert tr._EXP2_U_CUT < tr._EXP2_U_MAX / 4
-        assert int(tr._PowerOfTerms(2.0, 3.0)._quick_range[1]) == 240
+        # cell past the cut
         assert tr._EXP2_REMAINDER * tr._EXP2_U_MAX / (1 + 2.0 ** -9) \
             >= 2.0 ** -81
         u = np.array([tr._EXP2_U_MAX * 0.999])
         y = tr._scale_shift(*tr.LOG2._quick(u), 1.0, (0.0, 0.0, 0.0))
         assert tr._exp2(*y)[2][0] > 2.0 ** -81 * 0.999
+        # the leading terms up to the cut run _exp2; every term from the
+        # first past it gets err 1, a later one back below the cut too
+        for e, k in [(0.5, 0.5), (2.0, 3.0), (0.9, 0.0)]:
+            edge = (tr._EXP2_U_MAX / math.pi ** k) ** (1 / e)
+            ms = [1, 2, int(edge * (1 - 2.0 ** -30)),
+                  int(edge * (1 + 2.0 ** -30)) + 1, 3]
+            err = _exp2_route(e, k, ms)._quick(np.arange(1.0, 6.0))[2]
+            assert (err < 1.0).tolist() == [True, True, True, False, False]
+        # sub-linear power laws take every m below 2**53
+        err = _exp2_route(0.25, 0.0, [2.0 ** 53 - 1])._quick(np.ones(1))[2]
+        assert err[0] < 2.0 ** -85
+        # a block whose first term is past the cut runs no _exp2: the
+        # steep power laws under pi*x**2 from n = 2 on
+        monkeypatch.setattr(tr, "_exp2", None)
+        n = np.arange(2.0, 1001.0)
         for alpha in (23.1317, 41.635, 55.6231):
-            lo, hi = tr._PowerOfTerms(2.0 * alpha, 1.0)._quick_range
-            assert hi < lo
-        # sub-linear power laws take every m
-        assert tr._PowerOfTerms(0.1, 0.0)._quick_range[1] > 2.0 ** 52
+            route = tr._PowerOfSequence(PI_SQUARE, PowerLaw(alpha))
+            assert route._quick_range == (2.0, 2.0 ** 53 - 1)
+            assert (route._quick(n)[2] == 1.0).all()
 
     def test_logs_compose_within_their_scale_range(self):
         # a form states ln x_n for s in _scale_shift's range, and the logs
@@ -1178,22 +1211,19 @@ class TestTermRoutes:
            f=st.floats(0.0, 1.0))
     @settings(max_examples=400, deadline=None)
     def test_power_error_within_its_bound(self, e, k, f):
-        route = tr._PowerOfTerms(e, k)
-        m = _exp2_route_m(route, f)
-        assert _exp2_ratio(route, [m]) <= 1 + mpf(2) ** -40
+        assert _exp2_ratio(e, k, [_exp2_m(e, k, f)]) <= 1 + mpf(2) ** -40
 
     @pytest.mark.parametrize("k", [0.0, 0.5])
     def test_power_error_on_a_seeded_sample(self, k):
         # e = 1/4 and 1/2, and seeded doubles in (0.1, 1), each on m
-        # log-uniform up to the cut: the bound is tight enough that half
-        # of it fails somewhere
+        # log-uniform up to the cut: the bound is tight enough that over a
+        # third of it fails somewhere
         rng = random.Random(28)
         ratio = 0
         for e in [0.25, 0.5] + [rng.uniform(0.1, 1.0) for _ in range(6)]:
-            route = tr._PowerOfTerms(e, k)
-            ratio = max(ratio, _exp2_ratio(route, [
-                _exp2_route_m(route, rng.random()) for _ in range(1000)]))
-        assert 0.5 < ratio <= 1 + mpf(2) ** -40
+            ratio = max(ratio, _exp2_ratio(e, k, [
+                _exp2_m(e, k, rng.random()) for _ in range(1000)]))
+        assert 0.35 < ratio <= 1 + mpf(2) ** -40
 
     @given(yh=st.one_of(st.floats(0.0, 40.0), st.floats(0.0, 1000.0)),
            r=st.floats(-1.0, 1.0), ey=st.one_of(
@@ -1246,10 +1276,16 @@ class TestTermRoutes:
         rng = random.Random(int(e * 10 + k))
         ms = [0, 1, 2, 3, 535, 536, 10 ** 4, 2 ** 53 - 1] + [
             int(2 ** rng.uniform(0, 53)) for _ in range(60)]
-        route = tr._PowerOfTerms(e, k)
-        for a, one in ((route._scaled(np.array(ms, dtype=np.float64)), None),
-                       *((route._scaled(np.array([m], dtype=np.float64)), m)
-                         for m in ms[:8])):
+        # u on the terms pi m**(e/p) of pi*x**p, p = k - 1: pi**k m**e
+        t = Power(int(k) - 1, pi=True)
+
+        def scaled(ms):
+            route = t._terms_route(_FormTerms(e / t.p, 1, ms), np.ones(1))[0]
+            assert route._integer_route and route._quick_range is None
+            return route._scaled(np.arange(1.0, len(ms) + 1))
+
+        for a, one in ((scaled(ms), None),
+                       *((scaled([m]), m) for m in ms[:8])):
             with mp.workprec(int(53 * e) + 400):
                 for m, ai in zip([one] if one is not None else ms, a):
                     u = mp.pi ** int(k) * mpf(m) ** int(e) * mpf(2) ** 120
@@ -1302,8 +1338,9 @@ class TestTermRoutes:
         assert err[0] < 2.0 ** -90 * u
 
     def test_terms_routes_of_the_sequences_without_a_form(self):
-        # the logs read ln x_n everywhere; of the power maps, n**(1/pi)
-        # takes the exp2 route and n! under pi*x**p its running product
+        # the logs read ln x_n everywhere; the power maps take the one
+        # route on the indices, whose integer phase alone takes n! under
+        # pi*x**p as its running product
         n = np.arange(1, 9)
         for name in ("exp_n", "factorial", "n_pow_n", "power_law:1/pi"):
             seq = parse_sequence(name)
@@ -1312,13 +1349,12 @@ class TestTermRoutes:
                 assert route == tr._LogOfTerms(t, seq)
                 assert x.tolist() == n.tolist()
             for t in (IDENTITY, SQRT, PI_SQUARE, Power(3, pi=True)):
-                route = t._terms_route(seq, n)[0]
-                exp2 = name == "power_law:1/pi"
+                route, x = t._terms_route(seq, n)
                 run = name == "factorial" and t.pi
-                assert (route is not None) == (exp2 or run), (name, t)
-                if route is not None:
-                    assert (route._quick_range is not None) == exp2
-                    assert route._integer_route == run
+                assert route == tr._PowerOfSequence(t, seq), (name, t)
+                assert x.tolist() == n.tolist()
+                assert route._integer_route == run
+                assert route._quick_range == (None if run else seq._ln_range)
 
     @pytest.mark.parametrize("t", [PI_SQUARE, Power(3, pi=True)],
                              ids=lambda t: t.label())
