@@ -38,7 +38,8 @@ __all__ = [
     "InvalidParameter", "KsCell", "LOG2", "LOG10", "LOGLOG", "Log",
     "LogLog", "LognormalBase10", "Mod1Result", "NoNumericColumn",
     "NotUnimodal", "NumericalFailure", "PDeltaReport", "PI_SQUARE",
-    "ParetoI", "ParetoII", "Power", "PrecisionCapExceeded", "PrecisionPolicy", "SEQUENCES",
+    "ParetoI", "ParetoII", "Power", "PrecisionCapExceeded",
+    "PrecisionPolicy", "SEQUENCES",
     "SQRT", "SeededSampler", "Table1Report", "Table3Report",
     "Transform", "TruncationFailure", "UBenfordError", "UniformOnZeroK",
     "analyze_dataset", "benford_expected", "bound_sweep",

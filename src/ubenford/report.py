@@ -128,7 +128,8 @@ def _pad_table(rows):
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
     lines = []
     for i, row in enumerate(rows):
-        lines.append("  ".join(f.ljust(w) for f, w in zip(row, widths)).rstrip())
+        lines.append(
+            "  ".join(f.ljust(w) for f, w in zip(row, widths)).rstrip())
         if i == 0:
             lines.append("  ".join("-" * w for w in widths))
     return lines

@@ -7,22 +7,19 @@ point with as many significant bits as the downstream transform asks for.
 One rule in bits sizes a term: a sequence with inexact terms bounds their
 integer bits (int_bits_estimate), and the certifier's start_bits turns
 that into the bits the term is generated at. An exact term ignores its
-bits. frac_sample hands a cell to the certifier (_Certifier.terms), which
-certifies most terms in numpy blocks from what the sequence states of
-them: its ln x_n (`_ln_terms`): n for e**n, n ln n for n**n, Stirling's
-series for n! from n = 16 on, ln n / pi for n**(1/pi), and s ln m_n + c
-ln pi for the sequences that state their terms as pi**c m_n**s (`form`:
-sqrt_n, pi_n, primes and the power laws with a double exponent). Every
-log reads ln x_n, and so do the power maps, through one exp2 route on the
-indices while u <= about 2**23.2; a power map that sends a form's terms
-to a power map of m_n takes that map's route on m_n instead. Under
-pi*x**p the sequence may state an integer phase (`_pi_power_floors`):
-pi_n from its form, n! as a running product. Every other term (e**n and
-n**n under the power maps but their first few, n! under sqrt and below
-16 under the logs, the steep power laws under pi*x**2, and the few a
-block's quick routes cannot vouch for) is generated, and regenerated at
-doubled bits while the transform refuses its fractional part, up to the
-policy's cap.
+bits. frac_sample hands a cell to the certifier (_Certifier.terms),
+which certifies most terms in numpy blocks from what the sequence states
+of them: its ln x_n (`_ln_terms`; n for e**n, n ln n for n**n,
+Stirling's series for n! from n = 16 on, ln n / pi for n**(1/pi), s ln
+m_n + c ln pi for a `form` pi**c m_n**s), from which each transform takes
+u by its own step (`Transform._from_ln`), and under pi*x**p the integer
+phase that pi_n and n! state (`_pi_power_floors`). A power map that sends a
+form's terms to a power map of m_n takes that map's route on m_n
+instead. Every other term (e**n and n**n under the power maps but their
+first few, n! under sqrt and below 16 under the logs, the steep power
+laws under pi*x**2, and the few a block's quick routes cannot vouch for)
+is generated, and regenerated at doubled bits while the transform
+refuses its fractional part, up to the policy's cap.
 """
 
 import functools
@@ -104,8 +101,8 @@ class Sequence:
       no such form holds. It gives ln x_n = s ln m_n + c ln pi, and a
       power map reads it to compose with a power map of m_n.
     - `_pi_power_floors(p)`, the integer phase of pi*x**p on the terms,
-      where the sequence states one: from the form, or as a running
-      product (n!).
+      where the sequence states one: pi**(p + 1) n**p for pi_n, and a
+      running product for n!.
     """
 
     name = "?"
@@ -127,25 +124,13 @@ class Sequence:
         return y
 
     def _pi_power_floors(self, p):
-        """The integer phase of pi*x**p on the terms, for an int p >= 1,
-        or None where the sequence states none: a map from an ascending
-        int64 array of indices n to the object array of the ints A_n with
-        pi x_n**p 2**_ROUTE_BITS in (A_n - 1, A_n + 2). A form pi**c m**s
-        states it where e = s p is an integer: pi**k m**e, k = c p + 1, as
-        `_pi_power_floor` takes it, for m**e below 2**(e E), E the bits of
-        the largest m."""
-        if self.form is None:
-            return None
-        (a, b), c = self.form[0].as_integer_ratio(), self.form[1]
-        if a * p % b:
-            return None
-        e, k = a * p // b, c * p + 1
-
-        def floors(n):
-            m = self._bases(n).astype(np.int64).astype(object)
-            return _pi_power_floor(m ** e, 0, k,
-                                   e * int(m.max()).bit_length())
-        return floors
+        """The integer phase of pi*x**p on the terms, for an int p >= 1: a
+        map from an ascending int64 array of indices n to the object array
+        of the ints A_n with pi x_n**p 2**_ROUTE_BITS in (A_n - 1, A_n +
+        2); None here. Every form but pi_n's has c = 0, and pi*x**p sends
+        its terms to a power map of m wherever it has an integer phase
+        (`Power._on_terms`)."""
+        return None
 
     def nth_term(self, n, bits):
         raise NotImplementedError
@@ -182,6 +167,12 @@ class PiN(Sequence):
 
     def nth_term(self, n, bits):
         return BigReal(pi_fixed(bits) * n, -bits, bits, False)
+
+    def _pi_power_floors(self, p):
+        """pi**(p + 1) n**p (`_pi_power_floor`), for n**p below 2**(p E),
+        E the bits of the largest n."""
+        return lambda n: _pi_power_floor(n.astype(object) ** p, 0, p + 1,
+                                         p * int(n.max()).bit_length())
 
     def int_bits_estimate(self, n):
         return n.bit_length() + 2

@@ -14,54 +14,54 @@ otherwise, with one extra doubling when the result sits within the
 near-integer guard band. All precisions here are bits; decimal digits
 enter only through the policy, in _policy_bits.
 
+Each transform states one step from a double-double ln x and its bound
+to u and its bound (`_from_ln`): a log multiplies by 1/ln b (`_times`),
+the iterated log takes the outer log10 of log10 x (`_log10_of`), a power
+map c x**a computes 2**((a ln x + k ln pi) / ln 2), k = 1 for c = pi
+(`_exp2`), while u <= _EXP2_U_MAX (about 2**23.2). No quick route asks
+what kind of transform it serves.
+
 An array of doubles (analyze_dataset, the sampled row of table3) goes
 through _Certifier.fracs in two phases, after Ziv, a block of
 _QUICK_BLOCK (4,096) values at a time. The quick phase has two routes.
-The double-double route evaluates Log (every base), LogLog, and sqrt and
-pi*x**2 while u <= 2**20, in numpy, with a proved bound err on each
-value's error (below 2**-92 for a log, about 2**-105 u for sqrt and
-2**-104 u for pi*x**2; the proofs are in the `_quick` methods, in
-`_log10_of` and in `_dd_mul`, the one double-double product). The
-integer route (`Power._scaled`) takes what the power maps with an
-inexact result (q = 2, or c = pi) leave, at any size: A = floor(u *
-2**120) in Python ints, exact but for pi's few units
-(`_pi_power_floor`). A double is handed out only where its u, widened
-by its route's error and by the fewest bits the certifier's own
-evaluator claims (`_quick_width`), lies inside one 2**-80 cell of {u};
-the policy certifies at most 80 bits, and certify could double the x's
-first precision within the cap. The double is then the one certify
-would return (`_cell_doubles`, for both routes). Every other value
-falls back to the certifier: one outside both routes (nonpositive or
-subnormal for Log, LogLog, the identity and x**p without pi
-everywhere), an exact power of the base, and any u that lies near a
-cell edge or, for Log, an integer. Below 2**-80 the integer route needs no lower margin: its
-maps' certified results are never negative.
+The double-double route takes Log (every base) and LogLog through
+`_from_ln` on `_ln`'s ln x, and sqrt and pi*x**2 while u <= 2**20
+through their own arithmetic (`Power._quick`): on 4,096 doubles exp2
+took 15 to 20 times as long and handed out 11-13% fewer. Each value gets a
+proved bound err (below 2**-92 for a log, about 2**-105 u for sqrt and
+2**-104 u for pi*x**2; the proofs are in `_ln`, `_from_ln`, `_quick`,
+`_log10_of` and `_dd_mul`, the one double-double product). The integer
+route (`Power._scaled`) takes what the power maps with an inexact
+result (q = 2, or c = pi) leave, at any size: A = floor(u * 2**120) in
+Python ints, exact but for pi's few units (`_pi_power_floor`). A double
+is handed out only where its u, widened by its route's error and by the
+fewest bits the certifier's own evaluator claims (`_quick_width`), lies
+inside one 2**-80 cell of {u}; the policy certifies at most 80 bits,
+and certify could double the x's first precision within the cap. The
+double is then the one certify would return (`_cell_doubles`). Every
+other value falls back to the certifier: one outside both routes
+(nonpositive or subnormal for Log, LogLog, the identity and x**p
+without pi everywhere), an exact power of the base, and any u near a
+cell edge or, for Log, an integer. Below 2**-80 the integer route needs
+no lower margin: its maps' certified results are never negative.
 
 A sequence's terms (frac_sample) go through _Certifier.terms, the same
-two phases over blocks of _QUICK_BLOCK indices, each transform's route
-on the terms taking what it can (`_terms_route`). Every sequence states
-ln x_n on a range of n in double-double (`Sequence._ln_terms`): n for
-e**n, n ln n for n**n, Stirling's series for n! from n = 16 on, ln n / pi
-for n**(1/pi), and s ln m + c ln pi for the terms pi**c m**s of a form.
-A log divides it by ln b, the iterated log takes the outer log10 of that
-(`_LogOfTerms`). A power map u = c x**a sends a form's term to pi**k
-m**e, and takes the power map of m where k is 0 or 1 and that map has a
-route; an exact map of m, whose u is always an integer, takes none.
-Every other sequence and map takes the one route on the indices
-(`_PowerOfSequence`): 2**((a ln x_n + k ln pi) / ln 2) in double-double
-on the ln x_n the sequence states (`_exp2`, within about u (ey ln 2 +
-2**-104) for y's bound ey), run while u <= _EXP2_U_MAX (about 2**23.2),
-past which its bound's fixed part alone fills half a cell; and under
-pi*x**p, where the sequence states it (`Sequence._pi_power_floors`),
-floor(u 2**120) in ints instead: pi**k m**e for a form with an integer
-e (pi n under pi*x**2), n! as a running product. The width is then the
-fewest bits the per-term route claims on the generated terms
-(`_term_width`), not the width for doubles, asked only on the terms
-whose route error leaves room in a cell. Per term: the slow rows e**n and
-n**n under the power maps but their first few terms, n! under sqrt and
-below 16 under the logs, and the steep power laws under pi*x**2, which
-lie past the cut. A root of an exact integer past every double (n!,
-n**n) first meets a residue filter ahead of its square test
+two phases over blocks of _QUICK_BLOCK indices (`_terms_route`). Every
+sequence states ln x_n on a range of n (`Sequence._ln_terms`): n for
+e**n, n ln n for n**n, Stirling's series for n! from n = 16 on, ln n /
+pi for n**(1/pi), and s ln m + c ln pi for the terms pi**c m**s of a
+form. A power map that sends a form's terms to a power map of m with a
+route takes that route on m (`Power._on_terms`); an exact map of m,
+whose u is always an integer, takes none. Every other sequence and
+transform takes the one route on the indices (`_OnTerms`): `_from_ln`
+on the ln x_n; or under pi*x**p, where the sequence states it
+(`Sequence._pi_power_floors`: pi_n, and n! as a running product),
+floor(u 2**120) in ints. Its width is the fewest bits the per-term
+route claims on the terms whose route error leaves room in a cell
+(`_term_width`). Per term: e**n and n**n under the power maps but their
+first few terms, n! under sqrt and below 16 under the logs, and the
+steep power laws under pi*x**2, past the cut. A root of an exact
+integer past every double (n!, n**n) first meets a residue filter
 (`_no_square`), and is taken at the fractional bits its working
 precision sizes (`Power._eval_at`).
 """
@@ -555,7 +555,7 @@ def _mul_add(zh, zl, sh, sl, c):
 
 def _exp2(yh, yl, ey):
     """2**y in double-double and its error bound, for y = yh + yl within
-    ey <= 2**-60, 0 <= yh <= 1000 and |yl| <= ulp(yh)/2.
+    ey <= 2**-52, 0 <= yh <= 1000 and |yl| <= ulp(yh)/2.
 
     Reduction: t = RN(256 yh), and 256 yh - t is exact (a double minus
     its nearest integer), so is r_h = (256 yh - t)/256, |r_h| <= 2**-9.
@@ -632,22 +632,29 @@ class Transform:
     certifier: `_check_domain`, `_try_exact` (exact result or None),
     `_constants` (what `_eval_at` needs at one working precision, taken
     once per w), `_fewest_claim` (which sizes the quick routes' width),
-    `_terms_route` (the quick route on a sequence's terms), `_eval_at`
-    (u(x) floor-accurate at scale 2**-w from those constants, certified
-    bits as precision; it never raises, a value it cannot vouch for gets
-    a short claim) and `_result_bits_estimate` (integer bits of u for an
-    input of `int_bits` integer bits), which start_bits turns into the
-    first working precision and the precision a sequence term is
-    generated at.
+    `_from_ln` (u from ln x, both in double-double with a bound, for the
+    quick phase), `_terms_route` (the quick route on a sequence's terms),
+    `_eval_at` (u(x) floor-accurate at scale 2**-w from those constants,
+    certified bits as precision; it never raises, a value it cannot vouch
+    for gets a short claim) and `_result_bits_estimate` (integer bits of
+    u for an input of `int_bits` integer bits), which start_bits turns
+    into the first working precision and the precision a sequence term
+    is generated at.
     """
 
     kind = None
     lg_domain_lo = -math.inf
+    pi = False  # c = pi, a power map's factor
     _quick_range = None  # no double-double phase
     _integer_route = False  # no integer route (Power._scaled)
 
     def _constants(self, w):
         return None
+
+    def _quick(self, x):
+        """u(x) = uh + ul in double-double and err >= |uh + ul - u(x)|,
+        for an array of doubles in _quick_range: `_from_ln` of `_ln`."""
+        return self._from_ln(*_ln(x))
 
     def _fewest_claim(self, a):
         """The fewest fractional bits `_eval_at` claims, at its first
@@ -669,12 +676,20 @@ class Transform:
     def _terms_route(self, sequence, n):
         """(route, inputs): the quick route of u on the terms x_n of a
         sequence, for an ascending int64 array of indices n, and the
-        array it reads; (None, None) for none. A log composes with the
-        ln x_n the sequence states (`_LogOfTerms`, on the indices). Power
-        overrides it."""
-        if sequence._ln_range is None:
+        array it reads; (None, None) for none: the route of the map of
+        m_n that u composes into on a form pi**c m_n**s (`_on_terms`),
+        else the one route on the indices (`_OnTerms`), where it has a
+        phase."""
+        t = None if sequence.form is None else self._on_terms(*sequence.form)
+        route = _OnTerms(self, sequence) if t is None else t
+        if route._quick_range is None and not route._integer_route:
             return None, None
-        return _LogOfTerms(self, sequence), n.astype(np.float64)
+        return route, n.astype(np.float64) if t is None else sequence._bases(n)
+
+    def _on_terms(self, s, c):
+        """The transform of m that u composes into on terms pi**c m**s, or
+        None for none; Power overrides it."""
+        return None
 
     def label(self):
         return self.kind
@@ -762,11 +777,9 @@ class Log(Transform):
     # every normal double; |u| stays below 1,075 on it
     _quick_range = (2.0 ** -1022, sys.float_info.max)
 
-    def _quick(self, x):
-        """u(x) = uh + ul in double-double and err >= |uh + ul - u(x)|,
-        for an array of doubles in _quick_range: `_ln` over ln(base)
-        (`_times`)."""
-        return _times(*_ln(x), _quick_inv_ln(self.base))
+    def _from_ln(self, lh, ll, err):
+        """ln x over ln(base) (`_times`)."""
+        return _times(lh, ll, err, _quick_inv_ln(self.base))
 
 
 @dataclass(frozen=True)
@@ -825,59 +838,20 @@ class LogLog(Transform):
     # from where log10 x reaches _LOGLOG_Y_MIN to the largest double
     _quick_range = (10.0 ** _LOGLOG_Y_MIN, sys.float_info.max)
 
-    def _quick(self, x):
-        """u(x) = uh + ul in double-double and err >= |uh + ul - u(x)|,
-        for an array of doubles in _quick_range: the outer log10
-        (`_log10_of`) of LOG10's double-double log10 x."""
-        return _log10_of(*LOG10._quick(x))
+    def _from_ln(self, lh, ll, err):
+        """The outer log10 (`_log10_of`) of LOG10's log10 x."""
+        return _log10_of(*LOG10._from_ln(lh, ll, err))
 
 
 @dataclass(frozen=True)
-class _LogOfTerms:
-    """The quick route of a log map u on the terms x_n of a sequence, as a
-    map of the indices n in the sequence's `_ln_range`: the ln x_n it
-    states (`Sequence._ln_terms`) over ln b (`_times`) for u = log_b,
-    and `_log10_of` that for the iterated log. A term 1 falls back: its
-    log is the integer 0, and it lies outside the iterated log's domain.
-    """
-
-    u: Transform
-    sequence: object
-    _integer_route = False
-
-    @property
-    def _quick_range(self):
-        return self.sequence._ln_range
-
-    def _quick(self, n):
-        if isinstance(self.u, LogLog):
-            return _log10_of(*_times(*self.sequence._ln_terms(n),
-                                     _quick_inv_ln(10)))
-        return _times(*self.sequence._ln_terms(n), _quick_inv_ln(self.u.base))
-
-
-@dataclass(frozen=True)
-class _PowerOfSequence:
-    """The quick routes of a power map u = c x**a on the terms x_n of a
-    sequence, as a map of the indices n: the one route of the power maps
-    on terms, but where u sends a form's terms to a power map of m
-    (`Power._terms_route`).
-
-    Double-double phase, on the n in the sequence's `_ln_range`: y = (a
-    ln x_n + k ln pi) / ln 2, k = 1 for c = pi, from the ln x_n the
-    sequence states (`_scale_shift` with `_quick_ln_pi`, then `_times`
-    with 1/ln 2), and u = 2**y (`_exp2`), within about u (ey ln 2 +
-    2**-104) for y's bound ey. `_exp2` runs on the block's leading terms
-    while u <= _EXP2_U_MAX, past which its bound's fixed part alone fills
-    half a 2**-80 cell; every u from the first past it gets err 1, a
-    whole unit that no cell holds, so a block whose first term is past
-    the cut runs no `_exp2`. Below the cut ln x_n is at most 2 y ln 2 <
-    33, so ey stays far below _exp2's 2**-60.
+class _OnTerms:
+    """The one quick route of a transform u on the terms x_n of a
+    sequence, as a map of the indices n in its `_ln_range`: u's
+    `_from_ln` on the ln x_n it states (`Sequence._ln_terms`).
     Integer phase under pi*x**p, where the sequence states one
     (`Sequence._pi_power_floors`): A_n = floor(u 2**_ROUTE_BITS) in ints,
     at any size. It takes every term alone: A is within 3 units of
-    2**-120, far inside any err of the other phase, and on the terms it
-    is also the faster.
+    2**-120, far inside any err of the other phase, and is the faster.
     """
 
     u: Transform
@@ -893,17 +867,7 @@ class _PowerOfSequence:
             self.sequence._pi_power_floors(self.u.p) is not None
 
     def _quick(self, n):
-        y = self.sequence._ln_terms(n)
-        if self.u._a != 1.0 or self.u.pi:
-            y = _scale_shift(*y, self.u._a, _quick_ln_pi() if self.u.pi
-                             else (0.0, 0.0, 0.0))
-        yh, yl, ey = _times(*y, _quick_inv_ln(2))
-        past = np.flatnonzero(yh > math.log2(_EXP2_U_MAX))
-        k = past[0] if past.size else n.size
-        uh, ul, err = np.zeros(n.size), np.zeros(n.size), np.ones(n.size)
-        if k:
-            uh[:k], ul[:k], err[:k] = _exp2(yh[:k], yl[:k], ey[:k])
-        return uh, ul, err
+        return self.u._from_ln(*self.sequence._ln_terms(n))
 
     def _scaled(self, n):
         """A_n for an ascending array of indices n, with u 2**_ROUTE_BITS
@@ -1039,18 +1003,6 @@ class Power(Transform):
         """
         return _GUARD_BITS + a if self._integer_route else None
 
-    def _terms_route(self, sequence, n):
-        """A sequence with a form pi**c m_n**s hands m_n to the power map
-        of m that u composes into (`_on_terms`), where that map has a
-        route; an exact map, whose u is an integer that no route hands
-        out, takes none. Every other sequence hands its indices to the one
-        route on the terms (`_PowerOfSequence`), where that has a phase."""
-        t = None if sequence.form is None else self._on_terms(*sequence.form)
-        route = _PowerOfSequence(self, sequence) if t is None else t
-        if route._quick_range is None and not route._integer_route:
-            return None, None
-        return route, n.astype(np.float64) if t is None else sequence._bases(n)
-
     def _on_terms(self, s, c):
         """The power map of m that u composes into on terms pi**c m**s,
         which u maps to pi**k m**e, e = s p/q and k = pi + c p/q: Power(P,
@@ -1088,9 +1040,33 @@ class Power(Transform):
             return _isqrt(m << np.maximum(2 * k, 0)) >> np.maximum(-k, 0)
         return _pi_power_floor(m, e, 1, self.p * int(big.max(initial=0)))
 
+    def _from_ln(self, lh, ll, err):
+        """u = 2**y, y = (a ln x + k ln pi) / ln 2, k = 1 for c = pi, for an
+        ascending array of ln x >= 0 (a sequence's terms are at least 1):
+        `_scale_shift` with `_quick_ln_pi`, `_times` with 1/ln 2, then
+        `_exp2`, within about u (ey ln 2 + 2**-104) for y's bound ey,
+        while u <= _EXP2_U_MAX, past which that bound's fixed part alone
+        fills half a 2**-80 cell. Every u from the first past it gets err
+        1, which no cell holds, so an array that starts past the cut runs
+        no `_exp2`. Below the cut y < 23.3, and ey is about a err / ln 2
+        <= 2**-57 y for an err up to 2**-57 ln x: below `_exp2`'s 2**-52.
+        """
+        y = lh, ll, err
+        if self._a != 1.0 or self.pi:
+            y = _scale_shift(*y, self._a, _quick_ln_pi() if self.pi
+                             else (0.0, 0.0, 0.0))
+        yh, yl, ey = _times(*y, _quick_inv_ln(2))
+        past = np.flatnonzero(yh > math.log2(_EXP2_U_MAX))
+        k = past[0] if past.size else yh.size
+        uh, ul, err = np.zeros(yh.size), np.zeros(yh.size), np.ones(yh.size)
+        if k:
+            uh[:k], ul[:k], err[:k] = _exp2(yh[:k], yl[:k], ey[:k])
+        return uh, ul, err
+
     def _quick(self, x):
         """u(x) = uh + ul in double-double and err >= |uh + ul - u(x)|,
-        for an array of doubles in _quick_range (sqrt and pi*x**2 only).
+        for an array of doubles in _quick_range (sqrt and pi*x**2 only),
+        faster and tighter on doubles than `_from_ln`'s exp2.
 
         sqrt: s = RN(sqrt(x)) leaves x - s*s exactly representable, so
         x - p - pe is exact with s*s = p + pe; d = RN((x - s*s)/(2 s))

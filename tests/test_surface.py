@@ -1,5 +1,5 @@
 """The package surface: every def, class and module-level constant in
-src/ubenford is used.
+src/ubenford is used, and every line of its source fits 79 columns.
 
 A definition counts as used when its name is read somewhere in the
 package outside its own body (a constant's own assignment), or when
@@ -87,3 +87,11 @@ def test_every_definition_is_used_or_exported():
 def test_allow_list_names_real_definitions():
     defs, _ = _scan()
     assert ALLOWED <= {name for _, name, _, _ in defs}
+
+
+def test_source_lines_fit_79_columns():
+    long = [f"{path.name}:{i}" for path in sorted(SRC.glob("*.py"))
+            for i, line in enumerate(
+                path.read_text(encoding="utf-8").splitlines(), 1)
+            if len(line) > 79]
+    assert long == []

@@ -21,7 +21,7 @@ from ubenford.errors import (DomainError, InsufficientPrecision,
 from ubenford.experiments import sample_cell
 from ubenford.ingest import ingest_csv
 from ubenford.kernels import digits_to_bits, pi_fixed
-from ubenford.sequences import (Factorial, NPowN, PowerLaw, Sequence,
+from ubenford.sequences import (Factorial, NPowN, PiN, PowerLaw, Sequence,
                                 parse_sequence)
 from ubenford.stats import ks_uniform
 from ubenford.transforms import (IDENTITY, LOG2, LOG10, LOGLOG, PI_SQUARE,
@@ -932,6 +932,28 @@ class TestQuickPhase:
 # the quick routes on a sequence's terms pi**c m**s
 
 TERM_LOGS = (LOG2, LOG10, Log(7), LOGLOG)
+# every kind of transform, each through its step from ln x (`_from_ln`)
+FROM_LN = TERM_LOGS + (IDENTITY, SQRT, PI_SQUARE, Power(3), Power(3, 2))
+
+
+def _from_ln_range(t):
+    """(lo, hi): the binary exponents of the x a test of t's `_from_ln`
+    draws. The logs take every normal double, the iterated log x > 1,
+    and a power map x >= 1 to just past the exp2 cut."""
+    if t == LOGLOG:
+        return 0.0, 1023.99
+    if not isinstance(t, Power):
+        return -1022.0, 1023.99
+    return 0.0, (math.log2(tr._EXP2_U_MAX / t._c) + 0.5) / t._a
+
+
+def _u_of_ln(t, ln_x):
+    """u(x) from ln x in mpmath (the caller sets the precision)."""
+    if t == LOGLOG:
+        return mp.log10(ln_x / mp.log(10))
+    if not isinstance(t, Power):
+        return ln_x / mp.log(t.base)
+    return mp.pi ** t.pi * mp.exp(mpf(t.p) / t.q * ln_x)
 
 
 def _true_term_u(t, m, s, c):
@@ -1017,7 +1039,7 @@ def _exp2_route(e, k, ms):
     """The one route on the terms pi**c m**s that u sends to pi**k m**e,
     for the integers ms as the terms n = 1, 2, ..."""
     t, f, c = _EXP2_K[k]
-    return tr._PowerOfSequence(t, _FormTerms(e * f, c, ms))
+    return tr._OnTerms(t, _FormTerms(e * f, c, ms))
 
 
 def _exp2_m(e, k, f):
@@ -1050,7 +1072,7 @@ class TestTermRoutes:
     @settings(max_examples=500, deadline=None)
     def test_composed_error_within_its_bound(self, ms, c, t):
         m, s = ms
-        route = tr._LogOfTerms(t, _FormTerms(s, c, m))
+        route = tr._OnTerms(t, _FormTerms(s, c, m))
         uh, ul, err = route._quick(np.ones(1))
         with mp.workprec(400):
             if err[0] == 1.0:
@@ -1060,6 +1082,40 @@ class TestTermRoutes:
                 return
             miss = abs(mpf(uh[0]) + mpf(ul[0]) - _true_term_u(t, m, s, c))
             assert miss <= mpf(err[0]) * (1 + mpf(2) ** -40)
+
+    @given(t=st.sampled_from(FROM_LN), z=st.floats(0.0, 1.0),
+           r=st.floats(-1.0, 1.0), k=st.integers(60, 120))
+    @settings(max_examples=600, deadline=None)
+    def test_from_ln_holds_for_an_inexact_ln(self, t, z, r, k):
+        # u from ln x shifted by up to 2**-k |ln x|, that shift added to
+        # its bound: u at both ends of the widened interval lies within
+        # the result's bound; where the shift is the bound's main part
+        # the worse end takes over 0.9 of it
+        lo, hi = _from_ln_range(t)
+        x = 2.0 ** (lo + z * (hi - lo))
+        lh, ll, err = tr._ln(np.array([x]))
+        add = abs(lh[0]) * 2.0 ** -k
+        h, l = tr._two_sum(lh, ll + r * add)
+        shift = Fraction(h[0]) + Fraction(l[0]) - Fraction(lh[0]) \
+            - Fraction(ll[0])
+        e_in = math.nextafter(float(Fraction(err[0]) + abs(shift)), math.inf)
+        uh, ul, bound = t._from_ln(h, l, np.array([e_in]))
+        with mp.workprec(400):
+            ends = [_u_of_ln(t, mpf(h[0]) + mpf(l[0]) + d)
+                    for d in (-mpf(e_in), mpf(e_in))]
+            if bound[0] == 1.0:
+                # a fallback: the iterated log's inner log below its floor
+                # or too inexact, a power map's u past the exp2 cut
+                assert t == LOGLOG or isinstance(t, Power) \
+                    and ends[0] > tr._EXP2_U_MAX * (1 - 2.0 ** -30)
+                return
+            v = mpf(uh[0]) + mpf(ul[0])
+            worst = max(abs(u - v) for u in ends)
+            assert worst <= mpf(bound[0]) * (1 + mpf(2) ** -40)
+            assert abs(_u_of_ln(t, mp.log(x)) - v) <= mpf(bound[0]) * (
+                1 + mpf(2) ** -40)
+            if abs(shift) >= Fraction(abs(lh[0])) / 2 ** 80 >= 2.0 ** -90:
+                assert worst > 0.9 * bound[0]
 
     @pytest.mark.parametrize("base", [2, 3, 7, 10, 1000, 2 ** 100 + 1])
     def test_log_pi_constant(self, base):
@@ -1134,7 +1190,7 @@ class TestTermRoutes:
         # u sends pi**c m**s to pi**k m**e: a power map of m where k is 0
         # or 1, taken where it has a route, and none for an exact map,
         # whose u is an integer; the one route on the indices otherwise
-        one = tr._PowerOfSequence
+        one = tr._OnTerms
         cases = [(SQRT, 1.0, 0, SQRT), (PI_SQUARE, 1.0, 0, PI_SQUARE),
                  (PI_SQUARE, 0.5, 0, Power(1, pi=True)),
                  (IDENTITY, 0.5, 0, SQRT), (IDENTITY, 1.5, 0, Power(3, 2)),
@@ -1161,12 +1217,15 @@ class TestTermRoutes:
         # an exponent past _scale_shift's range states no ln x_n, and
         # takes no route
         assert SQRT._terms_route(PowerLaw(2.0 ** -401), n) == (None, None)
-        # pi_n under pi*x**2, pi**3 n**2, takes the integer phase alone; a
-        # half-integer k has none
-        route = PI_SQUARE._terms_route(_FormTerms(1.0, 1, [2, 3]), n)[0]
+        # pi_n under pi*x**2, pi**3 n**2, takes the integer phase pi_n
+        # states alone; the same form stated by no pi_n takes the exp2
+        # route, and so does a half-integer k
+        route = PI_SQUARE._terms_route(PiN(), n)[0]
         assert route._integer_route and route._quick_range is None
-        route = SQRT._terms_route(_FormTerms(1.0, 1, [2, 3]), n)[0]
-        assert not route._integer_route and route._quick_range == (1.0, 2.0)
+        for t in (PI_SQUARE, SQRT):
+            route = t._terms_route(_FormTerms(1.0, 1, [2, 3]), n)[0]
+            assert not route._integer_route
+            assert route._quick_range == (1.0, 2.0)
 
     def test_exp2_route_takes_nothing_past_its_cut(self, monkeypatch):
         # the bound holds at least _EXP2_REMAINDER u, more than half a
@@ -1192,7 +1251,7 @@ class TestTermRoutes:
         monkeypatch.setattr(tr, "_exp2", None)
         n = np.arange(2.0, 1001.0)
         for alpha in (23.1317, 41.635, 55.6231):
-            route = tr._PowerOfSequence(PI_SQUARE, PowerLaw(alpha))
+            route = tr._OnTerms(PI_SQUARE, PowerLaw(alpha))
             assert route._quick_range == (2.0, 2.0 ** 53 - 1)
             assert (route._quick(n)[2] == 1.0).all()
 
@@ -1269,27 +1328,22 @@ class TestTermRoutes:
                 assert abs(mpf(h) + mpf(l) - 1 / mp.factorial(i)) <= e
         assert err <= 2.0 ** -104
 
-    @pytest.mark.parametrize("e, k", [(2.0, 3.0), (3.0, 2.0), (1.0, 5.0)])
-    def test_power_integer_route_is_floor_of_u_times_2_120(self, e, k):
-        # u * 2**120 in (A - 1, A + 2), from m = 0 to the largest m below
-        # 2**53, in one array and alone
-        rng = random.Random(int(e * 10 + k))
-        ms = [0, 1, 2, 3, 535, 536, 10 ** 4, 2 ** 53 - 1] + [
-            int(2 ** rng.uniform(0, 53)) for _ in range(60)]
-        # u on the terms pi m**(e/p) of pi*x**p, p = k - 1: pi**k m**e
-        t = Power(int(k) - 1, pi=True)
-
-        def scaled(ms):
-            route = t._terms_route(_FormTerms(e / t.p, 1, ms), np.ones(1))[0]
-            assert route._integer_route and route._quick_range is None
-            return route._scaled(np.arange(1.0, len(ms) + 1))
-
-        for a, one in ((scaled(ms), None),
-                       *((scaled([m]), m) for m in ms[:8])):
-            with mp.workprec(int(53 * e) + 400):
-                for m, ai in zip([one] if one is not None else ms, a):
-                    u = mp.pi ** int(k) * mpf(m) ** int(e) * mpf(2) ** 120
-                    assert ai - 1 < u < ai + 2, (m, e, k)
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_power_integer_route_is_floor_of_u_times_2_120(self, p):
+        # pi_n under pi*x**p, u = pi**(p + 1) n**p: u * 2**120 in (A - 1,
+        # A + 2), from n = 1 to the largest n below 2**53, in one block
+        # and term by term
+        rng = random.Random(p)
+        ns = sorted({1, 2, 3, 535, 536, 10 ** 4, 2 ** 53 - 1} | {
+            int(2 ** rng.uniform(0, 53)) for _ in range(60)})
+        route = Power(p, pi=True)._terms_route(PiN(), np.array(ns))[0]
+        assert route._integer_route and route._quick_range is None
+        for n in [ns] + [[k] for k in ns]:
+            a = route._scaled(np.array(n, dtype=np.float64))
+            with mp.workprec(53 * p + 400):
+                for k, ai in zip(n, a):
+                    u = mp.pi ** (p + 1) * mpf(k) ** p * mpf(2) ** 120
+                    assert ai - 1 < u < ai + 2, (k, p)
 
     # the ln x_n each sequence states, and the routes that read it
 
@@ -1346,12 +1400,12 @@ class TestTermRoutes:
             seq = parse_sequence(name)
             for t in TERM_LOGS:
                 route, x = t._terms_route(seq, n)
-                assert route == tr._LogOfTerms(t, seq)
+                assert route == tr._OnTerms(t, seq)
                 assert x.tolist() == n.tolist()
             for t in (IDENTITY, SQRT, PI_SQUARE, Power(3, pi=True)):
                 route, x = t._terms_route(seq, n)
                 run = name == "factorial" and t.pi
-                assert route == tr._PowerOfSequence(t, seq), (name, t)
+                assert route == tr._OnTerms(t, seq), (name, t)
                 assert x.tolist() == n.tolist()
                 assert route._integer_route == run
                 assert route._quick_range == (None if run else seq._ln_range)
