@@ -29,26 +29,23 @@ def _frac_double(f):
 
 @dataclass(frozen=True)
 class PrecisionPolicy:
-    """Knobs for certified evaluation, in decimal digits.
+    """The knob for certified evaluation, in decimal digits.
 
     Everything downstream works in bits: transforms._policy_bits converts
-    both fields once, and transforms.start_bits sizes each term and its
-    first working precision from them.
+    it once, and transforms.start_bits sizes each term and its first
+    working precision from it. The working precision evaluated is capped
+    at a fixed 30,000 digits (transforms._CAP_DIGITS).
 
     agreement: fractional digits the accepted evaluation must certify;
         certification rests on the bits each evaluator claims
-    cap: hard ceiling on the working precision evaluated, at least 64
-        digits so that the 32-digit start can double once
     """
 
     agreement: int = 12
-    cap: int = 30000
 
     def __post_init__(self):
-        # Python ints, so the bit sizes derived from them are Python ints
+        # a Python int, so the bit sizes derived from it are Python ints
         object.__setattr__(self, "agreement",
                            count("agreement", self.agreement, 12))
-        object.__setattr__(self, "cap", count("cap", self.cap, 64))
 
 
 DEFAULT_POLICY = PrecisionPolicy()

@@ -23,11 +23,15 @@ import numpy as np
 
 from .distributions import sup_ratio
 from .errors import CertificateViolation, InvalidParameter, \
-    TruncationFailure, count, real
+    TruncationFailure, real
 
 _SQRT_PI = math.sqrt(math.pi)
 _EPS = float(np.finfo(np.float64).eps)
 _CHUNK = 1 << 16
+_TAIL = 1e-14  # mod1_law's tail mass on each side
+_MAX_CELLS = 5_000_000  # mod1_law's budget of integer cells
+_MAX_UNIFORM_CELLS = 50_000_000  # p_delta_uniform's budget of cells
+_DIRECT_TERMS = 100_000  # p_delta_exponential's terms before the tail
 
 
 def _over_budget(count, budget):
@@ -60,15 +64,14 @@ class Mod1Result:
     error_budget: float
 
 
-def mod1_law(distribution, transform, zs=None, tail=1e-14,
-             max_cells=5_000_000):
+def mod1_law(distribution, transform, zs=None):
     """P({u(X)} <= z) for each z, summed cell by cell.
 
     The family is read only on the log10 axis: ppf_log10/isf_log10 at
-    `tail` fix which integer cells of u are enumerated; everything outside
-    contributes at most 2*tail, which lands in the returned error budget
-    rather than in the numbers. Raises HypothesisViolated where u is
-    undefined on part of the support (Transform.check_support).
+    _TAIL fix which integer cells of u (at most _MAX_CELLS) are summed;
+    everything outside contributes at most 2*_TAIL, which lands in the
+    error budget rather than in the numbers. Raises HypothesisViolated
+    where u is undefined on part of the support (check_support).
 
     Cells are taken _CHUNK at a time, and z rows in blocks of at most
     _CHUNK elements (one row when a chunk is full). A chunk's cells split
@@ -91,12 +94,10 @@ def mod1_law(distribution, transform, zs=None, tail=1e-14,
             f"z grid must be a nonempty 1-D array, got shape {zs.shape}")
     if not np.all((zs > 0.0) & (zs < 1.0)):
         raise InvalidParameter("z grid must lie strictly inside (0, 1)")
-    tail = real("tail", tail, 0.0, 0.5)
-    max_cells = count("max_cells", max_cells, 1)
     transform.check_support(distribution)
 
-    lg_lo = float(distribution.ppf_log10(tail))
-    lg_hi = float(distribution.isf_log10(tail))
+    lg_lo = float(distribution.ppf_log10(_TAIL))
+    lg_hi = float(distribution.isf_log10(_TAIL))
     u_lo = transform.u_float_from_log10(lg_lo)
     u_hi = transform.u_float_from_log10(lg_hi)
     if not (math.isfinite(u_lo) and math.isfinite(u_hi)):
@@ -106,9 +107,9 @@ def mod1_law(distribution, transform, zs=None, tail=1e-14,
     j_lo = math.floor(u_lo)
     j_hi = math.floor(u_hi)
     cells = j_hi - j_lo + 1
-    if cells > max_cells:
+    if cells > _MAX_CELLS:
         # float(j_hi) keeps a count past the doubles from raising
-        needed, budget = _over_budget(float(j_hi) - j_lo + 1, max_cells)
+        needed, budget = _over_budget(float(j_hi) - j_lo + 1, _MAX_CELLS)
         raise TruncationFailure(
             f"{needed} integer cells exceed the budget of {budget} for "
             f"{distribution.label()} under {transform.label()}")
@@ -146,7 +147,7 @@ def mod1_law(distribution, transform, zs=None, tail=1e-14,
 
     errs = np.abs(probs - zs)
     i = int(errs.argmax())
-    budget = 2.0 * tail + 8.0 * cells * _EPS + 1e-15
+    budget = 2.0 * _TAIL + 8.0 * cells * _EPS + 1e-15
     return Mod1Result(zs=zs, probs=probs, discrepancy=float(errs[i]),
                       worst_z=float(zs[i]), cells=cells,
                       error_budget=budget)
@@ -197,7 +198,7 @@ def certify_mod1_bound(distribution, transform):
 # ---------------------------------------------------------------------------
 # fraction law of pi*X**2 for uniform input: exact clamped-cell series
 
-def p_delta_uniform(k, delta, max_cells=50_000_000):
+def p_delta_uniform(k, delta):
     """P({pi*X**2} <= delta) for X uniform on (0, k], summed exactly.
 
     With a = k*sqrt(pi), cell j contributes (min(sqrt(j+delta), a) -
@@ -206,12 +207,11 @@ def p_delta_uniform(k, delta, max_cells=50_000_000):
     """
     delta = real("delta", delta, 0.0, 1.0)
     k = real("k", k)
-    max_cells = count("max_cells", max_cells, 1)
     a = k * _SQRT_PI
     a2 = a * a
     # compared as a float, so an a**2 past the doubles is refused too
-    if a2 > max_cells:
-        needed, budget = _over_budget(a2, max_cells)
+    if a2 > _MAX_UNIFORM_CELLS:
+        needed, budget = _over_budget(a2, _MAX_UNIFORM_CELLS)
         raise TruncationFailure(
             f"{needed} cells exceed the budget of {budget} for k={k:g}")
     n = max(1, math.ceil(a2))
@@ -267,22 +267,21 @@ def _exp_h(mu, j, delta):
     return j
 
 
-def p_delta_exponential(lam, delta, direct_terms=100_000):
+def p_delta_exponential(lam, delta):
     """P({pi*X**2} <= delta) for X exponential with rate lam.
 
     Sums exp(-mu*sqrt(j)) - exp(-mu*sqrt(j+delta)) with mu = lam/sqrt(pi).
-    When the series has not decayed after direct_terms entries the rest is
+    When the series has not decayed after _DIRECT_TERMS entries the rest is
     folded in through the integral plus trapezoid and curvature
     corrections, accurate to ~1e-11 absolute.
     """
     delta = real("delta", delta, 0.0, 1.0)
     lam = real("lam", lam)
-    direct_terms = count("direct_terms", direct_terms, 1)
     mu = lam / _SQRT_PI
     total = 0.0
     j0 = 0
-    while j0 < direct_terms:
-        j1 = min(j0 + _CHUNK * 4, direct_terms)
+    while j0 < _DIRECT_TERMS:
+        j1 = min(j0 + _CHUNK * 4, _DIRECT_TERMS)
         terms = _exp_h(mu, np.arange(j0, j1, dtype=np.float64), delta)
         total += float(np.sum(terms))
         j0 = j1

@@ -77,14 +77,14 @@ class InsufficientPrecision(NumericalFailure):
     working precision gains no certified bits.
     Callers are expected to regenerate the input at more bits and retry:
     the per-term route of a sequence (_Certifier._term_frac) doubles them
-    until they pass the policy's cap, where it raises
+    until they pass the precision cap, where it raises
     PrecisionCapExceeded instead. This is a control-flow signal,
     not a fatal condition.
     """
 
 
 class PrecisionCapExceeded(NumericalFailure):
-    """Escalation hit the policy cap without resolving the value."""
+    """Escalation hit the precision cap without resolving the value."""
 
 
 class NotUnimodal(UBenfordError):

@@ -28,12 +28,13 @@ TABLE1_FAST_SEQUENCES = ("sqrt_n", "pi_n", "primes")
 TABLE1_SLOW_SEQUENCES = ("exp_n", "factorial", "n_pow_n")
 TABLE1_TRANSFORMS = (LOGLOG, LOG10, SQRT, PI_SQUARE)
 
-# Limit-table columns and the parameter paths walked toward the limit.
+# Limit-table columns, parameter paths toward the limit, half-normal sigma.
 TABLE3_TRANSFORMS = (LOG10, SQRT, PI_SQUARE)
 UNIFORM_SUP_PATH = (1e2, 1e4, 1e6)
 UNIFORM_CELL_PATH = (10.0, 100.0, 1000.0)
 EXPONENTIAL_SUP_PATH = (1.0, 0.1, 0.01)
 EXPONENTIAL_CELL_PATH = (0.1, 0.01, 0.001)
+TABLE3_SIGMA = 1e4
 
 # Verdict thresholds: a family is accepted as conforming when the
 # end-of-path uniformity defect is below LIMIT_DEFECT; a sampled row is
@@ -246,7 +247,7 @@ def sample_cell(values, transform):
     return SampleCell(transform=transform.label(), z=z, p=p, verdict=verdict)
 
 
-def run_table3(seed=0, sigma=1e4, sample_size=2000):
+def run_table3(seed=0, sample_size=2000):
     """Limit verdicts for the uniform and exponential families plus a
     seeded half-normal sample tested at finite size.
 
@@ -256,8 +257,8 @@ def run_table3(seed=0, sigma=1e4, sample_size=2000):
     sample_cell), so its magnitudes move with the seed.
     """
     sample_size = count("sample_size", sample_size, 2)
-    # drawn first: a bad seed or sigma is refused before the limit rows
-    xs = HalfNormal(sigma).sample(sample_size, seed)
+    # drawn first: a bad seed is refused before the limit rows
+    xs = HalfNormal(TABLE3_SIGMA).sample(sample_size, seed)
     uniform_row = tuple(
         _limit_cell("uniform", t, UNIFORM_SUP_PATH, UNIFORM_CELL_PATH)
         for t in TABLE3_TRANSFORMS)
@@ -266,7 +267,7 @@ def run_table3(seed=0, sigma=1e4, sample_size=2000):
                     EXPONENTIAL_CELL_PATH)
         for t in TABLE3_TRANSFORMS)
     half_normal_row = tuple(sample_cell(xs, t) for t in TABLE3_TRANSFORMS)
-    return Table3Report(seed=int(seed), sigma=float(sigma),
+    return Table3Report(seed=int(seed), sigma=TABLE3_SIGMA,
                         sample_size=sample_size,
                         uniform_row=uniform_row,
                         exponential_row=exponential_row,

@@ -111,8 +111,9 @@ def _quotes_unpaired(line, delim, column):
     return False
 
 
-def ingest_csv(path, column=1, name=None):
-    """Read the 1-based column of a delimited file into a Dataset.
+def ingest_csv(path, column=1):
+    """Read the 1-based column of a delimited file into a Dataset named
+    after the file's stem.
 
     Zeros, negatives, and unparseable fields are dropped and counted;
     a file yielding no numeric field at all raises NoNumericColumn, and
@@ -155,8 +156,7 @@ def ingest_csv(path, column=1, name=None):
         raise EmptyDataset(f"{path} has no positive values in "
                            f"column {column}")
     had_header = not math.isfinite(v[0])
-    if name is None:
-        name = os.path.splitext(os.path.basename(path))[0]
+    name = os.path.splitext(os.path.basename(path))[0]
     return Dataset(name=name, path=str(path), column=column, values=values,
                    raw_rows=len(lines), had_header=had_header,
                    dropped_non_numeric=len(lines) - numbers.size - had_header,

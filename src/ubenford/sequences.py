@@ -19,7 +19,7 @@ instead. Every other term (e**n and n**n under the power maps but their
 first few, n! under sqrt and below 16 under the logs, the steep power
 laws under pi*x**2, and the few a block's quick routes cannot vouch for)
 is generated, and regenerated at doubled bits while the transform
-refuses its fractional part, up to the policy's cap.
+refuses its fractional part, up to the precision cap.
 """
 
 import functools
@@ -31,17 +31,17 @@ import numpy as np
 
 from .bigreal import DEFAULT_POLICY, BigReal
 from .errors import InvalidParameter, count, real, string
-from .kernels import e_fixed, exp_fixed, ln2_fixed, ln_int_fixed, \
-    pi_fixed, pow_fixed
-from .transforms import _DD_BITS, _HALF_ULP, _ROUTE_BITS, Power, \
-    _Certifier, _dd, _dd_mul, _ln, _ln_pi_fixed, _mul_add, _pi_power_bits, \
-    _pi_power_floor, _policy_bits, _quick_inv_pi, _quick_ln_pi, \
+from .kernels import digits_to_bits, e_fixed, exp_fixed, ln2_fixed, \
+    ln_int_fixed, pi_fixed, pow_fixed
+from .transforms import _CAP_DIGITS, _DD_BITS, _HALF_ULP, _ROUTE_BITS, \
+    Power, _Certifier, _dd, _dd_mul, _ln, _ln_pi_fixed, _mul_add, \
+    _pi_power_bits, _pi_power_floor, _quick_inv_pi, _quick_ln_pi, \
     _scale_shift, _times, _two_prod, _two_sum
 
 _LOG2_E_FIXED64 = 26613026195688644984  # ceil(log2(e) * 2**64)
 # a power law builds n**(p/q) exactly while p bit_length(n) / q stays
-# within the default cap's bits; past them its exp route certifies
-_EXACT_MAX_BITS = _policy_bits(DEFAULT_POLICY)[3]
+# within the cap's bits; past them its exp route certifies
+_EXACT_MAX_BITS = digits_to_bits(_CAP_DIGITS)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +436,7 @@ def frac_sample(sequence, transform, n_max, policy=DEFAULT_POLICY,
     Terms outside the transform's domain (e.g. x <= 1 under the iterated
     log) are skipped and counted in `excluded`. One certifier serves the
     whole cell (_Certifier.terms) and raises PrecisionCapExceeded before
-    a term would be generated past the policy's cap.
+    a term would be generated past the precision cap.
     """
     return FracSample(*_Certifier(transform, policy).terms(
         sequence, count("n_max", n_max, 1), index_filter))

@@ -11,8 +11,8 @@ once per working precision w, starting at start_bits, and accepted when
 the bits its evaluator claims cover the leading fractional bits, so
 certification rests on each evaluator's claimed bits; w doubles
 otherwise, with one extra doubling when the result sits within the
-near-integer guard band. All precisions here are bits; decimal digits
-enter only through the policy, in _policy_bits.
+near-integer guard band, up to _CAP_DIGITS. Precisions here are bits;
+decimal digits enter only through the policy (_policy_bits) and the cap.
 
 Each transform states one step from a double-double ln x and its bound
 to u and its bound (`_from_ln`): a log multiplies by 1/ln b (`_times`),
@@ -277,7 +277,7 @@ def _dd_mul(ah, al, bh, bl):
     exactly (Knuth); al bl is left out and added whole. An operand's own
     error is the caller's: times the other operand's magnitude. Relative
     slack below 2**-50 (the rounding of al bl and of loss itself) is left
-    to the certifier's factor 1 + 2**-40, as in `Log._quick`.
+    to the certifier's factor 1 + 2**-40, applied in `_double_double_cells`.
     """
     p, pe = _two_prod(ah, bh)
     m1 = ah * bl
@@ -486,7 +486,7 @@ def _log10_of(yh, yl, e1):
     the log's slope on that interval, 1 / ((y - e1) ln 10), is below
     _INV_LN10_UP / yh up to a relative 2**-52 (|yl| + e1 <= 2**-52 yh),
     which with the roundings of that term is slack left to the
-    certifier's factor 1 + 2**-40, as in `Log._quick`.
+    certifier's factor 1 + 2**-40, applied in `_double_double_cells`.
     """
     ok = (yh >= _LOGLOG_Y_MIN) & (e1 <= 2.0 ** -60 * yh)
     yh = np.where(ok, yh, 1.0)
@@ -583,7 +583,7 @@ def _exp2(yh, yl, ey):
     (e**(ey ln 2) - 1) <= 2**y ey ln 2 (1 + ey), and 2**y is within the
     bound above of |uh + ul| <= |uh| (1 + 2**-52): the term |uh| ey
     _LN2_UP, whose relative slack below 2**-50 is left to the
-    certifier's factor 1 + 2**-40, as in `Log._quick`.
+    certifier's factor 1 + 2**-40, applied in `_double_double_cells`.
     """
     table_hi, table_lo, table_err, taylor = _quick_exp2_table()
     ln2h, ln2l, ln2_err = _quick_log_tables()[0]
@@ -636,10 +636,10 @@ class Transform:
     quick phase), `_terms_route` (the quick route on a sequence's terms),
     `_eval_at` (u(x) floor-accurate at scale 2**-w from those constants,
     certified bits as precision; it never raises, a value it cannot vouch
-    for gets a short claim) and `_result_bits_estimate` (integer bits of
-    u for an input of `int_bits` integer bits), which start_bits turns
-    into the first working precision and the precision a sequence term
-    is generated at.
+    for gets a short claim, and LogLog's, at a vanished inner log, None) and
+    `_result_bits_estimate` (integer bits of u for an input of `int_bits`
+    integer bits), which start_bits turns into the first working
+    precision and the precision a sequence term is generated at.
     """
 
     kind = None
@@ -827,9 +827,9 @@ class LogLog(Transform):
         inner, outer = constants
         y = _log_at(x, w + 14, inner)
         if y.sign() <= 0:
-            # the inner log cancelled to nothing at this precision: a
-            # zero-bit claim, which the certifier answers by doubling w
-            return BigReal(0, -w, 0, False)
+            # the inner log cancelled to nothing at this precision: no
+            # claim at all, which the certifier answers by doubling w
+            return None
         return _log_at(y, w, outer)
 
     def _result_bits_estimate(self, int_bits):
@@ -1105,18 +1105,19 @@ PI_SQUARE = Power(2, pi=True)
 _START_BITS = 107
 _GUARD_BITS = 50
 _NEAR_INTEGER_BITS = 40
+_CAP_DIGITS = 30000  # the cap on w and on a term's bits, in digits
 
 
 @functools.lru_cache(maxsize=None)
 def _policy_bits(policy):
-    """(a, mod, band, cap) of a policy, in bits.
+    """(a, mod, band) of a policy, in bits.
 
     a: fractional bits certified; mod = 2**a; band: near-integer band at
-    scale 2**-a; cap: working-precision ceiling.
+    scale 2**-a.
     """
     a = digits_to_bits(policy.agreement)
     band = 1 << max(0, a - _NEAR_INTEGER_BITS)
-    return a, 1 << a, band, digits_to_bits(policy.cap)
+    return a, 1 << a, band
 
 
 def start_bits(transform, int_bits, a):
@@ -1143,8 +1144,8 @@ class _Certifier:
 
     def __init__(self, transform, policy):
         self.transform = transform
-        self.policy = policy
-        self.a, self.mod, self.band, self.cap = _policy_bits(policy)
+        self.a, self.mod, self.band = _policy_bits(policy)
+        self.cap = digits_to_bits(_CAP_DIGITS)
         # one extraction per result serves both the claim check (a bits)
         # and the double frac hands out (80 bits)
         self._bits = max(self.a, _FRAC_OUT_BITS)
@@ -1161,12 +1162,12 @@ class _Certifier:
 
     def check_cap(self, bits, what):
         """PrecisionCapExceeded when `bits`, the bits `what` needs, pass
-        policy.cap: the one refusal at the cap, for the working precision
+        the cap: the one refusal at the cap, for the working precision
         here and for a sequence term in `_term_frac`."""
         if bits > self.cap:
             raise PrecisionCapExceeded(
                 f"{what} needs {bits} bits, past the cap of "
-                f"{self.policy.cap} digits ({self.cap} bits)")
+                f"{_CAP_DIGITS} digits ({self.cap} bits)")
 
     def certify(self, x):
         """(u(x), floor({u(x)} * 2**b)), b = max(agreement bits, 80).
@@ -1177,9 +1178,9 @@ class _Certifier:
         fractional digits, converted to bits, so the certificate rests on
         each evaluator's claimed bits. Near-integer results get one extra
         doubling before acceptance. Otherwise w doubles: for an exact
-        input up to policy.cap, for an inexact one while a doubling gains
+        input up to the cap, for an inexact one while a doubling gains
         certified bits. Raises DomainError outside the transform's domain,
-        PrecisionCapExceeded when w passes policy.cap, and
+        PrecisionCapExceeded when w passes the cap, and
         InsufficientPrecision when a doubling gains an inexact input
         nothing, its own bits being the limit.
         """
@@ -1196,12 +1197,11 @@ class _Certifier:
         while True:
             self.check_cap(w, "the working precision")
             r = self._eval(x, w)
-            got = r.precision - r.integer_bits()
+            got = -1 if r is None else r.precision - r.integer_bits()
             if got < a:
-                # a claim of no bits at all (LogLog's vanished inner log) is
-                # the working precision's limit, never evidence of the
-                # input's
-                if not x.exact and r.precision:
+                # no claim (LogLog's vanished inner log) is the working
+                # precision's limit, never evidence of the input's
+                if not x.exact and r is not None:
                     if refused is not None and got <= refused:
                         raise InsufficientPrecision(
                             f"{got} certified fractional bits available, "
@@ -1308,8 +1308,8 @@ class _Certifier:
     def _quick_int_bits(self):
         """The most integer bits a double may have for certify to double
         its first working precision within the cap, as a near-integer
-        result makes it do; -1 where no double may. The first precision
-        only grows with the integer bits."""
+        result makes it do. The first precision only grows with the
+        integer bits, and is at most 157 for x < 2 at 80 agreement bits."""
         return bisect.bisect_right(
             range(1025), self.cap,
             key=lambda b: 2 * start_bits(self.transform, b, self.a)) - 1
@@ -1317,8 +1317,7 @@ class _Certifier:
     @functools.cached_property
     def _quick_width(self):
         """2**-b, b the transform's `_fewest_claim`, or None where the quick
-        routes hand nothing out: more than 80 agreement bits, no double
-        whose first precision could double within the cap, no quick
+        routes hand nothing out: more than 80 agreement bits, no quick
         route, or a claim short of the agreement bits, which would make
         certify escalate.
 
@@ -1327,7 +1326,7 @@ class _Certifier:
         width of u(x). Each route adds its own error on top: err for the
         double-double route, A's units for the integer route (`_scaled`).
         """
-        if self.a > _FRAC_OUT_BITS or self._quick_int_bits < 0:
+        if self.a > _FRAC_OUT_BITS:
             return None
         claim = self.transform._fewest_claim(self.a)
         return None if claim is None or claim < self.a else 2.0 ** -claim
@@ -1337,11 +1336,11 @@ class _Certifier:
         with n, n an ascending array of indices: 2**-b, b the fewest
         fractional bits the per-term route's first evaluation claims on
         them, or None where a route must hand none out (more than 80
-        agreement bits, a claim short of them, or a term whose bits, or
-        twice its first working precision, pass the cap). A claim past
-        _GUARD_BITS + 80 bits counts as that many, the most `_quick_width`
-        claims, which keeps the integer route's margins multiples of
-        2**-10.
+        agreement bits, a claim short of them or none at all, or a term
+        whose bits, or twice its first working precision, pass the cap). A
+        claim past _GUARD_BITS + 80 bits counts as that many, the most
+        `_quick_width` claims, which keeps the integer route's margins
+        multiples of 2**-10.
 
         Each x_n is generated at the start_bits of its estimated integer
         bits. One that comes out exact where the form (s, c) also gives
@@ -1386,7 +1385,7 @@ class _Certifier:
             if x.exact and (c or not s.is_integer()):
                 x = BigReal(x.mantissa, x.exponent, b, False)
             r = self._eval(x, w)
-            claims.append(r.precision - r.integer_bits())
+            claims.append(-1 if r is None else r.precision - r.integer_bits())
         claim = min(claims)
         return None if claim < self.a else \
             2.0 ** -min(claim, _GUARD_BITS + _FRAC_OUT_BITS)

@@ -126,23 +126,21 @@ class TestFrac:
 class TestPrecisionPolicy:
     def test_defaults(self):
         p = DEFAULT_POLICY
-        assert [f.name for f in dataclasses.fields(p)] == ["agreement", "cap"]
-        assert p.agreement == 12 and p.cap == 30000
+        assert [f.name for f in dataclasses.fields(p)] == ["agreement"]
+        assert p.agreement == 12
 
     def test_validation(self):
         with pytest.raises(ValueError):
             PrecisionPolicy(agreement=11)
-        with pytest.raises(ValueError):
-            PrecisionPolicy(cap=63)
-        PrecisionPolicy(agreement=16, cap=64)
+        PrecisionPolicy(agreement=16)
         with pytest.raises(InvalidParameter, match="agreement .* got 12.5"):
             PrecisionPolicy(agreement=12.5)
         with pytest.raises(InvalidParameter, match="agreement .* got '20'"):
             PrecisionPolicy(agreement="20")
         # a numpy integer is stored as the int it equals, and certifies so
-        p = PrecisionPolicy(agreement=np.int64(14), cap=np.int64(100))
-        assert type(p.agreement) is int and type(p.cap) is int
-        assert p == PrecisionPolicy(agreement=14, cap=100)
+        p = PrecisionPolicy(agreement=np.int64(14))
+        assert type(p.agreement) is int
+        assert p == PrecisionPolicy(agreement=14)
         x = BigReal.from_int(7)
         assert repr(eval_transform(x, LOG10, p)) == \
-            repr(eval_transform(x, LOG10, PrecisionPolicy(14, 100)))
+            repr(eval_transform(x, LOG10, PrecisionPolicy(14)))

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import support_hi
-from ubenford.bounds import (_CHUNK, _EPS, BoundCertificate,
+from ubenford.bounds import (_CHUNK, _EPS, _TAIL, BoundCertificate,
                              certify_mod1_bound, default_z_grid,
                              discrepancy_bound, mod1_law,
                              p_delta_exponential,
@@ -137,17 +137,11 @@ class TestMod1Law:
             mod1_law(d, IDENTITY, zs=[[0.5]])
         with pytest.raises(InvalidParameter, match="got 'abc'"):
             mod1_law(d, IDENTITY, zs="abc")
-        # the tail mass and the cell budget are checked as well
-        for tail in (0.0, 0.5, math.nan):
-            with pytest.raises(InvalidParameter, match="tail must be"):
-                mod1_law(d, IDENTITY, zs=QUARTERS, tail=tail)
-        with pytest.raises(InvalidParameter, match="max_cells .* got 2.5"):
-            mod1_law(d, IDENTITY, zs=QUARTERS, max_cells=2.5)
 
     def test_cell_budget(self):
+        # the 1e-14 window reaches x = 1e28
         with pytest.raises(TruncationFailure):
-            mod1_law(ParetoI(0.5, 1.0), IDENTITY, zs=QUARTERS,
-                     max_cells=1000)
+            mod1_law(ParetoI(0.5, 1.0), IDENTITY, zs=QUARTERS)
 
     def test_heavy_tail_log_cells_stay_small(self):
         res = mod1_law(ParetoII(0.5), LOG10, zs=QUARTERS)
@@ -185,22 +179,22 @@ class TestMod1Law:
             mod1_law(LognormalBase10(400.0, 2.0), SQRT, zs=QUARTERS)
 
     def test_budget_refusal_tells_count_from_budget(self):
-        # 1001 cells against a budget of 1000: both read 1e+03 at three
-        # digits, so the count takes a fourth
+        # 5,000,001 cells against a budget of 5,000,000: both read 5e+06
+        # at three digits, so the count takes all seven
         with pytest.raises(TruncationFailure,
-                           match=r"^1001 integer cells exceed the budget "
-                                 r"of 1000 for"):
-            mod1_law(UniformOnZeroK(1000.5), IDENTITY, max_cells=1000)
+                           match=r"^5000001 integer cells exceed the budget "
+                                 r"of 5000000 for"):
+            mod1_law(UniformOnZeroK(5000000.5), IDENTITY)
 
 
-def _mod1_law_per_z(distribution, transform, zs, tail=1e-14):
-    """Reference: mod1_law as one Python step per z point.
+def _mod1_law_per_z(distribution, transform, zs):
+    """Reference: mod1_law as one Python step per z point, at its tail.
 
     The library evaluates blocks of z rows at once; every row must sum its
     cells in this order and so give the same bits.
     """
-    lg_lo = float(distribution.ppf_log10(tail))
-    lg_hi = float(distribution.isf_log10(tail))
+    lg_lo = float(distribution.ppf_log10(_TAIL))
+    lg_hi = float(distribution.isf_log10(_TAIL))
     if distribution.support_lo > 0.0:
         lg_lo = max(lg_lo, math.log10(distribution.support_lo))
     if math.isfinite(support_hi(distribution)):
@@ -231,7 +225,7 @@ def _mod1_law_per_z(distribution, transform, zs, tail=1e-14):
 
     errs = np.abs(probs - zs)
     i = int(errs.argmax())
-    budget = 2.0 * tail + 8.0 * cells * _EPS + 1e-15
+    budget = 2.0 * _TAIL + 8.0 * cells * _EPS + 1e-15
     return probs, float(errs[i]), float(zs[i]), cells, budget
 
 
@@ -517,8 +511,7 @@ class TestFractionLawUniform:
     def test_matches_mod1_route(self, k):
         # the same probabilities through cdf differences instead of roots
         deltas = np.linspace(0.05, 0.95, 19)
-        via_mod1 = mod1_law(UniformOnZeroK(k), PI_SQUARE, zs=deltas,
-                            tail=1e-15).probs
+        via_mod1 = mod1_law(UniformOnZeroK(k), PI_SQUARE, zs=deltas).probs
         direct = np.array([p_delta_uniform(k, float(d)) for d in deltas])
         np.testing.assert_allclose(direct, via_mod1, rtol=1e-9, atol=1e-12)
 
@@ -562,13 +555,11 @@ class TestFractionLawUniform:
         with pytest.raises(ValueError):
             p_delta_uniform(-1.0, 0.5)
         with pytest.raises(TruncationFailure):
-            p_delta_uniform(1e6, 0.5, max_cells=1000)
+            p_delta_uniform(1e6, 0.5)
         # a**2 past the doubles is over budget, not an OverflowError
         for k in (1e150, 1e200):
             with pytest.raises(TruncationFailure, match=r"^\S+ cells exceed"):
                 p_delta_uniform(k, 0.5)
-        with pytest.raises(InvalidParameter, match="max_cells .* got 2.5"):
-            p_delta_uniform(10.0, 0.5, max_cells=2.5)
         # numeric text reads as the number it spells
         assert p_delta_uniform("10", "0.5") == p_delta_uniform(10.0, 0.5)
 
@@ -587,19 +578,24 @@ class TestFractionLawExponential:
     @pytest.mark.parametrize("lam", [1.0, 0.1])
     def test_matches_mod1_route(self, lam):
         deltas = np.linspace(0.1, 0.9, 9)
-        via_mod1 = mod1_law(Exponential(lam), PI_SQUARE, zs=deltas,
-                            tail=1e-15, max_cells=2_000_000).probs
+        via_mod1 = mod1_law(Exponential(lam), PI_SQUARE, zs=deltas).probs
         direct = np.array([p_delta_exponential(lam, float(d))
                            for d in deltas])
         np.testing.assert_allclose(direct, via_mod1, rtol=1e-8)
 
     def test_tail_correction_matches_pure_direct(self):
-        # lam small enough that the budgeted path needs the correction,
-        # large enough that an uncapped direct sum still terminates
+        # lam small enough that the 100,000 direct terms need the
+        # correction (the last is still above 1e-9), large enough that a
+        # plain sum of 3,000,000 terms leaves out less than 1e-21
+        mu = 0.05 / math.sqrt(math.pi)
         for d in (0.2, 0.5, 0.8):
-            corrected = p_delta_exponential(0.05, d, direct_terms=100_000)
-            direct = p_delta_exponential(0.05, d, direct_terms=30_000_000)
-            assert corrected == pytest.approx(direct, abs=5e-11)
+            direct = 0.0
+            for j0 in range(0, 3_000_000, 1 << 18):
+                j = np.arange(j0, j0 + (1 << 18), dtype=np.float64)
+                direct += float(np.sum(np.exp(-mu * np.sqrt(j))
+                                       - np.exp(-mu * np.sqrt(j + d))))
+            assert p_delta_exponential(0.05, d) == pytest.approx(direct,
+                                                                 abs=5e-11)
 
     def test_envelope_contains_series(self):
         for lam in (5.0, 1.0, 0.1, 0.01):
@@ -620,8 +616,6 @@ class TestFractionLawExponential:
             p_delta_exponential(0.0, 0.5)
         with pytest.raises(ValueError):
             p_delta_exponential(1.0, -0.1)
-        with pytest.raises(InvalidParameter, match="direct_terms .* got 0"):
-            p_delta_exponential(0.01, 0.5, direct_terms=0)
 
 
 @pytest.mark.parametrize("fn", [p_delta_uniform, p_delta_uniform_envelope,

@@ -42,8 +42,6 @@ class TestBasics:
     def test_name_defaults_to_stem(self, tmp_path):
         ds = ingest_csv(write(tmp_path, "1\n", name="areas.csv"))
         assert ds.name == "areas"
-        ds = ingest_csv(write(tmp_path, "1\n"), name="given")
-        assert ds.name == "given"
 
     def test_order_preserved(self, tmp_path):
         ds = ingest_csv(write(tmp_path, "5\n3\n9\n1\n"))

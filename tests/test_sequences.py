@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from ubenford import transforms
 from ubenford.bigreal import BigReal, PrecisionPolicy
 from ubenford.errors import InvalidParameter, PrecisionCapExceeded
 from ubenford.sequences import (ExpN, Factorial, FracSample, NPowN, PiN,
@@ -21,7 +22,7 @@ from ubenford.sequences import (ExpN, Factorial, FracSample, NPowN, PiN,
                                 frac_sample, nth_prime, odd_nonsquare,
                                 parse_sequence)
 from ubenford.transforms import (IDENTITY, LOG10, LOGLOG, PI_SQUARE, SQRT,
-                                 _Certifier, _policy_bits, _QUICK_BLOCK,
+                                 _Certifier, _QUICK_BLOCK,
                                  eval_transform, start_bits)
 
 
@@ -162,12 +163,14 @@ class InputLimited(Sequence):
 
 
 def test_regeneration_stops_at_the_cap():
-    policy = PrecisionPolicy(cap=300)
-    a, _, _, cap_bits = _policy_bits(policy)
-    first = start_bits(LOG10, 0, a)
+    # the term's own 30 bits never grow, so each regeneration evaluates at
+    # the same 117 bits, and ten of them reach the 99,658-bit cap
+    certifier = _Certifier(LOG10, PrecisionPolicy())
+    cap_bits = certifier.cap
+    first = start_bits(LOG10, 0, certifier.a)
     seq = InputLimited()
     with pytest.raises(PrecisionCapExceeded) as refusal:
-        frac_sample(seq, LOG10, 5, policy)
+        frac_sample(seq, LOG10, 5)
     asked = seq.asked
     assert len(asked) <= math.ceil(math.log2(cap_bits / first)) + 1
     assert asked == [first << k for k in range(len(asked))]
@@ -314,6 +317,20 @@ class TestFracSample:
                 assert abs(got - float(u - mp.floor(u))) < 2.0 ** -40
         finally:
             mp.dps = 15
+
+    @pytest.mark.parametrize("alpha", [1e-30, 3e-31, 7e-31, 1e-63, 3e-63,
+                                       7e-63])
+    def test_loglog_of_terms_input_limited_near_one(self, alpha):
+        # log10 of n**alpha is about alpha log10 n, so the generated term's
+        # own bits, not the working precision, leave the claim short (-5
+        # fractional bits on |u| near 31 at n = 2 for 1e-30): the certifier
+        # refuses the term for regeneration, where it doubled w to the cap
+        fs = frac_sample(PowerLaw(alpha), LOGLOG, 40)
+        assert fs.size == 39 and fs.excluded == 1
+        with mp.workprec(400):
+            for n, got in zip(range(2, 41), fs.values):
+                u = mp.log10(mp.log10(mp.mpf(n) ** mp.mpf(alpha)))
+                assert abs(got - float(u - mp.floor(u))) < 2.0 ** -40, n
 
     def test_no_exclusions_on_log(self):
         fs = frac_sample(Primes(), LOG10, 60)
@@ -544,26 +561,27 @@ def test_steep_power_laws_generate_no_term_for_a_width(alpha, monkeypatch):
     assert cell == calls
 
 
-@pytest.mark.parametrize("policy", [PrecisionPolicy(agreement=24),
-                                    PrecisionPolicy(agreement=25),
-                                    PrecisionPolicy(cap=64)],
+@pytest.mark.parametrize("agreement, cap", [(24, 30000), (25, 30000),
+                                           (12, 64)],
                          ids=["a80", "a84", "cap64"])
 @pytest.mark.parametrize("name, transform", [
     ("primes", SQRT), ("primes", PI_SQUARE), ("sqrt_n", PI_SQUARE),
     ("pi_n", LOG10), ("power_law:0.5", LOGLOG), ("sqrt_n", SQRT),
     ("pi_n", PI_SQUARE), ("power_law:0.613197", SQRT),
     ("power_law:0.613197", IDENTITY)])
-def test_handed_out_terms_under_other_policies(policy, name, transform):
+def test_handed_out_terms_under_other_policies(agreement, cap, name,
+                                               transform, monkeypatch):
     # 80 agreement bits hand out against the widest width; 84 and a cap
     # one doubling would pass hand nothing out
+    monkeypatch.setattr(transforms, "_CAP_DIGITS", cap)
     seq = parse_sequence(name)
-    certifier = _Certifier(transform, policy)
+    certifier = _Certifier(transform, PrecisionPolicy(agreement))
     n = np.arange(1, 1500)
     got = np.zeros(n.size)
     mask = certifier._hand_out_terms(seq, n, got)
     want = [certifier._term_frac(seq, k) for k in n[mask].tolist()]
     assert got[mask].tobytes() == np.array(want).tobytes()
-    assert mask.mean() > 0.9 if policy.agreement == 24 else not mask.any()
+    assert mask.mean() > 0.9 if agreement == 24 else not mask.any()
 
 
 def _first_claim(certifier, seq, n):

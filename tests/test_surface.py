@@ -1,11 +1,14 @@
 """The package surface: every def, class and module-level constant in
-src/ubenford is used, and every line of its source fits 79 columns.
+src/ubenford is used, every defaulted parameter is set by some call, and
+every line of its source fits 79 columns.
 
 A definition counts as used when its name is read somewhere in the
 package outside its own body (a constant's own assignment), or when
 ubenford.__all__ exports it. A helper that only tests call, or a
 constant that only tests read, fails this check; move its assertion to
-the code it stood in for and delete it.
+the code it stood in for and delete it. Likewise a parameter with a
+default that no call in the package passes has one value in use: make
+it a constant.
 """
 
 import ast
@@ -19,6 +22,16 @@ SRC = Path(ubenford.__file__).parent
 # overridden by cli._Parser, and kernels.dec_digits, which
 # perfbench/tracer.py binds by name
 ALLOWED = {"error", "dec_digits"}
+
+# defaulted parameters no call in the package passes, and why each stays
+PARAMETERS_ALLOWED = {
+    "main.argv": "the console script's entry point, called with none",
+    "eval_transform.policy": "every certifying entry point takes the one "
+                             "policy object",
+    "mod1_law.zs": "the points at which the law is asked, through which "
+                   "pdelta_curve's deltas are to be routed",
+    "ParetoI.x0": "set through build_distribution's family(*args)",
+}
 
 
 def _scan():
@@ -95,3 +108,71 @@ def test_source_lines_fit_79_columns():
                 path.read_text(encoding="utf-8").splitlines(), 1)
             if len(line) > 79]
     assert long == []
+
+
+def _calls():
+    """name -> [(positional count, keywords, starred)] for every call in
+    the package, by the name called (a class's name for its __init__)."""
+    calls = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            starred = any(isinstance(a, ast.Starred) for a in node.args) \
+                or any(k.arg is None for k in node.keywords)
+            calls.setdefault(name, []).append(
+                (len(node.args), {k.arg for k in node.keywords}, starred))
+    return calls
+
+
+def _defaulted():
+    """(name called, index, parameter) for every parameter with a default
+    of a def in the package, called by the def's name or, for __init__,
+    its class's; index counts the positional parameters a call fills,
+    after a method's self, and is None for a keyword-only one."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owners = {id(f): c for c in ast.walk(tree)
+                  if isinstance(c, ast.ClassDef) for f in c.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef,
+                                     ast.AsyncFunctionDef)):
+                continue
+            owner = owners.get(id(node))
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in node.decorator_list)
+            args = node.args
+            positional = args.posonlyargs + args.args
+            if owner is not None and not static:
+                positional = positional[1:]
+            called = owner.name if owner is not None \
+                and node.name == "__init__" else node.name
+            first = len(positional) - len(args.defaults)
+            found += [(called, i, a.arg)
+                      for i, a in enumerate(positional) if i >= first]
+            found += [(called, None, a.arg)
+                      for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                      if d is not None]
+    return found
+
+
+def _unpassed():
+    """'name.parameter' for each defaulted parameter no call passes."""
+    calls = _calls()
+    return [f"{called}.{name}" for called, index, name in _defaulted()
+            if not any(starred or name in keywords
+                       or (index is not None and index < positional)
+                       for positional, keywords, starred
+                       in calls.get(called, []))]
+
+
+def test_every_defaulted_parameter_is_passed():
+    assert [q for q in _unpassed() if q not in PARAMETERS_ALLOWED] == []
+
+
+def test_parameter_allow_list_names_unpassed_parameters():
+    assert set(PARAMETERS_ALLOWED) <= set(_unpassed())

@@ -243,14 +243,20 @@ class TestEscalation:
         assert 1.0 - 1e-12 < f < 1.0
 
     def test_precision_cap(self):
-        policy = PrecisionPolicy(agreement=12, cap=70)
-        with pytest.raises(PrecisionCapExceeded):
-            eval_transform(BigReal.from_int(10 ** 40 + 7), PI_SQUARE, policy)
+        # u has 99,660 integer bits, so the first working precision is
+        # past the 30,000-digit cap before anything is evaluated
+        with pytest.raises(PrecisionCapExceeded,
+                           match=r"^the working precision needs 99750 bits, "
+                                 r"past the cap of 30000 digits \(99658 "
+                                 r"bits\)$"):
+            eval_transform(BigReal.from_int(10 ** 15000 + 7), PI_SQUARE)
 
-    def test_cap_bounds_the_precision_evaluated(self):
+    def test_cap_bounds_the_precision_evaluated(self, monkeypatch):
         # the cap bounds the one working precision each round evaluates, so
         # a term that certifies at its starting 117 bits passes a 213-bit
-        # cap, and one that needs a near-integer doubling to 234 does not
+        # cap, and one that needs a near-integer doubling to 234 does not;
+        # a log starts every input at 117 bits, so only a lower cap shows it
+        monkeypatch.setattr(tr, "_CAP_DIGITS", 64)
         seen = []
 
         class Spy(Log):
@@ -258,11 +264,10 @@ class TestEscalation:
                 seen.append(w)
                 return super()._eval_at(x, w, constants)
 
-        policy = PrecisionPolicy(cap=64)
-        got = eval_transform(BigReal.from_int(12345), Spy(10), policy)
+        got = eval_transform(BigReal.from_int(12345), Spy(10))
         assert abs(got.frac(40) - math.log10(12345) % 1.0) < 1e-12
         with pytest.raises(PrecisionCapExceeded):
-            eval_transform(BigReal.from_int(10 ** 40 + 1), Spy(10), policy)
+            eval_transform(BigReal.from_int(10 ** 40 + 1), Spy(10))
         assert seen == [117, 117]
 
     def test_input_limited_raises_then_regenerates(self):
@@ -313,9 +318,9 @@ class TestEscalation:
     @pytest.mark.parametrize("exact", [True, False])
     def test_doubling_without_gain_raises_only_for_inexact(self, exact):
         # an evaluator stuck at its first working precision: an exact
-        # input keeps doubling up to the cap (300 digits, 997 bits), an
-        # inexact one is refused
-        # at the first doubling that gained no certified bits
+        # input keeps doubling up to the cap (30,000 digits, 99,658 bits),
+        # an inexact one is refused at the first doubling that gained no
+        # certified bits
         seen = []
 
         class Stuck(LogLog):
@@ -325,19 +330,18 @@ class TestEscalation:
                                         self._constants(seen[0]))
 
         x = BigReal((1 << 80) + 1, -80, 2000, exact)
-        policy = PrecisionPolicy(cap=300)
         want = PrecisionCapExceeded if exact else InsufficientPrecision
         with pytest.raises(want):
-            eval_transform(x, Stuck(), policy)
-        assert seen == ([107, 214, 428, 856] if exact else [107, 214])
+            eval_transform(x, Stuck())
+        assert seen == [107 << k for k in range(10 if exact else 2)]
 
     @pytest.mark.parametrize("k", [200, 1000])
     def test_loglog_vanished_inner_log_escalates_on_exact_input(self, k):
         # log10(1 + 2**-k) vanishes at the 107-bit start: the evaluator
-        # claims zero bits instead of raising, and w doubles until the
+        # claims nothing instead of raising, and w doubles until the
         # inner log resolves it
         x = BigReal((1 << k) + 1, -k, k + 1, True)
-        assert LOGLOG._eval_at(x, 107, LOGLOG._constants(107)).precision == 0
+        assert LOGLOG._eval_at(x, 107, LOGLOG._constants(107)) is None
         got = eval_transform(x, LOGLOG).frac(40)
         want = mp_frac(lambda: mp.log10(mp.log10(1 + mpf(2) ** -k)), k + 50)
         assert abs(got - want) < 2.0 ** -40
@@ -599,7 +603,7 @@ class TestAgreementProperty:
     @given(st.integers(min_value=1, max_value=10 ** 5))
     @settings(max_examples=100, deadline=None)
     def test_stability_under_higher_initial_precision(self, n):
-        deeper = PrecisionPolicy(agreement=16, cap=40000)
+        deeper = PrecisionPolicy(agreement=16)
         a = eval_transform(BigReal.from_int(n), PI_SQUARE).frac()
         b = eval_transform(BigReal.from_int(n), PI_SQUARE, deeper).frac()
         d = abs(a - b)
@@ -794,10 +798,10 @@ class TestQuickPhase:
     @pytest.mark.parametrize("t, policy", [
         (LOGLOG, DEFAULT_POLICY), (IDENTITY, DEFAULT_POLICY),
         (Power(3), DEFAULT_POLICY), (Power(1, 2, False), DEFAULT_POLICY),
-        # more than 80 agreement bits, a cap one near-integer doubling
-        # would pass
+        # more than 80 agreement bits
         (LOG10, PrecisionPolicy(agreement=30)),
-        (LOG10, PrecisionPolicy(cap=64)), (PI_SQUARE, PrecisionPolicy(cap=64)),
+        (PI_SQUARE, PrecisionPolicy(agreement=25)),
+        (LOGLOG, PrecisionPolicy(agreement=25)),
     ])
     def test_quick_phase_off(self, t, policy):
         on = t in (SQRT, LOGLOG) and policy == DEFAULT_POLICY
@@ -820,11 +824,13 @@ class TestQuickPhase:
             assert fracs.tobytes() == np.array([want]).tobytes()
         # under a cap that refuses the larger doubles, a handed-out double
         # is still one certify returns, never one it raises for
-        certifier = tr._Certifier(t, PrecisionPolicy(cap=300))
-        got = np.zeros(1)
-        if certifier._hand_out(xs, got)[0]:
-            assert got.tobytes() == np.array(
-                [certifier.frac(BigReal.from_float(x))]).tobytes()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tr, "_CAP_DIGITS", 300)
+            certifier = tr._Certifier(t, DEFAULT_POLICY)
+            got = np.zeros(1)
+            if certifier._hand_out(xs, got)[0]:
+                assert got.tobytes() == np.array(
+                    [certifier.frac(BigReal.from_float(x))]).tobytes()
 
     @pytest.mark.parametrize("t", ROUTED, ids=lambda t: t.label())
     def test_route_is_floor_of_u_times_2_120(self, t):
