@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .errors import InsufficientPrecision, count
 
 _FRAC_OUT_BITS = 80  # bits materialized when converting a frac to double
+_FRAC_MIN_BITS = 40  # the fewest certified fractional bits frac hands out
 _ONE_MINUS = math.nextafter(1.0, 0.0)
 _EXACT_BITS = 10 ** 9  # significant bits reported for exact values
 
@@ -130,14 +131,14 @@ class BigReal:
         self._check_frac_precision(bits)
         return self._frac_bits(bits)
 
-    def frac(self, min_bits=40):
+    def frac(self):
         """Fractional part in [0, 1) as a double.
 
-        The result is certified to at least `min_bits` bits;
+        The result is certified to at least _FRAC_MIN_BITS bits;
         InsufficientPrecision is raised otherwise so the caller can
         regenerate the input at higher precision.
         """
-        self._check_frac_precision(min_bits)
+        self._check_frac_precision(_FRAC_MIN_BITS)
         return _frac_double(self._frac_bits(_FRAC_OUT_BITS))
 
     def __repr__(self):

@@ -43,7 +43,8 @@ from operator import contains
 
 import numpy as np
 
-from .errors import EmptyDataset, FileError, NoNumericColumn, count
+from .errors import EmptyDataset, FileError, InvalidParameter, \
+    NoNumericColumn, count
 
 
 @dataclass(frozen=True)
@@ -120,6 +121,17 @@ def ingest_csv(path, column=1):
     one yielding numbers but nothing positive raises EmptyDataset.
     """
     column = count("column", column, 1)
+    # a str or a path-like object naming text: open takes more (a file
+    # descriptor, bytes), none of which names a dataset
+    try:
+        path = os.fspath(path)
+    except TypeError:
+        pass  # not path-like at all: refused below
+    if not isinstance(path, str):
+        raise InvalidParameter(
+            f"path must be text or a path-like object, got {path!r}")
+    if "\0" in path:
+        raise FileError(f"cannot read {path!r}: the path holds a NUL")
     try:
         with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
@@ -157,7 +169,7 @@ def ingest_csv(path, column=1):
                            f"column {column}")
     had_header = not math.isfinite(v[0])
     name = os.path.splitext(os.path.basename(path))[0]
-    return Dataset(name=name, path=str(path), column=column, values=values,
+    return Dataset(name=name, path=path, column=column, values=values,
                    raw_rows=len(lines), had_header=had_header,
                    dropped_non_numeric=len(lines) - numbers.size - had_header,
                    dropped_non_positive=numbers.size - values.size)

@@ -34,9 +34,8 @@ from .errors import InvalidParameter, count, real, string
 from .kernels import digits_to_bits, e_fixed, exp_fixed, ln2_fixed, \
     ln_int_fixed, pi_fixed, pow_fixed
 from .transforms import _CAP_DIGITS, _DD_BITS, _HALF_ULP, _ROUTE_BITS, \
-    Power, _Certifier, _dd, _dd_mul, _ln, _ln_pi_fixed, _mul_add, \
-    _pi_power_bits, _pi_power_floor, _quick_inv_pi, _quick_ln_pi, \
-    _scale_shift, _times, _two_prod, _two_sum
+    Power, _Certifier, _dd, _fma, _ln, _ln_pi_fixed, _pi_power_bits, \
+    _pi_power_floor, _quick_inv_pi, _quick_ln_pi, _two_prod
 
 _LOG2_E_FIXED64 = 26613026195688644984  # ceil(log2(e) * 2**64)
 # a power law builds n**(p/q) exactly while p bit_length(n) / q stays
@@ -116,11 +115,11 @@ class Sequence:
     def _ln_terms(self, n):
         """ln x_n = lh + ll and err >= |lh + ll - ln x_n|, for an array of
         indices n in `_ln_range`, as doubles. From the form: s ln m_n + c
-        ln pi (`_scale_shift` on `_ln`'s ln m_n, s in its range)."""
+        ln pi (`_fma` on `_ln`'s ln m_n, s in its range)."""
         s, c = self.form
         y = _ln(self._bases(n.astype(np.int64)))
         if s != 1.0 or c:
-            y = _scale_shift(*y, s, _quick_ln_pi() if c else (0.0, 0.0, 0.0))
+            y = _fma((s, 0.0, 0.0), y, _quick_ln_pi() if c else None)
         return y
 
     def _pi_power_floors(self, p):
@@ -220,12 +219,12 @@ _STIRLING_K = 14
 
 @functools.cache
 def _stirling_constants():
-    """(1/2) ln(2 pi) as (hi, lo, err), the series' coefficients c_k =
+    """(1 + ln(2 pi))/2 as (hi, lo, err), the series' coefficients c_k =
     B_2k / (2k (2k - 1)), k = 1.._STIRLING_K, each as (hi, lo, err), and
     |c_(K+1)| rounded up, the remainder's. The Bernoulli numbers B_j come
     exact from sum_(i <= j) C(j + 1, i) B_i = 0; each c_k floors to
     2**-160 within one ulp. ln pi (within 2 ulps at 2**-160) plus ln 2
-    (within 1), halved, is within 2.5."""
+    (within 1) plus 1, halved, is within 2.5."""
     # imported here, where the first n! needs it, not with the package
     from fractions import Fraction
     b = [Fraction(1)]
@@ -233,8 +232,8 @@ def _stirling_constants():
         b.append(-sum(math.comb(j + 1, i) * b[i] for i in range(j)) / (j + 1))
     c = [b[2 * k] / (2 * k * (2 * k - 1)) for k in range(1, _STIRLING_K + 2)]
     one = 1 << _DD_BITS
-    half_ln_2pi = (_ln_pi_fixed() >> 64) + ln2_fixed(_DD_BITS) >> 1
-    return (_dd(half_ln_2pi, 3),
+    ln_sqrt_2pi_e = (_ln_pi_fixed() >> 64) + ln2_fixed(_DD_BITS) + one >> 1
+    return (_dd(ln_sqrt_2pi_e, 3),
             [_dd(ck.numerator * one // ck.denominator, 1) for ck in c[:-1]],
             float(abs(c[-1])) * (1.0 + 2.0 ** -50))
 
@@ -247,8 +246,8 @@ class Factorial(Sequence):
         return BigReal.from_int(math.factorial(n))
 
     def _ln_terms(self, n):
-        """ln n! = (n + 1/2) ln n - n + (1/2) ln(2 pi) + S + R, S = sum_k
-        c_k t**(2k - 1), t = 1/n, k = 1..K (`_stirling_constants`;
+        """ln n! = (n + 1/2)(ln n - 1) + C + S + R, C = (1 + ln(2 pi))/2 and
+        S = sum_k c_k t**(2k - 1), t = 1/n, k = 1..K (`_stirling_constants`;
         Stirling's series, DLMF 5.11.1). For real n > 0 the remainder R
         has the sign of, and is at most, the first term left out, |c_(K+1)|
         t**(2K + 1) (DLMF 5.11(ii); at K = 1 this is Robbins, Amer. Math.
@@ -256,50 +255,28 @@ class Factorial(Sequence):
 
         t = th + tl: th = RN(1/n) and 1 - n th = (1 - p) - pe, exact: 1 -
         p by Sterbenz, and 1 - n th, a multiple of ulp(th) below 2**-53,
-        is a double; tl, that over n, is within 2**-53 |tl|. z = t t
-        (`_dd_mul`), off by 2 t times t's error as well. S/t = c_1 + z (c_2
-        + ... + z c_K) takes K - 1 double-double steps (`_mul_add`), each
-        within z <= _STIRLING_N0**-2 times what it inherits, |S/t| times
-        z's error, its own loss and its coefficient's err; S = t (S/t)
-        (`_dd_mul`). The sum: (n + 1/2) ln n = ah + al (`_dd_mul`; n + 1/2
-        is exact) within n + 1/2 times ln n's error, ah - n = h1 + r1, h1
-        + ch = h2 + r2 and h2 + sh = h3 + r3 exactly, the five additions
-        that make low round once each, and vh + vl = h3 + low exactly.
-        Relative slack below 2**-50 (|t| <= th (1 + 2**-52), the rounding
-        of th**(2K + 1) and of err) is left to the certifier's factor 1 +
-        2**-40, as in `transforms._ln`.
+        is a double; tl, that over n, is within 2**-53 |tl|. Then, each
+        step an `_fma`: z = t t; S/t = c_1 + z (c_2 + ... + z c_K) by
+        Horner's steps w = z w + c_k; S + C = t (S/t) + C; and (n + 1/2)
+        (ln n - 1) + (S + C), where n + 1/2 is exact and ln n - 1 is `_ln`'s
+        lh - 1, exact for 2 <= lh < 2**53, and ll. Relative slack below
+        2**-46 (|t| <= th (1 + 2**-53) raised to 2K + 1, and the rounding
+        of that power) is left to the certifier's factor 1 + 2**-40, as in
+        `transforms._ln`.
         """
-        (ch, cl, ce), coef, rest = _stirling_constants()
+        ln_sqrt_2pi_e, coef, rest = _stirling_constants()
         th = 1.0 / n
         p, pe = _two_prod(n, th)
         tl = ((1.0 - p) - pe) / n
-        et = _HALF_ULP * np.abs(tl)
-        zh, zl, ez = _dd_mul(th, tl, th, tl)
-        ez += 2.0 * th * et
-        sh, sl = np.full_like(n, coef[-1][0]), np.full_like(n, coef[-1][1])
-        es = coef[-1][2]
+        t = th, tl, _HALF_ULP * np.abs(tl)
+        z = _fma(t, t)
+        w = coef[-1]
         for c in coef[-2::-1]:
-            es = (es * _STIRLING_N0 ** -2 + (np.abs(sh) + np.abs(sl)) * ez
-                  + c[2])
-            sh, sl, loss = _mul_add(zh, zl, sh, sl, c[:2])
-            es += loss
-        es = es * th + (np.abs(sh) + np.abs(sl)) * et
-        sh, sl, loss = _dd_mul(th, tl, sh, sl)
+            w = _fma(z, w, c)
         lh, ll, err = _ln(n)
-        ah, al, loss0 = _dd_mul(n + 0.5, np.zeros_like(n), lh, ll)
-        h1, r1 = _two_sum(ah, -n)
-        h2, r2 = _two_sum(h1, ch)
-        h3, r3 = _two_sum(h2, sh)
-        s1 = r1 + r2
-        s2 = s1 + r3
-        s3 = s2 + al
-        s4 = s3 + cl
-        low = s4 + sl
-        vh, vl = _two_sum(h3, low)
-        return vh, vl, ((n + 0.5) * err + loss0 + ce + es + loss
-                        + rest * th ** (2 * _STIRLING_K + 1)
-                        + _HALF_ULP * (np.abs(s1) + np.abs(s2) + np.abs(s3)
-                                       + np.abs(s4) + np.abs(low)))
+        vh, vl, err = _fma((n + 0.5, 0.0, 0.0), (lh - 1.0, ll, err),
+                           _fma(t, w, ln_sqrt_2pi_e))
+        return vh, vl, err + rest * th ** (2 * _STIRLING_K + 1)
 
     def _pi_power_floors(self, p):
         """n! states it for every p: the A_n that `_pi_power_floor` builds
@@ -327,11 +304,8 @@ class NPowN(Sequence):
         return BigReal.from_int(n ** n)
 
     def _ln_terms(self, n):
-        """n ln n: the exact n times `_ln`'s ln n (`_dd_mul`), which scales
-        its error by n."""
-        lh, ll, err = _ln(n)
-        vh, vl, loss = _dd_mul(n, np.zeros_like(n), lh, ll)
-        return vh, vl, n * err + loss
+        """n ln n: the exact n times `_ln`'s ln n (`_fma`)."""
+        return _fma((n, 0.0, 0.0), _ln(n))
 
 
 class PowerLaw(Sequence):
@@ -352,15 +326,15 @@ class PowerLaw(Sequence):
         self._exact = Power(p, q) if q <= 2 else None
         self._alpha_float = a
         self.form = (a, 0)
-        if 2.0 ** -400 <= a <= 2.0 ** 400:  # _scale_shift's range
+        if 2.0 ** -400 <= a <= 2.0 ** 400:  # _fma's range
             self._ln_range = _PAST_ONE
         self.name = f"power_law({a:g})"
 
     def _ln_terms(self, n):
         """ln n / pi for n**(1/pi): `_ln`'s ln n times 1/pi's
-        double-double (`_times`); the form's otherwise."""
+        double-double (`_fma`); the form's otherwise."""
         if self._inv_pi:
-            return _times(*_ln(n), _quick_inv_pi())
+            return _fma(_ln(n), _quick_inv_pi())
         return super()._ln_terms(n)
 
     def nth_term(self, n, bits):

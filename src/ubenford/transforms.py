@@ -15,8 +15,8 @@ near-integer guard band, up to _CAP_DIGITS. Precisions here are bits;
 decimal digits enter only through the policy (_policy_bits) and the cap.
 
 Each transform states one step from a double-double ln x and its bound
-to u and its bound (`_from_ln`): a log multiplies by 1/ln b (`_times`),
-the iterated log takes the outer log10 of log10 x (`_log10_of`), a power
+to u and its bound (`_from_ln`): a log multiplies by 1/ln b, the
+iterated log takes the outer log10 of log10 x (`_log10_of`), a power
 map c x**a computes 2**((a ln x + k ln pi) / ln 2), k = 1 for c = pi
 (`_exp2`), while u <= _EXP2_U_MAX (about 2**23.2). No quick route asks
 what kind of transform it serves.
@@ -30,8 +30,8 @@ through their own arithmetic (`Power._quick`): on 4,096 doubles exp2
 took 15 to 20 times as long and handed out 11-13% fewer. Each value gets a
 proved bound err (below 2**-92 for a log, about 2**-105 u for sqrt and
 2**-104 u for pi*x**2; the proofs are in `_ln`, `_from_ln`, `_quick`,
-`_log10_of` and `_dd_mul`, the one double-double product). The integer
-route (`Power._scaled`) takes what the power maps with an inexact
+`_log10_of` and `_fma`, the one double-double product and sum). The
+integer route (`Power._scaled`) takes what the power maps with an inexact
 result (q = 2, or c = pi) leave, at any size: A = floor(u * 2**120) in
 Python ints, exact but for pi's few units (`_pi_power_floor`). A double
 is handed out only where its u, widened by its route's error and by the
@@ -269,24 +269,75 @@ def _two_prod(a, b):
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-def _dd_mul(ah, al, bh, bl):
-    """(ah + al)(bh + bl) = vh + vl in double-double, and the bound loss
-    on what its arithmetic loses, the operands taken as exact:
-    ah bh = p + pe exactly (Dekker), m1 = RN(ah bl) and m2 = RN(al bh)
-    round once each, low = (pe + m1) + m2 twice, and vh + vl = p + low
-    exactly (Knuth); al bl is left out and added whole. An operand's own
-    error is the caller's: times the other operand's magnitude. Relative
-    slack below 2**-50 (the rounding of al bl and of loss itself) is left
-    to the certifier's factor 1 + 2**-40, applied in `_double_double_cells`.
+def _exact(v):
+    """Whether v is the scalar 0.0, which marks an operand's part as
+    exactly zero: it forms no product or sum and adds no error."""
+    return isinstance(v, float) and v == 0.0
+
+
+def _fma(a, b, c=None):
+    """A B + C = vh + vl in double-double and err >= |vh + vl - (A B +
+    C)|, for operands (hi, lo, err), hi + lo within err of the operand,
+    as arrays or scalars (a `_dd` constant); C absent for A B alone.
+
+    Arithmetic: ah bh = p + pe exactly (Dekker), and m1 = RN(ah bl) and
+    m2 = RN(al bh) round once each. Without C, low = pe and each of them
+    joins it in turn. With C, p + ch = h + r exactly (Knuth), low =
+    RN(r + pe), about ulp(h), and m = RN(m1 + m2) joins it, then cl.
+    Each addition to low rounds once, and vh + vl = h + low exactly.
+    Each rounded result costs 2**-53 of itself; al bl is left out and
+    added whole. A lo part given as the scalar 0.0 forms no product or
+    sum, and an absent C no sum, so no exact step counts as a rounding.
+
+    Operands: as A, B and C move within ea, eb and ec, A B + C moves by
+    at most |A| eb + |B| ea + ea eb + ec, with |A| <= |ah| + |al|; an err
+    given as the scalar 0.0 adds nothing.
+
+    Range: ah and bh each 0 or of magnitude in [2**-400, 2**400], as
+    every caller's are, so no split or product overflows and ah bh is 0
+    or normal, where Dekker's product is exact. A product of a lo part may
+    fall below the normal range, where its rounding is within 2**-1075
+    rather than 2**-53 of it: the term 2**-1000 covers that. Relative
+    slack (the rounding of al bl, and err's own sums, fewer than 2**10
+    along any route) stays below 2**-43 and is left to the certifier's
+    factor 1 + 2**-40, applied in `_double_double_cells`.
     """
+    ah, al, ea = a
+    bh, bl, eb = b
     p, pe = _two_prod(ah, bh)
-    m1 = ah * bl
-    m2 = al * bh
-    s1 = pe + m1
-    low = s1 + m2
-    vh, vl = _two_sum(p, low)
-    return vh, vl, np.abs(al * bl) + _HALF_ULP * (
-        np.abs(m1) + np.abs(m2) + np.abs(s1) + np.abs(low))
+    m = [x * y for x, y in ((ah, bl), (al, bh))
+         if not (_exact(x) or _exact(y))]
+    rounded = m[:]  # each result that rounds once
+    h, low = p, pe
+    if c is not None:
+        ch, cl, ec = c
+        h, r = _two_sum(p, ch)
+        low = r + pe
+        rounded.append(low)
+        if len(m) == 2:
+            m = [m[0] + m[1]]
+            rounded += m
+    for v in m:
+        low = low + v
+        rounded.append(low)
+    if c is not None and not _exact(cl):
+        low = low + cl
+        rounded.append(low)
+    vh, vl = _two_sum(h, low)
+    err = 2.0 ** -1000 + _HALF_ULP * sum(map(np.abs, rounded))
+    if not (_exact(al) or _exact(bl)):
+        err = err + np.abs(al * bl)
+    if not _exact(eb):
+        err = err + (np.abs(ah) if _exact(al)
+                     else np.abs(ah) + np.abs(al)) * eb
+    if not _exact(ea):
+        err = err + (np.abs(bh) if _exact(bl)
+                     else np.abs(bh) + np.abs(bl)) * ea
+        if not _exact(eb):
+            err = err + ea * eb
+    if c is not None and not _exact(ec):
+        err = err + ec
+    return vh, vl, err
 
 
 def _dd(v, ulps):
@@ -429,46 +480,10 @@ def _ln(x):
     return lh, ll, err
 
 
-def _times(lh, ll, err, r):
-    """L R in double-double and its bound, for L = lh + ll within err and
-    a constant R = (rh, rl, r_err), rh + rl within r_err (`_dd_mul`): L's
-    error is scaled by rh and R's by |lh| + |ll|; relative slack below
-    2**-50 (rh for R) is left to the certifier's factor 1 + 2**-40, as in
-    `_ln`. With R = 1/ln(base) (`_quick_inv_ln`), log_base of x from ln x.
-    """
-    rh, rl, r_err = r
-    uh, ul, loss = _dd_mul(lh, ll, rh, rl)
-    return uh, ul, err * rh + (np.abs(lh) + np.abs(ll)) * r_err + loss
-
-
 # the iterated log's quick phase falls back where the inner log is below
 # this: its error, divided by the inner log, would fill a 2**-80 cell
 _LOGLOG_Y_MIN = 2.0 ** -10
 _INV_LN10_UP = 0.4343  # above 1/ln 10 = 0.43429448...
-
-
-def _scale_shift(lh, ll, e, s, c):
-    """s L + C in double-double and its error bound, for L = lh + ll
-    within e, a double s in [2**-400, 2**400] and C = (ch, cl, ec), ch +
-    cl within ec.
-
-    s lh = p + pe exactly (Dekker), m1 = RN(s ll) rounds once, p + ch =
-    h + r exactly, low = ((r + pe) + m1) + cl rounds three times and
-    vh + vl = h + low exactly. So the error is s e + ec + 2**-53 (|m1| +
-    each partial sum of low), and 2**-1000 for a product s ll below the
-    normal range (within 2**-1074 of its value, where the relative count
-    fails); s keeps s lh and its error term normal for |lh| >= 2**-500.
-    """
-    ch, cl, ec = c
-    p, pe = _two_prod(s, lh)
-    m1 = s * ll
-    h, r = _two_sum(p, ch)
-    s1 = r + pe
-    s2 = s1 + m1
-    low = s2 + cl
-    vh, vl = _two_sum(h, low)
-    return vh, vl, (s * e + (ec + 2.0 ** -1000) + _HALF_ULP * (
-        np.abs(m1) + np.abs(s1) + np.abs(s2) + np.abs(low)))
 
 
 def _log10_of(yh, yl, e1):
@@ -532,27 +547,6 @@ def _quick_exp2_table():
     return np.array(hi), np.array(lo), max(err), taylor
 
 
-def _mul_add(zh, zl, sh, sl, c):
-    """z S + C in double-double for z = zh + zl, S = sh + sl and C = (ch,
-    cl), and the bound on what its arithmetic loses:
-    zh sh = p + pe and ch + p = h + r exactly, zh sl, zl sh and their
-    sum round once each, so do the three additions that make low, and
-    vh + vl = h + low exactly; zl sl is left out."""
-    ch, cl = c
-    p, pe = _two_prod(zh, sh)
-    m1 = zh * sl
-    m2 = zl * sh
-    m = m1 + m2
-    h, r = _two_sum(ch, p)
-    s1 = r + pe
-    s2 = s1 + m
-    low = s2 + cl
-    vh, vl = _two_sum(h, low)
-    return vh, vl, np.abs(zl * sl) + _HALF_ULP * (
-        np.abs(m1) + np.abs(m2) + np.abs(m) + np.abs(s1) + np.abs(s2)
-        + np.abs(low))
-
-
 def _exp2(yh, yl, ey):
     """2**y in double-double and its error bound, for y = yh + yl within
     ey <= 2**-52, 0 <= yh <= 1000 and |yl| <= ulp(yh)/2.
@@ -562,22 +556,20 @@ def _exp2(yh, yl, ey):
     With N = floor(t/256) and j = t - 256 N, y = N + j/256 + r, r = r_h
     + yl, and 2**y = 2**N 2**(j/256) e**z, z = r ln 2, |z| <= _EXP2_Z_MAX.
 
-    z: (r_h + yl)(ln2h + ln2l) (`_dd_mul`), and ln 2's double-double is
-    off by its err, |r| times. An error dz of z is one of e**z of at most
-    e**|z| |dz| (1 + |dz|) < 1.0015 |dz|.
+    z = (r_h + yl) ln 2 (`_fma`), within ez. An error dz of z is one of
+    e**z of at most e**|z| |dz| (1 + |dz|) < 1.0015 |dz|, so the steps
+    below take z as exact and e**z - 1 takes 1.0015 ez once.
 
     e**z - 1: its Taylor polynomial of degree 8 leaves _EXP2_REMAINDER.
     Horner's scheme runs the tail 1/6! + z (1/7! + z/8!) in doubles, on
     zh: each coefficient is within 2**-53 relative, two products and two
     sums round once each, and zl's share is below 2**-60 of it, so the
-    tail is within 2**-60; then five double-double steps (`_mul_add`)
-    add 1/5!, ..., 1/1!, and a sixth multiplies by z. A step's error is
-    |z| times what it inherits, its own loss, and its coefficient's err.
+    tail is within 2**-60; then the steps w = z w + 1/i! (`_fma`) add
+    1/5!, ..., 1/1!, and a last one multiplies by z.
 
-    2**(j/256) e**z = T + T (e**z - 1), one more step: the table's entry
-    T is off by its err, times e**z <= 1.0015, and T carries the error
-    of e**z - 1 times |T| <= th (1 + 2**-52); the scaling by 2**N is
-    exact, as is the same scaling of the bound.
+    2**(j/256) e**z = T (e**z - 1) + T, one more step, with the table's
+    entry T within its err; the scaling by 2**N is exact, as is the same
+    scaling of the bound.
 
     y: 2**(y + d) = 2**y e**(d ln 2), so |d| <= ey costs at most 2**y
     (e**(ey ln 2) - 1) <= 2**y ey ln 2 (1 + ey), and 2**y is within the
@@ -586,24 +578,20 @@ def _exp2(yh, yl, ey):
     certifier's factor 1 + 2**-40, applied in `_double_double_cells`.
     """
     table_hi, table_lo, table_err, taylor = _quick_exp2_table()
-    ln2h, ln2l, ln2_err = _quick_log_tables()[0]
     t = np.rint(yh * 256.0)
     rh = (yh * 256.0 - t) * (1.0 / 256.0)
     n = np.floor(t * (1.0 / 256.0))
     j = (t - 256.0 * n).astype(np.intp)
-    zh, zl, loss = _dd_mul(rh, yl, ln2h, ln2l)
-    ez = (np.abs(rh) + np.abs(yl)) * ln2_err + loss
-    sh = taylor[6][0] + zh * (taylor[7][0] + zh * taylor[8][0])
-    sl = np.zeros_like(sh)
-    e = 2.0 ** -60
+    zh, zl, ez = _fma((rh, yl, 0.0), _quick_log_tables()[0])
+    z = zh, zl, 0.0
+    w = taylor[6][0] + zh * (taylor[7][0] + zh * taylor[8][0]), 0.0, \
+        2.0 ** -60
     for c in taylor[5:0:-1]:
-        sh, sl, loss = _mul_add(zh, zl, sh, sl, c[:2])
-        e = e * _EXP2_Z_MAX + loss + c[2]
-    wh, wl, loss = _mul_add(zh, zl, sh, sl, (0.0, 0.0))
-    e = e * _EXP2_Z_MAX + loss + _EXP2_REMAINDER + 1.0015 * ez
-    th, tl = table_hi[j], table_lo[j]
-    uh, ul, loss = _mul_add(th, tl, wh, wl, (th, tl))
-    err = th * e * (1.0 + 2.0 ** -50) + loss + 1.0015 * table_err
+        w = _fma(z, w, c)
+    wh, wl, e = _fma(z, w)
+    w = wh, wl, e + _EXP2_REMAINDER + 1.0015 * ez
+    table = table_hi[j], table_lo[j], table_err
+    uh, ul, err = _fma(table, w, table)
     n = n.astype(np.intp)
     uh, ul = np.ldexp(uh, n), np.ldexp(ul, n)
     return uh, ul, np.ldexp(err, n) + np.abs(uh) * ey * _LN2_UP
@@ -778,8 +766,8 @@ class Log(Transform):
     _quick_range = (2.0 ** -1022, sys.float_info.max)
 
     def _from_ln(self, lh, ll, err):
-        """ln x over ln(base) (`_times`)."""
-        return _times(lh, ll, err, _quick_inv_ln(self.base))
+        """ln x times 1/ln(base) (`_fma`)."""
+        return _fma((lh, ll, err), _quick_inv_ln(self.base))
 
 
 @dataclass(frozen=True)
@@ -1043,7 +1031,7 @@ class Power(Transform):
     def _from_ln(self, lh, ll, err):
         """u = 2**y, y = (a ln x + k ln pi) / ln 2, k = 1 for c = pi, for an
         ascending array of ln x >= 0 (a sequence's terms are at least 1):
-        `_scale_shift` with `_quick_ln_pi`, `_times` with 1/ln 2, then
+        a ln x + k ln pi and that times 1/ln 2 (`_fma`), then
         `_exp2`, within about u (ey ln 2 + 2**-104) for y's bound ey,
         while u <= _EXP2_U_MAX, past which that bound's fixed part alone
         fills half a 2**-80 cell. Every u from the first past it gets err
@@ -1053,9 +1041,9 @@ class Power(Transform):
         """
         y = lh, ll, err
         if self._a != 1.0 or self.pi:
-            y = _scale_shift(*y, self._a, _quick_ln_pi() if self.pi
-                             else (0.0, 0.0, 0.0))
-        yh, yl, ey = _times(*y, _quick_inv_ln(2))
+            y = _fma((self._a, 0.0, 0.0), y,
+                     _quick_ln_pi() if self.pi else None)
+        yh, yl, ey = _fma(y, _quick_inv_ln(2))
         past = np.flatnonzero(yh > math.log2(_EXP2_U_MAX))
         k = past[0] if past.size else yh.size
         uh, ul, err = np.zeros(yh.size), np.zeros(yh.size), np.ones(yh.size)
@@ -1073,9 +1061,8 @@ class Power(Transform):
         rounds once. With δ = (x - s*s)/(2 s), sqrt(x) = s + δ - δ**2/(2 s)
         (1 + O(2**-51)), so s + d is within 2**-53 |d| + d**2/(2 s).
         pi*x**2: x*x = x2h + x2l exactly, times pi's double-double
-        (`_dd_mul`), which is off by its err, x*x times. Relative slack
-        below 2**-50 is left to the certifier's factor 1 + 2**-40, as for
-        Log.
+        (`_fma`). Relative slack below 2**-50 is left to the certifier's
+        factor 1 + 2**-40, as for Log.
         """
         if self.q == 2:
             s = np.sqrt(x)
@@ -1083,10 +1070,8 @@ class Power(Transform):
             d = (x - p - pe) / (s + s)
             uh, ul = _two_sum(s, d)
             return uh, ul, _HALF_ULP * np.abs(d) + 0.5 * d * d / s
-        pih, pil, pi_err = _quick_pi()
         x2h, x2l = _two_prod(x, x)
-        uh, ul, loss = _dd_mul(x2h, x2l, pih, pil)
-        return uh, ul, x2h * pi_err + loss
+        return _fma((x2h, x2l, 0.0), _quick_pi())
 
 
 IDENTITY = Power(1)

@@ -106,7 +106,7 @@ class TestFrac:
         with pytest.raises(InsufficientPrecision):
             x.frac_scaled(21)
         with pytest.raises(InsufficientPrecision):
-            x.frac(40)
+            x.frac()
 
     def test_exact_values_never_refuse(self):
         x = BigReal.from_float(123456789012345.625)

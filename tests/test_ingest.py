@@ -189,6 +189,25 @@ class TestErrors:
         with pytest.raises(FileError):
             ingest_csv(tmp_path / "nope.csv")
 
+    @pytest.mark.parametrize("path", [0, 5, 3.5, None, b"data.csv"],
+                             ids=["fd0", "fd5", "float", "none", "bytes"])
+    def test_path_is_text(self, path):
+        # open would read a file descriptor (and close it) or take bytes;
+        # each is refused before any file is touched
+        with pytest.raises(InvalidParameter, match="path must be text"):
+            ingest_csv(path)
+
+    def test_nul_in_path(self):
+        with pytest.raises(FileError, match="NUL"):
+            ingest_csv("a\x00b")
+
+    def test_str_and_path_read_alike(self, tmp_path):
+        p = write(tmp_path, "1\n2\n")
+        by_path, by_str = ingest_csv(p), ingest_csv(str(p))
+        assert by_path.path == by_str.path == str(p)
+        assert by_path.name == by_str.name == "data"
+        np.testing.assert_array_equal(by_path.values, by_str.values)
+
     def test_blank_file(self, tmp_path):
         with pytest.raises(EmptyDataset):
             ingest_csv(write(tmp_path, "\n \n"))

@@ -132,8 +132,11 @@ def _defaulted():
     """(name called, index, parameter) for every parameter with a default
     of a def in the package, called by the def's name or, for __init__,
     its class's; index counts the positional parameters a call fills,
-    after a method's self, and is None for a keyword-only one."""
-    found = []
+    after a method's self, and is None for a keyword-only one. Where
+    several defs share the name called, a call by that name cannot be
+    told apart, and index is None for each of their parameters: only a
+    keyword, *args or **kwargs passes them."""
+    found, names = [], []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         owners = {id(f): c for c in ast.walk(tree)
@@ -151,13 +154,15 @@ def _defaulted():
                 positional = positional[1:]
             called = owner.name if owner is not None \
                 and node.name == "__init__" else node.name
+            names.append(called)
             first = len(positional) - len(args.defaults)
             found += [(called, i, a.arg)
                       for i, a in enumerate(positional) if i >= first]
             found += [(called, None, a.arg)
                       for a, d in zip(args.kwonlyargs, args.kw_defaults)
                       if d is not None]
-    return found
+    return [(called, None if names.count(called) > 1 else index, name)
+            for called, index, name in found]
 
 
 def _unpassed():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
@@ -170,7 +170,7 @@ class TestExactLogCandidate:
         assert r.exact == (power is not None and transform == LOG10)
         if r.exact:
             assert exact(r) == power
-        got = r.frac(40)
+        got = r.frac()
         want = _mp_frac_of(v, transform)
         d = abs(got - want)
         assert min(d, 1.0 - d) < 1e-12
@@ -265,7 +265,7 @@ class TestEscalation:
                 return super()._eval_at(x, w, constants)
 
         got = eval_transform(BigReal.from_int(12345), Spy(10))
-        assert abs(got.frac(40) - math.log10(12345) % 1.0) < 1e-12
+        assert abs(got.frac() - math.log10(12345) % 1.0) < 1e-12
         with pytest.raises(PrecisionCapExceeded):
             eval_transform(BigReal.from_int(10 ** 40 + 1), Spy(10))
         assert seen == [117, 117]
@@ -275,7 +275,7 @@ class TestEscalation:
         with pytest.raises(InsufficientPrecision):
             eval_transform(coarse, PI_SQUARE)
         fine = pi_real(digits_to_bits(40))
-        got = eval_transform(fine, PI_SQUARE).frac(40)
+        got = eval_transform(fine, PI_SQUARE).frac()
         assert abs(got - mp_frac(lambda: mp.pi ** 3)) < 1e-12
 
     @pytest.mark.parametrize("k, p", [(80, 200), (80, 500), (80, 2000),
@@ -286,7 +286,7 @@ class TestEscalation:
         # inner log vanishes at 107 and 214 bits; those zero-bit claims
         # are no doubling without gain
         x = BigReal((1 << k) + 1, -k, p, False)
-        got = eval_transform(x, LOGLOG).frac(40)
+        got = eval_transform(x, LOGLOG).frac()
         want = mp_frac(lambda: mp.log10(mp.log10(1 + mpf(2) ** -k)), k + 50)
         assert abs(got - want) < 2.0 ** -40
 
@@ -342,7 +342,7 @@ class TestEscalation:
         # inner log resolves it
         x = BigReal((1 << k) + 1, -k, k + 1, True)
         assert LOGLOG._eval_at(x, 107, LOGLOG._constants(107)) is None
-        got = eval_transform(x, LOGLOG).frac(40)
+        got = eval_transform(x, LOGLOG).frac()
         want = mp_frac(lambda: mp.log10(mp.log10(1 + mpf(2) ** -k)), k + 50)
         assert abs(got - want) < 2.0 ** -40
 
@@ -1021,18 +1021,24 @@ def _true_ln(seq, n):
 _LN_SEQUENCES = ("exp_n", "factorial", "n_pow_n", "power_law:1/pi", "sqrt_n",
                  "pi_n", "primes", "power_law:0.367427", "power_law:41.635")
 
-# a double-double operand (hi, lo) of either sign over 400 binades, so
-# that no product of parts leaves the normal range: zero, hi with lo a
-# multiple of 2**-20 of ulp(hi)/2, or 0 with a lo alone, as _exp2's
-# reduced argument is where 256 y is an integer
-_DD_SIGNED = st.tuples(st.floats(2.0 ** -200, 2.0 ** 200),
-                       st.sampled_from((1.0, -1.0))).map(
-    lambda a: a[0] * a[1])
-_DD_OPERAND = st.one_of(
-    st.just((0.0, 0.0)),
-    st.tuples(_DD_SIGNED, st.integers(-2 ** 20, 2 ** 20)).map(
-        lambda a: (a[0], a[1] * 2.0 ** -21 * math.ulp(a[0]))),
-    _DD_SIGNED.map(lambda lo: (0.0, lo)))
+# an operand (hi, lo, err) of `_fma`: hi of either sign from 2**-400 to
+# 2**400 in magnitude, or 0 with a lo alone, as _exp2's reduced argument
+# is where 256 y is an integer; lo up to half an ulp of hi, or the scalar
+# 0.0 that marks an exact part; err the scalar 0.0 or 2**-k |hi + lo|
+_FMA_HI = st.tuples(st.floats(2.0 ** -400, 2.0 ** 400),
+                    st.sampled_from((1.0, -1.0))).map(lambda a: a[0] * a[1])
+_FMA_OPERAND = st.tuples(
+    st.one_of(
+        st.tuples(_FMA_HI, st.one_of(st.just(None), st.floats(-1.0, 1.0)))
+        .map(lambda a: (a[0], 0.0 if a[1] is None
+                        else a[1] * math.ulp(a[0]) / 2)),
+        _FMA_HI.map(lambda lo: (0.0, lo))),
+    st.one_of(st.just(None), st.integers(40, 110))).map(
+    lambda a: (*a[0], 0.0 if a[1] is None
+               else (abs(a[0][0]) + abs(a[0][1])) * 2.0 ** -a[1]))
+# (2**53 + 1)/3: 3 2**-55 times it, 2**-53 (1 + 2**-53), rounds to 2**-53
+# with the largest error a rounding can make, 2**-53 of its result
+_TIE = (2 ** 53 + 1) // 3
 
 # the exp2 route of the power maps on terms pi**k m**e, as a power map u
 # composes it with the form pi**c m**s: (u, s/e, c) for each k
@@ -1125,47 +1131,47 @@ class TestTermRoutes:
 
     @pytest.mark.parametrize("base", [2, 3, 7, 10, 1000, 2 ** 100 + 1])
     def test_log_pi_constant(self, base):
-        # log_b pi as the routes build it, ln pi over ln b (`_times`):
+        # log_b pi as the routes build it, ln pi times 1/ln b (`_fma`):
         # the exp2 route's pi term for b = 2
-        hi, lo, err = tr._times(*(np.array([v]) for v in tr._quick_ln_pi()),
-                                tr._quick_inv_ln(base))
+        hi, lo, err = tr._fma(tuple(np.array([v]) for v in tr._quick_ln_pi()),
+                              tr._quick_inv_ln(base))
         with mp.workprec(400):
             miss = abs(mpf(hi[0]) + mpf(lo[0]) - mp.log(mp.pi) / mp.log(base))
             assert miss <= err[0] <= 2.0 ** -104
 
-    @given(a=_DD_OPERAND, b=_DD_OPERAND)
-    @settings(max_examples=300, deadline=None)
-    def test_dd_mul_holds_at_its_inputs_extremes(self, a, b):
-        # the exact product of two double-doubles, zeros and both signs
-        # among them, lies within loss of vh + vl
-        (ah, al), (bh, bl) = a, b
-        vh, vl, loss = tr._dd_mul(*(np.array([v]) for v in (ah, al, bh, bl)))
-        want = (Fraction(ah) + Fraction(al)) * (Fraction(bh) + Fraction(bl))
-        assert abs(want - Fraction(vh[0]) - Fraction(vl[0])) \
-            <= Fraction(loss[0]) * _SLACK
-
-    @given(lh=st.one_of(st.just(0.0), st.tuples(
-               st.floats(2.0 ** -20, 40.0), st.sampled_from((1.0, -1.0))
-           ).map(lambda a: a[0] * a[1])),
-           r=st.floats(-1.0, 1.0), e=st.floats(2.0 ** -110, 2.0 ** -60),
-           s=st.one_of(st.just(0.5), st.floats(2.0 ** -12, 64.0)),
-           ch=st.floats(-3.0, 3.0), rc=st.floats(-1.0, 1.0),
-           ec=st.floats(2.0 ** -110, 2.0 ** -60))
-    @settings(max_examples=300, deadline=None)
-    def test_scale_shift_holds_at_its_inputs_extremes(self, lh, r, e, s, ch,
-                                                      rc, ec):
-        # s L + C for every L within e of lh + ll and C within ec of ch +
-        # cl: the bound must cover the four corners, exactly
-        ll, cl = r * math.ulp(lh) / 2, rc * math.ulp(ch) / 2
-        vh, vl, err = tr._scale_shift(np.array([lh]), np.array([ll]),
-                                      np.array([e]), s, (ch, cl, ec))
-        v, bound = Fraction(vh[0]) + Fraction(vl[0]), Fraction(err[0])
-        for de in (-e, e):
-            for dc in (-ec, ec):
-                want = (Fraction(s) * (Fraction(lh) + Fraction(ll)
-                                       + Fraction(de))
-                        + Fraction(ch) + Fraction(cl) + Fraction(dc))
-                assert abs(want - v) <= bound * _SLACK
+    # every rounding the bound counts made as large as it can be, a tie
+    # above a power of two: without C, low + m2 rounds 2**-53 + 2**-106
+    # down; with C, so does m1 + m2, and low + m by C's 2**-113
+    @example(a=(1.0, 3 * 2.0 ** -55, 0.0), b=(_TIE * 2.0 ** -51, 2.0 ** -106,
+                                             0.0), c=None)
+    @example(a=(1.0, 3 * 2.0 ** -55, 0.0), b=(_TIE * 2.0 ** -51, 2.0 ** -106,
+                                             0.0), c=(2.0 ** -113, 0.0, 0.0))
+    @example(a=(1.0, 0.0, 0.0), b=(1.0, 0.0, 2.0 ** -60), c=None)
+    @given(a=_FMA_OPERAND, b=_FMA_OPERAND,
+           c=st.one_of(st.none(), _FMA_OPERAND, st.just("cancel")))
+    @settings(max_examples=400, deadline=None)
+    def test_fma_holds_at_its_inputs_extremes(self, a, b, c):
+        # A B + C, or A B alone, for every A, B and C within their errors
+        # of hi + lo: the bound covers each corner, exactly; hi is passed
+        # as an array, an exact lo or err as the scalar 0.0, and C may
+        # cancel A B's leading part
+        if c == "cancel":
+            c = (-(a[0] * b[0]), a[1] * b[0], 0.0)
+        vh, vl, err = tr._fma(*(
+            (np.array([op[0]]),
+             *(v if tr._exact(v) else np.array([v]) for v in op[1:]))
+            for op in (a, b, c) if op is not None))
+        v, bound = Fraction(vh[0]) + Fraction(vl[0]), Fraction(
+            float(np.max(err)))
+        (ah, al, ea), (bh, bl, eb) = a, b
+        ch, cl, ec = c or (0.0, 0.0, 0.0)
+        for da in (-ea, ea):
+            for db in (-eb, eb):
+                for dc in (-ec, ec):
+                    want = ((Fraction(ah) + Fraction(al) + Fraction(da))
+                            * (Fraction(bh) + Fraction(bl) + Fraction(db))
+                            + Fraction(ch) + Fraction(cl) + Fraction(dc))
+                    assert abs(want - v) <= bound * _SLACK
 
     @given(yh=st.floats(2.0 ** -10, 1100.0), r=st.floats(-1.0, 1.0),
            k=st.integers(60, 110))
@@ -1220,7 +1226,7 @@ class TestTermRoutes:
                 assert route is None
             else:
                 assert route == want and x.tolist() == [2.0, 3.0]
-        # an exponent past _scale_shift's range states no ln x_n, and
+        # an exponent past _fma's range states no ln x_n, and
         # takes no route
         assert SQRT._terms_route(PowerLaw(2.0 ** -401), n) == (None, None)
         # pi_n under pi*x**2, pi**3 n**2, takes the integer phase pi_n
@@ -1239,7 +1245,7 @@ class TestTermRoutes:
         assert tr._EXP2_REMAINDER * tr._EXP2_U_MAX / (1 + 2.0 ** -9) \
             >= 2.0 ** -81
         u = np.array([tr._EXP2_U_MAX * 0.999])
-        y = tr._scale_shift(*tr.LOG2._quick(u), 1.0, (0.0, 0.0, 0.0))
+        y = tr._fma((1.0, 0.0, 0.0), tr.LOG2._quick(u))
         assert tr._exp2(*y)[2][0] > 2.0 ** -81 * 0.999
         # the leading terms up to the cut run _exp2; every term from the
         # first past it gets err 1, a later one back below the cut too
@@ -1262,7 +1268,7 @@ class TestTermRoutes:
             assert (route._quick(n)[2] == 1.0).all()
 
     def test_logs_compose_within_their_scale_range(self):
-        # a form states ln x_n for s in _scale_shift's range, and the logs
+        # a form states ln x_n for s in _fma's range, and the logs
         # compose with it there only
         n = np.arange(1, 5)
         for a, routed in ((2.0 ** -400, True), (2.0 ** 400, True),
