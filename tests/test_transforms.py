@@ -1036,6 +1036,18 @@ _FMA_OPERAND = st.tuples(
     st.one_of(st.just(None), st.integers(40, 110))).map(
     lambda a: (*a[0], 0.0 if a[1] is None
                else (abs(a[0][0]) + abs(a[0][1])) * 2.0 ** -a[1]))
+# a double-double operand (hi, lo) of either sign over 400 binades, so
+# that no product of parts leaves the normal range: zero, hi with lo a
+# multiple of 2**-20 of ulp(hi)/2, or 0 with a lo alone, as _exp2's
+# reduced argument is where 256 y is an integer
+_DD_SIGNED = st.tuples(st.floats(2.0 ** -200, 2.0 ** 200),
+                       st.sampled_from((1.0, -1.0))).map(
+    lambda a: a[0] * a[1])
+_DD_OPERAND = st.one_of(
+    st.just((0.0, 0.0)),
+    st.tuples(_DD_SIGNED, st.integers(-2 ** 20, 2 ** 20)).map(
+        lambda a: (a[0], a[1] * 2.0 ** -21 * math.ulp(a[0]))),
+    _DD_SIGNED.map(lambda lo: (0.0, lo)))
 # (2**53 + 1)/3: 3 2**-55 times it, 2**-53 (1 + 2**-53), rounds to 2**-53
 # with the largest error a rounding can make, 2**-53 of its result
 _TIE = (2 ** 53 + 1) // 3
@@ -1138,6 +1150,44 @@ class TestTermRoutes:
         with mp.workprec(400):
             miss = abs(mpf(hi[0]) + mpf(lo[0]) - mp.log(mp.pi) / mp.log(base))
             assert miss <= err[0] <= 2.0 ** -104
+
+    @given(a=_DD_OPERAND, b=_DD_OPERAND)
+    @settings(max_examples=300, deadline=None)
+    def test_dd_mul_holds_at_its_inputs_extremes(self, a, b):
+        # the exact product of two double-doubles, zeros and both signs
+        # among them, lies within `_fma`'s bound of vh + vl: A B alone,
+        # both lo parts arrays and both operands exact
+        (ah, al), (bh, bl) = a, b
+        vh, vl, loss = tr._fma((np.array([ah]), np.array([al]), 0.0),
+                               (np.array([bh]), np.array([bl]), 0.0))
+        want = (Fraction(ah) + Fraction(al)) * (Fraction(bh) + Fraction(bl))
+        assert abs(want - Fraction(vh[0]) - Fraction(vl[0])) \
+            <= Fraction(loss[0]) * _SLACK
+
+    @given(lh=st.one_of(st.just(0.0), st.tuples(
+               st.floats(2.0 ** -20, 40.0), st.sampled_from((1.0, -1.0))
+           ).map(lambda a: a[0] * a[1])),
+           r=st.floats(-1.0, 1.0), e=st.floats(2.0 ** -110, 2.0 ** -60),
+           s=st.one_of(st.just(0.5), st.floats(2.0 ** -12, 64.0)),
+           ch=st.floats(-3.0, 3.0), rc=st.floats(-1.0, 1.0),
+           ec=st.floats(2.0 ** -110, 2.0 ** -60))
+    @settings(max_examples=300, deadline=None)
+    def test_scale_shift_holds_at_its_inputs_extremes(self, lh, r, e, s, ch,
+                                                      rc, ec):
+        # s L + C, as `_fma` forms it for an exact scalar s and a scalar
+        # constant C, for every L within e of lh + ll and C within ec of
+        # ch + cl: the bound must cover the four corners, exactly
+        ll, cl = r * math.ulp(lh) / 2, rc * math.ulp(ch) / 2
+        vh, vl, err = tr._fma((s, 0.0, 0.0),
+                              (np.array([lh]), np.array([ll]), np.array([e])),
+                              (ch, cl, ec))
+        v, bound = Fraction(vh[0]) + Fraction(vl[0]), Fraction(err[0])
+        for de in (-e, e):
+            for dc in (-ec, ec):
+                want = (Fraction(s) * (Fraction(lh) + Fraction(ll)
+                                       + Fraction(de))
+                        + Fraction(ch) + Fraction(cl) + Fraction(dc))
+                assert abs(want - v) <= bound * _SLACK
 
     # every rounding the bound counts made as large as it can be, a tie
     # above a power of two: without C, low + m2 rounds 2**-53 + 2**-106
