@@ -18,6 +18,12 @@ from .report import FORMATS, emit
 from .transforms import Transform
 
 
+# each line break str.splitlines splits on, escaped as repr writes it, so
+# that every refusal is one line, even where it names a path or file stem
+_BREAKS = {ord(c): repr(c)[1:-1]
+           for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage; the contract reserves 2 for
     # numerical failures, so route usage problems through exit 1 instead
@@ -168,7 +174,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
         text = emit(args.run(args), args.format)
     except UBenfordError as exc:
-        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        print(f"{exc.prefix}: {str(exc).translate(_BREAKS)}", file=sys.stderr)
         return exc.exit_code
     except SystemExit as exc:  # --help
         return int(exc.code or 0)

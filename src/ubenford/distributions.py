@@ -25,6 +25,7 @@ from .errors import InvalidParameter, count, real, string
 from .special import erf, erfc, normal_cdf, normal_sf, probit
 
 _LN10 = math.log(10.0)
+_LN10_40 = "2.302585092994045684017991454684364207601"  # ln 10, 40 digits
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -246,13 +247,22 @@ class LognormalBase10(Distribution):
         # wherever x lies, so the log10 scale keeps its exact 1/scale
         power = _pow(xs, -c) if c == 0.0 or _normal(xs) else 0.0
         value = power * math.exp(gauss_ln) / scale
-        lg_value = -c * lg + gauss_ln / _LN10 - math.log10(scale)
+
+        def lg_value():
+            # its log10, whose terms can cancel from 1e4 down to 308: summed
+            # exactly and rounded once, kept within +-400 (no double)
+            from fractions import Fraction as F  # not with the package
+            lg = (F(c) * F(self.sigma)) ** 2 * F(_LN10_40) / 2 \
+                - F(c) * F(self.mu) - F(math.log10(self.sigma)) \
+                - F(math.log10(_LN10 * _SQRT_2PI))
+            return float(min(max(lg, -400), 400))
+
         if not (_normal(power) and gauss_ln >= _LN_DOUBLE_MIN
                 and _normal(value)):
-            value = _pow(10.0, lg_value)
+            value = _pow(10.0, lg_value())
         value *= factor
         if not _normal(value):
-            value = _pow(10.0, lg_value + math.log10(factor))
+            value = _pow(10.0, lg_value() + math.log10(factor))
         return value
 
 

@@ -35,15 +35,17 @@ integer route (`Power._scaled`) takes what the power maps with an inexact
 result (q = 2, or c = pi) leave, at any size: A = floor(u * 2**120) in
 Python ints, exact but for pi's few units (`_pi_power_floor`). A double
 is handed out only where its u, widened by its route's error and by the
-fewest bits the certifier's own evaluator claims (`_quick_width`), lies
-inside one 2**-80 cell of {u}; the policy certifies at most 80 bits,
-and certify could double the x's first precision within the cap. The
-double is then the one certify would return (`_cell_doubles`). Every
-other value falls back to the certifier: one outside both routes
-(nonpositive or subnormal for Log, LogLog, the identity and x**p
-without pi everywhere), an exact power of the base, and any u near a
-cell edge or, for Log, an integer. Below 2**-80 the integer route needs
-no lower margin: its maps' certified results are never negative.
+certifier's width, 2**-b for the fewest bits b certify's first
+evaluation claims at the ends of what a route takes (`_Certifier._width`,
+one rule for doubles and terms), lies inside one 2**-80 cell of {u}; the
+policy certifies at most 80 bits, and certify could double an end's
+first precision within the cap. The double is then the one certify
+would return (`_cell_doubles`). Every other value falls back to the
+certifier: one outside both routes (nonpositive or subnormal for Log,
+LogLog, the identity and x**p without pi everywhere), an exact power of
+the base, and any u near a cell edge or, for Log, an integer. Below
+2**-80 the integer route needs no lower margin: its maps' certified
+results are never negative.
 
 A sequence's terms (frac_sample) go through _Certifier.terms, the same
 two phases over blocks of _QUICK_BLOCK indices (`_terms_route`). Every
@@ -56,14 +58,14 @@ whose u is always an integer, takes none. Every other sequence and
 transform takes the one route on the indices (`_OnTerms`): `_from_ln`
 on the ln x_n; or under pi*x**p, where the sequence states it
 (`Sequence._pi_power_floors`: pi_n, and n! as a running product),
-floor(u 2**120) in ints. Its width is the fewest bits the per-term
-route claims on the terms whose route error leaves room in a cell
-(`_term_width`). Per term: e**n and n**n under the power maps but their
-first few terms, n! under sqrt and below 16 under the logs, and the
-steep power laws under pi*x**2, past the cut. A root of an exact
-integer past every double (n!, n**n) first meets a residue filter
-(`_no_square`), and is taken at the fractional bits its working
-precision sizes (`Power._eval_at`).
+floor(u 2**120) in ints. Its width is `_width` on the terms whose
+route error leaves room in a cell, at the ends of each run of them
+generated at the same bits (`_term_width`). Per term: e**n and n**n
+under the power maps but their first few terms, n! under sqrt and below
+16 under the logs, and the steep power laws under pi*x**2, past the
+cut. A root of an exact integer past every double (n!, n**n) first
+meets a residue filter (`_no_square`), and is taken at the fractional
+bits its working precision sizes (`Power._eval_at`).
 """
 
 import bisect
@@ -619,15 +621,16 @@ class Transform:
     (bounds.mod1_law) and LogLog's ceiling read. Certified side, for the
     certifier: `_check_domain`, `_try_exact` (exact result or None),
     `_constants` (what `_eval_at` needs at one working precision, taken
-    once per w), `_fewest_claim` (which sizes the quick routes' width),
-    `_from_ln` (u from ln x, both in double-double with a bound, for the
-    quick phase), `_terms_route` (the quick route on a sequence's terms),
-    `_eval_at` (u(x) floor-accurate at scale 2**-w from those constants,
-    certified bits as precision; it never raises, a value it cannot vouch
-    for gets a short claim, and LogLog's, at a vanished inner log, None) and
-    `_result_bits_estimate` (integer bits of u for an input of `int_bits`
-    integer bits), which start_bits turns into the first working
-    precision and the precision a sequence term is generated at.
+    once per w), `_from_ln` (u from ln x, both in double-double with a
+    bound, for the quick phase), `_terms_route` (the quick route on a
+    sequence's terms), `_eval_at` (u(x) floor-accurate at scale 2**-w
+    from those constants, certified bits as precision; it never raises,
+    a value it cannot vouch for gets a short claim, and LogLog's, at a
+    vanished inner log, None) and `_result_bits_estimate` (integer bits
+    of u for an input of `int_bits` integer bits), which start_bits turns
+    into the first working precision and the precision a sequence term is
+    generated at. The quick routes' width (`_Certifier._width`) is
+    `_eval_at`'s fewest claim at the ends of what a route takes.
     """
 
     kind = None
@@ -643,23 +646,6 @@ class Transform:
         """u(x) = uh + ul in double-double and err >= |uh + ul - u(x)|,
         for an array of doubles in _quick_range: `_from_ln` of `_ln`."""
         return self._from_ln(*_ln(x))
-
-    def _fewest_claim(self, a):
-        """The fewest fractional bits `_eval_at` claims, at its first
-        working precision for `a` agreement bits, for a double a quick
-        route takes; None without a quick route. Power overrides it; for
-        the logs the error count grows with |k| and |u|, the input's
-        binary exponent and its image, and the first precision is one
-        for every double, so the claim is fewest at a range end."""
-        if self._quick_range is None:
-            return None
-        claims = []
-        for v in self._quick_range:
-            x = BigReal.from_float(v)
-            w = start_bits(self, x.integer_bits(), a)
-            r = self._eval_at(x, w, self._constants(w))
-            claims.append(r.precision - r.integer_bits())
-        return min(claims)
 
     def _terms_route(self, sequence, n):
         """(route, inputs): the quick route of u on the terms x_n of a
@@ -979,18 +965,6 @@ class Power(Transform):
     def _result_bits_estimate(self, int_bits):
         return self.p * int_bits // self.q + (self.q == 2) + 2 * self.pi
 
-    def _fewest_claim(self, a):
-        """_GUARD_BITS + a, for every double, where the integer route runs.
-        A double is m * 2**e with e <= 0 (an integer-valued one has e =
-        0), and certify starts at w >= est + _GUARD_BITS + a, est =
-        _result_bits_estimate(ib) for x's ib integer bits. So the root's
-        exponent, half x**p's, is <= 0 and the root claims w - 1 >= est -
-        1 + _GUARD_BITS + a, with est >= 1; pi*x**p claims w - p*ib - 1 >=
-        _GUARD_BITS + a + 1, est being p*ib + 2. An exact input's own
-        limit, 10**9 bits, never binds below the cap.
-        """
-        return _GUARD_BITS + a if self._integer_route else None
-
     def _on_terms(self, s, c):
         """The power map of m that u composes into on terms pi**c m**s,
         which u maps to pi**k m**e, e = s p/q and k = pi + c p/q: Power(P,
@@ -1299,81 +1273,88 @@ class _Certifier:
             range(1025), self.cap,
             key=lambda b: 2 * start_bits(self.transform, b, self.a)) - 1
 
-    @functools.cached_property
-    def _quick_width(self):
-        """2**-b, b the transform's `_fewest_claim`, or None where the quick
-        routes hand nothing out: more than 80 agreement bits, no quick
-        route, or a claim short of the agreement bits, which would make
-        certify escalate.
+    def _width(self, xs):
+        """2**-b, b the fewest fractional bits certify's first evaluation
+        (start_bits of the input's integer bits, then `_eval`) claims on
+        the BigReal inputs xs, or None where a quick route must hand
+        nothing out: past 80 agreement bits, for an input whose first
+        precision doubled, as a near-integer result makes certify do,
+        would pass the cap, or for a claim short of the agreement bits
+        (none, LogLog's at a vanished inner log, counts as -1).
+
+        xs are the ends of what a route takes, where every map claims
+        fewest. A claim is min(f, g): g, the input's limit, is its
+        significant bits less the image's integer bits (10**9 for an exact
+        input, a double among them); f, the evaluator's own, moves one way
+        with x. A log's f is w less the bits of an error count that grows
+        with |k| and |u|, the input's binary exponent and its image, on
+        both sides of 1, at one w. On an exact input below 2**1024 a power
+        map's f is w - 1 (q = 2; a double's exponent is <= 0, and so the
+        root's), w (x**p) or w - p ib - 1 (c = pi), w = start_bits of the
+        input's ib integer bits: the first rises with x, the last falls to
+        _GUARD_BITS + a + 1 and stays. On a sequence's terms the same holds
+        on each run of n that share their bits, where g falls with n.
 
         A claim only grows with the working precision, so every result
-        certify accepts for a double the routes take lies within this
+        certify accepts for an input the route takes lies within this
         width of u(x). Each route adds its own error on top: err for the
-        double-double route, A's units for the integer route (`_scaled`).
-        """
+        double-double route, A's units for the integer route (`_scaled`)."""
         if self.a > _FRAC_OUT_BITS:
             return None
-        claim = self.transform._fewest_claim(self.a)
-        return None if claim is None or claim < self.a else 2.0 ** -claim
+        claims = []
+        for x in xs:
+            w = self.start_bits(x.integer_bits())
+            if 2 * w > self.cap:
+                return None
+            r = self._eval(x, w)
+            claims.append(-1 if r is None else r.precision - r.integer_bits())
+        claim = min(claims)
+        return None if claim < self.a else 2.0 ** -claim
+
+    @functools.cached_property
+    def _quick_width(self):
+        """`_width` at the ends of the doubles the quick routes take, None
+        without a route: 0.0 and the largest double of `_quick_int_bits`
+        integer bits under the integer route, which takes every double its
+        double-double phase does, else those of `_quick_range`."""
+        t = self.transform
+        ends = (0.0, math.ldexp(_ONE_MINUS, self._quick_int_bits)) \
+            if t._integer_route else t._quick_range
+        return None if ends is None else \
+            self._width(map(BigReal.from_float, ends))
 
     def _term_width(self, sequence, n):
-        """`_quick_width` for the terms x_n of a sequence whose terms grow
-        with n, n an ascending array of indices: 2**-b, b the fewest
-        fractional bits the per-term route's first evaluation claims on
-        them, or None where a route must hand none out (more than 80
-        agreement bits, a claim short of them or none at all, or a term
-        whose bits, or twice its first working precision, pass the cap). A
-        claim past _GUARD_BITS + 80 bits counts as that many, the most
-        `_quick_width` claims, which keeps the integer route's margins
-        multiples of 2**-10.
-
-        Each x_n is generated at the start_bits of its estimated integer
-        bits. One that comes out exact where the form (s, c) also gives
-        inexact terms (c = 1, or s no integer) is evaluated as an inexact
-        term at those bits, as its neighbours are: an exact term claims
-        no fewer bits. Without a form the terms a route takes are all
-        exact (n!, n**n) or all inexact (e**n, and n**(1/pi) past its
-        term 1, which no route takes). The claim is taken at both ends of
-        each run of n that share those bits (a step), which is where it
-        is fewest. In a step every claim is min(f, g): g, the input's
-        limit, is the constant bits less the image's integer bits, which
-        grow with n; f, the evaluator's own, moves one way with n: for a
-        power map f is w - 1 (q = 2, on terms below 2**1024), w (x**p) or
-        w less p times the term's integer bits (c = pi), w = start_bits
-        of those bits, and for a log w less the
-        bits of an error count that grows with the term's binary exponent
-        and its image, at a w the same for every term. The ends of a step
-        can differ from those of the block: the root of an inexact term
-        claims its bits less the root's integer bits, which step up at
-        other n than the bits do.
-        """
-        if self.a > _FRAC_OUT_BITS:
-            return None
+        """`_width` on the terms x_n of a sequence whose terms grow with n,
+        n an ascending array of indices, at both ends of each run of n
+        generated at the same bits (a step); None where a term's bits
+        pass the cap. An x_n that comes out exact where the form (s, c)
+        also gives inexact terms (c = 1, or s no integer) is taken as an
+        inexact term at those bits, as its neighbours are: an exact term
+        claims no fewer bits. Without a form the terms a route takes are
+        all exact (n!, n**n) or all inexact (e**n, and n**(1/pi) past its
+        term 1, which no route takes). The ends of a step can differ from
+        those of the block: the root of an inexact term claims its bits
+        less the root's integer bits, which step up at other n than the
+        bits do."""
         s, c = sequence.form or (1.0, 0)
         n = n.tolist()
 
         def bits(k):
             return self.start_bits(sequence.int_bits_estimate(k))
 
+        def term(k):
+            x = sequence.nth_term(k, bits(k))
+            return BigReal(x.mantissa, x.exponent, bits(k), False) \
+                if x.exact and (c or not s.is_integer()) else x
+
+        if bits(n[-1]) > self.cap:
+            return None
         ends, i = [], 0
         while i < len(n):
             j = bisect.bisect_right(n, bits(n[i]), lo=i, key=bits)
             ends += (n[i], n[j - 1])
             i = j
-        claims = []
-        for k in dict.fromkeys(ends):
-            b = bits(k)
-            x = sequence.nth_term(k, b)
-            w = self.start_bits(x.integer_bits())
-            if max(b, 2 * w) > self.cap:
-                return None
-            if x.exact and (c or not s.is_integer()):
-                x = BigReal(x.mantissa, x.exponent, b, False)
-            r = self._eval(x, w)
-            claims.append(-1 if r is None else r.precision - r.integer_bits())
-        claim = min(claims)
-        return None if claim < self.a else \
-            2.0 ** -min(claim, _GUARD_BITS + _FRAC_OUT_BITS)
+        return self._width(map(term, dict.fromkeys(ends)))
 
     def _hand_out(self, x, out):
         """The quick routes on one block of doubles: write into `out` each
@@ -1485,8 +1466,8 @@ class _Certifier:
         two 40-bit halves hi and lo pass as the exact doubles hi 2**40 and
         lo. In cell 0 the lower margin goes: the route's maps take x >= 0,
         so a certified result there is never negative. pos, an integer
-        below 2**40, and the margins, multiples of 2**-10 while a <= 80,
-        add exactly in doubles.
+        below 2**40, and the margins add exactly in doubles: W counts as
+        at least 2**-10, a wider width and so a safe one.
         """
         a = t._scaled(x)
         cell = a >> _ROUTE_GUARD
@@ -1494,7 +1475,8 @@ class _Certifier:
         first = cell == 0
 
         def inside(width):
-            margin = width * 2.0 ** _ROUTE_BITS + 1.0
+            margin = max(width, 2.0 ** -(_ROUTE_BITS + 10)) \
+                * 2.0 ** _ROUTE_BITS + 1.0
             return ((pos >= margin) | first) \
                 & (pos + margin + 1.0 <= 2.0 ** _ROUTE_GUARD)
 

@@ -306,6 +306,25 @@ def test_analyze_with_no_value_in_the_domain_exits_one(capsys, tmp_path):
                    "domain)\n")
 
 
+@pytest.mark.parametrize("name, text, argv, message", [
+    # a path that does not exist, a column that never parses, and a file
+    # stem in EmptySample's message
+    ("no\nsuch.csv", None, ("--column", "2"), "cannot read "),
+    ("x\ny.csv", "name\nabc\ndef\n", (), "never parses as a number"),
+    ("s\nt.csv", "0.5\n0.7\n", ("--transform", "loglog"),
+     "error: s\\nt: no value lies in the domain of loglog"),
+])
+def test_refusal_naming_a_line_break_is_one_line(capsys, tmp_path, name,
+                                                 text, argv, message):
+    path = tmp_path / name
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "analyze", str(path), *argv)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.endswith("\n")
+    assert message in err and "\\n" in err
+
+
 @pytest.mark.parametrize("k", ["1e-5", "1e-160", "1e-200", "1e-320"])
 def test_pdelta_uniform_tiny_k_reads_one(capsys, k):
     # pi*k**2 < delta puts all the mass in cell 0; the series read 0

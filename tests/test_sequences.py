@@ -612,7 +612,7 @@ def test_term_width_is_the_fewest_claim_of_the_block(policy, name,
     for lo in (1, 1025):
         n = np.arange(lo, lo + 1024)
         claim = min(_first_claim(certifier, seq, k) for k in n.tolist())
-        assert certifier._term_width(seq, n) == 2.0 ** -min(claim, 130)
+        assert certifier._term_width(seq, n) == 2.0 ** -claim
 
 
 # cells without exclusions, so term n sits at index n - 1

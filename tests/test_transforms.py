@@ -915,16 +915,28 @@ class TestQuickPhase:
             assert got[-1] == got[-2] == math.nextafter(1.0, 0.0)
         assert tr._cell_doubles(np.zeros(0), np.zeros(0)).shape == (0,)
 
-    @pytest.mark.parametrize("t", ROUTED, ids=lambda t: t.label())
-    def test_fewest_claim_holds(self, t):
-        # every double's first working precision claims at least the
-        # bits _fewest_claim promises, and the width rests on them
-        a = digits_to_bits(DEFAULT_POLICY.agreement)
-        for x in _whole_range(17)[::4].tolist():
+    @pytest.mark.parametrize("agreement", [12, 24], ids=["a40", "a80"])
+    @pytest.mark.parametrize("t", dict.fromkeys(QUICK + ROUTED),
+                             ids=lambda t: t.label())
+    def test_width_holds_on_every_double_a_route_takes(self, t, agreement):
+        # certify's first evaluation of every double a route takes claims
+        # at least the bits the width rests on; taken at one end alone the
+        # width would promise too many: pi*x**2 claims fewest at the top
+        # of the integer route, sqrt at 0.0
+        certifier = tr._Certifier(t, PrecisionPolicy(agreement))
+        xs = _whole_range(17)
+        taken = np.zeros(xs.size, dtype=bool)
+        if t._quick_range is not None:
+            lo, hi = t._quick_range
+            taken |= (xs >= lo) & (xs <= hi)
+        if t._integer_route:
+            taken |= np.frexp(xs)[1] <= certifier._quick_int_bits
+            xs, taken = np.append(xs, 0.0), np.append(taken, True)
+        bits = -math.log2(certifier._quick_width)
+        for x in xs[taken].tolist():
             b = BigReal.from_float(x)
-            w = start_bits(t, b.integer_bits(), a)
-            r = t._eval_at(b, w, t._constants(w))
-            assert r.precision - r.integer_bits() >= t._fewest_claim(a)
+            r = certifier._eval(b, certifier.start_bits(b.integer_bits()))
+            assert r.precision - r.integer_bits() >= bits, x
 
     def test_few_doubles_reach_the_certifier(self):
         # under 1% of 26,000 doubles over +-300 decades, where the

@@ -13,7 +13,7 @@ both sides of it confirm it is a maximum.
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
@@ -168,5 +168,8 @@ FAMILIES = st.one_of(
 
 @settings(max_examples=600, deadline=None)
 @given(FAMILIES, st.sampled_from(TRANSFORMS))
+# the log10 form's terms near 1e4 cancel down to 308: 3.0e-12 off when
+# summed in doubles
+@example(LognormalBase10(20400.0, 10.0 ** 2.28125), SQRT)
 def test_sup_ratio_whole_range(d, t):
     check_sup(d, t)
