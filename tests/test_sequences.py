@@ -423,6 +423,17 @@ PINNED_CELLS = [
     ("power_law:0.613197", IDENTITY, 10000, False,
      "84e4e6c9aa7eb559ea1c830251e3735d65d0129d30e42370e2537adbe0e132f4",
      0, 10000),
+    # recorded while the steep power laws under pi*x**2 took the per-term
+    # route only and the sub-linear ones the exp2 route alone
+    ("power_law:55.6231", PI_SQUARE, 1000, False,
+     "bd3beab7ab597e07e84b0fee4e6a8e19ec3755de6f2a3a265256de02f98ff732",
+     0, 1000),
+    ("power_law:23.1317", PI_SQUARE, 1000, False,
+     "78564701049d14e5eaa93f58329c644048d09a9029d2d2ace23b3317ba9db840",
+     0, 1000),
+    ("power_law:0.367427", PI_SQUARE, 10000, False,
+     "d3944626ec425911485d23a081f6fda74c20dbb6b5bbf3ef0d8f25586f5eca1c",
+     0, 10000),
 ]
 
 
