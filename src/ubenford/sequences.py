@@ -13,13 +13,14 @@ of them: its ln x_n (`_ln_terms`; n for e**n, n ln n for n**n,
 Stirling's series for n! from n = 16 on, ln n / pi for n**(1/pi), s ln
 m_n + c ln pi for a `form` pi**c m_n**s), from which each transform takes
 u by its own step (`Transform._from_ln`), and under pi*x**p the integer
-phase that pi_n and n! state (`_pi_power_floors`). A power map that sends a
-form's terms to a power map of m_n takes that map's route on m_n
-instead. Every other term (e**n and n**n under the power maps but their
-first few, n! under sqrt and below 16 under the logs, the steep power
-laws under pi*x**2, and the few a block's quick routes cannot vouch for)
-is generated, and regenerated at doubled bits while the transform
-refuses its fractional part, up to the precision cap.
+phase that pi_n, n! and the power laws state (`_pi_power_floors`). A
+power map that sends a form's terms to a power map of m_n takes that
+map's route on m_n instead. Every other term (e**n and n**n under the
+power maps but their first few, n! under sqrt and below 16 under the
+logs, a steep power law's terms under pi*x**2 in runs of one or two at
+the same bits, and the few a block's quick routes cannot vouch for) is
+generated, and regenerated at doubled bits while the transform refuses
+its fractional part, up to the precision cap.
 """
 
 import functools
@@ -38,6 +39,7 @@ from .transforms import _CAP_DIGITS, _DD_BITS, _HALF_ULP, _ROUTE_BITS, \
     _pi_power_floor, _quick_inv_pi, _quick_ln_pi, _two_prod
 
 _LOG2_E_FIXED64 = 26613026195688644984  # ceil(log2(e) * 2**64)
+_LOG2_PI = math.log2(math.pi)
 # a power law builds n**(p/q) exactly while p bit_length(n) / q stays
 # within the cap's bits; past them its exp route certifies
 _EXACT_MAX_BITS = digits_to_bits(_CAP_DIGITS)
@@ -76,6 +78,27 @@ def nth_prime(n):
     return _PRIMES[n - 1]
 
 
+def _prime_factors(n):
+    """The prime factors of each index of an ascending int64 array n >= 1,
+    with multiplicity and ascending, as lists: trial division of the
+    whole array by each prime up to isqrt of its largest; what is left
+    above 1 is one more prime."""
+    rem = n.copy()
+    out = [[] for _ in range(n.size)]
+    top, i = isqrt(int(n[-1])), 1
+    while (q := nth_prime(i)) <= top:
+        hit = np.flatnonzero(rem % q == 0)
+        while hit.size:
+            for k in hit.tolist():
+                out[k].append(q)
+            rem[hit] //= q
+            hit = hit[rem[hit] % q == 0]
+        i += 1
+    for k in np.flatnonzero(rem > 1).tolist():
+        out[k].append(int(rem[k]))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # sequences
 
@@ -100,13 +123,18 @@ class Sequence:
       no such form holds. It gives ln x_n = s ln m_n + c ln pi, and a
       power map reads it to compose with a power map of m_n.
     - `_pi_power_floors(p)`, the integer phase of pi*x**p on the terms,
-      where the sequence states one: pi**(p + 1) n**p for pi_n, and a
-      running product for n!.
+      where the sequence states one: pi**(p + 1) n**p for pi_n, a
+      running product for n!, and for a power law n**alpha, alpha = a/b,
+      n**(p alpha) from the prime factors of n, one ln and one exp per
+      prime and one product per composite. `_dear_floors` marks the
+      last: its exp2 phase runs first, and the floors take only what
+      that leaves, in runs that pay for their width.
     """
 
     name = "?"
     form = None
     _ln_range = None
+    _dear_floors = False
 
     def _bases(self, n):
         """m_n as doubles, for an ascending int64 array of indices n."""
@@ -311,6 +339,8 @@ class NPowN(Sequence):
 class PowerLaw(Sequence):
     """n**alpha. alpha is "1/pi" or a positive float expanded exactly."""
 
+    _dear_floors = True
+
     def __init__(self, alpha):
         if isinstance(alpha, str) and alpha.strip() == "1/pi":
             self._inv_pi = True
@@ -336,6 +366,83 @@ class PowerLaw(Sequence):
         if self._inv_pi:
             return _fma(_ln(n), _quick_inv_pi())
         return super()._ln_terms(n)
+
+    def _pi_power_floors(self, p):
+        """pi n**(p alpha) 2**_ROUTE_BITS from the prime factors q of n,
+        alpha = a/b exact; None for n**(1/pi). Over a block of indices n,
+        of largest u_max = pi n_max**(p alpha) < 2**big, all at G bits:
+        - each prime q: y_q = q**(p alpha) as exp_fixed(floor(L p a / b),
+          G) = (M, k), y_q within M 2**(k - G), L = ln_int_fixed(q, G);
+        - each composite n = q c, q its smallest prime factor: y_n =
+          y_q y_c as floor(M_q M_c / 2**G) at the exponent k_q + k_c, and
+          halved once more where that reaches 2**(G + 1); so M >= 2**G;
+        - A_n = floor(pi_fixed(G) M_n 2**(k_n - 2G + _ROUTE_BITS)).
+
+        Relative errors, in units of 2**-G: L is within bit_length(q) + 2
+        ulp of ln q 2**G, so p a L / b, floored, is within d_q = p alpha
+        (bit_length(q) + 2) + 1 of p alpha ln q 2**G, which moves e**x by
+        d_q (1 + 2**-50); exp_fixed's mantissa is within 1 + 2**-10 ulp of
+        its e**x (its (g/h + 3) 2**-21 below 2**-10 up to a million
+        bits), and M >= 2**G; each product floors once, below one unit as
+        M >= 2**G. n has Omega(n) <= log2 n prime factors and takes
+        Omega(n) - 1 products, so c_q = ceil(p alpha (bit_length(q) + 2))
+        + 3 per factor, K_n = the sum of the c_q over them, counts every
+        unit but 2**-10 a factor, and one product's unit to spare covers
+        those and pi_fixed's 2 units at pi 2**G (below 0.64; K = 1 for n =
+        1, pi alone). The errors compound as a product of at most 2 Omega
+        + 1 factors, each within K 2**-G <= 2**-121, so |A'/V - 1| <= K
+        2**-G (1 + 2**-100) for A' the shifted product before its floor
+        and V = pi x_n**p 2**_ROUTE_BITS < 2**(big + _ROUTE_BITS). With K
+        the largest K_n and G = big + _ROUTE_BITS + bit_length(K), |A' -
+        V| < K 2**-bit_length(K) < 1, and A_n = floor(A') leaves V in (A_n
+        - 1, A_n + 2). big is the float bound floor((p alpha log2 n_max +
+        log2 pi)(1 + 2**-40)) + 1, whose few roundings the factor covers.
+
+        Each prime costs one ln and one exp, each composite one product;
+        the values y_c are kept only for c <= n_max / 2, the cofactors a
+        larger n can still need, and go with the block.
+        """
+        if self._inv_pi:
+            return None
+        a, b = self._ratio
+        a *= p  # p alpha = a / b
+
+        def floors(n):
+            factors = _prime_factors(n)
+            k = max(1, max(sum(-(-a * (q.bit_length() + 2) // b) + 3
+                               for q in f) for f in factors))
+            top = int(n[-1])
+            big = int((a / b * math.log2(top) + _LOG2_PI)
+                      * (1 + 2.0 ** -40)) + 1
+            g = big + _ROUTE_BITS + k.bit_length()
+            ln2, pi, half = ln2_fixed(g), pi_fixed(g), top // 2
+            y = {}
+
+            def prime(q):
+                return exp_fixed(ln_int_fixed(q, g, ln2) * a // b, g)
+
+            out = np.empty(n.size, dtype=object)
+            for i, f in enumerate(factors):
+                c, v = 1, (1 << g, 0)
+                for q in reversed(f):
+                    c *= q
+                    w = y.get(c)
+                    if w is None:
+                        if c == q:
+                            w = prime(q)
+                        else:
+                            yq = y.get(q)
+                            if yq is None:
+                                yq = y[q] = prime(q)
+                            m = yq[0] * v[0] >> g
+                            w = (m >> 1, yq[1] + v[1] + 1) if m >> g + 1 \
+                                else (m, yq[1] + v[1])
+                        if c <= half:
+                            y[c] = w
+                    v = w
+                out[i] = pi * v[0] >> 2 * g - _ROUTE_BITS - v[1]
+            return out
+        return floors
 
     def nth_term(self, n, bits):
         if n == 1:

@@ -57,15 +57,19 @@ route takes that route on m (`Power._on_terms`); an exact map of m,
 whose u is always an integer, takes none. Every other sequence and
 transform takes the one route on the indices (`_OnTerms`): `_from_ln`
 on the ln x_n; or under pi*x**p, where the sequence states it
-(`Sequence._pi_power_floors`: pi_n, and n! as a running product),
-floor(u 2**120) in ints. Its width is `_width` on the terms whose
-route error leaves room in a cell, at the ends of each run of them
-generated at the same bits (`_term_width`). Per term: e**n and n**n
+(`Sequence._pi_power_floors`), floor(u 2**120) in ints. For pi_n and n!
+(a running product) the floors take every term; a power law's cost an
+exp per prime factor of n, so its exp2 phase runs first, up to the cut,
+and its floors take what that leaves in runs of terms generated at the
+same bits that pay for their width (`_Certifier._floored`). Its width is
+`_width` on the terms whose route error leaves room in a cell, at the
+ends of each such run of them (`_term_width`). Per term: e**n and n**n
 under the power maps but their first few terms, n! under sqrt and below
-16 under the logs, and the steep power laws under pi*x**2, past the
-cut. A root of an exact integer past every double (n!, n**n) first
-meets a residue filter (`_no_square`), and is taken at the fractional
-bits its working precision sizes (`Power._eval_at`).
+16 under the logs, the steep power laws' terms under pi*x**2 in runs of
+one or two, and n**(1/pi) under pi*x**2 past the cut. A root of an
+exact integer past every double (n!, n**n) first meets a residue filter
+(`_no_square`), and is taken at the fractional bits its working
+precision sizes (`Power._eval_at`).
 """
 
 import bisect
@@ -638,6 +642,7 @@ class Transform:
     pi = False  # c = pi, a power map's factor
     _quick_range = None  # no double-double phase
     _integer_route = False  # no integer route (Power._scaled)
+    _dear_floors = False  # no integer route on terms that costs an exp
 
     def _constants(self, w):
         return None
@@ -824,8 +829,12 @@ class _OnTerms:
     `_from_ln` on the ln x_n it states (`Sequence._ln_terms`).
     Integer phase under pi*x**p, where the sequence states one
     (`Sequence._pi_power_floors`): A_n = floor(u 2**_ROUTE_BITS) in ints,
-    at any size. It takes every term alone: A is within 3 units of
-    2**-120, far inside any err of the other phase, and is the faster.
+    at any size. For pi_n and n! it takes every term alone: A is within 3
+    units of 2**-120, far inside any err of the other phase, and is the
+    faster. A power law's floors cost an exp per prime factor
+    (`_dear_floors`), so there the exp2 phase runs first, on the terms
+    up to _EXP2_U_MAX, and the floors take only what it leaves, in runs
+    that pay for their width (`_Certifier._floored`).
     """
 
     u: Transform
@@ -833,12 +842,17 @@ class _OnTerms:
 
     @property
     def _quick_range(self):
-        return None if self._integer_route else self.sequence._ln_range
+        return None if self._integer_route and not self._dear_floors \
+            else self.sequence._ln_range
 
     @property
     def _integer_route(self):
         return self.u.pi and \
             self.sequence._pi_power_floors(self.u.p) is not None
+
+    @property
+    def _dear_floors(self):
+        return self._integer_route and self.sequence._dear_floors
 
     def _quick(self, n):
         return self.u._from_ln(*self.sequence._ln_terms(n))
@@ -1253,7 +1267,7 @@ class _Certifier:
         regenerated at doubled bits while the transform refuses it.
         PrecisionCapExceeded is raised before a term would be generated
         past the cap."""
-        bits = self.start_bits(sequence.int_bits_estimate(n))
+        bits = self._term_bits(sequence, n)
         while True:
             if bits > self.cap:
                 self.check_cap(bits, f"term {n} of {sequence.name} under "
@@ -1339,22 +1353,55 @@ class _Certifier:
         s, c = sequence.form or (1.0, 0)
         n = n.tolist()
 
-        def bits(k):
-            return self.start_bits(sequence.int_bits_estimate(k))
-
         def term(k):
-            x = sequence.nth_term(k, bits(k))
-            return BigReal(x.mantissa, x.exponent, bits(k), False) \
+            bits = self._term_bits(sequence, k)
+            x = sequence.nth_term(k, bits)
+            return BigReal(x.mantissa, x.exponent, bits, False) \
                 if x.exact and (c or not s.is_integer()) else x
 
-        if bits(n[-1]) > self.cap:
+        if self._term_bits(sequence, n[-1]) > self.cap:
             return None
-        ends, i = [], 0
-        while i < len(n):
-            j = bisect.bisect_right(n, bits(n[i]), lo=i, key=bits)
+        ends = []
+        for i, j, _ in self._steps(sequence, n):
             ends += (n[i], n[j - 1])
-            i = j
         return self._width(map(term, dict.fromkeys(ends)))
+
+    def _term_bits(self, sequence, n):
+        """The bits term n is generated at first: start_bits of its
+        estimated integer bits."""
+        return self.start_bits(sequence.int_bits_estimate(n))
+
+    def _steps(self, sequence, n):
+        """The runs of an ascending list of indices n whose terms are
+        generated at the same bits, as (i, j, bits) for the run n[i:j];
+        the terms grow with n, and so do their bits."""
+        i = 0
+        while i < len(n):
+            bits = self._term_bits(sequence, n[i])
+            j = bisect.bisect_right(n, bits, lo=i, key=functools.partial(
+                self._term_bits, sequence))
+            yield i, j, bits
+            i = j
+
+    def _floored(self, sequence, n, left):
+        """The mask of the indices n, of those in the mask `left`, that a
+        dear integer phase (`_dear_floors`) takes: those of each run of n
+        generated at the same bits that holds at least three of them, and
+        at least half its n, and whose bits doubled stay within the cap.
+        The floors cost an exp per prime, which the terms of a dense run
+        share and a few scattered ones (the exp2 phase's refusals near a
+        cell edge) each bring their own of; the width generates the two
+        ends of each run (`_term_width`), as many terms as the per-term
+        route generates on a run of one or two; and past the cap `_width`
+        refuses the run."""
+        keep = np.zeros(n.size, dtype=bool)
+        for i, j, bits in self._steps(sequence, n.tolist()):
+            if 2 * bits > self.cap:
+                break
+            k = int(left[i:j].sum())
+            if k >= 3 and 2 * k >= j - i:
+                keep[i:j] = left[i:j]
+        return keep
 
     def _hand_out(self, x, out):
         """The quick routes on one block of doubles: write into `out` each
@@ -1375,25 +1422,29 @@ class _Certifier:
 
         The transform's route on the sequence's terms (`_terms_route`)
         takes them, with the per-term route's width on the indices whose
-        route error leaves room in a cell (`_term_width`).
+        route error leaves room in a cell (`_term_width`); a dear integer
+        phase (a power law's floors) takes only the runs `_floored` picks.
         """
         route, x = self.transform._terms_route(sequence, n) if n.size \
             else (None, None)
         if route is None:
             return np.zeros(n.size, dtype=bool)
-        return self._routes(route, x, out, True,
-                            lambda room: self._term_width(sequence,
-                                                          n[room]))
+        return self._routes(
+            route, x, out, True,
+            lambda room: self._term_width(sequence, n[room]),
+            functools.partial(self._floored, sequence, n)
+            if route._dear_floors else None)
 
-    def _routes(self, t, x, out, fits, width):
+    def _routes(self, t, x, out, fits, width, floored=None):
         """The quick routes of t on one block: the double-double phase for
         the x in t's _quick_range (sqrt's and pi*x**2's while u <= 2**20,
         where it is the faster), then the integer route for what is left
         of the domain of a map with one (q = 2, or c = pi). `fits` masks
-        the x a route may take. A route's cells come first; width(room),
-        for the indices `room` of the x whose route error leaves room in a
-        cell, is the certifier's width on them, or None for none to be
-        handed out.
+        the x a route may take; floored(left), where given, masks those
+        the integer route takes of the x left to it, the mask `left`. A
+        route's cells come first; width(room), for the indices `room` of
+        the x whose route error leaves room in a cell, is the certifier's
+        width on them, or None for none to be handed out.
         """
         handed = np.zeros(x.size, dtype=bool)
 
@@ -1413,8 +1464,9 @@ class _Certifier:
             lo, hi = t._quick_range
             take(self._double_double_cells, fits & (x >= lo) & (x <= hi))
         if t._integer_route:
+            left = fits & ~handed & np.isfinite(x) & (x >= 0.0)
             take(self._integer_cells,
-                 fits & ~handed & np.isfinite(x) & (x >= 0.0))
+                 left if floored is None else floored(left))
         return handed
 
     def _double_double_cells(self, x, t):
