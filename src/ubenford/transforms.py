@@ -65,11 +65,10 @@ same bits that pay for their width (`_Certifier._floored`). Its width is
 `_width` on the terms whose route error leaves room in a cell, at the
 ends of each such run of them (`_term_width`). Per term: e**n and n**n
 under the power maps but their first few terms, n! under sqrt and below
-16 under the logs, the steep power laws' terms under pi*x**2 in runs of
-one or two, and n**(1/pi) under pi*x**2 past the cut. A root of an
-exact integer past every double (n!, n**n) first meets a residue filter
-(`_no_square`), and is taken at the fractional bits its working
-precision sizes (`Power._eval_at`).
+16 under the logs, and the steep power laws' terms under pi*x**2 in
+runs of one or two. A root of an exact integer past every double (n!,
+n**n) first meets a residue filter (`_no_square`), and is taken at the
+fractional bits its working precision sizes (`Power._eval_at`).
 """
 
 import bisect
@@ -852,7 +851,7 @@ class _OnTerms:
 
     @property
     def _dear_floors(self):
-        return self._integer_route and self.sequence._dear_floors
+        return self.sequence._dear_floors
 
     def _quick(self, n):
         return self.u._from_ln(*self.sequence._ln_terms(n))
@@ -1385,22 +1384,22 @@ class _Certifier:
 
     def _floored(self, sequence, n, left):
         """The mask of the indices n, of those in the mask `left`, that a
-        dear integer phase (`_dear_floors`) takes: those of each run of n
-        generated at the same bits that holds at least three of them, and
-        at least half its n, and whose bits doubled stay within the cap.
-        The floors cost an exp per prime, which the terms of a dense run
-        share and a few scattered ones (the exp2 phase's refusals near a
-        cell edge) each bring their own of; the width generates the two
-        ends of each run (`_term_width`), as many terms as the per-term
-        route generates on a run of one or two; and past the cap `_width`
-        refuses the run."""
+        dear integer phase (`_dear_floors`) takes: the runs of them
+        generated at the same bits that hold at least three and at least
+        half the block's indices from their first to their last, and
+        whose bits doubled stay within the cap. The floors cost an exp per
+        prime, which the terms of a dense run share and a few scattered
+        ones (the exp2 phase's refusals near a cell edge) each bring their
+        own of; the width generates the two ends of each run
+        (`_term_width`), as many terms as the per-term route generates on
+        a run of one or two; and past the cap `_width` refuses the run."""
+        took = np.flatnonzero(left)
         keep = np.zeros(n.size, dtype=bool)
-        for i, j, bits in self._steps(sequence, n.tolist()):
+        for i, j, bits in self._steps(sequence, n[took].tolist()):
             if 2 * bits > self.cap:
                 break
-            k = int(left[i:j].sum())
-            if k >= 3 and 2 * k >= j - i:
-                keep[i:j] = left[i:j]
+            if j - i >= 3 and 2 * (j - i) > took[j - 1] - took[i]:
+                keep[took[i:j]] = True
         return keep
 
     def _hand_out(self, x, out):
