@@ -22,7 +22,7 @@ from ubenford.sequences import (ExpN, Factorial, FracSample, NPowN, PiN,
                                 frac_sample, nth_prime, odd_nonsquare,
                                 parse_sequence)
 from ubenford.transforms import (IDENTITY, LOG10, LOGLOG, PI_SQUARE, SQRT,
-                                 _Certifier, _QUICK_BLOCK,
+                                 Power, _Certifier, _QUICK_BLOCK,
                                  eval_transform, start_bits)
 
 
@@ -434,6 +434,29 @@ PINNED_CELLS = [
     ("power_law:0.367427", PI_SQUARE, 10000, False,
      "d3944626ec425911485d23a081f6fda74c20dbb6b5bbf3ef0d8f25586f5eca1c",
      0, 10000),
+    # recorded while a power map composed with the form pi**c m**s into a
+    # power map of m, and the primes' terms took the routes on terms
+    ("sqrt_n", IDENTITY, 2000, False,
+     "e85e61ca68826a524adb7e374d2e200710ef98e9ce2c68bd467d66c23e42297d",
+     0, 2000),
+    ("pi_n", IDENTITY, 2000, False,
+     "1efb5be555c48858f25ca1488c94bf234f9d834987a127c0cb64230f86ddfa13",
+     0, 2000),
+    ("primes", IDENTITY, 2000, False,
+     "f85f2c34eb2843d2aa5951ee6e8e76985655b2e3ae2cbdd76bdfd654ecf19997",
+     0, 2000),
+    ("power_law:1.5", IDENTITY, 2000, False,
+     "ed31bad180dd9fa3ec960dd3ab6ecdf3578c98fc6a364da7eec320d8122bd736",
+     0, 2000),
+    ("power_law:3", SQRT, 2000, False,
+     "ed31bad180dd9fa3ec960dd3ab6ecdf3578c98fc6a364da7eec320d8122bd736",
+     0, 2000),
+    ("power_law:0.5", PI_SQUARE, 2000, False,
+     "1efb5be555c48858f25ca1488c94bf234f9d834987a127c0cb64230f86ddfa13",
+     0, 2000),
+    ("primes", Power(3, pi=True), 2000, False,
+     "50911701139577e431aa5f7d9891ff345b0473684d4ecc3a027a785494b4f5ef",
+     0, 2000),
 ]
 
 
