@@ -11,16 +11,17 @@ bits. frac_sample hands a cell to the certifier (_Certifier.terms),
 which certifies most terms in numpy blocks from what the sequence states
 of them: its ln x_n (`_ln_terms`; n for e**n, n ln n for n**n,
 Stirling's series for n! from n = 16 on, ln n / pi for n**(1/pi), s ln
-m_n + c ln pi for a `form` pi**c m_n**s), from which each transform takes
-u by its own step (`Transform._from_ln`), and under pi*x**p the integer
-phase that pi_n, n! and the power laws state (`_pi_power_floors`). A
-power map that sends a form's terms to a power map of m_n takes that
-map's route on m_n instead. Every other term (e**n and n**n under the
-power maps but their first few, n! under sqrt and below 16 under the
-logs, a steep power law's terms under pi*x**2 in runs of one or two at
-the same bits, and the few a block's quick routes cannot vouch for) is
-generated, and regenerated at doubled bits while the transform refuses
-its fractional part, up to the precision cap.
+n + c ln pi for a `form` pi**c n**s), from which each transform takes u
+by its own step (`Transform._from_ln`), and under pi*x**p the integer
+phase that a form (where s p is an integer), n! and the power laws state
+(`_pi_power_floors`). The primes state their terms as exact doubles
+(`_doubles`), which take the routes of an array of doubles instead.
+Every other term (e**n and n**n under the power maps but their first
+few, n! under sqrt and below 16 under the logs, a steep power law's
+terms under pi*x**2 in runs of one or two at the same bits, and the few
+a block's quick routes cannot vouch for) is generated, and regenerated
+at doubled bits while the transform refuses its fractional part, up to
+the precision cap.
 """
 
 import functools
@@ -119,16 +120,18 @@ class Sequence:
       `_ln_terms` states ln x_n in double-double with a proved bound;
       None where it states none.
     - `form` = (s, c), a float s > 0 and c in {0, 1}, states term n as
-      pi**c m_n**s, m_n = _bases(n) an integer below 2**53; None where
-      no such form holds. It gives ln x_n = s ln m_n + c ln pi, and a
-      power map reads it to compose with a power map of m_n.
+      pi**c n**s; None where no such form holds. It gives ln x_n = s ln
+      n + c ln pi.
     - `_pi_power_floors(p)`, the integer phase of pi*x**p on the terms,
-      where the sequence states one: pi**(p + 1) n**p for pi_n, a
-      running product for n!, and for a power law n**alpha, alpha = a/b,
-      n**(p alpha) from the prime factors of n, one ln and one exp per
-      prime and one product per composite. `_dear_floors` marks the
-      last: its exp2 phase runs first, and the floors take only what
-      that leaves, in runs that pay for their width.
+      where the sequence states one: from a form where e = s p is an
+      integer, pi**(c p + 1) n**e; a running product for n!; and for a
+      power law n**alpha, alpha = a/b, n**(p alpha) from the prime
+      factors of n, one ln and one exp per prime and one product per
+      composite. `_dear_floors` marks the last: its exp2 phase runs
+      first, and the floors take only what that leaves, in runs that pay
+      for their width.
+    - `_doubles(n)`, the terms as exact doubles where the sequence states
+      them so (the primes); None here.
     """
 
     name = "?"
@@ -136,16 +139,12 @@ class Sequence:
     _ln_range = None
     _dear_floors = False
 
-    def _bases(self, n):
-        """m_n as doubles, for an ascending int64 array of indices n."""
-        return n.astype(np.float64)
-
     def _ln_terms(self, n):
         """ln x_n = lh + ll and err >= |lh + ll - ln x_n|, for an array of
-        indices n in `_ln_range`, as doubles. From the form: s ln m_n + c
-        ln pi (`_fma` on `_ln`'s ln m_n, s in its range)."""
+        indices n in `_ln_range`, as doubles. From the form: s ln n + c ln
+        pi (`_fma` on `_ln`'s ln n, s in its range)."""
         s, c = self.form
-        y = _ln(self._bases(n.astype(np.int64)))
+        y = _ln(n)
         if s != 1.0 or c:
             y = _fma((s, 0.0, 0.0), y, _quick_ln_pi() if c else None)
         return y
@@ -154,9 +153,19 @@ class Sequence:
         """The integer phase of pi*x**p on the terms, for an int p >= 1: a
         map from an ascending int64 array of indices n to the object array
         of the ints A_n with pi x_n**p 2**_ROUTE_BITS in (A_n - 1, A_n +
-        2); None here. Every form but pi_n's has c = 0, and pi*x**p sends
-        its terms to a power map of m wherever it has an integer phase
-        (`Power._on_terms`)."""
+        2), or None for none. From the form pi**c n**s where e = s p is an
+        integer: pi**(c p + 1) n**e (`_pi_power_floor`), for n**e below
+        2**(e E), E the bits of the largest n."""
+        if self.form is None or not (self.form[0] * p).is_integer():
+            return None
+        s, c = self.form
+        e = int(s * p)
+        return lambda n: _pi_power_floor(n.astype(object) ** e, 0, c * p + 1,
+                                         e * int(n.max()).bit_length())
+
+    def _doubles(self, n):
+        """The terms x_n as exact doubles, for an ascending int64 array of
+        indices n, or None where the sequence states none."""
         return None
 
     def nth_term(self, n, bits):
@@ -195,25 +204,17 @@ class PiN(Sequence):
     def nth_term(self, n, bits):
         return BigReal(pi_fixed(bits) * n, -bits, bits, False)
 
-    def _pi_power_floors(self, p):
-        """pi**(p + 1) n**p (`_pi_power_floor`), for n**p below 2**(p E),
-        E the bits of the largest n."""
-        return lambda n: _pi_power_floor(n.astype(object) ** p, 0, p + 1,
-                                         p * int(n.max()).bit_length())
-
     def int_bits_estimate(self, n):
         return n.bit_length() + 2
 
 
 class Primes(Sequence):
     name = "primes"
-    form = (1.0, 0)
-    _ln_range = _WHOLE
 
     def nth_term(self, n, bits):
         return BigReal.from_int(nth_prime(n))
 
-    def _bases(self, n):
+    def _doubles(self, n):
         lo, hi = int(n[0]), int(n[-1])
         nth_prime(hi)  # the sieve reaches p_hi
         return np.array(_PRIMES[lo - 1:hi], dtype=np.float64)[n - lo]

@@ -48,27 +48,27 @@ the base, and any u near a cell edge or, for Log, an integer. Below
 results are never negative.
 
 A sequence's terms (frac_sample) go through _Certifier.terms, the same
-two phases over blocks of _QUICK_BLOCK indices (`_terms_route`). Every
-sequence states ln x_n on a range of n (`Sequence._ln_terms`): n for
-e**n, n ln n for n**n, Stirling's series for n! from n = 16 on, ln n /
-pi for n**(1/pi), and s ln m + c ln pi for the terms pi**c m**s of a
-form. A power map that sends a form's terms to a power map of m with a
-route takes that route on m (`Power._on_terms`); an exact map of m,
-whose u is always an integer, takes none. Every other sequence and
-transform takes the one route on the indices (`_OnTerms`): `_from_ln`
-on the ln x_n; or under pi*x**p, where the sequence states it
-(`Sequence._pi_power_floors`), floor(u 2**120) in ints. For pi_n and n!
-(a running product) the floors take every term; a power law's cost an
-exp per prime factor of n, so its exp2 phase runs first, up to the cut,
-and its floors take what that leaves in runs of terms generated at the
-same bits that pay for their width (`_Certifier._floored`). Its width is
-`_width` on the terms whose route error leaves room in a cell, at the
-ends of each such run of them (`_term_width`). Per term: e**n and n**n
-under the power maps but their first few terms, n! under sqrt and below
-16 under the logs, and the steep power laws' terms under pi*x**2 in
-runs of one or two. A root of an exact integer past every double (n!,
-n**n) first meets a residue filter (`_no_square`), and is taken at the
-fractional bits its working precision sizes (`Power._eval_at`).
+two phases over blocks of _QUICK_BLOCK indices, on one of two routes.
+The primes' terms are exact doubles (`Sequence._doubles`), and take the
+routes above. Every other sequence states ln x_n on a range of n
+(`Sequence._ln_terms`): n for e**n, n ln n for n**n, Stirling's series
+for n! from n = 16 on, ln n / pi for n**(1/pi), and s ln n + c ln pi for
+the terms pi**c n**s of a form; and its terms take the one route on the
+indices (`_OnTerms`, `_terms_route`): `_from_ln` on the ln x_n; or under
+pi*x**p, where the sequence states it (`Sequence._pi_power_floors`),
+floor(u 2**120) in ints. For a form where s p is an integer (pi_n, and
+sqrt_n under pi*x**2) and for n! (a running product) the floors take
+every term; a power law's cost an exp per prime factor of n, so its
+exp2 phase runs first, up to the cut, and its floors take what that
+leaves in runs of terms generated at the same bits that pay for their
+width (`_Certifier._floored`). The route's width is `_width` on the
+terms whose route error leaves room in a cell, at the ends of each such
+run of them (`_term_width`). Per term: e**n and n**n under the power
+maps but their first few terms, n! under sqrt and below 16 under the
+logs, and the steep power laws' terms under pi*x**2 in runs of one or
+two. A root of an exact integer past every double (n!, n**n) first
+meets a residue filter (`_no_square`), and is taken at the fractional
+bits its working precision sizes (`Power._eval_at`).
 """
 
 import bisect
@@ -625,15 +625,16 @@ class Transform:
     certifier: `_check_domain`, `_try_exact` (exact result or None),
     `_constants` (what `_eval_at` needs at one working precision, taken
     once per w), `_from_ln` (u from ln x, both in double-double with a
-    bound, for the quick phase), `_terms_route` (the quick route on a
-    sequence's terms), `_eval_at` (u(x) floor-accurate at scale 2**-w
-    from those constants, certified bits as precision; it never raises,
-    a value it cannot vouch for gets a short claim, and LogLog's, at a
-    vanished inner log, None) and `_result_bits_estimate` (integer bits
-    of u for an input of `int_bits` integer bits), which start_bits turns
-    into the first working precision and the precision a sequence term is
-    generated at. The quick routes' width (`_Certifier._width`) is
-    `_eval_at`'s fewest claim at the ends of what a route takes.
+    bound, for the quick phase), `_terms_route` (the one quick route on
+    a sequence's terms, `_OnTerms`), `_eval_at` (u(x) floor-accurate at
+    scale 2**-w from those constants, certified bits as precision; it
+    never raises, a value it cannot vouch for gets a short claim, and
+    LogLog's, at a vanished inner log, None) and `_result_bits_estimate`
+    (integer bits of u for an input of `int_bits` integer bits), which
+    start_bits turns into the first working precision and the precision
+    a sequence term is generated at. The quick routes' width
+    (`_Certifier._width`) is `_eval_at`'s fewest claim at the ends of
+    what a route takes.
     """
 
     kind = None
@@ -641,7 +642,6 @@ class Transform:
     pi = False  # c = pi, a power map's factor
     _quick_range = None  # no double-double phase
     _integer_route = False  # no integer route (Power._scaled)
-    _dear_floors = False  # no integer route on terms that costs an exp
 
     def _constants(self, w):
         return None
@@ -652,22 +652,14 @@ class Transform:
         return self._from_ln(*_ln(x))
 
     def _terms_route(self, sequence, n):
-        """(route, inputs): the quick route of u on the terms x_n of a
-        sequence, for an ascending int64 array of indices n, and the
-        array it reads; (None, None) for none: the route of the map of
-        m_n that u composes into on a form pi**c m_n**s (`_on_terms`),
-        else the one route on the indices (`_OnTerms`), where it has a
-        phase."""
-        t = None if sequence.form is None else self._on_terms(*sequence.form)
-        route = _OnTerms(self, sequence) if t is None else t
+        """(route, inputs): the one quick route of u on the terms x_n of a
+        sequence (`_OnTerms`), for an ascending int64 array of indices n,
+        and the indices as the doubles it reads; (None, None) where it has
+        no phase."""
+        route = _OnTerms(self, sequence)
         if route._quick_range is None and not route._integer_route:
             return None, None
-        return route, n.astype(np.float64) if t is None else sequence._bases(n)
-
-    def _on_terms(self, s, c):
-        """The transform of m that u composes into on terms pi**c m**s, or
-        None for none; Power overrides it."""
-        return None
+        return route, n.astype(np.float64)
 
     def label(self):
         return self.kind
@@ -828,12 +820,13 @@ class _OnTerms:
     `_from_ln` on the ln x_n it states (`Sequence._ln_terms`).
     Integer phase under pi*x**p, where the sequence states one
     (`Sequence._pi_power_floors`): A_n = floor(u 2**_ROUTE_BITS) in ints,
-    at any size. For pi_n and n! it takes every term alone: A is within 3
-    units of 2**-120, far inside any err of the other phase, and is the
-    faster. A power law's floors cost an exp per prime factor
-    (`_dear_floors`), so there the exp2 phase runs first, on the terms
-    up to _EXP2_U_MAX, and the floors take only what it leaves, in runs
-    that pay for their width (`_Certifier._floored`).
+    at any size. For a form (sqrt_n at even p, pi_n) and n! it takes
+    every term alone: A is within 3 units of 2**-120, far inside any err
+    of the other phase, and is the faster. A power law's floors cost an
+    exp per prime factor (`Sequence._dear_floors`), so there the exp2
+    phase runs first, on the terms up to _EXP2_U_MAX, and the floors take
+    only what it leaves, in runs that pay for their width
+    (`_Certifier._floored`).
     """
 
     u: Transform
@@ -841,17 +834,14 @@ class _OnTerms:
 
     @property
     def _quick_range(self):
-        return None if self._integer_route and not self._dear_floors \
-            else self.sequence._ln_range
+        seq = self.sequence
+        return None if self._integer_route and not seq._dear_floors \
+            else seq._ln_range
 
     @property
     def _integer_route(self):
         return self.u.pi and \
             self.sequence._pi_power_floors(self.u.p) is not None
-
-    @property
-    def _dear_floors(self):
-        return self.sequence._dear_floors
 
     def _quick(self, n):
         return self.u._from_ln(*self.sequence._ln_terms(n))
@@ -977,22 +967,6 @@ class Power(Transform):
 
     def _result_bits_estimate(self, int_bits):
         return self.p * int_bits // self.q + (self.q == 2) + 2 * self.pi
-
-    def _on_terms(self, s, c):
-        """The power map of m that u composes into on terms pi**c m**s,
-        which u maps to pi**k m**e, e = s p/q and k = pi + c p/q: Power(P,
-        Q, k = 1), P/Q = e in lowest terms, where k is 0 or 1 and that is
-        a power map; else None."""
-        a, b = s.as_integer_ratio()
-        p, q = a * self.p, b * self.q
-        g = math.gcd(p, q)
-        kp = c * self.p + self.pi * self.q  # k = kp / self.q
-        if kp not in (0, self.q):
-            return None
-        try:
-            return Power(p // g, q // g, kp > 0)
-        except InvalidParameter:
-            return None
 
     def _scaled(self, x):
         """The integer route: A = floor(u(x) * 2**_ROUTE_BITS), as an object
@@ -1345,10 +1319,11 @@ class _Certifier:
         inexact term at those bits, as its neighbours are: an exact term
         claims no fewer bits. Without a form the terms a route takes are
         all exact (n!, n**n) or all inexact (e**n, and n**(1/pi) past its
-        term 1, which no route takes). The ends of a step can differ from
-        those of the block: the root of an inexact term claims its bits
-        less the root's integer bits, which step up at other n than the
-        bits do."""
+        term 1, which no route takes); the primes, exact doubles, take the
+        doubles' width (`_quick_width`) instead. The ends of a step can
+        differ from those of the block: the root of an inexact term claims
+        its bits less the root's integer bits, which step up at other n
+        than the bits do."""
         s, c = sequence.form or (1.0, 0)
         n = n.tolist()
 
@@ -1419,20 +1394,29 @@ class _Certifier:
         """The quick routes on one block of indices n: write into `out`
         each {u(x_n)} they vouch for and return the mask of those n.
 
-        The transform's route on the sequence's terms (`_terms_route`)
-        takes them, with the per-term route's width on the indices whose
-        route error leaves room in a cell (`_term_width`); a dear integer
-        phase (a power law's floors) takes only the runs `_floored` picks.
+        Terms the sequence states as exact doubles (the primes) take the
+        routes of a block of doubles (`_hand_out`): the per-term route's
+        BigReal.from_int(p) is from_float's BigReal of the double p, so
+        the doubles' contract holds.
+        Every other sequence's terms take the transform's one route on
+        them (`_terms_route`), with the per-term route's width on the
+        indices whose route error leaves room in a cell (`_term_width`); a
+        dear integer phase (a power law's floors) takes only the runs
+        `_floored` picks.
         """
-        route, x = self.transform._terms_route(sequence, n) if n.size \
-            else (None, None)
+        if not n.size:
+            return np.zeros(0, dtype=bool)
+        x = sequence._doubles(n)
+        if x is not None:
+            return self._hand_out(x, out)
+        route, x = self.transform._terms_route(sequence, n)
         if route is None:
             return np.zeros(n.size, dtype=bool)
         return self._routes(
             route, x, out, True,
             lambda room: self._term_width(sequence, n[room]),
             functools.partial(self._floored, sequence, n)
-            if route._dear_floors else None)
+            if sequence._dear_floors else None)
 
     def _routes(self, t, x, out, fits, width, floored=None):
         """The quick routes of t on one block: the double-double phase for

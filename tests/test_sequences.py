@@ -488,17 +488,26 @@ SEEDED_CELLS = [
               46.3059, 47.4929)
     for t in (PI_SQUARE, LOG10)]
 
+# pinned cells off the benchmark whose terms once took a power map of m
+# that u composed into on the form pi**c m**s; the primes take the
+# doubles' routes
+REROUTED_CELLS = [
+    ("sqrt_n", IDENTITY, 2000), ("pi_n", IDENTITY, 2000),
+    ("primes", IDENTITY, 2000), ("power_law:1.5", IDENTITY, 2000),
+    ("power_law:3", SQRT, 2000), ("power_law:0.5", PI_SQUARE, 2000),
+    ("primes", Power(3, pi=True), 2000)]
 
-# the fewest terms each cell's quick routes hand out: every log of every
-# sequence, which states ln x_n (n! from n = 16 on; n**n under log10 all
-# but the terms 1, 10**10, 100**100 and 1000**1000, whose logs are
-# integers, and one near a cell edge); primes under sqrt and pi*x**2 and
-# sqrt_n under pi*x**2 (pi n), which compose into a power map of m; the
-# one route on the indices for the other power-map cells: its exp2 phase
-# up to u = 2**23.2 (sqrt_n, pi_n, the sub-linear power laws and the
-# first terms of e**n and n**n), its integer phase for pi_n and n! under
-# pi*x**2, and for the steep power laws under pi*x**2, which lie past the
-# cut from their second term on, the floors on the runs of terms at the
+
+# the fewest terms each cell's quick routes hand out: the primes, exact
+# doubles, through the doubles' routes (none under the identity); every
+# log of every other sequence, which states ln x_n (n! from n = 16 on;
+# n**n under log10 all but the terms 1, 10**10, 100**100 and 1000**1000,
+# whose logs are integers, and one near a cell edge); the one route on
+# the indices for the power-map cells: its exp2 phase up to u = 2**23.2
+# (sqrt_n, pi_n, the power laws below the cut and the first terms of e**n
+# and n**n), its integer phase for sqrt_n (pi n), pi_n and n! under
+# pi*x**2, and for the power laws under pi*x**2, past the cut (the steep
+# ones from their second term on), the floors on the runs of terms at the
 # same bits that pay for their width. n! under sqrt lies past the cut
 # from its first term on.
 ROUTED = {
@@ -527,13 +536,16 @@ ROUTED = {
     "power_law:48.5529-pi_square": 831, "power_law:48.5529-log10": 996,
     "power_law:27.8995-pi_square": 898, "power_law:27.8995-log10": 996,
     "power_law:46.3059-pi_square": 835, "power_law:46.3059-log10": 996,
-    "power_law:47.4929-pi_square": 833, "power_law:47.4929-log10": 996}
+    "power_law:47.4929-pi_square": 833, "power_law:47.4929-log10": 996,
+    "sqrt_n-identity": 1956, "pi_n-identity": 1991, "primes-identity": 0,
+    "power_law:1.5-identity": 1818, "power_law:3-sqrt": 1813,
+    "power_law:0.5-pi_square": 1988, "primes-pi*x**3": 1999}
 
 
 @pytest.mark.parametrize("name, transform, n_max",
-                         TABLE1_CELLS + SEEDED_CELLS,
-                         ids=[f"{c[0]}-{c[1].label()}"
-                              for c in TABLE1_CELLS + SEEDED_CELLS])
+                         TABLE1_CELLS + SEEDED_CELLS + REROUTED_CELLS,
+                         ids=[f"{c[0]}-{c[1].label()}" for c in
+                              TABLE1_CELLS + SEEDED_CELLS + REROUTED_CELLS])
 def test_handed_out_terms_are_the_per_term_routes(name, transform, n_max):
     # each block's quick phase against the per-term route, term by term;
     # every cell hands out at least its count in ROUTED
@@ -679,6 +691,42 @@ def test_power_law_floors_against_mpmath(alpha, p, top, rest):
             assert int(mp.floor(v)) - a in (-1, 0, 1), k
 
 
+# (sequence, p): the forms' integer phases, sqrt_n at even p and pi_n at
+# p up to 3; and none, sqrt_n at odd p and the sequences with neither a
+# form nor floors of their own
+FORM_FLOOR_CASES = [("sqrt_n", 2), ("sqrt_n", 4), ("sqrt_n", 6),
+                    ("pi_n", 1), ("pi_n", 2), ("pi_n", 3)]
+NO_FLOOR_CASES = [("sqrt_n", 1), ("sqrt_n", 3), ("sqrt_n", 5)] + [
+    (name, p) for name in ("primes", "exp_n", "n_pow_n", "power_law:1/pi")
+    for p in (1, 2, 3)]
+
+
+@given(case=st.one_of(st.sampled_from(FORM_FLOOR_CASES),
+                      st.sampled_from(NO_FLOOR_CASES)),
+       top=st.one_of(st.integers(1, 10 ** 5),
+                     st.integers(2 ** 31 - 2 ** 10, 2 ** 31 + 2 ** 10)),
+       rest=st.lists(st.integers(1, 2 ** 12), max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_form_floors_against_mpmath(case, top, rest):
+    # the integer phase a form pi**c n**s states where e = s p is an
+    # integer, pi**(c p + 1) n**e: pi**(c p + 1) n**e 2**120 lies in (A_n
+    # - 1, A_n + 2) on a block of n up to top, whose largest n sets the
+    # bits; none for sqrt_n at an odd p, nor for a sequence without a form
+    name, p = case
+    seq = parse_sequence(name)
+    floors = seq._pi_power_floors(p)
+    if case in NO_FLOOR_CASES:
+        assert floors is None
+        return
+    s, c = seq.form
+    e = int(s * p)
+    n = sorted({top, *(top - d for d in rest if d < top)})
+    for k, a in zip(n, floors(np.array(n, dtype=np.int64))):
+        with mp.workprec(32 * e + 300):
+            v = mp.pi ** (c * p + 1) * mp.mpf(k) ** e * mp.mpf(2) ** 120
+            assert int(mp.floor(v)) - a in (-1, 0, 1), k
+
+
 @pytest.mark.parametrize("agreement, cap", [(24, 30000), (25, 30000),
                                            (12, 64)],
                          ids=["a80", "a84", "cap64"])
@@ -720,7 +768,7 @@ def _first_claim(certifier, seq, n):
                          ids=["a40", "a80"])
 @pytest.mark.parametrize("name, transform", [
     ("sqrt_n", PI_SQUARE), ("pi_n", SQRT), ("pi_n", PI_SQUARE),
-    ("power_law:0.613197", SQRT), ("primes", SQRT)])
+    ("power_law:0.613197", SQRT)])
 def test_term_width_is_the_fewest_claim_of_the_block(policy, name,
                                                      transform):
     # the first block's fewest claim can lie between its ends (at 80

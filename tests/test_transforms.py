@@ -21,8 +21,8 @@ from ubenford.errors import (DomainError, InsufficientPrecision,
 from ubenford.experiments import sample_cell
 from ubenford.ingest import ingest_csv
 from ubenford.kernels import digits_to_bits, pi_fixed
-from ubenford.sequences import (Factorial, NPowN, PiN, PowerLaw, Sequence,
-                                parse_sequence)
+from ubenford.sequences import (Factorial, NPowN, PiN, PowerLaw, Primes,
+                                Sequence, SqrtN, nth_prime, parse_sequence)
 from ubenford.stats import ks_uniform
 from ubenford.transforms import (IDENTITY, LOG2, LOG10, LOGLOG, PI_SQUARE,
                                  SQRT, Log, LogLog, Power, Transform,
@@ -1003,15 +1003,19 @@ _SLACK = 1 + Fraction(1, 1 << 40)  # the certifier's factor on err
 
 class _FormTerms(Sequence):
     """A sequence whose term n is pi**c m_n**s, for the integers m_n given
-    in order of n (one m for every term where one is given): the ln x_n
-    a form states, on which the routes on terms compose."""
+    in order of n (one m for every term where one is given): it states ln
+    x_n = s ln m_n + c ln pi, a form's ln on an arbitrary m, on which the
+    routes on terms read, and no integer phase."""
 
     def __init__(self, s, c, m):
         self.form, self._m = (s, c), np.atleast_1d(np.array(m, dtype=float))
         self._ln_range = (1.0, float(self._m.size))
 
-    def _bases(self, n):
-        return self._m[n.astype(np.intp) - 1]
+    def _ln_terms(self, n):
+        return super()._ln_terms(self._m[n.astype(np.intp) - 1])
+
+    def _pi_power_floors(self, p):
+        return None
 
 
 def _true_ln(seq, n):
@@ -1025,11 +1029,12 @@ def _true_ln(seq, n):
     if seq.name == "power_law(1/pi)":
         return mp.log(n) / mp.pi
     s, c = seq.form
-    m = seq._bases(np.array([n]))[0]
+    m = seq._m[n - 1] if isinstance(seq, _FormTerms) else n
     return c * mp.log(mp.pi) + mpf(s) * mp.log(mpf(m))
 
 
-# the sequences without a form, and one of each kind of form
+# the sequences without a form, one of each kind of form, and the form
+# on an arbitrary m (`_FormTerms`), here the primes
 _LN_SEQUENCES = ("exp_n", "factorial", "n_pow_n", "power_law:1/pi", "sqrt_n",
                  "pi_n", "primes", "power_law:0.367427", "power_law:41.635")
 
@@ -1260,46 +1265,54 @@ class TestTermRoutes:
         assert (err == 1.0).tolist() == [False, True, True, True, False,
                                          True]
 
-    def test_power_maps_compose_where_a_route_exists(self):
-        # u sends pi**c m**s to pi**k m**e: a power map of m where k is 0
-        # or 1, taken where it has a route, and none for an exact map,
-        # whose u is an integer; the one route on the indices otherwise
-        one = tr._OnTerms
-        cases = [(SQRT, 1.0, 0, SQRT), (PI_SQUARE, 1.0, 0, PI_SQUARE),
-                 (PI_SQUARE, 0.5, 0, Power(1, pi=True)),
-                 (IDENTITY, 0.5, 0, SQRT), (IDENTITY, 1.5, 0, Power(3, 2)),
-                 (SQRT, 3.0, 0, Power(3, 2)),
-                 (IDENTITY, 1.0, 1, Power(1, pi=True)),
-                 (IDENTITY, 2.0, 0, Power(2)), (Power(3), 1.0, 0, Power(3)),
-                 # no power map of m: a root past the square root, a
-                 # double exponent, the terms pi m under the roots and
-                 # pi*x**2, and a steep power law under pi*x**2
-                 (SQRT, 0.5, 0, None), (IDENTITY, 0.367427, 0, None),
-                 (SQRT, 0.367427, 0, None), (SQRT, 1.0, 1, None),
-                 (PI_SQUARE, 1.0, 1, None), (PI_SQUARE, 23.1317, 0, None)]
-        n = np.arange(1, 3)
-        for t, s, c, want in cases:
-            assert t._on_terms(s, c) == want, (t.label(), s, c)
-            terms = _FormTerms(s, c, [2, 3])
-            route, x = t._terms_route(terms, n)
-            if want is None:
-                assert route == one(t, terms) and x.tolist() == [1.0, 2.0]
-            elif want in (Power(2), Power(3)):  # exact maps
-                assert route is None
-            else:
-                assert route == want and x.tolist() == [2.0, 3.0]
+    def test_every_sequence_takes_one_route_on_terms(self):
+        # every sequence but the primes takes the one route on its
+        # indices under every map, the exact maps among them; the primes
+        # state their terms as doubles instead, and take the doubles'
+        # routes (test_primes_take_the_doubles_routes)
+        n = np.arange(1, 9)
+        for name in ("sqrt_n", "pi_n", "exp_n", "factorial", "n_pow_n",
+                     "power_law:1/pi", "power_law:0.5", "power_law:1.5",
+                     "power_law:3", "power_law:23.1317"):
+            seq = parse_sequence(name)
+            assert seq._doubles(n) is None
+            for t in TERM_LOGS + POWERS:
+                route, x = t._terms_route(seq, n)
+                assert route == tr._OnTerms(t, seq), (name, t.label())
+                assert x.tolist() == n.tolist()
+        assert Primes()._doubles(n).tolist() == [2.0, 3.0, 5.0, 7.0, 11.0,
+                                                 13.0, 17.0, 19.0]
         # an exponent past _fma's range states no ln x_n, and
         # takes no route
         assert SQRT._terms_route(PowerLaw(2.0 ** -401), n) == (None, None)
-        # pi_n under pi*x**2, pi**3 n**2, takes the integer phase pi_n
-        # states alone; the same form stated by no pi_n takes the exp2
-        # route, and so does a half-integer k
-        route = PI_SQUARE._terms_route(PiN(), n)[0]
-        assert route._integer_route and route._quick_range is None
-        for t in (PI_SQUARE, SQRT):
-            route = t._terms_route(_FormTerms(1.0, 1, [2, 3]), n)[0]
-            assert not route._integer_route
-            assert route._quick_range == (1.0, 2.0)
+        # the form's integer phase, where s p is an integer, takes every
+        # term alone: pi_n under pi*x**p, pi**(p + 1) n**p, and sqrt_n
+        # under pi*x**2, pi n; sqrt_n under pi*x**3 takes the exp2 route
+        for t, seq in ((PI_SQUARE, PiN()), (Power(3, pi=True), PiN()),
+                       (PI_SQUARE, SqrtN())):
+            route = t._terms_route(seq, n)[0]
+            assert route._integer_route and route._quick_range is None
+        route = Power(3, pi=True)._terms_route(SqrtN(), n)[0]
+        assert not route._integer_route
+        assert route._quick_range == (2.0, 2.0 ** 53 - 1)
+
+    @pytest.mark.parametrize("agreement", [12, 24], ids=["a40", "a80"])
+    @pytest.mark.parametrize("t", dict.fromkeys(QUICK + ROUTED),
+                             ids=lambda t: t.label())
+    def test_primes_take_the_doubles_routes(self, t, agreement):
+        # the primes' terms, exact doubles, hand out what the doubles'
+        # routes hand out on p_n as doubles, mask and bytes, in the first
+        # block and in one past it; each double the certifier's own
+        certifier = tr._Certifier(t, PrecisionPolicy(agreement))
+        for n in (np.arange(1, 1500), np.arange(5000, 6000)):
+            p = np.array([nth_prime(k) for k in n.tolist()], dtype=float)
+            got, want = np.zeros(n.size), np.zeros(n.size)
+            mask = certifier._hand_out_terms(Primes(), n, got)
+            assert mask.tolist() == certifier._hand_out(p, want).tolist()
+            assert got.tobytes() == want.tobytes()
+            assert mask.mean() > 0.9
+            assert got[mask].tolist() == [certifier._term_frac(Primes(), k)
+                                          for k in n[mask].tolist()]
 
     def test_exp2_route_takes_nothing_past_its_cut(self, monkeypatch):
         # the bound holds at least _EXP2_REMAINDER u, more than half a
@@ -1425,9 +1438,11 @@ class TestTermRoutes:
            n=st.one_of(st.integers(1, 2 ** 20), st.integers(1, 64)))
     @settings(max_examples=500, deadline=None)
     def test_stated_ln_within_its_bound(self, name, n):
-        seq = parse_sequence(name)
         if name == "primes":
             n = n % 2 ** 14 + 1  # a sieve of 2**20 primes is slow
+            seq = _FormTerms(1.0, 0, [nth_prime(k) for k in range(1, n + 1)])
+        else:
+            seq = parse_sequence(name)
         lo, hi = seq._ln_range
         if not lo <= n <= hi:
             return
