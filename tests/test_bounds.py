@@ -402,6 +402,18 @@ PINNED_LAWS = [
     (Exponential(0.470661), LOG10,
      "eea3ec56b34a94d6a0cdf36acc82046ee4313a8c6ceca0d0f0cbf004921252fd",
      0.02397028483279129, 0.7021484375, 16, 4.942170943040401e-14),
+    # recorded while every row block allocated its own arrays: seed 1's
+    # two dist-laws pi*x**2 laws (7 and 9 rows a block, a cdf run beside
+    # an sf run) and a second chunk of 4,465 cells, 14 rows a block
+    (HalfNormal(6.68552), PI_SQUARE,
+     "4f088962f1ed1c9723d843be114906afb8ca59be79734b4e5cbf40bd800f6fe7",
+     0.020282919552854495, 0.302734375, 8411, 1.4961937376195506e-11),
+    (HalfNormal(5.9417), PI_SQUARE,
+     "cc10cce0bf6c847f98f5c1439c92b01ad5918cf65191f88d7f751c1d94af7f46",
+     0.02282164103352774, 0.302734375, 6644, 1.1823114840975265e-11),
+    (UniformOnZeroK(70000.5), IDENTITY,
+     "47b767a4b49efa1fabd64df9ff8e65198ba6896e39dbc248bc6b76fd3c9828e0",
+     3.571403102808901e-06, 0.5, 70001, 1.2436775511485693e-10),
 ]
 
 # p_delta_uniform(1000, delta) over DELTA_GRID, recorded with the

@@ -457,6 +457,11 @@ PINNED_CELLS = [
     ("primes", Power(3, pi=True), 2000, False,
      "50911701139577e431aa5f7d9891ff345b0473684d4ecc3a027a785494b4f5ef",
      0, 2000),
+    # recorded while a power law whose p alpha is an integer took the
+    # exp2 phase and the prime-factor floors under pi*x**p
+    ("power_law:1.5", PI_SQUARE, 2000, False,
+     "8b83156aba303d44eae4add5aa493c4dd894b256426e29f3ec6fa502a9979266",
+     0, 2000),
 ]
 
 
