@@ -2,8 +2,9 @@
 axis and the supremum of pdf/u' as a value.
 
 mod1_law reads a family only through cdf_log10/sf_log10 (the law at
-x = 10**lg), ppf_log10/isf_log10 (its window) and support_lo, the one
-edge the support rule Transform.check_support reads. On the log10 axis
+x = 10**lg, written into the law's buffer, out=), ppf_log10/isf_log10
+(its window) and support_lo, the one edge the support rule
+Transform.check_support reads. On the log10 axis
 the law stays finite where x overflows a double: heavy Pareto tails at
 survival 1e-14 live thousands of decades up. ppf and sample are for
 sampling. The discrepancy bounds are built from the supremum of pdf/u'
@@ -33,11 +34,11 @@ _DOUBLE_MIN = sys.float_info.min  # smallest normal double
 _LN_DOUBLE_MIN = math.log(_DOUBLE_MIN)
 
 
-def _pow10(lg, scale=1.0):
+def _pow10(lg, scale=1.0, out=None):
     """10**lg / scale for an array of log10 abscissae, inf where it
-    overflows (a subnormal scale included)."""
+    overflows (a subnormal scale included), into out where given."""
     with np.errstate(over="ignore"):
-        return np.power(10.0, lg) / scale
+        return np.divide(np.power(10.0, lg, out=out), scale, out=out)
 
 
 def _pow(x, y):
@@ -61,7 +62,11 @@ class Distribution:
     base gives a missing one as the complement), and its
     quantiles ppf (x for sampling) and ppf_log10/isf_log10 (log10 x for
     the window). Each of these is one numpy expression: an array gives an
-    array, a scalar a float or a 0-d array. sup_x_pow_pdf returns
+    array, a scalar a float or a 0-d array. cdf_log10 and sf_log10 take
+    out=, an array of lg's shape that receives the values and is
+    returned, as a numpy ufunc's out does, and may be lg itself;
+    mod1_law passes its own buffer there, so a family maps no block of
+    its own. sup_x_pow_pdf returns
     the supremum as a float. support_lo, the left edge of the support, is
     what the support rule (Transform.check_support) compares with a map's
     domain.
@@ -74,11 +79,11 @@ class Distribution:
     def label(self):
         return self.name
 
-    def cdf_log10(self, lg):
-        return 1.0 - self.sf_log10(lg)
+    def cdf_log10(self, lg, out=None):
+        return np.subtract(1.0, self.sf_log10(lg, out), out=out)
 
-    def sf_log10(self, lg):
-        return 1.0 - self.cdf_log10(lg)
+    def sf_log10(self, lg, out=None):
+        return np.subtract(1.0, self.cdf_log10(lg, out), out=out)
 
     def ppf(self, q):
         raise NotImplementedError
@@ -131,11 +136,13 @@ class ParetoI(Distribution):
     def isf_log10(self, p):
         return math.log10(self.x0) - np.log(p) / self._rate_a / self._rate_b
 
-    def sf_log10(self, lg):
+    def sf_log10(self, lg, out=None):
         # below the support the clamped exponent gives exp(0) = 1
-        d = np.minimum(math.log10(self.x0) - lg, 0.0)
+        d = np.subtract(math.log10(self.x0), lg, out=out)
+        d = np.minimum(d, 0.0, out=out)
         with np.errstate(over="ignore"):  # exp(-inf) = 0 far above it
-            return np.exp(self._rate_b * d * self._rate_a)
+            d = np.multiply(self._rate_b, d, out=out)
+            return np.exp(np.multiply(d, self._rate_a, out=out), out=out)
 
     def sup_x_pow_pdf(self, k, factor):
         # x**k * pdf = alpha * x0**alpha * x**(k - alpha - 1) falls for
@@ -187,11 +194,19 @@ class ParetoII(Distribution):
             return np.where(t > 300.0 * _LN10, t / _LN10,
                             np.log10(np.expm1(np.minimum(t, 700.0))))
 
-    def sf_log10(self, lg):
-        # ln(1 + 10^lg) without overflow
-        ln1px = np.where(lg > 30.0, lg * _LN10,
-                         np.log1p(np.power(10.0, np.minimum(lg, 30.0))))
-        return np.exp(-self.b * ln1px)
+    def sf_log10(self, lg, out=None):
+        # ln(1 + 10^lg) without overflow: lg ln 10 past lg = 30. Each side
+        # reads only its own entries of lg, so out may be lg
+        lg = np.asarray(lg, dtype=np.float64)
+        far = lg > 30.0
+        near = ~far
+        ln1px = np.multiply(lg, _LN10, where=far,
+                            out=np.empty_like(lg) if out is None else out)
+        np.minimum(lg, 30.0, out=ln1px, where=near)
+        np.power(10.0, ln1px, out=ln1px, where=near)
+        np.log1p(ln1px, out=ln1px, where=near)
+        out = np.exp(np.multiply(-self.b, ln1px, out=ln1px), out=ln1px)
+        return out if lg.shape else float(out)
 
     def sup_x_pow_pdf(self, k, factor):
         # d/dx ln(x**k * (1 + x)**-(b + 1)) vanishes at k/(b + 1 - k); the
@@ -219,11 +234,15 @@ class LognormalBase10(Distribution):
     def isf_log10(self, p):
         return self.mu - self.sigma * probit(p)
 
-    def cdf_log10(self, lg):
-        return normal_cdf((lg - self.mu) / self.sigma)
+    def cdf_log10(self, lg, out=None):
+        return normal_cdf(self._z(lg, out), out)
 
-    def sf_log10(self, lg):
-        return normal_sf((lg - self.mu) / self.sigma)
+    def sf_log10(self, lg, out=None):
+        return normal_sf(self._z(lg, out), out)
+
+    def _z(self, lg, out):
+        return np.divide(np.subtract(lg, self.mu, out=out), self.sigma,
+                         out=out)
 
     def sup_x_pow_pdf(self, k, factor):
         """x**k * pdf = x**-c * exp(-z**2/2) / (sigma*ln 10*sqrt(2*pi)),
@@ -275,8 +294,8 @@ class UniformOnZeroK(Distribution):
         self.k = real("UniformOnZeroK k", k)
         self.name = f"uniform(0,{self.k:g}]"
 
-    def cdf_log10(self, lg):
-        return np.clip(_pow10(lg, self.k), 0.0, 1.0)
+    def cdf_log10(self, lg, out=None):
+        return np.clip(_pow10(lg, self.k, out), 0.0, 1.0, out=out)
 
     def ppf(self, q):
         return q * self.k
@@ -296,11 +315,15 @@ class Exponential(Distribution):
         self.lam = real("Exponential lam", lam)
         self.name = f"exponential(lam={self.lam:g})"
 
-    def cdf_log10(self, lg):
-        return -np.expm1(-self.lam * _pow10(lg))
+    def cdf_log10(self, lg, out=None):
+        return np.negative(np.expm1(self._rate_x(lg, out), out=out),
+                           out=out)
 
-    def sf_log10(self, lg):
-        return np.exp(-self.lam * _pow10(lg))
+    def sf_log10(self, lg, out=None):
+        return np.exp(self._rate_x(lg, out), out=out)
+
+    def _rate_x(self, lg, out):
+        return np.multiply(-self.lam, _pow10(lg, out=out), out=out)
 
     def ppf(self, q):
         with np.errstate(over="ignore"):  # inf for a subnormal lam
@@ -324,11 +347,11 @@ class HalfNormal(Distribution):
         self.sigma = real("HalfNormal sigma", sigma)
         self.name = f"half_normal(sigma={self.sigma:g})"
 
-    def cdf_log10(self, lg):
-        return erf(_pow10(lg, self.sigma * _SQRT2))
+    def cdf_log10(self, lg, out=None):
+        return erf(_pow10(lg, self.sigma * _SQRT2, out), out)
 
-    def sf_log10(self, lg):
-        return erfc(_pow10(lg, self.sigma * _SQRT2))
+    def sf_log10(self, lg, out=None):
+        return erfc(_pow10(lg, self.sigma * _SQRT2, out), out)
 
     def ppf(self, q):
         return self.sigma * probit((1.0 + q) / 2.0)

@@ -61,17 +61,33 @@ def _erf_series(x):
     return _TWO_OVER_SQRT_PI * x * np.exp(-x * x) * total
 
 
-def _erfc_big(t, s):
-    # erfc(x) for x = t * sqrt(s) >= 0.5 and s = 1 or 1/2. Works in place
-    # on t, which every caller passes as a fresh copy, and on three more
-    # arrays of its size
+@functools.cache
+def _cut_below(s):
+    # the least double t with t * sqrt(s) >= _CUT in doubles; the product
+    # rounds monotonically in t, and to nearest alike on either sign, so
+    # t >= _cut_below(s) exactly where t * sqrt(s) reaches the cut and
+    # t <= -_cut_below(s) where it reaches -_CUT, nan in neither
+    r = math.sqrt(s)
+    t = _CUT / r
+    while t * r >= _CUT:
+        t = math.nextafter(t, 0.0)
+    while t * r < _CUT:
+        t = math.nextafter(t, math.inf)
+    return t
+
+
+def _erfc_big(t, s, out):
+    # erfc(x) for x = t * sqrt(s) >= 0.5 and s = 1 or 1/2, into out, which
+    # may be t; t is not written otherwise. Works in out and in one array
+    # of three more of t's size
     lam, coeffs = _weideman(40)
-    t = np.minimum(t, _T_MAX, out=t)
-    d = t * math.sqrt(s)
-    z = lam - d
+    d, z, p = (w.reshape(np.shape(t)) for w in np.empty((3, np.size(t))))
+    t = np.minimum(t, _T_MAX, out=out)
+    np.multiply(t, math.sqrt(s), out=d)
+    np.subtract(lam, d, out=z)
     d += lam
     z /= d
-    p = np.full_like(z, coeffs[0])
+    p.fill(coeffs[0])
     for c in coeffs[1:]:
         p *= z
         p += c
@@ -88,53 +104,66 @@ def _erfc_big(t, s):
     p *= np.exp(lo, out=lo)
     hi *= hi
     hi *= -s
-    p *= np.exp(hi, out=hi)
-    return p
+    return np.multiply(p, np.exp(hi, out=hi), out=out)
 
 
-def _erfc(t, s):
-    # erfc(t * sqrt(s)): the kernel on either side of the cut, the series
-    # between them (where nan falls, and stays). out starts as x and each
-    # entry is read before it is overwritten; out= keeps 0-d input an array
-    out = np.multiply(t, math.sqrt(s), out=np.empty_like(t))
-    up = out >= _CUT
-    down = out <= -_CUT
+def _erfc(t, s, out=None):
+    # erfc(t * sqrt(s)) into out, a fresh array where omitted, which may be
+    # t: the kernel on either side of the cut, the series between them
+    # (where nan falls, and stays). The sides are read off t, and every
+    # entry of t is gathered before out is written; a block wholly above
+    # the cut goes to the kernel whole, with no gather or scatter.
+    # out= keeps 0-d input an array
+    cut = _cut_below(s)
+    up, down = t >= cut, t <= -cut
+    if out is None:
+        out = np.empty_like(t)
+    if up.all():
+        return _erfc_big(t, s, out)
     mid = ~(up | down)
+    t_mid, t_up, t_down = t[mid], t[up], np.negative(t[down])
     if mid.any():
-        out[mid] = 1.0 - _erf_series(out[mid])
+        out[mid] = 1.0 - _erf_series(t_mid * math.sqrt(s))
     if up.any():
-        out[up] = _erfc_big(t[up], s)
+        out[up] = _erfc_big(t_up, s, t_up)
     if down.any():
-        out[down] = 2.0 - _erfc_big(-t[down], s)
+        out[down] = 2.0 - _erfc_big(t_down, s, t_down)
     return out
 
 
-def erf(x):
+def erf(x, out=None):
     x = np.asarray(x, dtype=np.float64)
-    out = np.abs(x, out=np.empty_like(x))  # |x|, overwritten entry by entry
+    neg = np.signbit(x)  # read before out, which may be x, is written
+    out = np.abs(x, out=np.empty_like(x) if out is None else out)
     small = out < _CUT
-    if small.any():
+    if not small.any():
+        out = np.subtract(1.0, _erfc_big(out, 1.0, out), out=out)
+    else:
         out[small] = _erf_series(out[small])
-    if (~small).any():
-        out[~small] = 1.0 - _erfc_big(out[~small], 1.0)
-    return np.copysign(out, x) if x.shape else float(np.copysign(out, x))
-
-
-def erfc(x):
-    x = np.asarray(x, dtype=np.float64)
-    out = _erfc(x, 1.0)
+        if (~small).any():
+            big = out[~small]
+            out[~small] = 1.0 - _erfc_big(big, 1.0, big)
+    np.copysign(out, -1.0, out=out, where=neg)
     return out if x.shape else float(out)
 
 
-def normal_cdf(z):
+def erfc(x, out=None):
+    x = np.asarray(x, dtype=np.float64)
+    out = _erfc(x, 1.0, out)
+    return out if x.shape else float(out)
+
+
+def normal_cdf(z, out=None):
     z = np.asarray(z, dtype=np.float64)
-    out = 0.5 * _erfc(-z, 0.5)
+    out = _erfc(np.negative(z, out=out), 0.5, out)
+    out *= 0.5
     return out if z.shape else float(out)
 
 
-def normal_sf(z):
+def normal_sf(z, out=None):
     z = np.asarray(z, dtype=np.float64)
-    out = 0.5 * _erfc(z, 0.5)
+    out = _erfc(z, 0.5, out)
+    out *= 0.5
     return out if z.shape else float(out)
 
 

@@ -329,11 +329,13 @@ class _Wobble:
     def isf_log10(self, p):
         return math.log10(self.hi)
 
-    def cdf_log10(self, lg):
-        return self.c + self.a * np.sin(self.w * np.power(10.0, lg))
+    def cdf_log10(self, lg, out=None):
+        x = np.multiply(self.w, np.power(10.0, lg, out=out), out=out)
+        x = np.multiply(self.a, np.sin(x, out=out), out=out)
+        return np.add(self.c, x, out=out)
 
-    def sf_log10(self, lg):
-        return 1.0 - self.cdf_log10(lg)
+    def sf_log10(self, lg, out=None):
+        return np.subtract(1.0, self.cdf_log10(lg, out), out=out)
 
 
 def _run_lengths(distribution, transform, cells):

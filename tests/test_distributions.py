@@ -165,6 +165,40 @@ class TestShapeAndSupport:
         assert isinstance(arr, np.ndarray)
 
 
+def _bits(v):
+    return np.asarray(v, dtype=np.float64).tobytes()
+
+
+class TestOut:
+    """cdf_log10 and sf_log10 with out= write the allocating call's
+    doubles into the caller's array and return it, as mod1_law calls
+    them: a column slice of its preimage block into a contiguous buffer;
+    out may be lg itself."""
+
+    @staticmethod
+    def grid(dist):
+        q = np.linspace(1e-10, 1.0 - 1e-10, 201)
+        return np.concatenate([
+            dist.ppf_log10(q), dist.isf_log10(np.array([1e-14, 1e-300])),
+            [-np.inf, np.inf, np.nan, -400.0, 400.0, 30.0,
+             math.nextafter(30.0, 31.0), 0.0, -0.0]])
+
+    @pytest.mark.parametrize("side", ["cdf_log10", "sf_log10"])
+    def test_matches_the_allocating_call(self, dist, side):
+        f = getattr(dist, side)
+        lg = self.grid(dist)
+        with np.errstate(all="ignore"):
+            want = f(lg)
+            buf = np.full_like(lg, 7.0)
+            assert f(lg, out=buf) is buf and _bits(buf) == _bits(want)
+            block = np.tile(lg, (3, 1))[:, 2:-2]
+            values = np.empty(block.shape)
+            assert f(block, out=values) is values
+            assert _bits(values) == _bits(np.tile(want, (3, 1))[:, 2:-2])
+            same = lg.copy()
+            assert f(same, out=same) is same and _bits(same) == _bits(want)
+
+
 class TestLog10Forms:
     def test_match_plain_forms_in_range(self, dist):
         q = np.linspace(1e-6, 1 - 1e-6, 61)

@@ -17,7 +17,8 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ubenford.special import erf, erfc, normal_cdf, normal_sf, probit
+from ubenford.special import (_CUT, _cut_below, erf, erfc, normal_cdf,
+                              normal_sf, probit)
 
 # mpmath, 40 dps
 ERF_HALF = 0.52049987781304653768
@@ -87,6 +88,60 @@ def test_dense_ulp_sweep(mp50, fn, oracle, grid):
     errs = ulp_errors(fn(grid), exact)
     assert errs.size > 0.9 * grid.size
     assert errs.max() <= ULP_BOUND
+
+
+_EDGES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324,
+                   -5e-324, 1e308, -1e308])
+_OUT_CASES = [(erf, SWEEP), (erfc, SWEEP), (normal_cdf, SWEEP_Z),
+              (normal_sf, SWEEP_Z)]
+_OUT_IDS = ["erf", "erfc", "normal_cdf", "normal_sf"]
+
+
+def _bits(v):
+    return np.asarray(v, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("fn, grid", _OUT_CASES, ids=_OUT_IDS)
+class TestOut:
+    """out= writes the allocating call's doubles, bit for bit (nan signs
+    included), into the caller's array and returns it; out may be the
+    input itself, and a block wholly above the cut, which goes to the
+    kernel whole, matches the same entries of a mixed one."""
+
+    def test_fresh_buffer(self, fn, grid):
+        x = np.concatenate([grid, _EDGES])
+        buf = np.full_like(x, 7.0)
+        got = fn(x, out=buf)
+        assert got is buf and _bits(got) == _bits(fn(x))
+
+    def test_in_place(self, fn, grid):
+        x = np.concatenate([grid, _EDGES])
+        want = fn(x)
+        got = fn(x, out=x)
+        assert got is x and _bits(got) == _bits(want)
+
+    def test_strided_view(self, fn, grid):
+        x = np.concatenate([grid, _EDGES])[:3300].reshape(-1, 30)[:, 3:27]
+        buf = np.full((x.shape[0], 40), 7.0)
+        got = fn(x, out=buf[:, 5:29])
+        assert got.base is buf and _bits(got) == _bits(fn(x))
+        assert np.all(buf[:, :5] == 7.0) and np.all(buf[:, 29:] == 7.0)
+
+    def test_wholly_above_the_cut(self, fn, grid):
+        x = np.concatenate([grid, _EDGES])
+        up = np.abs(x) >= 1.0  # both sides of erf and the normal laws
+        for side in (x > 0.0, x < 0.0):
+            block = x[up & side]
+            assert _bits(fn(block, out=np.empty_like(block))) == \
+                _bits(fn(x)[up & side])
+
+
+@pytest.mark.parametrize("s", [1.0, 0.5])
+def test_cut_below_is_the_least_double_past_the_cut(s):
+    r = math.sqrt(s)
+    t = _cut_below(s)
+    assert t * r >= _CUT and math.nextafter(t, 0.0) * r < _CUT
+    assert -t * r <= -_CUT and math.nextafter(-t, 0.0) * r > -_CUT
 
 
 class TestErf:

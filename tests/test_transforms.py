@@ -386,6 +386,68 @@ class TestDomains:
             LOGLOG.u_float_from_log10(0.0)
 
 
+def _inverse_log10_allocating(t, y):
+    """inverse_log10 as each map stated it before it took out=."""
+    if isinstance(t, Log):
+        return y * math.log10(t.base)
+    if isinstance(t, LogLog):
+        return np.power(10.0, y)
+    lg = np.where(y > 0.0, np.log10(np.maximum(y, 1e-320)), -np.inf)
+    return (lg - math.log10(math.pi) if t.pi else lg) / t._a
+
+
+def _bits(v):
+    return np.asarray(v, dtype=np.float64).tobytes()
+
+
+class TestInverseLog10Out:
+    """out= writes the same doubles the allocating call returns, into the
+    caller's array, and returns that array."""
+
+    YS = [0.0, -0.0, -2.5, 5e-324, 1.0, 1e308, math.inf, math.nan]
+    MAPS = [LOG10, LOG2, LOGLOG, SQRT, PI_SQUARE, IDENTITY]
+
+    @pytest.mark.parametrize("t", MAPS, ids=lambda t: t.label())
+    def test_one_dimensional(self, t):
+        y = np.array(self.YS)
+        buf = np.full(y.size, 7.0)
+        with np.errstate(over="ignore"):  # 10**1e308 under LogLog
+            got = t.inverse_log10(y, out=buf)
+            want = t.inverse_log10(y)
+        assert got is buf
+        assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("t", MAPS, ids=lambda t: t.label())
+    def test_strided_view(self, t):
+        # a column slice of a 2-D block, as the law's runs read it, into a
+        # column slice of another
+        y = np.array(self.YS * 3).reshape(3, -1)[:, 1:7]
+        buf = np.full((4, 10), 7.0)
+        with np.errstate(over="ignore"):
+            got = t.inverse_log10(y, out=buf[:3, 2:8])
+            want = t.inverse_log10(y)
+        assert got.base is buf
+        assert _bits(got) == _bits(want)
+        assert np.all(buf[:, :2] == 7.0) and np.all(buf[3] == 7.0)
+
+    @pytest.mark.parametrize("t", MAPS, ids=lambda t: t.label())
+    def test_in_place(self, t):
+        y = np.array(self.YS)
+        with np.errstate(over="ignore"):
+            want = t.inverse_log10(y)
+            got = t.inverse_log10(y, out=y)
+        assert got is y and _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("t", MAPS, ids=lambda t: t.label())
+    def test_scalar_without_out(self, t):
+        with np.errstate(over="ignore"):
+            for y in self.YS + [np.float64(3.5)]:
+                got = t.inverse_log10(y)
+                want = _inverse_log10_allocating(t, y)
+                assert type(got) is type(want)
+                assert _bits(got) == _bits(want)
+
+
 class TestFloatHelpers:
     @given(st.floats(min_value=1.5, max_value=1e8))
     @settings(max_examples=200)
