@@ -127,7 +127,8 @@ class Sequence:
       integer, pi**(c p + 1) n**e; a running product for n!; and for a
       power law n**alpha, alpha = a/b, n**(p alpha) from the prime
       factors of n, one ln and one exp per prime and one product per
-      composite. `_dear_floors` marks the last: its exp2 phase runs
+      composite, where p alpha is no integer (an integer one is the
+      form's). `_dear_floors(p)` marks the last: its exp2 phase runs
       first, and the floors take only what that leaves, in runs that pay
       for their width.
     - `_doubles(n)`, the terms as exact doubles where the sequence states
@@ -137,7 +138,6 @@ class Sequence:
     name = "?"
     form = None
     _ln_range = None
-    _dear_floors = False
 
     def _ln_terms(self, n):
         """ln x_n = lh + ll and err >= |lh + ll - ln x_n|, for an array of
@@ -162,6 +162,11 @@ class Sequence:
         e = int(s * p)
         return lambda n: _pi_power_floor(n.astype(object) ** e, 0, c * p + 1,
                                          e * int(n.max()).bit_length())
+
+    def _dear_floors(self, p):
+        """True where the integer phase of pi*x**p costs an exp per prime
+        factor (a power law's floors); False here."""
+        return False
 
     def _doubles(self, n):
         """The terms x_n as exact doubles, for an ascending int64 array of
@@ -340,8 +345,6 @@ class NPowN(Sequence):
 class PowerLaw(Sequence):
     """n**alpha. alpha is "1/pi" or a positive float expanded exactly."""
 
-    _dear_floors = True
-
     def __init__(self, alpha):
         if isinstance(alpha, str) and alpha.strip() == "1/pi":
             self._inv_pi = True
@@ -368,9 +371,16 @@ class PowerLaw(Sequence):
             return _fma(_ln(n), _quick_inv_pi())
         return super()._ln_terms(n)
 
+    def _dear_floors(self, p):
+        """p alpha = a p / b is no integer, for alpha = a/b exact."""
+        return self._ratio is not None and \
+            self._ratio[0] * p % self._ratio[1] != 0
+
     def _pi_power_floors(self, p):
-        """pi n**(p alpha) 2**_ROUTE_BITS from the prime factors q of n,
-        alpha = a/b exact; None for n**(1/pi). Over a block of indices n,
+        """pi n**(p alpha) 2**_ROUTE_BITS: the form's pi n**(p alpha), one
+        integer power a term, where p alpha is an integer; otherwise from
+        the prime factors q of n, alpha = a/b exact; None for n**(1/pi).
+        Over a block of indices n,
         of largest u_max = pi n_max**(p alpha) < 2**big, all at G bits:
         - each prime q: y_q = q**(p alpha) as exp_fixed(floor(L p a / b),
           G) = (M, k), y_q within M 2**(k - G), L = ln_int_fixed(q, G);
@@ -405,6 +415,8 @@ class PowerLaw(Sequence):
         """
         if self._inv_pi:
             return None
+        if not self._dear_floors(p):
+            return super()._pi_power_floors(p)
         a, b = self._ratio
         a *= p  # p alpha = a / b
 

@@ -820,9 +820,10 @@ class _OnTerms:
     `_from_ln` on the ln x_n it states (`Sequence._ln_terms`).
     Integer phase under pi*x**p, where the sequence states one
     (`Sequence._pi_power_floors`): A_n = floor(u 2**_ROUTE_BITS) in ints,
-    at any size. For a form (sqrt_n at even p, pi_n) and n! it takes
-    every term alone: A is within 3 units of 2**-120, far inside any err
-    of the other phase, and is the faster. A power law's floors cost an
+    at any size. For a form where s p is an integer (sqrt_n at even p,
+    pi_n, a power law with p alpha an integer) and n! it takes every term
+    alone: A is within 3 units of 2**-120, far inside any err of the
+    other phase, and is the faster. Any other power law's floors cost an
     exp per prime factor (`Sequence._dear_floors`), so there the exp2
     phase runs first, on the terms up to _EXP2_U_MAX, and the floors take
     only what it leaves, in runs that pay for their width
@@ -835,8 +836,8 @@ class _OnTerms:
     @property
     def _quick_range(self):
         seq = self.sequence
-        return None if self._integer_route and not seq._dear_floors \
-            else seq._ln_range
+        return None if self._integer_route and \
+            not seq._dear_floors(self.u.p) else seq._ln_range
 
     @property
     def _integer_route(self):
@@ -1422,7 +1423,8 @@ class _Certifier:
             route, x, out, True,
             lambda room: self._term_width(sequence, n[room]),
             functools.partial(self._floored, sequence, n)
-            if sequence._dear_floors else None)
+            if route._integer_route and sequence._dear_floors(route.u.p)
+            else None)
 
     def _routes(self, t, x, out, fits, width, floored=None):
         """The quick routes of t on one block: the double-double phase for

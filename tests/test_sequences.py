@@ -494,13 +494,13 @@ SEEDED_CELLS = [
     for t in (PI_SQUARE, LOG10)]
 
 # pinned cells off the benchmark whose terms once took a power map of m
-# that u composed into on the form pi**c m**s; the primes take the
-# doubles' routes
+# that u composed into on the form pi**c m**s, or the prime-factor floors
+# where p alpha is an integer; the primes take the doubles' routes
 REROUTED_CELLS = [
     ("sqrt_n", IDENTITY, 2000), ("pi_n", IDENTITY, 2000),
     ("primes", IDENTITY, 2000), ("power_law:1.5", IDENTITY, 2000),
     ("power_law:3", SQRT, 2000), ("power_law:0.5", PI_SQUARE, 2000),
-    ("primes", Power(3, pi=True), 2000)]
+    ("primes", Power(3, pi=True), 2000), ("power_law:1.5", PI_SQUARE, 2000)]
 
 
 # the fewest terms each cell's quick routes hand out: the primes, exact
@@ -544,7 +544,8 @@ ROUTED = {
     "power_law:47.4929-pi_square": 833, "power_law:47.4929-log10": 996,
     "sqrt_n-identity": 1956, "pi_n-identity": 1991, "primes-identity": 0,
     "power_law:1.5-identity": 1818, "power_law:3-sqrt": 1813,
-    "power_law:0.5-pi_square": 1988, "primes-pi*x**3": 1999}
+    "power_law:0.5-pi_square": 1988, "primes-pi*x**3": 1999,
+    "power_law:1.5-pi_square": 1992}
 
 
 @pytest.mark.parametrize("name, transform, n_max",
@@ -593,6 +594,43 @@ def test_the_odd_nonsquare_rerun_takes_the_per_term_route():
     assert n[mask].tolist() == [3, 5, 7]
     want = [certifier._term_frac(seq, k) for k in (3, 5, 7)]
     assert got[mask].tobytes() == np.array(want).tobytes()
+
+
+def _hand_outs(seq, transform, n_max):
+    """The mask of the terms n = 1..n_max that the quick routes hand out,
+    block by block."""
+    certifier = _Certifier(transform, PrecisionPolicy())
+    masks = []
+    for lo in range(1, n_max + 1, _QUICK_BLOCK):
+        n = np.arange(lo, min(lo + _QUICK_BLOCK, n_max + 1))
+        masks.append(certifier._hand_out_terms(seq, n, np.zeros(n.size)))
+    return np.concatenate(masks)
+
+
+def test_integer_p_alpha_takes_the_forms_floors_alone():
+    # power_law:0.5 under pi*x**2 is pi n, as sqrt_n's terms are: the
+    # form's integer phase takes every term alone, with no exp2 phase and
+    # no prime-factor floors, and A_n is the same on every block
+    law, root = PowerLaw(0.5), SqrtN()
+    assert not law._dear_floors(2) and law._dear_floors(3)
+    assert PowerLaw(23.1317)._dear_floors(2)
+    assert not PowerLaw("1/pi")._dear_floors(2)
+    for seq in (law, root):
+        route, _ = PI_SQUARE._terms_route(seq, np.arange(1, 5))
+        assert route._quick_range is None and route._integer_route
+    n = np.arange(1, 10001)
+    assert law._pi_power_floors(2)(n).tolist() == \
+        root._pi_power_floors(2)(n).tolist()
+    fs_law = frac_sample(law, PI_SQUARE, 10000)
+    fs_root = frac_sample(root, PI_SQUARE, 10000)
+    assert fs_law.values.tobytes() == fs_root.values.tobytes()
+    # the hand-outs differ only through the width, which each sequence's
+    # own per-term terms set: sqrt_n's claim one bit fewer past n = 4,096
+    handed_law = _hand_outs(law, PI_SQUARE, 10000)
+    handed_root = _hand_outs(root, PI_SQUARE, 10000)
+    assert (handed_law.sum(), handed_root.sum()) == (9980, 9970)
+    assert np.all(handed_law[:4096] == handed_root[:4096])
+    assert np.all(handed_law >= handed_root)
 
 
 @pytest.mark.parametrize("alpha", ["23.1317", "55.6231"])
