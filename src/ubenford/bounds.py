@@ -6,11 +6,12 @@ overflow. It evaluates blocks of z rows x cells, at most _CHUNK elements
 each, with one cdf or survival call per block and run of adjacent cells on
 one side of the median; every row still sums its cells in cell order, so
 each probability is bit-identical to evaluating one z at a time. A law
-owns its block arrays, three per chunk of cells: the rows y = j + z,
-their log10 preimages, and the cell probabilities. Every step of the row
-loop writes into them, the family's values included (`out=`), so the
-loop allocates no array of block size: fresh pages for a new array at
-each step of each block cost a large law about a fifth of its time.
+owns its block arrays, one array of three blocks per chunk of cells: the
+rows y = j + z, their log10 preimages, and the cell probabilities. Every
+step of the row loop writes into them, the family's values included
+(`out=`), so the loop allocates no array of block size: fresh pages for
+a new array at each step of each block cost a large law about a fifth of
+its time.
 discrepancy_bound turns the closed-form supremum of pdf/u' into the
 certified ceiling 2*sup; certify_mod1_bound measures one against the other
 and raises if the measurement ever crosses the ceiling.
@@ -87,13 +88,13 @@ def mod1_law(distribution, transform, zs=None):
     in cell order, so the result is bit-identical to a per-z loop over the
     same cells.
 
-    Per chunk the law allocates three arrays of one block each, for the
-    rows y = j + z, their preimages (Transform.inverse_log10 with out=)
-    and the cell probabilities, and the row loop allocates none of block
+    Per chunk the law allocates one array of three blocks, for the rows
+    y = j + z, their preimages (Transform.inverse_log10 with out=) and
+    the cell probabilities, and the row loop allocates none of block
     size: the family writes each run's values (cdf_log10/sf_log10 with
     out=) into the rows' buffer, contiguous, once the preimages are
     taken. Only the erfc kernel's scratch (special._erfc_big) is taken
-    per call, as one array.
+    per call, as one array of three.
     """
     if zs is None:
         zs = default_z_grid()
@@ -144,7 +145,9 @@ def mod1_law(distribution, transform, zs=None):
         runs = [(a, b, bool(use_sf[a])) for a, b in zip(cuts, cuts[1:])]
         rows = max(1, _CHUNK // j.size)
         shape = (min(rows, zs.size), j.size)
-        y_chunk, lg_chunk, p_chunk = (np.empty(shape) for _ in range(3))
+        chunk = np.empty((3,) + shape)
+        y_chunk, lg_chunk, p_chunk = chunk[0], chunk[1], chunk[2]
+        flat = y_chunk.reshape(-1)
         for r0 in range(0, zs.size, rows):
             block = slice(r0, r0 + rows)
             z = zs[block, None]
@@ -154,7 +157,7 @@ def mod1_law(distribution, transform, zs=None):
             p = p_chunk[:k]
             for a, b, sf in runs:
                 # the run's values, contiguous, in the rows' buffer
-                values = y_chunk.reshape(-1)[:k * (b - a)].reshape(k, b - a)
+                values = flat[:k * (b - a)].reshape(k, b - a)
                 if sf:
                     np.subtract(sf_left[a:b], distribution.sf_log10(
                         lg_right[:, a:b], out=values), out=p[:, a:b])
@@ -162,7 +165,7 @@ def mod1_law(distribution, transform, zs=None):
                     np.subtract(distribution.cdf_log10(
                         lg_right[:, a:b], out=values), cdf_left[a:b],
                         out=p[:, a:b])
-            probs[block] += np.sum(np.maximum(p, 0.0, out=p), axis=1)
+            probs[block] += np.add.reduce(np.maximum(p, 0.0, out=p), axis=1)
 
     errs = np.abs(probs - zs)
     i = int(errs.argmax())

@@ -235,14 +235,12 @@ class LognormalBase10(Distribution):
         return self.mu - self.sigma * probit(p)
 
     def cdf_log10(self, lg, out=None):
-        return normal_cdf(self._z(lg, out), out)
+        z = np.divide(np.subtract(lg, self.mu, out=out), self.sigma, out=out)
+        return normal_cdf(z, out)
 
     def sf_log10(self, lg, out=None):
-        return normal_sf(self._z(lg, out), out)
-
-    def _z(self, lg, out):
-        return np.divide(np.subtract(lg, self.mu, out=out), self.sigma,
-                         out=out)
+        z = np.divide(np.subtract(lg, self.mu, out=out), self.sigma, out=out)
+        return normal_sf(z, out)
 
     def sup_x_pow_pdf(self, k, factor):
         """x**k * pdf = x**-c * exp(-z**2/2) / (sigma*ln 10*sqrt(2*pi)),
@@ -316,14 +314,12 @@ class Exponential(Distribution):
         self.name = f"exponential(lam={self.lam:g})"
 
     def cdf_log10(self, lg, out=None):
-        return np.negative(np.expm1(self._rate_x(lg, out), out=out),
-                           out=out)
+        x = np.multiply(-self.lam, _pow10(lg, out=out), out=out)
+        return np.negative(np.expm1(x, out=out), out=out)
 
     def sf_log10(self, lg, out=None):
-        return np.exp(self._rate_x(lg, out), out=out)
-
-    def _rate_x(self, lg, out):
-        return np.multiply(-self.lam, _pow10(lg, out=out), out=out)
+        return np.exp(np.multiply(-self.lam, _pow10(lg, out=out), out=out),
+                      out=out)
 
     def ppf(self, q):
         with np.errstate(over="ignore"):  # inf for a subnormal lam

@@ -110,9 +110,9 @@ def _erfc_big(t, s, out):
 def _erfc(t, s, out=None):
     # erfc(t * sqrt(s)) into out, a fresh array where omitted, which may be
     # t: the kernel on either side of the cut, the series between them
-    # (where nan falls, and stays). The sides are read off t, and every
-    # entry of t is gathered before out is written; a block wholly above
-    # the cut goes to the kernel whole, with no gather or scatter.
+    # (where nan falls, and stays). The sides are read off t, and each
+    # reads its own entries of t before it writes them; a block wholly
+    # above the cut goes to the kernel whole, with no gather or scatter.
     # out= keeps 0-d input an array
     cut = _cut_below(s)
     up, down = t >= cut, t <= -cut
@@ -121,12 +121,13 @@ def _erfc(t, s, out=None):
     if up.all():
         return _erfc_big(t, s, out)
     mid = ~(up | down)
-    t_mid, t_up, t_down = t[mid], t[up], np.negative(t[down])
     if mid.any():
-        out[mid] = 1.0 - _erf_series(t_mid * math.sqrt(s))
+        out[mid] = 1.0 - _erf_series(t[mid] * math.sqrt(s))
     if up.any():
+        t_up = t[up]
         out[up] = _erfc_big(t_up, s, t_up)
     if down.any():
+        t_down = np.negative(t[down])
         out[down] = 2.0 - _erfc_big(t_down, s, t_down)
     return out
 
