@@ -113,7 +113,7 @@ def _erfc(t, s, out=None):
     # (where nan falls, and stays). The sides are read off t, and each
     # reads its own entries of t before it writes them; a block wholly
     # above the cut goes to the kernel whole, with no gather or scatter.
-    # out= keeps 0-d input an array
+    # A fresh out keeps 0-d input an array
     cut = _cut_below(s)
     up, down = t >= cut, t <= -cut
     if out is None:

@@ -609,31 +609,33 @@ class Transform:
     """A rescaling map u; one subclass per kind of map: Log, LogLog and
     Power.
 
-    Double-precision side, on the log10 axis only (no map takes a double x
-    to u(x) in doubles; a sample's {u(x)} is certified):
+    Double-precision side, on the log10 axis only (no map takes a double
+    x to u(x) in doubles; a sample's {u(x)} is certified):
     `u_float_from_log10` (u from log10 x, inf where a double overflows);
     `inverse_log10` (vectorized log10 of the preimage, -inf below the
-    image, into `out` where given, as a numpy ufunc's out); `power`, the
-    pair (k, factor) of a power map, whose u' = x**-k / factor, so that
-    `sup_ratio` (sup of pdf/u' for a distribution, a float) is the family's
-    one closed form sup_x_pow_pdf(k, factor); `formula`, the map as the
-    refusal names it where k < 0 leaves that sup unbounded; a map that is
-    no power (LogLog) overrides `sup_ratio`; `lg_domain_lo`, log10 of the
-    domain's open lower edge on the positive axis (0 for the iterated log,
-    -inf for the rest); `check_support`, the one support rule, which the
-    law (bounds.mod1_law) and LogLog's ceiling read. Certified side, for
-    the certifier: `_check_domain`, `_try_exact` (exact result or None),
+    image, into `out` where given, as a numpy ufunc's out);
+    `power`, the pair (k, factor) of a power map, whose
+    u' = x**-k / factor, so that `sup_ratio` (sup of pdf/u' for a
+    distribution, a float) is the family's one closed form
+    sup_x_pow_pdf(k, factor); `formula`, the map as the refusal names it
+    where k < 0 leaves that sup unbounded; a map that is no power
+    (LogLog) overrides `sup_ratio`; `lg_domain_lo`, log10 of the domain's
+    open lower edge on the positive axis (0 for the iterated log, -inf
+    for the rest); `check_support`, the one support rule, which the law
+    (bounds.mod1_law) and LogLog's ceiling read. Certified side, for the
+    certifier: `_check_domain`, `_try_exact` (exact result or None),
     `_constants` (what `_eval_at` needs at one working precision, taken
     once per w), `_from_ln` (u from ln x, both in double-double with a
-    bound, for the quick phase), `_terms_route` (the one quick route on a
-    sequence's terms, `_OnTerms`), `_eval_at` (u(x) floor-accurate at scale
-    2**-w from those constants, certified bits as precision; it never
-    raises, a value it cannot vouch for gets a short claim, and LogLog's,
-    at a vanished inner log, None) and `_result_bits_estimate` (integer
-    bits of u for an input of `int_bits` integer bits), which start_bits
-    turns into the first working precision and the precision a sequence
-    term is generated at. The quick routes' width (`_Certifier._width`) is
-    `_eval_at`'s fewest claim at the ends of what a route takes.
+    bound, for the quick phase), `_terms_route` (the one quick route on
+    a sequence's terms, `_OnTerms`), `_eval_at` (u(x) floor-accurate at
+    scale 2**-w from those constants, certified bits as precision; it
+    never raises, a value it cannot vouch for gets a short claim, and
+    LogLog's, at a vanished inner log, None) and `_result_bits_estimate`
+    (integer bits of u for an input of `int_bits` integer bits), which
+    start_bits turns into the first working precision and the precision
+    a sequence term is generated at. The quick routes' width
+    (`_Certifier._width`) is `_eval_at`'s fewest claim at the ends of
+    what a route takes.
     """
 
     kind = None
