@@ -27,7 +27,7 @@ from ubenford.distributions import (Exponential, HalfNormal,
                                     LognormalBase10, ParetoI, ParetoII,
                                     UniformOnZeroK)
 from ubenford.distributions import sup_ratio
-from ubenford.experiments import DELTA_GRID
+from ubenford.experiments import DELTA_GRID, pdelta_curve
 from ubenford.errors import (CertificateViolation, HypothesisViolated,
                              InvalidParameter, NotUnimodal,
                              TruncationFailure)
@@ -427,6 +427,22 @@ PINNED_P_DELTA_UNIFORM_1000 = [
 ]
 
 
+# pdelta_curve("exponential", lam) over DELTA_GRID, recorded while the
+# direct sum ran as a loop of chunks: 1e-3 and 0.1 take the tail, 1.0
+# returns from the direct sum
+PINNED_P_DELTA_EXPONENTIAL = {
+    1e-3: [0.10013541363302975, 0.2001628840501774, 0.3001699437012008,
+           0.4001650668977575, 0.5001516206379026, 0.6001313865006381,
+           0.7001054607937498, 0.8000745863132526, 0.9000392981386529],
+    0.1: [0.11347014972687784, 0.21616234402340456, 0.3168293423034975,
+          0.4163184541775191, 0.5149663002346018, 0.6129509787729942,
+          0.7103820720947278, 0.8073337252344814, 0.9038595030723315],
+    1.0: [0.2281488315480648, 0.3503411777281834, 0.4538168521394548,
+          0.5469362667360715, 0.6329946983306296, 0.7137212593355824,
+          0.7901707229215502, 0.8630504376199296, 0.9328667846551161],
+}
+
+
 class TestPinnedBits:
     @pytest.mark.parametrize("d,t,digest,disc,worst_z,cells,budget",
                              PINNED_LAWS,
@@ -442,6 +458,12 @@ class TestPinnedBits:
     def test_p_delta_uniform_over_the_delta_grid(self):
         got = [p_delta_uniform(1000, delta) for delta in DELTA_GRID]
         assert got == PINNED_P_DELTA_UNIFORM_1000
+
+    @pytest.mark.parametrize("lam", list(PINNED_P_DELTA_EXPONENTIAL))
+    def test_p_delta_exponential_over_the_delta_grid(self, lam):
+        rows = pdelta_curve("exponential", lam).rows
+        assert [r.probability for r in rows] == \
+            PINNED_P_DELTA_EXPONENTIAL[lam]
 
 
 class TestBoundCertificates:

@@ -207,6 +207,14 @@ def test_pdelta_text_bytes_are_pinned(capsys):
     assert_pinned(out, "pdelta_uniform_100.txt")
 
 
+def test_pdelta_exponential_text_bytes_are_pinned(capsys):
+    # the exponential series with its tail; its values carry the series'
+    # known error, and a mend of it re-pins this file and its record
+    code, out, err = run(capsys, "pdelta", "exponential", "0.001")
+    assert (code, err) == (0, "")
+    assert_pinned(out, "pdelta_exponential_0.001.txt")
+
+
 @pytest.mark.parametrize("name, argv", [
     ("analyze_compound_growth",
      ("analyze", str(_DATA / "compound_growth.csv"), "--column", "2")),
@@ -217,6 +225,7 @@ def test_pdelta_text_bytes_are_pinned(capsys):
     ("table1_n30", ("table1", "--n", "30")),
     ("bounds_lognormal10", ("bounds", "lognormal10", "--params", "0,2;0,3")),
     ("pdelta_uniform_100", ("pdelta", "uniform", "100")),
+    ("pdelta_exponential_0.001", ("pdelta", "exponential", "0.001")),
 ] + [
     # 3,004 doubles over +-300 decades, subnormals, 2**k, n**2 and
     # sqrt(n/pi), through both quick routes of the power maps

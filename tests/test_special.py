@@ -7,6 +7,7 @@ near x = 23 (it exponentiates the rounded x*x), so it cannot judge a few-ulp
 kernel there. scipy stays the oracle for erf on [-6, 6] and the quantile.
 """
 
+import hashlib
 import math
 
 import mpmath
@@ -134,6 +135,45 @@ class TestOut:
             block = x[up & side]
             assert _bits(fn(block, out=np.empty_like(block))) == \
                 _bits(fn(x)[up & side])
+
+
+# a log-spaced grid from the subnormals to 1e3, both signs
+_LOG = np.logspace(-320.0, 3.0, 3231)
+_LOG = np.concatenate([-_LOG[::-1], _LOG])
+_GRIDS = {"SWEEP": SWEEP, "SWEEP_Z": SWEEP_Z, "EDGES": _EDGES, "LOG": _LOG}
+
+# sha256 of each function's doubles on each grid, first 16 hex digits,
+# recorded while erf kept a side dispatch of its own beside erfc's
+PINNED_DIGESTS = {
+    "erf": {"SWEEP": "d7540cd90b247126", "SWEEP_Z": "bd4d7eb1d2de9437",
+            "EDGES": "dce691b268e9d9c5", "LOG": "272b61829297d121"},
+    "erfc": {"SWEEP": "7ca521eaa013c539", "SWEEP_Z": "5d361f3677826c35",
+             "EDGES": "fce475f97aa54de0", "LOG": "5739de402723abca"},
+    "normal_cdf": {"SWEEP": "2edef99877c24e4a", "SWEEP_Z": "1ee0a5340049e618",
+                   "EDGES": "72dc7f0977467175", "LOG": "b6f018b71156ab32"},
+    "normal_sf": {"SWEEP": "93552cbf74dc2cc1", "SWEEP_Z": "15c554e4f34ff619",
+                  "EDGES": "6e6af96f66c7a0a0", "LOG": "ae8d95c43a01bb33"},
+}
+
+
+def _digest(v):
+    return hashlib.sha256(_bits(v)).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("fn", [erf, erfc, normal_cdf, normal_sf],
+                         ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("grid", list(_GRIDS))
+def test_pinned_digests(fn, grid):
+    assert _digest(fn(_GRIDS[grid])) == PINNED_DIGESTS[fn.__name__][grid]
+
+
+@pytest.mark.parametrize("fn", [erf, erfc, normal_cdf, normal_sf],
+                         ids=lambda fn: fn.__name__)
+def test_scalar_gives_a_python_float(fn):
+    # np.float64 is a float subclass, so isinstance would let it through
+    for x in (0.3, np.float64(0.7), -2.0, np.array(1.5)):
+        assert type(fn(x)) is float
+        assert _bits(fn(x)) == _bits(fn(np.array([x]))[0])
 
 
 @pytest.mark.parametrize("s", [1.0, 0.5])
