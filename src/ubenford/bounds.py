@@ -300,17 +300,12 @@ def p_delta_exponential(lam, delta):
     delta = real("delta", delta, 0.0, 1.0)
     lam = real("lam", lam)
     mu = lam / _SQRT_PI
-    total = 0.0
-    j0 = 0
-    while j0 < _DIRECT_TERMS:
-        j1 = min(j0 + _CHUNK * 4, _DIRECT_TERMS)
-        terms = _exp_h(mu, np.arange(j0, j1, dtype=np.float64), delta)
-        total += float(np.sum(terms))
-        j0 = j1
-        if terms[-1] < 1e-18 * max(total, 1e-300):
-            return total
-    # remainder from j0 onward: integral + h/2 - h'/12
-    J = float(j0)
+    terms = _exp_h(mu, np.arange(_DIRECT_TERMS, dtype=np.float64), delta)
+    total = float(np.sum(terms))
+    if terms[-1] < 1e-18 * max(total, 1e-300):
+        return total
+    # remainder from _DIRECT_TERMS onward: integral + h/2 - h'/12
+    J = float(_DIRECT_TERMS)
 
     def antideriv(t):
         # integral of exp(-mu*sqrt(s)) ds from t to infinity
