@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from .errors import InvalidParameter, count, real, string
-from .special import erf, erfc, normal_cdf, normal_sf, probit
+from .special import _erfc, probit
 
 _LN10 = math.log(10.0)
 _LN10_40 = "2.302585092994045684017991454684364207601"  # ln 10, 40 digits
@@ -47,6 +47,17 @@ def _pow(x, y):
         return x ** y
     except OverflowError:
         return math.inf
+
+
+def _float(v):
+    """v, or a Python float where v is 0-d."""
+    return v if v.shape else float(v)
+
+
+def _half(v):
+    """v / 2, in place, as _float gives it."""
+    v *= 0.5
+    return _float(v)
 
 
 def _normal(v):
@@ -236,11 +247,11 @@ class LognormalBase10(Distribution):
 
     def cdf_log10(self, lg, out=None):
         z = np.divide(np.subtract(lg, self.mu, out=out), self.sigma, out=out)
-        return normal_cdf(z, out)
+        return _half(_erfc(np.negative(z, out=out), 0.5, out))
 
     def sf_log10(self, lg, out=None):
         z = np.divide(np.subtract(lg, self.mu, out=out), self.sigma, out=out)
-        return normal_sf(z, out)
+        return _half(_erfc(z, 0.5, out))
 
     def sup_x_pow_pdf(self, k, factor):
         """x**k * pdf = x**-c * exp(-z**2/2) / (sigma*ln 10*sqrt(2*pi)),
@@ -344,10 +355,11 @@ class HalfNormal(Distribution):
         self.name = f"half_normal(sigma={self.sigma:g})"
 
     def cdf_log10(self, lg, out=None):
-        return erf(_pow10(lg, self.sigma * _SQRT2, out), out)
+        return _float(_erfc(_pow10(lg, self.sigma * _SQRT2, out), 1.0, out,
+                            erf=True))
 
     def sf_log10(self, lg, out=None):
-        return erfc(_pow10(lg, self.sigma * _SQRT2, out), out)
+        return _float(_erfc(_pow10(lg, self.sigma * _SQRT2, out), 1.0, out))
 
     def ppf(self, q):
         return self.sigma * probit((1.0 + q) / 2.0)

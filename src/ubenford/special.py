@@ -1,19 +1,21 @@
-"""Vectorized special functions: error function family and normal quantile.
+"""Vectorized special functions: the error function and normal quantile.
 
 numpy-only implementations so the library does not depend on a full
-scientific stack. Below |x| = 0.5, erf is a positive series of a few
-terms. From 0.5 up, erfc(x) = exp(-x*x) erfcx(x), with erfcx from
-Weideman's rational series at N = 40 (SIAM J. Numer. Anal. 31(5), 1994);
-erf is 1 - erfc there and erfc(-x) is 2 - erfc(x). The exponent is never
-rounded: exp(-x*x) = exp(-hi*hi) exp(-lo*(x + hi)) with hi = x rounded to
-12 fractional bits, so hi*hi is exact. normal_cdf and normal_sf split z
-itself and halve the exponent, so z/sqrt(2) is not rounded into it either.
-Against mpmath at 50 digits all four stay within 8 ulp on [-6, 27] where
-the result is a normal double (5.6 the worst seen); erfcx's truncation at
-N = 40 is below 1e-4 ulp. The former erfc, a continued fraction from 1.5
-up and 1 - erf below, was up to 124 ulp off on [0.5, 1.5) and 484 ulp on
-[6, 27), where it exponentiated a rounded x*x. The quantile is Wichura's
-PPND16.
+scientific stack. One dispatch, _erfc(t, s, out, erf), gives erfc, or erf
+where asked, at x = t*sqrt(s): HalfNormal reads erf (its cdf) and erfc (its
+sf) at s = 1, LognormalBase10 half of erfc at s = 1/2 (of -z for its cdf,
+of z for its sf), and stats the public erfc. Below |x| = 0.5, erf is a
+positive series of a few terms. From 0.5 up, erfc(x) = exp(-x*x) erfcx(x),
+with erfcx from Weideman's rational series at N = 40 (SIAM J. Numer. Anal.
+31(5), 1994); erf is 1 - erfc there and erfc(-x) is 2 - erfc(x). The
+exponent is never rounded: exp(-x*x) = exp(-s*hi*hi) exp(-s*lo*(t + hi))
+with hi = t rounded to 12 fractional bits, so hi*hi is exact and no
+rounded x enters it. Against mpmath at 50 digits erf, erfc and the normal
+laws stay within 8 ulp on [-6, 27] where the result is a normal double
+(5.6 the worst seen); erfcx's truncation at N = 40 is below 1e-4 ulp. The
+former erfc, a continued fraction from 1.5 up and 1 - erf below, was up to
+124 ulp off on [0.5, 1.5) and 484 ulp on [6, 27), where it exponentiated a
+rounded x*x. The quantile is Wichura's PPND16.
 """
 
 import functools
@@ -107,65 +109,39 @@ def _erfc_big(t, s, out):
     return np.multiply(p, np.exp(hi, out=hi), out=out)
 
 
-def _erfc(t, s, out=None):
-    # erfc(t * sqrt(s)) into out, a fresh array where omitted, which may be
-    # t: the kernel on either side of the cut, the series between them
-    # (where nan falls, and stays). The sides are read off t, and each
-    # reads its own entries of t before it writes them; a block wholly
-    # above the cut goes to the kernel whole, with no gather or scatter.
-    # A fresh out keeps 0-d input an array
+def _erfc(t, s, out=None, erf=False):
+    # erfc(t * sqrt(s)), or erf where erf is set, into out, a fresh array
+    # where omitted, which may be t. From the kernel k, erfc is k above the
+    # cut and 2 - k below -cut, erf 1 - k and k - 1 (exactly -(1 - k));
+    # between them the series (where nan falls, and stays). Each side reads
+    # its own entries of t before it writes them; a block wholly above the
+    # cut goes to the kernel whole, with no gather or scatter. A fresh out
+    # keeps 0-d input an array
     cut = _cut_below(s)
     up, down = t >= cut, t <= -cut
     if out is None:
         out = np.empty_like(t)
     if up.all():
-        return _erfc_big(t, s, out)
+        out = _erfc_big(t, s, out)
+        return np.subtract(1.0, out, out=out) if erf else out
     mid = ~(up | down)
     if mid.any():
-        out[mid] = 1.0 - _erf_series(t[mid] * math.sqrt(s))
+        series = _erf_series(t[mid] * math.sqrt(s))
+        out[mid] = series if erf else 1.0 - series
     if up.any():
         t_up = t[up]
-        out[up] = _erfc_big(t_up, s, t_up)
+        k = _erfc_big(t_up, s, t_up)
+        out[up] = 1.0 - k if erf else k
     if down.any():
         t_down = np.negative(t[down])
-        out[down] = 2.0 - _erfc_big(t_down, s, t_down)
+        k = _erfc_big(t_down, s, t_down)
+        out[down] = k - 1.0 if erf else 2.0 - k
     return out
 
 
-def erf(x, out=None):
-    x = np.asarray(x, dtype=np.float64)
-    neg = np.signbit(x)  # read before out, which may be x, is written
-    out = np.abs(x, out=np.empty_like(x) if out is None else out)
-    small = out < _CUT
-    if not small.any():
-        out = np.subtract(1.0, _erfc_big(out, 1.0, out), out=out)
-    else:
-        out[small] = _erf_series(out[small])
-        if (~small).any():
-            big = out[~small]
-            out[~small] = 1.0 - _erfc_big(big, 1.0, big)
-    np.copysign(out, -1.0, out=out, where=neg)
-    return out if x.shape else float(out)
-
-
-def erfc(x, out=None):
-    x = np.asarray(x, dtype=np.float64)
-    out = _erfc(x, 1.0, out)
-    return out if x.shape else float(out)
-
-
-def normal_cdf(z, out=None):
-    z = np.asarray(z, dtype=np.float64)
-    out = _erfc(np.negative(z, out=out), 0.5, out)
-    out *= 0.5
-    return out if z.shape else float(out)
-
-
-def normal_sf(z, out=None):
-    z = np.asarray(z, dtype=np.float64)
-    out = _erfc(z, 0.5, out)
-    out *= 0.5
-    return out if z.shape else float(out)
+def erfc(x):
+    out = _erfc(np.asarray(x, dtype=np.float64), 1.0)
+    return out if out.shape else float(out)
 
 
 # PPND16 (Wichura's algorithm AS 241): rational minimax pieces for the
