@@ -9,8 +9,8 @@ kernel there. scipy stays the oracle for erf on [-6, 6] and the quantile.
 The package reads erf and the normal laws only through the one dispatch,
 special._erfc(t, s, out, erf); the shims below state each as its family
 calls it (HalfNormal erf and erfc at s = 1, LognormalBase10 half of erfc
-at s = 1/2), so every check here runs both flags at both scales. The
-public erfc, without out=, is checked beside them.
+at s = 1/2), and normal_central, erf at s = 1/2, completes both flags at
+both scales. The public erfc, without out=, is checked beside them.
 """
 
 import hashlib
@@ -54,6 +54,12 @@ def normal_sf(z, out=None):
     out = _erfc(z, 0.5, out)
     out *= 0.5
     return _float(z, out)
+
+
+def normal_central(z, out=None):
+    # P(|Z| < z) = erf(z / sqrt(2))
+    z = np.asarray(z, dtype=np.float64)
+    return _float(z, _erfc(z, 0.5, out, erf=True))
 
 
 # mpmath, 40 dps
@@ -118,7 +124,8 @@ def mp50():
     (erfc, mpmath.erfc, SWEEP),
     (normal_cdf, mpmath.ncdf, SWEEP_Z),
     (normal_sf, lambda z: mpmath.ncdf(-z), SWEEP_Z),
-], ids=["erf", "erfc", "normal_cdf", "normal_sf"])
+    (normal_central, lambda z: mpmath.erf(z / mpmath.sqrt(2)), SWEEP_Z),
+], ids=["erf", "erfc", "normal_cdf", "normal_sf", "normal_central"])
 def test_dense_ulp_sweep(mp50, fn, oracle, grid):
     exact = [oracle(mpmath.mpf(float(x))) for x in grid]
     errs = ulp_errors(fn(grid), exact)
@@ -129,8 +136,8 @@ def test_dense_ulp_sweep(mp50, fn, oracle, grid):
 _EDGES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324,
                    -5e-324, 1e308, -1e308])
 _OUT_CASES = [(erf, SWEEP), (erfc_out, SWEEP), (normal_cdf, SWEEP_Z),
-              (normal_sf, SWEEP_Z)]
-_OUT_IDS = ["erf", "erfc", "normal_cdf", "normal_sf"]
+              (normal_sf, SWEEP_Z), (normal_central, SWEEP_Z)]
+_OUT_IDS = ["erf", "erfc", "normal_cdf", "normal_sf", "normal_central"]
 
 
 def _bits(v):
