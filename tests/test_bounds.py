@@ -429,7 +429,9 @@ PINNED_P_DELTA_UNIFORM_1000 = [
 
 # pdelta_curve("exponential", lam) over DELTA_GRID, recorded while the
 # direct sum ran as a loop of chunks: 1e-3 and 0.1 take the tail, 1.0
-# returns from the direct sum
+# returns from the direct sum; 0.183, recorded while each delta summed
+# its own direct terms, returns from it at delta <= 0.3 and takes the
+# tail above
 PINNED_P_DELTA_EXPONENTIAL = {
     1e-3: [0.10013541363302975, 0.2001628840501774, 0.3001699437012008,
            0.4001650668977575, 0.5001516206379026, 0.6001313865006381,
@@ -440,7 +442,32 @@ PINNED_P_DELTA_EXPONENTIAL = {
     1.0: [0.2281488315480648, 0.3503411777281834, 0.4538168521394548,
           0.5469362667360715, 0.6329946983306296, 0.7137212593355824,
           0.7901707229215502, 0.8630504376199296, 0.9328667846551161],
+    0.183: [0.1245409690687348, 0.2293842626357773, 0.33054614858499637,
+            0.42957668479702393, 0.5270915510446181, 0.6234164150902596,
+            0.7187516081966081, 0.8132326422398923, 0.9069573889508954],
 }
+
+
+# p_delta_uniform(k, delta) over DELTA_GRID at k whose cell count
+# ceil(pi*k**2) is 1, 3*2**15 + 1 (one cell past a multiple of 2**14 and
+# of 2**15), 2**20 (one whole chunk) and 2**20 + 1 (one cell past it),
+# recorded while each chunk of each delta took arrays of its own
+PINNED_P_DELTA_UNIFORM_EDGES = {
+    0.5: [0.35682482323055426, 0.504626504404032, 0.6180387232371033,
+          0.7136496464611085, 0.7978845608028655, 0.8740387444736634,
+          0.9440697438826298, 1.0, 1.0],
+    176.8935: [0.10076554049459324, 0.20092091747024599, 0.300960951751702,
+               0.4009335496305447, 0.5008577451486764, 0.6007433589941742,
+               0.7005965816822746, 0.8004218648964192, 0.9002222387693743],
+    577.73: [0.10023440041588076, 0.20028196581143992, 0.30029420397000656,
+             0.4002857831455617, 0.5002625313239957, 0.6002274918404013,
+             0.7001825955021477, 0.8001291336694263, 0.9000680340931836],
+    577.7303: [0.10023439605051991, 0.20028195717773423, 0.3002941910862983,
+               0.4002857660225763, 0.5002625099694323, 0.6002275066938023,
+               0.7001826081382461, 0.8001291420896499, 0.9000680383014961],
+}
+UNIFORM_EDGE_CELLS = {0.5: 1, 176.8935: 3 * 2**15 + 1, 577.73: 2**20,
+                      577.7303: 2**20 + 1}
 
 
 class TestPinnedBits:
@@ -458,6 +485,13 @@ class TestPinnedBits:
     def test_p_delta_uniform_over_the_delta_grid(self):
         got = [p_delta_uniform(1000, delta) for delta in DELTA_GRID]
         assert got == PINNED_P_DELTA_UNIFORM_1000
+
+    @pytest.mark.parametrize("k", list(PINNED_P_DELTA_UNIFORM_EDGES))
+    def test_p_delta_uniform_at_the_chunk_edges(self, k):
+        a = k * math.sqrt(math.pi)
+        assert max(1, math.ceil(a * a)) == UNIFORM_EDGE_CELLS[k]
+        got = [p_delta_uniform(k, delta) for delta in DELTA_GRID]
+        assert got == PINNED_P_DELTA_UNIFORM_EDGES[k]
 
     @pytest.mark.parametrize("lam", list(PINNED_P_DELTA_EXPONENTIAL))
     def test_p_delta_exponential_over_the_delta_grid(self, lam):

@@ -207,6 +207,14 @@ def test_pdelta_text_bytes_are_pinned(capsys):
     assert_pinned(out, "pdelta_uniform_100.txt")
 
 
+def test_pdelta_uniform_1000_text_bytes_are_pinned(capsys):
+    # 3,141,593 cells: three chunks, the last one partly filled; CI
+    # compares the console script's output with the same file
+    code, out, err = run(capsys, "pdelta", "uniform", "1000")
+    assert (code, err) == (0, "")
+    assert_pinned(out, "pdelta_uniform_1000.txt")
+
+
 def test_pdelta_exponential_text_bytes_are_pinned(capsys):
     # the exponential series with its tail; its values carry the series'
     # known error, and a mend of it re-pins this file and its record
@@ -262,6 +270,9 @@ def test_pdelta_exponential_text_bytes_are_pinned(capsys):
     # the exponential series with its tail, recorded while its direct
     # sum ran as a loop of chunks
     ("pdelta_exponential_0.001", ("pdelta", "exponential", "0.001")),
+    # three chunks of cells, recorded while each chunk of each delta took
+    # arrays of its own
+    ("pdelta_uniform_1000", ("pdelta", "uniform", "1000")),
 ])
 def test_structured_record_bytes_are_pinned(capsys, name, argv):
     # CI compares the console script's output with the same files
@@ -542,6 +553,25 @@ def test_missing_subcommand_exits_one(capsys):
 
 # ---------------------------------------------------------------------------
 # exit code 2: internal numerical failures
+
+@pytest.mark.parametrize("argv, code, message", [
+    # the envelope breach at 0.1 comes before the delta 2 is read
+    (("pdelta", "exponential", "1e-7", "--deltas", "0.1,2"), 2,
+     "numerical failure: P_delta(1e-07, 0.1) = "),
+    # the cell budget, at the first delta, before the delta 2 is read
+    (("pdelta", "uniform", "1e4", "--deltas", "0.5,2"), 2,
+     "numerical failure: 3.14e+08 cells exceed the budget of 5e+07 "),
+    # the delta before the parameter
+    (("pdelta", "uniform", "-5", "--deltas", "2"), 1,
+     "error: delta must be strictly inside (0, 1), got 2.0"),
+])
+def test_pdelta_refusals_surface_in_delta_order(capsys, argv, code, message):
+    # each delta's fault surfaces before the next delta is read
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert err.startswith(message)
+    assert len(err.splitlines()) == 1
+
 
 def test_cell_budget_exhaustion_exits_two(capsys):
     # sqrt of a uniform on (0, 1e14] needs ~1e7 integer cells, past the
