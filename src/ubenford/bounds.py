@@ -17,9 +17,15 @@ certified ceiling 2*sup; certify_mod1_bound measures one against the other
 and raises if the measurement ever crosses the ceiling.
 
 The two fraction laws with explicit series (uniform and exponential inputs
-under pi*x**2) get dedicated evaluators: an exact clamped-cell sum for the
-uniform case and a direct-plus-tail-corrected sum for the exponential one,
-each with its two-sided envelope.
+under pi*x**2) get dedicated evaluators, each with its two-sided envelope:
+a clamped-cell sum for the uniform case and a direct-plus-tail-corrected
+sum for the exponential one. Each evaluator takes a whole delta grid in
+one call (pdelta_curve's), and the public p_delta_* functions are its
+one-delta case. The uniform sum fills one buffer of chunk size in
+cache-sized sub-blocks, so a call maps its pages once, not per delta and
+chunk; the exponential sum takes exp(-mu*sqrt(j)) once for every delta.
+Neither sum is exact (up to 3.3e-11 off for the uniform one at k = 1000,
+up to 1.8e-9 for the exponential one at table3's deltas); see each.
 """
 
 import math
@@ -37,6 +43,8 @@ _CHUNK = 1 << 16
 _TAIL = 1e-14  # mod1_law's tail mass on each side
 _MAX_CELLS = 5_000_000  # mod1_law's budget of integer cells
 _MAX_UNIFORM_CELLS = 50_000_000  # p_delta_uniform's budget of cells
+_UNIFORM_CHUNK = _CHUNK * 16  # p_delta_uniform's cells per np.sum
+_BLOCK = 1 << 15  # p_delta_uniform's cells per in-cache sub-block
 _DIRECT_TERMS = 100_000  # p_delta_exponential's terms before the tail
 
 
@@ -218,16 +226,37 @@ def certify_mod1_bound(distribution, transform):
 
 
 # ---------------------------------------------------------------------------
-# fraction law of pi*X**2 for uniform input: exact clamped-cell series
+# fraction law of pi*X**2 for uniform input: clamped-cell series
 
 def p_delta_uniform(k, delta):
-    """P({pi*X**2} <= delta) for X uniform on (0, k], summed exactly.
+    """P({pi*X**2} <= delta) for X uniform on (0, k]: _p_delta_uniform at
+    one delta."""
+    return _p_delta_uniform(k, [real("delta", delta, 0.0, 1.0)])[0]
+
+
+def _p_delta_uniform(k, deltas):
+    """P({pi*X**2} <= delta) for X uniform on (0, k], at each delta of
+    deltas (floats inside (0, 1)), as a list.
 
     With a = k*sqrt(pi), cell j contributes (min(sqrt(j+delta), a) -
     sqrt(j))/a; the top cell is clamped at the image boundary a, not at
-    a**2, which underflows for tiny k. Cell 0 always carries mass.
+    a**2, which underflows for tiny k. Cell 0 always carries mass. Each
+    chunk of _UNIFORM_CHUNK cells is summed by one np.sum (pairwise), and
+    the chunks' sums in order. The result is not exact: each cell is a
+    difference of two rounded roots of a rounded j + delta, and at
+    k = 1000 the sum is off by 1.7e-11 to 3.3e-11 at every delta of
+    DELTA_GRID but 0.5, against delta/(sqrt(j+delta)+sqrt(j)) summed by
+    math.fsum. That stable form waits on ROADMAP items 1 and 4, since it
+    moves table3's uniform defect past perfbench's pinned z.
+
+    The call allocates one buffer of chunk size. Each delta fills it for
+    each chunk in sub-blocks of _BLOCK cells, worked in place while they
+    sit in cache: j = iota + offset (exact), sqrt(j + delta), less
+    sqrt(j), taken in a scratch of one sub-block. Only the top cell
+    n - 1 is clamped: n = ceil(a**2 in doubles), so n - 1 < a*a exactly,
+    and for j <= n - 2 the double j + delta is at most n - 1, whose
+    rounded root, rounding being monotone, is at most a.
     """
-    delta = real("delta", delta, 0.0, 1.0)
     k = real("k", k)
     a = k * _SQRT_PI
     a2 = a * a
@@ -237,24 +266,24 @@ def p_delta_uniform(k, delta):
         raise TruncationFailure(
             f"{needed} cells exceed the budget of {budget} for k={k:g}")
     n = max(1, math.ceil(a2))
-    step = _CHUNK * 16
-    top = np.empty(min(n, step))
-    total = 0.0
-    for start in range(0, n, step):
-        total += _uniform_cells(start, min(start + step, n), delta, a, top)
-    return total / a
-
-
-def _uniform_cells(start, stop, delta, a, buffer):
-    """Sum of min(sqrt(j + delta), a) - sqrt(j) over cells start..stop-1,
-    worked in place: in the caller's buffer of at least stop - start
-    doubles, which it overwrites, and in one fresh array of j, freed on
-    return, so two arrays live at a time."""
-    j = np.arange(start, stop, dtype=np.float64)
-    top = np.add(j, delta, out=buffer[:j.size])
-    np.minimum(np.sqrt(top, out=top), a, out=top)
-    top -= np.sqrt(j, out=j)
-    return float(np.sum(top))
+    cells = np.empty(min(n, _UNIFORM_CHUNK))
+    iota = np.arange(min(n, _BLOCK), dtype=np.float64)
+    root = np.empty_like(iota)
+    totals = [0.0] * len(deltas)
+    for start in range(0, n, _UNIFORM_CHUNK):
+        chunk = cells[:min(n - start, _UNIFORM_CHUNK)]
+        for i, delta in enumerate(deltas):
+            for lo in range(0, chunk.size, _BLOCK):
+                block = chunk[lo:lo + _BLOCK]
+                j = np.add(iota[:block.size], start + lo,
+                           out=root[:block.size])
+                np.sqrt(np.add(j, delta, out=block), out=block)
+                block -= np.sqrt(j, out=j)
+            if start + chunk.size == n:  # the top cell, clamped at a
+                chunk[-1] = min(math.sqrt(n - 1 + delta), a) \
+                    - math.sqrt(n - 1)
+            totals[i] += float(np.sum(chunk))
+    return [total / a for total in totals]
 
 
 def p_delta_uniform_envelope(k, delta):
@@ -278,33 +307,53 @@ def p_delta_uniform_envelope(k, delta):
 # fraction law of pi*X**2 for exponential input: direct sum plus a
 # tail-corrected remainder once the index budget runs out
 
-def _exp_h(mu, j, delta):
-    """exp(-mu*sqrt(j)) - exp(-mu*sqrt(j + delta)), worked in j's own
-    buffer, which it overwrites, and one more array."""
-    far = j + delta
-    with np.errstate(over="ignore"):  # -mu * sqrt(j) is -inf for a huge mu
-        np.exp(np.multiply(np.sqrt(j, out=j), -mu, out=j), out=j)
-        np.exp(np.multiply(np.sqrt(far, out=far), -mu, out=far), out=far)
-    j -= far
-    return j
+def _exp_root(mu, x):
+    """exp(-mu*sqrt(x)), worked in x's own buffer, which it overwrites."""
+    with np.errstate(over="ignore"):  # -mu * sqrt(x) is -inf for a huge mu
+        return np.exp(np.multiply(np.sqrt(x, out=x), -mu, out=x), out=x)
 
 
 def p_delta_exponential(lam, delta):
-    """P({pi*X**2} <= delta) for X exponential with rate lam.
+    """P({pi*X**2} <= delta) for X exponential with rate lam:
+    _p_delta_exponential at one delta."""
+    return _p_delta_exponential(lam, [real("delta", delta, 0.0, 1.0)])[0]
 
-    Sums exp(-mu*sqrt(j)) - exp(-mu*sqrt(j+delta)) with mu = lam/sqrt(pi).
-    When the series has not decayed after _DIRECT_TERMS entries the rest is
-    folded in through the integral plus trapezoid and curvature
-    corrections, accurate to ~1e-11 absolute.
+
+def _p_delta_exponential(lam, deltas):
+    """P({pi*X**2} <= delta) for X exponential with rate lam, at each
+    delta of deltas (floats inside (0, 1)), as a list.
+
+    Sums exp(-mu*sqrt(j)) - exp(-mu*sqrt(j+delta)) with mu = lam/sqrt(pi)
+    over the first _DIRECT_TERMS j; exp(-mu*sqrt(j)) is taken once for
+    every delta. Where a delta's series has not decayed by then, the rest
+    is folded in through the integral plus trapezoid and curvature
+    corrections. Both the differences of two exps and the tail's
+    antiderivatives cancel: over table3's deltas the value is off by
+    2.5e-10 to 1.8e-9 (6.5e-10 at lam = 1e-3, delta = 0.5, against an
+    mpmath Euler-Maclaurin sum). The mend waits on ROADMAP items 1 and 4,
+    since it moves table3's exponential defect past perfbench's pinned z.
     """
-    delta = real("delta", delta, 0.0, 1.0)
     lam = real("lam", lam)
     mu = lam / _SQRT_PI
-    terms = _exp_h(mu, np.arange(_DIRECT_TERMS, dtype=np.float64), delta)
-    total = float(np.sum(terms))
-    if terms[-1] < 1e-18 * max(total, 1e-300):
-        return total
-    # remainder from _DIRECT_TERMS onward: integral + h/2 - h'/12
+    j = np.arange(_DIRECT_TERMS, dtype=np.int32)  # exact as doubles
+    near = _exp_root(mu, j.astype(np.float64))
+    far = np.empty_like(near)
+    out = []
+    for delta in deltas:
+        far[...] = j  # cast in place, where np.add(j, delta) buffers it
+        far += delta
+        terms = np.subtract(near, _exp_root(mu, far), out=far)
+        total = float(np.sum(terms))
+        if terms[-1] < 1e-18 * max(total, 1e-300):
+            out.append(total)
+        else:
+            out.append(_exp_tail(mu, delta, total))
+    return out
+
+
+def _exp_tail(mu, delta, total):
+    """total, the direct sum of _p_delta_exponential at delta, plus the
+    remainder from _DIRECT_TERMS onward: integral + h/2 - h'/12."""
     J = float(_DIRECT_TERMS)
 
     def antideriv(t):
@@ -313,7 +362,8 @@ def p_delta_exponential(lam, delta):
         return (2.0 / (mu * mu)) * (1.0 + r) * math.exp(-r)
 
     integral = antideriv(J) - antideriv(J + delta)
-    hj = float(_exp_h(mu, np.asarray([J]), delta)[0])
+    ends = _exp_root(mu, np.array([J, J + delta]))
+    hj = float(ends[0] - ends[1])
     hprime = (-mu / (2.0 * math.sqrt(J)) * math.exp(-mu * math.sqrt(J))
               + mu / (2.0 * math.sqrt(J + delta))
               * math.exp(-mu * math.sqrt(J + delta)))

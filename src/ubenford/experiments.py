@@ -11,12 +11,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bigreal import DEFAULT_POLICY, BigReal
-from .bounds import (certify_mod1_bound, mod1_law, p_delta_exponential,
-                     p_delta_exponential_envelope, p_delta_uniform,
-                     p_delta_uniform_envelope)
+from .bounds import (_p_delta_exponential, _p_delta_uniform,
+                     certify_mod1_bound, mod1_law,
+                     p_delta_exponential_envelope, p_delta_uniform_envelope)
 from .distributions import DISTRIBUTIONS, HalfNormal, build_distribution
 from .errors import (CertificateViolation, EmptySample, InvalidParameter,
-                     count)
+                     count, real)
 from .sequences import Sequence, frac_sample, odd_nonsquare, parse_sequence
 from .stats import digit_report, kolmogorov_q, ks_uniform
 from .transforms import IDENTITY, LOG10, LOGLOG, PI_SQUARE, SQRT, Log, \
@@ -375,23 +375,31 @@ def pdelta_curve(family, parameter, deltas=None):
     """
     deltas = DELTA_GRID if deltas is None else _points("deltas", deltas)
     if family == "uniform":
-        series, envelope = p_delta_uniform, p_delta_uniform_envelope
+        series, envelope = _p_delta_uniform, p_delta_uniform_envelope
     elif family == "exponential":
-        series, envelope = p_delta_exponential, p_delta_exponential_envelope
+        series, envelope = _p_delta_exponential, p_delta_exponential_envelope
     else:
         raise InvalidParameter(
             f"no cell-probability series for family {family!r}")
+    # the deltas up to the first one refused; that refusal is raised only
+    # after the rows before it, so each delta's fault surfaces in order
+    read, refusal = [], None
+    try:
+        for delta in deltas:
+            read.append(real("delta", delta, 0.0, 1.0))
+    except InvalidParameter as exc:
+        refusal = exc
     rows = []
-    for delta in deltas:
-        p = series(parameter, delta)
+    for delta, p in zip(read, series(parameter, read) if read else ()):
         lo, hi = envelope(parameter, delta)
-        delta = float(delta)  # the series refused one float() cannot read
         if not lo - 1e-9 <= p <= hi + 1e-9:
             raise CertificateViolation(
                 f"P_delta({parameter}, {delta}) = {p} outside "
                 f"[{lo}, {hi}]")
         rows.append(PDeltaRow(delta=delta, probability=p,
                               lower=lo, upper=hi, gap=abs(p - delta)))
+    if refusal is not None:
+        raise refusal
     return PDeltaReport(family=family, parameter=float(parameter),
                         rows=tuple(rows))
 

@@ -9,6 +9,7 @@ rather than through square roots.
 
 import hashlib
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -498,6 +499,31 @@ class TestPinnedBits:
         rows = pdelta_curve("exponential", lam).rows
         assert [r.probability for r in rows] == \
             PINNED_P_DELTA_EXPONENTIAL[lam]
+
+
+def _traced_peak(call):
+    """Peak bytes traced while call() runs; numpy reports its arrays to
+    tracemalloc."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestDeltaGridMemory:
+    def test_uniform_curve_takes_one_chunk_buffer(self):
+        # one buffer of 2**20 doubles (8 MiB) and two sub-blocks; two
+        # chunk arrays (16 MiB) before
+        peak = _traced_peak(lambda: pdelta_curve("uniform", 1000))
+        assert peak <= 9 * 2**20
+
+    def test_exponential_curve_shares_its_near_terms(self):
+        # exp(-mu*sqrt(j)), one array of terms and j as int32: 1.9 MiB;
+        # 1.5 MiB before, when each delta took j and j + delta afresh
+        peak = _traced_peak(lambda: pdelta_curve("exponential", 1e-3))
+        assert peak <= 2 * 2**20
 
 
 class TestBoundCertificates:
