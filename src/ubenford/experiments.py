@@ -382,7 +382,8 @@ def pdelta_curve(family, parameter, deltas=None):
         raise InvalidParameter(
             f"no cell-probability series for family {family!r}")
     # the deltas up to the first one refused; that refusal is raised only
-    # after the rows before it, so each delta's fault surfaces in order
+    # after the rows before it, and with none before it the parameter is
+    # not read, so each delta's fault surfaces in order
     read, refusal = [], None
     try:
         for delta in deltas:

@@ -514,14 +514,13 @@ def _traced_peak(call):
 
 class TestDeltaGridMemory:
     def test_uniform_curve_takes_one_chunk_buffer(self):
-        # one buffer of 2**20 doubles (8 MiB) and two sub-blocks; two
-        # chunk arrays (16 MiB) before
+        # one buffer of 2**20 doubles (8 MiB) and two sub-blocks of 2**15
         peak = _traced_peak(lambda: pdelta_curve("uniform", 1000))
         assert peak <= 9 * 2**20
 
     def test_exponential_curve_shares_its_near_terms(self):
-        # exp(-mu*sqrt(j)), one array of terms and j as int32: 1.9 MiB;
-        # 1.5 MiB before, when each delta took j and j + delta afresh
+        # exp(-mu*sqrt(j)) and one array of terms, 100,000 doubles each,
+        # and j as int32: 1.9 MiB
         peak = _traced_peak(lambda: pdelta_curve("exponential", 1e-3))
         assert peak <= 2 * 2**20
 
