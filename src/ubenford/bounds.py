@@ -17,11 +17,11 @@ certified ceiling 2*sup; certify_mod1_bound measures one against the other
 and raises if the measurement ever crosses the ceiling.
 
 The two fraction laws with explicit series (uniform and exponential inputs
-under pi*x**2) get dedicated evaluators, each with its two-sided envelope:
-a clamped-cell sum for the uniform case and a direct-plus-tail-corrected
-sum for the exponential one. Each evaluator takes a whole delta grid in
-one call (pdelta_curve's), and the public p_delta_* functions are its
-one-delta case. The uniform sum fills one buffer of chunk size in
+under pi*x**2) get dedicated series, each with its two-sided envelope: a
+clamped-cell sum for the uniform case and a direct-plus-tail-corrected
+sum for the exponential one. Each series takes a whole delta grid in one
+call and checks every value it computed against its envelope before it
+returns them. The uniform sum fills one buffer of chunk size in
 cache-sized sub-blocks, so a call maps its pages once, not per delta and
 chunk; the exponential sum takes exp(-mu*sqrt(j)) once for every delta.
 Neither sum is exact (up to 3.3e-11 off for the uniform one at k = 1000,
@@ -35,7 +35,7 @@ import numpy as np
 
 from .distributions import sup_ratio
 from .errors import CertificateViolation, InvalidParameter, \
-    TruncationFailure, real
+    TruncationFailure, points, real
 
 _SQRT_PI = math.sqrt(math.pi)
 _EPS = float(np.finfo(np.float64).eps)
@@ -226,17 +226,28 @@ def certify_mod1_bound(distribution, transform):
 
 
 # ---------------------------------------------------------------------------
-# fraction law of pi*X**2 for uniform input: clamped-cell series
+# fraction laws of pi*X**2: the series' grid and envelope check, then the
+# clamped-cell series for uniform input
 
-def p_delta_uniform(k, delta):
-    """P({pi*X**2} <= delta) for X uniform on (0, k]: _p_delta_uniform at
-    one delta."""
-    return _p_delta_uniform(k, [real("delta", delta, 0.0, 1.0)])[0]
+def _deltas(deltas):
+    """A series' grid: floats strictly inside (0, 1), at least one."""
+    return [real("delta", d, 0.0, 1.0) for d in points("deltas", deltas)]
 
 
-def _p_delta_uniform(k, deltas):
+def _enveloped(parameter, deltas, values, envelope):
+    """values; CertificateViolation, naming parameter as the caller gave
+    it, at the first in delta order outside its envelope by over 1e-9."""
+    for delta, p in zip(deltas, values):
+        lo, hi = envelope(parameter, delta)
+        if not lo - 1e-9 <= p <= hi + 1e-9:
+            raise CertificateViolation(
+                f"P_delta({parameter}, {delta}) = {p} outside [{lo}, {hi}]")
+    return values
+
+
+def p_delta_uniform(k, deltas):
     """P({pi*X**2} <= delta) for X uniform on (0, k], at each delta of
-    deltas (floats inside (0, 1)), as a list.
+    the grid deltas (_deltas), as a list checked by _enveloped.
 
     With a = k*sqrt(pi), cell j contributes (min(sqrt(j+delta), a) -
     sqrt(j))/a; the top cell is clamped at the image boundary a, not at
@@ -257,7 +268,8 @@ def _p_delta_uniform(k, deltas):
     and for j <= n - 2 the double j + delta is at most n - 1, whose
     rounded root, rounding being monotone, is at most a.
     """
-    k = real("k", k)
+    deltas = _deltas(deltas)
+    parameter, k = k, real("k", k)
     a = k * _SQRT_PI
     a2 = a * a
     # compared as a float, so an a**2 past the doubles is refused too
@@ -283,7 +295,8 @@ def _p_delta_uniform(k, deltas):
                 chunk[-1] = min(math.sqrt(n - 1 + delta), a) \
                     - math.sqrt(n - 1)
             totals[i] += float(np.sum(chunk))
-    return [total / a for total in totals]
+    return _enveloped(parameter, deltas, [total / a for total in totals],
+                      p_delta_uniform_envelope)
 
 
 def p_delta_uniform_envelope(k, delta):
@@ -313,15 +326,9 @@ def _exp_root(mu, x):
         return np.exp(np.multiply(np.sqrt(x, out=x), -mu, out=x), out=x)
 
 
-def p_delta_exponential(lam, delta):
-    """P({pi*X**2} <= delta) for X exponential with rate lam:
-    _p_delta_exponential at one delta."""
-    return _p_delta_exponential(lam, [real("delta", delta, 0.0, 1.0)])[0]
-
-
-def _p_delta_exponential(lam, deltas):
+def p_delta_exponential(lam, deltas):
     """P({pi*X**2} <= delta) for X exponential with rate lam, at each
-    delta of deltas (floats inside (0, 1)), as a list.
+    delta of the grid deltas (_deltas), as a list checked by _enveloped.
 
     Sums exp(-mu*sqrt(j)) - exp(-mu*sqrt(j+delta)) with mu = lam/sqrt(pi)
     over the first _DIRECT_TERMS j; exp(-mu*sqrt(j)) is taken once for
@@ -333,8 +340,8 @@ def _p_delta_exponential(lam, deltas):
     mpmath Euler-Maclaurin sum). The mend waits on ROADMAP items 1 and 4,
     since it moves table3's exponential defect past perfbench's pinned z.
     """
-    lam = real("lam", lam)
-    mu = lam / _SQRT_PI
+    deltas = _deltas(deltas)
+    mu = real("lam", lam) / _SQRT_PI
     j = np.arange(_DIRECT_TERMS, dtype=np.int32)  # exact as doubles
     near = _exp_root(mu, j.astype(np.float64))
     far = np.empty_like(near)
@@ -348,11 +355,11 @@ def _p_delta_exponential(lam, deltas):
             out.append(total)
         else:
             out.append(_exp_tail(mu, delta, total))
-    return out
+    return _enveloped(lam, deltas, out, p_delta_exponential_envelope)
 
 
 def _exp_tail(mu, delta, total):
-    """total, the direct sum of _p_delta_exponential at delta, plus the
+    """total, the direct sum of p_delta_exponential at delta, plus the
     remainder from _DIRECT_TERMS onward: integral + h/2 - h'/12."""
     J = float(_DIRECT_TERMS)
 

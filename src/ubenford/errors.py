@@ -1,6 +1,6 @@
 """Exception types shared across the package, and the one check of each
-kind of parameter: `count` for an integer, `real` for a real number and
-`string` for a name or a spec.
+kind of parameter: `count` for an integer, `real` for a real number,
+`string` for a name or a spec and `points` for a nonempty sequence.
 
 Each class carries the CLI's exit code and the prefix of its one-line
 message: a UBenfordError is an input refusal (exit 1, "error"), and a
@@ -67,6 +67,19 @@ def string(name, value):
     if not isinstance(value, str):
         raise InvalidParameter(f"{name} must be text, got {value!r}")
     return value
+
+
+def points(name, values):
+    """values as a tuple; InvalidParameter naming them unless they are a
+    nonempty sequence other than one string, read item by item."""
+    try:
+        items = () if isinstance(values, str) else tuple(values)
+    except TypeError:
+        items = ()
+    if not items:
+        raise InvalidParameter(
+            f"{name} must be a nonempty sequence, got {values!r}")
+    return items
 
 
 class InsufficientPrecision(NumericalFailure):

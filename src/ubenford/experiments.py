@@ -11,12 +11,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bigreal import DEFAULT_POLICY, BigReal
-from .bounds import (_p_delta_exponential, _p_delta_uniform,
-                     certify_mod1_bound, mod1_law,
-                     p_delta_exponential_envelope, p_delta_uniform_envelope)
+from .bounds import (certify_mod1_bound, mod1_law, p_delta_exponential,
+                     p_delta_exponential_envelope, p_delta_uniform,
+                     p_delta_uniform_envelope)
 from .distributions import DISTRIBUTIONS, HalfNormal, build_distribution
-from .errors import (CertificateViolation, EmptySample, InvalidParameter,
-                     count, real)
+from .errors import EmptySample, InvalidParameter, count, points, real
 from .sequences import Sequence, frac_sample, odd_nonsquare, parse_sequence
 from .stats import digit_report, kolmogorov_q, ks_uniform
 from .transforms import IDENTITY, LOG10, LOGLOG, PI_SQUARE, SQRT, Log, \
@@ -277,19 +276,6 @@ def run_table3(seed=0, sample_size=2000):
 # ---------------------------------------------------------------------------
 # bound sweeps
 
-def _points(name, values):
-    """values as a tuple; InvalidParameter naming them unless they are a
-    nonempty sequence other than one string, read item by item."""
-    try:
-        points = () if isinstance(values, str) else tuple(values)
-    except TypeError:
-        points = ()
-    if not points:
-        raise InvalidParameter(
-            f"{name} must be a nonempty sequence, got {values!r}")
-    return points
-
-
 @dataclass(frozen=True)
 class SweepRow:
     """One sweep point: `parameter` is a float for a one-parameter point,
@@ -323,7 +309,7 @@ def bound_sweep(family, params, transform=LOG10):
     its ceiling; that is an internal failure, never a data verdict.
     """
     rows = []
-    for param in _points("params", params):
+    for param in points("params", params):
         point = tuple(param) if isinstance(param, (tuple, list)) else (param,)
         dist = build_distribution(family, point)
         cert = certify_mod1_bound(dist, transform)
@@ -368,22 +354,23 @@ def pdelta_curve(family, parameter, deltas=None):
     """Certified cell-probability series with envelope verification.
 
     `family` is "uniform" (parameter k, the support endpoint) or
-    "exponential" (parameter lambda, the rate). Each probability must sit
-    inside its analytic envelope; a breach raises CertificateViolation.
-    The series refuse a parameter that is not finite and positive, and a
-    delta outside (0, 1), with InvalidParameter.
+    "exponential" (parameter lambda, the rate). Its series takes the grid
+    in one call and raises CertificateViolation where a probability
+    breaches its analytic envelope, which each row carries; InvalidParameter
+    where the parameter is not finite and positive or a delta is outside
+    (0, 1).
     """
-    deltas = DELTA_GRID if deltas is None else _points("deltas", deltas)
+    deltas = DELTA_GRID if deltas is None else points("deltas", deltas)
     if family == "uniform":
-        series, envelope = _p_delta_uniform, p_delta_uniform_envelope
+        series, envelope = p_delta_uniform, p_delta_uniform_envelope
     elif family == "exponential":
-        series, envelope = _p_delta_exponential, p_delta_exponential_envelope
+        series, envelope = p_delta_exponential, p_delta_exponential_envelope
     else:
         raise InvalidParameter(
             f"no cell-probability series for family {family!r}")
     # the deltas up to the first one refused; that refusal is raised only
-    # after the rows before it, and with none before it the parameter is
-    # not read, so each delta's fault surfaces in order
+    # after the series on the deltas before it, and with none before it
+    # the parameter is not read, so each delta's fault surfaces in order
     read, refusal = [], None
     try:
         for delta in deltas:
@@ -393,10 +380,6 @@ def pdelta_curve(family, parameter, deltas=None):
     rows = []
     for delta, p in zip(read, series(parameter, read) if read else ()):
         lo, hi = envelope(parameter, delta)
-        if not lo - 1e-9 <= p <= hi + 1e-9:
-            raise CertificateViolation(
-                f"P_delta({parameter}, {delta}) = {p} outside "
-                f"[{lo}, {hi}]")
         rows.append(PDeltaRow(delta=delta, probability=p,
                               lower=lo, upper=hi, gap=abs(p - delta)))
     if refusal is not None:

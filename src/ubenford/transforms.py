@@ -54,7 +54,7 @@ routes above. Every other sequence states ln x_n on a range of n
 (`Sequence._ln_terms`): n for e**n, n ln n for n**n, Stirling's series
 for n! from n = 16 on, ln n / pi for n**(1/pi), and s ln n + c ln pi for
 the terms pi**c n**s of a form; and its terms take the one route on the
-indices (`_OnTerms`, `_terms_route`): `_from_ln` on the ln x_n; or under
+indices (`_OnTerms`): `_from_ln` on the ln x_n; or under
 pi*x**p, where the sequence states it (`Sequence._pi_power_floors`),
 floor(u 2**120) in ints. For a form where s p is an integer (pi_n, and
 sqrt_n under pi*x**2) and for n! (a running product) the floors take
@@ -626,8 +626,7 @@ class Transform:
     certifier: `_check_domain`, `_try_exact` (exact result or None),
     `_constants` (what `_eval_at` needs at one working precision, taken
     once per w), `_from_ln` (u from ln x, both in double-double with a
-    bound, for the quick phase), `_terms_route` (the one quick route on
-    a sequence's terms, `_OnTerms`), `_eval_at` (u(x) floor-accurate at
+    bound, for the quick phase), `_eval_at` (u(x) floor-accurate at
     scale 2**-w from those constants, certified bits as precision; it
     never raises, a value it cannot vouch for gets a short claim, and
     LogLog's, at a vanished inner log, None) and `_result_bits_estimate`
@@ -651,16 +650,6 @@ class Transform:
         """u(x) = uh + ul in double-double and err >= |uh + ul - u(x)|,
         for an array of doubles in _quick_range: `_from_ln` of `_ln`."""
         return self._from_ln(*_ln(x))
-
-    def _terms_route(self, sequence, n):
-        """(route, inputs): the one quick route of u on the terms x_n of a
-        sequence (`_OnTerms`), for an ascending int64 array of indices n,
-        and the indices as the doubles it reads; (None, None) where it has
-        no phase."""
-        route = _OnTerms(self, sequence)
-        if route._quick_range is None and not route._integer_route:
-            return None, None
-        return route, n.astype(np.float64)
 
     def label(self):
         return self.kind
@@ -1408,7 +1397,8 @@ class _Certifier:
         BigReal.from_int(p) is from_float's BigReal of the double p, so
         the doubles' contract holds.
         Every other sequence's terms take the transform's one route on
-        them (`_terms_route`), with the per-term route's width on the
+        them (`_OnTerms`, on the indices as doubles, where it has a
+        phase), with the per-term route's width on the
         indices whose route error leaves room in a cell (`_term_width`); a
         dear integer phase (a power law's floors) takes only the runs
         `_floored` picks.
@@ -1418,11 +1408,11 @@ class _Certifier:
         x = sequence._doubles(n)
         if x is not None:
             return self._hand_out(x, out)
-        route, x = self.transform._terms_route(sequence, n)
-        if route is None:
+        route = _OnTerms(self.transform, sequence)
+        if route._quick_range is None and not route._integer_route:
             return np.zeros(n.size, dtype=bool)
         return self._routes(
-            route, x, out, True,
+            route, n.astype(np.float64), out, True,
             lambda room: self._term_width(sequence, n[room]),
             functools.partial(self._floored, sequence, n)
             if route._integer_route and sequence._dear_floors(route.u.p)

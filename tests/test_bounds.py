@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import support_hi
+import ubenford.bounds as bounds_module
 from ubenford.bounds import (_CHUNK, _EPS, _TAIL, BoundCertificate,
                              certify_mod1_bound, default_z_grid,
                              discrepancy_bound, mod1_law,
@@ -419,8 +420,8 @@ PINNED_LAWS = [
      3.571403102808901e-06, 0.5, 70001, 1.2436775511485693e-10),
 ]
 
-# p_delta_uniform(1000, delta) over DELTA_GRID, recorded with the
-# per-chunk arrays that came before the shared buffer
+# p_delta_uniform(1000, DELTA_GRID), recorded with the per-chunk arrays
+# that came before the shared buffer
 PINNED_P_DELTA_UNIFORM_1000 = [
     0.1001354175843382, 0.20016289375336965, 0.3001699591251237,
     0.40016508804866135, 0.500151647552869, 0.6001314191673498,
@@ -449,10 +450,10 @@ PINNED_P_DELTA_EXPONENTIAL = {
 }
 
 
-# p_delta_uniform(k, delta) over DELTA_GRID at k whose cell count
-# ceil(pi*k**2) is 1, 3*2**15 + 1 (one cell past a multiple of 2**14 and
-# of 2**15), 2**20 (one whole chunk) and 2**20 + 1 (one cell past it),
-# recorded while each chunk of each delta took arrays of its own
+# p_delta_uniform(k, DELTA_GRID) at k whose cell count ceil(pi*k**2) is
+# 1, 3*2**15 + 1 (one cell past a multiple of 2**14 and of 2**15), 2**20
+# (one whole chunk) and 2**20 + 1 (one cell past it), recorded while each
+# chunk of each delta took arrays of its own
 PINNED_P_DELTA_UNIFORM_EDGES = {
     0.5: [0.35682482323055426, 0.504626504404032, 0.6180387232371033,
           0.7136496464611085, 0.7978845608028655, 0.8740387444736634,
@@ -484,14 +485,14 @@ class TestPinnedBits:
                 res.error_budget) == (disc, worst_z, cells, budget)
 
     def test_p_delta_uniform_over_the_delta_grid(self):
-        got = [p_delta_uniform(1000, delta) for delta in DELTA_GRID]
+        got = p_delta_uniform(1000, DELTA_GRID)
         assert got == PINNED_P_DELTA_UNIFORM_1000
 
     @pytest.mark.parametrize("k", list(PINNED_P_DELTA_UNIFORM_EDGES))
     def test_p_delta_uniform_at_the_chunk_edges(self, k):
         a = k * math.sqrt(math.pi)
         assert max(1, math.ceil(a * a)) == UNIFORM_EDGE_CELLS[k]
-        got = [p_delta_uniform(k, delta) for delta in DELTA_GRID]
+        got = p_delta_uniform(k, DELTA_GRID)
         assert got == PINNED_P_DELTA_UNIFORM_EDGES[k]
 
     @pytest.mark.parametrize("lam", list(PINNED_P_DELTA_EXPONENTIAL))
@@ -593,27 +594,25 @@ class TestBoundCertificates:
 
 class TestFractionLawUniform:
     def test_frozen_oracle_values(self):
-        assert p_delta_uniform(1.0, 0.5) == pytest.approx(P_UNI_1_50,
-                                                          rel=1e-13)
-        assert p_delta_uniform(1.0, 0.25) == pytest.approx(P_UNI_1_25,
-                                                           rel=1e-13)
-        assert p_delta_uniform(5.0, 0.3) == pytest.approx(P_UNI_5_30,
-                                                          rel=1e-13)
-        assert p_delta_uniform(20.0, 0.7) == pytest.approx(P_UNI_20_70,
-                                                           rel=1e-13)
+        assert p_delta_uniform(1.0, [0.5, 0.25]) == pytest.approx(
+            [P_UNI_1_50, P_UNI_1_25], rel=1e-13)
+        assert p_delta_uniform(5.0, [0.3]) == pytest.approx([P_UNI_5_30],
+                                                            rel=1e-13)
+        assert p_delta_uniform(20.0, [0.7]) == pytest.approx([P_UNI_20_70],
+                                                             rel=1e-13)
 
     @pytest.mark.parametrize("k", [1.0, 5.0, 20.0])
     def test_matches_mod1_route(self, k):
         # the same probabilities through cdf differences instead of roots
         deltas = np.linspace(0.05, 0.95, 19)
         via_mod1 = mod1_law(UniformOnZeroK(k), PI_SQUARE, zs=deltas).probs
-        direct = np.array([p_delta_uniform(k, float(d)) for d in deltas])
+        direct = np.array(p_delta_uniform(k, deltas))
         np.testing.assert_allclose(direct, via_mod1, rtol=1e-9, atol=1e-12)
 
     def test_envelope_contains_series(self):
+        deltas = (0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99)
         for k in (0.3, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0):
-            for d in (0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99):
-                p = p_delta_uniform(k, d)
+            for d, p in zip(deltas, p_delta_uniform(k, deltas)):
                 lo, hi = p_delta_uniform_envelope(k, d)
                 assert lo - 1e-12 <= p <= hi + 1e-12, (k, d)
 
@@ -638,44 +637,42 @@ class TestFractionLawUniform:
     def test_tiny_k_puts_all_mass_in_cell_zero(self, k):
         # pi*k**2 < delta; a**2 underflows from k = 1e-154, where the
         # series clamped in a**2 read 0 and a subnormal envelope nan
-        for d in (0.01, 0.25, 0.5, 0.75, 0.99):
-            assert p_delta_uniform(k, d) == 1.0
+        deltas = (0.01, 0.25, 0.5, 0.75, 0.99)
+        assert p_delta_uniform(k, deltas) == [1.0] * len(deltas)
+        for d in deltas:
             assert p_delta_uniform_envelope(k, d) == (0.0, 1.0)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            p_delta_uniform(1.0, 0.0)
+            p_delta_uniform(1.0, [0.0])
         with pytest.raises(ValueError):
-            p_delta_uniform(1.0, 1.0)
+            p_delta_uniform(1.0, [1.0])
         with pytest.raises(ValueError):
-            p_delta_uniform(-1.0, 0.5)
+            p_delta_uniform(-1.0, [0.5])
         with pytest.raises(TruncationFailure):
-            p_delta_uniform(1e6, 0.5)
+            p_delta_uniform(1e6, [0.5])
         # a**2 past the doubles is over budget, not an OverflowError
         for k in (1e150, 1e200):
             with pytest.raises(TruncationFailure, match=r"^\S+ cells exceed"):
-                p_delta_uniform(k, 0.5)
+                p_delta_uniform(k, [0.5])
         # numeric text reads as the number it spells
-        assert p_delta_uniform("10", "0.5") == p_delta_uniform(10.0, 0.5)
+        assert p_delta_uniform("10", ["0.5"]) == p_delta_uniform(10.0, [0.5])
 
 
 class TestFractionLawExponential:
     def test_frozen_oracle_values(self):
-        assert p_delta_exponential(1.0, 0.5) == pytest.approx(P_EXP_1_50,
-                                                              rel=1e-12)
-        assert p_delta_exponential(1.0, 0.25) == pytest.approx(P_EXP_1_25,
-                                                               rel=1e-12)
-        assert p_delta_exponential(2.0, 0.1) == pytest.approx(P_EXP_2_10,
-                                                              rel=1e-12)
-        assert p_delta_exponential(0.5, 0.75) == pytest.approx(P_EXP_05_75,
-                                                               rel=1e-12)
+        assert p_delta_exponential(1.0, [0.5, 0.25]) == pytest.approx(
+            [P_EXP_1_50, P_EXP_1_25], rel=1e-12)
+        assert p_delta_exponential(2.0, [0.1]) == pytest.approx(
+            [P_EXP_2_10], rel=1e-12)
+        assert p_delta_exponential(0.5, [0.75]) == pytest.approx(
+            [P_EXP_05_75], rel=1e-12)
 
     @pytest.mark.parametrize("lam", [1.0, 0.1])
     def test_matches_mod1_route(self, lam):
         deltas = np.linspace(0.1, 0.9, 9)
         via_mod1 = mod1_law(Exponential(lam), PI_SQUARE, zs=deltas).probs
-        direct = np.array([p_delta_exponential(lam, float(d))
-                           for d in deltas])
+        direct = np.array(p_delta_exponential(lam, deltas))
         np.testing.assert_allclose(direct, via_mod1, rtol=1e-8)
 
     def test_tail_correction_matches_pure_direct(self):
@@ -689,28 +686,29 @@ class TestFractionLawExponential:
                 j = np.arange(j0, j0 + (1 << 18), dtype=np.float64)
                 direct += float(np.sum(np.exp(-mu * np.sqrt(j))
                                        - np.exp(-mu * np.sqrt(j + d))))
-            assert p_delta_exponential(0.05, d) == pytest.approx(direct,
-                                                                 abs=5e-11)
+            assert p_delta_exponential(0.05, [d]) == pytest.approx([direct],
+                                                                   abs=5e-11)
 
     def test_envelope_contains_series(self):
+        deltas = (0.05, 0.1, 0.5, 0.9)
         for lam in (5.0, 1.0, 0.1, 0.01):
-            for d in (0.05, 0.1, 0.5, 0.9):
-                p = p_delta_exponential(lam, d)
+            for d, p in zip(deltas, p_delta_exponential(lam, deltas)):
                 lo, hi = p_delta_exponential_envelope(lam, d)
                 assert lo - 1e-12 <= p <= hi + 1e-12, (lam, d)
 
     def test_flattens_toward_delta_for_small_rate(self):
-        worst = {lam: max(abs(p_delta_exponential(lam, float(d)) - float(d))
-                          for d in np.linspace(0.05, 0.95, 19))
+        deltas = np.linspace(0.05, 0.95, 19).tolist()
+        worst = {lam: max(abs(p - d) for p, d in
+                          zip(p_delta_exponential(lam, deltas), deltas))
                  for lam in (1.0, 0.1, 0.01, 0.001)}
         assert worst[1.0] > worst[0.1] > worst[0.01] > worst[0.001]
         assert worst[0.001] < 2e-4
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            p_delta_exponential(0.0, 0.5)
+            p_delta_exponential(0.0, [0.5])
         with pytest.raises(ValueError):
-            p_delta_exponential(1.0, -0.1)
+            p_delta_exponential(1.0, [-0.1])
 
 
 @pytest.mark.parametrize("fn", [p_delta_uniform, p_delta_uniform_envelope,
@@ -718,16 +716,68 @@ class TestFractionLawExponential:
                                 p_delta_exponential_envelope],
                          ids=lambda fn: fn.__name__)
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-def test_fraction_laws_refuse_non_finite_parameters(fn, bad):
+def test_fraction_laws_refuse_non_finite_parameters(monkeypatch, fn, bad):
+    # before any work: with numpy unbound, array work would raise
+    # AttributeError; the series take a grid of deltas, the envelopes one
+    monkeypatch.setattr(bounds_module, "np", None)
+    grid = fn in (p_delta_uniform, p_delta_exponential)
     with pytest.raises(ValueError, match="must be finite and positive"):
-        fn(bad, 0.5)
+        fn(bad, [0.5] if grid else 0.5)
+
+
+@pytest.mark.parametrize("fn", [p_delta_uniform, p_delta_exponential],
+                         ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("deltas", [0.5, "0.5", [], [0.0], [1.0],
+                                    [0.5, 1.0]], ids=repr)
+def test_series_refuse_a_bad_grid_before_any_work(monkeypatch, fn, deltas):
+    # with numpy unbound, any array work would raise AttributeError
+    monkeypatch.setattr(bounds_module, "np", None)
+    with pytest.raises(InvalidParameter):
+        fn(1.0, deltas)
+
+
+# rates where the exponential series cancels (ROADMAP item 4): of these
+# 18 values, all but those at lam = 1e-5, delta = 0.5 and 0.9 lie
+# outside the envelope, from -1024 to 1.07e9 at lam = 1e-9 and 1e-12
+CANCELLING_RATES = (1e-5, 3e-6, 1e-6, 1e-7, 1e-9, 1e-12)
+BREACHES = [(lam, delta) for lam in CANCELLING_RATES
+            for delta in (0.1, 0.5, 0.9)
+            if not (lam == 1e-5 and delta > 0.1)]
+
+
+class TestSeriesEnvelopeCheck:
+    @pytest.mark.parametrize("lam,delta", BREACHES)
+    def test_value_outside_the_envelope_raises(self, lam, delta):
+        with pytest.raises(CertificateViolation, match=r"^P_delta\("):
+            p_delta_exponential(lam, [delta])
+
+    def test_message_names_the_parameter_as_given(self):
+        with pytest.raises(CertificateViolation) as exc:
+            p_delta_exponential(1e-7, [0.1])
+        assert str(exc.value).startswith(
+            "P_delta(1e-07, 0.1) = -0.12499820234943415 outside [")
+        with pytest.raises(CertificateViolation, match=r"^P_delta\(1e-7, "):
+            p_delta_exponential("1e-7", [0.1])
+
+    def test_first_breach_in_delta_order(self):
+        # every delta is computed before the check, which reads them in
+        # the caller's order
+        with pytest.raises(CertificateViolation,
+                           match=r"^P_delta\(1e-12, 0.5\)"):
+            p_delta_exponential(1e-12, [0.5, 0.1])
+
+    def test_values_inside_the_envelope_are_returned(self):
+        got = p_delta_exponential(1e-5, [0.5, 0.9])
+        for d, p in zip((0.5, 0.9), got):
+            lo, hi = p_delta_exponential_envelope(1e-5, d)
+            assert lo - 1e-9 <= p <= hi + 1e-9
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.floats(min_value=0.2, max_value=50.0),
        st.floats(min_value=0.01, max_value=0.99))
 def test_uniform_envelope_property(k, delta):
-    p = p_delta_uniform(k, delta)
+    [p] = p_delta_uniform(k, [delta])
     lo, hi = p_delta_uniform_envelope(k, delta)
     assert lo - 1e-11 <= p <= hi + 1e-11
     assert 0.0 <= p <= 1.0
@@ -737,7 +787,7 @@ def test_uniform_envelope_property(k, delta):
 @given(st.floats(min_value=0.02, max_value=5.0),
        st.floats(min_value=0.01, max_value=0.99))
 def test_exponential_envelope_property(lam, delta):
-    p = p_delta_exponential(lam, delta)
+    [p] = p_delta_exponential(lam, [delta])
     lo, hi = p_delta_exponential_envelope(lam, delta)
     assert lo - 1e-10 <= p <= hi + 1e-10
     assert 0.0 <= p <= 1.0

@@ -398,11 +398,34 @@ def test_pdelta_curve_huge_rate_prints_no_warning():
 
 
 def test_pdelta_curve_envelope_breach_raises(monkeypatch):
-    import ubenford.experiments as exp
-    monkeypatch.setattr(exp, "p_delta_uniform_envelope",
+    # the series check their own values against the envelope
+    import ubenford.bounds as bounds
+    monkeypatch.setattr(bounds, "p_delta_uniform_envelope",
                         lambda k, d: (0.90, 0.91))
     with pytest.raises(CertificateViolation):
         pdelta_curve("uniform", 100.0, deltas=(0.5,))
+
+
+def test_curves_call_the_public_series(monkeypatch):
+    # perfbench's tracer times the series where a module binds their
+    # public names; pdelta_curve, and table3 through it, call those
+    import ubenford.experiments as exp
+    calls = dict.fromkeys(("p_delta_uniform", "p_delta_exponential"), 0)
+
+    def counted(name, series):
+        def call(*args):
+            calls[name] += 1
+            return series(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(exp, name, counted(name, getattr(exp, name)),
+                            raising=True)
+    pdelta_curve("uniform", 10.0)
+    pdelta_curve("exponential", 0.5)
+    assert calls == {"p_delta_uniform": 1, "p_delta_exponential": 1}
+    run_table3()
+    assert calls == {"p_delta_uniform": 4, "p_delta_exponential": 4}
 
 
 @pytest.mark.parametrize("family,param,deltas", [

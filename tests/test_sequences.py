@@ -616,7 +616,7 @@ def test_integer_p_alpha_takes_the_forms_floors_alone():
     assert PowerLaw(23.1317)._dear_floors(2)
     assert not PowerLaw("1/pi")._dear_floors(2)
     for seq in (law, root):
-        route, _ = PI_SQUARE._terms_route(seq, np.arange(1, 5))
+        route = transforms._OnTerms(PI_SQUARE, seq)
         assert route._quick_range is None and route._integer_route
     n = np.arange(1, 10001)
     assert law._pi_power_floors(2)(n).tolist() == \
