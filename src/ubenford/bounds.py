@@ -21,11 +21,13 @@ under pi*x**2) get dedicated series, each with its two-sided envelope: a
 clamped-cell sum for the uniform case and a direct-plus-tail-corrected
 sum for the exponential one. Each series takes a whole delta grid in one
 call and checks every value it computed against its envelope before it
-returns them. The uniform sum fills one buffer of chunk size in
-cache-sized sub-blocks, so a call maps its pages once, not per delta and
-chunk; the exponential sum takes exp(-mu*sqrt(j)) once for every delta.
-Neither sum is exact (up to 3.3e-11 off for the uniform one at k = 1000,
-up to 1.8e-9 for the exponential one at table3's deltas); see each.
+returns them. Both sums walk np.sum's own pairwise tree (_pairwise_sums),
+so every double is the one np.sum gives; at each leaf of at most _BLOCK
+cells, the work that does not depend on delta (j and sqrt(j), or
+exp(-mu*sqrt(j))) is done once for the whole grid, in four leaf arrays
+of 1 MiB in all, whatever k. Neither sum is exact (up to 3.3e-11 off for
+the uniform one at k = 1000, up to 1.8e-9 for the exponential one at
+table3's deltas); see each.
 """
 
 import math
@@ -43,8 +45,9 @@ _CHUNK = 1 << 16
 _TAIL = 1e-14  # mod1_law's tail mass on each side
 _MAX_CELLS = 5_000_000  # mod1_law's budget of integer cells
 _MAX_UNIFORM_CELLS = 50_000_000  # p_delta_uniform's budget of cells
-_UNIFORM_CHUNK = _CHUNK * 16  # p_delta_uniform's cells per np.sum
-_BLOCK = 1 << 15  # p_delta_uniform's cells per in-cache sub-block
+_UNIFORM_CHUNK = _CHUNK * 16  # p_delta_uniform's cells per pairwise sum,
+# added in order: the unit of summation its pinned bits were taken with
+_BLOCK = 1 << 15  # the P_delta series' cells per leaf of _pairwise_sums
 _DIRECT_TERMS = 100_000  # p_delta_exponential's terms before the tail
 
 
@@ -245,6 +248,22 @@ def _enveloped(parameter, deltas, values, envelope):
     return values
 
 
+def _pairwise_sums(leaf, lo, n):
+    """The sums of the n cells from lo, one per delta, added as
+    np.add.reduce adds a contiguous float64 array: up to 128 values by
+    eight accumulators, a longer run split at n//2 rounded down to a
+    multiple of 8 and its halves' sums added. Runs of at most _BLOCK
+    cells are leaves, which leaf(lo, size) sums with np.add.reduce into
+    an array of one sum per delta, called in ascending order. numpy's
+    0.0 identity, added here once per leaf and there once per array,
+    changes no sum: no cell is -0.0, so no partial sum is."""
+    if n <= _BLOCK:
+        return leaf(lo, n)
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sums(leaf, lo, half) \
+        + _pairwise_sums(leaf, lo + half, n - half)
+
+
 def p_delta_uniform(k, deltas):
     """P({pi*X**2} <= delta) for X uniform on (0, k], at each delta of
     the grid deltas (_deltas), as a list checked by _enveloped.
@@ -252,21 +271,21 @@ def p_delta_uniform(k, deltas):
     With a = k*sqrt(pi), cell j contributes (min(sqrt(j+delta), a) -
     sqrt(j))/a; the top cell is clamped at the image boundary a, not at
     a**2, which underflows for tiny k. Cell 0 always carries mass. Each
-    chunk of _UNIFORM_CHUNK cells is summed by one np.sum (pairwise), and
-    the chunks' sums in order. The result is not exact: each cell is a
-    difference of two rounded roots of a rounded j + delta, and at
-    k = 1000 the sum is off by 1.7e-11 to 3.3e-11 at every delta of
-    DELTA_GRID but 0.5, against delta/(sqrt(j+delta)+sqrt(j)) summed by
-    math.fsum. That stable form waits on ROADMAP items 1 and 4, since it
-    moves table3's uniform defect past perfbench's pinned z.
+    chunk of _UNIFORM_CHUNK cells is summed as np.sum would sum it
+    (_pairwise_sums), and the chunks' sums in order. The result is not
+    exact: each cell is a difference of two rounded roots of a rounded
+    j + delta, and at k = 1000 the sum is off by 1.7e-11 to 3.3e-11 at
+    every delta of DELTA_GRID but 0.5, against
+    delta/(sqrt(j+delta)+sqrt(j)) summed by math.fsum. That stable form
+    waits on ROADMAP items 1 and 4, since it moves table3's uniform
+    defect past perfbench's pinned z.
 
-    The call allocates one buffer of chunk size. Each delta fills it for
-    each chunk in sub-blocks of _BLOCK cells, worked in place while they
-    sit in cache: j = iota + offset (exact), sqrt(j + delta), less
-    sqrt(j), taken in a scratch of one sub-block. Only the top cell
-    n - 1 is clamped: n = ceil(a**2 in doubles), so n - 1 < a*a exactly,
-    and for j <= n - 2 the double j + delta is at most n - 1, whose
-    rounded root, rounding being monotone, is at most a.
+    Each leaf takes j = iota + offset (exact) and sqrt(j) once; each
+    delta then fills the leaf's cells, sqrt(j + delta) less sqrt(j), and
+    sums them while they sit in cache. Only the top cell n - 1 is
+    clamped: n = ceil(a**2 in doubles), so n - 1 < a*a exactly, and for
+    j <= n - 2 the double j + delta is at most n - 1, whose rounded root,
+    rounding being monotone, is at most a.
     """
     deltas = _deltas(deltas)
     parameter, k = k, real("k", k)
@@ -275,27 +294,31 @@ def p_delta_uniform(k, deltas):
     # compared as a float, so an a**2 past the doubles is refused too
     if a2 > _MAX_UNIFORM_CELLS:
         needed, budget = _over_budget(a2, _MAX_UNIFORM_CELLS)
+        if a2 == math.inf:  # pi*k**2 from its logarithm, at three digits
+            e = math.log10(math.pi) + 2.0 * math.log10(k)
+            m, x = f"{10.0 ** (e % 1.0 + 100.0):.3g}".split("e+")
+            needed = f"{m}e+{int(x) - 100 + math.floor(e)}"
         raise TruncationFailure(
             f"{needed} cells exceed the budget of {budget} for k={k:g}")
     n = max(1, math.ceil(a2))
-    cells = np.empty(min(n, _UNIFORM_CHUNK))
     iota = np.arange(min(n, _BLOCK), dtype=np.float64)
-    root = np.empty_like(iota)
-    totals = [0.0] * len(deltas)
-    for start in range(0, n, _UNIFORM_CHUNK):
-        chunk = cells[:min(n - start, _UNIFORM_CHUNK)]
+    j, root, cells = (np.empty_like(iota) for _ in range(3))
+
+    def leaf(lo, size):
+        np.sqrt(np.add(iota[:size], lo, out=j[:size]), out=root[:size])
+        sums = np.empty(len(deltas))
         for i, delta in enumerate(deltas):
-            for lo in range(0, chunk.size, _BLOCK):
-                block = chunk[lo:lo + _BLOCK]
-                j = np.add(iota[:block.size], start + lo,
-                           out=root[:block.size])
-                np.sqrt(np.add(j, delta, out=block), out=block)
-                block -= np.sqrt(j, out=j)
-            if start + chunk.size == n:  # the top cell, clamped at a
-                chunk[-1] = min(math.sqrt(n - 1 + delta), a) \
+            cell = np.add(j[:size], delta, out=cells[:size])
+            np.subtract(np.sqrt(cell, out=cell), root[:size], out=cell)
+            if lo + size == n:  # the top cell, clamped at a
+                cell[-1] = min(math.sqrt(n - 1 + delta), a) \
                     - math.sqrt(n - 1)
-            totals[i] += float(np.sum(chunk))
-    return _enveloped(parameter, deltas, [total / a for total in totals],
+            sums[i] = np.add.reduce(cell)
+        return sums
+
+    totals = sum(_pairwise_sums(leaf, start, min(n - start, _UNIFORM_CHUNK))
+                 for start in range(0, n, _UNIFORM_CHUNK))
+    return _enveloped(parameter, deltas, (totals / a).tolist(),
                       p_delta_uniform_envelope)
 
 
@@ -331,9 +354,10 @@ def p_delta_exponential(lam, deltas):
     delta of the grid deltas (_deltas), as a list checked by _enveloped.
 
     Sums exp(-mu*sqrt(j)) - exp(-mu*sqrt(j+delta)) with mu = lam/sqrt(pi)
-    over the first _DIRECT_TERMS j; exp(-mu*sqrt(j)) is taken once for
-    every delta. Where a delta's series has not decayed by then, the rest
-    is folded in through the integral plus trapezoid and curvature
+    over the first _DIRECT_TERMS j, as np.sum would sum them
+    (_pairwise_sums); each leaf takes exp(-mu*sqrt(j)) once for every
+    delta. Where a delta's series has not decayed by then, the rest is
+    folded in through the integral plus trapezoid and curvature
     corrections. Both the differences of two exps and the tail's
     antiderivatives cancel: over table3's deltas the value is off by
     2.5e-10 to 1.8e-9 (6.5e-10 at lam = 1e-3, delta = 0.5, against an
@@ -342,19 +366,25 @@ def p_delta_exponential(lam, deltas):
     """
     deltas = _deltas(deltas)
     mu = real("lam", lam) / _SQRT_PI
-    j = np.arange(_DIRECT_TERMS, dtype=np.int32)  # exact as doubles
-    near = _exp_root(mu, j.astype(np.float64))
-    far = np.empty_like(near)
-    out = []
-    for delta in deltas:
-        far[...] = j  # cast in place, where np.add(j, delta) buffers it
-        far += delta
-        terms = np.subtract(near, _exp_root(mu, far), out=far)
-        total = float(np.sum(terms))
-        if terms[-1] < 1e-18 * max(total, 1e-300):
-            out.append(total)
-        else:
-            out.append(_exp_tail(mu, delta, total))
+    iota = np.arange(_BLOCK, dtype=np.float64)
+    j, near, far = (np.empty_like(iota) for _ in range(3))
+    last = np.empty(len(deltas))  # each delta's last term: the top leaf's
+
+    def leaf(lo, size):
+        np.add(iota[:size], lo, out=j[:size])
+        _exp_root(mu, np.add(iota[:size], lo, out=near[:size]))
+        sums = np.empty(len(deltas))
+        for i, delta in enumerate(deltas):
+            terms = _exp_root(mu, np.add(j[:size], delta, out=far[:size]))
+            np.subtract(near[:size], terms, out=terms)
+            sums[i] = np.add.reduce(terms)
+            last[i] = terms[-1]
+        return sums
+
+    totals = _pairwise_sums(leaf, 0, _DIRECT_TERMS).tolist()
+    out = [total if term < 1e-18 * max(total, 1e-300)
+           else _exp_tail(mu, delta, total)
+           for delta, total, term in zip(deltas, totals, last)]
     return _enveloped(lam, deltas, out, p_delta_exponential_envelope)
 
 

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 from oracles import support_hi
 import ubenford.bounds as bounds_module
-from ubenford.bounds import (_CHUNK, _EPS, _TAIL, BoundCertificate,
+from ubenford.bounds import (_BLOCK, _CHUNK, _EPS, _TAIL, BoundCertificate,
+                             _enveloped, _exp_tail, _pairwise_sums,
                              certify_mod1_bound, default_z_grid,
                              discrepancy_bound, mod1_law,
                              p_delta_exponential,
@@ -514,16 +515,130 @@ def _traced_peak(call):
 
 
 class TestDeltaGridMemory:
-    def test_uniform_curve_takes_one_chunk_buffer(self):
-        # one buffer of 2**20 doubles (8 MiB) and two sub-blocks of 2**15
-        peak = _traced_peak(lambda: pdelta_curve("uniform", 1000))
-        assert peak <= 9 * 2**20
+    @pytest.mark.parametrize("k", [1000, 3000])
+    def test_uniform_curve_takes_four_leaf_arrays(self, k):
+        # iota, j, sqrt(j) and the cells, 2**15 doubles each (1 MiB),
+        # whatever the count of cells: 3,141,593 at k = 1000, and
+        # 28,274,334 (27 chunks) at k = 3000, which read 8.5 MiB while
+        # the series filled one buffer of 2**20 cells
+        peak = _traced_peak(lambda: pdelta_curve("uniform", k))
+        assert peak <= 1.25 * 2**20
 
     def test_exponential_curve_shares_its_near_terms(self):
-        # exp(-mu*sqrt(j)) and one array of terms, 100,000 doubles each,
-        # and j as int32: 1.9 MiB
+        # iota, j, exp(-mu*sqrt(j)) and the terms, 2**15 doubles each
+        # (1 MiB); three arrays of 100,000 values read 1.9 MiB
         peak = _traced_peak(lambda: pdelta_curve("exponential", 1e-3))
-        assert peak <= 2 * 2**20
+        assert peak <= 1.25 * 2**20
+
+
+# The series sum their cells leaf by leaf along np.sum's own pairwise
+# tree. These tests hold them to np.add.reduce and to the loops that
+# filled whole chunks before, bit for bit: should numpy ever sum
+# differently, they fail, and the pinned P_delta bits do not drift
+# silently.
+
+def _one_chunk_uniform(k, deltas):
+    """p_delta_uniform's values before the envelope check, as the series
+    computed them with one buffer of 2**20 cells per chunk, each delta
+    filling it anew."""
+    a = k * math.sqrt(math.pi)
+    n = max(1, math.ceil(a * a))
+    cells = np.empty(min(n, 1 << 20))
+    totals = [0.0] * len(deltas)
+    for start in range(0, n, 1 << 20):
+        chunk = cells[:min(n - start, 1 << 20)]
+        for i, delta in enumerate(deltas):
+            j = np.arange(start, start + chunk.size, dtype=np.float64)
+            np.sqrt(np.add(j, delta, out=chunk), out=chunk)
+            chunk -= np.sqrt(j)
+            if start + chunk.size == n:
+                chunk[-1] = min(math.sqrt(n - 1 + delta), a) \
+                    - math.sqrt(n - 1)
+            totals[i] += float(np.sum(chunk))
+    return [total / a for total in totals]
+
+
+def _whole_array_exponential(lam, deltas):
+    """p_delta_exponential as the series computed it over arrays of all
+    100,000 direct terms."""
+    mu = lam / math.sqrt(math.pi)
+    j = np.arange(100_000, dtype=np.float64)
+    near = np.exp(-mu * np.sqrt(j))
+    out = []
+    for delta in deltas:
+        with np.errstate(over="ignore"):
+            terms = near - np.exp(np.sqrt(j + delta) * -mu)
+        total = float(np.sum(terms))
+        out.append(total if terms[-1] < 1e-18 * max(total, 1e-300)
+                   else _exp_tail(mu, delta, total))
+    return _enveloped(lam, deltas, out, p_delta_exponential_envelope)
+
+
+def _outcome(series, *args):
+    """series(*args), or the message of its CertificateViolation, which
+    carries the first breaching value to the last bit."""
+    try:
+        return series(*args)
+    except CertificateViolation as exc:
+        return str(exc)
+
+
+LEAFWISE_GRID = list(DELTA_GRID) + [1e-300, 1.0 - 2.0**-53]
+
+
+class TestLeafwiseBits:
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 2**15 - 1,
+                                   2**15, 2**15 + 1, 3 * 2**15 + 1, 100_000,
+                                   777_777, 2**20 - 1, 2**20, 2**20 + 1,
+                                   1_000_003])
+    def test_tree_is_np_add_reduce(self, n):
+        # non-negative doubles over 36 decades, as the cells are: no cell
+        # or term of the series is -0.0, so no partial sum is, and
+        # numpy's 0.0 identity added to each leaf's sum (here) or to the
+        # whole sum (np.add.reduce) cannot tell the two apart. Over a
+        # wider range the largest values alone make the sum, in any order
+        rng = np.random.default_rng(n)
+        x = rng.random(n) * 2.0 ** rng.uniform(-60, 60, n)
+        spans = []
+
+        def leaf(lo, size):
+            spans.append((lo, size))
+            return np.array([np.add.reduce(x[lo:lo + size])])
+
+        got = _pairwise_sums(leaf, 0, n)
+        assert got[0].tobytes() == np.add.reduce(x).tobytes()
+        # leaves of at most _BLOCK cells, in ascending order, cover x once
+        assert all(size <= _BLOCK for _, size in spans)
+        ends = [lo + size for lo, size in spans]
+        assert [lo for lo, _ in spans] == [0] + ends[:-1] and ends[-1] == n
+
+    @pytest.mark.parametrize("k", list(UNIFORM_EDGE_CELLS) + [1000])
+    def test_uniform_at_the_edges(self, k):
+        assert p_delta_uniform(k, LEAFWISE_GRID) == \
+            _one_chunk_uniform(k, LEAFWISE_GRID)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.floats(min_value=1e-3, max_value=1500.0))
+    def test_uniform_matches_the_one_chunk_loops(self, k):
+        assert p_delta_uniform(k, LEAFWISE_GRID) == \
+            _one_chunk_uniform(k, LEAFWISE_GRID)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(min_value=1e-3, max_value=10.0))
+    def test_exponential_matches_the_whole_array_loops(self, lam):
+        assert _outcome(p_delta_exponential, lam, LEAFWISE_GRID) == \
+            _outcome(_whole_array_exponential, lam, LEAFWISE_GRID)
+
+    @pytest.mark.parametrize("lam", [1e-3, 0.1, 0.183, 1.0, 10.0])
+    def test_exponential_direct_and_tailed(self, lam):
+        # 1e-3 and 0.1 take the tail, 1.0 and 10.0 return the direct sum,
+        # 0.183 does each at some delta of DELTA_GRID. At 1e-3 the value
+        # at delta = 1 - 2**-53 reads 1.0000000016 and both refuse it
+        got = _outcome(p_delta_exponential, lam, LEAFWISE_GRID)
+        assert got == _outcome(_whole_array_exponential, lam, LEAFWISE_GRID)
+        if lam == 1e-3:
+            assert got.startswith("P_delta(0.001, 0.9999999999999999) = "
+                                  "1.000000001609648 outside [")
 
 
 class TestBoundCertificates:
@@ -657,6 +772,18 @@ class TestFractionLawUniform:
                 p_delta_uniform(k, [0.5])
         # numeric text reads as the number it spells
         assert p_delta_uniform("10", ["0.5"]) == p_delta_uniform(10.0, [0.5])
+
+    @pytest.mark.parametrize("k, count", [(1e154, "3.14e+308"),
+                                          (1e200, "3.14e+400"),
+                                          (1.7e308, "9.08e+616"),
+                                          (1.78412e154, "1e+309")])
+    def test_cell_count_past_the_doubles(self, k, count):
+        # a*a overflows from k = 7.6e153, where the count read "inf"; at
+        # 1.78412e154 it is 9.99995e308, whose three digits carry over
+        with pytest.raises(TruncationFailure) as exc:
+            p_delta_uniform(k, [0.5])
+        assert str(exc.value) == \
+            f"{count} cells exceed the budget of 5e+07 for k={k:g}"
 
 
 class TestFractionLawExponential:

@@ -597,6 +597,17 @@ def test_overflowing_cell_counts_exit_two(argv):
     assert len(proc.stderr) < 200
 
 
+@pytest.mark.parametrize("k, count", [("1e154", "3.14e+308"),
+                                      ("1e200", "3.14e+400"),
+                                      ("1.7e308", "9.08e+616")])
+def test_cell_count_past_the_doubles_is_printed(capsys, k, count):
+    # a*a overflows from k = 7.6e153, where the count read "inf cells"
+    code, out, err = run(capsys, "pdelta", "uniform", k)
+    assert (code, out) == (2, "")
+    assert err == (f"numerical failure: {count} cells exceed the budget "
+                   f"of 5e+07 for k={float(k):g}\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (("bounds", "uniform", "--params", "5000000.5", "--transform",
       "identity"), "5000001 integer cells exceed the budget of 5000000 "),
