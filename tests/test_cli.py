@@ -273,6 +273,13 @@ def test_pdelta_exponential_text_bytes_are_pinned(capsys):
     # three chunks of cells, recorded while each chunk of each delta took
     # arrays of its own
     ("pdelta_uniform_1000", ("pdelta", "uniform", "1000")),
+] + [
+    # the top precision the CLI takes: w near 3,400 bits runs the
+    # 4,096-bit kernel buckets, and base 7 takes ln 7 from ln_int_fixed
+    ("table1_n30_p1000", ("table1", "--n", "30", "--precision", "1000")),
+    ("analyze_compound_growth_log7_p1000",
+     ("analyze", str(_DATA / "compound_growth.csv"), "--column", "2",
+      "--transform", "log7", "--precision", "1000")),
 ])
 def test_structured_record_bytes_are_pinned(capsys, name, argv):
     # CI compares the console script's output with the same files
