@@ -33,9 +33,9 @@ class PrecisionPolicy:
     """The knob for certified evaluation, in decimal digits.
 
     Everything downstream works in bits: transforms._policy_bits converts
-    it once, and transforms.start_bits sizes each term and its first
-    working precision from it. The working precision evaluated is capped
-    at a fixed 30,000 digits (transforms._CAP_DIGITS).
+    it once per certifier, and transforms.start_bits sizes each term and
+    its first working precision from it. The working precision evaluated
+    is capped at a fixed 30,000 digits (transforms._CAP_DIGITS).
 
     agreement: fractional digits the accepted evaluation must certify;
         certification rests on the bits each evaluator claims

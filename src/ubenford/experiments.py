@@ -358,7 +358,9 @@ def pdelta_curve(family, parameter, deltas=None):
     in one call and raises CertificateViolation where a probability
     breaches its analytic envelope, which each row carries; InvalidParameter
     where the parameter is not finite and positive or a delta is outside
-    (0, 1).
+    (0, 1). Each row's probability is the series' value clamped into the
+    row's envelope, which the series may pass by its 1e-9 slack: the true
+    value lies inside, so the clamped value is no farther from it.
     """
     deltas = DELTA_GRID if deltas is None else points("deltas", deltas)
     if family == "uniform":
@@ -380,6 +382,7 @@ def pdelta_curve(family, parameter, deltas=None):
     rows = []
     for delta, p in zip(read, series(parameter, read) if read else ()):
         lo, hi = envelope(parameter, delta)
+        p = min(max(p, lo), hi)
         rows.append(PDeltaRow(delta=delta, probability=p,
                               lower=lo, upper=hi, gap=abs(p - delta)))
     if refusal is not None:

@@ -6,27 +6,30 @@ linear time where decimal division takes quadratic time. Every kernel
 carries its own guard bits and floors the result back to the requested
 scale, so results are exact to a few ulp (integer-only arithmetic, no
 platform drift). Decimal appears only in `digits_to_bits`, which converts
-the precision policy's digits once (transforms._policy_bits), and in
-`dec_digits`, which no module of the package calls: it stays only for
-`perfbench/tracer.py`, which binds it by name.
+the precision policy's digits once per certifier (transforms._policy_bits),
+and in `dec_digits`, which no module of the package calls: it stays only
+for `perfbench/tracer.py`, which binds it by name.
 
 Constants (pi, ln 2, ln 10, e) are computed once per power-of-two precision
-bucket and sliced down by a shift: floor(floor(c*2^B) / 2^(B-p)) equals
-floor(c*2^p), so every request at precision p <= B reuses the bucket value
-deterministically, independent of call order. Pi comes from the Chudnovsky
-series by binary splitting (about 47 bits per term), ln 2 and ln 10 from
-atanh series by binary splitting, e from its factorial series.
+bucket, each bucket a `functools.cache` entry, and sliced down by a shift:
+floor(floor(c*2^B) / 2^(B-p)) equals floor(c*2^p), so every request at
+precision p <= B reuses the bucket value deterministically, independent
+of call order. Pi comes from the Chudnovsky series by binary splitting
+(about 47 bits per term), ln 2 and ln 10 from atanh series by binary
+splitting, e from its factorial series.
 
 `ln_fixed` reduces its mantissa against a table of 2**(j/256), built
-lazily once per bucket up to 4,096 bits, so its atanh series gains about
-19 bits per term; above that it takes isqrt(prec) // 3 square roots of
-the mantissa instead, and no table is built.
+lazily once per bucket (a `functools.cache` entry as well) up to 4,096
+bits, so its atanh series gains about 19 bits per term; above that it
+takes isqrt(prec) // 3 square roots of the mantissa instead, and no
+table is built.
 `exp_fixed` halves its residual below 2**-h with h = max(10, isqrt(prec))
 before the Taylor series and squares back. Both depths follow Brent and
 Zimmermann, Modern Computer Arithmetic, sections 4.4 and 4.9; the table
 follows Tang, ACM TOMS 16(4), 1990.
 """
 
+import functools
 import math
 
 BACKEND = "python"
@@ -121,14 +124,10 @@ def _pi(prec):
     return q * 426880 * math.isqrt(10005 << 2 * g) // t >> _GUARD
 
 
-_ATANH_THIRD = {}  # atanh(1/3) per working precision, shared by ln 2, ln 10
-
-
+@functools.cache
 def _atanh_third(g):
-    v = _ATANH_THIRD.get(g)
-    if v is None:
-        v = _ATANH_THIRD[g] = _atanh_inv(3, g)
-    return v
+    """atanh(1/3) per working precision, shared by ln 2 and ln 10."""
+    return _atanh_inv(3, g)
 
 
 def _ln2(prec):
@@ -156,16 +155,13 @@ def _e(prec):
 
 
 def _bucketed(fn, name):
-    cache = {}
+    fn = functools.cache(fn)
 
     def get(prec):
         if prec < 1:
             raise ValueError("precision must be >= 1")
         bucket = _bucket(prec)
-        value = cache.get(bucket)
-        if value is None:
-            value = cache[bucket] = fn(bucket)
-        return value >> (bucket - prec)
+        return fn(bucket) >> (bucket - prec)
 
     get.__name__ = name
     return get
@@ -177,12 +173,10 @@ ln10_fixed = _bucketed(_ln10, "ln10_fixed")
 e_fixed = _bucketed(_e, "e_fixed")
 
 
-_LN_TABLES = {}
-
-
+@functools.cache
 def _ln_table(bucket):
-    """Build and cache (T, ln2): T[j] ~ 2**(j/256) for j = 0..256 and
-    ln 2, both at scale 2**-bucket.
+    """(T, ln2): T[j] ~ 2**(j/256) for j = 0..256 and ln 2, both at
+    scale 2**-bucket.
 
     T is built at G = bucket + 16 bits: eight floored square roots give
     r ~ 2**(1/256) within 2 ulp (each root halves the error it inherits
@@ -202,8 +196,7 @@ def _ln_table(bucket):
     for _ in range(_TABLE_STEPS):
         t = t * r >> g
         ts.append(t >> _TABLE_GUARD)
-    table = _LN_TABLES[bucket] = (ts, ln2_fixed(bucket))
-    return table
+    return ts, ln2_fixed(bucket)
 
 
 def ln_fixed(m, prec):
@@ -248,7 +241,7 @@ def ln_fixed(m, prec):
             m = math.isqrt(m << g)
         t = ((m - one) << g) // (m + one)
     else:
-        ts, ln2 = _LN_TABLES.get(bucket) or _ln_table(bucket)
+        ts, ln2 = _ln_table(bucket)
         cut = bucket - g
         j = min(_TABLE_STEPS - 1, int((math.log2(m) - g) * _TABLE_STEPS))
         tj = ts[j] >> cut

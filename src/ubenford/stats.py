@@ -19,9 +19,20 @@ def ks_uniform(values):
     """Two-sided KS distance of a sample against Uniform(0, 1).
 
     Returns (statistic, z) with z = sqrt(N) * statistic. Values must lie
-    in [0, 1] (a NaN is refused); ties are legitimate and kept.
+    in [0, 1] (a NaN is refused); ties are legitimate and kept. The
+    sample is read as a 1-D array of doubles, numeric text included;
+    anything else is refused before the sort.
     """
-    x = np.sort(np.asarray(values, dtype=np.float64))
+    try:
+        x = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise InvalidParameter(
+            f"KS sample must be numbers, got {type(values).__name__}") \
+            from None
+    if x.ndim != 1:
+        raise InvalidParameter(
+            f"KS sample must be a 1-D array, got shape {x.shape}")
+    x = np.sort(x)
     n = x.size
     if n == 0:
         raise EmptySample("KS statistic of an empty sample")

@@ -168,6 +168,7 @@ def _input_frac_limit(x, result_int_bits):
     return x.significant_bits() - result_int_bits - 2
 
 
+@functools.cache
 def _log_constants(base, w):
     """What _log_at needs at working precision w: ln 2 and ln(base) at
     scale 2**-w, and the ulps by which that ln(base) may be off."""
@@ -624,12 +625,12 @@ class Transform:
     for the rest); `check_support`, the one support rule, which the law
     (bounds.mod1_law) and LogLog's ceiling read. Certified side, for the
     certifier: `_check_domain`, `_try_exact` (exact result or None),
-    `_constants` (what `_eval_at` needs at one working precision, taken
-    once per w), `_from_ln` (u from ln x, both in double-double with a
-    bound, for the quick phase), `_eval_at` (u(x) floor-accurate at
-    scale 2**-w from those constants, certified bits as precision; it
-    never raises, a value it cannot vouch for gets a short claim, and
-    LogLog's, at a vanished inner log, None) and `_result_bits_estimate`
+    `_constants` (what `_eval_at` needs at one working precision w),
+    `_from_ln` (u from ln x, both in double-double with a bound, for the
+    quick phase), `_eval_at` (u(x) floor-accurate at scale 2**-w from
+    those constants, certified bits as precision; it never raises, a
+    value it cannot vouch for gets a short claim, and LogLog's, at a
+    vanished inner log, None) and `_result_bits_estimate`
     (integer bits of u for an input of `int_bits` integer bits), which
     start_bits turns into the first working precision and the precision
     a sequence term is generated at. The quick routes' width
@@ -1052,7 +1053,6 @@ _NEAR_INTEGER_BITS = 40
 _CAP_DIGITS = 30000  # the cap on w and on a term's bits, in digits
 
 
-@functools.lru_cache(maxsize=None)
 def _policy_bits(policy):
     """(a, mod, band) of a policy, in bits.
 
@@ -1079,11 +1079,11 @@ class _Certifier:
     analyze_dataset hold one per cell or dataset; eval_transform makes one
     for a batch of one term.
 
-    What depends on the cell rather than the term is taken once: the
-    policy's bits, and start_bits and the transform's constants for the
-    last integer-bit count and working precision w. A dense cell
-    evaluates every term at one w, so these one-entry caches serve the
-    whole cell; where w moves per term, they still hold a single set.
+    The policy's bits are taken once per certifier. It keeps no other
+    state, so a result depends only on its input: start_bits is
+    recomputed per value, and a transform's constants at a working
+    precision w come from the module's caches keyed by w (the kernels'
+    bucketed constants, `_log_constants`).
     """
 
     def __init__(self, transform, policy):
@@ -1093,16 +1093,10 @@ class _Certifier:
         # one extraction per result serves both the claim check (a bits)
         # and the double frac hands out (80 bits)
         self._bits = max(self.a, _FRAC_OUT_BITS)
-        self._start = (None, None)
-        self._w = None
-        self._constants = None
 
     def start_bits(self, int_bits):
         """start_bits for this transform and policy."""
-        if int_bits != self._start[0]:
-            self._start = int_bits, start_bits(self.transform, int_bits,
-                                               self.a)
-        return self._start[1]
+        return start_bits(self.transform, int_bits, self.a)
 
     def check_cap(self, bits, what):
         """PrecisionCapExceeded when `bits`, the bits `what` needs, pass
@@ -1163,11 +1157,8 @@ class _Certifier:
             return r, f
 
     def _eval(self, x, w):
-        """The transform's `_eval_at` at w, with the constants of the
-        last w kept."""
-        if w != self._w:
-            self._w, self._constants = w, self.transform._constants(w)
-        return self.transform._eval_at(x, w, self._constants)
+        """The transform's `_eval_at` at w, with its constants at w."""
+        return self.transform._eval_at(x, w, self.transform._constants(w))
 
     def frac(self, x):
         """{u(x)} as a certified double in [0, 1)."""

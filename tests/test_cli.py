@@ -580,6 +580,24 @@ def test_pdelta_refusals_surface_in_delta_order(capsys, argv, code, message):
     assert len(err.splitlines()) == 1
 
 
+def test_pdelta_probability_past_one_prints_one(capsys):
+    # the series reads 1.0000000005969432 here, inside its envelope's
+    # slack; the row prints the envelope's upper end
+    code, out, err = run(capsys, "pdelta", "exponential", "0.001",
+                         "--deltas", "0.9999999995")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1].split()[:2] == ["1", "1.000000000"]
+
+
+def test_pdelta_probability_past_the_slack_exits_two(capsys):
+    # 1.6e-9 above one, past the 1e-9 slack, is still refused
+    code, out, err = run(capsys, "pdelta", "exponential", "0.001",
+                         "--deltas", "0.9999999999")
+    assert (code, out) == (2, "")
+    assert err.startswith("numerical failure: P_delta(0.001, 0.9999999999)")
+    assert len(err.splitlines()) == 1
+
+
 def test_cell_budget_exhaustion_exits_two(capsys):
     # sqrt of a uniform on (0, 1e14] needs ~1e7 integer cells, past the
     # enumeration budget: an honest numerical refusal, not an input error

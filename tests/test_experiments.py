@@ -406,6 +406,30 @@ def test_pdelta_curve_envelope_breach_raises(monkeypatch):
         pdelta_curve("uniform", 100.0, deltas=(0.5,))
 
 
+@pytest.mark.parametrize("family, parameter, delta", [
+    # the series reads 1.0000000005969432, 6e-10 past the upper end 1.0
+    ("exponential", 1e-3, 1 - 5e-10),
+    # the series reads 6.6e-12 past the upper end 9.8656e-9
+    ("uniform", 577.73, 1e-10),
+])
+def test_pdelta_curve_rows_lie_in_their_envelope(family, parameter, delta):
+    # within the series' 1e-9 slack its value passes the envelope, and
+    # the row reports the nearest envelope point instead
+    from ubenford.bounds import p_delta_exponential, p_delta_uniform
+    series = {"uniform": p_delta_uniform,
+              "exponential": p_delta_exponential}[family]
+    raw = series(parameter, [delta])[0]
+    row, = pdelta_curve(family, parameter, deltas=[delta]).rows
+    assert raw > row.upper
+    assert row.probability == row.upper
+    assert row.gap == abs(row.upper - delta)
+
+
+def test_exponential_series_returns_its_raw_value():
+    from ubenford.bounds import p_delta_exponential
+    assert p_delta_exponential(1e-3, [1 - 5e-10]) == [1.0000000005969432]
+
+
 def test_curves_call_the_public_series(monkeypatch):
     # perfbench's tracer times the series where a module binds their
     # public names; pdelta_curve, and table3 through it, call those

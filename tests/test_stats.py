@@ -1,6 +1,7 @@
 """KS machinery, the Kolmogorov limit law, and exact first digits."""
 
 import math
+import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -76,6 +77,28 @@ class TestKsUniform:
     def test_boundary_values_allowed(self):
         d, _ = ks_uniform([0.0, 1.0])
         assert d == 0.5
+
+    @pytest.mark.parametrize("values, shape", [
+        (np.random.default_rng(0).random(1000)[:, None], "(1000, 1)"),
+        (np.full((2, 2), 0.5), "(2, 2)"),
+        (np.array(0.5), "()"),
+    ])
+    def test_sample_that_is_not_1d_is_refused(self, values, shape):
+        # np.sort sorted each row of a column and the ranks broadcast
+        # against them: D = 0.9998 where the 1-D sample reads 0.0378
+        with pytest.raises(InvalidParameter,
+                           match=re.escape(f"got shape {shape}") + "$"):
+            ks_uniform(values)
+
+    def test_sample_that_is_no_numbers_is_refused(self):
+        with pytest.raises(InvalidParameter, match="must be numbers"):
+            ks_uniform(["abc"])
+
+    def test_numeric_text_is_read(self):
+        assert ks_uniform(["0.5", "0.25"]) == ks_uniform([0.5, 0.25])
+        x = np.random.default_rng(0).random(1000)
+        d, z = ks_uniform(x)
+        assert (round(d, 4), round(z, 3)) == (0.0378, 1.196)
 
 
 class TestKolmogorovQ:

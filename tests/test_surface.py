@@ -1,6 +1,6 @@
 """The package surface: every def, class and module-level constant in
-src/ubenford is used, every defaulted parameter is set by some call, and
-every line of its source fits 79 columns.
+src/ubenford is used, every defaulted parameter is set by some call, every
+line of its source fits 79 columns, and no code keeps state by hand.
 
 A definition counts as used when its name is read somewhere in the
 package outside its own body (a constant's own assignment), or when
@@ -8,7 +8,10 @@ ubenford.__all__ exports it. A helper that only tests call, or a
 constant that only tests read, fails this check; move its assertion to
 the code it stood in for and delete it. Likewise a parameter with a
 default that no call in the package passes has one value in use: make
-it a constant.
+it a constant. A value worth keeping is a functools.cache on the pure
+function that computes it, keyed by that function's inputs, so no
+module-level container, global or nonlocal statement, or attribute set
+outside __init__ holds the state instead.
 """
 
 import ast
@@ -181,3 +184,84 @@ def test_every_defaulted_parameter_is_passed():
 
 def test_parameter_allow_list_names_unpassed_parameters():
     assert set(PARAMETERS_ALLOWED) <= set(_unpassed())
+
+
+# sites that keep state by hand, and why each stays
+STATE_ALLOWED = {
+    "sequences._extend_primes": "the prime sieve grows in place",
+    "distributions.SeededSampler.uniforms": "its stream counter lets "
+                                            "draws continue",
+}
+
+
+def _functions(node, prefix):
+    """(site, def) for every def under node, the site its qualified name
+    after the module's (kernels._bucketed.get)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            site = f"{prefix}.{child.name}"
+            if not isinstance(child, ast.ClassDef):
+                yield site, child
+            yield from _functions(child, site)
+        else:
+            yield from _functions(child, prefix)
+
+
+def _own_nodes(function):
+    """The nodes of a def's body, less those of the defs inside it."""
+    stack = list(function.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _empty_container(value):
+    """Whether an expression is an empty {}, [], set(), dict() or list()."""
+    if isinstance(value, ast.Dict):
+        return not value.keys
+    if isinstance(value, ast.List):
+        return not value.elts
+    return isinstance(value, ast.Call) and isinstance(value.func, ast.Name) \
+        and value.func.id in ("dict", "list", "set") \
+        and not (value.args or value.keywords)
+
+
+def _state_sites():
+    """Every site that keeps state by hand: a module-level name bound to
+    an empty {}, [], set(), dict() or list(); a def with a global or
+    nonlocal statement; a def other than __init__ and __post_init__ that
+    sets an attribute of self."""
+    sites = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) \
+                    and node.value is not None \
+                    and _empty_container(node.value):
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                sites |= {f"{path.stem}.{name.id}" for target in targets
+                          for name in ast.walk(target)
+                          if isinstance(name, ast.Name)}
+        for site, function in _functions(tree, path.stem):
+            for node in _own_nodes(function):
+                if isinstance(node, (ast.Global, ast.Nonlocal)) or (
+                        function.name not in ("__init__", "__post_init__")
+                        and isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "self"):
+                    sites.add(site)
+    return sites
+
+
+def test_no_state_kept_by_hand():
+    assert sorted(_state_sites() - set(STATE_ALLOWED)) == []
+
+
+def test_state_allow_list_names_real_sites():
+    assert set(STATE_ALLOWED) <= _state_sites()

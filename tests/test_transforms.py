@@ -672,6 +672,61 @@ class TestAgreementProperty:
         assert min(d, 1.0 - d) < 1e-12
 
 
+def _certified(certifier, x):
+    """certify(x) as (mantissa, exponent, precision, exact, frac bits),
+    or the refusal's type and message."""
+    try:
+        r, f = certifier.certify(x)
+    except (DomainError, InsufficientPrecision, PrecisionCapExceeded) as e:
+        return type(e), str(e)
+    return r.mantissa, r.exponent, r.precision, r.exact, f
+
+
+class TestCertifierHasNoHistory:
+    """A certifier's results depend only on its input, not on what it
+    certified before: the inputs' integer bits and first working
+    precisions alternate, so each lookup of a value kept from the last
+    input would miss or, kept wrongly, differ."""
+
+    INPUTS = [BigReal.from_float(1.2345 * 10.0 ** e)
+              for e in range(-300, 301, 50)] + [
+        BigReal.from_int(1),
+        BigReal.from_int((1 << 199) + 0x5DEECE66D),
+        BigReal.from_int((1 << 4999) + 0x5DEECE66D),
+        pi_real(200),
+        pi_real(2000),
+        BigReal.from_int(10 ** 20 + 1),  # log10 escalates near 20
+    ]
+
+    @pytest.mark.parametrize("agreement", [12, 30])
+    @pytest.mark.parametrize("t", [LOG10, Log(7), LOGLOG, SQRT, PI_SQUARE,
+                                   IDENTITY], ids=lambda t: t.label())
+    def test_results_do_not_depend_on_order(self, t, agreement):
+        policy = PrecisionPolicy(agreement)
+        fresh = [_certified(tr._Certifier(t, policy), x)
+                 for x in self.INPUTS]
+        shared = tr._Certifier(t, policy)
+        assert [_certified(shared, x) for x in self.INPUTS] == fresh
+        assert [_certified(shared, x) for x in self.INPUTS[::-1]] == \
+            fresh[::-1]
+
+    @pytest.mark.parametrize("agreement", [12, 30])
+    @pytest.mark.parametrize("t", [LOG10, Log(7), LOGLOG, SQRT, PI_SQUARE,
+                                   IDENTITY], ids=lambda t: t.label())
+    def test_fracs_of_a_shuffled_array_are_frac(self, t, agreement):
+        policy = PrecisionPolicy(agreement)
+        rng = np.random.default_rng(agreement)
+        xs = rng.permutation(10.0 ** rng.uniform(-300, 300, 400))
+        out, outside = tr._Certifier(t, policy).fracs(xs)
+        certifier = tr._Certifier(t, policy)
+        for x, got, off in zip(xs.tolist(), out.tolist(), outside.tolist()):
+            if off:
+                with pytest.raises(DomainError):
+                    certifier.frac(BigReal.from_float(x))
+            else:
+                assert got == certifier.frac(BigReal.from_float(x)), x
+
+
 # ---------------------------------------------------------------------------
 # the quick phase of _Certifier.fracs
 
