@@ -697,10 +697,10 @@ class TestCertifierHasNoHistory:
         pi_real(2000),
         BigReal.from_int(10 ** 20 + 1),  # log10 escalates near 20
     ]
+    TRANSFORMS = [LOG10, Log(7), LOGLOG, SQRT, PI_SQUARE, IDENTITY]
 
     @pytest.mark.parametrize("agreement", [12, 30])
-    @pytest.mark.parametrize("t", [LOG10, Log(7), LOGLOG, SQRT, PI_SQUARE,
-                                   IDENTITY], ids=lambda t: t.label())
+    @pytest.mark.parametrize("t", TRANSFORMS, ids=lambda t: t.label())
     def test_results_do_not_depend_on_order(self, t, agreement):
         policy = PrecisionPolicy(agreement)
         fresh = [_certified(tr._Certifier(t, policy), x)
@@ -711,8 +711,7 @@ class TestCertifierHasNoHistory:
             fresh[::-1]
 
     @pytest.mark.parametrize("agreement", [12, 30])
-    @pytest.mark.parametrize("t", [LOG10, Log(7), LOGLOG, SQRT, PI_SQUARE,
-                                   IDENTITY], ids=lambda t: t.label())
+    @pytest.mark.parametrize("t", TRANSFORMS, ids=lambda t: t.label())
     def test_fracs_of_a_shuffled_array_are_frac(self, t, agreement):
         policy = PrecisionPolicy(agreement)
         rng = np.random.default_rng(agreement)
