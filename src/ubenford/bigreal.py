@@ -32,10 +32,11 @@ def _frac_double(f):
 class PrecisionPolicy:
     """The knob for certified evaluation, in decimal digits.
 
-    Everything downstream works in bits: transforms._policy_bits converts
-    it once per certifier, and transforms.start_bits sizes each term and
-    its first working precision from it. The working precision evaluated
-    is capped at a fixed 30,000 digits (transforms._CAP_DIGITS).
+    Everything downstream works in bits: each certifier
+    (transforms._Certifier) converts it once, and transforms.start_bits
+    sizes each term and its first working precision from it. The working
+    precision evaluated is capped at a fixed 30,000 digits
+    (transforms._CAP_DIGITS).
 
     agreement: fractional digits the accepted evaluation must certify;
         certification rests on the bits each evaluator claims

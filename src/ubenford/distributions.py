@@ -451,7 +451,9 @@ class SeededSampler:
         try:
             idx = np.arange(self._counter + 1, self._counter + n + 1,
                             dtype=np.uint64)
-        except ValueError:  # numpy refuses the size before allocating
+        # numpy refuses the size (ValueError) or fails to allocate it at
+        # once (MemoryError), before it writes anything
+        except (ValueError, MemoryError):
             raise InvalidParameter(
                 f"draw count {n} is more than one array can hold") from None
         self._counter += n

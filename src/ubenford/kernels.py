@@ -6,7 +6,7 @@ linear time where decimal division takes quadratic time. Every kernel
 carries its own guard bits and floors the result back to the requested
 scale, so results are exact to a few ulp (integer-only arithmetic, no
 platform drift). Decimal appears only in `digits_to_bits`, which converts
-the precision policy's digits once per certifier (transforms._policy_bits),
+the precision policy's digits once per certifier (transforms._Certifier),
 and in `dec_digits`, which no module of the package calls: it stays only
 for `perfbench/tracer.py`, which binds it by name.
 

@@ -47,36 +47,34 @@ _EXACT_MAX_BITS = digits_to_bits(_CAP_DIGITS)
 
 
 # ---------------------------------------------------------------------------
-# prime generation: growing sieve cache
+# prime generation: one sieve per power-of-two count
 
-_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-_SIEVE_LIMIT = 30
+@functools.cache
+def _primes(count):
+    """The first `count` primes as a read-only int64 array, for a power of
+    two count >= 16: one sieve up to Rosser's bound count (ln count +
+    ln ln count), which p_count stays below from count 6 on, plus 10."""
+    limit = int(count * (math.log(count) + math.log(math.log(count)))) + 10
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    primes = np.flatnonzero(sieve)[:count].astype(np.int64)
+    primes.flags.writeable = False
+    return primes
 
 
-def _extend_primes(count):
-    global _SIEVE_LIMIT
-    while len(_PRIMES) < count:
-        k = max(count, 6)
-        # Rosser bound, then a margin so one pass usually suffices
-        limit = int(k * (math.log(k) + math.log(math.log(k)))) + 10
-        limit = max(limit, _SIEVE_LIMIT * 2)
-        sieve = np.ones(limit + 1, dtype=bool)
-        sieve[:2] = False
-        for p in range(2, isqrt(limit) + 1):
-            if sieve[p]:
-                sieve[p * p::p] = False
-        _PRIMES.clear()
-        _PRIMES.extend(int(v) for v in np.nonzero(sieve)[0])
-        _SIEVE_LIMIT = limit
+def _primes_through(n):
+    """The cached array of primes that holds the n-th, n >= 1."""
+    return _primes(max(16, 1 << (n - 1).bit_length()))
 
 
 def nth_prime(n):
     """n-th prime, 1-indexed: nth_prime(1) == 2."""
     if n < 1:
         raise InvalidParameter("prime index starts at 1")
-    if n > len(_PRIMES):
-        _extend_primes(n)
-    return _PRIMES[n - 1]
+    return int(_primes_through(n)[n - 1])
 
 
 def _prime_factors(n):
@@ -220,9 +218,7 @@ class Primes(Sequence):
         return BigReal.from_int(nth_prime(n))
 
     def _doubles(self, n):
-        lo, hi = int(n[0]), int(n[-1])
-        nth_prime(hi)  # the sieve reaches p_hi
-        return np.array(_PRIMES[lo - 1:hi], dtype=np.float64)[n - lo]
+        return _primes_through(int(n[-1]))[n - 1].astype(np.float64)
 
 
 class ExpN(Sequence):

@@ -12,7 +12,8 @@ the bits its evaluator claims cover the leading fractional bits, so
 certification rests on each evaluator's claimed bits; w doubles
 otherwise, with one extra doubling when the result sits within the
 near-integer guard band, up to _CAP_DIGITS. Precisions here are bits;
-decimal digits enter only through the policy (_policy_bits) and the cap.
+decimal digits enter only through the policy, converted once per
+certifier, and the cap.
 
 Each transform states one step from a double-double ln x and its bound
 to u and its bound (`_from_ln`): a log multiplies by 1/ln b, the
@@ -178,8 +179,8 @@ def _log_constants(base, w):
     return ln2, ln_int_fixed(base, w, ln2), base.bit_length()
 
 
-def _log_at(x, w, constants):
-    ln2, ln_base, c = constants
+def _log_at(x, w, base):
+    ln2, ln_base, c = _log_constants(base, w)
     m, e = x.mantissa, x.exponent
     # x = m * 2**e = (ms / 2**w) * 2**k with ms / 2**w in [1, 2)
     lv = ln_int_fixed(m, w, ln2) + e * ln2
@@ -625,17 +626,16 @@ class Transform:
     for the rest); `check_support`, the one support rule, which the law
     (bounds.mod1_law) and LogLog's ceiling read. Certified side, for the
     certifier: `_check_domain`, `_try_exact` (exact result or None),
-    `_constants` (what `_eval_at` needs at one working precision w),
     `_from_ln` (u from ln x, both in double-double with a bound, for the
-    quick phase), `_eval_at` (u(x) floor-accurate at scale 2**-w from
-    those constants, certified bits as precision; it never raises, a
-    value it cannot vouch for gets a short claim, and LogLog's, at a
-    vanished inner log, None) and `_result_bits_estimate`
-    (integer bits of u for an input of `int_bits` integer bits), which
-    start_bits turns into the first working precision and the precision
-    a sequence term is generated at. The quick routes' width
-    (`_Certifier._width`) is `_eval_at`'s fewest claim at the ends of
-    what a route takes.
+    quick phase), `_eval_at` (u(x) floor-accurate at scale 2**-w, with
+    the constants it needs at w from the caches keyed by w, certified
+    bits as precision; it never raises, a value it cannot vouch for gets
+    a short claim, and LogLog's, at a vanished inner log, None) and
+    `_result_bits_estimate` (integer bits of u for an input of
+    `int_bits` integer bits), which start_bits turns into the first
+    working precision and the precision a sequence term is generated at.
+    The quick routes' width (`_Certifier._width`) is `_eval_at`'s fewest
+    claim at the ends of what a route takes.
     """
 
     kind = None
@@ -643,9 +643,6 @@ class Transform:
     pi = False  # c = pi, a power map's factor
     _quick_range = None  # no double-double phase
     _integer_route = False  # no integer route (Power._scaled)
-
-    def _constants(self, w):
-        return None
 
     def _quick(self, x):
         """u(x) = uh + ul in double-double and err >= |uh + ul - u(x)|,
@@ -727,11 +724,8 @@ class Log(Transform):
     def _try_exact(self, x):
         return _exact_log(x, self.base) if x.exact else None
 
-    def _constants(self, w):
-        return _log_constants(self.base, w)
-
-    def _eval_at(self, x, w, constants):
-        return _log_at(x, w, constants)
+    def _eval_at(self, x, w):
+        return _log_at(x, w, self.base)
 
     def _result_bits_estimate(self, int_bits):
         return 27
@@ -782,17 +776,13 @@ class LogLog(Transform):
             return None
         return _exact_log(BigReal.from_int(inner.mantissa), 10)
 
-    def _constants(self, w):
-        return _log_constants(10, w + 14), _log_constants(10, w)
-
-    def _eval_at(self, x, w, constants):
-        inner, outer = constants
-        y = _log_at(x, w + 14, inner)
+    def _eval_at(self, x, w):
+        y = _log_at(x, w + 14, 10)
         if y.sign() <= 0:
             # the inner log cancelled to nothing at this precision: no
             # claim at all, which the certifier answers by doubling w
             return None
-        return _log_at(y, w, outer)
+        return _log_at(y, w, 10)
 
     def _result_bits_estimate(self, int_bits):
         return 14
@@ -935,10 +925,7 @@ class Power(Transform):
             m, e = r, e // 2
         return BigReal(m, e, max(53, m.bit_length()), True)
 
-    def _constants(self, w):
-        return pi_fixed(w) if self.pi else None
-
-    def _eval_at(self, x, w, pi):
+    def _eval_at(self, x, w):
         m, e = self._raised(x.mantissa, x.exponent)
         if self.q == 2:
             e //= 2
@@ -955,7 +942,7 @@ class Power(Transform):
                     w - 1 - max(0, e)
         elif self.pi:
             # absolute error <= x**p * 2**-w from the truncated pi bits
-            m, e, floor_bits = (pi * m, e - w,
+            m, e, floor_bits = (pi_fixed(w) * m, e - w,
                                 w - self.p * x.integer_bits() - 1)
         else:
             floor_bits = w  # x**p itself is exact
@@ -1053,17 +1040,6 @@ _NEAR_INTEGER_BITS = 40
 _CAP_DIGITS = 30000  # the cap on w and on a term's bits, in digits
 
 
-def _policy_bits(policy):
-    """(a, mod, band) of a policy, in bits.
-
-    a: fractional bits certified; mod = 2**a; band: near-integer band at
-    scale 2**-a.
-    """
-    a = digits_to_bits(policy.agreement)
-    band = 1 << max(0, a - _NEAR_INTEGER_BITS)
-    return a, 1 << a, band
-
-
 def start_bits(transform, int_bits, a):
     """Bits to evaluate u at first, for an input of `int_bits` integer bits
     and `a` certified fractional bits of u: u's estimated integer bits,
@@ -1081,22 +1057,21 @@ class _Certifier:
 
     The policy's bits are taken once per certifier. It keeps no other
     state, so a result depends only on its input: start_bits is
-    recomputed per value, and a transform's constants at a working
-    precision w come from the module's caches keyed by w (the kernels'
+    recomputed per value, and each `_eval_at` reads the constants it needs
+    at a working precision w from the caches keyed by w (the kernels'
     bucketed constants, `_log_constants`).
     """
 
     def __init__(self, transform, policy):
         self.transform = transform
-        self.a, self.mod, self.band = _policy_bits(policy)
+        # fractional bits certified, and the near-integer band at scale
+        # 2**-a
+        self.a = digits_to_bits(policy.agreement)
+        self.band = 1 << max(0, self.a - _NEAR_INTEGER_BITS)
         self.cap = digits_to_bits(_CAP_DIGITS)
         # one extraction per result serves both the claim check (a bits)
         # and the double frac hands out (80 bits)
         self._bits = max(self.a, _FRAC_OUT_BITS)
-
-    def start_bits(self, int_bits):
-        """start_bits for this transform and policy."""
-        return start_bits(self.transform, int_bits, self.a)
 
     def check_cap(self, bits, what):
         """PrecisionCapExceeded when `bits`, the bits `what` needs, pass
@@ -1128,13 +1103,14 @@ class _Certifier:
         if r is not None:
             return r, r.frac_scaled(self._bits)  # exact: every bit holds
 
-        a, mod, band = self.a, self.mod, self.band
-        w = self.start_bits(x.integer_bits())
+        a, band = self.a, self.band
+        mod = 1 << a
+        w = start_bits(transform, x.integer_bits(), a)
         escalated_for_near_integer = False
         refused = None  # certified fractional bits of the last refusal
         while True:
             self.check_cap(w, "the working precision")
-            r = self._eval(x, w)
+            r = transform._eval_at(x, w)
             got = -1 if r is None else r.precision - r.integer_bits()
             if got < a:
                 # no claim (LogLog's vanished inner log) is the working
@@ -1155,10 +1131,6 @@ class _Certifier:
                 w *= 2
                 continue
             return r, f
-
-    def _eval(self, x, w):
-        """The transform's `_eval_at` at w, with its constants at w."""
-        return self.transform._eval_at(x, w, self.transform._constants(w))
 
     def frac(self, x):
         """{u(x)} as a certified double in [0, 1)."""
@@ -1251,7 +1223,7 @@ class _Certifier:
 
     def _width(self, xs):
         """2**-b, b the fewest fractional bits certify's first evaluation
-        (start_bits of the input's integer bits, then `_eval`) claims on
+        (start_bits of the input's integer bits, then `_eval_at`) claims on
         the BigReal inputs xs, or None where a quick route must hand
         nothing out: past 80 agreement bits, for an input whose first
         precision doubled, as a near-integer result makes certify do,
@@ -1279,10 +1251,10 @@ class _Certifier:
             return None
         claims = []
         for x in xs:
-            w = self.start_bits(x.integer_bits())
+            w = start_bits(self.transform, x.integer_bits(), self.a)
             if 2 * w > self.cap:
                 return None
-            r = self._eval(x, w)
+            r = self.transform._eval_at(x, w)
             claims.append(-1 if r is None else r.precision - r.integer_bits())
         claim = min(claims)
         return None if claim < self.a else 2.0 ** -claim
@@ -1332,7 +1304,8 @@ class _Certifier:
     def _term_bits(self, sequence, n):
         """The bits term n is generated at first: start_bits of its
         estimated integer bits."""
-        return self.start_bits(sequence.int_bits_estimate(n))
+        return start_bits(self.transform, sequence.int_bits_estimate(n),
+                          self.a)
 
     def _steps(self, sequence, n):
         """The runs of an ascending list of indices n whose terms are

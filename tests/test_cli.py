@@ -430,6 +430,7 @@ def test_help_exits_zero(capsys):
     ("pdelta", "exponential", "nan"),
     ("pdelta", "uniform", "inf"),
     ("table3", "--n", "100000000000000000000"),
+    ("table3", "--n", "1000000000000000000"),
     ("table1", "--n", "2"),
 ])
 def test_input_errors_exit_one(capsys, argv):

@@ -24,10 +24,11 @@ from mpmath import mp, mpf
 
 from ubenford.bigreal import DEFAULT_POLICY, BigReal
 from ubenford.errors import DomainError
+from ubenford.kernels import digits_to_bits
 from ubenford.sequences import ExpN, PiN, PowerLaw, SqrtN, frac_sample
 from ubenford.transforms import (IDENTITY, LOG2, LOG10, LOGLOG, PI_SQUARE,
-                                 SQRT, Log, Power, _policy_bits,
-                                 eval_transform, start_bits)
+                                 SQRT, Log, Power, eval_transform,
+                                 start_bits)
 
 TOL = 1e-12
 TRANSFORMS = (IDENTITY, LOG10, LOG2, LOGLOG, SQRT, PI_SQUARE)
@@ -146,7 +147,7 @@ def check_sequence_term(transform, which, n):
 # the bits each evaluator claims
 
 EVALUATORS = (LOG10, LOG2, Log(7), LOGLOG, SQRT, PI_SQUARE)
-AGREEMENT_BITS = _policy_bits(DEFAULT_POLICY)[0]
+AGREEMENT_BITS = digits_to_bits(DEFAULT_POLICY.agreement)
 
 
 def claim_error(r, transform, make_x, x_bits):
@@ -176,7 +177,7 @@ def test_power_maps_claimed_bits_exact_integers(power, scale, n):
 def check_claim_exact(transform, scale, n):
     x = BigReal.from_int(n)
     w = start_bits(transform, x.integer_bits(), AGREEMENT_BITS)
-    r = transform._eval_at(x, scale * w, transform._constants(scale * w))
+    r = transform._eval_at(x, scale * w)
     err, bound = claim_error(r, transform, lambda: mpf(n), n.bit_length())
     assert err <= bound
 
@@ -215,7 +216,7 @@ def check_claim_inexact(transform, scale, which, n, retries):
     bits = start_bits(transform, seq.int_bits_estimate(n), AGREEMENT_BITS)
     x = seq.nth_term(n, bits << retries)
     w = start_bits(transform, x.integer_bits(), AGREEMENT_BITS)
-    r = transform._eval_at(x, scale * w, transform._constants(scale * w))
+    r = transform._eval_at(x, scale * w)
     err, bound = claim_error(r, transform, lambda: term(n), 0)
     assert err <= bound
 

@@ -1,6 +1,7 @@
 """Sequence terms, prime generation and sampling."""
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -36,7 +37,8 @@ def trial_division_primes(count):
     found = []
     c = 2
     while len(found) < count:
-        if all(c % p for p in found if p * p <= c):
+        if all(c % p for p in
+               itertools.takewhile(lambda p: p * p <= c, found)):
             found.append(c)
         c += 1
     return found
@@ -56,6 +58,25 @@ class TestPrimes:
     def test_rejects_zero_index(self):
         with pytest.raises(InvalidParameter):
             nth_prime(0)
+
+    def test_bucket_edges_against_trial_division(self):
+        # each power-of-two count from 16 on is a sieve of its own: the
+        # last prime of a count and the first past it, the large counts
+        # sieved first so that no smaller one was there before
+        sequences._primes.cache_clear()
+        want = trial_division_primes(2 ** 14 + 1)
+        for k in range(14, 3, -1):
+            for n in (2 ** k + 1, 2 ** k):
+                assert nth_prime(n) == want[n - 1], n
+
+    @pytest.mark.parametrize("n", [
+        np.arange(1000, 1101), np.arange(1, 18), np.arange(1024, 1026),
+        np.array([3, 16, 17, 33, 64, 65]), np.array([16])],
+        ids=["1000-1100", "1-17", "1024-1025", "sparse", "16"])
+    def test_doubles_across_bucket_edges(self, n):
+        sequences._primes.cache_clear()
+        got = Primes()._doubles(n)
+        assert got.tolist() == [float(nth_prime(i)) for i in n.tolist()]
 
 
 SIZED = [SqrtN(), PiN(), ExpN(), PowerLaw(0.37), PowerLaw(0.5),
@@ -798,11 +819,12 @@ def _first_claim(certifier, seq, n):
     an exact term counted as inexact where the form also gives inexact
     ones, as `_term_width` counts it."""
     s, c = seq.form
-    bits = certifier.start_bits(seq.int_bits_estimate(n))
+    t, a = certifier.transform, certifier.a
+    bits = start_bits(t, seq.int_bits_estimate(n), a)
     x = seq.nth_term(n, bits)
     if x.exact and (c or not s.is_integer()):
         x = BigReal(x.mantissa, x.exponent, bits, False)
-    r = certifier._eval(x, certifier.start_bits(x.integer_bits()))
+    r = t._eval_at(x, start_bits(t, x.integer_bits(), a))
     return r.precision - r.integer_bits()
 
 

@@ -188,7 +188,6 @@ def test_parameter_allow_list_names_unpassed_parameters():
 
 # sites that keep state by hand, and why each stays
 STATE_ALLOWED = {
-    "sequences._extend_primes": "the prime sieve grows in place",
     "distributions.SeededSampler.uniforms": "its stream counter lets "
                                             "draws continue",
 }

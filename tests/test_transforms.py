@@ -260,9 +260,9 @@ class TestEscalation:
         seen = []
 
         class Spy(Log):
-            def _eval_at(self, x, w, constants):
+            def _eval_at(self, x, w):
                 seen.append(w)
-                return super()._eval_at(x, w, constants)
+                return super()._eval_at(x, w)
 
         got = eval_transform(BigReal.from_int(12345), Spy(10))
         assert abs(got.frac() - math.log10(12345) % 1.0) < 1e-12
@@ -324,10 +324,9 @@ class TestEscalation:
         seen = []
 
         class Stuck(LogLog):
-            def _eval_at(self, x, w, constants):
+            def _eval_at(self, x, w):
                 seen.append(w)
-                return super()._eval_at(x, seen[0],
-                                        self._constants(seen[0]))
+                return super()._eval_at(x, seen[0])
 
         x = BigReal((1 << 80) + 1, -80, 2000, exact)
         want = PrecisionCapExceeded if exact else InsufficientPrecision
@@ -341,7 +340,7 @@ class TestEscalation:
         # claims nothing instead of raising, and w doubles until the
         # inner log resolves it
         x = BigReal((1 << k) + 1, -k, k + 1, True)
-        assert LOGLOG._eval_at(x, 107, LOGLOG._constants(107)) is None
+        assert LOGLOG._eval_at(x, 107) is None
         got = eval_transform(x, LOGLOG).frac()
         want = mp_frac(lambda: mp.log10(mp.log10(1 + mpf(2) ** -k)), k + 50)
         assert abs(got - want) < 2.0 ** -40
@@ -349,7 +348,7 @@ class TestEscalation:
     def test_start_bits_input_is_sufficient(self):
         # pi generated at the start_bits frac_sample asks for certifies
         policy = PrecisionPolicy(agreement=20)
-        a = tr._policy_bits(policy)[0]
+        a = digits_to_bits(policy.agreement)
         for t in (IDENTITY, LOG10, LOGLOG, SQRT, PI_SQUARE):
             x = pi_real(start_bits(t, 2, a))
             r = eval_transform(x, t, policy)
@@ -1051,7 +1050,7 @@ class TestQuickPhase:
         bits = -math.log2(certifier._quick_width)
         for x in xs[taken].tolist():
             b = BigReal.from_float(x)
-            r = certifier._eval(b, certifier.start_bits(b.integer_bits()))
+            r = t._eval_at(b, start_bits(t, b.integer_bits(), certifier.a))
             assert r.precision - r.integer_bits() >= bits, x
 
     def test_few_doubles_reach_the_certifier(self):
@@ -1683,7 +1682,7 @@ class TestWideRoots:
         for bits in range(1025, 1200):
             x = BigReal.from_int(rng.getrandbits(bits) | 1 << (bits - 1))
             w = start_bits(t, x.integer_bits(), a)
-            r = t._eval_at(x, w, None)
+            r = t._eval_at(x, w)
             assert r.precision - r.integer_bits() >= tr._GUARD_BITS + a
             m = x.mantissa ** t.p
             assert r.mantissa == math.isqrt(m << 2 * -r.exponent)
