@@ -280,6 +280,10 @@ def test_pdelta_exponential_text_bytes_are_pinned(capsys):
     ("analyze_compound_growth_log7_p1000",
      ("analyze", str(_DATA / "compound_growth.csv"), "--column", "2",
       "--transform", "log7", "--precision", "1000")),
+] + [
+    # 80 agreement bits past table1's N, recorded while e**n under
+    # pi*x**2 took the per-term route past its first few terms
+    ("table1_n2000_p24", ("table1", "--n", "2000", "--precision", "24")),
 ])
 def test_structured_record_bytes_are_pinned(capsys, name, argv):
     # CI compares the console script's output with the same files

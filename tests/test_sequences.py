@@ -498,6 +498,29 @@ def test_cell_fractions_are_pinned(name, transform, n_max, filtered, digest,
     assert hashlib.sha256(fs.values.tobytes()).hexdigest() == digest
 
 
+# the same digest at 40 and 80 agreement bits, recorded while the width
+# generated the end terms of each run of terms at the same bits, and e**n
+# took the per-term route under pi*x**2 past its first few terms
+PINNED_POLICY_CELLS = [
+    ("power_law:55.6231",
+     "54ed12df9f1ebb3deb38d661093256e417a1f1ee08b23672613265d370f98511"),
+    ("power_law:23.1317",
+     "e01e4b803333ac72b264752d94ad0b8baed01151d30bce60ff51a318b2c89bb9"),
+    ("exp_n",
+     "a5cdf558eef278b7600a7141c12cefdf653e9fab7237f3a367c86181cefc496f"),
+]
+
+
+@pytest.mark.parametrize("agreement", [12, 24], ids=["a40", "a80"])
+@pytest.mark.parametrize("name, digest", PINNED_POLICY_CELLS,
+                         ids=[c[0] for c in PINNED_POLICY_CELLS])
+def test_pi_square_cells_are_pinned_at_both_widths(name, digest, agreement):
+    fs = frac_sample(parse_sequence(name), PI_SQUARE, 2000,
+                     PrecisionPolicy(agreement=agreement))
+    assert (fs.excluded, fs.size) == (0, 2000)
+    assert hashlib.sha256(fs.values.tobytes()).hexdigest() == digest
+
+
 # the 24 table1 cells and the seeded power laws of the sequence
 # benchmark's seeds 1-3: the dense ones under log10, sqrt and the
 # identity, the steep ones under pi*x**2 and log10
