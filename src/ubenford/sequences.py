@@ -13,15 +13,16 @@ of them: its ln x_n (`_ln_terms`; n for e**n, n ln n for n**n,
 Stirling's series for n! from n = 16 on, ln n / pi for n**(1/pi), s ln
 n + c ln pi for a `form` pi**c n**s), from which each transform takes u
 by its own step (`Transform._from_ln`), and under pi*x**p the integer
-phase that a form (where s p is an integer), n! and the power laws state
-(`_pi_power_floors`). The primes state their terms as exact doubles
-(`_doubles`), which take the routes of an array of doubles instead.
-Every other term (e**n and n**n under the power maps but their first
-few, n! under sqrt and below 16 under the logs, a steep power law's
-terms under pi*x**2 in runs of one or two at the same bits, and the few
-a block's quick routes cannot vouch for) is generated, and regenerated
-at doubled bits while the transform refuses its fractional part, up to
-the precision cap.
+phase that a form (where s p is an integer), n!, e**n and the power laws
+state (`_pi_power_floors`). The certifier's width on those routes comes
+from what the sequence states of its terms' size (`_log2_term`,
+`_exact_term` and int_bits_estimate), with no term generated. The primes
+state their terms as exact doubles (`_doubles`), which take the routes
+of an array of doubles instead. Every other term (n**n under the power
+maps and e**n under those without pi but their first few, n! under sqrt
+and below 16 under the logs, and the few a block's quick routes cannot
+vouch for) is generated, and regenerated at doubled bits while the
+transform refuses its fractional part, up to the precision cap.
 """
 
 import functools
@@ -41,6 +42,7 @@ from .transforms import _CAP_DIGITS, _DD_BITS, _HALF_ULP, _ROUTE_BITS, \
 
 _LOG2_E_FIXED64 = 26613026195688644984  # ceil(log2(e) * 2**64)
 _LOG2_PI = math.log2(math.pi)
+_LOG2_E = math.log2(math.e)
 # a power law builds n**(p/q) exactly while p bit_length(n) / q stays
 # within the cap's bits; past them its exp route certifies
 _EXACT_MAX_BITS = digits_to_bits(_CAP_DIGITS)
@@ -122,13 +124,15 @@ class Sequence:
       n + c ln pi.
     - `_pi_power_floors(p)`, the integer phase of pi*x**p on the terms,
       where the sequence states one: from a form where e = s p is an
-      integer, pi**(c p + 1) n**e; a running product for n!; and for a
-      power law n**alpha, alpha = a/b, n**(p alpha) from the prime
+      integer, pi**(c p + 1) n**e; running products for n! and e**n; and
+      for a power law n**alpha, alpha = a/b, n**(p alpha) from the prime
       factors of n, one ln and one exp per prime and one product per
       composite, where p alpha is no integer (an integer one is the
       form's). `_dear_floors(p)` marks the last: its exp2 phase runs
-      first, and the floors take only what that leaves, in runs that pay
-      for their width.
+      first, and the floors take every term that leaves.
+    - `_log2_term(n)` and `_exact_term(n)`, log2 x_n in doubles and
+      whether term n is exact, from which (and int_bits_estimate) the
+      certifier works out its width on the terms without generating any.
     - `_doubles(n)`, the terms as exact doubles where the sequence states
       them so (the primes); None here.
     """
@@ -179,6 +183,19 @@ class Sequence:
         bits it is generated at. An exact term ignores `bits`, so a
         sequence of exact terms keeps this 0."""
         return 0
+
+    def _log2_term(self, n):
+        """log2 x_n in doubles, within a relative 2**-45 of it, for the
+        certifier's width (`_Certifier._term_width`). From the form: s log2
+        n + c log2 pi, a few roundings of positive terms."""
+        s, c = self.form
+        return s * math.log2(n) + c * _LOG2_PI
+
+    def _exact_term(self, n):
+        """Whether term n is exact whatever bits it is asked at, for the
+        certifier's width. False here: an exact term among inexact ones (a
+        square's root, a first term 1) claims no fewer bits."""
+        return False
 
     def __repr__(self):
         return f"<Sequence {self.name}>"
@@ -239,6 +256,47 @@ class ExpN(Sequence):
     def int_bits_estimate(self, n):
         return (n * _LOG2_E_FIXED64 >> 64) + 1
 
+    def _log2_term(self, n):
+        return n * _LOG2_E
+
+    def _pi_power_floors(self, p):
+        """pi e**(p n) 2**_ROUTE_BITS in (A_n - 1, A_n + 2), from one running
+        product over n = 1..N, N the block's last index, at G bits: Z_0 =
+        pi_fixed(G), Z_n = floor(Z_(n-1) E / 2**G) with E = e**p 2**G from
+        exp_fixed(p 2**G, G), and A_n = Z_n shifted right by G -
+        _ROUTE_BITS.
+
+        Relative errors, in units of 2**-G: pi_fixed is within 2 units of
+        pi 2**G, below 0.64; exp_fixed's mantissa is within 1 + 2**-10 ulp
+        of e**p, and the mantissa is at least 2**G, so E is too; each Z_n
+        >= pi 2**G floors once, below 0.32. So each step costs below 2,
+        and the N steps and pi below 2N, compounding as a product of at
+        most 2N + 1 factors, each within 2**-121. With V = pi e**(p n)
+        2**_ROUTE_BITS < 2**(big + _ROUTE_BITS), big = floor(p N log2 e) +
+        3 from the rounded-up log2 e, and G = big + _ROUTE_BITS +
+        bit_length(2N), the shifted product before its floor is within 2N
+        2**-bit_length(2N) (1 + 2**-100) < 1 of V, and A_n = floor of it
+        leaves V in (A_n - 1, A_n + 2).
+
+        One product of two G-bit integers a step, where each term on its
+        own costs a power at its own bits."""
+        def floors(n):
+            n = n.tolist()
+            top = n[-1]
+            big = (p * top * _LOG2_E_FIXED64 >> 64) + 3
+            g = big + _ROUTE_BITS + (2 * top).bit_length()
+            mant, k = exp_fixed(p << g, g)
+            e_p, run = mant << k, pi_fixed(g)
+            a = np.empty(len(n), dtype=object)
+            i = 0
+            for step in range(1, top + 1):
+                run = run * e_p >> g
+                if step == n[i]:
+                    a[i] = run >> (g - _ROUTE_BITS)
+                    i += 1
+            return a
+        return floors
+
 
 # ln n! from Stirling's series takes n >= _STIRLING_N0 with _STIRLING_K
 # terms, whose remainder is below 2**-96 there; a smaller n! takes the
@@ -274,6 +332,12 @@ class Factorial(Sequence):
 
     def nth_term(self, n, bits):
         return BigReal.from_int(math.factorial(n))
+
+    def _log2_term(self, n):
+        return math.lgamma(n + 1) / math.log(2.0)
+
+    def _exact_term(self, n):
+        return True
 
     def _ln_terms(self, n):
         """ln n! = (n + 1/2)(ln n - 1) + C + S + R, C = (1 + ln(2 pi))/2 and
@@ -333,6 +397,12 @@ class NPowN(Sequence):
     def nth_term(self, n, bits):
         return BigReal.from_int(n ** n)
 
+    def _log2_term(self, n):
+        return n * math.log2(n)
+
+    def _exact_term(self, n):
+        return True
+
     def _ln_terms(self, n):
         """n ln n: the exact n times `_ln`'s ln n (`_fma`)."""
         return _fma((n, 0.0, 0.0), _ln(n))
@@ -366,6 +436,18 @@ class PowerLaw(Sequence):
         if self._inv_pi:
             return _fma(_ln(n), _quick_inv_pi())
         return super()._ln_terms(n)
+
+    def _log2_term(self, n):
+        """log2 n / pi for n**(1/pi); the form's otherwise."""
+        if self._inv_pi:
+            return math.log2(n) / math.pi
+        return super()._log2_term(n)
+
+    def _exact_term(self, n):
+        """Where nth_term builds n**alpha exactly for an integer alpha."""
+        t = self._exact
+        return t is not None and t.q == 1 and \
+            t.p * n.bit_length() <= _EXACT_MAX_BITS
 
     def _dear_floors(self, p):
         """p alpha = a p / b is no integer, for alpha = a/b exact."""
@@ -526,7 +608,13 @@ def frac_sample(sequence, transform, n_max, policy=DEFAULT_POLICY,
     Terms outside the transform's domain (e.g. x <= 1 under the iterated
     log) are skipped and counted in `excluded`. One certifier serves the
     whole cell (_Certifier.terms) and raises PrecisionCapExceeded before
-    a term would be generated past the precision cap.
+    a term would be generated past the precision cap. An n_max past 2**53
+    - 1, the last index the quick routes read as an exact double
+    (`_WHOLE`), is refused.
     """
+    n_max = count("n_max", n_max, 1)
+    if n_max > _WHOLE[1]:
+        raise InvalidParameter(
+            f"n_max must be at most 2**53 - 1, got {n_max}")
     return FracSample(*_Certifier(transform, policy).terms(
-        sequence, count("n_max", n_max, 1), index_filter))
+        sequence, n_max, index_filter))

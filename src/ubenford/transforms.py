@@ -36,11 +36,13 @@ integer route (`Power._scaled`) takes what the power maps with an inexact
 result (q = 2, or c = pi) leave, at any size: A = floor(u * 2**120) in
 Python ints, exact but for pi's few units (`_pi_power_floor`). A double
 is handed out only where its u, widened by its route's error and by the
-certifier's width, 2**-b for the fewest bits b certify's first
-evaluation claims at the ends of what a route takes (`_Certifier._width`,
-one rule for doubles and terms), lies inside one 2**-80 cell of {u}; the
-policy certifies at most 80 bits, and certify could double an end's
-first precision within the cap. The double is then the one certify
+certifier's width, 2**-b for a floor b on the bits certify's first
+evaluation claims on what a route takes (`_Certifier._width`, one rule
+for doubles and terms, worked out from bounds on the inputs' size and
+precision, with nothing evaluated: `_claim_floor`, proved for each
+evaluator), lies inside one 2**-80 cell of {u}; the policy certifies at
+most 80 bits, and certify could double the first precision within the
+cap. The double is then the one certify
 would return (`_cell_doubles`). Every other value falls back to the
 certifier: one outside both routes (nonpositive or subnormal for Log,
 LogLog, the identity and x**p without pi everywhere), an exact power of
@@ -58,18 +60,18 @@ the terms pi**c n**s of a form; and its terms take the one route on the
 indices (`_OnTerms`): `_from_ln` on the ln x_n; or under
 pi*x**p, where the sequence states it (`Sequence._pi_power_floors`),
 floor(u 2**120) in ints. For a form where s p is an integer (pi_n, and
-sqrt_n under pi*x**2) and for n! (a running product) the floors take
+sqrt_n under pi*x**2), n! and e**n (running products) the floors take
 every term; a power law's cost an exp per prime factor of n, so its
-exp2 phase runs first, up to the cut, and its floors take what that
-leaves in runs of terms generated at the same bits that pay for their
-width (`_Certifier._floored`). The route's width is `_width` on the
-terms whose route error leaves room in a cell, at the ends of each such
-run of them (`_term_width`). Per term: e**n and n**n under the power
-maps but their first few terms, n! under sqrt and below 16 under the
-logs, and the steep power laws' terms under pi*x**2 in runs of one or
-two. A root of an exact integer past every double (n!, n**n) first
-meets a residue filter (`_no_square`), and is taken at the fractional
-bits its working precision sizes (`Power._eval_at`).
+exp2 phase runs first, up to the cut, and its floors take every term
+that leaves. The route's width is `_width` on the terms whose route
+error leaves room in a cell (`_term_width`), from what the sequence
+states of them: no term is generated for it. A route takes the terms
+whose first precision, doubled, stays within the cap. Per term: n**n
+under the power maps, and e**n under those without pi, but their first
+few terms, and n! under sqrt and below 16 under the logs. A root of an
+exact integer past every double (n!, n**n) first meets a residue filter
+(`_no_square`), and is taken at the fractional bits its working
+precision sizes (`Power._eval_at`).
 """
 
 import bisect
@@ -179,23 +181,30 @@ def _log_constants(base, w):
     return ln2, ln_int_fixed(base, w, ln2), base.bit_length()
 
 
+def _log_err(k, units, lost, w, base):
+    """`_log_at`'s error bound in units of 2**-w, for an input of binary
+    exponent +-k, a result of `units` whole units of |u| and `lost` units
+    from an inexact input's relative error; it grows with each of them.
+
+    The error of ln x in ulps of 2**-w: k from ln 2, one each from ln_fixed
+    and the mantissa cut, and `lost`; ln(base) is off by c ulps, which
+    costs c per unit of |u|; dividing by ln(base) scales it all, and the
+    floors of the quotient and of this bound add one each."""
+    _, ln_base, c = _log_constants(base, w)
+    return ((k + 2 + c * (units + 1) + lost) << w) // ln_base + 2
+
+
 def _log_at(x, w, base):
-    ln2, ln_base, c = _log_constants(base, w)
+    ln2, ln_base, _ = _log_constants(base, w)
     m, e = x.mantissa, x.exponent
     # x = m * 2**e = (ms / 2**w) * 2**k with ms / 2**w in [1, 2)
     lv = ln_int_fixed(m, w, ln2) + e * ln2
     k = m.bit_length() - 1 + e
     q = (lv << w) // ln_base
     int_bits = max(0, q.bit_length() - w)
-    # error of lv in ulps of 2**-w: |k| from ln 2, one each from ln_fixed
-    # and the mantissa cut, two per 2**-w of an inexact input's relative
-    # error; ln(base) is off by c ulps, which costs c per unit of |u|;
-    # dividing by ln(base) scales it all, and the floors of q and of this
-    # bound add one each
-    err = abs(k) + 2 + c * ((abs(q) >> w) + 1)
-    if not x.exact:
-        err += 1 << max(0, w + 1 - x.significant_bits())
-    err = (err << w) // ln_base + 2
+    # an inexact input's relative error costs two per 2**-w of it
+    lost = 0 if x.exact else 1 << max(0, w + 1 - x.significant_bits())
+    err = _log_err(abs(k), abs(q) >> w, lost, w, base)
     frac_cert = min(w - err.bit_length(), _input_frac_limit(x, int_bits))
     return BigReal(q, -w, int_bits + frac_cert, False)
 
@@ -634,8 +643,13 @@ class Transform:
     `_result_bits_estimate` (integer bits of u for an input of
     `int_bits` integer bits), which start_bits turns into the first
     working precision and the precision a sequence term is generated at.
-    The quick routes' width (`_Certifier._width`) is `_eval_at`'s fewest
-    claim at the ends of what a route takes.
+    The quick routes' width (`_Certifier._width`) rests on
+    `_claim_floor(lo, hi, ib, bits, a)`, a floor on the fractional bits
+    `_eval_at` claims at start_bits(self, ib_x, a), proved in each
+    override, for every input x with lo <= log2 x <= hi and ib_x <= ib
+    integer bits: a double, an exact integer, or (bits given) an inexact
+    x >= 1 generated at start_bits(self, e, a) bits, e an estimate of its
+    integer bits with ib_x <= e <= ib, and at least bits.
     """
 
     kind = None
@@ -730,6 +744,27 @@ class Log(Transform):
     def _result_bits_estimate(self, int_bits):
         return 27
 
+    def _claim_floor(self, lo, hi, ib, bits, a):
+        """`Transform`'s floor. w = start_bits is the same for every x, and
+        so is an inexact x's precision, bits.
+
+        |log2 x| <= k = max(ib, ceil(-lo) + 1), so the binary exponent is
+        at most k - 1 in size, and |u| < k / log2(base) <= k /
+        (bit_length(base) - 1), of which |q| >> w is at most units = that
+        floored, plus one. `_log_err` grows with each of its counts, so at
+        those bounds, with lost = 2**(w + 2 - bits) for an inexact x's
+        significant bits bits - 1, it bounds the error, and w less its
+        bits bounds the claim. u's integer bits are at most
+        bit_length(units), so an inexact x's own limit is at least bits -
+        3 - bit_length(units)."""
+        w = start_bits(self, ib, a)
+        k = max(ib, math.ceil(-lo) + 1)
+        units = k // (self.base.bit_length() - 1) + 1
+        lost = 0 if bits is None else 1 << max(0, w + 2 - bits)
+        claim = w - _log_err(k - 1, units, lost, w, self.base).bit_length()
+        return claim if bits is None else \
+            min(claim, bits - 3 - units.bit_length())
+
     # every normal double; |u| stays below 1,075 on it
     _quick_range = (2.0 ** -1022, sys.float_info.max)
 
@@ -787,6 +822,45 @@ class LogLog(Transform):
     def _result_bits_estimate(self, int_bits):
         return 14
 
+    def _claim_floor(self, lo, hi, ib, bits, a):
+        """`Transform`'s floor, on inputs whose inner log y = log10 x is at
+        least 2**-10, as on every x its quick routes take (`_log10_of`). w
+        = start_bits is the same for every x, and so is an inexact x's
+        precision, bits.
+
+        The inner log at w + 14, of an x of at most ib integer bits: Log's
+        count at y < ib // 3 + 1 (log2 10 > 3) and lost = 2**(w + 16 -
+        bits) costs e bits, and its limit is an inexact x's significant
+        bits, bits - 1, less 2 and y's integer bits, so y's precision, its
+        integer bits and its claim, is at least inner(ib) = w + 14 - e, or
+        bits - 3 if less. The computed y then lies within 2**-60 y of y,
+        so at least y_lo (1 - 2**-40), y_lo = max(2**-10, lo log10 2), and
+        never vanishes; its binary exponent lies in [m - 1,
+        bit_length(units)), units = ib // 3 + 1 and m frexp's of that
+        bound, so its size is at most ky = max(1 - m, bit_length(units)),
+        and |log10 y| < ky / 3. Its significant bits are its precision
+        less one, and below 1, where x < 10 has at most 4 integer bits,
+        less -m more: at least s, the smaller of inner(min(ib, 4)) - 1 +
+        min(0, m) and inner(ib) - 1. That costs the outer log lost =
+        2**(w + 1 - s) and bounds its own limit by s - 2 less the
+        result's integer bits, and the outer log at w is then Log's floor
+        at those bounds."""
+        w = start_bits(self, ib, a)
+        lost = 0 if bits is None else 1 << max(0, w + 16 - bits)
+
+        def inner(ib):
+            e = _log_err(ib - 1, ib // 3 + 1, lost, w + 14, 10).bit_length()
+            return w + 14 - e if bits is None else min(w + 14 - e, bits - 3)
+
+        m = math.frexp(max(_LOGLOG_Y_MIN, lo * math.log10(2.0))
+                       * (1 - 2.0 ** -40))[1]
+        s = min(inner(min(ib, 4)) - 1 + min(0, m), inner(ib) - 1)
+        ky = max(1 - m, (ib // 3 + 1).bit_length())
+        units = ky // 3 + 1
+        return min(w - _log_err(ky, units, 1 << max(0, w + 1 - s), w,
+                                10).bit_length(),
+                   s - 2 - units.bit_length())
+
     # from where log10 x reaches _LOGLOG_Y_MIN to the largest double
     _quick_range = (10.0 ** _LOGLOG_Y_MIN, sys.float_info.max)
 
@@ -803,13 +877,14 @@ class _OnTerms:
     Integer phase under pi*x**p, where the sequence states one
     (`Sequence._pi_power_floors`): A_n = floor(u 2**_ROUTE_BITS) in ints,
     at any size. For a form where s p is an integer (sqrt_n at even p,
-    pi_n, a power law with p alpha an integer) and n! it takes every term
-    alone: A is within 3 units of 2**-120, far inside any err of the
+    pi_n, a power law with p alpha an integer), n! and e**n it takes every
+    term alone: A is within 3 units of 2**-120, far inside any err of the
     other phase, and is the faster. Any other power law's floors cost an
     exp per prime factor (`Sequence._dear_floors`), so there the exp2
     phase runs first, on the terms up to _EXP2_U_MAX, and the floors take
-    only what it leaves, in runs that pay for their width
-    (`_Certifier._floored`).
+    every term it leaves. The certifier's width on the terms either phase
+    takes (`_Certifier._term_width`) is worked out from what the sequence
+    states of them, and generates none.
     """
 
     u: Transform
@@ -953,6 +1028,44 @@ class Power(Transform):
 
     def _result_bits_estimate(self, int_bits):
         return self.p * int_bits // self.q + (self.q == 2) + 2 * self.pi
+
+    def _claim_floor(self, lo, hi, ib, bits, a):
+        """`Transform`'s floor; lo is not needed. With E the estimate, w =
+        start_bits(self, ib_x, a) >= max(_START_BITS, E(ib_x) + G + a), G
+        the guard bits, and the claim is the smaller of the evaluator's
+        floor f and the input's limit.
+
+        f: c = pi, w - p ib_x - 1 >= max(_START_BITS - 1 - p ib, G + a +
+        1). x**p, w >= start_bits at 0. q = 2: for an exact x, w - 1 at its
+        exponent <= 0, and w less the root's integer bits, at most
+        E(ib_x), for an integer past 2**_DOUBLE_BITS; for an inexact one w
+        - 1 - max(0, e) with the root's exponent e <= p (ib_x - 1) / 2, as
+        the mantissa is at least 1, which leaves at least G + a and at
+        least _START_BITS - 1 - max(0, p (ib - 1) // 2).
+
+        The input's limit: an exact x's passes every f; an inexact x's is
+        its significant bits, its precision less one, less 2, the pad and
+        u's integer bits. Those are at most E(ib_x) <= E(e), and at most
+        ub = floor(log2 c + hi p / q) + 1; the precision is at least bits,
+        and start_bits(e) - E(e) falls as e rises to ib. So the limit is
+        at least bits - 3 - min(E(ib), ub) and at least start_bits(ib) - 3
+        - E(ib), less the pad."""
+        p, g = self.p, _GUARD_BITS + a
+        if self.pi:
+            f = max(_START_BITS - 1 - p * ib, g + 1)
+        elif self.q == 1:
+            f = start_bits(self, 0, a)
+        elif bits is None:
+            f = start_bits(self, 0, a) - 1 if ib <= _DOUBLE_BITS else g
+        else:
+            f = max(g, _START_BITS - 1 - max(0, p * (ib - 1) // 2))
+        if bits is None:
+            return f
+        e = self._result_bits_estimate(ib)
+        ub = int((math.log2(self._c) + hi * self._a) * (1 + 2.0 ** -40)
+                 + 2.0 ** -40) + 1
+        return min(f, max(bits - 3 - min(e, ub), start_bits(self, ib, a) - 3
+                          - e) - self._input_pad)
 
     def _scaled(self, x):
         """The integer route: A = floor(u(x) * 2**_ROUTE_BITS), as an object
@@ -1221,123 +1334,72 @@ class _Certifier:
             range(1025), self.cap,
             key=lambda b: 2 * start_bits(self.transform, b, self.a)) - 1
 
-    def _width(self, xs):
-        """2**-b, b the fewest fractional bits certify's first evaluation
-        (start_bits of the input's integer bits, then `_eval_at`) claims on
-        the BigReal inputs xs, or None where a quick route must hand
-        nothing out: past 80 agreement bits, for an input whose first
-        precision doubled, as a near-integer result makes certify do,
-        would pass the cap, or for a claim short of the agreement bits
-        (none, LogLog's at a vanished inner log, counts as -1).
-
-        xs are the ends of what a route takes, where every map claims
-        fewest. A claim is min(f, g): g, the input's limit, is its
-        significant bits less the image's integer bits (10**9 for an exact
-        input, a double among them); f, the evaluator's own, moves one way
-        with x. A log's f is w less the bits of an error count that grows
-        with |k| and |u|, the input's binary exponent and its image, on
-        both sides of 1, at one w. On an exact input below 2**1024 a power
-        map's f is w - 1 (q = 2; a double's exponent is <= 0, and so the
-        root's), w (x**p) or w - p ib - 1 (c = pi), w = start_bits of the
-        input's ib integer bits: the first rises with x, the last falls to
-        _GUARD_BITS + a + 1 and stays. On a sequence's terms the same holds
-        on each run of n that share their bits, where g falls with n.
+    def _width(self, lo, hi, ib, bits):
+        """2**-b, b the transform's `_claim_floor` on the inputs a route
+        takes, bounded by lo <= log2 x <= hi and ib integer bits, and
+        exact (bits None) or generated at least at bits; so b is at most
+        the fractional bits certify's first evaluation (start_bits of the
+        input's integer bits, then `_eval_at`) claims on any of them, and
+        nothing is evaluated. None where a quick route must hand nothing
+        out: past 80 agreement bits, where the first precision at ib,
+        doubled as a near-integer result makes certify do, would pass the
+        cap, or for a b short of the agreement bits.
 
         A claim only grows with the working precision, so every result
         certify accepts for an input the route takes lies within this
         width of u(x). Each route adds its own error on top: err for the
         double-double route, A's units for the integer route (`_scaled`)."""
-        if self.a > _FRAC_OUT_BITS:
+        t, a = self.transform, self.a
+        if a > _FRAC_OUT_BITS or 2 * start_bits(t, ib, a) > self.cap:
             return None
-        claims = []
-        for x in xs:
-            w = start_bits(self.transform, x.integer_bits(), self.a)
-            if 2 * w > self.cap:
-                return None
-            r = self.transform._eval_at(x, w)
-            claims.append(-1 if r is None else r.precision - r.integer_bits())
-        claim = min(claims)
-        return None if claim < self.a else 2.0 ** -claim
+        claim = t._claim_floor(lo, hi, ib, bits, a)
+        return None if claim < a else 2.0 ** -claim
 
     @functools.cached_property
     def _quick_width(self):
-        """`_width` at the ends of the doubles the quick routes take, None
-        without a route: 0.0 and the largest double of `_quick_int_bits`
-        integer bits under the integer route, which takes every double its
-        double-double phase does, else those of `_quick_range`."""
+        """`_width` on the doubles the quick routes take, None without a
+        route: from 0.0 to the largest double of `_quick_int_bits` integer
+        bits under the integer route, which takes every double its
+        double-double phase does, else `_quick_range`; each double exact,
+        and the top one's integer bits the most."""
         t = self.transform
         ends = (0.0, math.ldexp(_ONE_MINUS, self._quick_int_bits)) \
             if t._integer_route else t._quick_range
-        return None if ends is None else \
-            self._width(map(BigReal.from_float, ends))
+        if ends is None:
+            return None
+        lo, hi = ends
+        return self._width(math.log2(lo) - 2.0 ** -30 if lo else -math.inf,
+                           math.log2(hi) + 2.0 ** -30,
+                           max(0, math.frexp(hi)[1]), None)
 
     def _term_width(self, sequence, n):
-        """`_width` on the terms x_n of a sequence whose terms grow with n,
-        n an ascending array of indices, at both ends of each run of n
-        generated at the same bits (a step); None where a term's bits
-        pass the cap. An x_n that comes out exact where the form (s, c)
-        also gives inexact terms (c = 1, or s no integer) is taken as an
-        inexact term at those bits, as its neighbours are: an exact term
-        claims no fewer bits. Without a form the terms a route takes are
-        all exact (n!, n**n) or all inexact (e**n, and n**(1/pi) past its
-        term 1, which no route takes); the primes, exact doubles, take the
-        doubles' width (`_quick_width`) instead. The ends of a step can
-        differ from those of the block: the root of an inexact term claims
-        its bits less the root's integer bits, which step up at other n
-        than the bits do."""
-        s, c = sequence.form or (1.0, 0)
-        n = n.tolist()
+        """`_width` on the terms x_n of an ascending array of indices n,
+        from what the sequence states of them, with no term generated: the
+        terms grow with n, so their log2 (`Sequence._log2_term`, within
+        2**-45 relatively) at the first and the last index bound log2 x_n,
+        and the last index's integer bits (`_term_int_bits`) bound theirs.
+        Where the last term is exact, so are the terms before it; else an
+        inexact term is generated at `_term_bits`, the first index's
+        least."""
+        first, last = int(n[0]), int(n[-1])
+        lo = sequence._log2_term(first) * (1 - 2.0 ** -40)
+        hi = sequence._log2_term(last) * (1 + 2.0 ** -40)
+        return self._width(lo, hi, self._term_int_bits(sequence, last),
+                           None if sequence._exact_term(last)
+                           else self._term_bits(sequence, first))
 
-        def term(k):
-            bits = self._term_bits(sequence, k)
-            x = sequence.nth_term(k, bits)
-            return BigReal(x.mantissa, x.exponent, bits, False) \
-                if x.exact and (c or not s.is_integer()) else x
-
-        if self._term_bits(sequence, n[-1]) > self.cap:
-            return None
-        ends = []
-        for i, j, _ in self._steps(sequence, n):
-            ends += (n[i], n[j - 1])
-        return self._width(map(term, dict.fromkeys(ends)))
+    def _term_int_bits(self, sequence, n):
+        """A bound on the integer bits of term n: int_bits_estimate, or for
+        an exact term, whose bits it ignores, from its log2."""
+        if sequence._exact_term(n):
+            return int(sequence._log2_term(n) * (1 + 2.0 ** -40)) + 1
+        return sequence.int_bits_estimate(n)
 
     def _term_bits(self, sequence, n):
         """The bits term n is generated at first: start_bits of its
         estimated integer bits."""
         return start_bits(self.transform, sequence.int_bits_estimate(n),
                           self.a)
-
-    def _steps(self, sequence, n):
-        """The runs of an ascending list of indices n whose terms are
-        generated at the same bits, as (i, j, bits) for the run n[i:j];
-        the terms grow with n, and so do their bits."""
-        i = 0
-        while i < len(n):
-            bits = self._term_bits(sequence, n[i])
-            j = bisect.bisect_right(n, bits, lo=i, key=functools.partial(
-                self._term_bits, sequence))
-            yield i, j, bits
-            i = j
-
-    def _floored(self, sequence, n, left):
-        """The mask of the indices n, of those in the mask `left`, that a
-        dear integer phase (`_dear_floors`) takes: the runs of them
-        generated at the same bits that hold at least three and at least
-        half the block's indices from their first to their last, and
-        whose bits doubled stay within the cap. The floors cost an exp per
-        prime, which the terms of a dense run share and a few scattered
-        ones (the exp2 phase's refusals near a cell edge) each bring their
-        own of; the width generates the two ends of each run
-        (`_term_width`), as many terms as the per-term route generates on
-        a run of one or two; and past the cap `_width` refuses the run."""
-        took = np.flatnonzero(left)
-        keep = np.zeros(n.size, dtype=bool)
-        for i, j, bits in self._steps(sequence, n[took].tolist()):
-            if 2 * bits > self.cap:
-                break
-            if j - i >= 3 and 2 * (j - i) > took[j - 1] - took[i]:
-                keep[took[i:j]] = True
-        return keep
 
     def _hand_out(self, x, out):
         """The quick routes on one block of doubles: write into `out` each
@@ -1362,10 +1424,10 @@ class _Certifier:
         the doubles' contract holds.
         Every other sequence's terms take the transform's one route on
         them (`_OnTerms`, on the indices as doubles, where it has a
-        phase), with the per-term route's width on the
-        indices whose route error leaves room in a cell (`_term_width`); a
-        dear integer phase (a power law's floors) takes only the runs
-        `_floored` picks.
+        phase), with the per-term route's width on the indices whose
+        route error leaves room in a cell (`_term_width`). A route takes
+        the indices whose terms' first precision, doubled, stays within
+        the cap; the terms grow with n, and so does that precision.
         """
         if not n.size:
             return np.zeros(0, dtype=bool)
@@ -1375,23 +1437,22 @@ class _Certifier:
         route = _OnTerms(self.transform, sequence)
         if route._quick_range is None and not route._integer_route:
             return np.zeros(n.size, dtype=bool)
-        return self._routes(
-            route, n.astype(np.float64), out, True,
-            lambda room: self._term_width(sequence, n[room]),
-            functools.partial(self._floored, sequence, n)
-            if route._integer_route and sequence._dear_floors(route.u.p)
-            else None)
+        fit = bisect.bisect_right(range(n.size), self.cap, key=lambda i: 2 * (
+            start_bits(self.transform,
+                       self._term_int_bits(sequence, int(n[i])), self.a)))
+        return self._routes(route, n.astype(np.float64), out,
+                            np.arange(n.size) < fit,
+                            lambda room: self._term_width(sequence, n[room]))
 
-    def _routes(self, t, x, out, fits, width, floored=None):
+    def _routes(self, t, x, out, fits, width):
         """The quick routes of t on one block: the double-double phase for
         the x in t's _quick_range (sqrt's and pi*x**2's while u <= 2**20,
         where it is the faster), then the integer route for what is left
         of the domain of a map with one (q = 2, or c = pi). `fits` masks
-        the x a route may take; floored(left), where given, masks those
-        the integer route takes of the x left to it, the mask `left`. A
-        route's cells come first; width(room), for the indices `room` of
-        the x whose route error leaves room in a cell, is the certifier's
-        width on them, or None for none to be handed out.
+        the x a route may take. A route's cells come first; width(room),
+        for the indices `room` of the x whose route error leaves room in a
+        cell, is the certifier's width on them, or None for none to be
+        handed out.
         """
         handed = np.zeros(x.size, dtype=bool)
 
@@ -1411,9 +1472,8 @@ class _Certifier:
             lo, hi = t._quick_range
             take(self._double_double_cells, fits & (x >= lo) & (x <= hi))
         if t._integer_route:
-            left = fits & ~handed & np.isfinite(x) & (x >= 0.0)
-            take(self._integer_cells,
-                 left if floored is None else floored(left))
+            take(self._integer_cells, fits & ~handed & np.isfinite(x)
+                 & (x >= 0.0))
         return handed
 
     def _double_double_cells(self, x, t):

@@ -436,6 +436,7 @@ def test_help_exits_zero(capsys):
     ("table3", "--n", "100000000000000000000"),
     ("table3", "--n", "1000000000000000000"),
     ("table1", "--n", "2"),
+    ("table1", "--n", "100000000000000000000"),
 ])
 def test_input_errors_exit_one(capsys, argv):
     code, out, err = run(capsys, *argv)

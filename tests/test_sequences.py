@@ -553,19 +553,23 @@ REROUTED_CELLS = [
 # n**n under log10 all but the terms 1, 10**10, 100**100 and 1000**1000,
 # whose logs are integers, and one near a cell edge); the one route on
 # the indices for the power-map cells: its exp2 phase up to u = 2**23.2
-# (sqrt_n, pi_n, the power laws below the cut and the first terms of e**n
-# and n**n), its integer phase for sqrt_n (pi n), pi_n and n! under
-# pi*x**2, and for the power laws under pi*x**2, past the cut (the steep
-# ones from their second term on), the floors on the runs of terms at the
-# same bits that pay for their width. n! under sqrt lies past the cut
-# from its first term on.
+# (sqrt_n, pi_n, the power laws below the cut and the first terms of n**n
+# and e**n under sqrt), its integer phase for sqrt_n (pi n), pi_n, e**n
+# and n! under pi*x**2, and for the power laws under pi*x**2, past the
+# cut (the steep ones from their second term on), the floors on every
+# term it leaves. n! under sqrt lies past the cut from its first term
+# on. The width is a floor on the per-term route's first claims from
+# what the sequence states, a bit or two below the fewest claim where a
+# block spans many term sizes: pi_n under pi*x**2 and the off-benchmark
+# power laws 1.5 hand out 0.3 to 1.5% fewer than when the width
+# generated the ends of each run of terms at the same bits.
 ROUTED = {
     "sqrt_n-loglog": 9998, "sqrt_n-log10": 9995, "sqrt_n-sqrt": 9990,
     "sqrt_n-pi_square": 9970, "pi_n-loglog": 10000, "pi_n-log10": 10000,
-    "pi_n-sqrt": 10000, "pi_n-pi_square": 9929, "primes-loglog": 10000,
+    "pi_n-sqrt": 10000, "pi_n-pi_square": 9896, "primes-loglog": 10000,
     "primes-log10": 10000, "primes-sqrt": 10000, "primes-pi_square": 9984,
     "exp_n-loglog": 1000, "exp_n-log10": 1000, "exp_n-sqrt": 22,
-    "exp_n-pi_square": 6, "factorial-loglog": 985, "factorial-log10": 985,
+    "exp_n-pi_square": 981, "factorial-loglog": 985, "factorial-log10": 985,
     "factorial-sqrt": 0, "factorial-pi_square": 998, "n_pow_n-loglog": 998,
     "n_pow_n-log10": 995, "n_pow_n-sqrt": 3, "n_pow_n-pi_square": 2,
     "power_law:0.367427-log10": 9995, "power_law:0.367427-sqrt": 9998,
@@ -577,19 +581,19 @@ ROUTED = {
     "power_law:0.309838-log10": 9995, "power_law:0.309838-sqrt": 9999,
     "power_law:0.309838-identity": 9998, "power_law:0.6281-log10": 9995,
     "power_law:0.6281-sqrt": 9999, "power_law:0.6281-identity": 9997,
-    "power_law:23.1317-pi_square": 914, "power_law:23.1317-log10": 996,
-    "power_law:39.2621-pi_square": 857, "power_law:39.2621-log10": 996,
-    "power_law:55.6231-pi_square": 801, "power_law:55.6231-log10": 996,
-    "power_law:25.0508-pi_square": 911, "power_law:25.0508-log10": 996,
-    "power_law:41.635-pi_square": 852, "power_law:41.635-log10": 996,
-    "power_law:48.5529-pi_square": 831, "power_law:48.5529-log10": 996,
-    "power_law:27.8995-pi_square": 898, "power_law:27.8995-log10": 996,
-    "power_law:46.3059-pi_square": 835, "power_law:46.3059-log10": 996,
-    "power_law:47.4929-pi_square": 833, "power_law:47.4929-log10": 996,
+    "power_law:23.1317-pi_square": 986, "power_law:23.1317-log10": 996,
+    "power_law:39.2621-pi_square": 985, "power_law:39.2621-log10": 996,
+    "power_law:55.6231-pi_square": 987, "power_law:55.6231-log10": 996,
+    "power_law:25.0508-pi_square": 988, "power_law:25.0508-log10": 996,
+    "power_law:41.635-pi_square": 982, "power_law:41.635-log10": 996,
+    "power_law:48.5529-pi_square": 990, "power_law:48.5529-log10": 996,
+    "power_law:27.8995-pi_square": 982, "power_law:27.8995-log10": 996,
+    "power_law:46.3059-pi_square": 985, "power_law:46.3059-log10": 996,
+    "power_law:47.4929-pi_square": 984, "power_law:47.4929-log10": 996,
     "sqrt_n-identity": 1956, "pi_n-identity": 1991, "primes-identity": 0,
-    "power_law:1.5-identity": 1818, "power_law:3-sqrt": 1813,
+    "power_law:1.5-identity": 1800, "power_law:3-sqrt": 1813,
     "power_law:0.5-pi_square": 1988, "primes-pi*x**3": 1999,
-    "power_law:1.5-pi_square": 1992}
+    "power_law:1.5-pi_square": 1962}
 
 
 @pytest.mark.parametrize("name, transform, n_max",
@@ -681,8 +685,8 @@ def test_integer_p_alpha_takes_the_forms_floors_alone():
 def test_steep_power_laws_generate_fewer_terms_than_the_per_term_route(
         alpha, monkeypatch):
     # pi n**(2 alpha) lies past the exp2 route's cut from n = 2 on; the
-    # integer phase's floors take the runs of terms generated at the same
-    # bits that pay for their width, which generates only each run's ends
+    # integer phase's floors take every term it leaves, and the width
+    # generates none
     calls = []
     nth_term = PowerLaw.nth_term
     monkeypatch.setattr(PowerLaw, "nth_term", lambda self, n, bits: (
@@ -708,9 +712,10 @@ def _exp_precisions(monkeypatch):
 
 
 def test_floors_stop_at_the_cap(monkeypatch):
-    # each term of n**20000.3 under pi*x**2 is a run of its own, and term
-    # 3 on is past half the cap: terms 2 to 5 take the per-term route, one
-    # exp each at its own bits, and term 6 is refused as before
+    # n**20000.3 under pi*x**2: term 2 lies past the exp2 route's cut and
+    # within half the cap, and the floors take it, one exp for the prime
+    # 2; term 3 on is past half the cap, terms 3 to 5 take the per-term
+    # route, one exp each at its own bits, and term 6 is refused as before
     asked = _exp_precisions(monkeypatch)
     with pytest.raises(PrecisionCapExceeded,
                        match=r"^term 6 of power_law\(20000.3\) under "
@@ -720,19 +725,21 @@ def test_floors_stop_at_the_cap(monkeypatch):
     assert max(asked) <= _Certifier(PI_SQUARE, PrecisionPolicy()).cap
 
 
-def test_floors_skip_runs_of_one_term(monkeypatch):
-    # n**3000.3 under pi*x**2: every term its own run, where the width
-    # would generate as many terms as the per-term route, so the cell asks
-    # exp_fixed for exactly the precisions the per-term route alone does
+def test_floors_take_every_term_the_exp2_phase_leaves(monkeypatch):
+    # n**3000.3 under pi*x**2: every term past the first lies past the
+    # exp2 route's cut, each at bits of its own, and within half the cap;
+    # the floors take them all, one exp per prime at the block's bits
+    # where the per-term route takes one per term, and only a term near a
+    # cell edge (n = 6) is left to the per-term route
     asked = _exp_precisions(monkeypatch)
-    seq = PowerLaw(3000.3)
-    frac_sample(seq, PI_SQUARE, 12)
-    cell = list(asked)
-    asked.clear()
+    seq, n = PowerLaw(3000.3), np.arange(1, 13)
     certifier = _Certifier(PI_SQUARE, PrecisionPolicy())
-    for k in range(1, 13):
-        certifier._term_frac(seq, k)
-    assert cell == asked and len(asked) == 11
+    got = np.zeros(n.size)
+    mask = certifier._hand_out_terms(seq, n, got)
+    assert len(asked) == 5 and len(set(asked)) == 1  # 2, 3, 5, 7 and 11
+    assert n[~mask].tolist() == [6]
+    want = [certifier._term_frac(seq, k) for k in n[mask].tolist()]
+    assert got[mask].tobytes() == np.array(want).tobytes()
 
 
 def _omega(n):
@@ -784,7 +791,7 @@ def test_power_law_floors_against_mpmath(alpha, p, top, rest):
 FORM_FLOOR_CASES = [("sqrt_n", 2), ("sqrt_n", 4), ("sqrt_n", 6),
                     ("pi_n", 1), ("pi_n", 2), ("pi_n", 3)]
 NO_FLOOR_CASES = [("sqrt_n", 1), ("sqrt_n", 3), ("sqrt_n", 5)] + [
-    (name, p) for name in ("primes", "exp_n", "n_pow_n", "power_law:1/pi")
+    (name, p) for name in ("primes", "n_pow_n", "power_law:1/pi")
     for p in (1, 2, 3)]
 
 
@@ -814,6 +821,21 @@ def test_form_floors_against_mpmath(case, top, rest):
             assert int(mp.floor(v)) - a in (-1, 0, 1), k
 
 
+@given(p=st.sampled_from([2, 3]), top=st.integers(2, 5000),
+       rest=st.lists(st.integers(2, 5000), max_size=8))
+@example(p=3, top=5000, rest=[2, 4999])
+@settings(max_examples=40, deadline=None)
+def test_exp_n_floors_against_mpmath(p, top, rest):
+    # the running product's pi e**(p n) 2**120 lies in (A_n - 1, A_n + 2)
+    # on a block of n past 1 up to top, whose largest n sets the bits
+    n = sorted({top, *(k for k in rest if k < top)})
+    floors = ExpN()._pi_power_floors(p)(np.array(n, dtype=np.int64))
+    with mp.workprec(int(p * top * 1.45) + 300):
+        for k, a in zip(n, floors):
+            v = mp.pi * mp.exp(p * k) * mp.mpf(2) ** 120
+            assert int(mp.floor(v)) - a in (-1, 0, 1), k
+
+
 @pytest.mark.parametrize("agreement, cap", [(24, 30000), (25, 30000),
                                            (12, 64)],
                          ids=["a80", "a84", "cap64"])
@@ -821,7 +843,8 @@ def test_form_floors_against_mpmath(case, top, rest):
     ("primes", SQRT), ("primes", PI_SQUARE), ("sqrt_n", PI_SQUARE),
     ("pi_n", LOG10), ("power_law:0.5", LOGLOG), ("sqrt_n", SQRT),
     ("pi_n", PI_SQUARE), ("power_law:0.613197", SQRT),
-    ("power_law:0.613197", IDENTITY)])
+    ("power_law:0.613197", IDENTITY), ("exp_n", PI_SQUARE),
+    ("power_law:55.6231", PI_SQUARE)])
 def test_handed_out_terms_under_other_policies(agreement, cap, name,
                                                transform, monkeypatch):
     # 80 agreement bits hand out against the widest width; 84 and a cap
@@ -839,34 +862,86 @@ def test_handed_out_terms_under_other_policies(agreement, cap, name,
 
 def _first_claim(certifier, seq, n):
     """The bits the per-term route's first evaluation of term n claims,
-    an exact term counted as inexact where the form also gives inexact
-    ones, as `_term_width` counts it."""
-    s, c = seq.form
+    -1 for none."""
     t, a = certifier.transform, certifier.a
-    bits = start_bits(t, seq.int_bits_estimate(n), a)
-    x = seq.nth_term(n, bits)
-    if x.exact and (c or not s.is_integer()):
-        x = BigReal(x.mantissa, x.exponent, bits, False)
+    x = seq.nth_term(n, start_bits(t, seq.int_bits_estimate(n), a))
     r = t._eval_at(x, start_bits(t, x.integer_bits(), a))
-    return r.precision - r.integer_bits()
+    return -1 if r is None else r.precision - r.integer_bits()
+
+
+@pytest.mark.parametrize("name", [
+    "sqrt_n", "pi_n", "exp_n", "factorial", "n_pow_n", "power_law:0.367427",
+    "power_law:55.6231", "power_law:3", "power_law:1/pi"])
+def test_log2_term_and_exactness_are_what_the_terms_are(name):
+    # the certifier's width reads these in place of the terms: log2 x_n
+    # within 2**-45 of it relatively, and a term stated exact is exact
+    seq = parse_sequence(name)
+    for n in (1, 2, 3, 10, 99, 1000, 4097):
+        x = seq.nth_term(n, 300)
+        assert x.exact or not seq._exact_term(n)
+        with mp.workprec(400):
+            want = mp.log(mp.mpf(x.mantissa) * mp.mpf(2) ** x.exponent, 2)
+            assert abs(seq._log2_term(n) - want) <= 2.0 ** -45 * want, n
+
+
+def _claim_bits(width):
+    return -math.log2(width)
+
+
+# two blocks of each cell from the first index its quick routes take
+# (n! under the logs from n = 16), and the doubles' ends
+WIDTH_CASES = [
+    ("sqrt_n", PI_SQUARE, 1), ("pi_n", SQRT, 1), ("pi_n", PI_SQUARE, 1),
+    ("power_law:0.613197", SQRT, 1)] + [
+    (name, PI_SQUARE, 1)
+    for name in ("exp_n", "factorial", "n_pow_n", "power_law:55.6231")] + [
+    ("exp_n", SQRT, 1), ("n_pow_n", SQRT, 1), ("exp_n", LOGLOG, 1),
+    ("factorial", LOG10, 16), ("factorial", LOGLOG, 16),
+    ("n_pow_n", LOGLOG, 2), ("sqrt_n", LOGLOG, 2), ("pi_n", LOG10, 1)]
 
 
 @pytest.mark.parametrize("policy", [PrecisionPolicy(),
                                     PrecisionPolicy(agreement=24)],
                          ids=["a40", "a80"])
-@pytest.mark.parametrize("name, transform", [
-    ("sqrt_n", PI_SQUARE), ("pi_n", SQRT), ("pi_n", PI_SQUARE),
-    ("power_law:0.613197", SQRT)])
+@pytest.mark.parametrize(
+    "name, transform, first", WIDTH_CASES,
+    ids=[f"{c[0]}-transform{i}" for i, c in enumerate(WIDTH_CASES[:4])]
+    + [f"{c[0]}-{c[1].label()}" for c in WIDTH_CASES[4:]])
 def test_term_width_is_the_fewest_claim_of_the_block(policy, name,
-                                                     transform):
-    # the first block's fewest claim can lie between its ends (at 80
-    # bits: 127 against 129 at both ends for sqrt_n under pi*x**2)
+                                                     transform, first):
+    # the width is a floor on the per-term route's first claims from what
+    # the sequence states, with no term generated: at most every claim of
+    # the block, and at most 8 bits below the fewest
     seq = parse_sequence(name)
     certifier = _Certifier(transform, policy)
-    for lo in (1, 1025):
+    for lo in (first, first + 1024):
         n = np.arange(lo, lo + 1024)
-        claim = min(_first_claim(certifier, seq, k) for k in n.tolist())
-        assert certifier._term_width(seq, n) == 2.0 ** -claim
+        claims = [_first_claim(certifier, seq, k) for k in n.tolist()]
+        width = certifier._term_width(seq, n)
+        assert width is not None
+        assert min(claims) - 8 <= _claim_bits(width) <= min(claims)
+
+
+@pytest.mark.parametrize("agreement", [12, 24], ids=["a40", "a80"])
+@pytest.mark.parametrize("transform", [LOG10, LOGLOG, SQRT, PI_SQUARE],
+                         ids=lambda t: t.label())
+def test_doubles_width_is_the_fewest_claim_of_the_ends(transform,
+                                                      agreement):
+    # the doubles' width against certify's first claims at the ends of
+    # what the quick routes take, and at every power of two between
+    certifier = _Certifier(transform, PrecisionPolicy(agreement))
+    ends = (0.0, math.ldexp(1.0 - 2.0 ** -53, certifier._quick_int_bits)) \
+        if transform._integer_route else transform._quick_range
+    xs = [v for v in list(ends) + [2.0 ** k for k in range(-1022, 1024)]
+          if ends[0] <= v <= ends[1]]
+    claims = []
+    for v in xs:
+        x = BigReal.from_float(v)
+        r = transform._eval_at(x, start_bits(transform, x.integer_bits(),
+                                             certifier.a))
+        claims.append(r.precision - r.integer_bits())
+    fewest = min(claims[:2])
+    assert fewest - 8 <= _claim_bits(certifier._quick_width) <= min(claims)
 
 
 # cells without exclusions, so term n sits at index n - 1

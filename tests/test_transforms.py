@@ -1602,15 +1602,15 @@ class TestTermRoutes:
 
     def test_terms_routes_of_the_sequences_without_a_form(self):
         # the logs read ln x_n everywhere; the power maps take the one
-        # route on the indices, whose integer phase alone takes n! under
-        # pi*x**p as its running product
+        # route on the indices, whose integer phase alone takes n! and e**n
+        # under pi*x**p as running products
         for name in ("exp_n", "factorial", "n_pow_n", "power_law:1/pi"):
             seq = parse_sequence(name)
             for t in TERM_LOGS:
                 assert _has_phase(tr._OnTerms(t, seq))
             for t in (IDENTITY, SQRT, PI_SQUARE, Power(3, pi=True)):
                 route = tr._OnTerms(t, seq)
-                run = name == "factorial" and t.pi
+                run = name in ("factorial", "exp_n") and t.pi
                 assert _has_phase(route), (name, t)
                 assert route._integer_route == run
                 assert route._quick_range == (None if run else seq._ln_range)
