@@ -42,11 +42,11 @@ for doubles and terms, worked out from bounds on the inputs' size and
 precision, with nothing evaluated: `_claim_floor`, proved for each
 evaluator), lies inside one 2**-80 cell of {u}; the policy certifies at
 most 80 bits, and certify could double the first precision within the
-cap. The double is then the one certify
-would return (`_cell_doubles`). Every other value falls back to the
-certifier: one outside both routes (nonpositive or subnormal for Log,
-LogLog, the identity and x**p without pi everywhere), an exact power of
-the base, and any u near a cell edge or, for Log, an integer. Below
+cap. The double is then the one certify would return (`_cell_doubles`).
+Every other value falls back to the certifier: one outside both routes
+(nonpositive or subnormal for Log, LogLog, the identity and x**p without
+pi everywhere), an exact power of the base, and any u near a cell edge
+or, for Log, an integer. Below
 2**-80 the integer route needs no lower margin: its maps' certified
 results are never negative.
 
