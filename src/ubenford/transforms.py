@@ -63,12 +63,13 @@ floor(u 2**120) in ints. For a form where s p is an integer (pi_n, and
 sqrt_n under pi*x**2), n! and e**n (running products) the floors take
 every term; a power law's cost an exp per prime factor of n, so its
 exp2 phase runs first, up to the cut, and its floors take every term
-that leaves. The route's width is `_width` on the terms whose route
-error leaves room in a cell (`_term_width`), from what the sequence
-states of them: no term is generated for it. A route takes the terms
-whose first precision, doubled, stays within the cap. Per term: n**n
-under the power maps, and e**n under those without pi, but their first
-few terms, and n! under sqrt and below 16 under the logs. A root of an
+that leaves. The route's width (`_term_width`) is `_width` on the
+terms whose route error leaves room in a cell, on each run of them
+generated at the same bits, from what the sequence states of them: no
+term is generated for it. A route takes the terms whose first
+precision, doubled, stays within the cap. Per term: n**n under the
+power maps, and e**n under those without pi, but their first few
+terms, and n! under sqrt and below 16 under the logs. A root of an
 exact integer past every double (n!, n**n) first meets a residue filter
 (`_no_square`), and is taken at the fractional bits its working
 precision sizes (`Power._eval_at`).
@@ -1375,18 +1376,36 @@ class _Certifier:
     def _term_width(self, sequence, n):
         """`_width` on the terms x_n of an ascending array of indices n,
         from what the sequence states of them, with no term generated: the
-        terms grow with n, so their log2 (`Sequence._log2_term`, within
-        2**-45 relatively) at the first and the last index bound log2 x_n,
-        and the last index's integer bits (`_term_int_bits`) bound theirs.
-        Where the last term is exact, so are the terms before it; else an
-        inexact term is generated at `_term_bits`, the first index's
-        least."""
-        first, last = int(n[0]), int(n[-1])
-        lo = sequence._log2_term(first) * (1 - 2.0 ** -40)
-        hi = sequence._log2_term(last) * (1 + 2.0 ** -40)
-        return self._width(lo, hi, self._term_int_bits(sequence, last),
-                           None if sequence._exact_term(last)
-                           else self._term_bits(sequence, first))
+        widest of `_width` on each run of n generated at the same bits
+        (`_term_bits`). The terms grow with n, so on a run their log2
+        (`Sequence._log2_term`, within 2**-45 relatively) at its first and
+        last index bound log2 x_n, and its last index's integer bits
+        (`_term_int_bits`) bound theirs. Where a run's last term is exact,
+        so are the terms before it; else an inexact term is generated at
+        the run's bits. A block that spans many term sizes claims fewer
+        bits at its first terms' bits and its last terms' integer bits
+        than any of its terms does, so the runs keep them apart. A run's
+        end is found by doubling steps, then bisection: e**n's terms step
+        up their bits at nearly every n, pi n's once a power of two."""
+        n = n.tolist()
+        bits = functools.partial(self._term_bits, sequence)
+        widths, i = [], 0
+        while i < len(n):
+            b, k = bits(n[i]), 1
+            while i + k < len(n) and bits(n[i + k]) == b:
+                k *= 2
+            j = bisect.bisect_right(n, b, i + (k + 1) // 2,
+                                    min(i + k, len(n)), key=bits)
+            first, last = n[i], n[j - 1]
+            widths.append(self._width(
+                sequence._log2_term(first) * (1 - 2.0 ** -40),
+                sequence._log2_term(last) * (1 + 2.0 ** -40),
+                self._term_int_bits(sequence, last),
+                None if sequence._exact_term(last) else b))
+            if widths[-1] is None:
+                return None
+            i = j
+        return max(widths)
 
     def _term_int_bits(self, sequence, n):
         """A bound on the integer bits of term n: int_bits_estimate, or for
@@ -1427,10 +1446,11 @@ class _Certifier:
         phase), with the per-term route's width on the indices whose
         route error leaves room in a cell (`_term_width`). A route takes
         the indices whose terms' first precision, doubled, stays within
-        the cap; the terms grow with n, and so does that precision.
+        the cap; the terms grow with n, and so does that precision. Past 80
+        agreement bits no route hands out (`_width`), and none runs.
         """
-        if not n.size:
-            return np.zeros(0, dtype=bool)
+        if not n.size or self.a > _FRAC_OUT_BITS:
+            return np.zeros(n.size, dtype=bool)
         x = sequence._doubles(n)
         if x is not None:
             return self._hand_out(x, out)
