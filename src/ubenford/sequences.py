@@ -186,8 +186,11 @@ class Sequence:
 
     def _log2_term(self, n):
         """log2 x_n in doubles, within a relative 2**-45 of it, for the
-        certifier's width (`_Certifier._term_width`). From the form: s log2
-        n + c log2 pi, a few roundings of positive terms."""
+        certifier's width (`_Certifier._term_width`), which reads it at the
+        two ends of each run of terms. One scalar n, where `_ln_terms` is
+        a numpy pass that costs far more on two indices than on the block
+        it is made for, and holds only on `_ln_range`. From the form: s
+        log2 n + c log2 pi, a few roundings of positive terms."""
         s, c = self.form
         return s * math.log2(n) + c * _LOG2_PI
 
