@@ -1375,37 +1375,47 @@ class _Certifier:
 
     def _term_width(self, sequence, n):
         """`_width` on the terms x_n of an ascending array of indices n,
-        from what the sequence states of them, with no term generated: the
-        widest of `_width` on each run of n generated at the same bits
-        (`_term_bits`). The terms grow with n, so on a run their log2
+        from what the sequence states of them, with no term generated.
+        The terms grow with n, so on a piece n[i:j] their log2
         (`Sequence._log2_term`, within 2**-45 relatively) at its first and
-        last index bound log2 x_n, and its last index's integer bits
-        (`_term_int_bits`) bound theirs. Where a run's last term is exact,
-        so are the terms before it; else an inexact term is generated at
-        the run's bits. A block that spans many term sizes claims fewer
-        bits at its first terms' bits and its last terms' integer bits
-        than any of its terms does, so the runs keep them apart. A run's
-        end is found by doubling steps, then bisection: e**n's terms step
-        up their bits at nearly every n, pi n's once a power of two."""
+        last index bound log2 x_n, its last index's integer bits
+        (`_term_int_bits`) bound theirs, and they are generated at least at
+        its first index's bits (`_term_bits`); where its last term is
+        exact, so are the terms before it. `_width` on those bounds holds
+        for every term of the piece, and the widest over the pieces of a
+        split of n for every term of n.
+
+        A block that spans many term sizes claims fewer bits at its first
+        terms' bits and its last terms' integer bits than any of its terms
+        does, so the pieces are the runs of n generated at the same bits,
+        each run's end found by doubling steps, then bisection: e**n's
+        terms step up their bits at nearly every n, pi n's once a power of
+        two. A run's bounds are no looser than the block's, so its width
+        is no wider, and the runs stop at one as wide as the block's own
+        (e**n's first, where the block's floor loses nothing)."""
         n = n.tolist()
         bits = functools.partial(self._term_bits, sequence)
-        widths, i = [], 0
-        while i < len(n):
+
+        def piece(i, j):
+            first, last = n[i], n[j - 1]
+            return self._width(
+                sequence._log2_term(first) * (1 - 2.0 ** -40),
+                sequence._log2_term(last) * (1 + 2.0 ** -40),
+                self._term_int_bits(sequence, last),
+                None if sequence._exact_term(last) else bits(first))
+
+        block, widest, i = piece(0, len(n)), 0.0, 0
+        while i < len(n) and widest != block:
             b, k = bits(n[i]), 1
             while i + k < len(n) and bits(n[i + k]) == b:
                 k *= 2
             j = bisect.bisect_right(n, b, i + (k + 1) // 2,
                                     min(i + k, len(n)), key=bits)
-            first, last = n[i], n[j - 1]
-            widths.append(self._width(
-                sequence._log2_term(first) * (1 - 2.0 ** -40),
-                sequence._log2_term(last) * (1 + 2.0 ** -40),
-                self._term_int_bits(sequence, last),
-                None if sequence._exact_term(last) else b))
-            if widths[-1] is None:
+            w = piece(i, j)
+            if w is None:
                 return None
-            i = j
-        return max(widths)
+            widest, i = max(widest, w), j
+        return widest
 
     def _term_int_bits(self, sequence, n):
         """A bound on the integer bits of term n: int_bits_estimate, or for
