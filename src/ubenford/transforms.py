@@ -1393,24 +1393,24 @@ class _Certifier:
         two. A run's bounds are no looser than the block's, so its width
         is no wider, and the runs stop at one as wide as the block's own
         (e**n's first, where the block's floor loses nothing)."""
-        n = n.tolist()
-        bits = functools.partial(self._term_bits, sequence)
+        def bits(k):
+            return self._term_bits(sequence, int(k))
 
         def piece(i, j):
-            first, last = n[i], n[j - 1]
+            first, last = int(n[i]), int(n[j - 1])
             return self._width(
                 sequence._log2_term(first) * (1 - 2.0 ** -40),
                 sequence._log2_term(last) * (1 + 2.0 ** -40),
                 self._term_int_bits(sequence, last),
                 None if sequence._exact_term(last) else bits(first))
 
-        block, widest, i = piece(0, len(n)), 0.0, 0
-        while i < len(n) and widest != block:
+        block, widest, i = piece(0, n.size), 0.0, 0
+        while i < n.size and widest != block:
             b, k = bits(n[i]), 1
-            while i + k < len(n) and bits(n[i + k]) == b:
+            while i + k < n.size and bits(n[i + k]) == b:
                 k *= 2
             j = bisect.bisect_right(n, b, i + (k + 1) // 2,
-                                    min(i + k, len(n)), key=bits)
+                                    min(i + k, n.size), key=bits)
             w = piece(i, j)
             if w is None:
                 return None
