@@ -483,13 +483,55 @@ PINNED_CELLS = [
     ("power_law:1.5", PI_SQUARE, 2000, False,
      "8b83156aba303d44eae4add5aa493c4dd894b256426e29f3ec6fa502a9979266",
      0, 2000),
+    # recorded while the roots of the slow rows took the per-term route
+    # past their first few terms, and the slow rows took it under x**(3/2)
+    # and past the running products under pi*x**3
+    ("exp_n", SQRT, 2000, False,
+     "e9b34f0c02c70d4b9836ca495f461588ed7522d59bef2c7afc80e20dfb54ea9a",
+     0, 2000),
+    ("factorial", SQRT, 2000, False,
+     "db655c8a53ec38ea7272f5f04527184732d6d4b3b9470e31596ca96ad8153f56",
+     0, 2000),
+    ("n_pow_n", SQRT, 2000, False,
+     "e15d15adfa38d5a767e1c1293e5af21f57cb20987893877343b450bedd3a6680",
+     0, 2000),
+    ("n_pow_n", SQRT, 2000, True,
+     "99719bd2b54ca7df8ec98c880a0b50b49ca5eb62a72dd58e6095f02832411599",
+     0, 978),
+    ("exp_n", Power(3, 2), 300, False,
+     "8dbaa4825e75684dc924571c396df949277c9e21ba6e6e69a11cf7c3151978c0",
+     0, 300),
+    ("exp_n", Power(3, pi=True), 300, False,
+     "40e95b300f2d116c1a62d7e9a192c487add4a78169eb9db75195dc8a34451cdd",
+     0, 300),
+    ("factorial", Power(3, 2), 300, False,
+     "809355d5d40fcb0b7578a05abba81cebbede281c917ff1a37dc895c399bb5444",
+     0, 300),
+    ("factorial", Power(3, pi=True), 300, False,
+     "c14a5846ad95be7162f19288084b0180de65eeaf5b2c301dd2a5fcaf1bbd0c8b",
+     0, 300),
+    ("n_pow_n", Power(3, 2), 300, False,
+     "b6fcadedc07b506d1dd471d00aa24c85f8cbe7695845693c3f9f1615b526187d",
+     0, 300),
+    ("n_pow_n", Power(3, pi=True), 300, False,
+     "c1c3cbe2abc3a214c7bc1d49807345defbdbb7b1cd004023fa3c28292425de0a",
+     0, 300),
 ]
+
+
+def _pinned_ids(cells):
+    """sequence-transform, -filtered for a filtered cell, and -n<n_max>
+    where that id is already taken by an earlier cell."""
+    ids = []
+    for name, transform, n_max, filtered, *_ in cells:
+        i = f"{name}-{transform.label()}{'-filtered' * filtered}"
+        ids.append(f"{i}-n{n_max}" if i in ids else i)
+    return ids
 
 
 @pytest.mark.parametrize(
     "name, transform, n_max, filtered, digest, excluded, size",
-    PINNED_CELLS, ids=[f"{c[0]}-{c[1].label()}{'-filtered' * c[3]}"
-                       for c in PINNED_CELLS])
+    PINNED_CELLS, ids=_pinned_ids(PINNED_CELLS))
 def test_cell_fractions_are_pinned(name, transform, n_max, filtered, digest,
                                    excluded, size):
     fs = frac_sample(parse_sequence(name), transform, n_max,
