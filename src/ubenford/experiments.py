@@ -142,9 +142,12 @@ def run_table1(n_fast=10000, n_slow=1000, workers=1, policy=DEFAULT_POLICY):
 
     Slowly diverging sequences get `n_fast` terms, the super-polynomial
     ones `n_slow`. `workers` > 1 evaluates cells in a process pool.
+    n_slow is at least 3, the first odd non-square n of the n**n rerun,
+    so a table that would end in an empty sample is refused before any
+    cell runs.
     """
     n_fast = count("n_fast", n_fast, 2)
-    n_slow = count("n_slow", n_slow, 2)
+    n_slow = count("n_slow", n_slow, 3)
     workers = count("workers", workers, 1)
     specs = []
     for name in TABLE1_FAST_SEQUENCES + TABLE1_SLOW_SEQUENCES:

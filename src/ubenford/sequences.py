@@ -12,17 +12,19 @@ which certifies most terms in numpy blocks from what the sequence states
 of them: its ln x_n (`_ln_terms`; n for e**n, n ln n for n**n,
 Stirling's series for n! from n = 16 on, ln n / pi for n**(1/pi), s ln
 n + c ln pi for a `form` pi**c n**s), from which each transform takes u
-by its own step (`Transform._from_ln`), and under pi*x**p the integer
-phase that a form (where s p is an integer), n!, e**n and the power laws
-state (`_pi_power_floors`). The certifier's width on those routes comes
-from what the sequence states of its terms' size (`_log2_term`,
-`_exact_term` and int_bits_estimate), with no term generated. The primes
-state their terms as exact doubles (`_doubles`), which take the routes
-of an array of doubles instead. Every other term (n**n under the power
-maps and e**n under those without pi but their first few, n! under sqrt
-and below 16 under the logs, and the few a block's quick routes cannot
-vouch for) is generated, and regenerated at doubled bits while the
-transform refuses its fractional part, up to the precision cap.
+by its own step (`Transform._from_ln`), and under each power map with
+an integer route (q = 2, or pi) the integer phase the sequence states
+(`_power_floors`): under pi*x**p a form's (where s p is an integer),
+n!'s, e**n's and the power laws'; under x**(p/2) e**n's, n!'s and
+n**n's. The certifier's width on those routes comes from what the
+sequence states of its terms' size (`_log2_term`, `_exact_term` and
+int_bits_estimate), with no term generated. The primes state their terms
+as exact doubles (`_doubles`), which take the routes of an array of
+doubles instead. Every other term (n**n under pi*x**p, the slow rows
+under x**p but the first few of e**n and n**n, n! below 16 under the
+logs, and the few a block's quick routes cannot vouch for) is
+generated, and regenerated at doubled bits while the transform refuses
+its fractional part, up to the precision cap.
 """
 
 import functools
@@ -122,14 +124,17 @@ class Sequence:
     - `form` = (s, c), a float s > 0 and c in {0, 1}, states term n as
       pi**c n**s; None where no such form holds. It gives ln x_n = s ln
       n + c ln pi.
-    - `_pi_power_floors(p)`, the integer phase of pi*x**p on the terms,
-      where the sequence states one: from a form where e = s p is an
-      integer, pi**(c p + 1) n**e; running products for n! and e**n; and
-      for a power law n**alpha, alpha = a/b, n**(p alpha) from the prime
-      factors of n, one ln and one exp per prime and one product per
-      composite, where p alpha is no integer (an integer one is the
-      form's). `_dear_floors(p)` marks the last: its exp2 phase runs
-      first, and the floors take every term that leaves.
+    - `_power_floors(p, q, pi)`, the integer phase of a power map with an
+      integer route on doubles (q = 2, or c = pi) on the terms, where the
+      sequence states one. Under pi*x**p: from a form where e = s p is
+      an integer, pi**(c p + 1) n**e; running products for n! and e**n;
+      and for a power law n**alpha, alpha = a/b, n**(p alpha) from the
+      prime factors of n, one ln and one exp per prime and one product
+      per composite, where p alpha is no integer (an integer one is the
+      form's). Under x**(p/2): a running product for e**n, and the
+      integer square roots of (n!)**p and n**(p n), the latter exact
+      where p n is even. `_dear_floors(p)` marks the power law's: its
+      exp2 phase runs first, and the floors take every term that leaves.
     - `_log2_term(n)` and `_exact_term(n)`, log2 x_n in doubles and
       whether term n is exact, from which (and int_bits_estimate) the
       certifier works out its width on the terms without generating any.
@@ -151,19 +156,22 @@ class Sequence:
             y = _fma((s, 0.0, 0.0), y, _quick_ln_pi() if c else None)
         return y
 
-    def _pi_power_floors(self, p):
-        """The integer phase of pi*x**p on the terms, for an int p >= 1: a
-        map from an ascending int64 array of indices n to the object array
-        of the ints A_n with pi x_n**p 2**_ROUTE_BITS in (A_n - 1, A_n +
-        2), or None for none. From the form pi**c n**s where e = s p is an
-        integer: pi**(c p + 1) n**e (`_pi_power_floor`), for n**e below
-        2**(e E), E the bits of the largest n."""
-        if self.form is None or not (self.form[0] * p).is_integer():
+    def _power_floors(self, p, q, pi):
+        """The integer phase of u = c x**(p/q), c = pi where pi is set, on
+        the terms, for a map with an integer route on doubles (q = 2, or
+        c = pi with q = 1): a map from an ascending int64 array of indices
+        n to (A, exact), A the object array of the ints A_n with u(x_n)
+        2**_ROUTE_BITS in (A_n - 1, A_n + 2), and exact the mask of the n
+        where it equals A_n, or None for none; None for no phase. From the
+        form pi**c n**s under pi*x**p where e = s p is an integer: pi**(c
+        p + 1) n**e (`_pi_power_floor`), for n**e below 2**(e E), E the
+        bits of the largest n."""
+        if not pi or self.form is None or not (self.form[0] * p).is_integer():
             return None
         s, c = self.form
         e = int(s * p)
-        return lambda n: _pi_power_floor(n.astype(object) ** e, 0, c * p + 1,
-                                         e * int(n.max()).bit_length())
+        return lambda n: (_pi_power_floor(n.astype(object) ** e, 0, c * p + 1,
+                                          e * int(n.max()).bit_length()), None)
 
     def _dear_floors(self, p):
         """True where the integer phase of pi*x**p costs an exp per prime
@@ -262,22 +270,24 @@ class ExpN(Sequence):
     def _log2_term(self, n):
         return n * _LOG2_E
 
-    def _pi_power_floors(self, p):
-        """pi e**(p n) 2**_ROUTE_BITS in (A_n - 1, A_n + 2), from one running
-        product over n = 1..N, N the block's last index, at G bits: Z_0 =
-        pi_fixed(G), Z_n = floor(Z_(n-1) E / 2**G) with E = e**p 2**G from
-        exp_fixed(p 2**G, G), and A_n = Z_n shifted right by G -
-        _ROUTE_BITS.
+    def _power_floors(self, p, q, pi):
+        """c e**(p n / q) 2**_ROUTE_BITS in (A_n - 1, A_n + 2), c = pi or 1,
+        from one running product over n = 1..N, N the block's last index,
+        at G bits: Z_0 = pi_fixed(G) under pi, 2**G without, Z_n =
+        floor(Z_(n-1) E / 2**G) with E = e**(p/q) 2**G from exp_fixed(p
+        2**G / q, G), and A_n = Z_n shifted right by G - _ROUTE_BITS.
 
         Relative errors, in units of 2**-G: pi_fixed is within 2 units of
-        pi 2**G, below 0.64; exp_fixed's mantissa is within 1 + 2**-10 ulp
-        of e**p, and the mantissa is at least 2**G, so E is too; each Z_n
-        >= pi 2**G floors once, below 0.32. So each step costs below 2,
-        and the N steps and pi below 2N, compounding as a product of at
-        most 2N + 1 factors, each within 2**-121. With V = pi e**(p n)
-        2**_ROUTE_BITS < 2**(big + _ROUTE_BITS), big = floor(p N log2 e) +
-        3 from the rounded-up log2 e, and G = big + _ROUTE_BITS +
-        bit_length(2N), the shifted product before its floor is within 2N
+        pi 2**G, below 0.64, and 2**G is exact; exp_fixed's mantissa is
+        within 1 + 2**-10 ulp of e**(p/q), and the mantissa is at least
+        2**G, so E is too; each step floors Z_(n-1) E / 2**G once, a value
+        at least 1.64 2**G (Z_(n-1) >= 2**G, E near e**(1/2) 2**G or
+        more), below 0.61. So each step costs below 2, and the N steps and
+        pi below 2N, compounding as a product of at most 2N + 1 factors,
+        each within 2**-121. With V = c e**(p n / q) 2**_ROUTE_BITS < 2**(big +
+        _ROUTE_BITS), big = floor(p N log2 e / q) + 3 from the rounded-up
+        log2 e (log2 pi < 2), and G = big + _ROUTE_BITS + bit_length(2N),
+        the shifted product before its floor is within 2N
         2**-bit_length(2N) (1 + 2**-100) < 1 of V, and A_n = floor of it
         leaves V in (A_n - 1, A_n + 2).
 
@@ -286,18 +296,18 @@ class ExpN(Sequence):
         def floors(n):
             n = n.tolist()
             top = n[-1]
-            big = (p * top * _LOG2_E_FIXED64 >> 64) + 3
+            big = (p * top * _LOG2_E_FIXED64 >> 63 + q) + 3
             g = big + _ROUTE_BITS + (2 * top).bit_length()
-            mant, k = exp_fixed(p << g, g)
-            e_p, run = mant << k, pi_fixed(g)
+            mant, k = exp_fixed(p << g + 1 - q, g)
+            step_e, run = mant << k, pi_fixed(g) if pi else 1 << g
             a = np.empty(len(n), dtype=object)
             i = 0
             for step in range(1, top + 1):
-                run = run * e_p >> g
+                run = run * step_e >> g
                 if step == n[i]:
                     a[i] = run >> (g - _ROUTE_BITS)
                     i += 1
-            return a
+            return a, None
         return floors
 
 
@@ -375,21 +385,30 @@ class Factorial(Sequence):
                            _fma(t, w, ln_sqrt_2pi_e))
         return vh, vl, err + rest * th ** (2 * _STIRLING_K + 1)
 
-    def _pi_power_floors(self, p):
-        """n! states it for every p: the A_n that `_pi_power_floor` builds
-        with k = 1 from the block's last term, M_n = pi_fixed(L) (n!)**p
-        shifted right, but as a running product, M_n = M_n' (n!/n'!)**p
-        for the index n' before n (0 before the first): a big integer
-        times a small one per term."""
+    def _power_floors(self, p, q, pi):
+        """n! states it for every map with the route, from a running
+        product over the block, M_n = M_n' (n!/n'!)**k for the index n'
+        before n (0 before the first): a big integer times a small one per
+        term. Under pi*x**p, k = p and M_0 = pi_fixed(L): the A_n that
+        `_pi_power_floor` builds with k = 1 from the block's last term, M_n
+        shifted right. Under x**(p/2), k = 1 and M_0 = 1, so M_n = n!, and
+        A_n = isqrt((n!)**p 2**(2 _ROUTE_BITS)), the floor of u
+        2**_ROUTE_BITS itself; never marked exact, though (n!)**p is a
+        square at n = 1, which then falls back."""
         def floors(n):
             n = n.tolist()
-            bits = _pi_power_bits(1, p * math.factorial(n[-1]).bit_length())
-            run = pi_fixed(bits)
+            if pi:
+                bits = _pi_power_bits(1, p * math.factorial(n[-1])
+                                      .bit_length())
+                run, k = pi_fixed(bits), p
+            else:
+                run, k = 1, 1
             a = np.empty(len(n), dtype=object)
             for i, (lo, hi) in enumerate(zip([0] + n, n)):
-                run *= math.prod(range(lo + 1, hi + 1)) ** p
-                a[i] = run >> (bits - _ROUTE_BITS)
-            return a
+                run *= math.prod(range(lo + 1, hi + 1)) ** k
+                a[i] = run >> (bits - _ROUTE_BITS) if pi else \
+                    isqrt(run ** p << 2 * _ROUTE_BITS)
+            return a, None
         return floors
 
 
@@ -409,6 +428,26 @@ class NPowN(Sequence):
     def _ln_terms(self, n):
         """n ln n: the exact n times `_ln`'s ln n (`_fma`)."""
         return _fma((n, 0.0, 0.0), _ln(n))
+
+    def _power_floors(self, p, q, pi):
+        """Under x**(p/2): n**(p n / 2) 2**_ROUTE_BITS, exact, where p n is
+        even, and isqrt(n**(p n) 2**(2 _ROUTE_BITS)), its floor, where it
+        is odd; a square n there is an exact root too, but is not marked,
+        and falls back. None under pi*x**p: each term is pi n**(p n) at
+        bits of its own, the product itself is the cost, and a running
+        product or floors at the block's bits read no faster than the
+        per-term route."""
+        if pi:
+            return None
+
+        def floors(n):
+            exact = p * n % 2 == 0
+            a = np.empty(n.size, dtype=object)
+            for i, (k, even) in enumerate(zip(n.tolist(), exact.tolist())):
+                a[i] = k ** (p * k // 2) << _ROUTE_BITS if even else \
+                    isqrt(k ** (p * k) << 2 * _ROUTE_BITS)
+            return a, exact
+        return floors
 
 
 class PowerLaw(Sequence):
@@ -457,10 +496,11 @@ class PowerLaw(Sequence):
         return self._ratio is not None and \
             self._ratio[0] * p % self._ratio[1] != 0
 
-    def _pi_power_floors(self, p):
-        """pi n**(p alpha) 2**_ROUTE_BITS: the form's pi n**(p alpha), one
-        integer power a term, where p alpha is an integer; otherwise from
-        the prime factors q of n, alpha = a/b exact; None for n**(1/pi).
+    def _power_floors(self, p, q, pi):
+        """Under pi*x**p, pi n**(p alpha) 2**_ROUTE_BITS: the form's pi
+        n**(p alpha), one integer power a term, where p alpha is an
+        integer; otherwise from the prime factors q of n, alpha = a/b
+        exact; None for n**(1/pi), and under x**(p/2).
         Over a block of indices n,
         of largest u_max = pi n_max**(p alpha) < 2**big, all at G bits:
         - each prime q: y_q = q**(p alpha) as exp_fixed(floor(L p a / b),
@@ -494,10 +534,10 @@ class PowerLaw(Sequence):
         the values y_c are kept only for c <= n_max / 2, the cofactors a
         larger n can still need, and go with the block.
         """
-        if self._inv_pi:
+        if self._inv_pi or not pi:
             return None
         if not self._dear_floors(p):
-            return super()._pi_power_floors(p)
+            return super()._power_floors(p, q, pi)
         a, b = self._ratio
         a *= p  # p alpha = a / b
 
@@ -509,7 +549,7 @@ class PowerLaw(Sequence):
             big = int((a / b * math.log2(top) + _LOG2_PI)
                       * (1 + 2.0 ** -40)) + 1
             g = big + _ROUTE_BITS + k.bit_length()
-            ln2, pi, half = ln2_fixed(g), pi_fixed(g), top // 2
+            ln2, pi_g, half = ln2_fixed(g), pi_fixed(g), top // 2
             y = {}
 
             def prime(q):
@@ -534,8 +574,8 @@ class PowerLaw(Sequence):
                         if c <= half:
                             y[c] = w
                     v = w
-                out[i] = pi * v[0] >> 2 * g - _ROUTE_BITS - v[1]
-            return out
+                out[i] = pi_g * v[0] >> 2 * g - _ROUTE_BITS - v[1]
+            return out, None
         return floors
 
     def nth_term(self, n, bits):

@@ -57,22 +57,24 @@ routes above. Every other sequence states ln x_n on a range of n
 (`Sequence._ln_terms`): n for e**n, n ln n for n**n, Stirling's series
 for n! from n = 16 on, ln n / pi for n**(1/pi), and s ln n + c ln pi for
 the terms pi**c n**s of a form; and its terms take the one route on the
-indices (`_OnTerms`): `_from_ln` on the ln x_n; or under
-pi*x**p, where the sequence states it (`Sequence._pi_power_floors`),
-floor(u 2**120) in ints. For a form where s p is an integer (pi_n, and
-sqrt_n under pi*x**2), n! and e**n (running products) the floors take
-every term; a power law's cost an exp per prime factor of n, so its
+indices (`_OnTerms`): `_from_ln` on the ln x_n; or under a power map
+with an integer route on doubles (q = 2, or c = pi), where the sequence
+states it (`Sequence._power_floors`), floor(u 2**120) in ints, marked
+exact where the sequence proves it. Under pi*x**p, for a form where s p
+is an integer (pi_n, and sqrt_n under pi*x**2), n! and e**n (running
+products), and under x**(p/2) for e**n (a running product), n! and n**n
+(integer square roots, n**(p n / 2) exact at an even p n), the floors
+take every term; a power law's cost an exp per prime factor of n, so its
 exp2 phase runs first, up to the cut, and its floors take every term
 that leaves. The route's width (`_term_width`) is `_width` on the
 terms whose route error leaves room in a cell, on each run of them
 generated at the same bits, from what the sequence states of them: no
 term is generated for it. A route takes the terms whose first
-precision, doubled, stays within the cap. Per term: n**n under the
-power maps, and e**n under those without pi, but their first few
-terms, and n! under sqrt and below 16 under the logs. A root of an
-exact integer past every double (n!, n**n) first meets a residue filter
-(`_no_square`), and is taken at the fractional bits its working
-precision sizes (`Power._eval_at`).
+precision, doubled, stays within the cap. Per term: n**n under pi*x**p,
+the slow rows under x**p but the first few terms of e**n and n**n, and
+n! below 16 under the logs. There a root of an exact integer past every double
+first meets a residue filter (`_no_square`), and is taken at the
+fractional bits its working precision sizes (`Power._eval_at`).
 """
 
 import bisect
@@ -875,21 +877,31 @@ class _OnTerms:
     """The one quick route of a transform u on the terms x_n of a
     sequence, as a map of the indices n in its `_ln_range`: u's
     `_from_ln` on the ln x_n it states (`Sequence._ln_terms`).
-    Integer phase under pi*x**p, where the sequence states one
-    (`Sequence._pi_power_floors`): A_n = floor(u 2**_ROUTE_BITS) in ints,
-    at any size. For a form where s p is an integer (sqrt_n at even p,
-    pi_n, a power law with p alpha an integer), n! and e**n it takes every
-    term alone: A is within 3 units of 2**-120, far inside any err of the
-    other phase, and is the faster. Any other power law's floors cost an
-    exp per prime factor (`Sequence._dear_floors`), so there the exp2
-    phase runs first, on the terms up to _EXP2_U_MAX, and the floors take
-    every term it leaves. The certifier's width on the terms either phase
-    takes (`_Certifier._term_width`) is worked out from what the sequence
+    Integer phase under every power map with an integer route on doubles
+    (q = 2, or c = pi), where the sequence states one
+    (`Sequence._power_floors`): A_n = floor(u 2**_ROUTE_BITS) in ints, at
+    any size, and exact where the sequence proves u 2**_ROUTE_BITS = A_n.
+    Under pi*x**p for a form where s p is an integer (sqrt_n at even p,
+    pi_n, a power law with p alpha an integer), n! and e**n, and under
+    x**(p/2) for e**n, n! and n**n, it takes every term alone: A is
+    within 3 units of 2**-120, far inside any err of the other phase, and
+    is the faster. Any other power law's floors cost an exp per prime
+    factor (`Sequence._dear_floors`), so there the exp2 phase runs first,
+    on the terms up to _EXP2_U_MAX, and the floors take every term it
+    leaves. The certifier's width on the terms either phase takes
+    (`_Certifier._term_width`) is worked out from what the sequence
     states of them, and generates none.
     """
 
     u: Transform
     sequence: object
+
+    @property
+    def _floors(self):
+        """The sequence's integer phase of u, None for none."""
+        u = self.u
+        return self.sequence._power_floors(u.p, u.q, u.pi) \
+            if u._integer_route else None
 
     @property
     def _quick_range(self):
@@ -899,16 +911,16 @@ class _OnTerms:
 
     @property
     def _integer_route(self):
-        return self.u.pi and \
-            self.sequence._pi_power_floors(self.u.p) is not None
+        return self._floors is not None
 
     def _quick(self, n):
         return self.u._from_ln(*self.sequence._ln_terms(n))
 
     def _scaled(self, n):
-        """A_n for an ascending array of indices n, with u 2**_ROUTE_BITS
-        in (A_n - 1, A_n + 2)."""
-        return self.sequence._pi_power_floors(self.u.p)(n.astype(np.int64))
+        """(A, exact) for an ascending array of indices n, with u
+        2**_ROUTE_BITS in (A_n - 1, A_n + 2), and equal to A_n where the
+        mask exact (None for nowhere) holds."""
+        return self._floors(n.astype(np.int64))
 
 
 _POWER_NAMES = {(1, 1, False): "identity", (1, 2, False): "sqrt",
@@ -1069,10 +1081,10 @@ class Power(Transform):
                           - e) - self._input_pad)
 
     def _scaled(self, x):
-        """The integer route: A = floor(u(x) * 2**_ROUTE_BITS), as an object
-        array of ints, for an array of finite doubles in u's domain, with
-        u(x) * 2**_ROUTE_BITS in (A - 1, A + 2); for a map with the route
-        (q = 2, or c = pi).
+        """The integer route: (A, None), A = floor(u(x) * 2**_ROUTE_BITS)
+        as an object array of ints, for an array of finite doubles in u's
+        domain, with u(x) * 2**_ROUTE_BITS in (A - 1, A + 2), and no A
+        marked exact; for a map with the route (q = 2, or c = pi).
 
         x = m * 2**e from np.frexp, with m a 53-bit integer, and x**p =
         m * 2**e through `_raised`. q = 2: with k = e/2 + _ROUTE_BITS, A
@@ -1086,8 +1098,10 @@ class Power(Transform):
                             (big - 53).astype(object))
         if self.q == 2:
             k = e // 2 + _ROUTE_BITS
-            return _isqrt(m << np.maximum(2 * k, 0)) >> np.maximum(-k, 0)
-        return _pi_power_floor(m, e, 1, self.p * int(big.max(initial=0)))
+            return _isqrt(m << np.maximum(2 * k, 0)) >> np.maximum(-k, 0), \
+                None
+        return _pi_power_floor(m, e, 1, self.p * int(big.max(initial=0))), \
+            None
 
     def _from_ln(self, lh, ll, err):
         """u = 2**y, y = (a ln x + k ln pi) / ln 2, k = 1 for c = pi, for an
@@ -1556,9 +1570,12 @@ class _Certifier:
         lo. In cell 0 the lower margin goes: the route's maps take x >= 0,
         so a certified result there is never negative. pos, an integer
         below 2**40, and the margins add exactly in doubles: W counts as
-        at least 2**-10, a wider width and so a safe one.
+        at least 2**-10, a wider width and so a safe one. An A marked
+        exact is u 2**_ROUTE_BITS itself, a result `_try_exact` finds and
+        certify returns with every bit (`frac_scaled`), so its cell goes
+        out with no margin.
         """
-        a = t._scaled(x)
+        a, exact = t._scaled(x)
         cell = a >> _ROUTE_GUARD
         pos = (a & ((1 << _ROUTE_GUARD) - 1)).astype(np.float64)
         first = cell == 0
@@ -1566,8 +1583,9 @@ class _Certifier:
         def inside(width):
             margin = max(width, 2.0 ** -(_ROUTE_BITS + 10)) \
                 * 2.0 ** _ROUTE_BITS + 1.0
-            return ((pos >= margin) | first) \
+            held = ((pos >= margin) | first) \
                 & (pos + margin + 1.0 <= 2.0 ** _ROUTE_GUARD)
+            return held if exact is None else held | exact
 
         def doubles(keep):
             c = cell[keep] & ((1 << _FRAC_OUT_BITS) - 1)

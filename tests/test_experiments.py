@@ -16,6 +16,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from ubenford import experiments
 from ubenford.bigreal import DEFAULT_POLICY, BigReal, PrecisionPolicy
 from ubenford.distributions import HalfNormal
 from ubenford.errors import (CertificateViolation, DomainError, EmptySample,
@@ -49,6 +50,14 @@ def test_table1_grid_shape_and_order():
     assert rep.reruns[0].transform == "sqrt"
     assert rep.reruns[1].sequence == "power_law(1/pi)"
     assert rep.reruns[1].transform == "identity"
+
+
+def test_table1_refuses_a_slow_count_with_an_empty_rerun(monkeypatch):
+    # n_slow = 2 leaves the odd non-square rerun of n**n empty: the
+    # refusal names n_slow before any cell runs
+    monkeypatch.setattr(experiments, "_run_cells", None)
+    with pytest.raises(InvalidParameter, match="n_slow .* >= 3, got 2"):
+        run_table1(n_fast=100, n_slow=2)
 
 
 def test_table1_degraded_scale_still_valid():

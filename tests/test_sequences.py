@@ -581,12 +581,20 @@ SEEDED_CELLS = [
 
 # pinned cells off the benchmark whose terms once took a power map of m
 # that u composed into on the form pi**c m**s, or the prime-factor floors
-# where p alpha is an integer; the primes take the doubles' routes
+# where p alpha is an integer; the primes take the doubles' routes; and
+# the slow rows under x**(3/2), whose integer phase is sqrt's
 REROUTED_CELLS = [
     ("sqrt_n", IDENTITY, 2000), ("pi_n", IDENTITY, 2000),
     ("primes", IDENTITY, 2000), ("power_law:1.5", IDENTITY, 2000),
     ("power_law:3", SQRT, 2000), ("power_law:0.5", PI_SQUARE, 2000),
-    ("primes", Power(3, pi=True), 2000), ("power_law:1.5", PI_SQUARE, 2000)]
+    ("primes", Power(3, pi=True), 2000), ("power_law:1.5", PI_SQUARE, 2000),
+    ("exp_n", Power(3, 2), 300), ("factorial", Power(3, 2), 300),
+    ("n_pow_n", Power(3, 2), 300)]
+# the benchmark's odd non-square rerun of n**n under sqrt
+FILTERED_CELLS = [("n_pow_n", SQRT, 1000, odd_nonsquare)]
+HANDED_OUT_CELLS = [(*c, None) for c in
+                    TABLE1_CELLS + SEEDED_CELLS + REROUTED_CELLS] \
+    + FILTERED_CELLS
 
 
 # the fewest terms each cell's quick routes hand out: the primes, exact
@@ -595,23 +603,24 @@ REROUTED_CELLS = [
 # n**n under log10 all but the terms 1, 10**10, 100**100 and 1000**1000,
 # whose logs are integers, and one near a cell edge); the one route on
 # the indices for the power-map cells: its exp2 phase up to u = 2**23.2
-# (sqrt_n, pi_n, the power laws below the cut and the first terms of n**n
-# and e**n under sqrt), its integer phase for sqrt_n (pi n), pi_n, e**n
-# and n! under pi*x**2, and for the power laws under pi*x**2, past the
-# cut (the steep ones from their second term on), the floors on every
-# term it leaves. n! under sqrt lies past the cut from its first term
-# on. The width is a floor on the per-term route's first claims from
-# what the sequence states, taken on each run of terms generated at the
-# same bits.
+# (sqrt_n, pi_n and the power laws below the cut), its integer phase for
+# sqrt_n (pi n), pi_n, e**n and n! under pi*x**2, for e**n, n! and n**n
+# under sqrt and x**(3/2) (all but n! = 1 and n**n at an odd square n,
+# exact roots the phase does not mark), and for the power laws under
+# pi*x**2, past the cut (the steep ones from their second term on), the
+# floors on every term it leaves. n**n under pi*x**2 takes the per-term
+# route but for its first terms. The width is a floor on the per-term
+# route's first claims from what the sequence states, taken on each run
+# of terms generated at the same bits.
 ROUTED = {
     "sqrt_n-loglog": 9998, "sqrt_n-log10": 9995, "sqrt_n-sqrt": 9990,
     "sqrt_n-pi_square": 9970, "pi_n-loglog": 10000, "pi_n-log10": 10000,
     "pi_n-sqrt": 10000, "pi_n-pi_square": 9929, "primes-loglog": 10000,
     "primes-log10": 10000, "primes-sqrt": 10000, "primes-pi_square": 9984,
-    "exp_n-loglog": 1000, "exp_n-log10": 1000, "exp_n-sqrt": 22,
+    "exp_n-loglog": 1000, "exp_n-log10": 1000, "exp_n-sqrt": 987,
     "exp_n-pi_square": 981, "factorial-loglog": 985, "factorial-log10": 985,
-    "factorial-sqrt": 0, "factorial-pi_square": 998, "n_pow_n-loglog": 998,
-    "n_pow_n-log10": 995, "n_pow_n-sqrt": 3, "n_pow_n-pi_square": 2,
+    "factorial-sqrt": 998, "factorial-pi_square": 998, "n_pow_n-loglog": 998,
+    "n_pow_n-log10": 995, "n_pow_n-sqrt": 981, "n_pow_n-pi_square": 2,
     "power_law:0.367427-log10": 9995, "power_law:0.367427-sqrt": 9998,
     "power_law:0.367427-identity": 9999, "power_law:0.613197-log10": 9995,
     "power_law:0.613197-sqrt": 9998, "power_law:0.613197-identity": 9995,
@@ -633,27 +642,35 @@ ROUTED = {
     "sqrt_n-identity": 1956, "pi_n-identity": 1991, "primes-identity": 0,
     "power_law:1.5-identity": 1818, "power_law:3-sqrt": 1813,
     "power_law:0.5-pi_square": 1988, "primes-pi*x**3": 1999,
-    "power_law:1.5-pi_square": 1992}
+    "power_law:1.5-pi_square": 1992, "exp_n-x**(3/2)": 288,
+    "factorial-x**(3/2)": 299, "n_pow_n-x**(3/2)": 291,
+    "n_pow_n-sqrt-filtered": 481}
 
 
-@pytest.mark.parametrize("name, transform, n_max",
-                         TABLE1_CELLS + SEEDED_CELLS + REROUTED_CELLS,
-                         ids=[f"{c[0]}-{c[1].label()}" for c in
-                              TABLE1_CELLS + SEEDED_CELLS + REROUTED_CELLS])
-def test_handed_out_terms_are_the_per_term_routes(name, transform, n_max):
-    # each block's quick phase against the per-term route, term by term;
-    # every cell hands out at least its count in ROUTED
+def _cell_id(name, transform, keep=None):
+    return f"{name}-{transform.label()}{'-filtered' * (keep is not None)}"
+
+
+@pytest.mark.parametrize("name, transform, n_max, keep", HANDED_OUT_CELLS,
+                         ids=[_cell_id(c[0], c[1], c[3])
+                              for c in HANDED_OUT_CELLS])
+def test_handed_out_terms_are_the_per_term_routes(name, transform, n_max,
+                                                  keep):
+    # each block's quick phase against the per-term route, term by term,
+    # on the indices the cell's filter keeps; every cell hands out at
+    # least its count in ROUTED
     seq = parse_sequence(name)
     certifier = _Certifier(transform, PrecisionPolicy())
     handed = 0
     for lo in range(1, n_max + 1, _QUICK_BLOCK):
-        n = np.arange(lo, min(lo + _QUICK_BLOCK, n_max + 1))
+        n = np.array([k for k in range(lo, min(lo + _QUICK_BLOCK, n_max + 1))
+                      if keep is None or keep(k)], dtype=np.int64)
         got = np.zeros(n.size)
         mask = certifier._hand_out_terms(seq, n, got)
         want = [certifier._term_frac(seq, k) for k in n[mask].tolist()]
         assert got[mask].tobytes() == np.array(want).tobytes()
         handed += int(mask.sum())
-    assert handed >= ROUTED[f"{name}-{transform.label()}"]
+    assert handed >= ROUTED[_cell_id(name, transform, keep)]
 
 
 @pytest.mark.parametrize("transform", [IDENTITY, SQRT, PI_SQUARE, LOG10,
@@ -668,20 +685,6 @@ def test_inv_pi_terms_are_the_per_term_routes(transform):
     want = [certifier._term_frac(seq, k) for k in n[mask].tolist()]
     assert got[mask].tobytes() == np.array(want).tobytes()
     assert mask.sum() >= 990 and not mask[0]
-
-
-def test_the_odd_nonsquare_rerun_takes_the_per_term_route():
-    # n**n under sqrt: the exp2 phase hands out n = 3, 5 and 7 as the
-    # per-term route gives them; from n = 11 on, where its err fills half
-    # a cell, each term is a root the sized per-term route certifies,
-    # behind the residue filter
-    seq, n = NPowN(), np.array([k for k in range(1, 1001) if odd_nonsquare(k)])
-    certifier = _Certifier(SQRT, PrecisionPolicy())
-    got = np.zeros(n.size)
-    mask = certifier._hand_out_terms(seq, n, got)
-    assert n[mask].tolist() == [3, 5, 7]
-    want = [certifier._term_frac(seq, k) for k in (3, 5, 7)]
-    assert got[mask].tobytes() == np.array(want).tobytes()
 
 
 def _hand_outs(seq, transform, n_max):
@@ -707,8 +710,8 @@ def test_integer_p_alpha_takes_the_forms_floors_alone():
         route = transforms._OnTerms(PI_SQUARE, seq)
         assert route._quick_range is None and route._integer_route
     n = np.arange(1, 10001)
-    assert law._pi_power_floors(2)(n).tolist() == \
-        root._pi_power_floors(2)(n).tolist()
+    assert law._power_floors(2, 1, True)(n)[0].tolist() == \
+        root._power_floors(2, 1, True)(n)[0].tolist()
     fs_law = frac_sample(law, PI_SQUARE, 10000)
     fs_root = frac_sample(root, PI_SQUARE, 10000)
     assert fs_law.values.tobytes() == fs_root.values.tobytes()
@@ -818,7 +821,9 @@ def test_power_law_floors_against_mpmath(alpha, p, top, rest):
     # more (768 = 2**8 3 at alpha = 13.25 misses by 2 units when the
     # count of factors is left out of the bits)
     n = sorted({top, *(k for k in rest if k < top)})
-    floors = PowerLaw(alpha)._pi_power_floors(p)(np.array(n, dtype=np.int64))
+    floors, exact = PowerLaw(alpha)._power_floors(p, 1, True)(
+        np.array(n, dtype=np.int64))
+    assert exact is None
     for k, a in zip(n, floors):
         with mp.workprec(int(p * alpha * math.log2(k)) + 200):
             v = mp.pi * mp.power(k, p * mp.mpf(alpha)) * mp.mpf(2) ** 120
@@ -848,14 +853,16 @@ def test_form_floors_against_mpmath(case, top, rest):
     # bits; none for sqrt_n at an odd p, nor for a sequence without a form
     name, p = case
     seq = parse_sequence(name)
-    floors = seq._pi_power_floors(p)
+    floors = seq._power_floors(p, 1, True)
     if case in NO_FLOOR_CASES:
         assert floors is None
         return
     s, c = seq.form
     e = int(s * p)
     n = sorted({top, *(top - d for d in rest if d < top)})
-    for k, a in zip(n, floors(np.array(n, dtype=np.int64))):
+    a_n, exact = floors(np.array(n, dtype=np.int64))
+    assert exact is None
+    for k, a in zip(n, a_n):
         with mp.workprec(32 * e + 300):
             v = mp.pi ** (c * p + 1) * mp.mpf(k) ** e * mp.mpf(2) ** 120
             assert int(mp.floor(v)) - a in (-1, 0, 1), k
@@ -869,11 +876,48 @@ def test_exp_n_floors_against_mpmath(p, top, rest):
     # the running product's pi e**(p n) 2**120 lies in (A_n - 1, A_n + 2)
     # on a block of n past 1 up to top, whose largest n sets the bits
     n = sorted({top, *(k for k in rest if k < top)})
-    floors = ExpN()._pi_power_floors(p)(np.array(n, dtype=np.int64))
+    floors, exact = ExpN()._power_floors(p, 1, True)(
+        np.array(n, dtype=np.int64))
+    assert exact is None
     with mp.workprec(int(p * top * 1.45) + 300):
         for k, a in zip(n, floors):
             v = mp.pi * mp.exp(p * k) * mp.mpf(2) ** 120
             assert int(mp.floor(v)) - a in (-1, 0, 1), k
+
+
+def _true_root(name, p, k):
+    """x_k**(p/2) for e**n, n! and n**n, in mpmath (the caller sets the
+    precision)."""
+    if name == "exp_n":
+        return mp.exp(mp.mpf(p * k) / 2)
+    x = math.factorial(k) if name == "factorial" else k ** k
+    return mp.sqrt(mp.mpf(x) ** p)
+
+
+@given(name=st.sampled_from(["exp_n", "factorial", "n_pow_n"]),
+       p=st.sampled_from([1, 3]), top=st.integers(1, 3000),
+       rest=st.lists(st.integers(1, 3000), max_size=8))
+@example(name="exp_n", p=3, top=3000, rest=[1, 2, 2999])
+@example(name="n_pow_n", p=1, top=9, rest=[1, 2, 3, 4])
+@settings(max_examples=60, deadline=None)
+def test_root_floors_against_mpmath(name, p, top, rest):
+    # the integer phase under x**(p/2) on a block of n up to top, whose
+    # largest n sets e**n's bits: x_n**(p/2) 2**120 lies in (A_n - 1, A_n +
+    # 2), and is A_n itself where the phase marks it exact
+    n = sorted({top, *(k for k in rest if k < top)})
+    floors, exact = parse_sequence(name)._power_floors(p, 2, False)(
+        np.array(n, dtype=np.int64))
+    if exact is None:
+        exact = [False] * len(n)
+    bits = max(p * top * 2, p * int(math.lgamma(top + 1) * 1.45),
+               p * top * top.bit_length())
+    with mp.workprec(bits + 300):
+        for k, a, is_exact in zip(n, floors, exact):
+            v = _true_root(name, p, k) * mp.mpf(2) ** 120
+            if is_exact:
+                assert v == a, k
+            else:
+                assert a - 1 < v < a + 2, k
 
 
 @pytest.mark.parametrize("agreement, cap", [(24, 30000), (25, 30000),

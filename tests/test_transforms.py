@@ -952,7 +952,8 @@ class TestQuickPhase:
         # A = floor(u * 2**120) for the roots, and u * 2**120 in (A - 1,
         # A + 2) under pi, from the smallest double to the largest
         xs = _whole_range(11)
-        a = t._scaled(xs)
+        a, exact = t._scaled(xs)
+        assert exact is None
         with mp.workprec(1100 * t.p + 400):
             for x, ai in zip(xs.tolist(), a):
                 u = _true_power(t, x) * mpf(2) ** 120
@@ -987,7 +988,7 @@ class TestQuickPhase:
         # being never negative
         certifier = tr._Certifier(t, DEFAULT_POLICY)
         xs = np.concatenate([_whole_range(13), 2.0 ** -np.arange(81.0, 125)])
-        a = t._scaled(xs)
+        a = t._scaled(xs)[0]
         w = int(certifier._quick_width * 2 ** 120)
         inside = []
         for ai in a:
@@ -1129,7 +1130,7 @@ class _FormTerms(Sequence):
     def _ln_terms(self, n):
         return super()._ln_terms(self._m[n.astype(np.intp) - 1])
 
-    def _pi_power_floors(self, p):
+    def _power_floors(self, p, q, pi):
         return None
 
 
@@ -1546,7 +1547,7 @@ class TestTermRoutes:
         route = tr._OnTerms(Power(p, pi=True), PiN())
         assert route._integer_route and route._quick_range is None
         for n in [ns] + [[k] for k in ns]:
-            a = route._scaled(np.array(n, dtype=np.float64))
+            a = route._scaled(np.array(n, dtype=np.float64))[0]
             with mp.workprec(53 * p + 400):
                 for k, ai in zip(n, a):
                     u = mp.pi ** (p + 1) * mpf(k) ** p * mpf(2) ** 120
@@ -1603,14 +1604,17 @@ class TestTermRoutes:
     def test_terms_routes_of_the_sequences_without_a_form(self):
         # the logs read ln x_n everywhere; the power maps take the one
         # route on the indices, whose integer phase alone takes n! and e**n
-        # under pi*x**p as running products
+        # under pi*x**p as running products, and e**n, n! and n**n under
+        # x**(p/2); n**n under pi*x**p and n**(1/pi) state no phase
         for name in ("exp_n", "factorial", "n_pow_n", "power_law:1/pi"):
             seq = parse_sequence(name)
             for t in TERM_LOGS:
                 assert _has_phase(tr._OnTerms(t, seq))
-            for t in (IDENTITY, SQRT, PI_SQUARE, Power(3, pi=True)):
+            for t in (IDENTITY, SQRT, Power(3, 2), PI_SQUARE,
+                      Power(3, pi=True)):
                 route = tr._OnTerms(t, seq)
-                run = name in ("factorial", "exp_n") and t.pi
+                run = name in ("factorial", "exp_n") and t.pi or \
+                    name != "power_law:1/pi" and t.q == 2
                 assert _has_phase(route), (name, t)
                 assert route._integer_route == run
                 assert route._quick_range == (None if run else seq._ln_range)
@@ -1623,14 +1627,15 @@ class TestTermRoutes:
         route = tr._OnTerms(t, Factorial())
         for n in (np.arange(1, 300), np.array([1, 2, 5, 40, 41, 299]),
                   np.array([7]), np.array([150, 151])):
-            a = route._scaled(n.astype(np.float64))
+            a, exact = route._scaled(n.astype(np.float64))
+            assert exact is None
             m = [math.factorial(k) ** t.p for k in n.tolist()]
             want = tr._pi_power_floor(np.array(m, dtype=object), 0, 1,
                                       m[-1].bit_length())
             assert a.tolist() == want.tolist()
         with mp.workprec(t.p * 2000 + 400):
             for k, ai in zip([1, 2, 5, 40, 41, 299], route._scaled(
-                    np.array([1.0, 2, 5, 40, 41, 299]))):
+                    np.array([1.0, 2, 5, 40, 41, 299]))[0]):
                 u = mp.pi * mpf(math.factorial(k)) ** t.p * mpf(2) ** 120
                 assert ai - 1 < u < ai + 2
 
