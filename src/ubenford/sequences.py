@@ -162,7 +162,8 @@ class Sequence:
         c = pi with q = 1): a map from an ascending int64 array of indices
         n to (A, exact), A the object array of the ints A_n with u(x_n)
         2**_ROUTE_BITS in (A_n - 1, A_n + 2), and exact the mask of the n
-        where it equals A_n, or None for none; None for no phase. From the
+        where it equals A_n and `Power._try_exact` finds u(x_n) exact on
+        the per-term route, or None for none; None for no phase. From the
         form pi**c n**s under pi*x**p where e = s p is an integer: pi**(c
         p + 1) n**e (`_pi_power_floor`), for n**e below 2**(e E), E the
         bits of the largest n."""
@@ -431,12 +432,13 @@ class NPowN(Sequence):
 
     def _power_floors(self, p, q, pi):
         """Under x**(p/2): n**(p n / 2) 2**_ROUTE_BITS, exact, where p n is
-        even, and isqrt(n**(p n) 2**(2 _ROUTE_BITS)), its floor, where it
-        is odd; a square n there is an exact root too, but is not marked,
-        and falls back. None under pi*x**p: each term is pi n**(p n) at
-        bits of its own, the product itself is the cost, and a running
-        product or floors at the block's bits read no faster than the
-        per-term route."""
+        even (n**(p n) is a square, which `Power._try_exact`'s residue
+        filter never refuses, and its root is exact), and isqrt(n**(p n)
+        2**(2 _ROUTE_BITS)), its floor, where it is odd; a square n there
+        is an exact root too, but is not marked, and falls back. None
+        under pi*x**p: each term is pi n**(p n) at bits of its own, the
+        product itself is the cost, and a running product or floors at
+        the block's bits read no faster than the per-term route."""
         if pi:
             return None
 

@@ -72,8 +72,8 @@ generated at the same bits, from what the sequence states of them: no
 term is generated for it. A route takes the terms whose first
 precision, doubled, stays within the cap. Per term: n**n under pi*x**p,
 the slow rows under x**p but the first few terms of e**n and n**n, and
-n! below 16 under the logs. There a root of an exact integer past every double
-first meets a residue filter (`_no_square`), and is taken at the
+n! below 16 under the logs. There a root of an exact integer past every
+double first meets a residue filter (`_no_square`), and is taken at the
 fractional bits its working precision sizes (`Power._eval_at`).
 """
 
@@ -1098,10 +1098,10 @@ class Power(Transform):
                             (big - 53).astype(object))
         if self.q == 2:
             k = e // 2 + _ROUTE_BITS
-            return _isqrt(m << np.maximum(2 * k, 0)) >> np.maximum(-k, 0), \
-                None
-        return _pi_power_floor(m, e, 1, self.p * int(big.max(initial=0))), \
-            None
+            a = _isqrt(m << np.maximum(2 * k, 0)) >> np.maximum(-k, 0)
+        else:
+            a = _pi_power_floor(m, e, 1, self.p * int(big.max(initial=0)))
+        return a, None
 
     def _from_ln(self, lh, ll, err):
         """u = 2**y, y = (a ln x + k ln pi) / ln 2, k = 1 for c = pi, for an
@@ -1571,9 +1571,9 @@ class _Certifier:
         so a certified result there is never negative. pos, an integer
         below 2**40, and the margins add exactly in doubles: W counts as
         at least 2**-10, a wider width and so a safe one. An A marked
-        exact is u 2**_ROUTE_BITS itself, a result `_try_exact` finds and
-        certify returns with every bit (`frac_scaled`), so its cell goes
-        out with no margin.
+        exact is u 2**_ROUTE_BITS itself, and the route marks only a u
+        that `_try_exact` finds exact, which certify returns with every
+        bit (`frac_scaled`); so its cell goes out with no margin.
         """
         a, exact = t._scaled(x)
         cell = a >> _ROUTE_GUARD
