@@ -284,13 +284,14 @@ class ExpN(Sequence):
         2**G, so E is too; each step floors Z_(n-1) E / 2**G once, a value
         at least 1.64 2**G (Z_(n-1) >= 2**G, E near e**(1/2) 2**G or
         more), below 0.61. So each step costs below 2, and the N steps and
-        pi below 2N, compounding as a product of at most 2N + 1 factors,
-        each within 2**-121. With V = c e**(p n / q) 2**_ROUTE_BITS < 2**(big +
-        _ROUTE_BITS), big = floor(p N log2 e / q) + 3 from the rounded-up
-        log2 e (log2 pi < 2), and G = big + _ROUTE_BITS + bit_length(2N),
-        the shifted product before its floor is within 2N
-        2**-bit_length(2N) (1 + 2**-100) < 1 of V, and A_n = floor of it
-        leaves V in (A_n - 1, A_n + 2).
+        pi below 2N + 1, compounding as a product of at most 2N + 1
+        factors, each within 2**-121. With V = c e**(p n / q)
+        2**_ROUTE_BITS < 2**(big + _ROUTE_BITS), big = floor(p N log2 e /
+        q) + 3 from the rounded-up log2 e (log2 pi < 2), and G = big +
+        _ROUTE_BITS + bit_length(2N), the shifted product before its floor
+        is within (2N + 1) 2**-bit_length(2N) (1 + 2**-100) < 1 of V (2N +
+        1 is odd and below 2**bit_length(2N)), and A_n = floor of it leaves
+        V in (A_n - 1, A_n + 2).
 
         One product of two G-bit integers a step, where each term on its
         own costs a power at its own bits."""
