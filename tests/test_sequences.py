@@ -516,6 +516,14 @@ PINNED_CELLS = [
     ("n_pow_n", Power(3, pi=True), 300, False,
      "c1c3cbe2abc3a214c7bc1d49807345defbdbb7b1cd004023fa3c28292425de0a",
      0, 300),
+    # recorded while n**n under pi*x**p took the per-term route past its
+    # first few terms
+    ("n_pow_n", PI_SQUARE, 2000, False,
+     "8925288bd04eec9992220f010711abc7c45f157299b959ccf2be198ff1c06511",
+     0, 2000),
+    ("n_pow_n", Power(1, pi=True), 2000, False,
+     "07a4a0f9b02663a60b4337d705d4ef630996ea1e733028fce4483c0210269f85",
+     0, 2000),
 ]
 
 
@@ -582,14 +590,16 @@ SEEDED_CELLS = [
 # pinned cells off the benchmark whose terms once took a power map of m
 # that u composed into on the form pi**c m**s, or the prime-factor floors
 # where p alpha is an integer; the primes take the doubles' routes; and
-# the slow rows under x**(3/2), whose integer phase is sqrt's
+# the slow rows under x**(3/2), whose integer phase is sqrt's; and n**n
+# under pi*x and pi*x**3, whose terms take pi_square's route at other p
 REROUTED_CELLS = [
     ("sqrt_n", IDENTITY, 2000), ("pi_n", IDENTITY, 2000),
     ("primes", IDENTITY, 2000), ("power_law:1.5", IDENTITY, 2000),
     ("power_law:3", SQRT, 2000), ("power_law:0.5", PI_SQUARE, 2000),
     ("primes", Power(3, pi=True), 2000), ("power_law:1.5", PI_SQUARE, 2000),
     ("exp_n", Power(3, 2), 300), ("factorial", Power(3, 2), 300),
-    ("n_pow_n", Power(3, 2), 300)]
+    ("n_pow_n", Power(3, 2), 300), ("n_pow_n", Power(1, pi=True), 1000),
+    ("n_pow_n", Power(3, pi=True), 300)]
 # the benchmark's odd non-square rerun of n**n under sqrt
 FILTERED_CELLS = [("n_pow_n", SQRT, 1000, odd_nonsquare)]
 HANDED_OUT_CELLS = [(*c, None) for c in
@@ -644,6 +654,7 @@ ROUTED = {
     "power_law:0.5-pi_square": 1988, "primes-pi*x**3": 1999,
     "power_law:1.5-pi_square": 1992, "exp_n-x**(3/2)": 288,
     "factorial-x**(3/2)": 299, "n_pow_n-x**(3/2)": 291,
+    "n_pow_n-pi*x**1": 4, "n_pow_n-pi*x**3": 2,
     "n_pow_n-sqrt-filtered": 481}
 
 
