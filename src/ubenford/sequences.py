@@ -15,16 +15,16 @@ n + c ln pi for a `form` pi**c n**s), from which each transform takes u
 by its own step (`Transform._from_ln`), and under each power map with
 an integer route (q = 2, or pi) the integer phase the sequence states
 (`_power_floors`): under pi*x**p a form's (where s p is an integer),
-n!'s, e**n's and the power laws'; under x**(p/2) e**n's, n!'s and
-n**n's. The certifier's width on those routes comes from what the
-sequence states of its terms' size (`_log2_term`, `_exact_term` and
-int_bits_estimate), with no term generated. The primes state their terms
-as exact doubles (`_doubles`), which take the routes of an array of
-doubles instead. Every other term (n**n under pi*x**p, the slow rows
-under x**p but the first few of e**n and n**n, n! below 16 under the
-logs, and the few a block's quick routes cannot vouch for) is
-generated, and regenerated at doubled bits while the transform refuses
-its fractional part, up to the precision cap.
+n!'s, e**n's, n**n's (u mod 1 alone) and the power laws'; under x**(p/2)
+e**n's, n!'s and n**n's. The certifier's width on those routes comes
+from what the sequence states of its terms' size (`_log2_term`,
+`_exact_term` and int_bits_estimate), with no term generated. The primes
+state their terms as exact doubles (`_doubles`), which take the routes
+of an array of doubles instead. Every other term (the slow rows under
+x**p but the first few of e**n and n**n, n! below 16 under the logs,
+and the few a block's quick routes cannot vouch for) is generated, and
+regenerated at doubled bits while the transform refuses its fractional
+part, up to the precision cap.
 """
 
 import functools
@@ -131,10 +131,13 @@ class Sequence:
       and for a power law n**alpha, alpha = a/b, n**(p alpha) from the
       prime factors of n, one ln and one exp per prime and one product
       per composite, where p alpha is no integer (an integer one is the
-      form's). Under x**(p/2): a running product for e**n, and the
-      integer square roots of (n!)**p and n**(p n), the latter exact
-      where p n is even. `_dear_floors(p)` marks the power law's: its
-      exp2 phase runs first, and the floors take every term that leaves.
+      form's); and for n**n, {pi n**(p n)} alone, from pi's bits below
+      2**-(p z), n**n = 2**z o with o odd, and p products with o. Under
+      x**(p/2): a running product for e**n, and the integer square roots
+      of (n!)**p and n**(p n), marked exact where they are (1! = 1, and
+      n**(p n / 2) at an even p n or an odd square n). `_dear_floors(p)`
+      marks the power law's: its exp2 phase runs first, and the floors
+      take every term that leaves.
     - `_log2_term(n)` and `_exact_term(n)`, log2 x_n in doubles and
       whether term n is exact, from which (and int_bits_estimate) the
       certifier works out its width on the terms without generating any.
@@ -161,9 +164,13 @@ class Sequence:
         the terms, for a map with an integer route on doubles (q = 2, or
         c = pi with q = 1): a map from an ascending int64 array of indices
         n to (A, exact), A the object array of the ints A_n with u(x_n)
-        2**_ROUTE_BITS in (A_n - 1, A_n + 2), and exact the mask of the n
-        where it equals A_n and `Power._try_exact` finds u(x_n) exact on
-        the per-term route, or None for none; None for no phase. From the
+        2**_ROUTE_BITS in (A_n - 1, A_n + 2) modulo 2**_ROUTE_BITS, and
+        without the modulus where A_n < 2**_ROUTE_BITS (so a phase that
+        forms only u mod 1 keeps every A_n at 2**_ROUTE_BITS or more;
+        the cell of an A below 2**_ROUTE_GUARD is 0), and exact the mask
+        of the n where u(x_n) 2**_ROUTE_BITS equals A_n and
+        `Power._try_exact` finds u(x_n) exact on the per-term route, or
+        None for none; None for no phase. From the
         form pi**c n**s under pi*x**p where e = s p is an integer: pi**(c
         p + 1) n**e (`_pi_power_floor`), for n**e below 2**(e E), E the
         bits of the largest n."""
@@ -395,8 +402,8 @@ class Factorial(Sequence):
         `_pi_power_floor` builds with k = 1 from the block's last term, M_n
         shifted right. Under x**(p/2), k = 1 and M_0 = 1, so M_n = n!, and
         A_n = isqrt((n!)**p 2**(2 _ROUTE_BITS)), the floor of u
-        2**_ROUTE_BITS itself; never marked exact, though (n!)**p is a
-        square at n = 1, which then falls back."""
+        2**_ROUTE_BITS itself, marked exact at n = 1, where (n!)**p = 1 is
+        the only square."""
         def floors(n):
             n = n.tolist()
             if pi:
@@ -410,7 +417,7 @@ class Factorial(Sequence):
                 run *= math.prod(range(lo + 1, hi + 1)) ** k
                 a[i] = run >> (bits - _ROUTE_BITS) if pi else \
                     isqrt(run ** p << 2 * _ROUTE_BITS)
-            return a, None
+            return a, None if pi else np.array(n) == 1
         return floors
 
 
@@ -434,21 +441,73 @@ class NPowN(Sequence):
     def _power_floors(self, p, q, pi):
         """Under x**(p/2): n**(p n / 2) 2**_ROUTE_BITS, exact, where p n is
         even (n**(p n) is a square, which `Power._try_exact`'s residue
-        filter never refuses, and its root is exact), and isqrt(n**(p n)
-        2**(2 _ROUTE_BITS)), its floor, where it is odd; a square n there
-        is an exact root too, but is not marked, and falls back. None
-        under pi*x**p: each term is pi n**(p n) at bits of its own, the
-        product itself is the cost, and a running product or floors at
-        the block's bits read no faster than the per-term route."""
+        filter never refuses, and its root is exact), r**(p n)
+        2**_ROUTE_BITS, exact, at an odd square n = r**2, and isqrt(n**(p
+        n) 2**(2 _ROUTE_BITS)), the floor, at every other odd p n.
+
+        Under pi*x**p, u = pi m**p for m = n**n = 2**z o, o odd (z = n
+        v2(n)) of b bits, and only u mod 1 is formed: for integers X and
+        Y, frac(pi X Y) = frac(frac(pi X) Y), so the bits of pi above
+        2**-(p z) add only integers to u, and so does u's integer part at
+        every step (Payne and Hanek's range reduction, SIGNUM Newsletter
+        18, 1983). With g = bit_length(p + 2) + 1 guard bits and w_0 = p b
+        + _ROUTE_BITS + g:
+        - F_0 = P_L mod 2**w_0, frac(pi 2**(p z)) at w_0 bits, for P_L =
+          P >> (L_N - L) with L = w_0 + p z = p bit_length(n**n) +
+          _ROUTE_BITS + g and P = pi_fixed(L_N) taken once for the block
+          at its largest n = N: pi's top p z bits are never used;
+        - F_i = (F_(i-1) o mod 2**w_(i-1)) >> b, w_i = w_(i-1) - b, for i
+          = 1..p, frac(pi 2**(p z) o**i) at w_i bits, each step one product
+          of a fraction with the b-bit o;
+        - A_n = (F_p >> g) + 2**_ROUTE_BITS.
+
+        Errors, in units of 2**-w_i and modulo 2**w_i: P_L is what
+        pi_fixed(L) returns from L_N's bucket, pi's bits at that bucket
+        shifted right, which is within 2 units of pi 2**L (kernels), so F_0
+        is within 2 of T_0 = frac(pi 2**(p z)) 2**w_0. T_(i-1) o is T_i
+        2**b modulo 2**w_(i-1), as o is an integer, so an error d in
+        F_(i-1) becomes d o / 2**b, smaller than d as o < 2**b, before the
+        shift floors once: |d_i| < |d_(i-1)| + 1, and F_p is within p + 2
+        units of T_p = {u} 2**(_ROUTE_BITS + g). 2**g > 2 (p + 2), so F_p /
+        2**g is within 1/2 of V = {u} 2**_ROUTE_BITS, and its floor leaves
+        V in (A_n - 1, A_n + 2) modulo 2**_ROUTE_BITS. u >= pi, so no u
+        lies in cell 0, and adding 2**_ROUTE_BITS keeps every A_n out of
+        it.
+
+        One pi a block and two products with o a term under pi*x**2, where
+        the per-term route takes pi at each term's bits, squares m and
+        multiplies all of pi by m**2."""
         if pi:
-            return None
+            g = (p + 2).bit_length() + 1
+
+            def floors(n):
+                a = np.empty(n.size, dtype=object)
+                top = int(n[-1])
+                bits = p * (top ** top).bit_length() + _ROUTE_BITS + g
+                pi_top = pi_fixed(bits)
+                for i, k in enumerate(n.tolist()):
+                    v = (k & -k).bit_length() - 1
+                    o = (k >> v) ** k
+                    b = o.bit_length()
+                    w = p * b + _ROUTE_BITS + g
+                    f = pi_top >> bits - w - p * v * k & (1 << w) - 1
+                    for _ in range(p):
+                        f = (f * o & (1 << w) - 1) >> b
+                        w -= b
+                    a[i] = (f >> g) + (1 << _ROUTE_BITS)
+                return a, None
+            return floors
 
         def floors(n):
             exact = p * n % 2 == 0
             a = np.empty(n.size, dtype=object)
-            for i, (k, even) in enumerate(zip(n.tolist(), exact.tolist())):
-                a[i] = k ** (p * k // 2) << _ROUTE_BITS if even else \
-                    isqrt(k ** (p * k) << 2 * _ROUTE_BITS)
+            for i, k in enumerate(n.tolist()):
+                if exact[i]:
+                    a[i] = k ** (p * k // 2) << _ROUTE_BITS
+                elif (r := isqrt(k)) ** 2 == k:
+                    a[i], exact[i] = r ** (p * k) << _ROUTE_BITS, True
+                else:
+                    a[i] = isqrt(k ** (p * k) << 2 * _ROUTE_BITS)
             return a, exact
         return floors
 

@@ -59,22 +59,24 @@ for n! from n = 16 on, ln n / pi for n**(1/pi), and s ln n + c ln pi for
 the terms pi**c n**s of a form; and its terms take the one route on the
 indices (`_OnTerms`): `_from_ln` on the ln x_n; or under a power map
 with an integer route on doubles (q = 2, or c = pi), where the sequence
-states it (`Sequence._power_floors`), floor(u 2**120) in ints, marked
-exact where the sequence proves it. Under pi*x**p, for a form where s p
-is an integer (pi_n, and sqrt_n under pi*x**2), n! and e**n (running
-products), and under x**(p/2) for e**n (a running product), n! and n**n
-(integer square roots, n**(p n / 2) exact at an even p n), the floors
-take every term; a power law's cost an exp per prime factor of n, so its
-exp2 phase runs first, up to the cut, and its floors take every term
-that leaves. The route's width (`_term_width`) is `_width` on the
-terms whose route error leaves room in a cell, on each run of them
-generated at the same bits, from what the sequence states of them: no
-term is generated for it. A route takes the terms whose first
-precision, doubled, stays within the cap. Per term: n**n under pi*x**p,
-the slow rows under x**p but the first few terms of e**n and n**n, and
-n! below 16 under the logs. There a root of an exact integer past every
-double first meets a residue filter (`_no_square`), and is taken at the
-fractional bits its working precision sizes (`Power._eval_at`).
+states it (`Sequence._power_floors`), floor(u 2**120) in ints, or only
+its residue modulo 2**120, marked exact where the sequence proves it.
+Under pi*x**p, for a form where s p is an integer (pi_n, and sqrt_n
+under pi*x**2), n! and e**n (running products) and n**n (u mod 1 from
+pi's bits below n**n's power of two), and under x**(p/2) for e**n (a
+running product), n! and n**n (integer square roots, exact at 1!, and
+for n**n at an even p n or an odd square n), the floors take every
+term; a power law's cost an exp per prime factor of n, so its exp2
+phase runs first, up to the cut, and its floors take every term that
+leaves. The route's width (`_term_width`) is `_width` on the terms
+whose route error leaves room in a cell, on each run of them generated
+at the same bits, from what the sequence states of them: no term is
+generated for it. A route takes the terms whose first precision,
+doubled, stays within the cap. Per term: the slow rows under x**p but
+the first few terms of e**n and n**n, and n! below 16 under the logs.
+There a root of an exact integer past every double first meets a
+residue filter (`_no_square`), and is taken at the fractional bits its
+working precision sizes (`Power._eval_at`).
 """
 
 import bisect
@@ -256,9 +258,10 @@ def _pi_power_floor(m, e, k, big):
     shifted product before its floor is off by at most 2**(big +
     _ROUTE_BITS + 1 - L) k pi**(k - 1) (1 + 2**-40) = k 2**-bit_length(k)
     (pi/4)**(k - 1) (1 + 2**-40) < 1: k 2**-bit_length(k) is 1/2 at k =
-    1 and below 1 past it, where (pi/4)**(k - 1) <= pi/4. Only pi's bits
-    near u's binary point reach A (Payne and Hanek, SIGNUM Newsletter 18,
-    1983): L follows the largest m 2**e, and the shift drops the rest.
+    1 and below 1 past it, where (pi/4)**(k - 1) <= pi/4. L follows the
+    largest m 2**e, and the product takes all L bits of pi, so A holds
+    u's integer part as well: the shift drops only the bits below
+    2**-_ROUTE_BITS. (`NPowN._power_floors` drops pi's top bits too.)
     """
     bits = _pi_power_bits(k, big)
     return m * pi_fixed(bits) ** k >> (k * bits - _ROUTE_BITS - e)
@@ -880,15 +883,16 @@ class _OnTerms:
     Integer phase under every power map with an integer route on doubles
     (q = 2, or c = pi), where the sequence states one
     (`Sequence._power_floors`): A_n = floor(u 2**_ROUTE_BITS) in ints, at
-    any size, and exact where the sequence proves u 2**_ROUTE_BITS = A_n.
-    Under pi*x**p for a form where s p is an integer (sqrt_n at even p,
-    pi_n, a power law with p alpha an integer), n! and e**n, and under
-    x**(p/2) for e**n, n! and n**n, it takes every term alone: A is
-    within 3 units of 2**-120, far inside any err of the other phase, and
-    is the faster. Any other power law's floors cost an exp per prime
-    factor (`Sequence._dear_floors`), so there the exp2 phase runs first,
-    on the terms up to _EXP2_U_MAX, and the floors take every term it
-    leaves. The certifier's width on the terms either phase takes
+    any size, or only modulo 2**_ROUTE_BITS (n**n under pi*x**p), and
+    exact where the sequence proves u 2**_ROUTE_BITS = A_n. Under pi*x**p
+    for a form where s p is an integer (sqrt_n at even p, pi_n, a power
+    law with p alpha an integer), n!, e**n and n**n, and under x**(p/2)
+    for e**n, n! and n**n, it takes every term alone: A is within 3 units
+    of 2**-120, far inside any err of the other phase, and is the faster.
+    Any other power law's floors cost an exp per prime factor
+    (`Sequence._dear_floors`), so there the exp2 phase runs first, on the
+    terms up to _EXP2_U_MAX, and the floors take every term it leaves.
+    The certifier's width on the terms either phase takes
     (`_Certifier._term_width`) is worked out from what the sequence
     states of them, and generates none.
     """
@@ -918,8 +922,9 @@ class _OnTerms:
 
     def _scaled(self, n):
         """(A, exact) for an ascending array of indices n, with u
-        2**_ROUTE_BITS in (A_n - 1, A_n + 2), and equal to A_n where the
-        mask exact (None for nowhere) holds."""
+        2**_ROUTE_BITS in (A_n - 1, A_n + 2) modulo 2**_ROUTE_BITS, and
+        without the modulus where A_n < 2**_ROUTE_BITS, and equal to A_n
+        where the mask exact (None for nowhere) holds."""
         return self._floors(n.astype(np.int64))
 
 
@@ -1560,20 +1565,24 @@ class _Certifier:
         (`Power._scaled`), for finite doubles in t's domain, as
         `_double_double_cells` gives them.
 
-        In units of 2**-_ROUTE_BITS, u lies in (A - 1, A + 2) and every
-        result certify accepts within W = width of u, so all of
-        them lie in (A - 1 - W, A + 2 + W). Where A's low _ROUTE_GUARD
-        bits, pos, leave 1 + W below and 2 + W above, inside the cell c =
-        A >> _ROUTE_GUARD, they all floor to c, and the double handed out
-        is frac's own for the cell c mod 2**80 (`_cell_doubles`), whose
-        two 40-bit halves hi and lo pass as the exact doubles hi 2**40 and
-        lo. In cell 0 the lower margin goes: the route's maps take x >= 0,
-        so a certified result there is never negative. pos, an integer
-        below 2**40, and the margins add exactly in doubles: W counts as
-        at least 2**-10, a wider width and so a safe one. An A marked
-        exact is u 2**_ROUTE_BITS itself, and the route marks only a u
-        that `_try_exact` finds exact, which certify returns with every
-        bit (`frac_scaled`); so its cell goes out with no margin.
+        In units of 2**-_ROUTE_BITS, u lies in (A - 1, A + 2) modulo
+        2**_ROUTE_BITS, which is all {u}'s cells need (without the modulus
+        where A < 2**_ROUTE_BITS; a phase that forms u only modulo 1 keeps
+        its A above that), and every result certify accepts within W =
+        width of u, so all of them lie in (A - 1 - W, A + 2 + W) modulo
+        2**_ROUTE_BITS. Where A's low _ROUTE_GUARD bits, pos, leave 1 + W
+        below and 2 + W above, inside the cell c = A >> _ROUTE_GUARD, they
+        all floor to c, and the double handed out is frac's own for the
+        cell c mod 2**80 (`_cell_doubles`), whose two 40-bit halves hi and
+        lo pass as the exact doubles hi 2**40 and lo. In cell 0, read only
+        from an A below 2**_ROUTE_GUARD, the lower margin goes: the
+        route's maps take x >= 0, so a certified result there is never
+        negative. pos, an integer below 2**40, and the margins add exactly
+        in doubles: W counts as at least 2**-10, a wider width and so a
+        safe one. An A marked exact is u 2**_ROUTE_BITS itself, and the
+        route marks only a u that `_try_exact` finds exact, which certify
+        returns with every bit (`frac_scaled`); so its cell goes out with
+        no margin.
         """
         a, exact = t._scaled(x)
         cell = a >> _ROUTE_GUARD

@@ -614,14 +614,13 @@ HANDED_OUT_CELLS = [(*c, None) for c in
 # whose logs are integers, and one near a cell edge); the one route on
 # the indices for the power-map cells: its exp2 phase up to u = 2**23.2
 # (sqrt_n, pi_n and the power laws below the cut), its integer phase for
-# sqrt_n (pi n), pi_n, e**n and n! under pi*x**2, for e**n, n! and n**n
-# under sqrt and x**(3/2) (all but n! = 1 and n**n at an odd square n,
-# exact roots the phase does not mark), and for the power laws under
-# pi*x**2, past the cut (the steep ones from their second term on), the
-# floors on every term it leaves. n**n under pi*x**2 takes the per-term
-# route but for its first terms. The width is a floor on the per-term
-# route's first claims from what the sequence states, taken on each run
-# of terms generated at the same bits.
+# sqrt_n (pi n), pi_n, e**n, n! and n**n (u mod 1 alone) under pi*x**p,
+# for e**n, n! and n**n under sqrt and x**(3/2) (their exact roots, n! =
+# 1 and n**n at an even p n or an odd square n, marked exact), and for
+# the power laws under pi*x**2, past the cut (the steep ones from their
+# second term on), the floors on every term it leaves. The width is a
+# floor on the per-term route's first claims from what the sequence
+# states, taken on each run of terms generated at the same bits.
 ROUTED = {
     "sqrt_n-loglog": 9998, "sqrt_n-log10": 9995, "sqrt_n-sqrt": 9990,
     "sqrt_n-pi_square": 9970, "pi_n-loglog": 10000, "pi_n-log10": 10000,
@@ -629,8 +628,8 @@ ROUTED = {
     "primes-log10": 10000, "primes-sqrt": 10000, "primes-pi_square": 9984,
     "exp_n-loglog": 1000, "exp_n-log10": 1000, "exp_n-sqrt": 987,
     "exp_n-pi_square": 981, "factorial-loglog": 985, "factorial-log10": 985,
-    "factorial-sqrt": 998, "factorial-pi_square": 998, "n_pow_n-loglog": 998,
-    "n_pow_n-log10": 995, "n_pow_n-sqrt": 981, "n_pow_n-pi_square": 2,
+    "factorial-sqrt": 999, "factorial-pi_square": 998, "n_pow_n-loglog": 998,
+    "n_pow_n-log10": 995, "n_pow_n-sqrt": 997, "n_pow_n-pi_square": 999,
     "power_law:0.367427-log10": 9995, "power_law:0.367427-sqrt": 9998,
     "power_law:0.367427-identity": 9999, "power_law:0.613197-log10": 9995,
     "power_law:0.613197-sqrt": 9998, "power_law:0.613197-identity": 9995,
@@ -653,8 +652,8 @@ ROUTED = {
     "power_law:1.5-identity": 1818, "power_law:3-sqrt": 1813,
     "power_law:0.5-pi_square": 1988, "primes-pi*x**3": 1999,
     "power_law:1.5-pi_square": 1992, "exp_n-x**(3/2)": 288,
-    "factorial-x**(3/2)": 299, "n_pow_n-x**(3/2)": 291,
-    "n_pow_n-pi*x**1": 4, "n_pow_n-pi*x**3": 2,
+    "factorial-x**(3/2)": 300, "n_pow_n-x**(3/2)": 300,
+    "n_pow_n-pi*x**1": 998, "n_pow_n-pi*x**3": 300,
     "n_pow_n-sqrt-filtered": 481}
 
 
@@ -847,8 +846,7 @@ def test_power_law_floors_against_mpmath(alpha, p, top, rest):
 FORM_FLOOR_CASES = [("sqrt_n", 2), ("sqrt_n", 4), ("sqrt_n", 6),
                     ("pi_n", 1), ("pi_n", 2), ("pi_n", 3)]
 NO_FLOOR_CASES = [("sqrt_n", 1), ("sqrt_n", 3), ("sqrt_n", 5)] + [
-    (name, p) for name in ("primes", "n_pow_n", "power_law:1/pi")
-    for p in (1, 2, 3)]
+    (name, p) for name in ("primes", "power_law:1/pi") for p in (1, 2, 3)]
 
 
 @given(case=st.one_of(st.sampled_from(FORM_FLOOR_CASES),
@@ -894,6 +892,30 @@ def test_exp_n_floors_against_mpmath(p, top, rest):
         for k, a in zip(n, floors):
             v = mp.pi * mp.exp(p * k) * mp.mpf(2) ** 120
             assert int(mp.floor(v)) - a in (-1, 0, 1), k
+
+
+@given(p=st.sampled_from([1, 2, 3]), top=st.integers(1, 3000),
+       rest=st.lists(st.integers(1, 3000), max_size=8))
+@example(p=2, top=1024, rest=[1, 2, 512])
+@example(p=3, top=1024, rest=[1, 2, 512, 999])
+@example(p=1, top=2187, rest=[1, 2, 3, 1000])
+@settings(max_examples=60, deadline=None)
+def test_n_pow_n_pi_floors_against_mpmath(p, top, rest):
+    # the integer phase under pi*x**p forms u = pi n**(p n) only modulo 1:
+    # u 2**120 lies in (A_n - 1, A_n + 2) modulo 2**120 on a block of n up
+    # to top, whose largest n sets the bits of pi; 1, 2, 512 and 1024 are
+    # powers of two (n**n = 2**z, o = 1 of b = 1 bit), 2187 = 3**7 is odd
+    # (z = 0, every bit of pi up to 2**-(p b + 120 + g)); and no A_n reads
+    # as cell 0, though every u is at least pi
+    n = sorted({top, *(k for k in rest if k < top)})
+    floors, exact = NPowN()._power_floors(p, 1, True)(
+        np.array(n, dtype=np.int64))
+    assert exact is None
+    with mp.workprec(p * top * top.bit_length() + 300):
+        for k, a in zip(n, floors):
+            v = mp.pi * mp.mpf(k) ** (p * k) * mp.mpf(2) ** 120
+            assert a >> 40 != 0, k
+            assert 0 < (a + 2 - v) % 2 ** 120 < 3, k
 
 
 def _true_root(name, p, k):

@@ -1604,8 +1604,8 @@ class TestTermRoutes:
     def test_terms_routes_of_the_sequences_without_a_form(self):
         # the logs read ln x_n everywhere; the power maps take the one
         # route on the indices, whose integer phase alone takes n! and e**n
-        # under pi*x**p as running products, and e**n, n! and n**n under
-        # x**(p/2); n**n under pi*x**p and n**(1/pi) state no phase
+        # under pi*x**p as running products, n**n under pi*x**p modulo 1,
+        # and e**n, n! and n**n under x**(p/2); n**(1/pi) states no phase
         for name in ("exp_n", "factorial", "n_pow_n", "power_law:1/pi"):
             seq = parse_sequence(name)
             for t in TERM_LOGS:
@@ -1613,8 +1613,7 @@ class TestTermRoutes:
             for t in (IDENTITY, SQRT, Power(3, 2), PI_SQUARE,
                       Power(3, pi=True)):
                 route = tr._OnTerms(t, seq)
-                run = name in ("factorial", "exp_n") and t.pi or \
-                    name != "power_law:1/pi" and t.q == 2
+                run = name != "power_law:1/pi" and (t.pi or t.q == 2)
                 assert _has_phase(route), (name, t)
                 assert route._integer_route == run
                 assert route._quick_range == (None if run else seq._ln_range)
