@@ -9,15 +9,12 @@ integer bits (int_bits_estimate), and the certifier's start_bits turns
 that into the bits the term is generated at. An exact term ignores its
 bits. frac_sample hands a cell to the certifier (_Certifier.terms),
 which certifies most terms in numpy blocks from what the sequence states
-of them: its ln x_n (`_ln_terms`; n for e**n, n ln n for n**n,
-Stirling's series for n! from n = 16 on, ln n / pi for n**(1/pi), s ln
-n + c ln pi for a `form` pi**c n**s), from which each transform takes u
+of them: its ln x_n (`_ln_terms`), from which each transform takes u
 by its own step (`Transform._from_ln`), and under each power map with
 an integer route (q = 2, or pi) the integer phase the sequence states
-(`_power_floors`): under pi*x**p a form's (where s p is an integer),
-n!'s, e**n's, n**n's (u mod 1 alone) and the power laws'; under x**(p/2)
-e**n's, n!'s and n**n's. The certifier's width on those routes comes
-from what the sequence states of its terms' size (`_log2_term`,
+(`_power_floors`). `transforms._term_phases` composes the two, and its
+table says which sequence states what. The certifier's width on them
+comes from what the sequence states of its terms' size (`_log2_term`,
 `_exact_term` and int_bits_estimate), with no term generated. The primes
 state their terms as exact doubles (`_doubles`), which take the routes
 of an array of doubles instead. Every other term (the slow rows under
@@ -126,18 +123,10 @@ class Sequence:
       n + c ln pi.
     - `_power_floors(p, q, pi)`, the integer phase of a power map with an
       integer route on doubles (q = 2, or c = pi) on the terms, where the
-      sequence states one. Under pi*x**p: from a form where e = s p is
-      an integer, pi**(c p + 1) n**e; running products for n! and e**n;
-      and for a power law n**alpha, alpha = a/b, n**(p alpha) from the
-      prime factors of n, one ln and one exp per prime and one product
-      per composite, where p alpha is no integer (an integer one is the
-      form's); and for n**n, {pi n**(p n)} alone, from pi's bits below
-      2**-(p z), n**n = 2**z o with o odd, and p products with o. Under
-      x**(p/2): a running product for e**n, and the integer square roots
-      of (n!)**p and n**(p n), marked exact where they are (1! = 1, and
-      n**(p n / 2) at an even p n or an odd square n). `_dear_floors(p)`
-      marks the power law's: its exp2 phase runs first, and the floors
-      take every term that leaves.
+      sequence states one (the table is `transforms._term_phases`').
+      `_dear_floors(p)` marks the floors that cost an exp per prime
+      factor: the exp2 phase runs first, and they take every term it
+      leaves.
     - `_log2_term(n)` and `_exact_term(n)`, log2 x_n in doubles and
       whether term n is exact, from which (and int_bits_estimate) the
       certifier works out its width on the terms without generating any.

@@ -51,32 +51,22 @@ or, for Log, an integer. Below
 results are never negative.
 
 A sequence's terms (frac_sample) go through _Certifier.terms, the same
-two phases over blocks of _QUICK_BLOCK indices, on one of two routes.
-The primes' terms are exact doubles (`Sequence._doubles`), and take the
-routes above. Every other sequence states ln x_n on a range of n
-(`Sequence._ln_terms`): n for e**n, n ln n for n**n, Stirling's series
-for n! from n = 16 on, ln n / pi for n**(1/pi), and s ln n + c ln pi for
-the terms pi**c n**s of a form; and its terms take the one route on the
-indices (`_OnTerms`): `_from_ln` on the ln x_n; or under a power map
-with an integer route on doubles (q = 2, or c = pi), where the sequence
-states it (`Sequence._power_floors`), floor(u 2**120) in ints, or only
-its residue modulo 2**120, marked exact where the sequence proves it.
-Under pi*x**p, for a form where s p is an integer (pi_n, and sqrt_n
-under pi*x**2), n! and e**n (running products) and n**n (u mod 1 from
-pi's bits below n**n's power of two), and under x**(p/2) for e**n (a
-running product), n! and n**n (integer square roots, exact at 1!, and
-for n**n at an even p n or an odd square n), the floors take every
-term; a power law's cost an exp per prime factor of n, so its exp2
-phase runs first, up to the cut, and its floors take every term that
-leaves. The route's width (`_term_width`) is `_width` on the terms
-whose route error leaves room in a cell, on each run of them generated
-at the same bits, from what the sequence states of them: no term is
-generated for it. A route takes the terms whose first precision,
-doubled, stays within the cap. Per term: the slow rows under x**p but
-the first few terms of e**n and n**n, and n! below 16 under the logs.
-There a root of an exact integer past every double first meets a
-residue filter (`_no_square`), and is taken at the fractional bits its
-working precision sizes (`Power._eval_at`).
+two phases over blocks of _QUICK_BLOCK indices. The primes' terms are
+exact doubles (`Sequence._doubles`), and take the routes above. Every
+other sequence's terms take the phases `_term_phases` composes from
+what the sequence states of them by index: `_from_ln` on its ln x_n,
+and under a power map with an integer route on doubles its floors of
+u 2**120 in ints; which sequence states what, under which map, is the
+table in `_term_phases`. The width on them (`_term_width`) is `_width`
+on the terms whose route error leaves room in a cell, on each run of
+them generated at the same bits, from what the sequence states of
+them: no term is generated for it. A route takes the inputs, doubles
+or terms, of at most `_quick_int_bits` integer bits, whose first
+precision, doubled, stays within the cap. Per term: the slow rows
+under x**p but the first few terms of e**n and n**n, and n! below 16
+under the logs. There a root of an exact integer past every double
+first meets a residue filter (`_no_square`), and is taken at the
+fractional bits its working precision sizes (`Power._eval_at`).
 """
 
 import bisect
@@ -875,59 +865,6 @@ class LogLog(Transform):
         return _log10_of(*LOG10._from_ln(lh, ll, err))
 
 
-@dataclass(frozen=True)
-class _OnTerms:
-    """The one quick route of a transform u on the terms x_n of a
-    sequence, as a map of the indices n in its `_ln_range`: u's
-    `_from_ln` on the ln x_n it states (`Sequence._ln_terms`).
-    Integer phase under every power map with an integer route on doubles
-    (q = 2, or c = pi), where the sequence states one
-    (`Sequence._power_floors`): A_n = floor(u 2**_ROUTE_BITS) in ints, at
-    any size, or only modulo 2**_ROUTE_BITS (n**n under pi*x**p), and
-    exact where the sequence proves u 2**_ROUTE_BITS = A_n. Under pi*x**p
-    for a form where s p is an integer (sqrt_n at even p, pi_n, a power
-    law with p alpha an integer), n!, e**n and n**n, and under x**(p/2)
-    for e**n, n! and n**n, it takes every term alone: A is within 3 units
-    of 2**-120, far inside any err of the other phase, and is the faster.
-    Any other power law's floors cost an exp per prime factor
-    (`Sequence._dear_floors`), so there the exp2 phase runs first, on the
-    terms up to _EXP2_U_MAX, and the floors take every term it leaves.
-    The certifier's width on the terms either phase takes
-    (`_Certifier._term_width`) is worked out from what the sequence
-    states of them, and generates none.
-    """
-
-    u: Transform
-    sequence: object
-
-    @property
-    def _floors(self):
-        """The sequence's integer phase of u, None for none."""
-        u = self.u
-        return self.sequence._power_floors(u.p, u.q, u.pi) \
-            if u._integer_route else None
-
-    @property
-    def _quick_range(self):
-        seq = self.sequence
-        return None if self._integer_route and \
-            not seq._dear_floors(self.u.p) else seq._ln_range
-
-    @property
-    def _integer_route(self):
-        return self._floors is not None
-
-    def _quick(self, n):
-        return self.u._from_ln(*self.sequence._ln_terms(n))
-
-    def _scaled(self, n):
-        """(A, exact) for an ascending array of indices n, with u
-        2**_ROUTE_BITS in (A_n - 1, A_n + 2) modulo 2**_ROUTE_BITS, and
-        without the modulus where A_n < 2**_ROUTE_BITS, and equal to A_n
-        where the mask exact (None for nowhere) holds."""
-        return self._floors(n.astype(np.int64))
-
-
 _POWER_NAMES = {(1, 1, False): "identity", (1, 2, False): "sqrt",
                 (2, 1, True): "pi_square"}
 
@@ -1163,6 +1100,143 @@ PI_SQUARE = Power(2, pi=True)
 
 
 # ---------------------------------------------------------------------------
+# the quick phases on a sequence's terms, and the cells of a phase's output
+
+def _term_phases(u, sequence):
+    """The quick phases of u on the terms x_n of a sequence that states
+    them by index, as `_Certifier._routes` takes them: (quick, scaled),
+    on the indices n as doubles, each None for no such phase.
+
+    quick = (lo, hi, phase): on the sequence's `_ln_range` [lo, hi],
+    phase(n) is u's `_from_ln` on the ln x_n it states
+    (`Sequence._ln_terms`). scaled(n) = (A, exact) on an ascending array
+    of indices: the integer phase the sequence states under a power map
+    with an integer route on doubles (q = 2, or c = pi;
+    `Sequence._power_floors`), u 2**_ROUTE_BITS in (A_n - 1, A_n + 2)
+    modulo 2**_ROUTE_BITS, without the modulus where A_n <
+    2**_ROUTE_BITS, and equal to A_n where the mask exact (None for
+    nowhere) holds.
+
+    The route table, from what the sequences state (each proof is in
+    the method named):
+    - ln x_n: n for e**n, exact; n ln n for n**n; Stirling's series for
+      n! from n = 16 on; ln n / pi for n**(1/pi); and s ln n + c ln pi
+      for the terms pi**c n**s of a `form` (sqrt_n, pi_n, and n**alpha
+      for alpha in _fma's range). The primes state none: their terms
+      are exact doubles (`Sequence._doubles`), which take the routes of
+      a block of doubles.
+    - floors under pi*x**p: a form's pi**(c p + 1) n**(s p) where s p is
+      an integer (pi_n, sqrt_n at an even p, n**alpha at an integer p
+      alpha); running products for n! and e**n; n**n modulo 1, from
+      pi's bits below n**n's power of two; and from the prime factors of
+      n for every other n**alpha, alpha exact.
+    - floors under x**(p/2): a running product for e**n, and integer
+      square roots of (n!)**p and n**(p n), exact at 1! and for n**n at
+      an even p n or an odd square n.
+    n**(1/pi) states no floors, and neither does any sequence under a
+    map with no integer route.
+
+    Where the sequence states floors they take every term alone: A is
+    within 3 units of 2**-_ROUTE_BITS, far inside any err of the ln
+    phase, and is the faster, so the ln phase does not run. The floors
+    from the prime factors cost an exp per prime factor
+    (`Sequence._dear_floors`), so there the ln phase runs first, on the
+    terms up to _EXP2_U_MAX, and the floors take every term it leaves.
+    """
+    floors = sequence._power_floors(u.p, u.q, u.pi) \
+        if u._integer_route else None
+    quick = None
+    if sequence._ln_range is not None and (
+            floors is None or sequence._dear_floors(u.p)):
+        quick = (*sequence._ln_range,
+                 lambda n: u._from_ln(*sequence._ln_terms(n)))
+
+    def scaled(n):
+        return floors(n.astype(np.int64))
+
+    return quick, None if floors is None else scaled
+
+
+def _double_double_cells(uh, ul, err):
+    """(inside, doubles) from a double-double phase's u = uh + ul within
+    err on some inputs: inside(width) masks the inputs whose u lies
+    strictly inside one cell [j, j + 1) * 2**-80 of {u} within err
+    (times 1 + 2**-40 for the roundings of err itself) widened by the
+    certifier's width, and doubles(mask) is {u} of the masked inputs.
+    Every result certify accepts then floors to j as well, and the
+    double handed out is frac's: j * 2**-80 rounded once, and 1 - 2**-53
+    where that rounds to 1. An exact power of the base, and any other u
+    whose {u} is 0, has an integer inside its interval and falls back.
+    """
+    # {u} = fh + fl: uh - floor(uh) = a + ae exactly, where ae is 0
+    # unless -1 < uh < 0; so ae + ul rounds only there, and that
+    # rounding joins err. ul is at most half an ulp of uh, so only a
+    # negative low part under an integer uh borrows a one
+    a, ae = _two_sum(uh, -np.floor(uh))
+    low = ae + ul
+    err = err * (1.0 + 2.0 ** -40) + _HALF_ULP * np.abs(low) * (ae != 0.0)
+    fh, fl = _two_sum(a + ((a == 0.0) & (low < 0.0)), low)
+    # the cell j = jh + jl: where 2**80 fh is an integer the low
+    # part's floor counts too, -1 for a negative one
+    h, l = fh * 2.0 ** 80, fl * 2.0 ** 80
+    jh = np.floor(h)
+    jl = np.where(jh == h, np.floor(l), 0.0)
+    # in cells; pos, the sum in margin and 1 - margin round once each,
+    # below 2**-53 cells while margin < 1, which the 2**-50 covers
+    pos = (h - jh) + (l - jl)
+
+    def inside(width):
+        margin = (err + width) * 2.0 ** 80 + 2.0 ** -50
+        return (pos > margin) & (pos < 1.0 - margin)
+
+    return inside, lambda keep: _cell_doubles(jh[keep], jl[keep])
+
+
+def _integer_cells(a, exact):
+    """(inside, doubles) from an integer phase's (A, exact) on some
+    inputs in its map's domain (`Power._scaled`, or a sequence's floors),
+    as `_double_double_cells` gives them.
+
+    In units of 2**-_ROUTE_BITS, u lies in (A - 1, A + 2) modulo
+    2**_ROUTE_BITS, which is all {u}'s cells need (without the modulus
+    where A < 2**_ROUTE_BITS; a phase that forms u only modulo 1 keeps
+    its A above that), and every result certify accepts within W =
+    width of u, so all of them lie in (A - 1 - W, A + 2 + W) modulo
+    2**_ROUTE_BITS. Where A's low _ROUTE_GUARD bits, pos, leave 1 + W
+    below and 2 + W above, inside the cell c = A >> _ROUTE_GUARD, they
+    all floor to c, and the double handed out is frac's own for the
+    cell c mod 2**80 (`_cell_doubles`), whose two 40-bit halves hi and
+    lo pass as the exact doubles hi 2**40 and lo. In cell 0, read only
+    from an A below 2**_ROUTE_GUARD, the lower margin goes: the
+    phase's maps take x >= 0, so a certified result there is never
+    negative. pos, an integer below 2**40, and the margins add exactly
+    in doubles: W counts as at least 2**-10, a wider width and so a
+    safe one. An A marked exact is u 2**_ROUTE_BITS itself, and a phase
+    marks only a u that `_try_exact` finds exact, which certify
+    returns with every bit (`frac_scaled`); so its cell goes out with
+    no margin.
+    """
+    cell = a >> _ROUTE_GUARD
+    pos = (a & ((1 << _ROUTE_GUARD) - 1)).astype(np.float64)
+    first = cell == 0
+
+    def inside(width):
+        margin = max(width, 2.0 ** -(_ROUTE_BITS + 10)) \
+            * 2.0 ** _ROUTE_BITS + 1.0
+        held = ((pos >= margin) | first) \
+            & (pos + margin + 1.0 <= 2.0 ** _ROUTE_GUARD)
+        return held if exact is None else held | exact
+
+    def doubles(keep):
+        c = cell[keep] & ((1 << _FRAC_OUT_BITS) - 1)
+        half = _FRAC_OUT_BITS // 2
+        return _cell_doubles((c >> half).astype(np.float64) * 2.0 ** half,
+                             (c & ((1 << half) - 1)).astype(np.float64))
+
+    return inside, doubles
+
+
+# ---------------------------------------------------------------------------
 # escalating evaluation
 
 # starting working precision (32 digits), pad above a result's integer
@@ -1346,13 +1420,18 @@ class _Certifier:
 
     @functools.cached_property
     def _quick_int_bits(self):
-        """The most integer bits a double may have for certify to double
-        its first working precision within the cap, as a near-integer
-        result makes it do. The first precision only grows with the
-        integer bits, and is at most 157 for x < 2 at 80 agreement bits."""
-        return bisect.bisect_right(
-            range(1025), self.cap,
-            key=lambda b: 2 * start_bits(self.transform, b, self.a)) - 1
+        """The most integer bits an input, a double or a term, may have for
+        certify to double its first working precision within the cap, as
+        a near-integer result makes it do; math.inf where every count
+        may. The first precision only grows with the integer bits, and is
+        at most 157 for x < 2 at 80 agreement bits. A log's does not grow
+        at all, and a power map's estimate is at least half its input's
+        integer bits, so it passes the cap past cap bits: one still within
+        the cap at cap + 1 bits is within it at every count."""
+        t, a, cap = self.transform, self.a, self.cap
+        b = bisect.bisect_right(range(cap + 2), cap,
+                                key=lambda b: 2 * start_bits(t, b, a)) - 1
+        return math.inf if b > cap else b
 
     def _width(self, lo, hi, ib, bits):
         """2**-b, b the transform's `_claim_floor` on the inputs a route
@@ -1361,16 +1440,15 @@ class _Certifier:
         the fractional bits certify's first evaluation (start_bits of the
         input's integer bits, then `_eval_at`) claims on any of them, and
         nothing is evaluated. None where a quick route must hand nothing
-        out: past 80 agreement bits, where the first precision at ib,
-        doubled as a near-integer result makes certify do, would pass the
-        cap, or for a b short of the agreement bits.
+        out: past 80 agreement bits, at an ib past `_quick_int_bits`, or
+        for a b short of the agreement bits.
 
         A claim only grows with the working precision, so every result
         certify accepts for an input the route takes lies within this
         width of u(x). Each route adds its own error on top: err for the
         double-double route, A's units for the integer route (`_scaled`)."""
         t, a = self.transform, self.a
-        if a > _FRAC_OUT_BITS or 2 * start_bits(t, ib, a) > self.cap:
+        if a > _FRAC_OUT_BITS or ib > self._quick_int_bits:
             return None
         claim = t._claim_floor(lo, hi, ib, bits, a)
         return None if claim < a else 2.0 ** -claim
@@ -1378,13 +1456,14 @@ class _Certifier:
     @functools.cached_property
     def _quick_width(self):
         """`_width` on the doubles the quick routes take, None without a
-        route: from 0.0 to the largest double of `_quick_int_bits` integer
-        bits under the integer route, which takes every double its
+        route: from 0.0 to the largest double of at most `_quick_int_bits`
+        integer bits under the integer route, which takes every double its
         double-double phase does, else `_quick_range`; each double exact,
         and the top one's integer bits the most."""
         t = self.transform
-        ends = (0.0, math.ldexp(_ONE_MINUS, self._quick_int_bits)) \
-            if t._integer_route else t._quick_range
+        top = min(self._quick_int_bits, sys.float_info.max_exp)
+        ends = (0.0, math.ldexp(_ONE_MINUS, top)) if t._integer_route \
+            else t._quick_range
         if ends is None:
             return None
         lo, hi = ends
@@ -1453,14 +1532,19 @@ class _Certifier:
         """The quick routes on one block of doubles: write into `out` each
         {u(x)} they vouch for and return the mask of those x.
 
-        A route takes only an x of at most _quick_int_bits integer bits,
-        for which certify never raises.
+        The transform's own phases run: its double-double `_quick` on its
+        `_quick_range`, and `_scaled` where it has the integer route. A
+        route takes only an x of at most _quick_int_bits integer bits, for
+        which certify never raises.
         """
         if self._quick_width is None:
             return np.zeros(x.size, dtype=bool)
-        return self._routes(self.transform, x, out,
-                            np.frexp(x)[1] <= self._quick_int_bits,
-                            lambda room: self._quick_width)
+        t = self.transform
+        quick = None if t._quick_range is None else (*t._quick_range,
+                                                       t._quick)
+        return self._routes(x, out, np.frexp(x)[1] <= self._quick_int_bits,
+                            lambda room: self._quick_width, quick,
+                            t._scaled if t._integer_route else None)
 
     def _hand_out_terms(self, sequence, n, out):
         """The quick routes on one block of indices n: write into `out`
@@ -1470,46 +1554,45 @@ class _Certifier:
         routes of a block of doubles (`_hand_out`): the per-term route's
         BigReal.from_int(p) is from_float's BigReal of the double p, so
         the doubles' contract holds.
-        Every other sequence's terms take the transform's one route on
-        them (`_OnTerms`, on the indices as doubles, where it has a
-        phase), with the per-term route's width on the indices whose
-        route error leaves room in a cell (`_term_width`). A route takes
-        the indices whose terms' first precision, doubled, stays within
-        the cap; the terms grow with n, and so does that precision. Past 80
-        agreement bits no route hands out (`_width`), and none runs.
+        Every other sequence's terms take the phases `_term_phases`
+        composes from what it states, on the indices as doubles, with the
+        per-term route's width on the indices whose route error leaves
+        room in a cell (`_term_width`). A route takes the indices whose
+        terms have at most _quick_int_bits integer bits (`_term_int_bits`);
+        the terms grow with n, and so do those bits. Past 80 agreement bits
+        no route hands out (`_width`), and none runs.
         """
         if not n.size or self.a > _FRAC_OUT_BITS:
             return np.zeros(n.size, dtype=bool)
         x = sequence._doubles(n)
         if x is not None:
             return self._hand_out(x, out)
-        route = _OnTerms(self.transform, sequence)
-        if route._quick_range is None and not route._integer_route:
-            return np.zeros(n.size, dtype=bool)
-        fit = bisect.bisect_right(range(n.size), self.cap, key=lambda i: 2 * (
-            start_bits(self.transform,
-                       self._term_int_bits(sequence, int(n[i])), self.a)))
-        return self._routes(route, n.astype(np.float64), out,
+        fit = bisect.bisect_right(
+            n, self._quick_int_bits,
+            key=lambda k: self._term_int_bits(sequence, int(k)))
+        return self._routes(n.astype(np.float64), out,
                             np.arange(n.size) < fit,
-                            lambda room: self._term_width(sequence, n[room]))
+                            lambda room: self._term_width(sequence, n[room]),
+                            *_term_phases(self.transform, sequence))
 
-    def _routes(self, t, x, out, fits, width):
-        """The quick routes of t on one block: the double-double phase for
-        the x in t's _quick_range (sqrt's and pi*x**2's while u <= 2**20,
-        where it is the faster), then the integer route for what is left
-        of the domain of a map with one (q = 2, or c = pi). `fits` masks
-        the x a route may take. A route's cells come first; width(room),
-        for the indices `room` of the x whose route error leaves room in a
-        cell, is the certifier's width on them, or None for none to be
-        handed out.
+    @staticmethod
+    def _routes(x, out, fits, width, quick, scaled):
+        """The quick routes on one block of inputs x: the double-double
+        phase quick = (lo, hi, phase) on the x in [lo, hi], phase(x) = (uh,
+        ul, err) (`_double_double_cells`), then the integer phase scaled(x)
+        = (A, exact) (`_integer_cells`) on what it leaves of the finite x
+        >= 0; either None for no such phase. `fits` masks the x a route may
+        take. A route's cells come first; width(room), for the indices
+        `room` of the x whose route error leaves room in a cell, is the
+        certifier's width on them, or None for none to be handed out.
         """
         handed = np.zeros(x.size, dtype=bool)
 
-        def take(cells, mask):
+        def take(mask, cells, phase):
             took = np.flatnonzero(mask)
             if not took.size:
                 return
-            inside, doubles = cells(x[took], t)
+            inside, doubles = cells(*phase(x[took]))
             room = inside(0.0)
             w = width(took[room]) if room.any() else None
             if w is not None:
@@ -1517,93 +1600,13 @@ class _Certifier:
                 out[took[keep]] = doubles(keep)
                 handed[took[keep]] = True
 
-        if t._quick_range is not None:
-            lo, hi = t._quick_range
-            take(self._double_double_cells, fits & (x >= lo) & (x <= hi))
-        if t._integer_route:
-            take(self._integer_cells, fits & ~handed & np.isfinite(x)
-                 & (x >= 0.0))
+        if quick is not None:
+            lo, hi, phase = quick
+            take(fits & (x >= lo) & (x <= hi), _double_double_cells, phase)
+        if scaled is not None:
+            take(fits & ~handed & np.isfinite(x) & (x >= 0.0), _integer_cells,
+                 scaled)
         return handed
-
-    def _double_double_cells(self, x, t):
-        """(inside, doubles) from t's double-double phase, for doubles in
-        t's _quick_range: inside(width) masks the x whose u lies strictly
-        inside one cell [j, j + 1) * 2**-80 of {u} within err (times 1 +
-        2**-40 for the roundings of err itself) widened by the certifier's
-        width, and doubles(mask) is {u} of the masked x. Every result
-        certify accepts then floors to j as well, and the double handed
-        out is frac's: j * 2**-80 rounded once, and 1 - 2**-53 where that
-        rounds to 1. An exact power of the base, and any other u whose {u}
-        is 0, has an integer inside its interval and falls back.
-        """
-        uh, ul, err = t._quick(x)
-        # {u} = fh + fl: uh - floor(uh) = a + ae exactly, where ae is 0
-        # unless -1 < uh < 0; so ae + ul rounds only there, and that
-        # rounding joins err. ul is at most half an ulp of uh, so only a
-        # negative low part under an integer uh borrows a one
-        a, ae = _two_sum(uh, -np.floor(uh))
-        low = ae + ul
-        err = err * (1.0 + 2.0 ** -40) + _HALF_ULP * np.abs(low) * (ae != 0.0)
-        fh, fl = _two_sum(a + ((a == 0.0) & (low < 0.0)), low)
-        # the cell j = jh + jl: where 2**80 fh is an integer the low
-        # part's floor counts too, -1 for a negative one
-        h, l = fh * 2.0 ** 80, fl * 2.0 ** 80
-        jh = np.floor(h)
-        jl = np.where(jh == h, np.floor(l), 0.0)
-        # in cells; pos, the sum in margin and 1 - margin round once each,
-        # below 2**-53 cells while margin < 1, which the 2**-50 covers
-        pos = (h - jh) + (l - jl)
-
-        def inside(width):
-            margin = (err + width) * 2.0 ** 80 + 2.0 ** -50
-            return (pos > margin) & (pos < 1.0 - margin)
-
-        return inside, lambda keep: _cell_doubles(jh[keep], jl[keep])
-
-    def _integer_cells(self, x, t):
-        """(inside, doubles) from a power map's integer route
-        (`Power._scaled`), for finite doubles in t's domain, as
-        `_double_double_cells` gives them.
-
-        In units of 2**-_ROUTE_BITS, u lies in (A - 1, A + 2) modulo
-        2**_ROUTE_BITS, which is all {u}'s cells need (without the modulus
-        where A < 2**_ROUTE_BITS; a phase that forms u only modulo 1 keeps
-        its A above that), and every result certify accepts within W =
-        width of u, so all of them lie in (A - 1 - W, A + 2 + W) modulo
-        2**_ROUTE_BITS. Where A's low _ROUTE_GUARD bits, pos, leave 1 + W
-        below and 2 + W above, inside the cell c = A >> _ROUTE_GUARD, they
-        all floor to c, and the double handed out is frac's own for the
-        cell c mod 2**80 (`_cell_doubles`), whose two 40-bit halves hi and
-        lo pass as the exact doubles hi 2**40 and lo. In cell 0, read only
-        from an A below 2**_ROUTE_GUARD, the lower margin goes: the
-        route's maps take x >= 0, so a certified result there is never
-        negative. pos, an integer below 2**40, and the margins add exactly
-        in doubles: W counts as at least 2**-10, a wider width and so a
-        safe one. An A marked exact is u 2**_ROUTE_BITS itself, and the
-        route marks only a u that `_try_exact` finds exact, which certify
-        returns with every bit (`frac_scaled`); so its cell goes out with
-        no margin.
-        """
-        a, exact = t._scaled(x)
-        cell = a >> _ROUTE_GUARD
-        pos = (a & ((1 << _ROUTE_GUARD) - 1)).astype(np.float64)
-        first = cell == 0
-
-        def inside(width):
-            margin = max(width, 2.0 ** -(_ROUTE_BITS + 10)) \
-                * 2.0 ** _ROUTE_BITS + 1.0
-            held = ((pos >= margin) | first) \
-                & (pos + margin + 1.0 <= 2.0 ** _ROUTE_GUARD)
-            return held if exact is None else held | exact
-
-        def doubles(keep):
-            c = cell[keep] & ((1 << _FRAC_OUT_BITS) - 1)
-            half = _FRAC_OUT_BITS // 2
-            return _cell_doubles((c >> half).astype(np.float64) * 2.0 ** half,
-                                 (c & ((1 << half) - 1)).astype(np.float64))
-
-        return inside, doubles
-
 
 def eval_transform(x, transform, policy=DEFAULT_POLICY):
     """u(x) as a BigReal whose fractional part is certified (see

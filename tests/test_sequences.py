@@ -717,8 +717,8 @@ def test_integer_p_alpha_takes_the_forms_floors_alone():
     assert PowerLaw(23.1317)._dear_floors(2)
     assert not PowerLaw("1/pi")._dear_floors(2)
     for seq in (law, root):
-        route = transforms._OnTerms(PI_SQUARE, seq)
-        assert route._quick_range is None and route._integer_route
+        quick, scaled = transforms._term_phases(PI_SQUARE, seq)
+        assert quick is None and scaled is not None
     n = np.arange(1, 10001)
     assert law._power_floors(2, 1, True)(n)[0].tolist() == \
         root._power_floors(2, 1, True)(n)[0].tolist()
@@ -1048,9 +1048,11 @@ def test_term_width_is_the_fewest_claim_of_the_block(policy, name,
 def test_doubles_width_is_the_fewest_claim_of_the_ends(transform,
                                                       agreement):
     # the doubles' width against certify's first claims at the ends of
-    # what the quick routes take, and at every power of two between
+    # what the quick routes take, and at every power of two between; the
+    # top double has the cap bound's integer bits, or a double's most
     certifier = _Certifier(transform, PrecisionPolicy(agreement))
-    ends = (0.0, math.ldexp(1.0 - 2.0 ** -53, certifier._quick_int_bits)) \
+    top = min(certifier._quick_int_bits, sys.float_info.max_exp)
+    ends = (0.0, math.ldexp(1.0 - 2.0 ** -53, top)) \
         if transform._integer_route else transform._quick_range
     xs = [v for v in list(ends) + [2.0 ** k for k in range(-1022, 1024)]
           if ends[0] <= v <= ends[1]]

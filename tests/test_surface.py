@@ -15,9 +15,11 @@ outside __init__ holds the state instead.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import ubenford
+from ubenford.transforms import Transform
 
 SRC = Path(ubenford.__file__).parent
 
@@ -264,3 +266,43 @@ def test_no_state_kept_by_hand():
 
 def test_state_allow_list_names_real_sites():
     assert set(STATE_ALLOWED) <= _state_sites()
+
+
+# the quick phases a transform states on doubles and on ln x; a sequence's
+# are composed from what it states (`transforms._term_phases`), so no
+# class but a transform defines them
+PHASES = {"_quick", "_scaled", "_from_ln"}
+
+
+def _phase_classes():
+    """(module, class name) of each class in the package whose body
+    defines one of PHASES, as a method or an attribute."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            names = set()
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names.add(item.name)
+                elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                    targets = item.targets if isinstance(item, ast.Assign) \
+                        else [item.target]
+                    names |= {t.id for t in targets if isinstance(t, ast.Name)}
+            if names & PHASES:
+                found.append((path.stem, node.name))
+    return found
+
+
+def test_only_transforms_define_quick_phases():
+    found = _phase_classes()
+    assert ("transforms", "Power") in found
+    stand_ins = []
+    for module, name in found:
+        cls = getattr(importlib.import_module(f"ubenford.{module}"), name,
+                      None)
+        if not (isinstance(cls, type) and issubclass(cls, Transform)):
+            stand_ins.append(f"{module}.{name}")
+    assert stand_ins == []

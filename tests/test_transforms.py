@@ -1,5 +1,6 @@
 """Transform evaluation: exact fast paths, certified escalation, domains."""
 
+import bisect
 import math
 import random
 import re
@@ -870,7 +871,7 @@ class TestQuickPhase:
                 1 + Fraction(1, 1 << 40)) + width
             a, b = (u - r) * (1 << 80), (u + r) * (1 << 80)
             inside.append(math.floor(a) < a and b < math.floor(a) + 1)
-        assert certifier._double_double_cells(xs, t)[0](
+        assert tr._double_double_cells(*t._quick(xs))[0](
             certifier._quick_width).tolist() == inside
         if t == PI_SQUARE:
             # its width leaves some doubles near a cell edge
@@ -995,7 +996,7 @@ class TestQuickPhase:
             cell, pos = ai >> 40, ai & ((1 << 40) - 1)
             low = pos >= 1 + w or cell == 0
             inside.append(low and pos + 2 + w <= 1 << 40)
-        inside_at, doubles = certifier._integer_cells(xs, t)
+        inside_at, doubles = tr._integer_cells(*t._scaled(xs))
         got = inside_at(certifier._quick_width)
         assert got.tolist() == inside
         assert doubles(got).tolist() == [
@@ -1060,6 +1061,49 @@ class TestQuickPhase:
         xs = _seeded(1)
         for t in (SQRT, PI_SQUARE):
             assert _handed(tr._Certifier(t, DEFAULT_POLICY), xs).mean() > 0.99
+
+    @pytest.mark.parametrize("t, agreement, bound", [
+        (Power(50, pi=True), 12, 994), (Power(50, pi=True), 24, 993),
+        (Power(99, 2), 12, 1004), (Power(99, 2), 24, 1004)],
+        ids=["pi_x50-a40", "pi_x50-a80", "x99_2-a40", "x99_2-a80"])
+    def test_one_cap_bound_below_a_doubles_bits(self, t, agreement, bound,
+                                                monkeypatch):
+        # a cap bound below the doubles' 1,024 integer bits: every double
+        # past it goes to the per-value certifier, and on the exact terms
+        # n**20 the route stops at the first index whose integer bits pass
+        # it, where the rule on the doubled first precision stops too
+        certifier = tr._Certifier(t, PrecisionPolicy(agreement))
+        assert certifier._quick_int_bits == bound
+        rng = np.random.default_rng(bound)
+        below = 2.0 ** (bound - 1) * rng.uniform(1.0, 2.0, 20)
+        above = np.append(2.0 ** bound * rng.uniform(1.0, 2.0, 20),
+                          [2.0 ** bound, sys.float_info.max])
+        xs = np.concatenate([below, above])
+        handed = _handed(certifier, xs)
+        assert handed[:20].any() and not handed[20:].any()
+        certified = []
+        monkeypatch.setattr(certifier, "frac", lambda x: (
+            certified.append((x.mantissa, x.exponent)), 0.0)[1])
+        certifier.fracs(xs)
+        assert certified == [(x.mantissa, x.exponent) for x in map(
+            BigReal.from_float, xs[~handed].tolist())]
+
+        seq = PowerLaw(20.0)
+
+        def int_bits(k):
+            return certifier._term_int_bits(seq, int(k))
+
+        first = bisect.bisect_right(range(1, 2 ** 53), bound, key=int_bits) + 1
+        assert int_bits(first - 1) <= bound < int_bits(first)
+        n = np.arange(first - 100, first + 100)
+        seen = []
+        monkeypatch.setattr(tr._Certifier, "_routes", staticmethod(
+            lambda x, out, fits, *rest: (seen.append(fits), fits & False)[1]))
+        certifier._hand_out_terms(seq, n, np.zeros(n.size))
+        rule = bisect.bisect_right(range(n.size), certifier.cap, key=lambda i: (
+            2 * start_bits(t, int_bits(n[i]), certifier.a)))
+        assert rule == 100
+        assert seen[0].tolist() == (np.arange(n.size) < rule).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -1193,10 +1237,11 @@ _EXP2_K = {0.0: (IDENTITY, 1.0, 0), 0.5: (SQRT, 2.0, 1),
 
 
 def _exp2_route(e, k, ms):
-    """The one route on the terms pi**c m**s that u sends to pi**k m**e,
-    for the integers ms as the terms n = 1, 2, ..."""
+    """The double-double phase of the one route on the terms pi**c m**s
+    that u sends to pi**k m**e, for the integers ms as the terms n = 1,
+    2, ..."""
     t, f, c = _EXP2_K[k]
-    return tr._OnTerms(t, _FormTerms(e * f, c, ms))
+    return tr._term_phases(t, _FormTerms(e * f, c, ms))[0][2]
 
 
 def _exp2_m(e, k, f):
@@ -1210,17 +1255,17 @@ def _exp2_m(e, k, f):
 def _exp2_ratio(e, k, ms):
     """The largest |uh + ul - u| / err of the route's double-double phase
     over the integers ms (mpmath at 400 bits)."""
-    uh, ul, err = _exp2_route(e, k, ms)._quick(np.arange(1.0, len(ms) + 1))
+    uh, ul, err = _exp2_route(e, k, ms)(np.arange(1.0, len(ms) + 1))
     with mp.workprec(400):
         return max(abs(mpf(h) + mpf(l) - mp.pi ** mpf(k) * mpf(m) ** mpf(e))
                    / mpf(b) for m, h, l, b in zip(ms, uh, ul, err))
 
 
-def _has_phase(route):
-    """Whether the quick route on a sequence's terms has a phase to run;
-    _Certifier._hand_out_terms hands out nothing through one that has
-    none."""
-    return route._quick_range is not None or route._integer_route
+def _has_phase(phases):
+    """Whether the quick phases on a sequence's terms (`_term_phases`)
+    hold one to run; _Certifier._hand_out_terms hands out nothing
+    through them where they hold none."""
+    return phases != (None, None)
 
 
 class TestTermRoutes:
@@ -1236,8 +1281,8 @@ class TestTermRoutes:
     @settings(max_examples=500, deadline=None)
     def test_composed_error_within_its_bound(self, ms, c, t):
         m, s = ms
-        route = tr._OnTerms(t, _FormTerms(s, c, m))
-        uh, ul, err = route._quick(np.ones(1))
+        quick, _ = tr._term_phases(t, _FormTerms(s, c, m))
+        uh, ul, err = quick[2](np.ones(1))
         with mp.workprec(400):
             if err[0] == 1.0:
                 # only the iterated log falls back, where y is below 2**-10
@@ -1400,23 +1445,22 @@ class TestTermRoutes:
             seq = parse_sequence(name)
             assert seq._doubles(n) is None
             for t in TERM_LOGS + POWERS:
-                route = tr._OnTerms(t, seq)
-                assert _has_phase(route), (name, t.label())
+                assert _has_phase(tr._term_phases(t, seq)), (name, t.label())
         assert Primes()._doubles(n).tolist() == [2.0, 3.0, 5.0, 7.0, 11.0,
                                                  13.0, 17.0, 19.0]
         # an exponent past _fma's range states no ln x_n, and
         # takes no route
-        assert not _has_phase(tr._OnTerms(SQRT, PowerLaw(2.0 ** -401)))
+        assert not _has_phase(tr._term_phases(SQRT, PowerLaw(2.0 ** -401)))
         # the form's integer phase, where s p is an integer, takes every
         # term alone: pi_n under pi*x**p, pi**(p + 1) n**p, and sqrt_n
         # under pi*x**2, pi n; sqrt_n under pi*x**3 takes the exp2 route
         for t, seq in ((PI_SQUARE, PiN()), (Power(3, pi=True), PiN()),
                        (PI_SQUARE, SqrtN())):
-            route = tr._OnTerms(t, seq)
-            assert route._integer_route and route._quick_range is None
-        route = tr._OnTerms(Power(3, pi=True), SqrtN())
-        assert not route._integer_route
-        assert route._quick_range == (2.0, 2.0 ** 53 - 1)
+            quick, scaled = tr._term_phases(t, seq)
+            assert scaled is not None and quick is None
+        quick, scaled = tr._term_phases(Power(3, pi=True), SqrtN())
+        assert scaled is None
+        assert quick[:2] == (2.0, 2.0 ** 53 - 1)
 
     @pytest.mark.parametrize("agreement", [12, 24], ids=["a40", "a80"])
     @pytest.mark.parametrize("t", dict.fromkeys(QUICK + ROUTED),
@@ -1450,19 +1494,19 @@ class TestTermRoutes:
             edge = (tr._EXP2_U_MAX / math.pi ** k) ** (1 / e)
             ms = [1, 2, int(edge * (1 - 2.0 ** -30)),
                   int(edge * (1 + 2.0 ** -30)) + 1, 3]
-            err = _exp2_route(e, k, ms)._quick(np.arange(1.0, 6.0))[2]
+            err = _exp2_route(e, k, ms)(np.arange(1.0, 6.0))[2]
             assert (err < 1.0).tolist() == [True, True, True, False, False]
         # sub-linear power laws take every m below 2**53
-        err = _exp2_route(0.25, 0.0, [2.0 ** 53 - 1])._quick(np.ones(1))[2]
+        err = _exp2_route(0.25, 0.0, [2.0 ** 53 - 1])(np.ones(1))[2]
         assert err[0] < 2.0 ** -85
         # a block whose first term is past the cut runs no _exp2: the
         # steep power laws under pi*x**2 from n = 2 on
         monkeypatch.setattr(tr, "_exp2", None)
         n = np.arange(2.0, 1001.0)
         for alpha in (23.1317, 41.635, 55.6231):
-            route = tr._OnTerms(PI_SQUARE, PowerLaw(alpha))
-            assert route._quick_range == (2.0, 2.0 ** 53 - 1)
-            assert (route._quick(n)[2] == 1.0).all()
+            quick, _ = tr._term_phases(PI_SQUARE, PowerLaw(alpha))
+            assert quick[:2] == (2.0, 2.0 ** 53 - 1)
+            assert (quick[2](n)[2] == 1.0).all()
 
     def test_logs_compose_within_their_scale_range(self):
         # a form states ln x_n for s in _fma's range, and the logs
@@ -1472,7 +1516,7 @@ class TestTermRoutes:
             seq = PowerLaw(a)
             assert (seq._ln_range is not None) == routed
             for t in TERM_LOGS:
-                assert _has_phase(tr._OnTerms(t, seq)) == routed
+                assert _has_phase(tr._term_phases(t, seq)) == routed
 
     @given(e=_EXP2_E, k=st.sampled_from((0.0, 0.5, 1.0, 3.0)),
            f=st.floats(0.0, 1.0))
@@ -1544,10 +1588,10 @@ class TestTermRoutes:
         rng = random.Random(p)
         ns = sorted({1, 2, 3, 535, 536, 10 ** 4, 2 ** 53 - 1} | {
             int(2 ** rng.uniform(0, 53)) for _ in range(60)})
-        route = tr._OnTerms(Power(p, pi=True), PiN())
-        assert route._integer_route and route._quick_range is None
+        quick, scaled = tr._term_phases(Power(p, pi=True), PiN())
+        assert scaled is not None and quick is None
         for n in [ns] + [[k] for k in ns]:
-            a = route._scaled(np.array(n, dtype=np.float64))[0]
+            a = scaled(np.array(n, dtype=np.float64))[0]
             with mp.workprec(53 * p + 400):
                 for k, ai in zip(n, a):
                     u = mp.pi ** (p + 1) * mpf(k) ** p * mpf(2) ** 120
@@ -1591,10 +1635,9 @@ class TestTermRoutes:
     def test_inv_pi_power_within_its_bound(self, n, t):
         # n**(1/pi) under the power maps: the exp2 route on ln n / pi
         seq = PowerLaw("1/pi")
-        route = tr._OnTerms(t, seq)
-        lo, hi = route._quick_range
+        lo, hi, phase = tr._term_phases(t, seq)[0]
         assert lo == 2.0 and hi >= 2 ** 20
-        uh, ul, err = route._quick(np.array([float(n)]))
+        uh, ul, err = phase(np.array([float(n)]))
         with mp.workprec(400):
             u = mp.pi ** t.pi * mpf(n) ** (mpf(t.p) / t.q / mp.pi)
             miss = abs(mpf(uh[0]) + mpf(ul[0]) - u)
@@ -1609,31 +1652,32 @@ class TestTermRoutes:
         for name in ("exp_n", "factorial", "n_pow_n", "power_law:1/pi"):
             seq = parse_sequence(name)
             for t in TERM_LOGS:
-                assert _has_phase(tr._OnTerms(t, seq))
+                assert _has_phase(tr._term_phases(t, seq))
             for t in (IDENTITY, SQRT, Power(3, 2), PI_SQUARE,
                       Power(3, pi=True)):
-                route = tr._OnTerms(t, seq)
+                quick, scaled = phases = tr._term_phases(t, seq)
                 run = name != "power_law:1/pi" and (t.pi or t.q == 2)
-                assert _has_phase(route), (name, t)
-                assert route._integer_route == run
-                assert route._quick_range == (None if run else seq._ln_range)
+                assert _has_phase(phases), (name, t)
+                assert (scaled is not None) == run
+                assert (quick[:2] if quick else None) == (
+                    None if run else seq._ln_range)
 
     @pytest.mark.parametrize("t", [PI_SQUARE, Power(3, pi=True)],
                              ids=lambda t: t.label())
     def test_running_product_is_the_pi_power_floor(self, t):
         # the integers _pi_power_floor builds per term, from the block's
         # largest, whole and filtered; and u 2**120 in (A - 1, A + 2)
-        route = tr._OnTerms(t, Factorial())
+        scaled = tr._term_phases(t, Factorial())[1]
         for n in (np.arange(1, 300), np.array([1, 2, 5, 40, 41, 299]),
                   np.array([7]), np.array([150, 151])):
-            a, exact = route._scaled(n.astype(np.float64))
+            a, exact = scaled(n.astype(np.float64))
             assert exact is None
             m = [math.factorial(k) ** t.p for k in n.tolist()]
             want = tr._pi_power_floor(np.array(m, dtype=object), 0, 1,
                                       m[-1].bit_length())
             assert a.tolist() == want.tolist()
         with mp.workprec(t.p * 2000 + 400):
-            for k, ai in zip([1, 2, 5, 40, 41, 299], route._scaled(
+            for k, ai in zip([1, 2, 5, 40, 41, 299], scaled(
                     np.array([1.0, 2, 5, 40, 41, 299]))[0]):
                 u = mp.pi * mpf(math.factorial(k)) ** t.p * mpf(2) ** 120
                 assert ai - 1 < u < ai + 2
